@@ -8,13 +8,6 @@ struct-of-arrays engine core and records, per tier:
 * peak resident set size;
 * feasibility across the run (the tiers are provisioned to stay feasible).
 
-Every tier is then re-run on the sharded multi-process engine
-(:mod:`repro.shard`) and recorded as a ``sharded`` row: sharded-vs-single
-throughput ratio on this machine, digest cross-check (a divergence fails
-the benchmark), cross-shard reconciliation counters and per-worker RSS.
-The ratios are machine-relative on purpose — whether sharding wins is a
-``cpu_count`` question, recorded alongside the rows.
-
 The 10k tier is compared against the pre-vectorization baseline measured
 on the object-per-request engine (PR 3, commit ``ff49bf4``): identical
 scenario parameters, 12.20 rounds/sec.  The PR-4 acceptance bar is a
@@ -74,21 +67,11 @@ def bench_tier(
     rounds: int,
     seed: int = 7,
     incremental: "bool | None" = None,
-    n_shards: "int | None" = None,
-    shard_host: str = "process",
 ) -> dict:
-    """Build and run one tier; returns its result record.
-
-    With ``n_shards`` the tier runs on the sharded multi-process engine
-    (:mod:`repro.shard`); the record then carries the shard layout, the
-    run's cross-shard reconciliation counters and the per-worker resident
-    set sizes next to the coordinator's.
-    """
+    """Build and run one tier; returns its result record."""
     spec = get_scenario(f"scale_tier_{tier}")
     build_start = time.perf_counter()
-    compiled = build_scenario(
-        spec, seed=seed, min_horizon=rounds, n_shards=n_shards, shard_host=shard_host
-    )
+    compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
     build_seconds = time.perf_counter() - build_start
     if incremental is not None:
         compiled.simulator.set_incremental_matching(incremental)
@@ -98,7 +81,7 @@ def bench_tier(
     run_seconds = time.perf_counter() - run_start
 
     metrics = result.metrics
-    record = {
+    return {
         "tier": tier,
         "boxes": int(spec.population.params["n"]),
         "videos": int(spec.catalog.num_videos),
@@ -113,22 +96,6 @@ def bench_tier(
         "peak_rss_mb": peak_rss_bytes() / 1e6,
         "digest": digest_result(spec, seed, rounds, result).digest,
     }
-    simulator = compiled.simulator
-    if n_shards is not None:
-        record.update(
-            {
-                "n_shards": int(simulator.n_shards),
-                "shard_host": simulator.shard_host_kind,
-                "shard_restarts": int(simulator.shard_restarts),
-                "reconciled_rounds": int(simulator.reconciled_rounds),
-                "cross_shard_connections": int(simulator.cross_shard_connections),
-                "worker_rss_mb": [
-                    probe["rss_kib"] / 1024.0 for probe in simulator.shard_rss()
-                ],
-            }
-        )
-        simulator.close()
-    return record
 
 
 def measure_relative(rounds: int, repeats: int = 2, seed: int = 7) -> dict:
@@ -151,85 +118,6 @@ def measure_relative(rounds: int, repeats: int = 2, seed: int = 7) -> dict:
         "incremental_rounds_per_sec": best[True],
         "full_solve_rounds_per_sec": best[False],
         "incremental_speedup": best[True] / best[False],
-    }
-
-
-def measure_sharded_relative(rounds: int, repeats: int = 2, seed: int = 7) -> dict:
-    """Sharded-vs-single 10k throughput ratio, same machine, same process.
-
-    The ratio is what the CI gate consumes: on a many-core machine it
-    exceeds 1 (the shards actually parallelize the box data plane), on a
-    single-core runner it sits below 1 (the coordination protocol is pure
-    overhead) — but either way both sides see the same hardware, so a
-    drop means the sharded path itself got slower.  The digests of the
-    two runs are asserted equal while we are at it.
-    """
-    n_shards = max(2, min(4, os.cpu_count() or 1))
-    best: dict = {}
-    digests = {}
-    for sharded in (False, True):
-        kwargs = {"n_shards": n_shards} if sharded else {}
-        records = [
-            bench_tier("10k", rounds, seed=seed, **kwargs) for _ in range(repeats)
-        ]
-        best[sharded] = max(r["rounds_per_sec"] for r in records)
-        digests[sharded] = records[0]["digest"]
-    assert digests[True] == digests[False], (
-        "sharded 10k digest diverged from single-process"
-    )
-    return {
-        "tier": "10k",
-        "rounds": rounds,
-        "n_shards": n_shards,
-        "cpu_count": os.cpu_count(),
-        "single_rounds_per_sec": best[False],
-        "sharded_rounds_per_sec": best[True],
-        "sharded_ratio": best[True] / best[False],
-        "digest_match": True,
-    }
-
-
-def measure_event_relative(rounds: int, repeats: int = 2, seed: int = 7) -> dict:
-    """Event-vs-round 10k throughput ratio, same machine, same process.
-
-    Both engines run the identical ``scale_tier_10k`` build; the event
-    run's round-binned records must equal the round engine's record for
-    record (a divergence fails the benchmark).  The ratio — continuous
-    clock over synchronous clock — is machine-relative like the sharded
-    row: both sides see the same hardware, so a drop means the event
-    layer's per-round overhead itself grew.  The event run's latency
-    percentiles ride along, since only that engine can report them.
-    """
-    from repro.scenarios.replay import _round_records
-
-    spec = get_scenario("scale_tier_10k")
-    best: dict = {}
-    results = {}
-    for engine in ("round", "event"):
-        engine_spec = spec.with_overrides(engine=engine)
-        runs = []
-        for _ in range(repeats):
-            compiled = build_scenario(engine_spec, seed=seed, min_horizon=rounds)
-            start = time.perf_counter()
-            result = compiled.run(rounds)
-            runs.append(rounds / (time.perf_counter() - start))
-            results[engine] = result
-        best[engine] = max(runs)
-    assert _round_records(results["round"]) == _round_records(results["event"]), (
-        "event-engine 10k round records diverged from the round engine"
-    )
-    metrics = results["event"].metrics
-    return {
-        "tier": "10k",
-        "rounds": rounds,
-        "round_rounds_per_sec": best["round"],
-        "event_rounds_per_sec": best["event"],
-        "event_ratio": best["event"] / best["round"],
-        "parity": True,
-        "admission_latency_p50": metrics.admission_latency_p50,
-        "admission_latency_p99": metrics.admission_latency_p99,
-        "startup_delay_p50": metrics.startup_delay_p50,
-        "startup_delay_p99": metrics.startup_delay_p99,
     }
 
 
@@ -262,77 +150,14 @@ def check_regression(committed_path: str, rounds: int, tolerance: float) -> int:
         f"{relative['full_solve_rounds_per_sec']:.1f} r/s) vs committed "
         f"{recorded:.2f}x (floor {floor:.2f}x) -> {verdict}"
     )
-    failures = 0
     if measured < floor:
         print(
             f"FAIL: incremental-vs-full speedup dropped more than "
             f"{tolerance * 100:.0f}% below the committed ratio baseline",
             file=sys.stderr,
         )
-        failures += 1
-
-    # The sharded rows get the same machine-relative treatment: gate on
-    # the sharded-vs-single throughput ratio re-measured here, not on the
-    # committed machine's absolute numbers.
-    try:
-        recorded_sharded = float(
-            committed["scale"]["sharded"]["relative"]["sharded_ratio"]
-        )
-    except (KeyError, TypeError, ValueError):
-        print(
-            "sharded regression     : no committed scale.sharded.relative "
-            "baseline — run benchmarks/bench_scale.py --record (skipping)"
-        )
-        recorded_sharded = None
-    if recorded_sharded is not None:
-        sharded = measure_sharded_relative(rounds)
-        measured_sharded = sharded["sharded_ratio"]
-        sharded_floor = recorded_sharded * (1.0 - tolerance)
-        verdict = "OK" if measured_sharded >= sharded_floor else "FAIL"
-        print(
-            f"sharded regression     : sharded/single ratio "
-            f"{measured_sharded:.2f}x ({sharded['n_shards']} shards, "
-            f"{sharded['sharded_rounds_per_sec']:.1f} vs "
-            f"{sharded['single_rounds_per_sec']:.1f} r/s) vs committed "
-            f"{recorded_sharded:.2f}x (floor {sharded_floor:.2f}x) -> {verdict}"
-        )
-        if measured_sharded < sharded_floor:
-            print(
-                f"FAIL: sharded-vs-single throughput dropped more than "
-                f"{tolerance * 100:.0f}% below the committed ratio baseline",
-                file=sys.stderr,
-            )
-            failures += 1
-
-    # The event-engine row: gate on the event-vs-round throughput ratio
-    # re-measured here (record-for-record parity is asserted inside).
-    try:
-        recorded_event = float(committed["event_engine"]["event_ratio"])
-    except (KeyError, TypeError, ValueError):
-        print(
-            "event regression       : no committed event_engine baseline — "
-            "run benchmarks/bench_scale.py to create one (skipping)"
-        )
-        recorded_event = None
-    if recorded_event is not None:
-        event = measure_event_relative(rounds)
-        measured_event = event["event_ratio"]
-        event_floor = recorded_event * (1.0 - tolerance)
-        verdict = "OK" if measured_event >= event_floor else "FAIL"
-        print(
-            f"event regression       : event/round ratio {measured_event:.2f}x "
-            f"(event {event['event_rounds_per_sec']:.1f} r/s, round "
-            f"{event['round_rounds_per_sec']:.1f} r/s) vs committed "
-            f"{recorded_event:.2f}x (floor {event_floor:.2f}x) -> {verdict}"
-        )
-        if measured_event < event_floor:
-            print(
-                f"FAIL: event-vs-round throughput dropped more than "
-                f"{tolerance * 100:.0f}% below the committed ratio baseline",
-                file=sys.stderr,
-            )
-            failures += 1
-    return 1 if failures else 0
+        return 1
+    return 0
 
 
 def main() -> int:
@@ -387,9 +212,6 @@ def main() -> int:
     # uses (right after warm-up): the full-solve runs below perturb the
     # allocator enough to skew a later measurement.
     relative = measure_relative(min(args.rounds, 20)) if args.record else None
-    sharded_relative = (
-        measure_sharded_relative(min(args.rounds, 20)) if args.record else None
-    )
 
     records = []
     for tier in tiers:
@@ -402,43 +224,6 @@ def main() -> int:
             f"{record['infeasible_rounds']} infeasible  "
             f"peak RSS {record['peak_rss_mb']:.0f} MB"
         )
-
-    # Sharded rows: the same tiers on the multi-process engine, with the
-    # digest cross-checked against the single-process record above.
-    n_shards = max(2, min(4, os.cpu_count() or 1))
-    sharded_records = []
-    for single in records:
-        record = bench_tier(single["tier"], rounds, n_shards=n_shards)
-        record["single_rounds_per_sec"] = single["rounds_per_sec"]
-        record["sharded_ratio"] = (
-            record["rounds_per_sec"] / single["rounds_per_sec"]
-        )
-        record["digest_match"] = record["digest"] == single["digest"]
-        sharded_records.append(record)
-        print(
-            f"{record['tier']:>5}: {record['boxes']:>7,} boxes  "
-            f"{record['rounds_per_sec']:8.2f} rounds/s sharded x{n_shards}  "
-            f"({record['sharded_ratio']:.2f}x single)  "
-            f"digest {'OK' if record['digest_match'] else 'DIVERGED'}  "
-            f"{record['cross_shard_connections']:,} cross-shard"
-        )
-        if not record["digest_match"]:
-            print(
-                f"FAIL: sharded {record['tier']} digest diverged from the "
-                "single-process run",
-                file=sys.stderr,
-            )
-            return 1
-
-    # Event-engine row: same 10k workload on the continuous clock, parity
-    # asserted, machine-relative ratio recorded for the CI gate.
-    event_relative = measure_event_relative(min(rounds, 20))
-    print(
-        f"  10k: event engine {event_relative['event_rounds_per_sec']:8.2f} "
-        f"rounds/s  ({event_relative['event_ratio']:.2f}x round)  "
-        f"parity OK  admission p99 "
-        f"{event_relative['admission_latency_p99']:.3f}"
-    )
 
     measured_10k = records[0]["rounds_per_sec"]
     speedup = measured_10k / BASELINE_10K_ROUNDS_PER_SEC
@@ -458,20 +243,6 @@ def main() -> int:
         "speedup_target": SPEEDUP_TARGET,
         "target_met": speedup >= SPEEDUP_TARGET,
         "tiers": records,
-        "sharded": {
-            "cpu_count": os.cpu_count(),
-            "n_shards": n_shards,
-            "note": (
-                "Machine-relative rows: sharded-vs-single throughput on the "
-                "SAME host, digest cross-checked.  A sharded win over the "
-                "single-process baseline requires cpu_count > 1 — on a "
-                "single-core host the coordination protocol is pure "
-                "overhead and the ratio sits below 1 by construction; the "
-                "committed cpu_count above says which regime these numbers "
-                "come from."
-            ),
-            "tiers": sharded_records,
-        },
     }
     output = os.path.abspath(args.output)
     artifact = {}
@@ -494,22 +265,7 @@ def main() -> int:
         previous = artifact.get("scale", {})
         if isinstance(previous, dict) and "relative" in previous:
             section["relative"] = previous["relative"]
-    if sharded_relative is not None:
-        section["sharded"]["relative"] = sharded_relative
-        print(
-            f"sharded ratio baseline : sharded/single "
-            f"{sharded_relative['sharded_ratio']:.2f}x recorded "
-            f"({sharded_relative['n_shards']} shards, cpu_count "
-            f"{sharded_relative['cpu_count']})"
-        )
-    else:
-        previous = artifact.get("scale", {})
-        if isinstance(previous, dict) and isinstance(
-            previous.get("sharded"), dict
-        ) and "relative" in previous["sharded"]:
-            section["sharded"]["relative"] = previous["sharded"]["relative"]
     artifact["scale"] = section
-    artifact["event_engine"] = event_relative
     with open(output, "w") as handle:
         json.dump(artifact, handle, indent=2)
         handle.write("\n")

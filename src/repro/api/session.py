@@ -99,20 +99,6 @@ class RoundReport:
     #: the round fell back to the full matching kernel, 0 otherwise.
     #: Serialized only when set (same digest-stability rule as ``degraded``).
     repair_fallback: int = 0
-    #: Shard worker processes the sharded engine rebuilt from checkpoint
-    #: during this round (always 0 single-process).  Serialized only when
-    #: set (same digest-stability rule as ``degraded``).
-    shard_restarts: int = 0
-    #: Per-request latency percentiles of this round, reported only by the
-    #: event-driven engine (:mod:`repro.events`): the continuous time from
-    #: a demand's arrival to its admission boundary, and from arrival to
-    #: playback start.  ``None`` on round-engine steps and on rounds with
-    #: no accepted demand / no playback start; serialized only when set,
-    #: so round-engine digests are unchanged.
-    admission_latency_p50: Optional[float] = None
-    admission_latency_p99: Optional[float] = None
-    startup_delay_p50: Optional[float] = None
-    startup_delay_p99: Optional[float] = None
 
     @property
     def utilization(self) -> float:
@@ -126,17 +112,11 @@ class RoundReport:
         payload = self.to_round_stats().to_dict()
         for name in _SESSION_ONLY_FIELDS:
             payload[name] = int(getattr(self, name))
-        for flag in ("degraded", "repair_fallback", "shard_restarts"):
+        for flag in ("degraded", "repair_fallback"):
             if not payload[flag]:
                 # Only rounds that tripped the flag serialize it: digests of
                 # fault-free runs are byte-identical to earlier recordings.
                 del payload[flag]
-        for name in _LATENCY_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                # Event-engine rounds only: round-engine payloads keep
-                # their historical key set.
-                payload[name] = float(value)
         return payload
 
     @classmethod
@@ -145,10 +125,6 @@ class RoundReport:
         return cls.from_round_stats(
             RoundStats.from_dict(data),
             **{name: int(data.get(name, 0)) for name in _SESSION_ONLY_FIELDS},
-            **{
-                name: None if data.get(name) is None else float(data[name])
-                for name in _LATENCY_FIELDS
-            },
         )
 
     @classmethod
@@ -175,21 +151,11 @@ class RoundReport:
         return RoundStats(**{name: getattr(self, name) for name in _ROUND_STATS_FIELDS})
 
 
-#: Optional per-round latency percentiles (event-engine steps only).
-_LATENCY_FIELDS = (
-    "admission_latency_p50",
-    "admission_latency_p99",
-    "startup_delay_p50",
-    "startup_delay_p99",
-)
-
 #: RoundReport = the engine's RoundStats fields + these session-only ones
-#: (all integer counters; the optional latency floats are kept separate).
+#: (all integer counters).
 _ROUND_STATS_FIELDS = tuple(f.name for f in fields(RoundStats))
 _SESSION_ONLY_FIELDS = tuple(
-    f.name
-    for f in fields(RoundReport)
-    if f.name not in _ROUND_STATS_FIELDS and f.name not in _LATENCY_FIELDS
+    f.name for f in fields(RoundReport) if f.name not in _ROUND_STATS_FIELDS
 )
 
 
@@ -560,11 +526,6 @@ class VodSession:
             offline_boxes=len(engine.offline_boxes(time)),
             degraded=int(engine.last_round_degraded),
             repair_fallback=int(getattr(engine, "last_round_repair_fallback", False)),
-            shard_restarts=int(getattr(engine, "last_round_shard_restarts", 0)),
-            **{
-                name: getattr(engine, f"last_round_{name}", None)
-                for name in _LATENCY_FIELDS
-            },
         )
         self._reports.append(report)
         if not feasible and engine._stop_on_infeasible:
@@ -653,7 +614,8 @@ class VodSession:
 
         Each call produces a fresh object graph: restoring twice yields two
         sessions that evolve independently (and identically, given the same
-        inputs).  A snapshot from a different format version raises
+        inputs).  A snapshot from a different format version, or one whose
+        checksummed payload names classes this build no longer has, raises
         :class:`~repro.api.errors.SnapshotFormatError`; a truncated or
         corrupted payload raises
         :class:`~repro.api.errors.SnapshotIntegrityError` instead of a raw
@@ -674,6 +636,13 @@ class VodSession:
         try:
             session = pickle.loads(snapshot.payload)
         except Exception as exc:
+            if recorded and isinstance(exc, (ImportError, AttributeError)):
+                # The checksum held, so these are the captured bytes: they
+                # name code this build no longer has (a removed engine mode).
+                raise SnapshotFormatError(
+                    f"snapshot payload refers to code this build does not "
+                    f"have ({exc}); re-record the checkpoint from a fresh run"
+                ) from exc
             raise SnapshotIntegrityError(
                 f"snapshot payload is truncated or corrupt ({exc})"
             ) from exc

@@ -222,12 +222,6 @@ class VodSystem:
         solver: str = "hopcroft_karp",
         round_observer=None,
         trace_level: str = "full",
-        n_shards: Optional[int] = None,
-        shard_host: str = "process",
-        shard_random_state=None,
-        shard_checkpoint_every: int = 8,
-        engine: str = "round",
-        event_random_state=None,
     ) -> VodSimulator:
         """Construct the round engine over the adopted allocation.
 
@@ -237,34 +231,11 @@ class VodSystem:
         ready component, or ``None`` for the paper's preloading strategy;
         ``solver`` any registered solver name — including names registered
         by the caller, whose factories are invoked to build the matcher.
-
-        Passing ``n_shards`` returns the sharded multi-process engine
-        (:class:`~repro.shard.ShardedVodSimulator`): the box space is
-        partitioned across that many worker shards (``shard_host``
-        ``"process"`` or ``"inline"``), digest-identical to the
-        single-process engine on the same inputs.
-
-        ``engine`` selects the clock: ``"round"`` (default) is the paper's
-        round engine; ``"event"`` returns the continuous-time
-        :class:`~repro.events.EventDrivenVodSimulator` — round records
-        stay bit-identical, and per-request admission-latency and
-        startup-delay percentiles are additionally reported.
-        ``event_random_state`` seeds the intra-round arrival offsets (the
-        only randomness the event layer consumes).
         """
         if self._allocation is None:
             raise ApiError(
                 "no allocation adopted yet: call allocate(...) or "
                 "adopt_allocation(...) first"
-            )
-        if engine not in ("round", "event"):
-            raise ApiError(
-                f"engine must be 'round' or 'event', got {engine!r}"
-            )
-        if engine == "event" and n_shards is not None:
-            raise ApiError(
-                "the event-driven engine does not support sharded execution "
-                "yet: pass engine='round' with n_shards, or drop n_shards"
             )
         # Resolve through the registry (failing early, with the registry's
         # name list, on unknown kernels) and hand the engine the factory so
@@ -272,44 +243,6 @@ class VodSystem:
         solver_factory = component_factory("solver", solver)
         if isinstance(scheduler, str):
             scheduler = create_component("scheduler", scheduler, self._catalog)
-        if n_shards is not None:
-            from repro.shard import ShardedVodSimulator
-
-            return ShardedVodSimulator(
-                self._allocation,
-                mu=self._mu,
-                scheduler=scheduler,
-                compensation_plan=compensation_plan,
-                record_connections=record_connections,
-                stop_on_infeasible=stop_on_infeasible,
-                churn=churn,
-                warm_start=warm_start,
-                solver=solver_factory,
-                round_observer=round_observer,
-                trace_level=trace_level,
-                n_shards=int(n_shards),
-                shard_host=shard_host,
-                shard_random_state=shard_random_state,
-                shard_checkpoint_every=shard_checkpoint_every,
-            )
-        if engine == "event":
-            # Imported lazily: the event package is only paid for when used.
-            from repro.events.engine import EventDrivenVodSimulator
-
-            return EventDrivenVodSimulator(
-                self._allocation,
-                mu=self._mu,
-                scheduler=scheduler,
-                compensation_plan=compensation_plan,
-                record_connections=record_connections,
-                stop_on_infeasible=stop_on_infeasible,
-                churn=churn,
-                warm_start=warm_start,
-                solver=solver_factory,
-                round_observer=round_observer,
-                trace_level=trace_level,
-                event_random_state=event_random_state,
-            )
         return VodSimulator(
             self._allocation,
             mu=self._mu,

@@ -149,17 +149,49 @@ def run_supervised(
         _kill_workers(executor)
         executor = ProcessPoolExecutor(max_workers=max_workers)
 
+    def _recover_broken_pool(broken_items: List[_Item]) -> None:
+        if not in_flight and len(broken_items) == 1:
+            # The cell was alone in the pool (isolation mode or a
+            # lone straggler): the crash is attributable — charge.
+            _charge(broken_items[0], "worker process died (SIGKILL/crash)")
+        else:
+            # Several cells shared the broken pool: none of them
+            # can be blamed, so all requeue uncharged as suspects
+            # and run isolated until cleared.
+            for item in broken_items:
+                suspects.add(item.index)
+                queue.appendleft(item)
+        for item in in_flight.values():
+            suspects.add(item.index)
+            queue.appendleft(item)
+        in_flight.clear()
+        deadlines.clear()
+        _rebuild_pool()
+
     try:
         while queue or in_flight:
             # Isolation mode: while any crash suspect is unresolved, run
             # one cell at a time so the next crash is attributable.
             limit = 1 if suspects else max_workers
+            submit_broke = False
             while queue and len(in_flight) < limit:
                 item = queue.popleft()
-                future = executor.submit(worker, item.payload)
+                try:
+                    future = executor.submit(worker, item.payload)
+                except BrokenProcessPool:
+                    # A worker died and the pool is marked broken before
+                    # its futures completed.  This item never ran, so it
+                    # requeues uncharged; the in-flight cells shared the
+                    # broken pool and are recovered as if wait() said so.
+                    queue.appendleft(item)
+                    submit_broke = True
+                    break
                 in_flight[future] = item
                 if policy.cell_timeout is not None:
                     deadlines[future] = time.monotonic() + policy.cell_timeout
+            if submit_broke:
+                _recover_broken_pool([])
+                continue
 
             timeout = None
             if deadlines:
@@ -198,23 +230,7 @@ def run_supervised(
                 else:
                     _charge(item, f"{type(error).__name__}: {error}")
             if broken_items:
-                if not in_flight and len(broken_items) == 1:
-                    # The cell was alone in the pool (isolation mode or a
-                    # lone straggler): the crash is attributable — charge.
-                    _charge(broken_items[0], "worker process died (SIGKILL/crash)")
-                else:
-                    # Several cells shared the broken pool: none of them
-                    # can be blamed, so all requeue uncharged as suspects
-                    # and run isolated until cleared.
-                    for item in broken_items:
-                        suspects.add(item.index)
-                        queue.appendleft(item)
-                for future, item in list(in_flight.items()):
-                    suspects.add(item.index)
-                    queue.appendleft(item)
-                in_flight.clear()
-                deadlines.clear()
-                _rebuild_pool()
+                _recover_broken_pool(broken_items)
     finally:
         _kill_workers(executor)
     return results, quarantined

@@ -104,8 +104,6 @@ def build_scenario(
     stop_on_infeasible: bool = False,
     round_observer: Optional[Callable[[RoundObservation], None]] = None,
     min_horizon: Optional[int] = None,
-    n_shards: Optional[int] = None,
-    shard_host: str = "process",
 ) -> CompiledScenario:
     """Compile ``spec`` into a fully wired simulator run.
 
@@ -120,19 +118,6 @@ def build_scenario(
     (otherwise the extra rounds would silently be churn-free).  The
     per-round churn draw is prefix-stable, so a longer schedule never
     changes the outages of the earlier rounds.
-
-    ``n_shards`` compiles the scenario onto the sharded multi-process
-    engine (:mod:`repro.shard`) with ``shard_host`` workers.  Sharded
-    runs are digest-identical to single-process runs of the same
-    ``(spec, seed)``: the shard entropy is a dedicated child stream
-    spawned after every other stream (append-stable), and the shard
-    data plane consumes no randomness during the run.
-
-    ``spec.engine`` selects the clock: ``"event"`` compiles onto the
-    continuous-time engine (:mod:`repro.events`), whose intra-round
-    arrival offsets come from a dedicated child stream spawned after
-    every other stream — so event-mode compilation never perturbs a
-    round-mode digest of the same seed, and vice versa.
     """
     if seed is None:
         seed = spec.default_seed
@@ -147,15 +132,6 @@ def build_scenario(
     # never perturbs the population/allocation/churn/workload draws, and
     # fault-free specs keep their recorded randomness bit-identical.
     fault_streams = root.spawn(len(spec.faults)) if spec.faults else []
-    # Shard entropy comes after every earlier stream for the same
-    # append-stability reason; it is spawned even for unsharded builds so
-    # that turning sharding on (or off) never perturbs any later spawn.
-    shard_stream = root.spawn(1)[0]
-    # Event-engine entropy (the intra-round arrival offsets) comes last
-    # and is likewise spawned unconditionally: adding the event engine
-    # perturbed no pre-existing digest, and any stream added later must
-    # follow it.
-    event_stream = root.spawn(1)[0]
     population_rng = np.random.default_rng(streams[0])
     allocation_rng = np.random.default_rng(streams[1])
     churn_rng = np.random.default_rng(streams[2])
@@ -226,11 +202,6 @@ def build_scenario(
         solver=spec.solver,
         round_observer=round_observer,
         trace_level=spec.trace_level,
-        n_shards=n_shards,
-        shard_host=shard_host,
-        shard_random_state=shard_stream,
-        engine=spec.engine,
-        event_random_state=event_stream,
     )
     return CompiledScenario(
         spec=spec,

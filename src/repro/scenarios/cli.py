@@ -9,10 +9,6 @@ Commands
     record a golden trace.
 ``verify PATH``
     Replay a golden-trace file and diff it (exit code 1 on divergence).
-``crosscheck NAME``
-    Run a scenario on both the round-synchronous and the event-driven
-    engine and diff the round-binned traces record for record (exit
-    code 1 on divergence).
 ``oracle NAME``
     Differentially re-solve sampled rounds with Dinic and push–relabel
     (exit code 1 on any disagreement).
@@ -80,42 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--json", action="store_true", help="emit the full digest payload as JSON"
-    )
-    run_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run on the sharded multi-process engine with N worker shards "
-        "(digest-identical to the single-process run)",
-    )
-    run_p.add_argument(
-        "--shard-host",
-        default="process",
-        choices=["process", "inline"],
-        help="shard worker host: separate processes (default) or in-process "
-        "workers (debugging)",
-    )
-    run_p.add_argument(
-        "--engine",
-        default=None,
-        choices=["round", "event"],
-        help="override the spec's clock mode: the round-synchronous engine "
-        "or the event-driven continuous-time engine (adds admission-latency "
-        "and startup-delay percentiles to the summary)",
-    )
-
-    crosscheck_p = sub.add_parser(
-        "crosscheck",
-        help="run a scenario on both engines and diff the round-binned traces",
-    )
-    crosscheck_p.add_argument("name", help="registered scenario name")
-    crosscheck_p.add_argument("--seed", type=int, default=None, help="master seed")
-    crosscheck_p.add_argument(
-        "--rounds", type=int, default=None, help="override horizon"
-    )
-    crosscheck_p.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
     )
 
     verify_p = sub.add_parser("verify", help="replay and diff a golden trace")
@@ -212,21 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="heap probe: exact Python-allocation tracing (slows rounds "
         "~20x) or full-speed resident-set sampling",
     )
-    soak_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run on the sharded multi-process engine with N worker shards; "
-        "the report then includes per-process RSS watermarks",
-    )
-    soak_p.add_argument(
-        "--shard-host",
-        default="process",
-        choices=["process", "inline"],
-        help="shard worker host for --shards (default: process)",
-    )
-
     smoke_p = sub.add_parser("smoke", help="run every scenario briefly")
     smoke_p.add_argument("names", nargs="*", help="subset of scenarios (default: all)")
     smoke_p.add_argument("--rounds", type=int, default=3)
@@ -247,14 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = get_scenario(args.name).with_overrides(
         solver=args.solver, warm_start=False if args.cold_start else None
     )
-    run = run_scenario(
-        spec,
-        seed=args.seed,
-        num_rounds=args.rounds,
-        n_shards=args.shards,
-        shard_host=args.shard_host,
-        engine=args.engine,
-    )
+    run = run_scenario(spec, seed=args.seed, num_rounds=args.rounds)
     if args.json:
         print(json.dumps(run.to_golden_dict(), indent=2, sort_keys=True))
     else:
@@ -280,36 +218,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for diff in diffs:
         print(f"  - {diff}")
     return 1
-
-
-def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    # Imported lazily: the events package pulls in the scenario compiler,
-    # and the other subcommands should not pay for it.
-    from repro.events.crosscheck import crosscheck_scenario
-
-    report = crosscheck_scenario(args.name, seed=args.seed, rounds=args.rounds)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"scenario : {report.scenario}")
-        print(f"seed     : {report.seed}")
-        print(f"rounds   : {report.rounds}")
-        for name in (
-            "admission_latency_p50",
-            "admission_latency_p99",
-            "startup_delay_p50",
-            "startup_delay_p99",
-        ):
-            value = getattr(report, name)
-            if value is not None:
-                print(f"  {name} = {value:.6f}")
-        if report.matched:
-            print("round/event parity: OK (record-for-record)")
-        else:
-            print(f"round/event parity: DIVERGED ({len(report.mismatches)} mismatches)")
-            for mismatch in report.mismatches:
-                print(f"  - {mismatch}")
-    return 0 if report.matched else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -409,8 +317,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         repeats=args.repeat,
         memory_budget_bytes_per_round=args.memory_budget_kib * 1024,
         memory_probe=args.memory_probe,
-        n_shards=args.shards,
-        shard_host=args.shard_host,
         progress=print,
     )
     print(report.describe())
@@ -484,8 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "crosscheck":
-        return _cmd_crosscheck(args)
     if args.command == "oracle":
         return _cmd_oracle(args)
     if args.command == "session":

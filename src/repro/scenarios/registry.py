@@ -324,31 +324,6 @@ register(
 
 register(
     ScenarioSpec(
-        name="event_steady_state",
-        description=(
-            "The steady-state regime on the continuous-time event engine: "
-            "identical round records, plus per-request latency percentiles."
-        ),
-        paper_claim=(
-            "The paper's constant 3-round start-up delay is a worst-case "
-            "bound over the round clock (arrival and playback rounds "
-            "counted inclusively); measured as continuous elapsed time "
-            "the arrival-to-playback delays distribute over (1, 2] and "
-            "the admission latencies over (0, 1], which is the "
-            "per-request view production SLOs are stated in."
-        ),
-        catalog=CatalogSpec(num_videos=16, num_stripes=4, duration=12),
-        population=PopulationSpec("homogeneous", {"n": 32, "u": 2.0, "d": 3.0}),
-        allocation=AllocationSpec("permutation", replicas_per_stripe=4),
-        workload=(WorkloadPhaseSpec("zipf", params={"arrival_rate": 3.0}),),
-        mu=1.5,
-        horizon=24,
-        engine="event",
-    )
-)
-
-register(
-    ScenarioSpec(
         name="zipf_steady",
         description=(
             "Stationary truncated-Zipf demand with the classic VoD "

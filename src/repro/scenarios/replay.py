@@ -90,7 +90,7 @@ def _round_records(result: SimulationResult) -> List[Dict[str, int]]:
 
 def _summary(result: SimulationResult) -> Dict[str, Any]:
     metrics = result.metrics
-    summary = {
+    return {
         "rounds": int(metrics.rounds),
         "total_demands": int(metrics.total_demands),
         "total_requests": int(metrics.total_requests),
@@ -108,18 +108,6 @@ def _summary(result: SimulationResult) -> Dict[str, Any]:
         "stopped_early": bool(result.stopped_early),
         "trace_events": len(result.trace),
     }
-    # Latency percentiles exist only on event-engine runs; round-engine
-    # summaries (and their recorded digests) keep the historical key set.
-    for name in (
-        "admission_latency_p50",
-        "admission_latency_p99",
-        "startup_delay_p50",
-        "startup_delay_p99",
-    ):
-        value = getattr(metrics, name, None)
-        if value is not None:
-            summary[name] = float(value)
-    return summary
 
 
 def digest_result(
@@ -154,37 +142,19 @@ def run_scenario(
     seed: Optional[int] = None,
     num_rounds: Optional[int] = None,
     incremental: Optional[bool] = None,
-    n_shards: Optional[int] = None,
-    shard_host: str = "process",
-    engine: Optional[str] = None,
 ) -> ScenarioRun:
     """Build, run and digest a scenario (by name or explicit spec).
 
     ``incremental`` pins the engine's incremental-matching toggle:
     ``True``/``False`` force the delta-repair path on/off, ``None``
-    (default) leaves the engine default.  ``n_shards`` runs the scenario
-    on the sharded multi-process engine (``shard_host`` ``"process"`` or
-    ``"inline"``); the digest is identical to the single-process run of
-    the same ``(scenario, seed)``.  ``engine`` overrides the spec's clock
-    mode (``"round"``/``"event"``): round records are engine-independent,
-    but event-mode summaries carry the latency-percentile keys, so the
-    digest reflects the mode that actually ran.
+    (default) leaves the engine default.
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    if engine is not None:
-        spec = spec.with_overrides(engine=engine)
     rounds = spec.horizon if num_rounds is None else int(num_rounds)
-    compiled = build_scenario(
-        spec, seed=seed, min_horizon=rounds, n_shards=n_shards, shard_host=shard_host
-    )
+    compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
     if incremental is not None:
         compiled.simulator.set_incremental_matching(incremental)
-    try:
-        result = compiled.run(rounds)
-    finally:
-        closer = getattr(compiled.simulator, "close", None)
-        if closer is not None:
-            closer()
+    result = compiled.run(rounds)
     return digest_result(spec, compiled.seed, rounds, result)
 
 
@@ -293,7 +263,6 @@ def verify_golden_file(
                 horizon=embedded.horizon,
                 solver=embedded.solver,
                 warm_start=embedded.warm_start,
-                engine=embedded.engine,
             )
     run = run_scenario(spec, seed=int(golden["seed"]), num_rounds=int(golden["rounds"]))
     return run, diff_golden(run, golden)

@@ -43,9 +43,9 @@ SCALE_TIERS: Dict[str, tuple] = {
     "10k": (10_000, 1_250, 200.0, 4),
     "100k": (100_000, 12_500, 2_000.0, 4),
     "500k": (500_000, 62_500, 5_000.0, 6),
-    # The millions-of-boxes tier targets the sharded multi-process engine
-    # (run it with --shards); single-process runs work but hold the whole
-    # box-side state in one heap.  The arrival rate grows sublinearly from
+    # The millions-of-boxes tier runs single-process: building it takes a
+    # few seconds and a round well under a second, with the whole box-side
+    # state in one heap.  The arrival rate grows sublinearly from
     # the 500k tier: the Zipf head video's absolute round-0 mass scales
     # with rate/ln(m), and k = 6 static replicas must carry it until the
     # playback caches warm up.
@@ -181,12 +181,6 @@ class SoakReport:
     infeasible_rounds: int = 0
     #: (round, traced bytes) watermarks sampled during the measured run.
     memory_watermarks: List[tuple] = field(default_factory=list)
-    #: Sharded runs only: per-process RSS watermarks sampled at the same
-    #: rounds — ``(round, [rss_kib of shard 0, shard 1, ...])``, probing
-    #: each worker process through the shard host.
-    shard_rss_watermarks: List[tuple] = field(default_factory=list)
-    #: Number of shards the measured run used (0 = single-process).
-    n_shards: int = 0
     #: Traced-heap growth per round over the post-warmup window.
     bytes_per_round: float = 0.0
     memory_budget_bytes_per_round: float = 0.0
@@ -216,16 +210,6 @@ class SoakReport:
             + ("OK" if not self.oracle_disagreements else
                f"{len(self.oracle_disagreements)} DISAGREEMENTS"),
         ]
-        if self.n_shards and self.shard_rss_watermarks:
-            _, last = self.shard_rss_watermarks[-1]
-            peaks = [
-                max(sample[1][s] for sample in self.shard_rss_watermarks)
-                for s in range(len(last))
-            ]
-            lines.append(
-                f"  shards: {self.n_shards} worker processes, per-process RSS "
-                "peaks [" + ", ".join(f"{p / 1024:.1f}" for p in peaks) + "] MiB"
-            )
         return "\n".join(lines)
 
 
@@ -240,8 +224,6 @@ def run_soak(
     memory_probe: str = "tracemalloc",
     warmup_fraction: float = 0.4,
     progress: Optional[Callable[[str], None]] = None,
-    n_shards: Optional[int] = None,
-    shard_host: str = "process",
 ) -> SoakReport:
     """Run the long-horizon soak checks against ``spec``.
 
@@ -264,13 +246,6 @@ def run_soak(
     NumPy-allocation-heavy rounds ~20x; ``"rss"`` samples the process's
     resident set from ``/proc/self/statm`` (peak RSS via ``getrusage`` as
     a fallback) at full speed — what the CI scale-smoke budgeted runs use.
-
-    ``n_shards`` runs the soak on the sharded multi-process engine; the
-    report then additionally carries per-worker-process RSS watermarks
-    (``shard_rss_watermarks``), sampled through the shard host at the
-    same rounds as the coordinator's heap watermarks.  Digest-stability
-    repeats run sharded too — the sharded digest equals the
-    single-process one, so stability checks compose.
     """
     from repro.scenarios.build import build_scenario
     from repro.scenarios.oracle import check_matching_instance
@@ -362,14 +337,8 @@ def run_soak(
             )
 
     compiled = build_scenario(
-        spec,
-        seed=seed,
-        min_horizon=rounds,
-        round_observer=observer,
-        n_shards=n_shards,
-        shard_host=shard_host,
+        spec, seed=seed, min_horizon=rounds, round_observer=observer
     )
-    report.n_shards = int(n_shards or 0)
     warmup = max(int(rounds * warmup_fraction), 1)
     sample_every = max(rounds // 20, 1)
 
@@ -381,11 +350,6 @@ def run_soak(
             if r + 1 == warmup or (r + 1) % sample_every == 0 or r + 1 == rounds:
                 current = sample()
                 report.memory_watermarks.append((r + 1, current - baseline))
-                if n_shards:
-                    probes = compiled.simulator.shard_rss()
-                    report.shard_rss_watermarks.append(
-                        (r + 1, [float(p["rss_kib"]) for p in probes])
-                    )
                 if (r + 1) % max(sample_every * 4, 1) == 0:
                     say(f"  round {r + 1}/{rounds}: heap +{(current - baseline) / 1e6:.1f} MB")
     finally:
@@ -403,22 +367,13 @@ def run_soak(
             report.bytes_per_round = (b1 - b0) / (r1 - r0)
     report.memory_ok = report.bytes_per_round <= memory_budget_bytes_per_round
 
-    closer = getattr(compiled.simulator, "close", None)
-    if closer is not None:
-        closer()
-
     # Digest stability: same (spec, seed) must reproduce bit for bit.
     for k in range(repeats):
         say(f"  repeat run {k + 1}/{repeats}")
-        rerun = build_scenario(
-            spec, seed=seed, min_horizon=rounds, n_shards=n_shards, shard_host=shard_host
-        )
+        rerun = build_scenario(spec, seed=seed, min_horizon=rounds)
         rerun_result = rerun.run(rounds)
         report.repeat_digests.append(
             digest_result(rerun.spec, rerun.seed, rounds, rerun_result).digest
         )
-        closer = getattr(rerun.simulator, "close", None)
-        if closer is not None:
-            closer()
     report.digests_stable = all(d == report.digest for d in report.repeat_digests)
     return report

@@ -17,7 +17,7 @@ live :class:`~repro.sim.engine.VodSimulator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.util.validation import (
@@ -305,13 +305,6 @@ class ScenarioSpec:
         by the compiled scenario: box crash/rejoin bursts, capacity
         brownouts, solver-budget windows.  Serialized only when
         non-empty, for the same golden-compatibility reason.
-    engine:
-        Engine clock mode: ``"round"`` (default, the paper's round
-        engine) or ``"event"`` (the continuous-time event-queue engine of
-        :mod:`repro.events` — round records stay bit-identical, and
-        per-request latency percentiles are additionally reported).
-        Serialized only when non-default, for the same
-        golden-compatibility reason.
     """
 
     name: str
@@ -329,7 +322,6 @@ class ScenarioSpec:
     default_seed: int = 0
     trace_level: str = "full"
     faults: Tuple[FaultSpec, ...] = ()
-    engine: str = "round"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -348,10 +340,6 @@ class ScenarioSpec:
         if self.trace_level not in ("full", "lean"):
             raise ValueError(
                 f"trace_level must be 'full' or 'lean', got {self.trace_level!r}"
-            )
-        if self.engine not in ("round", "event"):
-            raise ValueError(
-                f"engine must be 'round' or 'event', got {self.engine!r}"
             )
 
     # ------------------------------------------------------------------ #
@@ -380,13 +368,19 @@ class ScenarioSpec:
             payload["trace_level"] = self.trace_level
         if self.faults:
             payload["faults"] = [fault.to_dict() for fault in self.faults]
-        if self.engine != "round":
-            payload["engine"] = self.engine
         return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Unknown keys raise ``ValueError`` instead of being dropped: a spec
+        naming a field this build does not have would otherwise run as
+        something other than what it describes.
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown scenario spec keys: {', '.join(unknown)}")
         churn = data.get("churn")
         return cls(
             name=str(data["name"]),
@@ -408,7 +402,6 @@ class ScenarioSpec:
             faults=tuple(
                 FaultSpec.from_dict(fault) for fault in data.get("faults", ())
             ),
-            engine=str(data.get("engine", "round")),
         )
 
     def with_overrides(
@@ -416,7 +409,6 @@ class ScenarioSpec:
         horizon: Optional[int] = None,
         solver: Optional[str] = None,
         warm_start: Optional[bool] = None,
-        engine: Optional[str] = None,
     ) -> "ScenarioSpec":
         """Copy with selected fields replaced (used by the CLI and tests)."""
         return ScenarioSpec(
@@ -435,5 +427,4 @@ class ScenarioSpec:
             default_seed=self.default_seed,
             trace_level=self.trace_level,
             faults=self.faults,
-            engine=self.engine if engine is None else engine,
         )

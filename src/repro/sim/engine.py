@@ -475,7 +475,7 @@ class VodSimulator:
     def _step(self, workload: DemandGenerator) -> bool:
         time = self._clock.now
         self._possession.evict_before(time)
-        keep_mask = self._drop_expired_requests(time)
+        keep_mask = self._pool.drop_expired_keeping(time)
         survivors = len(self._pool)
 
         # 1. Demand arrivals.
@@ -632,14 +632,6 @@ class VodSimulator:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _drop_expired_requests(self, time: int) -> Optional[np.ndarray]:
-        """Expire pool rows at the start of a round; returns the keep mask.
-
-        Overridable: the sharded engine keeps per-row shard bookkeeping
-        parallel to the pool and compacts it under the same mask.
-        """
-        return self._pool.drop_expired_keeping(time)
-
     def _generate_requests_batched(
         self, accepted: List[Tuple[int, Demand]], time: int
     ) -> int:
@@ -842,18 +834,10 @@ class VodSimulator:
         best = max(direct, relayed)
         return None if best < 0 else best
 
-    def _detect_playback_starts(
-        self, time: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Emit a playback-start event once all of a demand's stripes were served.
-
-        Returns the ``(demand_indices, playback_rounds, startup_delays)``
-        hits (``None`` when nothing starts) so engine subclasses — the
-        event-driven mode in :mod:`repro.events` — can post-process the
-        round's playback starts without re-deriving them.
-        """
+    def _detect_playback_starts(self, time: int) -> None:
+        """Emit a playback-start event once all of a demand's stripes were served."""
         if not len(self._pool):
-            return None
+            return
         hits = detect_playback_starts(
             self._pool.demand_indices,
             self._pool.first_matched,
@@ -864,7 +848,7 @@ class VodSimulator:
             time,
         )
         if hits is None:
-            return None
+            return
         ready_idx, playback_rounds, delays = hits
         self._playbacks_started += int(ready_idx.size)
         self._metrics.record_startup_delays(delays)
@@ -879,7 +863,6 @@ class VodSimulator:
                         startup_delay=int(delays[k]),
                     )
                 )
-        return hits
 
     # ------------------------------------------------------------------ #
     # Live reconfiguration (the repro.api session mutation hooks)

@@ -65,16 +65,6 @@ class RoundStats:
         )
 
 
-#: Optional per-request latency percentile fields of
-#: :class:`SimulationMetrics` — populated only by the event-driven engine.
-_LATENCY_PERCENTILE_FIELDS = (
-    "admission_latency_p50",
-    "admission_latency_p99",
-    "startup_delay_p50",
-    "startup_delay_p99",
-)
-
-
 @dataclass(frozen=True)
 class SimulationMetrics:
     """Final aggregated metrics of a simulation run."""
@@ -91,17 +81,6 @@ class SimulationMetrics:
     peak_box_load: int
     swarm_growth_violations: int
     round_stats: Tuple[RoundStats, ...]
-    #: Per-request latency percentiles, recorded only by the event-driven
-    #: engine (:mod:`repro.events`): admission latency is the continuous
-    #: time between a demand's arrival and its admission at the next round
-    #: boundary; startup delay here is the *continuous* arrival-to-playback
-    #: time (the round engine's integer ``max``/``mean`` fields above count
-    #: whole rounds).  ``None`` on round-engine runs, and serialized only
-    #: when set, so every pre-existing recording stays byte-identical.
-    admission_latency_p50: Optional[float] = None
-    admission_latency_p99: Optional[float] = None
-    startup_delay_p50: Optional[float] = None
-    startup_delay_p99: Optional[float] = None
 
     @property
     def all_feasible(self) -> bool:
@@ -115,7 +94,7 @@ class SimulationMetrics:
         output feeds ``json.dumps`` directly — this is what external services
         log from a live session.
         """
-        payload: Dict[str, Any] = {
+        return {
             "rounds": int(self.rounds),
             "total_demands": int(self.total_demands),
             "total_requests": int(self.total_requests),
@@ -133,13 +112,6 @@ class SimulationMetrics:
             "swarm_growth_violations": int(self.swarm_growth_violations),
             "round_stats": [stats.to_dict() for stats in self.round_stats],
         }
-        # Latency percentiles serialize only when recorded (event-engine
-        # runs): round-engine payloads keep their historical key set.
-        for name in _LATENCY_PERCENTILE_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = float(value)
-        return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationMetrics":
@@ -161,10 +133,6 @@ class SimulationMetrics:
             round_stats=tuple(
                 RoundStats.from_dict(stats) for stats in data.get("round_stats", ())
             ),
-            **{
-                name: None if data.get(name) is None else float(data[name])
-                for name in _LATENCY_PERCENTILE_FIELDS
-            },
         )
 
     def describe(self) -> Dict[str, float]:
@@ -198,9 +166,6 @@ class MetricsCollector:
         self._num_boxes = num_boxes
         self._round_stats: List[RoundStats] = []
         self._startup_delays: List[int] = []
-        # Continuous-time per-request samples (event-driven engine only).
-        self._admission_latencies: List[float] = []
-        self._continuous_delays: List[float] = []
         self._total_demands = 0
         self._total_requests = 0
         self._peak_box_load = 0
@@ -278,20 +243,6 @@ class MetricsCollector:
                 raise ValueError("delay must be non-negative")
             self._startup_delays.extend(delays.tolist())
 
-    def record_admission_latencies(self, latencies: np.ndarray) -> None:
-        """Record a round's continuous admission latencies (event engine)."""
-        if len(latencies):
-            if float(np.min(latencies)) < 0:
-                raise ValueError("admission latency must be non-negative")
-            self._admission_latencies.extend(float(x) for x in latencies)
-
-    def record_continuous_delays(self, delays: np.ndarray) -> None:
-        """Record a round's continuous startup delays (event engine)."""
-        if len(delays):
-            if float(np.min(delays)) < 0:
-                raise ValueError("delay must be non-negative")
-            self._continuous_delays.extend(float(x) for x in delays)
-
     def record_swarm_violations(self, count: int) -> None:
         """Record the (final) number of swarm-growth violations."""
         if count < 0:
@@ -321,17 +272,4 @@ class MetricsCollector:
             peak_box_load=self._peak_box_load,
             swarm_growth_violations=self._swarm_violations,
             round_stats=tuple(self._round_stats),
-            **_percentile_pair("admission_latency", self._admission_latencies),
-            **_percentile_pair("startup_delay", self._continuous_delays),
         )
-
-
-def _percentile_pair(prefix: str, samples: List[float]) -> Dict[str, Optional[float]]:
-    """``{prefix}_p50``/``{prefix}_p99`` of ``samples`` (``None`` when empty)."""
-    if not samples:
-        return {f"{prefix}_p50": None, f"{prefix}_p99": None}
-    arr = np.asarray(samples, dtype=np.float64)
-    return {
-        f"{prefix}_p50": float(np.percentile(arr, 50)),
-        f"{prefix}_p99": float(np.percentile(arr, 99)),
-    }

@@ -1,14 +1,9 @@
-"""Pure per-round rules shared by the engine and the sharded data plane.
+"""Pure per-round admission and playback rules of the round engine.
 
-The sharded engine (:mod:`repro.shard`) partitions the box-side state of
-:class:`~repro.sim.engine.VodSimulator` — busy horizons, the demand log,
-playback detection — across worker processes.  Digest parity between the
-two engines requires both to apply *exactly* the same admission and
-playback rules, so those rules live here as pure array functions with no
-engine state: the single-process engine calls them over its global
-arrays, each shard worker calls them over its box-range slice, and the
-results agree element for element because the rules only ever look at
-one box's (or one demand's) own columns.
+:class:`~repro.sim.engine.VodSimulator` applies these rules over its
+struct-of-arrays state.  They are kept as pure array functions with no
+engine state, so each can be tested and timed on its own; both only ever
+look at one box's (or one demand's) own columns.
 """
 
 from __future__ import annotations
@@ -29,8 +24,7 @@ def admission_mask(
     rejected when its box is still playing (``busy_until > time``), and
     only each box's *first* demand of the round is kept — accepting one
     makes the box busy, so a sequential admission loop would reject the
-    rest.  The rule depends only on the demanding box's own state, which
-    is what makes it exactly partitionable across box shards.
+    rest.  The rule depends only on the demanding box's own state.
     """
     n = int(box_ids.size)
     accept = busy_until[box_ids] <= time
@@ -63,10 +57,7 @@ def detect_playback_starts(
     (one past the last first-service round) has been reached.  Marks the
     started demands in ``demand_started`` (in place) and returns
     ``(demand_indices, playback_rounds, startup_delays)`` — or ``None``
-    when nothing starts.  Indices are into the caller's demand log, so
-    the single-process engine gets global indices and a shard worker gets
-    shard-local ones; the per-demand arithmetic is identical because a
-    demand's requests always live in its own box's shard.
+    when nothing starts.  Indices are into the caller's demand log.
     """
     if not pool_demand_indices.size or not demand_count:
         return None

@@ -145,6 +145,31 @@ class TestSnapshotFormatVersioning:
         with pytest.raises(SnapshotFormatError, match="format version 1"):
             SessionSnapshot.from_file(self.FIXTURE_V1)
 
+    @pytest.mark.parametrize(
+        "fixture", ["session_snapshot_sharded.bin", "session_snapshot_event.bin"]
+    )
+    def test_snapshot_of_a_removed_engine_mode_raises_a_format_error(self, fixture):
+        """Checkpoints of the removed sharded and event-driven modes.
+
+        Both fixtures (``steady_state``, seed 1, 3 rounds; one on 2 inline
+        shards, one on the event clock) were recorded while those modes
+        existed.  Their framing and checksum still verify, so what fails is
+        the import of the engine class: that must read as a format error
+        with a re-record hint, not as a corrupt payload.
+        """
+        from repro.api import (
+            SessionSnapshot,
+            SnapshotFormatError,
+            SnapshotIntegrityError,
+            VodSession,
+        )
+
+        snapshot = SessionSnapshot.from_file(Path(__file__).parent / "fixtures" / fixture)
+        assert snapshot.rounds_completed == 3
+        with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
+            VodSession.restore(snapshot)
+        assert not isinstance(excinfo.value, SnapshotIntegrityError)
+
     def test_restore_rejects_stale_in_memory_snapshots(self):
         from repro.api import SessionSnapshot, SnapshotFormatError, VodSession
 

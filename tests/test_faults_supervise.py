@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -76,6 +78,36 @@ def _always_fail(payload):
 # ---------------------------------------------------------------------- #
 # run_supervised
 # ---------------------------------------------------------------------- #
+class _PoolBrokenAtSubmit:
+    """``ProcessPoolExecutor`` stand-in that runs cells inline.
+
+    In the first pool, the first cell's worker dies: its future never
+    completes, and the next ``submit`` raises ``BrokenProcessPool``.  That
+    is the window in which a real pool is already marked broken but has
+    not yet failed the futures of its dead worker.
+    """
+
+    pools = 0
+
+    def __init__(self, max_workers):
+        type(self).pools += 1
+        self._broken = type(self).pools == 1
+        self._submits = 0
+        self._processes = {}
+
+    def submit(self, fn, *args):
+        self._submits += 1
+        future = Future()
+        if not self._broken:
+            future.set_result(fn(*args))
+        elif self._submits > 1:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 class TestRunSupervised:
     def test_happy_path_preserves_order_and_delivers_callbacks(self):
         seen = []
@@ -125,6 +157,18 @@ class TestRunSupervised:
         assert [q.label for q in quarantined] == ["bad"]
         assert quarantined[0].attempts == 2  # first try + one retry
         assert "died" in quarantined[0].reason
+
+    def test_pool_broken_at_submit_requeues_uncharged(self, monkeypatch):
+        from repro.orchestrate import supervise
+
+        monkeypatch.setattr(_PoolBrokenAtSubmit, "pools", 0)
+        monkeypatch.setattr(supervise, "ProcessPoolExecutor", _PoolBrokenAtSubmit)
+        # No retries: any charged attempt would quarantine its cell.
+        policy = SupervisionPolicy(max_retries=0, backoff_base=0.0)
+        results, quarantined = run_supervised([1, 2, 3], _double, 2, policy=policy)
+        assert results == [2, 4, 6]
+        assert quarantined == []
+        assert _PoolBrokenAtSubmit.pools == 2
 
     def test_persistent_error_quarantines_with_reason(self):
         policy = SupervisionPolicy(max_retries=1, backoff_base=0.0)

@@ -39,10 +39,6 @@ GOLDEN_SCENARIOS = [
     ("chaos_box_crash", 1234),
     ("chaos_brownout", 1234),
     ("chaos_degraded_solver", 1234),
-    # event_steady_state pins the event-driven engine: its summary carries
-    # the latency-percentile keys, so the digest covers the continuous
-    # clock's arrival-offset stream as well as the round-binned records.
-    ("event_steady_state", 1234),
     # The workload-realism tier: Zipf/drift/trace demand and the
     # hierarchical CDN baseline (population + allocation components).
     ("zipf_steady", 1234),
@@ -62,7 +58,6 @@ PRE_WORKLOAD_TIER_DIGESTS = {
     "chaos_brownout": "74dca888b31f2850e0ee19ee3a2c8380624f18f7c02251deebf4d1808a7b2643",
     "chaos_degraded_solver": "377ade9de49170fa0c83a0375ab7d193a3907ef2f3f5c9ce4c4952efddaa97a8",
     "churn_storm": "2cc505a467cbdec10c457feb589a8c4c058bb8d4e189c5b9705e5333ece4de5a",
-    "event_steady_state": "b93efdfe737e1909dc4f27a84cc4daaec9a32dae7561d67ec38cf81730d75b3b",
     "flashcrowd_spike": "519f5ea4c09fe6e7e34041013a90652a784b4aebca05000daf40ecc90f194451",
     "scale_tier_100k": "d0c45edbbcca27aa6127dde148e6141db09cb75551845380c4900ef62a5a01ba",
     "scale_tier_10k": "0a39300db870e7a5e66d71ba93933585ff882ffec1e79990586200ae99fd1535",

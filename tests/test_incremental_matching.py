@@ -35,7 +35,7 @@ from repro.scenarios.replay import digest_result
 _ROUND_CAPS = {"scale_tier_10k": 8, "scale_tier_100k": 2, "scale_tier_500k": 2}
 
 #: Tiers whose build alone (allocation draw over millions of boxes) is too
-#: heavy for this sweep; the sharded-engine suite covers their wiring.
+#: heavy for this sweep; CI's budgeted scale-smoke run covers them.
 _SWEEP_EXCLUDED = {"scale_tier_2m"}
 
 

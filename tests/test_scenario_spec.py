@@ -94,7 +94,18 @@ class TestSerialization:
                 f"embedded spec of {path.name} changed shape on round-trip"
             )
             checked += 1
-        assert checked >= 13  # the 9 pre-existing + the 4 workload-tier goldens
+        assert checked >= 12  # the 8 pre-existing + the 4 workload-tier goldens
+
+    def test_from_dict_rejects_unknown_keys(self):
+        """A key this build has no field for fails loudly, naming the key.
+
+        ``"engine": "event"`` selected a clock mode that no longer exists;
+        dropping it silently would run the spec on the round engine.
+        """
+        data = get_scenario("steady_state").to_dict()
+        data["engine"] = "event"
+        with pytest.raises(ValueError, match="unknown scenario spec keys: engine"):
+            ScenarioSpec.from_dict(data)
 
     def test_churn_and_overrides_roundtrip(self):
         spec = _minimal_spec(

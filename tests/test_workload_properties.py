@@ -344,24 +344,3 @@ class TestTraceReader:
         path = tmp_path / "long.trace"
         write_trace(str(path), events, num_videos=5)
         assert list(iter_trace(str(path))) == events
-
-
-class TestEngineCrossCoverage:
-    """The new workloads run under the newer engines, not just the round one."""
-
-    def test_zipf_steady_event_engine_crosscheck(self):
-        from repro.events.crosscheck import crosscheck_scenario
-
-        report = crosscheck_scenario("zipf_steady", seed=42, rounds=10)
-        assert report.matched, "\n".join(report.mismatches)
-
-    def test_zipf_drift_two_shard_inline_digest_parity(self):
-        from repro.scenarios.replay import run_scenario
-
-        single = run_scenario("zipf_drift", seed=42, num_rounds=12)
-        sharded = run_scenario(
-            "zipf_drift", seed=42, num_rounds=12, n_shards=2, shard_host="inline"
-        )
-        assert sharded.digest == single.digest
-        assert sharded.round_records == single.round_records
-        assert sharded.summary == single.summary
