@@ -8,9 +8,10 @@ from the built-in classes:
 * :class:`Solver` — the per-round connection matcher (Lemma 1);
   :class:`~repro.core.matching.ConnectionMatcher` is the reference
   implementation, parameterized by kernel name;
-* :class:`RequestScheduler` — turns user demands into dated stripe
-  requests (:class:`~repro.core.preloading.PreloadingScheduler` is the
-  paper's preloading strategy, ``ImmediateRequestScheduler`` the ablation);
+* :class:`RequestScheduler` — turns one round's demands into dated stripe
+  requests, as arrays (:class:`~repro.core.preloading.PreloadingScheduler`
+  is the paper's preloading strategy, ``ImmediateRequestScheduler`` the
+  ablation);
 * :class:`DemandGenerator` — re-exported from :mod:`repro.workloads.base`:
   the per-round demand source;
 * :class:`ChurnModel` — decides which boxes are offline each round
@@ -23,19 +24,17 @@ validate injected components early with ``isinstance``.
 from __future__ import annotations
 
 from typing import (
-    List,
     Optional,
     Protocol,
     Sequence,
     Set,
+    Tuple,
     runtime_checkable,
 )
 
 import numpy as np
 
 from repro.core.matching import ConnectionMatching, PossessionIndex, RequestSet
-from repro.core.matching import StripeRequest
-from repro.core.preloading import Demand
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = [
@@ -70,20 +69,38 @@ class Solver(Protocol):
 
 @runtime_checkable
 class RequestScheduler(Protocol):
-    """Demand → dated stripe requests (the preloading strategy of Section 3)."""
+    """Demands → dated stripe requests (the preloading strategy of Section 3).
+
+    Both request methods return one round's requests as parallel arrays
+    ``(stripe_ids, box_ids, demand_indices, is_preload)``: the stripe, the
+    requesting box, the index of the demand that issued the request (into
+    the engine's demand log, which is how playback starts are detected)
+    and the preload flag.  A scheduler that relays data may also offer
+    ``relay_cache_events_due(time) -> (relay_boxes, stripe_ids)``.
+    """
 
     @property
     def start_up_delay(self) -> int:
         """Nominal start-up delay of the strategy, in rounds."""
         ...  # pragma: no cover
 
-    def on_demand(
-        self, demand: Demand, locally_stored: Optional[Set[int]] = None
-    ) -> List[StripeRequest]:
-        """Requests to issue at the demand round (others queued internally)."""
+    def on_demand_arrays(
+        self,
+        video_ids: np.ndarray,
+        box_ids: np.ndarray,
+        demand_indices: np.ndarray,
+        time: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Requests to issue at ``time`` for the round's accepted demands.
+
+        The arrays list the demands in arrival order; requests for later
+        rounds are queued internally.
+        """
         ...  # pragma: no cover
 
-    def requests_due(self, time: int) -> List[StripeRequest]:
+    def due_arrays(
+        self, time: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pop the postponed requests queued for round ``time``."""
         ...  # pragma: no cover
 

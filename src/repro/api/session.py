@@ -41,7 +41,7 @@ from repro.api.errors import (
 from repro.core.preloading import Demand
 from repro.sim.engine import SimulationResult, VodSimulator
 from repro.sim.metrics import RoundStats
-from repro.workloads.base import DemandGenerator, SystemView
+from repro.workloads.base import DemandGenerator, SystemView, demand_arrays
 
 __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 
@@ -51,8 +51,11 @@ __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 #:     swarm entry logs, demand log).  Version-1 payloads pickle classes
 #:     whose layout no longer exists, so loading one raises a typed
 #:     :class:`~repro.api.errors.SnapshotFormatError` instead of
-#:     deserializing into a torn engine.
-SNAPSHOT_FORMAT_VERSION = 2
+#:     deserializing into a torn engine;
+#: 3 — one request path: the engine's last-demand dicts and the
+#:     schedulers' demand logs are gone, and the relayed scheduler queues
+#:     its requests and relay-cache events as arrays.
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -274,37 +277,24 @@ class _SessionWorkload:
     def __init__(self, session: "VodSession"):
         self._session = session
 
-    def demand_arrays_for_round(self, view: SystemView):
-        """Array-path arrivals; ``None`` whenever injected demands exist.
-
-        Injection merging (and its duplicate-box filtering) lives on the
-        object path, so any pending injected demand forces a fallback —
-        returned before any random stream is touched.
-        """
-        if self._session._pending:
-            return None
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Injected demands, then background demands on the other boxes."""
+        pending = self._session._drain_pending()
+        injected = np.asarray(pending, dtype=np.int64).reshape(-1, 2)
+        boxes, videos = injected[:, 0], injected[:, 1]
         background = self._session._workload
         if background is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        supplier = getattr(background, "demand_arrays_for_round", None)
-        if supplier is None:
-            return None
-        return supplier(view)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        demands = [
-            Demand(time=view.time, box_id=box_id, video_id=video_id)
-            for box_id, video_id in self._session._drain_pending()
-        ]
-        background = self._session._workload
-        if background is not None:
-            taken = {demand.box_id for demand in demands}
-            for demand in background.demands_for_round(view):
-                if demand.box_id in taken:
-                    continue
-                demands.append(demand)
-        return demands
+            return boxes, videos
+        more_boxes, more_videos = demand_arrays(background, view)
+        if not boxes.size:
+            return more_boxes, more_videos
+        keep = ~np.isin(more_boxes, boxes)
+        return (
+            np.concatenate([boxes, more_boxes[keep]]),
+            np.concatenate([videos, more_videos[keep]]),
+        )
 
 
 class VodSession:
@@ -437,7 +427,7 @@ class VodSession:
                 f"session is closed after {self.rounds_completed} rounds"
             )
         engine = self._engine
-        if getattr(self, "_shed_when_degraded", False) and engine.last_round_degraded:
+        if self._shed_when_degraded and engine.last_round_degraded:
             raise AdmissionError(
                 "admission shed: the previous round ran through the degraded "
                 "solver fallback; retry once the solver recovers"
@@ -507,7 +497,7 @@ class VodSession:
             )
         engine = self._engine
         time = engine.now
-        driver = getattr(self, "_fault_driver", None)
+        driver = self._fault_driver
         if driver is not None:
             driver.apply(engine, time)
         injected = len(self._pending)

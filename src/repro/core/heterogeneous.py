@@ -26,18 +26,25 @@ upload/storage accounting, and the relayed preloading scheduler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.matching import StripeRequest
 from repro.core.parameters import BoxPopulation
-from repro.core.preloading import Demand
+from repro.core.preloading import (
+    NO_REQUESTS,
+    RequestArrays,
+    check_video_ids,
+    other_stripes,
+    pop_block,
+    pop_postponed,
+    preload_indices,
+    queue_block,
+)
 from repro.core.video import Catalog
 from repro.util.validation import (
     check_in_range,
-    check_non_negative_integer,
     check_positive_integer,
 )
 
@@ -194,8 +201,13 @@ def direct_stripe_budget(upload: float, c: int, mu: float) -> int:
     mu = check_in_range(mu, "mu", 1.0, math.inf)
     if upload < 0:
         raise ValueError(f"upload must be non-negative, got {upload}")
-    budget = int(math.floor(c * upload - 4.0 * mu**4 + 1e-9))
-    return max(budget, 0)
+    return int(_direct_stripe_budgets(np.array([float(upload)]), c, mu)[0])
+
+
+def _direct_stripe_budgets(uploads: np.ndarray, c: int, mu: float) -> np.ndarray:
+    """:func:`direct_stripe_budget` over an array of uploads (unchecked)."""
+    budgets = np.floor(c * uploads - 4.0 * mu**4 + 1e-9).astype(np.int64)
+    return np.maximum(budgets, 0)
 
 
 class RelayedPreloadingScheduler:
@@ -215,7 +227,8 @@ class RelayedPreloadingScheduler:
       upload, caching every stripe it forwards.
 
     Rich boxes follow the homogeneous strategy on the doubled time scale:
-    preload at ``t``, postponed requests at ``t+2``.
+    preload at ``t``, postponed requests at ``t+2``.  Every request, the
+    relay's included, carries the index of the demand it serves.
     """
 
     def __init__(
@@ -230,11 +243,12 @@ class RelayedPreloadingScheduler:
         self._plan = plan
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
         self._entry_counter: Dict[int, int] = {}
-        self._pending: Dict[int, List[StripeRequest]] = {}
-        #: (relay box, stripe) pairs that must be marked as relay-cached
-        #: when the corresponding forward happens, keyed by round.
-        self._relay_cache_events: Dict[int, List[Tuple[int, int]]] = {}
-        self._scheduled: List[Demand] = []
+        #: Postponed requests keyed by round, as blocks of
+        #: (stripe_ids, box_ids, demand_indices).
+        self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        #: Blocks of (relay box, stripe) pairs that must be marked as
+        #: relay-cached when the corresponding forward happens, keyed by round.
+        self._relay_cache_events: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
 
     @property
     def catalog(self) -> Catalog:
@@ -255,104 +269,81 @@ class RelayedPreloadingScheduler:
         """Number of boxes that entered the swarm of ``video_id`` so far."""
         return self._entry_counter.get(int(video_id), 0)
 
-    def on_demand(self, demand: Demand) -> List[StripeRequest]:
-        """Process a demand; return the requests to issue at ``demand.time``."""
-        video_id = demand.video_id
-        box_id = demand.box_id
+    def on_demand_arrays(
+        self,
+        video_ids: np.ndarray,
+        box_ids: np.ndarray,
+        demand_indices: np.ndarray,
+        time: int,
+    ) -> RequestArrays:
+        """Process one round's demands; return the requests to issue at ``time``.
+
+        Same layout as
+        :meth:`~repro.core.preloading.PreloadingScheduler.on_demand_arrays`:
+        one preloading request per demand, made by the relay for a poor
+        box.  The later requests and relay-cache events of each demand are
+        queued in arrival order.
+        """
+        n = int(video_ids.size)
+        if n == 0:
+            return NO_REQUESTS
+        check_video_ids(self._catalog, video_ids)
         c = self._catalog.num_stripes_per_video
-        entry_index = self._entry_counter.get(video_id, 0)
-        self._entry_counter[video_id] = entry_index + 1
-        self._scheduled.append(demand)
-        preload_index = entry_index % c
-        preload_stripe = self._catalog.stripe_id(video_id, preload_index)
-        other_stripes = [
-            self._catalog.stripe_id(video_id, idx) for idx in range(c) if idx != preload_index
-        ]
-
-        relay = self._plan.relay(box_id)
-        if relay is None:
-            # Rich box: homogeneous strategy on the doubled time scale.
-            immediate = [
-                StripeRequest(
-                    stripe_id=preload_stripe,
-                    request_time=demand.time,
-                    box_id=box_id,
-                    is_preload=True,
-                )
-            ]
-            postponed = [
-                StripeRequest(
-                    stripe_id=stripe_id,
-                    request_time=demand.time + 2,
-                    box_id=box_id,
-                    is_preload=False,
-                )
-                for stripe_id in other_stripes
-            ]
-            if postponed:
-                self._pending.setdefault(demand.time + 2, []).extend(postponed)
-            return immediate
-
-        # Poor box: relay issues the preload request on its behalf.
-        immediate = [
-            StripeRequest(
-                stripe_id=preload_stripe,
-                request_time=demand.time,
-                box_id=relay,
-                is_preload=True,
-            )
-        ]
-        # The relay caches the preload stripe when it forwards it (t+1).
-        self._relay_cache_events.setdefault(demand.time + 1, []).append(
-            (relay, preload_stripe)
+        time = int(time)
+        preload_idx = preload_indices(self._entry_counter, video_ids, c)
+        preload_stripes = video_ids * c + preload_idx
+        relays = self._plan.relay_of[box_ids]
+        poor = relays >= 0
+        # Of each demand's c−1 other stripes, the first ``direct`` go out at
+        # t+2 from the demanding box; a poor box's relay requests the rest
+        # at t+3.
+        direct = np.full(n, c - 1, dtype=np.int64)
+        direct[poor] = np.minimum(
+            _direct_stripe_budgets(
+                self._population.uploads[box_ids[poor]], c, self._mu
+            ),
+            c - 1,
         )
-        upload_b = float(self._population.uploads[box_id])
-        c_b = min(direct_stripe_budget(upload_b, c, self._mu), len(other_stripes))
-        direct = [
-            StripeRequest(
-                stripe_id=stripe_id,
-                request_time=demand.time + 2,
-                box_id=box_id,
-                is_preload=False,
-            )
-            for stripe_id in other_stripes[:c_b]
-        ]
-        via_relay = [
-            StripeRequest(
-                stripe_id=stripe_id,
-                request_time=demand.time + 3,
-                box_id=relay,
-                is_preload=False,
-            )
-            for stripe_id in other_stripes[c_b:]
-        ]
-        if direct:
-            self._pending.setdefault(demand.time + 2, []).extend(direct)
-        if via_relay:
-            self._pending.setdefault(demand.time + 3, []).extend(via_relay)
-            self._relay_cache_events.setdefault(demand.time + 3, []).extend(
-                (relay, stripe_id) for stripe_id in other_stripes[c_b:]
-            )
-        return immediate
+        others = other_stripes(video_ids, preload_idx, c)
+        is_direct = np.arange(c - 1)[None, :] < direct[:, None]
+        queue_block(
+            self._pending,
+            time + 2,
+            (
+                others[is_direct],
+                np.repeat(box_ids, direct),
+                np.repeat(demand_indices, direct),
+            ),
+        )
+        via_relay = c - 1 - direct
+        relayed_stripes = others[~is_direct]
+        relayed_boxes = np.repeat(relays, via_relay)
+        queue_block(
+            self._pending,
+            time + 3,
+            (relayed_stripes, relayed_boxes, np.repeat(demand_indices, via_relay)),
+        )
+        # The relay caches the preload stripe when it forwards it (t+1),
+        # and every stripe it requests at t+3.
+        queue_block(
+            self._relay_cache_events, time + 1, (relays[poor], preload_stripes[poor])
+        )
+        queue_block(
+            self._relay_cache_events, time + 3, (relayed_boxes, relayed_stripes)
+        )
+        requesters = np.where(poor, relays, box_ids)
+        return preload_stripes, requesters, demand_indices, np.ones(n, dtype=bool)
 
-    def requests_due(self, time: int) -> List[StripeRequest]:
-        """Pop the requests queued for round ``time``."""
-        check_non_negative_integer(time, "time")
-        return self._pending.pop(time, [])
+    def due_arrays(self, time: int) -> RequestArrays:
+        """Pop the postponed requests queued for round ``time`` (never preloads)."""
+        return pop_postponed(self._pending, time)
 
-    def relay_cache_events_due(self, time: int) -> List[Tuple[int, int]]:
-        """Pop the ``(relay box, stripe)`` cache events for round ``time``."""
-        check_non_negative_integer(time, "time")
-        return self._relay_cache_events.pop(time, [])
-
-    @property
-    def demands_seen(self) -> Tuple[Demand, ...]:
-        """All demands processed so far."""
-        return tuple(self._scheduled)
+    def relay_cache_events_due(self, time: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Pop the cache events for round ``time`` as ``(relay_boxes, stripe_ids)``."""
+        return pop_block(self._relay_cache_events, time, 2)
 
     def reset(self) -> None:
         """Clear all counters and queued requests."""
         self._entry_counter.clear()
         self._pending.clear()
         self._relay_cache_events.clear()
-        self._scheduled.clear()

@@ -1252,7 +1252,7 @@ class ConnectionMatcher:
     @property
     def repair_search_budget(self) -> Optional[int]:
         """Search cap of the incremental repair (``None`` = size heuristic)."""
-        return getattr(self, "_repair_search_budget", None)
+        return self._repair_search_budget
 
     def set_repair_search_budget(self, budget: Optional[int]) -> None:
         """Cap the incremental repair's augmenting-path searches.
@@ -1271,7 +1271,7 @@ class ConnectionMatcher:
     @property
     def repair_rounds(self) -> int:
         """Rounds solved entirely by the incremental repair (no full kernel)."""
-        return getattr(self, "_repair_rounds", 0)
+        return self._repair_rounds
 
     def reset_incremental_state(self) -> None:
         """Drop the incremental pair bookkeeping (next round solves cold)."""
@@ -1409,7 +1409,7 @@ class ConnectionMatcher:
                 assignment, pair_expiry = repaired
                 feasible, matched, witness = True, num_requests, None
                 self._pair_expiry = pair_expiry
-                self._repair_rounds = getattr(self, "_repair_rounds", 0) + 1
+                self._repair_rounds += 1
             else:
                 if incremental_ctx:
                     indptr, indices, edge_expiry = possession.adjacency_delta_for(
@@ -1522,7 +1522,7 @@ class ConnectionMatcher:
         a *repair fallback* and re-solves with the full kernel.
         """
         self._partial_repair: Optional[np.ndarray] = None
-        pair_expiry_prev = getattr(self, "_pair_expiry", None)
+        pair_expiry_prev = self._pair_expiry
         if pair_expiry_prev is None:
             return None
         num_requests = len(requests)
@@ -1646,7 +1646,7 @@ class ConnectionMatcher:
                 ptr[check] += 1
             unresolved = rejected
 
-        budget = getattr(self, "_repair_search_budget", None)
+        budget = self._repair_search_budget
         if budget is None:
             budget = max(256, 2 * math.isqrt(num_requests), num_requests // 64)
         if leftovers:

@@ -17,19 +17,20 @@ that lets a swarm absorb growth ``µ``: boxes that entered one round ago
 hold pairwise-distinct preloaded stripes and can re-serve them ``⌊u·c⌋``
 times each.
 
-:class:`PreloadingScheduler` turns user *demands* into dated
-:class:`~repro.core.matching.StripeRequest` objects; the simulator drains
-them round by round.
+:class:`PreloadingScheduler` turns one round's accepted *demands* into
+dated stripe requests, held as arrays; the simulator drains them round by
+round.  Every request carries the index of the demand that issued it
+(into the engine's demand log), which is how the engine detects playback
+starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.matching import StripeRequest
 from repro.core.video import Catalog
 from repro.util.validation import check_non_negative_integer
 
@@ -38,10 +39,19 @@ __all__ = [
     "PreloadingScheduler",
     "ImmediateRequestScheduler",
     "START_UP_DELAY_ROUNDS",
+    "check_video_ids",
 ]
 
 #: Start-up delay of the homogeneous preloading strategy, in rounds.
 START_UP_DELAY_ROUNDS = 3
+
+#: Requests issued in one round, as parallel arrays ``(stripe_ids, box_ids,
+#: demand_indices, is_preload)``: stripe, requesting box, index of the
+#: demand that issued the request, and its preload flag.
+RequestArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+NO_REQUESTS: RequestArrays = (_EMPTY, _EMPTY, _EMPTY, np.empty(0, dtype=bool))
 
 
 def _check_catalog_growth(old: Catalog, new: Catalog) -> Catalog:
@@ -77,6 +87,85 @@ class Demand:
         check_non_negative_integer(self.video_id, "video_id")
 
 
+def check_video_ids(catalog: Catalog, video_ids: np.ndarray) -> None:
+    """Raise ``ValueError`` when a demanded video lies outside ``catalog``."""
+    if video_ids.size and int(video_ids.max()) >= catalog.num_videos:
+        bad = int(video_ids[video_ids >= catalog.num_videos][0])
+        raise ValueError(
+            f"demand for video {bad} outside catalog of size {catalog.num_videos}"
+        )
+
+
+def preload_indices(
+    counter: Dict[int, int], video_ids: np.ndarray, c: int
+) -> np.ndarray:
+    """Preload stripe index of each arrival (``n ≥ 1``), advancing ``counter``.
+
+    ``counter`` maps a video to the number of boxes that entered its swarm
+    so far, and the ``p``-th entrant preloads stripe ``p mod c``.  The
+    stable sort keeps arrival order within each video, so the ``j``-th
+    arrival of a video this round is entrant ``counter + j`` — what a
+    per-demand loop would have counted.
+    """
+    n = int(video_ids.size)
+    order = np.argsort(video_ids, kind="stable")
+    sorted_videos = video_ids[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_videos[1:], sorted_videos[:-1], out=starts[1:])
+    start_pos = np.flatnonzero(starts)
+    counts = np.diff(np.append(start_pos, n))
+    base = np.empty(start_pos.size, dtype=np.int64)
+    for j, vid in enumerate(sorted_videos[start_pos].tolist()):
+        entry = counter.get(vid, 0)
+        base[j] = entry
+        counter[vid] = entry + int(counts[j])
+    entries = np.empty(n, dtype=np.int64)
+    entries[order] = base.repeat(counts) + np.arange(n) - np.repeat(start_pos, counts)
+    return entries % c
+
+
+def other_stripes(
+    video_ids: np.ndarray, preload_idx: np.ndarray, c: int
+) -> np.ndarray:
+    """``(n, c−1)`` grid of each demanded video's stripes but its preload one."""
+    offsets = np.arange(c, dtype=np.int64)
+    grid = video_ids[:, None] * c + offsets[None, :]
+    keep = offsets[None, :] != preload_idx[:, None]
+    return grid[keep].reshape(video_ids.size, c - 1)
+
+
+def queue_block(
+    queue: Dict[int, List[Tuple[np.ndarray, ...]]],
+    time: int,
+    block: Tuple[np.ndarray, ...],
+) -> None:
+    """Queue a block of parallel columns for round ``time`` (unless it is empty)."""
+    if block[0].size:
+        queue.setdefault(time, []).append(block)
+
+
+def pop_block(
+    queue: Dict[int, List[Tuple[np.ndarray, ...]]], time: int, width: int
+) -> Tuple[np.ndarray, ...]:
+    """Pop round ``time``'s blocks, joined column by column in queueing order."""
+    check_non_negative_integer(time, "time")
+    blocks = queue.pop(time, None)
+    if not blocks:
+        return (_EMPTY,) * width
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def pop_postponed(
+    pending: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]], time: int
+) -> RequestArrays:
+    """Pop the postponed requests queued for round ``time`` (never preloads)."""
+    stripes, boxes, demands = pop_block(pending, time, 3)
+    return stripes, boxes, demands, np.zeros(stripes.size, dtype=bool)
+
+
 class PreloadingScheduler:
     """Converts demands into preloading + postponed stripe requests.
 
@@ -84,38 +173,20 @@ class PreloadingScheduler:
     ----------
     catalog:
         The video catalog (provides ``c`` and global stripe identifiers).
-    skip_locally_stored:
-        When ``True``, a box does not issue requests for stripes it already
-        stores statically (it can play them locally at no upload cost).
-        The paper issues all ``c`` requests regardless; the default
-        ``False`` follows the paper.
     """
 
-    def __init__(self, catalog: Catalog, skip_locally_stored: bool = False):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._skip_local = bool(skip_locally_stored)
         #: Per-video swarm-entry counter used to rotate the preload stripe.
         self._entry_counter: Dict[int, int] = {}
-        #: Requests queued for future rounds, as struct-of-arrays blocks:
-        #: round -> list of (stripe_ids, box_ids, demand_indices) with
-        #: demand index −1 when queued through the object API.
+        #: Postponed requests queued for future rounds, as blocks:
+        #: round -> list of (stripe_ids, box_ids, demand_indices).
         self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        #: (box, video, demand time) log of scheduled demands, for metrics.
-        self._scheduled: List[Demand] = []
-        #: Array-path demand-log blocks ``(time, box_ids, video_ids)`` not
-        #: yet materialized into ``_scheduled`` (lazy — the hot path never
-        #: builds Demand objects).
-        self._scheduled_blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
 
     @property
     def catalog(self) -> Catalog:
         """The catalog the scheduler generates requests against."""
         return self._catalog
-
-    @property
-    def skip_locally_stored(self) -> bool:
-        """Whether locally stored stripes are skipped (non-paper variant)."""
-        return self._skip_local
 
     def update_catalog(self, catalog: Catalog) -> None:
         """Adopt a grown catalog (live ``add_videos`` reconfiguration)."""
@@ -130,221 +201,61 @@ class PreloadingScheduler:
         """Number of boxes that have entered the swarm of ``video_id`` so far."""
         return self._entry_counter.get(int(video_id), 0)
 
-    def _flush_scheduled(self) -> None:
-        """Materialize queued array-path demand blocks into ``_scheduled``.
-
-        Keeps the object and array logging paths interleavable: whichever
-        entries arrived first appear first.  ``getattr`` tolerates
-        schedulers unpickled from snapshots taken before the lazy log
-        existed.
-        """
-        blocks = getattr(self, "_scheduled_blocks", None)
-        if not blocks:
-            return
-        for time, boxes, videos in blocks:
-            self._scheduled.extend(
-                Demand(time=time, box_id=b, video_id=v)
-                for b, v in zip(boxes.tolist(), videos.tolist())
-            )
-        blocks.clear()
-
     # ------------------------------------------------------------------ #
     # Demand handling
     # ------------------------------------------------------------------ #
-    def on_demand(
-        self,
-        demand: Demand,
-        locally_stored: Optional[Set[int]] = None,
-    ) -> List[StripeRequest]:
-        """Process a demand arriving in ``[demand.time − 1, demand.time[``.
-
-        Returns the requests to issue *at* ``demand.time`` (the preloading
-        request) and internally queues the ``c−1`` postponed requests for
-        ``demand.time + 1``.  ``locally_stored`` optionally lists stripe
-        identifiers the demanding box stores statically (used only when
-        ``skip_locally_stored`` is enabled).
-        """
-        video = self._catalog.video(demand.video_id)
-        c = video.num_stripes
-        entry_index = self._entry_counter.get(demand.video_id, 0)
-        self._entry_counter[demand.video_id] = entry_index + 1
-        self._flush_scheduled()
-        self._scheduled.append(demand)
-
-        preload_index = entry_index % c
-        local = locally_stored if (self._skip_local and locally_stored) else set()
-
-        immediate: List[StripeRequest] = []
-        preload_stripe = self._catalog.stripe_id(demand.video_id, preload_index)
-        if preload_stripe not in local:
-            immediate.append(
-                StripeRequest(
-                    stripe_id=preload_stripe,
-                    request_time=demand.time,
-                    box_id=demand.box_id,
-                    is_preload=True,
-                )
-            )
-
-        postponed: List[int] = []
-        for index in range(c):
-            if index == preload_index:
-                continue
-            stripe_id = self._catalog.stripe_id(demand.video_id, index)
-            if stripe_id in local:
-                continue
-            postponed.append(stripe_id)
-        if postponed:
-            stripes = np.asarray(postponed, dtype=np.int64)
-            self._pending.setdefault(demand.time + 1, []).append(
-                (
-                    stripes,
-                    np.full(stripes.size, demand.box_id, dtype=np.int64),
-                    np.full(stripes.size, -1, dtype=np.int64),
-                )
-            )
-        return immediate
-
-    def on_demands_batch(
-        self, accepted: List[Tuple[int, Demand]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`on_demand` over one round's accepted demands.
-
-        ``accepted`` pairs each demand with its engine demand-log index.
-        Returns the preloading requests as ``(stripe_ids, box_ids,
-        demand_indices)`` arrays and queues the ``c−1`` postponed requests
-        (with their demand indices) for the next round — identical
-        requests, in identical order, to calling :meth:`on_demand` per
-        demand.  Only valid without ``skip_locally_stored`` (the engine's
-        configuration); all demands must share one arrival round.
-        """
-        if self._skip_local:
-            raise RuntimeError(
-                "on_demands_batch does not support skip_locally_stored"
-            )
-        c = self._catalog.num_stripes_per_video
-        n = len(accepted)
-        videos = np.empty(n, dtype=np.int64)
-        preload_idx = np.empty(n, dtype=np.int64)
-        boxes = np.empty(n, dtype=np.int64)
-        demand_indices = np.empty(n, dtype=np.int64)
-        counter = self._entry_counter
-        self._flush_scheduled()
-        for j, (demand_index, demand) in enumerate(accepted):
-            entry = counter.get(demand.video_id, 0)
-            counter[demand.video_id] = entry + 1
-            self._scheduled.append(demand)
-            videos[j] = demand.video_id
-            preload_idx[j] = entry % c
-            boxes[j] = demand.box_id
-            demand_indices[j] = demand_index
-        pre_stripes = videos * c + preload_idx
-        if n and c > 1:
-            stripe_offsets = np.arange(c, dtype=np.int64)
-            grid = videos[:, None] * c + stripe_offsets[None, :]
-            keep = stripe_offsets[None, :] != preload_idx[:, None]
-            self._pending.setdefault(int(accepted[0][1].time) + 1, []).append(
-                (
-                    grid[keep],
-                    np.repeat(boxes, c - 1),
-                    np.repeat(demand_indices, c - 1),
-                )
-            )
-        return pre_stripes, boxes, demand_indices
-
     def on_demand_arrays(
         self,
         video_ids: np.ndarray,
         box_ids: np.ndarray,
         demand_indices: np.ndarray,
         time: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-path :meth:`on_demands_batch`: no Demand objects at all.
+    ) -> RequestArrays:
+        """Process one round's demands, all arriving in ``[time − 1, time[``.
 
-        Produces the same preloading requests and queues the same
-        postponed blocks as the object paths for the same arrivals in the
-        same order; the demand log is recorded lazily (materialized on
-        :attr:`demands_seen` access).  Only valid without
-        ``skip_locally_stored``; all arrivals share round ``time``.
+        Returns the preloading requests to issue *at* ``time`` — one per
+        demand, made by the demanding box, in arrival order — and queues
+        the ``c−1`` postponed requests of each demand for ``time + 1``.
+        ``demand_indices`` tags every request with its demand.
         """
-        if self._skip_local:
-            raise RuntimeError("on_demand_arrays does not support skip_locally_stored")
-        c = self._catalog.num_stripes_per_video
         n = int(video_ids.size)
-        time = int(time)
         if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        # Per-video swarm-entry counters: the j-th arrival of a video this
-        # round preloads stripe (counter + j) mod c.  The stable sort keeps
-        # arrival order within each video, so ranks equal the per-demand
-        # counter values the object path would have used.
-        order = np.argsort(video_ids, kind="stable")
-        sorted_videos = video_ids[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.not_equal(sorted_videos[1:], sorted_videos[:-1], out=starts[1:])
-        start_pos = np.flatnonzero(starts)
-        counts = np.diff(np.append(start_pos, n))
-        unique_videos = sorted_videos[start_pos]
-        base = np.empty(unique_videos.size, dtype=np.int64)
-        counter = self._entry_counter
-        for j, vid in enumerate(unique_videos.tolist()):
-            entry = counter.get(vid, 0)
-            base[j] = entry
-            counter[vid] = entry + int(counts[j])
-        rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(start_pos, counts)
-        entry_sorted = base.repeat(counts) + rank_sorted
-        entries = np.empty(n, dtype=np.int64)
-        entries[order] = entry_sorted
-        preload_idx = entries % c
-        blocks = getattr(self, "_scheduled_blocks", None)
-        if blocks is None:
-            blocks = self._scheduled_blocks = []
-        blocks.append((time, box_ids.copy(), video_ids.copy()))
-        pre_stripes = video_ids * c + preload_idx
-        if c > 1:
-            stripe_offsets = np.arange(c, dtype=np.int64)
-            grid = video_ids[:, None] * c + stripe_offsets[None, :]
-            keep = stripe_offsets[None, :] != preload_idx[:, None]
-            self._pending.setdefault(time + 1, []).append(
-                (
-                    grid[keep],
-                    np.repeat(box_ids, c - 1),
-                    np.repeat(demand_indices, c - 1),
-                )
-            )
-        return pre_stripes, box_ids, demand_indices
+            return NO_REQUESTS
+        check_video_ids(self._catalog, video_ids)
+        c = self._catalog.num_stripes_per_video
+        preload_idx = preload_indices(self._entry_counter, video_ids, c)
+        queue_block(
+            self._pending,
+            int(time) + 1,
+            (
+                other_stripes(video_ids, preload_idx, c).ravel(),
+                np.repeat(box_ids, c - 1),
+                np.repeat(demand_indices, c - 1),
+            ),
+        )
+        preload = np.ones(n, dtype=bool)
+        return video_ids * c + preload_idx, box_ids, demand_indices, preload
 
-    def due_arrays(self, time: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pop the postponed requests queued for round ``time`` as arrays.
+    def on_demands_batch(self, accepted: List[Tuple[int, Demand]]) -> RequestArrays:
+        """:meth:`on_demand_arrays` over ``(demand_index, Demand)`` pairs of one round.
 
-        Returns ``(stripe_ids, box_ids, demand_indices)``; a demand index
-        of −1 marks a request queued through the object API (the engine
-        resolves it against its demand log).
+        Nothing in the library calls this object form.  It stays because
+        the end-to-end benchmark's tracer (``benchmarks/e2e/spans.py``)
+        wraps it by name and fails when it is missing.
         """
-        check_non_negative_integer(time, "time")
-        blocks = self._pending.pop(time, None)
-        if not blocks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        if len(blocks) == 1:
-            return blocks[0]
-        return (
-            np.concatenate([b[0] for b in blocks]),
-            np.concatenate([b[1] for b in blocks]),
-            np.concatenate([b[2] for b in blocks]),
+        if not accepted:
+            return NO_REQUESTS
+        indices, demands = zip(*accepted)
+        return self.on_demand_arrays(
+            np.array([d.video_id for d in demands], dtype=np.int64),
+            np.array([d.box_id for d in demands], dtype=np.int64),
+            np.array(indices, dtype=np.int64),
+            demands[0].time,
         )
 
-    def requests_due(self, time: int) -> List[StripeRequest]:
-        """Pop and return the postponed requests queued for round ``time``."""
-        stripes, boxes, _ = self.due_arrays(time)
-        return [
-            StripeRequest(
-                stripe_id=int(s), request_time=time, box_id=int(b), is_preload=False
-            )
-            for s, b in zip(stripes.tolist(), boxes.tolist())
-        ]
+    def due_arrays(self, time: int) -> RequestArrays:
+        """Pop the postponed requests queued for round ``time`` (never preloads)."""
+        return pop_postponed(self._pending, time)
 
     def pending_rounds(self) -> Tuple[int, ...]:
         """Rounds that still have queued postponed requests (sorted)."""
@@ -360,18 +271,10 @@ class PreloadingScheduler:
         """
         return demand.time + START_UP_DELAY_ROUNDS - 1
 
-    @property
-    def demands_seen(self) -> Tuple[Demand, ...]:
-        """All demands processed so far (chronological order of arrival)."""
-        self._flush_scheduled()
-        return tuple(self._scheduled)
-
     def reset(self) -> None:
         """Clear all counters and queued requests."""
         self._entry_counter.clear()
         self._pending.clear()
-        self._scheduled.clear()
-        getattr(self, "_scheduled_blocks", []).clear()
 
 
 class ImmediateRequestScheduler:
@@ -396,7 +299,6 @@ class ImmediateRequestScheduler:
 
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._scheduled: List[Demand] = []
 
     @property
     def catalog(self) -> Catalog:
@@ -412,36 +314,31 @@ class ImmediateRequestScheduler:
         """Nominal start-up delay of the ablated strategy (2 rounds)."""
         return 2
 
-    def on_demand(
+    def on_demand_arrays(
         self,
-        demand: Demand,
-        locally_stored: Optional[Set[int]] = None,
-    ) -> List[StripeRequest]:
-        """Issue all ``c`` stripe requests of the demanded video immediately."""
-        video = self._catalog.video(demand.video_id)
-        self._scheduled.append(demand)
-        requests = []
-        for index in range(video.num_stripes):
-            requests.append(
-                StripeRequest(
-                    stripe_id=self._catalog.stripe_id(demand.video_id, index),
-                    request_time=demand.time,
-                    box_id=demand.box_id,
-                    is_preload=(index == 0),
-                )
-            )
-        return requests
+        video_ids: np.ndarray,
+        box_ids: np.ndarray,
+        demand_indices: np.ndarray,
+        time: int,
+    ) -> RequestArrays:
+        """Issue all ``c`` stripe requests of each demanded video at ``time``.
 
-    def requests_due(self, time: int) -> List[StripeRequest]:
+        Per demand in arrival order, stripes in index order; the first
+        stripe's request is flagged as the preload.
+        """
+        check_video_ids(self._catalog, video_ids)
+        c = self._catalog.num_stripes_per_video
+        stripes = video_ids[:, None] * c + np.arange(c, dtype=np.int64)[None, :]
+        preload = np.zeros(stripes.shape, dtype=bool)
+        preload[:, 0] = True
+        return (
+            stripes.ravel(),
+            np.repeat(box_ids, c),
+            np.repeat(demand_indices, c),
+            preload.ravel(),
+        )
+
+    def due_arrays(self, time: int) -> RequestArrays:
         """No postponed requests exist under this strategy."""
         check_non_negative_integer(time, "time")
-        return []
-
-    @property
-    def demands_seen(self) -> Tuple[Demand, ...]:
-        """All demands processed so far."""
-        return tuple(self._scheduled)
-
-    def reset(self) -> None:
-        """Clear the demand log."""
-        self._scheduled.clear()
+        return NO_REQUESTS

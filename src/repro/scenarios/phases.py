@@ -4,9 +4,9 @@ A scenario's workload is a mix of phases: each phase owns a demand
 generator and an active window ``[start, stop)``.  :class:`PhasedWorkload`
 multiplexes them into the single :class:`~repro.workloads.base.DemandGenerator`
 the engine expects, querying every phase whose window covers the current
-round and dropping duplicate demands for the same box (first phase wins —
-the engine would reject the duplicate anyway, since a box plays at most
-one video).
+round and dropping duplicate demands for the same box (the first demand
+wins — the engine would reject the duplicate anyway, since a box plays at
+most one video).
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.preloading import Demand
-from repro.workloads.base import DemandGenerator, SystemView
+from repro.workloads.base import (
+    DemandGenerator,
+    SystemView,
+    demand_arrays,
+    demands_from_arrays,
+)
 
 __all__ = ["WorkloadPhase", "PhasedWorkload"]
 
@@ -61,35 +66,29 @@ class PhasedWorkload:
 
     def demand_arrays_for_round(
         self, view: SystemView
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Array-path arrivals when exactly one array-capable phase is active.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Arrivals of every phase active at ``view.time``, as ``(box_ids, video_ids)``.
 
-        With several phases active (or a generator without the array
-        protocol) this returns ``None`` *without touching any random
-        stream*, and the caller must fall back to
-        :meth:`demands_for_round` — the cross-phase duplicate-box
-        filtering only exists on the object path.
+        Phases are queried in declaration order through
+        :func:`~repro.workloads.base.demand_arrays`; a box keeps only its
+        first demand of the round.
         """
-        active = [p for p in self._phases if p.active_at(view.time)]
-        if not active:
+        arrivals = [
+            demand_arrays(phase.generator, view)
+            for phase in self._phases
+            if phase.active_at(view.time)
+        ]
+        if not arrivals:
             return _EMPTY, _EMPTY
-        if len(active) > 1:
-            return None
-        supplier = getattr(active[0].generator, "demand_arrays_for_round", None)
-        if supplier is None:
-            return None
-        return supplier(view)
+        boxes = np.concatenate([a[0] for a in arrivals])
+        videos = np.concatenate([a[1] for a in arrivals])
+        _, first = np.unique(boxes, return_index=True)
+        if first.size == boxes.size:
+            return boxes, videos
+        first.sort()
+        return boxes[first], videos[first]
 
     def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Collect demands from every phase active at ``view.time``."""
-        demands: List[Demand] = []
-        taken_boxes: set = set()
-        for phase in self._phases:
-            if not phase.active_at(view.time):
-                continue
-            for demand in phase.generator.demands_for_round(view):
-                if demand.box_id in taken_boxes:
-                    continue
-                taken_boxes.add(demand.box_id)
-                demands.append(demand)
-        return demands
+        """Object form of :meth:`demand_arrays_for_round`."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)

@@ -4,10 +4,12 @@
 
 1. at every round ``t`` the workload generator produces the demands that
    arrived during ``[t−1, t[`` (restricted to boxes that are not already
-   playing a video — at most one video per box);
-2. the preloading scheduler converts demands into dated stripe requests
-   (preload at ``t``, postponed at ``t+1``; or the relayed timeline of
-   Section 4 for heterogeneous systems);
+   playing a video — at most one video per box), read as
+   ``(box_ids, video_ids)`` arrays;
+2. the preloading scheduler converts the accepted demands into dated
+   stripe requests (preload at ``t``, postponed at ``t+1``; or the relayed
+   timeline of Section 4 for heterogeneous systems), each tagged with the
+   index of the demand that issued it;
 3. the set ``Y`` of *all* currently active requests is matched against the
    boxes possessing the corresponding data (static allocation + playback
    caches + relay caches) through a max-flow computation, with per-box
@@ -38,7 +40,7 @@ from repro.core.matching import (
     PossessionIndex,
     RequestSet,
 )
-from repro.core.preloading import Demand, PreloadingScheduler
+from repro.core.preloading import PreloadingScheduler, check_video_ids
 from repro.sim.churn import ChurnSchedule
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
@@ -53,7 +55,7 @@ from repro.sim.rules import admission_mask, detect_playback_starts
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
 from repro.sim.trace import SimulationTrace
-from repro.workloads.base import DemandGenerator, SystemView
+from repro.workloads.base import DemandGenerator, SystemView, demand_arrays
 from repro.util.soa import ensure_column_capacity
 from repro.util.validation import check_positive_integer
 
@@ -154,8 +156,11 @@ class VodSimulator:
         are recorded, not enforced).
     scheduler:
         A :class:`~repro.core.preloading.PreloadingScheduler` (homogeneous
-        strategy) or :class:`~repro.core.heterogeneous.RelayedPreloadingScheduler`
-        (heterogeneous relay strategy).  Defaults to the homogeneous one.
+        strategy), :class:`~repro.core.heterogeneous.RelayedPreloadingScheduler`
+        (heterogeneous relay strategy) or any other
+        :class:`~repro.api.protocols.RequestScheduler`.  Defaults to the
+        homogeneous one.  Every scheduler and trace level runs the same
+        array request path.
     compensation_plan:
         When using the relay strategy, the plan whose reserved upload must
         be subtracted from the matching capacities.
@@ -267,11 +272,6 @@ class VodSimulator:
         self._demand_box = np.empty(64, dtype=np.int64)
         self._demand_video = np.empty(64, dtype=np.int64)
         self._demand_started = np.empty(64, dtype=bool)
-        #: (box, video) -> most recent demand index; resolves postponed
-        #: requests back to their demand in O(1) instead of a log scan.
-        self._demand_last: Dict[Tuple[int, int], int] = {}
-        #: (relay box, video) -> most recent relayed demand index.
-        self._demand_last_relay: Dict[Tuple[int, int], int] = {}
         self._rejected_demands = 0
         self._playbacks_started = 0
         self._degraded_rounds = 0
@@ -335,27 +335,27 @@ class VodSimulator:
     @property
     def last_round_degraded(self) -> bool:
         """Whether the last round fell back to the degraded solver path."""
-        return getattr(self, "_last_round_degraded", False)
+        return self._last_round_degraded
 
     @property
     def degraded_rounds(self) -> int:
         """Number of rounds solved through the degraded fallback so far."""
-        return getattr(self, "_degraded_rounds", 0)
+        return self._degraded_rounds
 
     @property
     def last_round_repair_fallback(self) -> bool:
         """Whether the last round's incremental repair fell back to the full kernel."""
-        return getattr(self, "_last_round_repair_fallback", False)
+        return self._last_round_repair_fallback
 
     @property
     def repair_fallback_rounds(self) -> int:
         """Number of rounds whose repair budget forced a full re-solve so far."""
-        return getattr(self, "_repair_fallback_rounds", 0)
+        return self._repair_fallback_rounds
 
     @property
     def incremental_matching(self) -> bool:
         """Whether the incremental delta-repair matching path is enabled."""
-        return getattr(self, "_incremental_matching", True)
+        return self._incremental_matching
 
     def set_incremental_matching(self, enabled: bool) -> None:
         """Toggle the incremental matching path (benchmarks, A/B tests).
@@ -487,40 +487,16 @@ class VodSimulator:
             swarms=self._swarms,
             free_boxes=self.free_boxes(time),
         )
-        # The paper's homogeneous preloading strategy flows through the
-        # batched array paths; relayed/custom schedulers and full traces
-        # keep the object path.  All produce identical requests in
-        # identical order.  Workloads exposing the array protocol skip
-        # Demand materialization entirely (steps 1+2 fused on arrays);
-        # the protocol guarantees the same arrivals from the same random
-        # stream as the object path, so the choice is digest-neutral.
-        batched_scheduler = type(self._scheduler) is PreloadingScheduler and not (
-            self._scheduler.skip_locally_stored
+        box_ids, video_ids = demand_arrays(workload, view)
+        demand_indices, boxes, videos = self._accept_demand_arrays(
+            box_ids, video_ids, time
         )
-        demand_arrays = None
-        if batched_scheduler and not self._full_trace and self._plan is None:
-            supplier = getattr(workload, "demand_arrays_for_round", None)
-            if supplier is not None:
-                demand_arrays = supplier(view)
-        if demand_arrays is not None:
-            # 1+2. Demand arrivals and request generation, array path.
-            demand_indices, demand_boxes, demand_videos = self._accept_demand_arrays(
-                demand_arrays[0], demand_arrays[1], time
-            )
-            self._metrics.record_demands(int(demand_indices.size))
-            new_request_count = self._generate_requests_arrays(
-                demand_videos, demand_boxes, demand_indices, time
-            )
-        else:
-            # 1. Demand arrivals.
-            demands = workload.demands_for_round(view)
-            accepted = self._accept_demands(demands, time)
-            self._metrics.record_demands(len(accepted))
-            # 2. Request generation (preload now, postponed queued earlier).
-            if batched_scheduler:
-                new_request_count = self._generate_requests_batched(accepted, time)
-            else:
-                new_request_count = self._generate_requests_objects(accepted, time)
+        self._metrics.record_demands(int(demand_indices.size))
+
+        # 2. Request generation (issued now, plus postponed ones due now).
+        new_request_count = self._generate_requests(
+            videos, boxes, demand_indices, time
+        )
         self._metrics.record_requests(new_request_count)
 
         # 3. Connection matching over all active requests.  Offline boxes
@@ -537,7 +513,7 @@ class VodSimulator:
         delta = None
         if (
             warm is not None
-            and getattr(self, "_incremental_matching", True)
+            and self._incremental_matching
             and isinstance(self._matcher, ConnectionMatcher)
         ):
             delta = MatchDelta(
@@ -567,9 +543,7 @@ class VodSimulator:
             getattr(matching, "repair_fallback", False)
         )
         if self._last_round_repair_fallback:
-            self._repair_fallback_rounds = (
-                getattr(self, "_repair_fallback_rounds", 0) + 1
-            )
+            self._repair_fallback_rounds += 1
         self._pool.apply_matching(matching.assignment, time)
 
         if self._record_connections:
@@ -632,171 +606,23 @@ class VodSimulator:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _generate_requests_batched(
-        self, accepted: List[Tuple[int, Demand]], time: int
-    ) -> int:
-        """Array-path request generation (plain preloading scheduler)."""
-        pre_stripes, pre_boxes, pre_demand = self._scheduler.on_demands_batch(accepted)
-        return self._finish_request_generation(
-            pre_stripes, pre_boxes, pre_demand, time
-        )
-
-    def _generate_requests_arrays(
-        self,
-        video_ids: np.ndarray,
-        box_ids: np.ndarray,
-        demand_indices: np.ndarray,
-        time: int,
-    ) -> int:
-        """Request generation from accepted-demand arrays (no Demand objects)."""
-        pre_stripes, pre_boxes, pre_demand = self._scheduler.on_demand_arrays(
-            video_ids, box_ids, demand_indices, time
-        )
-        return self._finish_request_generation(
-            pre_stripes, pre_boxes, pre_demand, time
-        )
-
-    def _finish_request_generation(
-        self,
-        pre_stripes: np.ndarray,
-        pre_boxes: np.ndarray,
-        pre_demand: np.ndarray,
-        time: int,
-    ) -> int:
-        """Shared tail of the batched request paths: postponed pops + pool."""
-        post_stripes, post_boxes, post_demand = self._scheduler.due_arrays(time)
-        if post_demand.size and (post_demand < 0).any():
-            # Blocks queued through the scheduler's object API carry no
-            # demand index; resolve them against the demand log.
-            post_demand = post_demand.copy()
-            for k in np.flatnonzero(post_demand < 0).tolist():
-                found = self._find_demand_index(
-                    int(post_boxes[k]), int(post_stripes[k]), time
-                )
-                post_demand[k] = -1 if found is None else found
-        self._pool.extend_from_arrays(pre_stripes, time, pre_boxes, pre_demand, True)
-        self._pool.extend_from_arrays(post_stripes, time, post_boxes, post_demand, False)
-        self._possession.record_downloads(pre_stripes, pre_boxes, time)
-        self._possession.record_downloads(post_stripes, post_boxes, time)
-        if self._full_trace:
-            for stripes, preload in ((pre_stripes, True), (post_stripes, False)):
-                boxes = pre_boxes if preload else post_boxes
-                for s, b in zip(stripes.tolist(), boxes.tolist()):
-                    self._trace.record(
-                        RequestEvent(
-                            time=time, box_id=b, stripe_id=s, is_preload=preload
-                        )
-                    )
-        return int(pre_stripes.size + post_stripes.size)
-
-    def _generate_requests_objects(
-        self, accepted: List[Tuple[int, Demand]], time: int
-    ) -> int:
-        """Object-path request generation (relayed/custom schedulers)."""
-        new_requests = []
-        for demand_index, demand in accepted:
-            immediate = self._scheduler.on_demand(demand)
-            for request in immediate:
-                new_requests.append((demand_index, request))
-        for request in self._scheduler.requests_due(time):
-            demand_index = self._find_demand_index(request.box_id, request.stripe_id, time)
-            new_requests.append((demand_index, request))
-
-        # Relay-cache events of the heterogeneous strategy.
-        if isinstance(self._scheduler, RelayedPreloadingScheduler):
-            for relay_box, stripe_id in self._scheduler.relay_cache_events_due(time):
-                self._possession.record_relay_cache(stripe_id, relay_box)
-
-        for demand_index, request in new_requests:
-            self._pool.add(request, demand_index)
-            self._possession.record_download(
-                request.stripe_id, request.box_id, request.request_time
-            )
-            if self._full_trace:
-                self._trace.record(
-                    RequestEvent(
-                        time=time,
-                        box_id=request.box_id,
-                        stripe_id=request.stripe_id,
-                        is_preload=request.is_preload,
-                    )
-                )
-        return len(new_requests)
-
-    def _append_demand(self, demand: Demand) -> int:
-        """Append one accepted demand to the struct-of-arrays demand log."""
-        ensure_column_capacity(
-            self,
-            ("_demand_time", "_demand_box", "_demand_video", "_demand_started"),
-            self._demand_count,
-            self._demand_count + 1,
-        )
-        index = self._demand_count
-        self._demand_time[index] = demand.time
-        self._demand_box[index] = demand.box_id
-        self._demand_video[index] = demand.video_id
-        self._demand_started[index] = False
-        self._demand_count = index + 1
-        return index
-
-    def _accept_demands(
-        self, demands: Sequence[Demand], time: int
-    ) -> List[Tuple[int, Demand]]:
-        accepted: List[Tuple[int, Demand]] = []
-        for demand in demands:
-            if demand.time != time:
-                raise ValueError(
-                    f"workload produced a demand for round {demand.time} during round {time}"
-                )
-            if demand.video_id >= self._catalog.num_videos:
-                raise ValueError(
-                    f"demand for video {demand.video_id} outside catalog of size "
-                    f"{self._catalog.num_videos}"
-                )
-            if self._busy_until[demand.box_id] > time:
-                self._rejected_demands += 1
-                continue
-            demand_index = self._append_demand(demand)
-            self._demand_last[(demand.box_id, demand.video_id)] = demand_index
-            if self._plan is not None:
-                relay = self._plan.relay(demand.box_id)
-                if relay is not None:
-                    self._demand_last_relay[(relay, demand.video_id)] = demand_index
-            self._busy_until[demand.box_id] = time + self._catalog.duration
-            self._swarms.enter(demand.video_id, demand.box_id, time)
-            if self._full_trace:
-                self._trace.record(
-                    DemandEvent(time=time, box_id=demand.box_id, video_id=demand.video_id)
-                )
-            accepted.append((demand_index, demand))
-        return accepted
-
     def _accept_demand_arrays(
         self, box_ids: np.ndarray, video_ids: np.ndarray, time: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-path :meth:`_accept_demands` over one round's arrivals.
+        """Admit one round's arrivals; returns the accepted ones, in arrival order.
 
-        Applies the same admission rule (busy boxes rejected; a box's
-        second demand in one round rejected because the first made it
-        busy) and the same side effects — demand log, last-demand map,
-        busy horizon, swarm entries with growth-bound checks — as the
-        object path.  Returns ``(demand_indices, box_ids, video_ids)`` of
-        the accepted arrivals, in arrival order.  Callers gate on lean
-        trace and ``plan is None``.
+        A demand is rejected when its box is still playing, which includes
+        a box's second demand in one round (the first made it busy).  An
+        accepted demand enters the demand log, the box's busy horizon and
+        its video's swarm (with the growth-bound check); a full trace
+        records its :class:`DemandEvent`.  Returns ``(demand_indices,
+        box_ids, video_ids)``.
         """
+        check_video_ids(self._catalog, video_ids)
         n = int(box_ids.size)
-        if n and int(video_ids.max()) >= self._catalog.num_videos:
-            bad = int(video_ids[video_ids >= self._catalog.num_videos][0])
-            raise ValueError(
-                f"demand for video {bad} outside catalog of size "
-                f"{self._catalog.num_videos}"
-            )
         accept = admission_mask(self._busy_until, box_ids, time)
         kept = int(accept.sum())
         self._rejected_demands += n - kept
-        if kept == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
         boxes = box_ids[accept] if kept != n else box_ids
         videos = video_ids[accept] if kept != n else video_ids
 
@@ -813,26 +639,46 @@ class VodSimulator:
         self._demand_video[lo:hi] = videos
         self._demand_started[lo:hi] = False
         self._demand_count = hi
-        demand_last = self._demand_last
-        for offset, key in enumerate(zip(boxes.tolist(), videos.tolist())):
-            demand_last[key] = lo + offset
         self._busy_until[boxes] = time + self._catalog.duration
         self._swarms.enter_batch(videos, boxes, time)
+        if self._full_trace:
+            for box, video in zip(boxes.tolist(), videos.tolist()):
+                self._trace.record(DemandEvent(time=time, box_id=box, video_id=video))
         return np.arange(lo, hi, dtype=np.int64), boxes, videos
 
-    def _find_demand_index(self, box_id: int, stripe_id: int, time: int) -> Optional[int]:
-        """Find the most recent demand of ``box_id`` matching the stripe's video.
+    def _generate_requests(
+        self,
+        video_ids: np.ndarray,
+        box_ids: np.ndarray,
+        demand_indices: np.ndarray,
+        time: int,
+    ) -> int:
+        """Activate this round's requests; returns how many were issued.
 
-        Homogeneous strategy: the request is made by the demanding box.
-        Relayed strategy: it may be made by the relay, so a relay match is
-        also accepted; the *most recent* of the two candidates wins, which
-        is exactly what the historical backwards log scan returned.
+        These are the requests the scheduler issues for the accepted
+        demands, then the postponed ones it queued for this round, each
+        tagged with the index of its demand.  Relay-cache events falling
+        due (relayed strategy) update the possession index.
         """
-        video_id = self._catalog.video_of_stripe(stripe_id)
-        direct = self._demand_last.get((box_id, video_id), -1)
-        relayed = self._demand_last_relay.get((box_id, video_id), -1)
-        best = max(direct, relayed)
-        return None if best < 0 else best
+        blocks = (
+            self._scheduler.on_demand_arrays(video_ids, box_ids, demand_indices, time),
+            self._scheduler.due_arrays(time),
+        )
+        for stripes, boxes, demands, preload in blocks:
+            self._pool.extend_from_arrays(stripes, time, boxes, demands, preload)
+            self._possession.record_downloads(stripes, boxes, time)
+        relay_events = getattr(self._scheduler, "relay_cache_events_due", None)
+        if relay_events is not None:
+            relays, stripes = relay_events(time)
+            for relay, stripe in zip(relays.tolist(), stripes.tolist()):
+                self._possession.record_relay_cache(stripe, relay)
+        if self._full_trace:
+            for stripes, boxes, _, preload in blocks:
+                for s, b, p in zip(stripes.tolist(), boxes.tolist(), preload.tolist()):
+                    self._trace.record(
+                        RequestEvent(time=time, box_id=b, stripe_id=s, is_preload=p)
+                    )
+        return sum(int(block[0].size) for block in blocks)
 
     def _detect_playback_starts(self, time: int) -> None:
         """Emit a playback-start event once all of a demand's stripes were served."""

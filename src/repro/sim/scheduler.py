@@ -19,7 +19,7 @@ inspection, not the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -180,9 +180,12 @@ class ActiveRequestPool:
         request_time: int,
         box_ids: np.ndarray,
         demand_indices: np.ndarray,
-        is_preload: bool,
+        is_preload: Union[bool, np.ndarray],
     ) -> None:
-        """Activate a block of requests sharing one issue round (hot path)."""
+        """Activate a block of requests sharing one issue round (hot path).
+
+        ``is_preload`` is one flag for the whole block or one per request.
+        """
         count = int(stripe_ids.size)
         if count == 0:
             return

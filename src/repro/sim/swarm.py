@@ -148,10 +148,9 @@ class SwarmRegistry:
         """Write deferred ``enter_batch`` blocks to the per-video logs.
 
         Blocks keep chronological order, so the logs end up exactly as if
-        every entry had been appended eagerly.  ``getattr`` tolerates
-        registries unpickled from snapshots predating the deferred log.
+        every entry had been appended eagerly.
         """
-        pending = getattr(self, "_pending_entries", None)
+        pending = self._pending_entries
         if not pending:
             return
         self._pending_entries = []
@@ -250,12 +249,9 @@ class SwarmRegistry:
         sorted_boxes = box_ids[order]
 
         # Size queries: O(1) against the rolling cache when it is live,
-        # entry-log counting otherwise (after unbatched enter() calls or
-        # restores from pre-cache snapshots).
+        # entry-log counting otherwise (after unbatched enter() calls).
         duration = self._duration
-        cache_live = (
-            getattr(self, "_cache_valid", False) and self._cache_time <= time
-        )
+        cache_live = self._cache_valid and self._cache_time <= time
         if not cache_live:
             self._cache_valid = False
             self._flush_entries()

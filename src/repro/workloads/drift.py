@@ -19,8 +19,8 @@ Poisson-arrival machinery of :mod:`repro.workloads.popularity`:
 
 Both generators draw all randomness from the single generator they are
 constructed with — in scenarios that is a per-phase child stream of the
-master seed — and advance it in the same call sequence on the array and
-object paths, so replays are bit-identical either way.  The epoch
+master seed — and their object form wraps the array form, so replays
+are bit-identical either way.  The epoch
 schedule is a pure function of the queried round, and epoch transitions
 consume randomness in epoch order, so a run over rounds ``[0, T)`` is a
 prefix of a run over ``[0, T')`` for ``T' > T`` (append-stable).
@@ -35,19 +35,12 @@ import numpy as np
 from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive, check_positive_integer
-from repro.workloads.base import SystemView
+from repro.workloads.base import SystemView, demands_from_arrays
 from repro.workloads.popularity import check_zipf_exponent, zipf_weights
 
 __all__ = ["DriftingZipfWorkload", "FlashRotationWorkload"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _materialize(time: int, boxes: np.ndarray, videos: np.ndarray) -> List[Demand]:
-    return [
-        Demand(time=time, box_id=b, video_id=v)
-        for b, v in zip(boxes.tolist(), videos.tolist())
-    ]
 
 
 class DriftingZipfWorkload:
@@ -118,7 +111,7 @@ class DriftingZipfWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-path :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         self._refresh_weights(view.catalog.num_videos, view.time)
@@ -136,7 +129,7 @@ class DriftingZipfWorkload:
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """Draw Poisson(rate) arrivals over the current epoch's drifted law."""
         boxes, videos = self.demand_arrays_for_round(view)
-        return _materialize(view.time, boxes, videos)
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 class FlashRotationWorkload:
@@ -200,7 +193,7 @@ class FlashRotationWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-path :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         weights = self._weights(view.time, view.catalog.num_videos)
@@ -218,4 +211,4 @@ class FlashRotationWorkload:
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """Draw Poisson(rate) arrivals biased toward the promoted window."""
         boxes, videos = self.demand_arrays_for_round(view)
-        return _materialize(view.time, boxes, videos)
+        return demands_from_arrays(view.time, boxes, videos)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive
-from repro.workloads.base import SystemView
+from repro.workloads.base import SystemView, demands_from_arrays
 
 __all__ = ["check_zipf_exponent", "zipf_weights", "ZipfDemandWorkload", "UniformDemandWorkload"]
 
@@ -42,14 +42,6 @@ def check_zipf_exponent(exponent: float, name: str = "exponent") -> float:
             "instead of alpha <= 0"
         )
     return exponent
-
-
-def _materialize(time: int, boxes: np.ndarray, videos: np.ndarray) -> List[Demand]:
-    """Demand objects for one round's ``(box, video)`` arrival arrays."""
-    return [
-        Demand(time=time, box_id=b, video_id=v)
-        for b, v in zip(boxes.tolist(), videos.tolist())
-    ]
 
 
 def zipf_weights(num_videos: int, exponent: float = 0.8) -> np.ndarray:
@@ -99,11 +91,11 @@ class ZipfDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-path :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
 
-        Draws from the random stream in exactly the same call sequence as
-        the object path, so either path yields the same arrivals; the
-        boxes are distinct (sampled without replacement).
+        :meth:`demands_for_round` wraps this call, so both forms draw the
+        same arrivals from the random stream; the boxes are distinct
+        (sampled without replacement).
         """
         if view.time < self._start:
             return _EMPTY, _EMPTY
@@ -123,7 +115,7 @@ class ZipfDemandWorkload:
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """Draw Poisson(rate) arrivals and assign them Zipf-popular videos."""
         boxes, videos = self.demand_arrays_for_round(view)
-        return _materialize(view.time, boxes, videos)
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 class UniformDemandWorkload:
@@ -142,7 +134,7 @@ class UniformDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-path :meth:`demands_for_round` (same random call sequence)."""
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         count = int(self._rng.poisson(self._rate))
@@ -157,4 +149,4 @@ class UniformDemandWorkload:
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """Draw Poisson(rate) arrivals over uniformly random videos."""
         boxes, videos = self.demand_arrays_for_round(view)
-        return _materialize(view.time, boxes, videos)
+        return demands_from_arrays(view.time, boxes, videos)

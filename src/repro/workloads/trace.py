@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive_integer
-from repro.workloads.base import SystemView
+from repro.workloads.base import SystemView, demands_from_arrays
 
 __all__ = [
     "TRACE_MAGIC",
@@ -254,7 +254,7 @@ class TraceDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array-path :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if self._header.num_videos > view.catalog.num_videos:
             raise ValueError(
                 f"trace {self._path!r} was recorded over "
@@ -277,10 +277,7 @@ class TraceDemandWorkload:
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """Replay this round's due trace events as demands."""
         boxes, videos = self.demand_arrays_for_round(view)
-        return [
-            Demand(time=view.time, box_id=b, video_id=v)
-            for b, v in zip(boxes.tolist(), videos.tolist())
-        ]
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 def synthesize_zipf_trace(

@@ -322,11 +322,12 @@ def test_add_videos_precondition_failure_leaves_engine_untouched():
         # Implements exactly the RequestScheduler protocol, nothing more.
         start_up_delay = 1
 
-        def on_demand(self, demand, locally_stored=None):
-            return []
+        def on_demand_arrays(self, video_ids, box_ids, demand_indices, time):
+            return self.due_arrays(time)
 
-        def requests_due(self, time):
-            return []
+        def due_arrays(self, time):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, np.empty(0, dtype=bool)
 
     system = small_system()
     session = VodSession(

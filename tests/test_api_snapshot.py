@@ -133,10 +133,10 @@ class TestSnapshotFormatVersioning:
 
     FIXTURE_V1 = Path(__file__).parent / "fixtures" / "session_snapshot_v1.bin"
 
-    def test_current_format_version_is_2(self):
+    def test_current_format_version_is_3(self):
         from repro.api.session import SNAPSHOT_FORMAT_VERSION
 
-        assert SNAPSHOT_FORMAT_VERSION == 2
+        assert SNAPSHOT_FORMAT_VERSION == 3
 
     def test_loading_a_v1_fixture_raises_a_typed_error(self):
         from repro.api import SessionSnapshot, SnapshotFormatError
@@ -153,9 +153,9 @@ class TestSnapshotFormatVersioning:
 
         Both fixtures (``steady_state``, seed 1, 3 rounds; one on 2 inline
         shards, one on the event clock) were recorded while those modes
-        existed.  Their framing and checksum still verify, so what fails is
-        the import of the engine class: that must read as a format error
-        with a re-record hint, not as a corrupt payload.
+        existed, under snapshot format 2.  Their framing and checksum still
+        verify, so what fails is the format check: that must read as a
+        format error with a re-record hint, not as a corrupt payload.
         """
         from repro.api import (
             SessionSnapshot,
@@ -164,8 +164,38 @@ class TestSnapshotFormatVersioning:
             VodSession,
         )
 
-        snapshot = SessionSnapshot.from_file(Path(__file__).parent / "fixtures" / fixture)
-        assert snapshot.rounds_completed == 3
+        path = Path(__file__).parent / "fixtures" / fixture
+        with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
+            VodSession.restore(SessionSnapshot.from_file(path))
+        assert not isinstance(excinfo.value, SnapshotIntegrityError)
+
+    def test_payload_naming_missing_code_raises_a_format_error(self):
+        """A checksummed current-version payload whose classes are gone.
+
+        The payload pickles an instance of a class from a module that is
+        then removed, as a refactor would remove an engine class: restore
+        must report a format error with a re-record hint, not corruption.
+        """
+        import hashlib
+        import pickle
+        import sys
+        import types
+
+        from repro.api import SessionSnapshot, SnapshotFormatError, SnapshotIntegrityError
+
+        module = types.ModuleType("repro_snapshot_vanished_module")
+        exec("class VanishedEngine:\n    pass\n", module.__dict__)
+        sys.modules[module.__name__] = module
+        try:
+            payload = pickle.dumps(module.VanishedEngine())
+        finally:
+            del sys.modules[module.__name__]
+        snapshot = SessionSnapshot(
+            payload=payload,
+            time=0,
+            rounds_completed=0,
+            payload_sha256=hashlib.sha256(payload).hexdigest(),
+        )
         with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
             VodSession.restore(snapshot)
         assert not isinstance(excinfo.value, SnapshotIntegrityError)

@@ -11,7 +11,7 @@ from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
 from repro.core.obstruction import first_moment_bound_paper, lemma4_log_probability
 from repro.core.parameters import homogeneous_population
-from repro.core.preloading import Demand, PreloadingScheduler
+from repro.core.preloading import PreloadingScheduler
 from repro.core.video import Catalog
 from repro.sim.swarm import max_new_members
 
@@ -73,15 +73,18 @@ class TestPreloadingInvariants:
             box = i
             video = int(rng.integers(6))
             time = int(rng.integers(10))
-            immediate = scheduler.on_demand(Demand(time=time, box_id=box, video_id=video))
-            postponed = scheduler.requests_due(time + 1)
-            own_postponed = [r for r in postponed if r.box_id == box]
-            all_requests = immediate + own_postponed
-            assert len(all_requests) == c
-            assert {r.stripe_id for r in all_requests} == set(
-                catalog.stripes_of_video(video).tolist()
+            stripes, boxes, demands, preload = scheduler.on_demand_arrays(
+                np.array([video]), np.array([box]), np.array([i]), time
             )
-            assert sum(1 for r in all_requests if r.is_preload) == 1
+            due_stripes, due_boxes, due_demands, due_preload = scheduler.due_arrays(
+                time + 1
+            )
+            own = due_demands == i
+            assert (due_boxes[own] == box).all()
+            all_stripes = stripes.tolist() + due_stripes[own].tolist()
+            assert len(all_stripes) == c
+            assert set(all_stripes) == set(catalog.stripes_of_video(video).tolist())
+            assert int(preload.sum()) + int(due_preload[own].sum()) == 1
 
     @slow_settings
     @given(c=st.integers(1, 8), joiners=st.integers(1, 30))
@@ -89,9 +92,14 @@ class TestPreloadingInvariants:
         catalog = Catalog(num_videos=2, num_stripes=c, duration=20)
         scheduler = PreloadingScheduler(catalog)
         counts = np.zeros(c, dtype=int)
-        for box in range(joiners):
-            request = scheduler.on_demand(Demand(time=0, box_id=box, video_id=0))[0]
-            counts[catalog.stripe_index_of(request.stripe_id)] += 1
+        stripes = scheduler.on_demand_arrays(
+            np.zeros(joiners, dtype=np.int64),
+            np.arange(joiners),
+            np.arange(joiners),
+            0,
+        )[0]
+        for stripe in stripes.tolist():
+            counts[catalog.stripe_index_of(stripe)] += 1
         assert counts.max() - counts.min() <= 1
 
 
