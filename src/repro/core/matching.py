@@ -33,6 +33,7 @@ from repro.core.video import StripeId
 from repro.flow.bipartite import BMatchingResult, FLOW_SOLVERS, solve_b_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
+    _stable_right_order,
     hopcroft_karp_matching,
     repair_matching,
 )
@@ -1607,7 +1608,7 @@ class ConnectionMatcher:
                 if not unresolved.size:
                     break
             cand = indices_d[ptr[unresolved]]
-            order = np.argsort(cand.astype(np.int32), kind="stable")
+            order = _stable_right_order(cand)
             sc = cand[order]
             new_group = np.empty(sc.size, dtype=bool)
             new_group[0] = True

@@ -27,7 +27,7 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "PreloadingScheduler",
     "ImmediateRequestScheduler",
     "START_UP_DELAY_ROUNDS",
+    "check_box_ids",
     "check_video_ids",
 ]
 
@@ -87,12 +88,28 @@ class Demand:
         check_non_negative_integer(self.video_id, "video_id")
 
 
+def _first_outside(ids: np.ndarray, size: int) -> Optional[int]:
+    """The first of ``ids`` outside ``[0, size)``, or ``None``."""
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= size):
+        return int(ids[(ids < 0) | (ids >= size)][0])
+    return None
+
+
 def check_video_ids(catalog: Catalog, video_ids: np.ndarray) -> None:
     """Raise ``ValueError`` when a demanded video lies outside ``catalog``."""
-    if video_ids.size and int(video_ids.max()) >= catalog.num_videos:
-        bad = int(video_ids[video_ids >= catalog.num_videos][0])
+    bad = _first_outside(video_ids, catalog.num_videos)
+    if bad is not None:
         raise ValueError(
             f"demand for video {bad} outside catalog of size {catalog.num_videos}"
+        )
+
+
+def check_box_ids(num_boxes: int, box_ids: np.ndarray) -> None:
+    """Raise ``ValueError`` when a demanding box lies outside ``[0, num_boxes)``."""
+    bad = _first_outside(box_ids, num_boxes)
+    if bad is not None:
+        raise ValueError(
+            f"demand from box {bad} outside population of size {num_boxes}"
         )
 
 

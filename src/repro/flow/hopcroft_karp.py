@@ -108,15 +108,23 @@ def csr_from_edges(
 
 
 def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
-    """Stable argsort of right-node ids, radix-friendly when they fit.
+    """Stable argsort of right-node ids, through distinct composite keys.
 
-    The int32 cast halves the radix passes, but past ``2**31 - 1`` it
-    would wrap negative and silently scramble the CSR adoption order —
-    so ids beyond int32 take the full-width sort instead of the cast.
+    Each entry becomes the int64 key ``(id << 32) | position``.  The keys
+    are distinct, so the plain ``np.sort`` of them, which is much faster
+    than a stable argsort, orders equal ids by position: their low 32
+    bits are ``np.argsort(seq_b, kind="stable")``.  Inputs a key cannot
+    hold (a negative id, an id of ``2**31`` or more, ``2**32`` entries or
+    more) take that argsort.
     """
-    if seq_b.size and int(seq_b.max()) > np.iinfo(np.int32).max:
+    n = seq_b.size
+    if not n or n >= 1 << 32 or int(seq_b.min()) < 0 or int(seq_b.max()) >= 1 << 31:
         return np.argsort(seq_b, kind="stable")
-    return np.argsort(seq_b.astype(np.int32), kind="stable")
+    keys = seq_b.astype(np.int64) << 32
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys
 
 
 class _LazyRightMatches:

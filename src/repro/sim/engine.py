@@ -40,7 +40,7 @@ from repro.core.matching import (
     PossessionIndex,
     RequestSet,
 )
-from repro.core.preloading import PreloadingScheduler, check_video_ids
+from repro.core.preloading import PreloadingScheduler, check_box_ids, check_video_ids
 from repro.sim.churn import ChurnSchedule
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
@@ -616,9 +616,11 @@ class VodSimulator:
         accepted demand enters the demand log, the box's busy horizon and
         its video's swarm (with the growth-bound check); a full trace
         records its :class:`DemandEvent`.  Returns ``(demand_indices,
-        box_ids, video_ids)``.
+        box_ids, video_ids)``.  A box outside the population or a video
+        outside the catalog raises ``ValueError``.
         """
         check_video_ids(self._catalog, video_ids)
+        check_box_ids(self._population.n, box_ids)
         n = int(box_ids.size)
         accept = admission_mask(self._busy_until, box_ids, time)
         kept = int(accept.sum())

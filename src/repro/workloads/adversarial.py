@@ -18,7 +18,7 @@ system against adversaries rather than benign popularity models:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,13 +26,15 @@ from repro.core.preloading import Demand
 from repro.sim.swarm import max_new_members
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_in_range, check_non_negative_integer
-from repro.workloads.base import SystemView
+from repro.workloads.base import SystemView, demands_from_arrays, shuffled_free_boxes
 
 __all__ = [
     "MissingVideoAdversary",
     "LeastReplicatedAdversary",
     "ColdStartAdversary",
 ]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class MissingVideoAdversary:
@@ -59,21 +61,23 @@ class MissingVideoAdversary:
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
         self._rng = as_generator(random_state)
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Pick, for each free box, a stored-nowhere video to demand."""
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if view.time < self._start:
-            return []
+            return _EMPTY, _EMPTY
         c = view.catalog.num_stripes_per_video
         m = view.catalog.num_videos
         all_videos = np.arange(m, dtype=np.int64)
-        free = list(int(b) for b in view.free_boxes)
-        self._rng.shuffle(free)
+        free = shuffled_free_boxes(view, self._rng)
         if self._max_per_round is not None:
             free = free[: self._max_per_round]
 
         budget: dict[int, int] = {}
-        demands: List[Demand] = []
-        for box_id in free:
+        boxes: List[int] = []
+        videos: List[int] = []
+        for box_id in free.tolist():
             stored = view.allocation.stripes_on_box(box_id)
             stored_videos = np.unique(stored // c) if stored.size else np.empty(0, dtype=np.int64)
             missing = np.setdiff1d(all_videos, stored_videos, assume_unique=True)
@@ -105,8 +109,14 @@ class MissingVideoAdversary:
                         current = view.swarms.size(choice, view.time - 1) if view.time > 0 else 0
                         budget[choice] = max_new_members(current, self._mu)
                 budget[choice] -= 1
-            demands.append(Demand(time=view.time, box_id=box_id, video_id=choice))
-        return demands
+            boxes.append(box_id)
+            videos.append(choice)
+        return np.array(boxes, dtype=np.int64), np.array(videos, dtype=np.int64)
+
+    def demands_for_round(self, view: SystemView) -> List[Demand]:
+        """Pick, for each free box, a stored-nowhere video to demand."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 class LeastReplicatedAdversary:
@@ -139,26 +149,29 @@ class LeastReplicatedAdversary:
         order = np.argsort(per_video, kind="stable")
         return [int(v) for v in order[: self._num_targets]]
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Send the maximal allowed number of joiners to the weakest videos."""
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
         if view.time < self._start:
-            return []
+            return _EMPTY, _EMPTY
         if self._targets is None:
             self._targets = self._pick_targets(view)
-        free = list(int(b) for b in view.free_boxes)
-        self._rng.shuffle(free)
-        demands: List[Demand] = []
+        free = shuffled_free_boxes(view, self._rng)
+        takes: List[int] = []
         cursor = 0
         for video_id in self._targets:
             current = view.swarms.size(video_id, view.time - 1) if view.time > 0 else 0
             joiners = max_new_members(current, self._mu)
-            take = min(joiners, len(free) - cursor)
-            for _ in range(take):
-                demands.append(
-                    Demand(time=view.time, box_id=free[cursor], video_id=video_id)
-                )
-                cursor += 1
-        return demands
+            take = min(joiners, free.size - cursor)
+            takes.append(take)
+            cursor += take
+        return free[:cursor], np.repeat(np.array(self._targets, dtype=np.int64), takes)
+
+    def demands_for_round(self, view: SystemView) -> List[Demand]:
+        """Send the maximal allowed number of joiners to the weakest videos."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 class ColdStartAdversary:
@@ -181,21 +194,31 @@ class ColdStartAdversary:
         self._max_per_round = max_demands_per_round
         self._rng = as_generator(random_state)
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Assign free boxes to distinct cold (empty-swarm) videos."""
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+
+        Shuffles the cold videos first, then a copy of the free boxes.
+        """
         if view.time < self._start:
-            return []
-        cold = [
-            video_id
-            for video_id in range(view.catalog.num_videos)
-            if view.swarms.size(video_id, view.time - 1 if view.time > 0 else 0) == 0
-        ]
+            return _EMPTY, _EMPTY
+        cold = np.array(
+            [
+                video_id
+                for video_id in range(view.catalog.num_videos)
+                if view.swarms.size(video_id, view.time - 1 if view.time > 0 else 0) == 0
+            ],
+            dtype=np.int64,
+        )
         self._rng.shuffle(cold)
-        free = list(int(b) for b in view.free_boxes)
-        self._rng.shuffle(free)
+        free = shuffled_free_boxes(view, self._rng)
         if self._max_per_round is not None:
             free = free[: self._max_per_round]
-        demands: List[Demand] = []
-        for box_id, video_id in zip(free, cold):
-            demands.append(Demand(time=view.time, box_id=box_id, video_id=int(video_id)))
-        return demands
+        count = min(free.size, cold.size)
+        return free[:count], cold[:count]
+
+    def demands_for_round(self, view: SystemView) -> List[Demand]:
+        """Assign free boxes to distinct cold (empty-swarm) videos."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)

@@ -27,6 +27,7 @@ __all__ = [
     "StaticDemandSchedule",
     "demand_arrays",
     "demands_from_arrays",
+    "shuffled_free_boxes",
 ]
 
 
@@ -66,7 +67,9 @@ class DemandGenerator(Protocol):
     :meth:`demands_for_round` is the required method.  A generator may
     also offer ``demand_arrays_for_round(view) -> (box_ids, video_ids)``,
     the same arrivals as int64 arrays drawn from the same random stream;
-    :func:`demand_arrays` prefers it when present.
+    :func:`demand_arrays` prefers it when present.  Neither form may
+    mutate ``view.free_boxes``: every phase of a round reads the same
+    array (:func:`shuffled_free_boxes` shuffles a copy).
     """
 
     def demands_for_round(self, view: SystemView) -> List[Demand]:
@@ -96,6 +99,20 @@ class StaticDemandSchedule:
     def total_demands(self) -> int:
         """Total number of scheduled demands (regardless of box availability)."""
         return sum(len(v) for v in self._by_round.values())
+
+
+def shuffled_free_boxes(view: SystemView, rng: np.random.Generator) -> np.ndarray:
+    """An int64 copy of ``view.free_boxes``, shuffled by ``rng``.
+
+    Every phase of a round reads the same ``view.free_boxes``, so the
+    array is copied, never shuffled in place.  ``Generator.shuffle`` makes
+    the same ``random_interval`` draws for an array as for a list of the
+    same length: the permutation, and ``rng``'s state after it, are those
+    of shuffling ``list(view.free_boxes)``.
+    """
+    free = np.array(view.free_boxes, dtype=np.int64)
+    rng.shuffle(free)
+    return free
 
 
 def demands_from_arrays(

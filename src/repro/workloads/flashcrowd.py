@@ -11,7 +11,7 @@ can feed them.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +19,11 @@ from repro.core.preloading import Demand
 from repro.sim.swarm import max_new_members
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_in_range, check_non_negative_integer
-from repro.workloads.base import SystemView
+from repro.workloads.base import SystemView, demands_from_arrays, shuffled_free_boxes
 
 __all__ = ["FlashCrowdWorkload", "StaggeredFlashCrowdWorkload"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class FlashCrowdWorkload:
@@ -50,7 +52,9 @@ class FlashCrowdWorkload:
         random_state: RandomState = None,
     ):
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
-        self._targets = [int(v) for v in target_videos]
+        self._targets = [
+            check_non_negative_integer(v, "target video") for v in target_videos
+        ]
         if not self._targets:
             raise ValueError("target_videos must not be empty")
         self._start = check_non_negative_integer(start_time, "start_time")
@@ -58,13 +62,18 @@ class FlashCrowdWorkload:
         self._rng = as_generator(random_state)
         self._sent = {v: 0 for v in self._targets}
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Send as many new members to each target swarm as ``µ`` allows."""
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+
+        Shuffles a copy of the free boxes and hands each target, in
+        order, the next ``µ``-allowed joiners from its front.
+        """
         if view.time < self._start:
-            return []
-        free = list(int(b) for b in view.free_boxes)
-        self._rng.shuffle(free)
-        demands: List[Demand] = []
+            return _EMPTY, _EMPTY
+        free = shuffled_free_boxes(view, self._rng)
+        takes: List[int] = []
         cursor = 0
         for video_id in self._targets:
             if video_id >= view.catalog.num_videos:
@@ -76,13 +85,16 @@ class FlashCrowdWorkload:
             if self._cap is not None:
                 joiners = min(joiners, self._cap - self._sent[video_id])
             joiners = max(joiners, 0)
-            take = min(joiners, len(free) - cursor)
-            for _ in range(take):
-                box_id = free[cursor]
-                cursor += 1
-                demands.append(Demand(time=view.time, box_id=box_id, video_id=video_id))
-                self._sent[video_id] += 1
-        return demands
+            take = min(joiners, free.size - cursor)
+            takes.append(take)
+            cursor += take
+            self._sent[video_id] += take
+        return free[:cursor], np.repeat(np.array(self._targets, dtype=np.int64), takes)
+
+    def demands_for_round(self, view: SystemView) -> List[Demand]:
+        """Send as many new members to each target swarm as ``µ`` allows."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)
 
 
 class StaggeredFlashCrowdWorkload:
@@ -104,29 +116,36 @@ class StaggeredFlashCrowdWorkload:
         if len(target_videos) != len(start_times):
             raise ValueError("target_videos and start_times must have the same length")
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
-        self._videos = [int(v) for v in target_videos]
+        self._videos = [
+            check_non_negative_integer(v, "target video") for v in target_videos
+        ]
         self._starts = [check_non_negative_integer(t, "start_time") for t in start_times]
         self._cap = max_members
         self._rng = as_generator(random_state)
         self._sent = {v: 0 for v in self._videos}
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Advance every crowd that has already started."""
-        free = list(int(b) for b in view.free_boxes)
-        self._rng.shuffle(free)
-        demands: List[Demand] = []
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        free = shuffled_free_boxes(view, self._rng)
+        takes: List[int] = []
         cursor = 0
         for video_id, start in zip(self._videos, self._starts):
             if view.time < start:
+                takes.append(0)
                 continue
             current = view.swarms.size(video_id, view.time - 1) if view.time > 0 else 0
             joiners = max_new_members(current, self._mu)
             if self._cap is not None:
                 joiners = min(joiners, self._cap - self._sent[video_id])
-            take = min(max(joiners, 0), len(free) - cursor)
-            for _ in range(take):
-                box_id = free[cursor]
-                cursor += 1
-                demands.append(Demand(time=view.time, box_id=box_id, video_id=video_id))
-                self._sent[video_id] += 1
-        return demands
+            take = min(max(joiners, 0), free.size - cursor)
+            takes.append(take)
+            cursor += take
+            self._sent[video_id] += take
+        return free[:cursor], np.repeat(np.array(self._videos, dtype=np.int64), takes)
+
+    def demands_for_round(self, view: SystemView) -> List[Demand]:
+        """Advance every crowd that has already started."""
+        boxes, videos = self.demand_arrays_for_round(view)
+        return demands_from_arrays(view.time, boxes, videos)

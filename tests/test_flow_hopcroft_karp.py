@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.flow import MAX_FLOW_SOLVERS
 from repro.flow.bipartite import solve_b_matching
@@ -198,7 +198,7 @@ class TestKernelEdgeCases:
 
 
 class TestStableRightOrder:
-    """The radix-friendly int32 argsort must not wrap large node ids."""
+    """The fast right-node order must equal the stable argsort for any ids."""
 
     def test_small_ids_use_int32_and_stay_stable(self):
         from repro.flow.hopcroft_karp import _stable_right_order
@@ -226,5 +226,27 @@ class TestStableRightOrder:
 
         boundary = np.iinfo(np.int32).max
         seq = np.array([boundary, 0, boundary], dtype=np.int64)
+        expected = np.argsort(seq, kind="stable")
+        assert list(_stable_right_order(seq)) == list(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 6),
+                st.integers(-(2**40), 2**40),
+                st.sampled_from([-1, 2**31 - 1, 2**31, 2**32, 2**62]),
+            ),
+            max_size=40,
+        )
+    )
+    @example([])
+    @example([3, 1, 3, 3, 0, 1])
+    @example([-1, 0, -1, 2])
+    @example([2**31, 0, 2**31, 2**31 - 1])
+    def test_equals_the_stable_argsort(self, ids):
+        from repro.flow.hopcroft_karp import _stable_right_order
+
+        seq = np.array(ids, dtype=np.int64)
         expected = np.argsort(seq, kind="stable")
         assert list(_stable_right_order(seq)) == list(expected)

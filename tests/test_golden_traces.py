@@ -45,6 +45,9 @@ GOLDEN_SCENARIOS = [
     ("zipf_drift", 1234),
     ("trace_replay", 1234),
     ("cdn_hybrid_baseline", 1234),
+    # The adaptive adversaries: least_replicated and cold_start demand.
+    ("adaptive_adversary", 1234),
+    ("catalog_growth_ramp", 1234),
 ]
 
 #: Digests of the goldens that predate the workload-realism tier, frozen

@@ -95,6 +95,25 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             sim.run(BadWorkload(), num_rounds=1)
 
+    @pytest.mark.parametrize(
+        "box, video, message",
+        [(-1, 0, "box -1 "), (40, 0, "box 40 "), (0, -1, "video -1 ")],
+        ids=["negative-box", "box-past-population", "negative-video"],
+    )
+    def test_array_arrival_outside_the_system_raises(self, box, video, message):
+        _, _, allocation = build_system(n=40)
+
+        class BadArrays:
+            def demands_for_round(self, view):
+                return []
+
+            def demand_arrays_for_round(self, view):
+                return np.array([box], dtype=np.int64), np.array([video], dtype=np.int64)
+
+        sim = VodSimulator(allocation, mu=1.5)
+        with pytest.raises(ValueError, match=message):
+            sim.run(BadArrays(), num_rounds=2)
+
     def test_num_rounds_validation(self):
         _, _, allocation = build_system()
         sim = VodSimulator(allocation, mu=1.5)

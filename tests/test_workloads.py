@@ -103,6 +103,14 @@ class TestFlashCrowd:
         with pytest.raises(ValueError):
             FlashCrowdWorkload(mu=1.5, target_videos=())
 
+    def test_negative_target_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="-1"):
+            FlashCrowdWorkload(mu=1.5, target_videos=(-1,))
+        with pytest.raises(ValueError, match="-1"):
+            StaggeredFlashCrowdWorkload(
+                mu=1.5, target_videos=(0, -1), start_times=(0, 1)
+            )
+
     def test_staggered_crowds(self):
         workload = StaggeredFlashCrowdWorkload(
             mu=2.0, target_videos=(0, 1), start_times=(0, 3), random_state=0
