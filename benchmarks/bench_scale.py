@@ -17,8 +17,9 @@ scenario parameters, 12.20 rounds/sec.  The PR-4 acceptance bar is a
 NOT compare absolute timings — the committed artifact comes from a
 different machine (its ``cpu_count`` says so), so an absolute floor
 flakes on hardware variance.  Instead it measures, in this process, the
-10k tier twice — incremental delta-repair on vs forced full per-round
-re-solves — and gates on the *ratio* against the committed
+10k tier twice — as built (incremental delta-repair) and as its
+full-solve twin (repair state dropped after every round, so every round
+runs the full kernel) — and gates on the *ratio* against the committed
 ``scale.relative.incremental_speedup`` baseline: both sides of the ratio
 see the same machine, so only a genuine relative regression (the
 incremental path losing its edge) can fail the gate.  ``--record``
@@ -46,7 +47,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.scenarios.build import build_scenario  # noqa: E402
+from repro.scenarios.build import build_full_solve_twin, build_scenario  # noqa: E402
 from repro.scenarios.registry import get_scenario  # noqa: E402
 from repro.scenarios.replay import digest_result  # noqa: E402
 
@@ -66,15 +67,17 @@ def bench_tier(
     tier: str,
     rounds: int,
     seed: int = 7,
-    incremental: "bool | None" = None,
+    incremental: bool = True,
 ) -> dict:
-    """Build and run one tier; returns its result record."""
+    """Build and run one tier; returns its result record.
+
+    ``incremental=False`` runs the tier's full-solve twin.
+    """
     spec = get_scenario(f"scale_tier_{tier}")
+    build = build_scenario if incremental else build_full_solve_twin
     build_start = time.perf_counter()
-    compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
+    compiled = build(spec, seed=seed, min_horizon=rounds)
     build_seconds = time.perf_counter() - build_start
-    if incremental is not None:
-        compiled.simulator.set_incremental_matching(incremental)
 
     run_start = time.perf_counter()
     result = compiled.run(rounds)
@@ -87,7 +90,7 @@ def bench_tier(
         "videos": int(spec.catalog.num_videos),
         "rounds": rounds,
         "seed": seed,
-        "incremental": bool(compiled.simulator.incremental_matching),
+        "incremental": incremental,
         "build_seconds": build_seconds,
         "run_seconds": run_seconds,
         "rounds_per_sec": rounds / run_seconds,

@@ -3,7 +3,7 @@
 
 Times the seed max-flow matching path against the Hopcroft–Karp CSR
 kernel on the bipartite instances one simulator round produces, plus the
-warm-started simulator loop and the parallel Monte-Carlo driver, and
+incremental simulator loop and the parallel Monte-Carlo driver, and
 cross-validates the two kernels on randomized instances along the way:
 
 * ``unit_matching_kernel`` — ``solve_b_matching`` via the seed Dinic
@@ -11,14 +11,9 @@ cross-validates the two kernels on randomized instances along the way:
   microbenchmark: the new kernel must be ≥5× faster);
 * ``per_round_matcher`` — full ``ConnectionMatcher.match`` round cost,
   set-based edge building + Dinic vs CSR adjacency + Hopcroft–Karp;
-* ``warm_start_rounds`` — ``VodSimulator`` wall-clock with and without
-  carrying the previous round's assignment forward, measured at a tier
-  (hundreds of boxes, thousands of carried requests) where the carried
-  assignment actually amortizes — at toy sizes the validation overhead
-  cancels the win;
-* ``incremental_matching`` — the 10k-box scale tier with the
-  delta-repair path on vs forced full per-round re-solves (per-round
-  matched cardinalities cross-checked equal);
+* ``incremental_matching`` — the 10k-box scale tier as built (delta
+  repair) vs its full-solve twin, which re-solves every round with the
+  full kernel (per-round matched cardinalities cross-checked equal);
 * ``parallel_montecarlo`` — serial vs process-pool static obstruction
   estimation (checked bit-identical for the fixed seed).
 
@@ -45,8 +40,6 @@ from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, 
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.bipartite import solve_b_matching
-from repro.sim.engine import VodSimulator
-from repro.workloads.flashcrowd import FlashCrowdWorkload
 
 
 def best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -140,44 +133,16 @@ def bench_per_round_matcher(sizes, repeats) -> Dict[str, object]:
     }
 
 
-def bench_warm_start_rounds(n, m, c, k, num_rounds, repeats) -> Dict[str, object]:
-    """Simulator wall-clock: warm-started rematch vs cold per-round solve."""
-
-    def run(warm: bool):
-        population = homogeneous_population(n, u=2.0, d=4.0)
-        catalog = Catalog(num_videos=m, num_stripes=c, duration=20)
-        allocation = random_permutation_allocation(catalog, population, k, random_state=9)
-        simulator = VodSimulator(allocation, mu=1.5, warm_start=warm)
-        workload = FlashCrowdWorkload(mu=1.5, random_state=9)
-        return simulator.run(workload, num_rounds)
-
-    cold_result = run(False)
-    warm_result = run(True)
-    assert cold_result.metrics.infeasible_rounds == warm_result.metrics.infeasible_rounds
-
-    t_cold = best_of(lambda: run(False), repeats)
-    t_warm = best_of(lambda: run(True), repeats)
-    return {
-        "name": "warm_start_rounds",
-        "boxes": n,
-        "rounds": num_rounds,
-        "feasible": bool(warm_result.feasible),
-        "old_seconds": t_cold,
-        "new_seconds": t_warm,
-        "speedup": t_cold / t_warm if t_warm > 0 else float("inf"),
-    }
-
-
 def bench_incremental_matching(rounds, repeats) -> Dict[str, object]:
     """Scale-tier engine wall-clock: full per-round re-solve vs delta repair."""
-    from repro.scenarios.build import build_scenario
+    from repro.scenarios.build import build_full_solve_twin, build_scenario
     from repro.scenarios.registry import get_scenario
 
     spec = get_scenario("scale_tier_10k")
 
     def run(incremental: bool):
-        compiled = build_scenario(spec, seed=7, min_horizon=rounds)
-        compiled.simulator.set_incremental_matching(incremental)
+        build = build_scenario if incremental else build_full_solve_twin
+        compiled = build(spec, seed=7, min_horizon=rounds)
         start = time.perf_counter()
         result = compiled.run(rounds)
         return time.perf_counter() - start, result, compiled.simulator
@@ -296,15 +261,11 @@ def main(argv=None) -> int:
 
     if args.smoke:
         round_sizes = dict(n=120, m=60, c=4, k=3, num_requests=300, cache_entries=150, seed=0)
-        repeats, sim_rounds, mc_trials, xval = 3, 15, 6, 40
-        # Warm starts only pay once the carried assignment is large
-        # relative to the per-round churn: hundreds of boxes, not tens.
-        sim_n, sim_m = 400, 240
+        repeats, mc_trials, xval = 3, 6, 40
         inc_rounds = 12
     else:
         round_sizes = dict(n=400, m=240, c=5, k=4, num_requests=1500, cache_entries=800, seed=0)
-        repeats, sim_rounds, mc_trials, xval = 5, 15, 12, 120
-        sim_n, sim_m = 2000, 1200
+        repeats, mc_trials, xval = 5, 12, 120
         inc_rounds = 30
 
     results: List[Dict[str, object]] = []
@@ -312,7 +273,6 @@ def main(argv=None) -> int:
     for fn in (
         lambda: bench_unit_matching_kernel(round_sizes, repeats),
         lambda: bench_per_round_matcher(round_sizes, repeats),
-        lambda: bench_warm_start_rounds(sim_n, sim_m, 4, 3, sim_rounds, max(2, repeats - 2)),
         lambda: bench_incremental_matching(inc_rounds, max(2, repeats - 2)),
         lambda: bench_obstruction_estimator(48, mc_trials, max(2, repeats - 2)),
         lambda: bench_parallel_montecarlo(48, mc_trials, max(2, repeats - 2)),

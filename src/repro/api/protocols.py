@@ -34,7 +34,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.matching import ConnectionMatching, PossessionIndex, RequestSet
+from repro.core.matching import (
+    ConnectionMatching,
+    MatchDelta,
+    PossessionIndex,
+    RequestSet,
+)
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = [
@@ -62,8 +67,15 @@ class Solver(Protocol):
         current_time: int,
         busy_slots: Optional[Sequence[int]] = None,
         warm_start: Optional[Sequence[int]] = None,
+        delta: Optional[MatchDelta] = None,
     ) -> ConnectionMatching:
-        """Solve the round's b-matching; must return a *maximum* matching."""
+        """Solve the round's b-matching; must return a *maximum* matching.
+
+        The engine passes the previous round's assignment (``warm_start``,
+        one entry per request) and how the request set evolved since the
+        previous call (``delta``) every round; a solver may use both to
+        repair rather than re-solve, or ignore them.
+        """
         ...  # pragma: no cover
 
 

@@ -218,7 +218,6 @@ class VodSystem:
         record_connections: bool = False,
         stop_on_infeasible: bool = False,
         churn=None,
-        warm_start: bool = True,
         solver: str = "hopcroft_karp",
         round_observer=None,
         trace_level: str = "full",
@@ -251,7 +250,6 @@ class VodSystem:
             record_connections=record_connections,
             stop_on_infeasible=stop_on_infeasible,
             churn=churn,
-            warm_start=warm_start,
             solver=solver_factory,
             round_observer=round_observer,
             trace_level=trace_level,

@@ -13,39 +13,31 @@ mixing sourcing and swarming.
 
 from __future__ import annotations
 
-from typing import Set
-
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.matching import PossessionIndex, StripeRequest
+from repro.core.matching import PossessionIndex
 from repro.core.video import StripeId
 
 __all__ = ["SourcingOnlyPossessionIndex", "sourcing_capacity_bound"]
-
-_NO_SERVERS = np.empty(0, dtype=np.int64)
 
 
 class SourcingOnlyPossessionIndex(PossessionIndex):
     """A possession index that ignores playback caches (pure sourcing).
 
     Only the static allocation (and relay caches, which are also static
-    reservations) can serve a request.  Cache bookkeeping methods still
-    accept updates so the index is a drop-in replacement inside the
-    simulator, but :meth:`cache_servers` always reports no servers.
+    reservations) can serve a request.  Downloads are accepted but never
+    recorded, so the index is a drop-in replacement inside the simulator
+    and every possession query sees an empty playback cache.
     """
 
-    def _cache_boxes_array(
-        self, stripe_id: int, request_time: int, current_time: int
-    ) -> np.ndarray:
+    def record_download(self, stripe_id: StripeId, box_id: int, time: int) -> None:
         """Sourcing-only: the playback caches of other viewers never help."""
-        return _NO_SERVERS
 
-    def cache_servers(
-        self, stripe_id: StripeId, request_time: int, current_time: int
-    ) -> Set[int]:
+    def record_downloads(
+        self, stripe_ids: np.ndarray, box_ids: np.ndarray, time: int
+    ) -> None:
         """Sourcing-only: the playback caches of other viewers never help."""
-        return set()
 
 
 def sourcing_capacity_bound(allocation: Allocation) -> int:

@@ -265,6 +265,27 @@ class ArrayRequestSet(RequestSet):
         return set(self._stripes.tolist())
 
 
+def _request_columns(
+    requests: Sequence[StripeRequest],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(stripe_ids, box_ids, request_times)`` of ``requests`` as int64 arrays.
+
+    An :class:`ArrayRequestSet` hands out its shared columns; any other
+    sequence of :class:`StripeRequest` is read field by field.
+    """
+    if isinstance(requests, ArrayRequestSet):
+        return (
+            requests.stripe_id_array,
+            requests.box_id_array,
+            requests.request_time_array,
+        )
+    num = len(requests)
+    stripes = np.fromiter((r.stripe_id for r in requests), dtype=np.int64, count=num)
+    boxes = np.fromiter((r.box_id for r in requests), dtype=np.int64, count=num)
+    times = np.fromiter((r.request_time for r in requests), dtype=np.int64, count=num)
+    return stripes, boxes, times
+
+
 class _DownloadLog:
     """Global (time-ordered) playback-cache log, struct-of-arrays.
 
@@ -553,8 +574,14 @@ class PossessionIndex:
     allocation as a CSR (``indptr``/``indices``) index; the dynamic caches
     live in one global struct-of-arrays download log (O(expired)
     eviction, whole-round batched queries).  The batched
-    :meth:`adjacency_for` emits the whole round's bipartite adjacency as
-    CSR arrays, which is what the Hopcroft–Karp matching kernel consumes.
+    :meth:`adjacency_delta_for` emits the round's bipartite adjacency as
+    CSR arrays with per-edge expiries, which is what the Hopcroft–Karp
+    matching kernel and the incremental repair consume.
+
+    Every query — :meth:`adjacency_delta_for`, :meth:`row_with_expiry`,
+    :meth:`servers_for` — reads the same recorded state, so a subclass
+    changes possession by changing what it records (the sourcing-only
+    baseline records no downloads), never by overriding one query.
     """
 
     def __init__(self, allocation: Allocation, cache_window: int):
@@ -776,154 +803,13 @@ class PossessionIndex:
         disabled.  Rows may contain duplicates (a box can hold a stripe
         statically *and* cache it); the matching kernel tolerates them.
         The output feeds
-        :func:`repro.flow.hopcroft_karp.hopcroft_karp_matching` directly.
+        :func:`repro.flow.hopcroft_karp.hopcroft_karp_matching` directly;
+        it is :meth:`adjacency_delta_for` over every row, without the
+        expiries.
         """
-        num = len(requests)
-        if num == 0:
-            return np.zeros(1, dtype=np.int64), _EMPTY_INT64
-        # Subclasses predating the batched API may override the set-based
-        # ``servers_for``/``cache_servers`` only; honour their overrides
-        # through the (slower) set-driven fallback.
-        set_override = type(self).servers_for is not PossessionIndex.servers_for or (
-            type(self).cache_servers is not PossessionIndex.cache_servers
-            and type(self)._cache_boxes_array is PossessionIndex._cache_boxes_array
-        )
-        if set_override:
-            return self._adjacency_from_sets(requests, current_time, exclude_self)
-
-        if isinstance(requests, ArrayRequestSet):
-            stripes = requests.stripe_id_array
-            boxes = requests.box_id_array
-            times = requests.request_time_array
-        else:
-            stripes = np.fromiter(
-                (r.stripe_id for r in requests), dtype=np.int64, count=num
-            )
-            boxes = np.fromiter((r.box_id for r in requests), dtype=np.int64, count=num)
-            times = np.fromiter(
-                (r.request_time for r in requests), dtype=np.int64, count=num
-            )
-        # Static holders, gathered for all requests at once: row i is the
-        # CSR slice of its stripe, materialized through one fancy index.
-        row_starts = self._static_indptr[stripes]
-        lens = self._static_indptr[stripes + 1] - row_starts
-        total = int(lens.sum())
-        offsets = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets[:-1], lens)
-            + np.repeat(row_starts, lens)
-        )
-        all_vals = self._static_boxes[gather]
-        all_rows = np.repeat(np.arange(num, dtype=np.int64), lens)
-
-        # Dynamic additions (playback caches, relays).  An overridden cache
-        # hook may draw on state outside the base download log, so it must
-        # be consulted request by request; the default path gathers the
-        # whole round's playback-cache windows with two searchsorted calls
-        # on the stripe-sorted log (composite ``stripe·K + time`` keys).
-        cache_hook_overridden = (
-            type(self)._cache_boxes_array is not PossessionIndex._cache_boxes_array
-        )
-        if len(self._log) or self._relays or cache_hook_overridden:
-            extra_vals: List[np.ndarray] = []
-            extra_rows: List[np.ndarray] = []
-            if cache_hook_overridden:
-                for i, request in enumerate(requests):
-                    window = self._cache_boxes_array(
-                        int(stripes[i]), request.request_time, current_time
-                    )
-                    if window.size:
-                        extra_vals.append(window)
-                        extra_rows.append(np.full(window.size, i, dtype=np.int64))
-            elif len(self._log):
-                sorted_times, sorted_boxes, win_lo, win_hi = self._cache_windows(
-                    stripes, times, current_time
-                )
-                # A request issued before the horizon has an inverted
-                # (empty) window: clip, as the old slice-based path did.
-                counts_cache = np.maximum(win_hi - win_lo, 0)
-                total_cache = int(counts_cache.sum())
-                if total_cache:
-                    cache_offsets = np.zeros(num + 1, dtype=np.int64)
-                    np.cumsum(counts_cache, out=cache_offsets[1:])
-                    gather_cache = (
-                        np.arange(total_cache, dtype=np.int64)
-                        - np.repeat(cache_offsets[:-1], counts_cache)
-                        + np.repeat(win_lo, counts_cache)
-                    )
-                    cache_vals = sorted_boxes[gather_cache]
-                    if not self._relays:
-                        # Common case (static + caches only): both blocks
-                        # are already row-major, so place them positionally
-                        # instead of paying a stable sort over all edges.
-                        row_counts = lens + counts_cache
-                        indptr_merged = np.zeros(num + 1, dtype=np.int64)
-                        np.cumsum(row_counts, out=indptr_merged[1:])
-                        merged = np.empty(total + total_cache, dtype=np.int64)
-                        merged[
-                            np.repeat(indptr_merged[:-1], lens)
-                            + (gather - np.repeat(row_starts, lens))
-                        ] = all_vals
-                        merged[
-                            np.repeat(indptr_merged[:-1] + lens, counts_cache)
-                            + (gather_cache - np.repeat(win_lo, counts_cache))
-                        ] = cache_vals
-                        all_vals = merged
-                        all_rows = np.repeat(
-                            np.arange(num, dtype=np.int64), row_counts
-                        )
-                        extra_vals = []
-                    else:
-                        extra_vals.append(cache_vals)
-                        extra_rows.append(
-                            np.repeat(np.arange(num, dtype=np.int64), counts_cache)
-                        )
-            if self._relays:
-                relay_stripes = np.fromiter(
-                    self._relays.keys(), dtype=np.int64, count=len(self._relays)
-                )
-                for i in np.flatnonzero(np.isin(stripes, relay_stripes)).tolist():
-                    relay = self._relay_array(int(stripes[i]))
-                    if relay.size:
-                        extra_vals.append(relay)
-                        extra_rows.append(np.full(relay.size, i, dtype=np.int64))
-            if extra_vals:
-                all_vals = np.concatenate([all_vals] + extra_vals)
-                all_rows = np.concatenate([all_rows] + extra_rows)
-                order = np.argsort(all_rows, kind="stable")
-                all_vals = all_vals[order]
-                all_rows = all_rows[order]
-
-        if exclude_self:
-            mask = all_vals != boxes[all_rows]
-            if not mask.all():
-                all_vals = all_vals[mask]
-                all_rows = all_rows[mask]
-        counts = np.bincount(all_rows, minlength=num)
-        indptr = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, all_vals
-
-    def _adjacency_from_sets(
-        self,
-        requests: Sequence[StripeRequest],
-        current_time: int,
-        exclude_self: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compatibility adjacency builder driven by :meth:`servers_for`."""
-        rows: List[np.ndarray] = []
-        indptr = np.zeros(len(requests) + 1, dtype=np.int64)
-        for i, request in enumerate(requests):
-            servers = self.servers_for(request, current_time)
-            if exclude_self:
-                servers.discard(request.box_id)
-            row = np.fromiter(servers, dtype=np.int64, count=len(servers))
-            rows.append(row)
-            indptr[i + 1] = indptr[i] + row.size
-        indices = np.concatenate(rows) if rows else _EMPTY_INT64
-        return indptr, indices
+        return self.adjacency_delta_for(
+            requests, current_time, exclude_self=exclude_self
+        )[:2]
 
     def row_with_expiry(
         self,
@@ -996,21 +882,7 @@ class PossessionIndex:
         heuristic passes like the repair greedy, never for an exact
         solve.
         """
-        if isinstance(requests, ArrayRequestSet):
-            stripes = requests.stripe_id_array
-            boxes = requests.box_id_array
-            times = requests.request_time_array
-        else:
-            num_all = len(requests)
-            stripes = np.fromiter(
-                (r.stripe_id for r in requests), dtype=np.int64, count=num_all
-            )
-            boxes = np.fromiter(
-                (r.box_id for r in requests), dtype=np.int64, count=num_all
-            )
-            times = np.fromiter(
-                (r.request_time for r in requests), dtype=np.int64, count=num_all
-            )
+        stripes, boxes, times = _request_columns(requests)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             stripes = stripes[rows]
@@ -1186,8 +1058,10 @@ class ConnectionMatcher:
         possibly already reduced by statically reserved relay capacity
         (Section 4).
     solver:
-        ``"hopcroft_karp"`` (default) matches directly on the CSR
-        adjacency emitted by :meth:`PossessionIndex.adjacency_for`;
+        ``"hopcroft_karp"`` (default) repairs the previous round's
+        matching when the call carries a :class:`MatchDelta` and falls
+        back to the full kernel on the CSR adjacency emitted by
+        :meth:`PossessionIndex.adjacency_delta_for`;
         ``"dinic"``, ``"push_relabel"`` and ``"edmonds_karp"`` keep the
         original edge-list → max-flow reduction and serve as oracles in
         cross-validation tests and benchmarks.
@@ -1275,7 +1149,11 @@ class ConnectionMatcher:
         return self._repair_rounds
 
     def reset_incremental_state(self) -> None:
-        """Drop the incremental pair bookkeeping (next round solves cold)."""
+        """Drop the incremental pair bookkeeping.
+
+        The next round has nothing to repair and runs the full kernel,
+        which rebuilds the bookkeeping.
+        """
         self._pair_expiry = None
         self._partial_repair = None
 
@@ -1325,11 +1203,13 @@ class ConnectionMatcher:
         (expired cache edges, over-capacity boxes) and repairs the small
         deficit against delta-only adjacency rows.  A repaired-to-perfect
         matching is maximum by construction; any other outcome falls back
-        to the full kernel, so results are bit-compatible with the
-        non-incremental path.  Requires ``warm_start``, the default
-        Hopcroft–Karp solver, an unset ``augmentation_budget`` (budgeted
-        rounds must charge the classic kernel so degradation fires
-        identically) and an unsubclassed :class:`PossessionIndex`.
+        to the full kernel, so results are bit-compatible with a full
+        solve.  ``delta`` requires ``warm_start``.  Without a delta, or
+        with an ``augmentation_budget`` set (budgeted rounds must charge
+        the full kernel so degradation fires identically), the round runs
+        the full kernel and drops the pair bookkeeping.  Both routes
+        gather adjacency through
+        :meth:`PossessionIndex.adjacency_delta_for`.
         """
         n = self._slots.size
         capacities = self._slots.copy()
@@ -1379,17 +1259,12 @@ class ConnectionMatcher:
         else:
             if warm_start is not None and len(warm_start) != num_requests:
                 raise ValueError("warm_start must have one entry per request")
-            # The incremental path needs the exact base-class edge
-            # semantics (subclasses may override possession hooks) and a
-            # budget-free round: when a budget is set, the classic kernel
-            # must do the searching so AugmentationBudgetExceeded →
-            # degraded fires exactly as without the incremental layer.
-            incremental_ctx = (
-                delta is not None
-                and warm_start is not None
-                and self._augmentation_budget is None
-                and type(possession) is PossessionIndex
-            )
+            if delta is not None and warm_start is None:
+                raise ValueError("delta requires the warm_start assignment it extends")
+            # A budgeted round skips the repair: the full kernel must do
+            # the searching so AugmentationBudgetExceeded → degraded fires
+            # exactly as without the incremental layer.
+            incremental_ctx = delta is not None and self._augmentation_budget is None
             repaired: Optional[Tuple[np.ndarray, np.ndarray]] = None
             warm_seed = warm_start
             if incremental_ctx:
@@ -1412,15 +1287,9 @@ class ConnectionMatcher:
                 self._pair_expiry = pair_expiry
                 self._repair_rounds += 1
             else:
-                if incremental_ctx:
-                    indptr, indices, edge_expiry = possession.adjacency_delta_for(
-                        requests, current_time
-                    )
-                else:
-                    indptr, indices = possession.adjacency_for(
-                        requests, current_time
-                    )
-                    edge_expiry = None
+                indptr, indices, edge_expiry = possession.adjacency_delta_for(
+                    requests, current_time
+                )
                 try:
                     hk = hopcroft_karp_matching(
                         num_left=num_requests,
@@ -1456,7 +1325,7 @@ class ConnectionMatcher:
                     feasible, matched = fallback.feasible, fallback.matched
                     witness = fallback.unsatisfied_witness
                     degraded = True
-                if edge_expiry is not None:
+                if incremental_ctx:
                     self._pair_expiry = self._pair_expiry_from_csr(
                         assignment, indptr, indices, edge_expiry
                     )
@@ -1665,21 +1534,7 @@ class ConnectionMatcher:
 
         # Exhaustive augmentation for the stragglers, over lazily
         # materialized rows.  Each flipped pair records its edge expiry.
-        if isinstance(requests, ArrayRequestSet):
-            stripes = requests.stripe_id_array
-            boxes = requests.box_id_array
-            times = requests.request_time_array
-        else:
-            stripes = np.fromiter(
-                (r.stripe_id for r in requests), dtype=np.int64, count=num_requests
-            )
-            boxes = np.fromiter(
-                (r.box_id for r in requests), dtype=np.int64, count=num_requests
-            )
-            times = np.fromiter(
-                (r.request_time for r in requests), dtype=np.int64,
-                count=num_requests,
-            )
+        stripes, boxes, times = _request_columns(requests)
         row_cache: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
 
         def get_row(i: int) -> Tuple[np.ndarray, List[int], List[int]]:

@@ -20,7 +20,11 @@ declarative layer:
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios run <name>``.
 """
 
-from repro.scenarios.build import CompiledScenario, build_scenario
+from repro.scenarios.build import (
+    CompiledScenario,
+    build_full_solve_twin,
+    build_scenario,
+)
 from repro.scenarios.oracle import (
     OracleReport,
     check_matching_instance,
@@ -73,6 +77,7 @@ __all__ = [
     "WorkloadPhase",
     "WorkloadPhaseSpec",
     "all_scenarios",
+    "build_full_solve_twin",
     "build_scenario",
     "check_matching_instance",
     "diff_golden",

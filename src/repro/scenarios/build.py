@@ -36,7 +36,7 @@ from repro.sim.engine import RoundObservation, VodSimulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.faults.plan import FaultDriver
 
-__all__ = ["CompiledScenario", "build_scenario"]
+__all__ = ["CompiledScenario", "build_scenario", "build_full_solve_twin"]
 
 
 @dataclass
@@ -198,7 +198,6 @@ def build_scenario(
         record_connections=record_connections,
         stop_on_infeasible=stop_on_infeasible,
         churn=churn,
-        warm_start=spec.warm_start,
         solver=spec.solver,
         round_observer=round_observer,
         trace_level=spec.trace_level,
@@ -215,3 +214,28 @@ def build_scenario(
         simulator=simulator,
         fault_driver=fault_driver,
     )
+
+
+def build_full_solve_twin(
+    spec: ScenarioSpec,
+    seed: Optional[int] = None,
+    min_horizon: Optional[int] = None,
+) -> CompiledScenario:
+    """Compile ``spec`` so that every round runs the full matching kernel.
+
+    The twin is :func:`build_scenario`'s build plus a round observer that
+    drops the matcher's repair state after each round, so the next round
+    has no pairs to repair and falls back to the full Hopcroft–Karp
+    kernel, warm-seeded by the pool's assignment.  It is the reference
+    the incremental repair is checked against: its per-round records
+    must equal those of a plain build.
+    """
+    compiled: Optional[CompiledScenario] = None
+
+    def drop_repair_state(_observation: RoundObservation) -> None:
+        compiled.simulator.matcher.reset_incremental_state()
+
+    compiled = build_scenario(
+        spec, seed=seed, round_observer=drop_repair_state, min_horizon=min_horizon
+    )
+    return compiled

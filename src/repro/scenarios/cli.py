@@ -23,8 +23,9 @@ Commands
     solver spot-checks every K-th round (exit code 1 on any failure).
 ``smoke``
     Run every registered scenario for a few rounds — the CI canary.
-    Each scenario runs twice, with the incremental delta-repair path on
-    and forced off, and the per-round records must agree bit for bit.
+    Each scenario runs twice, as built and as its full-solve twin (the
+    incremental repair state dropped after every round), and the
+    per-round records must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from repro.scenarios.build import build_full_solve_twin
 from repro.scenarios.oracle import run_differential_oracle
 from repro.scenarios.registry import all_scenarios, get_scenario, scenario_names
 from repro.scenarios.replay import (
     diff_golden,
+    digest_result,
     load_golden,
     run_scenario,
     verify_golden_file,
@@ -67,11 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the matching kernel",
     )
     run_p.add_argument(
-        "--cold-start",
-        action="store_true",
-        help="disable warm-started rounds for this run",
-    )
-    run_p.add_argument(
         "--write-golden", metavar="PATH", default=None, help="record a golden trace"
     )
     run_p.add_argument(
@@ -93,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument(
         "--sample-every", type=int, default=1, help="check every k-th round"
     )
-    oracle_p.add_argument(
-        "--incremental",
-        choices=("on", "off"),
-        default=None,
-        help="pin the engine's incremental delta-repair path (default: "
-        "engine default, i.e. on) so both paths can be certified",
-    )
 
     session_p = sub.add_parser(
         "session", help="step a scenario through the repro.api session layer"
@@ -112,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=["hopcroft_karp", "dinic", "push_relabel", "edmonds_karp"],
         help="override the matching kernel",
-    )
-    session_p.add_argument(
-        "--cold-start",
-        action="store_true",
-        help="disable warm-started rounds for this run",
     )
     session_p.add_argument(
         "--checkpoint-at",
@@ -189,9 +175,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = get_scenario(args.name).with_overrides(
-        solver=args.solver, warm_start=False if args.cold_start else None
-    )
+    spec = get_scenario(args.name).with_overrides(solver=args.solver)
     run = run_scenario(spec, seed=args.seed, num_rounds=args.rounds)
     if args.json:
         print(json.dumps(run.to_golden_dict(), indent=2, sort_keys=True))
@@ -226,7 +210,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         seed=args.seed,
         num_rounds=args.rounds,
         sample_every=args.sample_every,
-        incremental=None if args.incremental is None else args.incremental == "on",
     )
     print(report.describe())
     for disagreement in report.disagreements:
@@ -238,9 +221,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     from repro.api import VodSession
     from repro.scenarios.build import build_scenario
 
-    spec = get_scenario(args.name).with_overrides(
-        solver=args.solver, warm_start=False if args.cold_start else None
-    )
+    spec = get_scenario(args.name).with_overrides(solver=args.solver)
     rounds = spec.horizon if args.rounds is None else int(args.rounds)
     if rounds <= 0:
         print(f"--rounds must be positive, got {rounds}", file=sys.stderr)
@@ -351,13 +332,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             continue
         try:
             run = run_scenario(name, seed=args.seed, num_rounds=args.rounds)
-            # The smoke-level oracle on the incremental path: re-run with
-            # the delta repair forced off and require every round's
-            # matched cardinality (and the full record: feasibility,
-            # upload usage) to agree with the full per-round solve.
-            full = run_scenario(
-                name, seed=run.seed, num_rounds=args.rounds, incremental=False
+            # The smoke-level oracle on the incremental path: re-run the
+            # full-solve twin and require every round's matched
+            # cardinality (and the full record: feasibility, upload
+            # usage) to agree with the full per-round solve.
+            twin = build_full_solve_twin(
+                run.spec, seed=run.seed, min_horizon=run.rounds
             )
+            full = digest_result(run.spec, run.seed, run.rounds, twin.run(run.rounds))
         except (ValueError, ApiError) as exc:
             print(f"{name:<22} ERROR {type(exc).__name__}: {exc}")
             failures += 1

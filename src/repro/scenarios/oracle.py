@@ -201,18 +201,16 @@ def run_differential_oracle(
     sample_every: int = 1,
     max_instances: Optional[int] = None,
     max_errors: int = 20,
-    incremental: Optional[bool] = None,
 ) -> OracleReport:
     """Replay a scenario, re-solving sampled rounds with the oracle solvers.
 
     Every ``sample_every``-th round's exact matching instance (adjacency
     from the live possession index, capacities after churn, the engine's
     warm-started assignment) is differentially checked.  The run itself
-    uses the spec's configured solver and warm-start policy, so this
-    validates the production path, not a sanitized copy.  ``incremental``
-    pins the engine's delta-repair toggle (``None`` keeps the engine
-    default): with it on, every checked round certifies the incremental
-    matching's cardinality against the cold solves.
+    uses the spec's configured solver and the engine's incremental
+    repair, so this validates the production path, not a sanitized copy:
+    every checked round certifies the repaired matching's cardinality
+    against the cold solves.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
@@ -229,7 +227,7 @@ def run_differential_oracle(
             # Error budget exhausted: stop solving (and stop counting, so
             # the report never overstates what was actually checked).
             return
-        requests = list(observation.request_set)
+        requests = observation.request_set
         indptr, indices = observation.possession.adjacency_for(
             requests, observation.time
         )
@@ -250,8 +248,6 @@ def run_differential_oracle(
     compiled = build_scenario(
         spec, seed=seed, round_observer=observer, min_horizon=rounds
     )
-    if incremental is not None:
-        compiled.simulator.set_incremental_matching(incremental)
     report.seed = compiled.seed
     compiled.run(rounds)
     return report

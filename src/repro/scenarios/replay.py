@@ -121,7 +121,8 @@ def digest_result(
         "seed": int(seed),
         "rounds": int(rounds),
         "solver": spec.solver,
-        "warm_start": spec.warm_start,
+        # A constant, kept because every recorded digest hashes the key.
+        "warm_start": True,
         "round_records": records,
         "summary": summary,
     }
@@ -141,19 +142,11 @@ def run_scenario(
     scenario: Union[str, ScenarioSpec],
     seed: Optional[int] = None,
     num_rounds: Optional[int] = None,
-    incremental: Optional[bool] = None,
 ) -> ScenarioRun:
-    """Build, run and digest a scenario (by name or explicit spec).
-
-    ``incremental`` pins the engine's incremental-matching toggle:
-    ``True``/``False`` force the delta-repair path on/off, ``None``
-    (default) leaves the engine default.
-    """
+    """Build, run and digest a scenario (by name or explicit spec)."""
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     rounds = spec.horizon if num_rounds is None else int(num_rounds)
     compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
-    if incremental is not None:
-        compiled.simulator.set_incremental_matching(incremental)
     result = compiled.run(rounds)
     return digest_result(spec, compiled.seed, rounds, result)
 
@@ -246,9 +239,9 @@ def verify_golden_file(
     *registered* spec of the recorded name — so drift between the registry
     and the recording is caught — falling back to the embedded spec for
     unregistered scenarios.  Run-level overrides the recording CLI offers
-    (``solver``, ``warm_start``, ``horizon``) are taken from the embedded
-    spec, so goldens recorded with ``--solver``/``--cold-start`` verify
-    cleanly; any *other* divergence from the registry is reported as drift.
+    (``solver``, ``horizon``) are taken from the embedded spec, so goldens
+    recorded with ``--solver`` verify cleanly; any *other* divergence from
+    the registry is reported as drift.
     """
     golden = load_golden(path)
     embedded = ScenarioSpec.from_dict(golden["spec"])
@@ -262,7 +255,6 @@ def verify_golden_file(
             spec = registered.with_overrides(
                 horizon=embedded.horizon,
                 solver=embedded.solver,
-                warm_start=embedded.warm_start,
             )
     run = run_scenario(spec, seed=int(golden["seed"]), num_rounds=int(golden["rounds"]))
     return run, diff_golden(run, golden)

@@ -291,8 +291,6 @@ class ScenarioSpec:
         Default number of rounds.
     solver:
         Matching kernel (``"hopcroft_karp"`` or a max-flow oracle).
-    warm_start:
-        Whether rounds warm-start from the previous assignment.
     default_seed:
         Seed used when the caller does not supply one.
     trace_level:
@@ -318,7 +316,6 @@ class ScenarioSpec:
     mu: float = 1.5
     horizon: int = 20
     solver: str = "hopcroft_karp"
-    warm_start: bool = True
     default_seed: int = 0
     trace_level: str = "full"
     faults: Tuple[FaultSpec, ...] = ()
@@ -359,7 +356,6 @@ class ScenarioSpec:
             "mu": self.mu,
             "horizon": self.horizon,
             "solver": self.solver,
-            "warm_start": self.warm_start,
             "default_seed": self.default_seed,
         }
         # Serialized only when non-default: golden traces recorded before
@@ -396,7 +392,6 @@ class ScenarioSpec:
             mu=float(data.get("mu", 1.5)),
             horizon=int(data.get("horizon", 20)),
             solver=str(data.get("solver", "hopcroft_karp")),
-            warm_start=bool(data.get("warm_start", True)),
             default_seed=int(data.get("default_seed", 0)),
             trace_level=str(data.get("trace_level", "full")),
             faults=tuple(
@@ -408,7 +403,6 @@ class ScenarioSpec:
         self,
         horizon: Optional[int] = None,
         solver: Optional[str] = None,
-        warm_start: Optional[bool] = None,
     ) -> "ScenarioSpec":
         """Copy with selected fields replaced (used by the CLI and tests)."""
         return ScenarioSpec(
@@ -423,7 +417,6 @@ class ScenarioSpec:
             mu=self.mu,
             horizon=self.horizon if horizon is None else horizon,
             solver=self.solver if solver is None else solver,
-            warm_start=self.warm_start if warm_start is None else warm_start,
             default_seed=self.default_seed,
             trace_level=self.trace_level,
             faults=self.faults,

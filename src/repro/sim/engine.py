@@ -68,8 +68,8 @@ class RoundObservation:
 
     The observation is emitted *after* the round's matching and *before*
     the possession index mutates again (eviction happens at the start of
-    the next round), so ``possession.adjacency_for(list(request_set),
-    time)`` reproduces the exact bipartite instance the matcher solved.
+    the next round), so ``possession.adjacency_for(request_set, time)``
+    reproduces the exact bipartite instance the matcher solved.
     The differential solver oracle (:mod:`repro.scenarios.oracle`) relies
     on this to re-solve sampled rounds with independent kernels.
     """
@@ -174,30 +174,28 @@ class VodSimulator:
         neither demand videos nor serve any stripe while offline (their
         upload capacity is zeroed in the matching); their stored replicas
         become available again when they come back.
-    warm_start:
-        Carry each round's request→box assignment into the next round as
-        the seed of an incremental rematch: surviving pairs are validated
-        (box still possesses the data, still has capacity, not offline)
-        and only the delta is re-solved.  Each round's matched count and
-        feasibility are identical to a cold solve of the same state (the
-        kernel always returns a maximum matching), so fully feasible runs
-        agree on every request-level observable: per-round matched
-        counts, service rounds, startup delays, metrics.  *Which* box
-        serves each request may still differ (maximum matchings are not
-        unique), so connection-level records (``record_connections``
-        events, per-box loads) are solver- and warm-start-dependent.  In
-        overload regimes a partially matched round may serve a different
-        (equally sized) request subset than a cold solve would, after
-        which the two trajectories can diverge — as they also do between
-        different cold solvers.  Experiments comparing trajectories at
-        either level should pin both ``warm_start`` and ``solver``.
     solver:
         Matching kernel: a name handed to :class:`ConnectionMatcher` —
         ``"hopcroft_karp"`` (default) or one of the max-flow oracles
         (``"dinic"``, ``"push_relabel"``, ``"edmonds_karp"``) — or a
         callable ``f(upload_slots) -> Solver`` (what the
         :mod:`repro.api` registry stores), letting registered custom
-        solvers plug in.
+        solvers plug in.  Every round hands the solver the pool's
+        request→box assignment and a :class:`MatchDelta`; the default
+        kernel repairs that assignment (surviving pairs are validated —
+        box still possesses the data, still has capacity, not offline —
+        and only the delta is re-solved) and falls back to the full
+        kernel.  Each round's matched count and feasibility equal a cold
+        solve of the same state (the kernel always returns a maximum
+        matching), so fully feasible runs agree with the cold oracles on
+        every request-level observable: per-round matched counts, service
+        rounds, startup delays, metrics.  *Which* box serves each request
+        may still differ (maximum matchings are not unique), so
+        connection-level records (``record_connections`` events, per-box
+        loads) are solver-dependent.  In overload regimes a partially
+        matched round may serve a different (equally sized) request
+        subset than a cold solve would, after which the two trajectories
+        can diverge — as they also do between different cold solvers.
     round_observer:
         Optional callable invoked with a :class:`RoundObservation` after
         every round's matching, while the possession index still holds
@@ -220,11 +218,9 @@ class VodSimulator:
         record_connections: bool = False,
         stop_on_infeasible: bool = False,
         churn: Optional[ChurnSchedule] = None,
-        warm_start: bool = True,
         solver: Union[str, Callable[[np.ndarray], "ConnectionMatcher"]] = "hopcroft_karp",
         round_observer: Optional[Callable[[RoundObservation], None]] = None,
         trace_level: str = "full",
-        incremental_matching: bool = True,
     ):
         self._allocation = allocation
         self._catalog = allocation.catalog
@@ -235,8 +231,6 @@ class VodSimulator:
         self._record_connections = record_connections
         self._stop_on_infeasible = stop_on_infeasible
         self._churn = churn
-        self._warm_start = warm_start
-        self._incremental_matching = bool(incremental_matching)
         self._round_observer = round_observer
         if trace_level not in ("full", "lean"):
             raise ValueError(
@@ -351,22 +345,6 @@ class VodSimulator:
     def repair_fallback_rounds(self) -> int:
         """Number of rounds whose repair budget forced a full re-solve so far."""
         return self._repair_fallback_rounds
-
-    @property
-    def incremental_matching(self) -> bool:
-        """Whether the incremental delta-repair matching path is enabled."""
-        return self._incremental_matching
-
-    def set_incremental_matching(self, enabled: bool) -> None:
-        """Toggle the incremental matching path (benchmarks, A/B tests).
-
-        Disabling also drops the matcher's pair bookkeeping so a later
-        re-enable bootstraps from a clean full solve.
-        """
-        self._incremental_matching = bool(enabled)
-        reset = getattr(self._matcher, "reset_incremental_state", None)
-        if reset is not None:
-            reset()
 
     def set_solver_budget(self, budget) -> None:
         """Set (or clear, with ``None``) the matcher's per-round augmentation budget.
@@ -507,35 +485,16 @@ class VodSimulator:
         if offline.size:
             busy_slots = np.zeros(self._population.n, dtype=np.int64)
             busy_slots[offline] = self._matcher.upload_slots[offline]
-        warm = None
-        if self._warm_start and len(self._pool):
-            warm = self._pool.assigned_snapshot()
-        delta = None
-        if (
-            warm is not None
-            and self._incremental_matching
-            and isinstance(self._matcher, ConnectionMatcher)
-        ):
-            delta = MatchDelta(
+        matching = self._matcher.match(
+            request_set,
+            self._possession,
+            time,
+            busy_slots=busy_slots,
+            warm_start=self._pool.assigned_snapshot(),
+            delta=MatchDelta(
                 keep_mask=keep_mask, num_new=len(self._pool) - survivors
-            )
-        if delta is not None:
-            matching = self._matcher.match(
-                request_set,
-                self._possession,
-                time,
-                busy_slots=busy_slots,
-                warm_start=warm,
-                delta=delta,
-            )
-        else:
-            matching = self._matcher.match(
-                request_set,
-                self._possession,
-                time,
-                busy_slots=busy_slots,
-                warm_start=warm,
-            )
+            ),
+        )
         self._last_round_degraded = bool(getattr(matching, "degraded", False))
         if self._last_round_degraded:
             self._degraded_rounds += 1

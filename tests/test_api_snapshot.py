@@ -132,6 +132,7 @@ class TestSnapshotFormatVersioning:
     deserializing into a torn engine."""
 
     FIXTURE_V1 = Path(__file__).parent / "fixtures" / "session_snapshot_v1.bin"
+    FIXTURE_V3 = Path(__file__).parent / "fixtures" / "session_snapshot_v3.bin"
 
     def test_current_format_version_is_3(self):
         from repro.api.session import SNAPSHOT_FORMAT_VERSION
@@ -144,6 +145,27 @@ class TestSnapshotFormatVersioning:
         assert self.FIXTURE_V1.exists(), "pre-refactor fixture missing"
         with pytest.raises(SnapshotFormatError, match="format version 1"):
             SessionSnapshot.from_file(self.FIXTURE_V1)
+
+    def test_v3_fixture_from_an_older_build_restores_and_steps(self):
+        """A current-format checkpoint written by an older build resumes.
+
+        The fixture (``steady_state``, seed 1, 3 rounds, written through
+        ``to_file``) was recorded while the engine still had its
+        ``warm_start`` and ``incremental_matching`` switches.  Its payload
+        still carries both attributes, which nothing reads.  Restored and
+        stepped to the horizon, it must reproduce an uninterrupted run.
+        """
+        from repro.api import SessionSnapshot
+
+        snapshot = SessionSnapshot.from_file(self.FIXTURE_V3)
+        assert snapshot.format_version == 3
+        assert snapshot.rounds_completed == 3
+        restored = VodSession.restore(snapshot)
+        spec = get_scenario("steady_state")
+        uninterrupted = build_scenario(spec, seed=1).session()
+        uninterrupted.step_until(round=spec.horizon)
+        restored.step_until(round=spec.horizon)
+        assert restored.digest() == uninterrupted.digest()
 
     @pytest.mark.parametrize(
         "fixture", ["session_snapshot_sharded.bin", "session_snapshot_event.bin"]

@@ -1,5 +1,8 @@
 """Tests for the baselines (full replication, sourcing-only, central server)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,15 @@ from repro.baselines.sourcing_only import (
     SourcingOnlyPossessionIndex,
     sourcing_capacity_bound,
 )
-from repro.core.allocation import AllocationError, random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.allocation import Allocation, AllocationError, random_permutation_allocation
+from repro.core.matching import (
+    NEVER_EXPIRES,
+    ArrayRequestSet,
+    ConnectionMatcher,
+    PossessionIndex,
+    RequestSet,
+    StripeRequest,
+)
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 
@@ -101,6 +111,80 @@ class TestSourcingOnly:
         )
         assert matcher.match(requests, swarming, current_time=1).feasible
         assert not matcher.match(requests, sourcing, current_time=1).feasible
+
+    def test_recorded_downloads_reach_no_query(self):
+        """Downloads leave no cache edge in any possession query.
+
+        The batched gather, the per-request row and the set query all see
+        the static holders and the relay caches only.
+        """
+        catalog = Catalog(num_videos=6, num_stripes=4, duration=20)
+        population = homogeneous_population(12, u=1.5, d=3.0)
+        allocation = random_permutation_allocation(catalog, population, 3, random_state=0)
+        index = SourcingOnlyPossessionIndex(allocation, cache_window=20)
+        holders = set(allocation.boxes_with_stripe(0).tolist())
+        outsiders = [b for b in range(population.n) if b not in holders]
+        index.record_download(stripe_id=0, box_id=outsiders[0], time=0)
+        index.record_downloads(
+            np.zeros(3, dtype=np.int64), np.array(outsiders[1:4], dtype=np.int64), 1
+        )
+        relay = outsiders[4]
+        index.record_relay_cache(0, relay)
+        requester = outsiders[5]
+        expected = sorted(holders | {relay})
+
+        assert index.servers_for(
+            StripeRequest(stripe_id=0, request_time=3, box_id=requester), 3
+        ) == set(expected)
+        boxes, expiry = index.row_with_expiry(0, requester, 3, 3)
+        assert sorted(boxes.tolist()) == expected
+        assert set(expiry.tolist()) == {NEVER_EXPIRES}
+        requests = ArrayRequestSet(
+            np.array([0], dtype=np.int64),
+            np.array([3], dtype=np.int64),
+            np.array([requester], dtype=np.int64),
+        )
+        indptr, indices, edge_expiry = index.adjacency_delta_for(requests, 3)
+        assert indices.tolist() == boxes.tolist()
+        assert edge_expiry.tolist() == expiry.tolist()
+
+    def test_default_matcher_and_dinic_agree_on_a_cacheless_crowd(self):
+        """A crowd feasible only with cache help is infeasible for both solvers."""
+        # Stripe s is stored on boxes s and s+1 (mod 8), one slot each.
+        catalog = Catalog(num_videos=3, num_stripes=2, duration=20)
+        population = homogeneous_population(8, u=1.0, d=2.0)
+        replica_box = np.array(
+            [(s + j) % 8 for s in range(catalog.total_stripes) for j in range(2)],
+            dtype=np.int64,
+        )
+        allocation = Allocation(catalog, population, 2, replica_box)
+        index = SourcingOnlyPossessionIndex(allocation, cache_window=20)
+        index.record_download(stripe_id=0, box_id=7, time=0)
+        requests = RequestSet(
+            [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 7)]
+        )
+        slots = population.upload_slots(2)
+        fast = ConnectionMatcher(slots).match(requests, index, current_time=1)
+        oracle = ConnectionMatcher(slots, solver="dinic").match(
+            requests, index, current_time=1
+        )
+        assert not fast.feasible and not oracle.feasible
+        assert fast.matched == oracle.matched == 4
+        served = {int(b) for b in fast.assignment if b >= 0}
+        assert 7 not in served
+
+    def test_baseline_comparison_reproduces_the_stored_rows(self):
+        """Every stored ``baseline_comparison`` cell reruns to its rows."""
+        from repro.orchestrate.campaigns import run_baseline_comparison
+        from repro.orchestrate.store import ResultsStore
+
+        store = ResultsStore(Path(__file__).resolve().parents[1] / "results" / "store")
+        cells = store.read_campaign_index("baseline_comparison")["cells"]
+        assert len(cells) == 4
+        for key in cells:
+            record = store.get(key)
+            rows = run_baseline_comparison(record["params"])
+            assert json.loads(json.dumps(rows)) == record["rows"], record["params"]
 
     def test_sourcing_capacity_bound(self):
         catalog = Catalog(num_videos=6, num_stripes=4, duration=20)

@@ -3,10 +3,11 @@
 The engine's incremental path repairs each round's delta (expirations,
 arrivals, churn/fault capacity changes) instead of re-solving the whole
 instance; it must be *observationally identical* to the full per-round
-solve.  Comparing an incremental run against a
-``set_incremental_matching(False)`` run of the same ``(spec, seed)`` pins
-the per-round records (matched/unmatched counts, feasibility, upload
-usage) bit for bit — across every registered scenario, including the
+solve.  Comparing a run against the full-solve twin of the same
+``(spec, seed)`` — the same build with the matcher's repair state dropped
+after every round, so every round runs the full kernel — pins the
+per-round records (matched/unmatched counts, feasibility, upload usage)
+bit for bit — across every registered scenario, including the
 ``chaos_*`` fault injections.
 
 One caveat keeps the full-run digest comparison conditional: in a round
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.session import VodSession
-from repro.scenarios.build import build_scenario
+from repro.scenarios.build import build_full_solve_twin, build_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.replay import digest_result
 
@@ -49,12 +50,15 @@ def _rounds_for(name: str) -> int:
 
 
 def _run_scenario(name: str, seed: int, rounds: int, incremental: bool):
-    """Run ``(name, seed)`` for ``rounds`` and return (ScenarioRun, simulator)."""
+    """Run ``(name, seed)`` for ``rounds`` and digest it.
+
+    ``incremental=False`` runs the full-solve twin.
+    """
     spec = get_scenario(name)
-    compiled = build_scenario(spec, seed=seed, min_horizon=rounds)
-    compiled.simulator.set_incremental_matching(incremental)
+    build = build_scenario if incremental else build_full_solve_twin
+    compiled = build(spec, seed=seed, min_horizon=rounds)
     result = compiled.run(rounds)
-    return digest_result(spec, compiled.seed, rounds, result), compiled.simulator
+    return digest_result(spec, compiled.seed, rounds, result)
 
 
 def _assert_parity(run_inc, run_full) -> None:
@@ -73,10 +77,9 @@ def _assert_parity(run_inc, run_full) -> None:
 def test_incremental_equals_full_solve(name):
     """Incremental repair reproduces the full solve on every scenario."""
     rounds = _rounds_for(name)
-    run_inc, sim = _run_scenario(name, 1234, rounds, incremental=True)
-    run_full, _ = _run_scenario(name, 1234, rounds, incremental=False)
+    run_inc = _run_scenario(name, 1234, rounds, incremental=True)
+    run_full = _run_scenario(name, 1234, rounds, incremental=False)
     _assert_parity(run_inc, run_full)
-    assert sim.incremental_matching
 
 
 @settings(
@@ -92,8 +95,8 @@ def test_repair_equals_cold_solve_randomized(seed, rounds):
     repair path (stale retirement, over-capacity drops, greedy + exact
     augmentation) is exercised far from the steady state.
     """
-    run_inc, _ = _run_scenario("churn_storm", seed, rounds, incremental=True)
-    run_full, _ = _run_scenario("churn_storm", seed, rounds, incremental=False)
+    run_inc = _run_scenario("churn_storm", seed, rounds, incremental=True)
+    run_full = _run_scenario("churn_storm", seed, rounds, incremental=False)
     _assert_parity(run_inc, run_full)
 
 
@@ -121,7 +124,7 @@ def test_zero_search_budget_forces_fallback_and_stays_equal():
     ``set_repair_search_budget(0)`` makes any round whose greedy leaves a
     deficit fall back to the full kernel; those rounds must be counted in
     the engine's ``repair_fallback_rounds`` and the run must still match
-    a non-incremental run record for record.  ``near_threshold_load``
+    the full-solve twin record for record.  ``near_threshold_load``
     runs at the edge of Lemma 1 feasibility, so its greedy reliably
     strands requests whose cached candidate boxes saturate.
     """
@@ -132,8 +135,7 @@ def test_zero_search_budget_forces_fallback_and_stays_equal():
     forced.simulator.matcher.set_repair_search_budget(0)
     result_forced = forced.run(rounds)
     assert forced.simulator.repair_fallback_rounds > 0
-    baseline = build_scenario(spec, seed=seed, min_horizon=rounds)
-    baseline.simulator.set_incremental_matching(False)
+    baseline = build_full_solve_twin(spec, seed=seed, min_horizon=rounds)
     result_base = baseline.run(rounds)
     run_forced = digest_result(spec, seed, rounds, result_forced)
     run_base = digest_result(spec, seed, rounds, result_base)
@@ -141,17 +143,28 @@ def test_zero_search_budget_forces_fallback_and_stays_equal():
 
 
 def test_disable_toggle_resets_incremental_state():
-    """Toggling the path off mid-session drops the repair bookkeeping."""
+    """Dropping the repair bookkeeping mid-session changes no report.
+
+    ``reset_incremental_state()`` leaves the next round nothing to repair,
+    so it runs the full kernel; its reports, and every later one, must
+    equal those of an untouched session.
+    """
     spec = get_scenario("steady_state")
     rounds = min(spec.horizon, 12)
+    untouched = build_scenario(spec, seed=3, min_horizon=rounds).session(
+        horizon=rounds
+    )
     session = build_scenario(spec, seed=3, min_horizon=rounds).session(
         horizon=rounds
     )
     session.step_until(round=rounds // 2)
-    engine = session.engine
-    engine.set_incremental_matching(False)
-    assert not engine.incremental_matching
-    reports = session.step_until(round=rounds)
-    assert all(r.repair_fallback == 0 for r in reports)
-    engine.set_incremental_matching(True)
-    assert engine.incremental_matching
+    session.engine.matcher.reset_incremental_state()
+    repairs_before = session.engine.matcher.repair_rounds
+    session.step()
+    assert session.engine.matcher.repair_rounds == repairs_before
+    session.step_until(round=rounds)
+    untouched.step_until(round=rounds)
+    assert [r.to_dict() for r in session.reports] == [
+        r.to_dict() for r in untouched.reports
+    ]
+    assert session.digest() == untouched.digest()

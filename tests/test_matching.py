@@ -7,6 +7,7 @@ from repro.core.allocation import Allocation
 from repro.core.matching import (
     _MAX_KEYABLE_STRIPE,
     ConnectionMatcher,
+    MatchDelta,
     PossessionIndex,
     RequestSet,
     SortKeyOverflowError,
@@ -179,6 +180,14 @@ class TestConnectionMatcher:
         with pytest.raises(ValueError):
             matcher.match(RequestSet(), index, 0, busy_slots=[1, 2])
 
+    def test_delta_requires_the_warm_start_it_extends(self):
+        alloc = crafted_allocation()
+        matcher = ConnectionMatcher(alloc.population.upload_slots(2))
+        index = PossessionIndex(alloc, cache_window=20)
+        requests = RequestSet([StripeRequest(stripe_id=0, request_time=0, box_id=3)])
+        with pytest.raises(ValueError, match="warm_start"):
+            matcher.match(requests, index, 0, delta=MatchDelta(keep_mask=None, num_new=1))
+
     def test_cache_server_expands_capacity(self):
         # With only the allocation, 5 concurrent viewers of stripe 0 are
         # infeasible; a cache server (earlier viewer) makes them feasible.
@@ -233,75 +242,6 @@ class TestHallOracle:
         assert not feasible
         assert witness is not None
         assert len(witness) >= 3
-
-
-class TestPossessionSubclassOverrides:
-    def test_servers_for_override_is_honoured_by_both_solvers(self):
-        """A subclass customizing only ``servers_for`` steers the fast path too."""
-
-        class OddBoxesOnly(PossessionIndex):
-            def servers_for(self, request, current_time):
-                return {
-                    b for b in super().servers_for(request, current_time) if b % 2 == 1
-                }
-
-        alloc = crafted_allocation(num_boxes=6, c=2, k=2)
-        index = OddBoxesOnly(alloc, cache_window=20)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=s, request_time=0, box_id=5) for s in range(4)]
-        )
-        slots = alloc.population.upload_slots(2)
-        fast = ConnectionMatcher(slots).match(requests, index, current_time=0)
-        oracle = ConnectionMatcher(slots, solver="dinic").match(requests, index, current_time=0)
-        assert fast.matched == oracle.matched
-        assert fast.feasible == oracle.feasible
-        served = {int(b) for b in fast.assignment if b >= 0}
-        assert all(b % 2 == 1 for b in served)
-
-    def test_cache_servers_override_is_honoured_by_both_solvers(self):
-        """The sourcing-only style override (cache help disabled) keeps parity."""
-
-        class NoCacheHelp(PossessionIndex):
-            def cache_servers(self, stripe_id, request_time, current_time):
-                return set()
-
-        alloc = crafted_allocation(num_boxes=8, c=2, k=2)
-        index = NoCacheHelp(alloc, cache_window=20)
-        index.record_download(stripe_id=0, box_id=7, time=0)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 7)]
-        )
-        slots = alloc.population.upload_slots(2)
-        fast = ConnectionMatcher(slots).match(requests, index, current_time=1)
-        oracle = ConnectionMatcher(slots, solver="dinic").match(requests, index, current_time=1)
-        assert not fast.feasible  # without cache help the crowd is infeasible
-        assert fast.matched == oracle.matched
-        served = {int(b) for b in fast.assignment if b >= 0}
-        assert 7 not in served
-
-    def test_cache_hook_with_external_state_reaches_the_fast_path(self):
-        """An overridden ``_cache_boxes_array`` drawing on its own state (not
-        the base swarm dict) is consulted for every request on both solvers."""
-
-        class PinnedCache(PossessionIndex):
-            def _cache_boxes_array(self, stripe_id, request_time, current_time):
-                # Box 7 caches stripe 0 per out-of-band knowledge.
-                if stripe_id == 0:
-                    return np.array([7], dtype=np.int64)
-                return super()._cache_boxes_array(stripe_id, request_time, current_time)
-
-        alloc = crafted_allocation(num_boxes=8, c=2, k=2)
-        index = PinnedCache(alloc, cache_window=20)
-        # Five viewers of stripe 0: infeasible from the static holders alone,
-        # feasible once the pinned cache server counts.
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 7)]
-        )
-        slots = alloc.population.upload_slots(2)
-        fast = ConnectionMatcher(slots).match(requests, index, current_time=1)
-        oracle = ConnectionMatcher(slots, solver="dinic").match(requests, index, current_time=1)
-        assert fast.feasible and oracle.feasible
-        assert fast.matched == oracle.matched == len(requests)
 
 
 class TestSortKeyOverflowGuards:

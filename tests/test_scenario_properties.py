@@ -183,7 +183,8 @@ class TestScenarioReplayProperties:
     def test_warm_and_cold_runs_agree_in_feasible_regimes(self, seed):
         """Per-round matched counts of warm-started vs cold runs coincide.
 
-        In fully feasible runs the two trajectories visit identical states
+        The cold run is the Dinic oracle, which solves every round from
+        scratch.  In fully feasible runs the two trajectories visit identical states
         (every request is served the round it appears), so all metric
         records — not just cardinality — must agree.
         """
@@ -191,7 +192,7 @@ class TestScenarioReplayProperties:
 
         spec = get_scenario("steady_state")
         warm = run_scenario(spec, seed=seed, num_rounds=6)
-        cold = run_scenario(spec.with_overrides(warm_start=False), seed=seed, num_rounds=6)
+        cold = run_scenario(spec.with_overrides(solver="dinic"), seed=seed, num_rounds=6)
         if warm.summary["infeasible_rounds"] == 0:
             assert warm.round_records == cold.round_records
         else:  # pragma: no cover - steady_state stays feasible in practice

@@ -130,7 +130,7 @@ class TestCli:
         golden = tmp_path / "dinic.json"
         self._run_cli(
             capsys, "run", "steady_state", "--seed", "8", "--rounds", "5",
-            "--solver", "dinic", "--cold-start", "--write-golden", str(golden),
+            "--solver", "dinic", "--write-golden", str(golden),
         )
         out = self._run_cli(capsys, "verify", str(golden))
         assert out.startswith("OK:")
@@ -201,17 +201,17 @@ class TestCli:
         assert "--rounds must be positive" in err
 
     def test_cold_start_and_solver_overrides(self, capsys):
-        warm = self._digest_of(
+        default = self._digest_of(
             self._run_cli(capsys, "run", "steady_state", "--seed", "9", "--rounds", "4")
         )
-        cold = self._digest_of(
+        dinic = self._digest_of(
             self._run_cli(
                 capsys, "run", "steady_state", "--seed", "9", "--rounds", "4",
-                "--cold-start",
+                "--solver", "dinic",
             )
         )
-        # warm_start is part of the digest payload.
-        assert warm != cold
+        # The solver is part of the digest payload.
+        assert default != dinic
 
 
 class TestModuleInvocation:

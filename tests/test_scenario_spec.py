@@ -101,17 +101,19 @@ class TestSerialization:
 
         ``"engine": "event"`` selected a clock mode that no longer exists;
         dropping it silently would run the spec on the round engine.
+        ``"warm_start"`` was the matching switch every round now ignores:
+        a spec recorded with it is rejected like any other unknown key.
         """
-        data = get_scenario("steady_state").to_dict()
-        data["engine"] = "event"
-        with pytest.raises(ValueError, match="unknown scenario spec keys: engine"):
-            ScenarioSpec.from_dict(data)
+        for key, value in (("engine", "event"), ("warm_start", True)):
+            data = get_scenario("steady_state").to_dict()
+            data[key] = value
+            with pytest.raises(ValueError, match=f"unknown scenario spec keys: {key}"):
+                ScenarioSpec.from_dict(data)
 
     def test_churn_and_overrides_roundtrip(self):
         spec = _minimal_spec(
             churn=ChurnSpec(0.05, 3, protected_boxes=(0, 1)),
             solver="dinic",
-            warm_start=False,
             default_seed=9,
         )
         clone = ScenarioSpec.from_dict(spec.to_dict())
@@ -120,10 +122,9 @@ class TestSerialization:
 
     def test_with_overrides(self):
         spec = _minimal_spec()
-        tweaked = spec.with_overrides(horizon=3, solver="push_relabel", warm_start=False)
+        tweaked = spec.with_overrides(horizon=3, solver="push_relabel")
         assert tweaked.horizon == 3
         assert tweaked.solver == "push_relabel"
-        assert not tweaked.warm_start
         # Untouched fields carry over.
         assert tweaked.catalog == spec.catalog
         assert spec.horizon == 6

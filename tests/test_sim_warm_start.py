@@ -1,4 +1,9 @@
-"""Warm-started incremental matching vs cold per-round solves."""
+"""Warm-started incremental matching vs cold per-round solves.
+
+The engine always warm-starts and repairs; the cold reference is the
+Dinic max-flow oracle, which ignores the carried assignment and solves
+every round from scratch.
+"""
 
 import numpy as np
 import pytest
@@ -20,8 +25,8 @@ def build_system(n=36, m=18, c=4, k=3, duration=15, seed=0):
     return population, catalog, allocation
 
 
-def run_simulator(allocation, warm_start, workload, num_rounds, **kwargs):
-    simulator = VodSimulator(allocation, mu=1.5, warm_start=warm_start, **kwargs)
+def run_simulator(allocation, solver, workload, num_rounds, **kwargs):
+    simulator = VodSimulator(allocation, mu=1.5, solver=solver, **kwargs)
     return simulator.run(workload, num_rounds)
 
 
@@ -44,10 +49,10 @@ class TestWarmStartEquivalence:
         """
         _, _, allocation = build_system(seed=seed)
         cold = run_simulator(
-            allocation, False, FlashCrowdWorkload(mu=1.5, random_state=seed), 20
+            allocation, "dinic", FlashCrowdWorkload(mu=1.5, random_state=seed), 20
         )
         warm = run_simulator(
-            allocation, True, FlashCrowdWorkload(mu=1.5, random_state=seed), 20
+            allocation, "hopcroft_karp", FlashCrowdWorkload(mu=1.5, random_state=seed), 20
         )
         assert cold.feasible, "scenario must be feasible for trace equality"
         assert round_signature(cold) == round_signature(warm)
@@ -58,10 +63,10 @@ class TestWarmStartEquivalence:
         """On feasible traces the startup-delay distribution is identical."""
         _, _, allocation = build_system(seed=5)
         cold = run_simulator(
-            allocation, False, FlashCrowdWorkload(mu=1.3, random_state=5), 18
+            allocation, "dinic", FlashCrowdWorkload(mu=1.3, random_state=5), 18
         )
         warm = run_simulator(
-            allocation, True, FlashCrowdWorkload(mu=1.3, random_state=5), 18
+            allocation, "hopcroft_karp", FlashCrowdWorkload(mu=1.3, random_state=5), 18
         )
         assert cold.feasible and warm.feasible
         assert cold.metrics.max_startup_delay == warm.metrics.max_startup_delay
@@ -79,10 +84,10 @@ class TestWarmStartEquivalence:
         catalog = Catalog(num_videos=12, num_stripes=3, duration=15)
         allocation = random_permutation_allocation(catalog, population, 2, random_state=7)
         cold = run_simulator(
-            allocation, False, ZipfDemandWorkload(arrival_rate=8.0, random_state=7), 12
+            allocation, "dinic", ZipfDemandWorkload(arrival_rate=8.0, random_state=7), 12
         )
         warm = run_simulator(
-            allocation, True, ZipfDemandWorkload(arrival_rate=8.0, random_state=7), 12
+            allocation, "hopcroft_karp", ZipfDemandWorkload(arrival_rate=8.0, random_state=7), 12
         )
         cold_sig, warm_sig = round_signature(cold), round_signature(warm)
         assert not cold.feasible  # the scenario is meant to overload
@@ -96,14 +101,14 @@ class TestWarmStartEquivalence:
         allocation = random_permutation_allocation(catalog, population, 2, random_state=7)
         cold = run_simulator(
             allocation,
-            False,
+            "dinic",
             ZipfDemandWorkload(arrival_rate=8.0, random_state=7),
             12,
             stop_on_infeasible=True,
         )
         warm = run_simulator(
             allocation,
-            True,
+            "hopcroft_karp",
             ZipfDemandWorkload(arrival_rate=8.0, random_state=7),
             12,
             stop_on_infeasible=True,
@@ -132,14 +137,14 @@ class TestWarmStartEquivalence:
 
         cold = run_simulator(
             allocation,
-            False,
+            "dinic",
             FlashCrowdWorkload(mu=1.5, random_state=9),
             16,
             churn=make_churn(),
         )
         warm = run_simulator(
             allocation,
-            True,
+            "hopcroft_karp",
             FlashCrowdWorkload(mu=1.5, random_state=9),
             16,
             churn=make_churn(),

@@ -9,8 +9,8 @@ object-state reference models over randomized small instances:
   order, expiry, first-service rounds, warm-start column);
 * :class:`SwarmRegistry` against the historical scan-based model (sizes,
   membership windows, growth violations);
-* the batched adjacency builder against the per-request path and the
-  set-based fallback;
+* the batched adjacency gather against the per-request row
+  (:meth:`PossessionIndex.row_with_expiry`) and the set query;
 * the Hopcroft–Karp warm-start fast path against cold solves and the
   max-flow oracle;
 * snapshot → restore → step equality on the array buffers themselves.
@@ -27,7 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ArrayRequestSet, PossessionIndex, StripeRequest
+from repro.core.matching import (
+    NEVER_EXPIRES,
+    ArrayRequestSet,
+    PossessionIndex,
+    StripeRequest,
+)
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.bipartite import solve_b_matching
@@ -218,15 +223,8 @@ class TestSwarmEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Batched adjacency vs. the per-request and set-based paths
+# Batched adjacency vs. the per-request row and the set query
 # --------------------------------------------------------------------- #
-class _PerRowPossession(PossessionIndex):
-    """Forces the per-request cache path (the pre-batching semantics)."""
-
-    def _cache_boxes_array(self, stripe_id, request_time, current_time):
-        return super()._cache_boxes_array(stripe_id, request_time, current_time)
-
-
 @st.composite
 def possession_instances(draw):
     num_videos = draw(st.integers(2, 5))
@@ -271,9 +269,17 @@ def possession_instances(draw):
     return allocation, downloads, relays, requests, current_time, evict_at
 
 
+def _array_set(requests):
+    return ArrayRequestSet(
+        np.array([s for s, _, _ in requests], dtype=np.int64),
+        np.array([t for _, t, _ in requests], dtype=np.int64),
+        np.array([b for _, _, b in requests], dtype=np.int64),
+    )
+
+
 class TestAdjacencyEquivalence:
-    def _build(self, cls, allocation, downloads, relays, evict_at):
-        possession = cls(allocation, cache_window=6)
+    def _build(self, allocation, downloads, relays, evict_at):
+        possession = PossessionIndex(allocation, cache_window=6)
         for stripe, box, time in downloads:
             possession.record_download(stripe, box, time)
         for stripe, box in relays:
@@ -286,38 +292,79 @@ class TestAdjacencyEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_batched_adjacency_equals_per_request_path(self, instance):
         allocation, downloads, relays, requests, current_time, evict_at = instance
-        batched = self._build(PossessionIndex, allocation, downloads, relays, evict_at)
-        per_row = self._build(_PerRowPossession, allocation, downloads, relays, evict_at)
+        batched = self._build(allocation, downloads, relays, evict_at)
 
         request_objs = [
             StripeRequest(stripe_id=s, request_time=t, box_id=b)
             for s, t, b in requests
         ]
-        array_set = ArrayRequestSet(
-            np.array([s for s, _, _ in requests], dtype=np.int64),
-            np.array([t for _, t, _ in requests], dtype=np.int64),
-            np.array([b for _, _, b in requests], dtype=np.int64),
-        )
-        indptr_a, indices_a = batched.adjacency_for(array_set, current_time)
+        indptr_a, indices_a = batched.adjacency_for(_array_set(requests), current_time)
         indptr_o, indices_o = batched.adjacency_for(request_objs, current_time)
-        indptr_p, indices_p = per_row.adjacency_for(request_objs, current_time)
-        # Array-extracted and object-extracted inputs are bit-identical,
-        # and both match the per-request path edge for edge (order included).
-        assert indptr_a.tolist() == indptr_o.tolist() == indptr_p.tolist()
-        assert indices_a.tolist() == indices_o.tolist() == indices_p.tolist()
+        # Array-extracted and object-extracted inputs are bit-identical.
+        assert indptr_a.tolist() == indptr_o.tolist()
+        assert indices_a.tolist() == indices_o.tolist()
 
-        # The set-based fallback agrees on the neighbourhood *sets*.
+        # The set query agrees on the neighbourhood *sets*.
         for i, request in enumerate(request_objs):
             row = set(indices_a[indptr_a[i]: indptr_a[i + 1]].tolist())
             expected = batched.servers_for(request, current_time)
             expected.discard(request.box_id)
             assert row == expected
 
+    @given(instance=possession_instances(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_delta_rows_equal_row_with_expiry(self, instance, data):
+        """Each gathered row is its request's own row: same edges, same
+        order, same expiries — over every row or a ``rows=`` subset."""
+        allocation, downloads, relays, requests, current_time, evict_at = instance
+        possession = self._build(allocation, downloads, relays, evict_at)
+        rows = data.draw(
+            st.none() | st.lists(st.integers(0, len(requests) - 1), max_size=30)
+        )
+        indptr, indices, expiry = possession.adjacency_delta_for(
+            _array_set(requests), current_time, rows=rows
+        )
+        selected = range(len(requests)) if rows is None else rows
+        assert indptr.size == len(selected) + 1
+        for i, r in enumerate(selected):
+            stripe, time, box = requests[r]
+            boxes, expiries = possession.row_with_expiry(
+                stripe, box, time, current_time
+            )
+            lo, hi = int(indptr[i]), int(indptr[i + 1])
+            assert indices[lo:hi].tolist() == boxes.tolist(), (r, rows)
+            assert expiry[lo:hi].tolist() == expiries.tolist(), (r, rows)
+
+    @given(instance=possession_instances(), k=st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_max_cache_edges_keeps_the_newest_cache_edges(self, instance, k):
+        """A clipped row keeps every static and relay edge and the newest
+        ``k`` cache edges of its window (then drops the requester)."""
+        allocation, downloads, relays, requests, current_time, evict_at = instance
+        possession = self._build(allocation, downloads, relays, evict_at)
+        indptr, indices, expiry = possession.adjacency_delta_for(
+            _array_set(requests), current_time, max_cache_edges=k
+        )
+        for i, (stripe, time, box) in enumerate(requests):
+            boxes, expiries = possession.row_with_expiry(
+                stripe, box, time, current_time, exclude_self=False
+            )
+            edges = list(zip(boxes.tolist(), expiries.tolist()))
+            # Row order is static, cache, relay; only cache edges expire.
+            num_static = possession.static_servers(stripe).size
+            cache = [e for e in edges[num_static:] if e[1] != NEVER_EXPIRES]
+            relay = edges[num_static + len(cache):]
+            kept = edges[:num_static] + cache[len(cache) - min(k, len(cache)):] + relay
+            expected = [e for e in kept if e[0] != box]
+            lo, hi = int(indptr[i]), int(indptr[i + 1])
+            got = list(zip(indices[lo:hi].tolist(), expiry[lo:hi].tolist()))
+            assert got == expected, i
+
     @given(instance=possession_instances())
     @settings(max_examples=40, deadline=None)
     def test_single_stripe_queries_match_window_semantics(self, instance):
         allocation, downloads, relays, _, current_time, evict_at = instance
-        possession = self._build(PossessionIndex, allocation, downloads, relays, evict_at)
+        possession = self._build(allocation, downloads, relays, evict_at)
         horizon = current_time - possession.cache_window
         live = [
             (s, b, t) for s, b, t in downloads
