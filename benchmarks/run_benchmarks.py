@@ -3,7 +3,7 @@
 
 Times the seed max-flow matching path against the Hopcroft–Karp CSR
 kernel on the bipartite instances one simulator round produces, plus the
-incremental simulator loop and the parallel Monte-Carlo driver, and
+incremental simulator loop and the static obstruction estimator, and
 cross-validates the two kernels on randomized instances along the way:
 
 * ``unit_matching_kernel`` — ``solve_b_matching`` via the seed Dinic
@@ -13,9 +13,7 @@ cross-validates the two kernels on randomized instances along the way:
   set-based edge building + Dinic vs CSR adjacency + Hopcroft–Karp;
 * ``incremental_matching`` — the 10k-box scale tier as built (delta
   repair) vs its full-solve twin, which re-solves every round with the
-  full kernel (per-round matched cardinalities cross-checked equal);
-* ``parallel_montecarlo`` — serial vs process-pool static obstruction
-  estimation (checked bit-identical for the fixed seed).
+  full kernel (per-round matched cardinalities cross-checked equal).
 
 Run ``python benchmarks/run_benchmarks.py --smoke`` for a quick pass at
 small sizes (what CI runs) and without arguments for the full sizes.
@@ -194,32 +192,6 @@ def bench_obstruction_estimator(n, trials, repeats) -> Dict[str, object]:
     }
 
 
-def bench_parallel_montecarlo(n, trials, repeats) -> Dict[str, object]:
-    """Serial vs process-pool Monte-Carlo (checked bit-identical)."""
-    kwargs = dict(
-        n=n, u=1.5, d=3.0, c=4, k=2, num_cold_videos=[n // 4], trials=trials, random_state=7
-    )
-    serial = estimate_static_obstruction_probability(**kwargs)
-    parallel = estimate_static_obstruction_probability(**kwargs, n_jobs=2)
-    assert serial.failures == parallel.failures
-    assert serial.details == parallel.details
-
-    t_serial = best_of(lambda: estimate_static_obstruction_probability(**kwargs), repeats)
-    t_parallel = best_of(
-        lambda: estimate_static_obstruction_probability(**kwargs, n_jobs=2), repeats
-    )
-    return {
-        "name": "parallel_montecarlo",
-        "boxes": n,
-        "trials": trials,
-        "failures": int(serial.failures),
-        "bit_identical": True,
-        "old_seconds": t_serial,
-        "new_seconds": t_parallel,
-        "speedup": t_serial / t_parallel if t_parallel > 0 else float("inf"),
-    }
-
-
 def cross_validate_kernels(instances, seed) -> Dict[str, object]:
     """HK vs Dinic on randomized bipartite instances (flow value + validity)."""
     rng = np.random.default_rng(seed)
@@ -275,7 +247,6 @@ def main(argv=None) -> int:
         lambda: bench_per_round_matcher(round_sizes, repeats),
         lambda: bench_incremental_matching(inc_rounds, max(2, repeats - 2)),
         lambda: bench_obstruction_estimator(48, mc_trials, max(2, repeats - 2)),
-        lambda: bench_parallel_montecarlo(48, mc_trials, max(2, repeats - 2)),
     ):
         row = fn()
         results.append(row)

@@ -14,22 +14,15 @@ obstruction; these estimators measure the same quantity empirically:
   ``m`` for which the failure estimate stays below a tolerance; the
   empirical analogue of "achievable catalog size".
 
-Every estimator accepts ``n_jobs``: with ``n_jobs > 1`` the trials are
-fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`.  Each
-trial is driven by a :class:`numpy.random.SeedSequence` child spawned from
-the master seed *before* the fan-out, and results are reduced in trial
-order, so parallel runs are bit-identical to serial ones for a fixed seed.
-Parallel simulation trials additionally require the ``workload_factory``
-(and ``scheduler_factory`` / ``compensation_plan``, when given) to be
-picklable — module-level callables rather than lambdas.
+Each trial is driven by a :class:`numpy.random.SeedSequence` child
+spawned from the master seed before any trial runs, so a trial's outcome
+depends only on its own child seed and an estimate is reproducible for a
+fixed ``random_state``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,52 +109,23 @@ def _allocator(scheme: str) -> Callable:
     return allocate
 
 
-def _resolve_jobs(n_jobs: Optional[int]) -> int:
-    """Normalize an ``n_jobs`` spec to a concrete worker count."""
-    if n_jobs is None:
-        return 1
-    if isinstance(n_jobs, bool) or not isinstance(n_jobs, (int, np.integer)):
-        raise TypeError(f"n_jobs must be an integer, -1, or None, got {n_jobs!r}")
-    if n_jobs == 1:
-        return 1
-    if n_jobs == -1:
-        return max(os.cpu_count() or 1, 1)
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be a positive count, -1, or None")
-    return int(n_jobs)
-
-
-def _run_trials(worker: Callable, payloads: List[tuple], n_jobs: int) -> List[tuple]:
-    """Run one payload per trial, serially or over a process pool.
-
-    Results come back in trial order either way, so the reduction (and
-    therefore failure counts, details and confidence intervals) is
-    bit-identical between the serial and parallel paths.  A pool broken
-    by a dying worker (OOM kill, SIGKILL, interpreter crash) degrades to
-    a serial re-run of every payload rather than failing the estimate:
-    trials are pure functions of their pre-spawned seeds, so the serial
-    pass reproduces exactly what the pool would have returned.
-    """
-    jobs = _resolve_jobs(n_jobs)
-    if jobs == 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    workers = min(jobs, len(payloads))
-    # Chunking amortizes the per-payload pickling of the shared objects
-    # (population, catalog, factories); map preserves order either way.
-    chunksize = max(1, len(payloads) // (workers * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads, chunksize=chunksize))
-    except BrokenProcessPool:
-        return [worker(payload) for payload in payloads]
-
-
 # ---------------------------------------------------------------------- #
 # Static cold-start obstruction probe
 # ---------------------------------------------------------------------- #
-def _static_obstruction_trial(payload: tuple) -> Tuple[bool, int]:
-    """One static-probe trial; top-level so process pools can pickle it."""
-    (seed, n, u, d, c, k, m, num_cold_videos, scheme, duration, solver) = payload
+def _static_obstruction_trial(
+    seed: np.random.SeedSequence,
+    n: int,
+    u: float,
+    d: float,
+    c: int,
+    k: int,
+    m: int,
+    num_cold_videos: Sequence[int],
+    scheme: str,
+    duration: int,
+    solver: str,
+) -> Tuple[bool, int]:
+    """One static-probe trial: ``(failed, worst unmatched request count)``."""
     gen = np.random.default_rng(seed)
     catalog = Catalog(num_videos=m, num_stripes=c, duration=duration)
     population = homogeneous_population(n, u, d)
@@ -201,7 +165,6 @@ def estimate_static_obstruction_probability(
     scheme: str = "permutation",
     random_state: RandomState = None,
     duration: int = 120,
-    n_jobs: int = 1,
     solver: str = "hopcroft_karp",
 ) -> MonteCarloResult:
     """Probability that a random allocation fails the cold-start sourcing test.
@@ -212,9 +175,6 @@ def estimate_static_obstruction_probability(
     distinct videos (one viewer per video, no cache help) and checks the
     Lemma 1 feasibility through max flow.  A trial fails if any probe is
     infeasible — i.e. the allocation admits a cold-start obstruction.
-
-    ``n_jobs > 1`` fans the trials out over worker processes; the result
-    is bit-identical to the serial run for a fixed ``random_state``.
     """
     check_positive_integer(trials, "trials")
     m = int(d * n // k)
@@ -227,12 +187,10 @@ def estimate_static_obstruction_probability(
                 f"num_cold_videos entries must lie in [1, min(m, n)] = "
                 f"[1, {min(m, n)}], got {j}"
             )
-    _allocator(scheme)  # validate the scheme before spawning workers
-    seeds = spawn_seed_sequences(random_state, trials)
-    payloads = [
-        (seed, n, u, d, c, k, m, cold, scheme, duration, solver) for seed in seeds
+    outcomes = [
+        _static_obstruction_trial(seed, n, u, d, c, k, m, cold, scheme, duration, solver)
+        for seed in spawn_seed_sequences(random_state, trials)
     ]
-    outcomes = _run_trials(_static_obstruction_trial, payloads, n_jobs)
 
     failures = 0
     details: List[Dict[str, float]] = []
@@ -258,21 +216,20 @@ def estimate_static_obstruction_probability(
 # ---------------------------------------------------------------------- #
 # Full simulation estimator
 # ---------------------------------------------------------------------- #
-def _simulation_trial(payload: tuple) -> Tuple[bool, int, int]:
-    """One full-simulator trial; top-level so process pools can pickle it."""
-    (
-        alloc_seed,
-        workload_seed,
-        population,
-        catalog,
-        k,
-        mu,
-        workload_factory,
-        num_rounds,
-        scheme,
-        scheduler_factory,
-        compensation_plan,
-    ) = payload
+def _simulation_trial(
+    alloc_seed: np.random.SeedSequence,
+    workload_seed: np.random.SeedSequence,
+    population: BoxPopulation,
+    catalog: Catalog,
+    k: int,
+    mu: float,
+    workload_factory: WorkloadFactory,
+    num_rounds: int,
+    scheme: str,
+    scheduler_factory: Optional[Callable[[Allocation], object]],
+    compensation_plan,
+) -> Tuple[bool, int, int]:
+    """One full-simulator trial: ``(failed, infeasible rounds, demands)``."""
     alloc_gen = np.random.default_rng(alloc_seed)
     workload_gen = np.random.default_rng(workload_seed)
     allocation = _allocator(scheme)(catalog, population, k, alloc_gen)
@@ -303,7 +260,6 @@ def estimate_simulation_failure_probability(
     random_state: RandomState = None,
     scheduler_factory: Optional[Callable[[Allocation], object]] = None,
     compensation_plan=None,
-    n_jobs: int = 1,
 ) -> MonteCarloResult:
     """Probability that a random allocation yields an infeasible simulated run.
 
@@ -311,16 +267,12 @@ def estimate_simulation_failure_probability(
     from ``workload_factory(rng)`` and the full simulator is run for
     ``num_rounds`` rounds; the trial fails if any round's matching is
     infeasible.
-
-    ``n_jobs > 1`` fans the trials out over worker processes (requires the
-    factories to be picklable); results are bit-identical to serial runs.
     """
     check_positive_integer(trials, "trials")
     check_positive_integer(num_rounds, "num_rounds")
-    _allocator(scheme)  # validate the scheme before spawning workers
     seeds = spawn_seed_sequences(random_state, 2 * trials)
-    payloads = [
-        (
+    outcomes = [
+        _simulation_trial(
             seeds[2 * trial],
             seeds[2 * trial + 1],
             population,
@@ -335,7 +287,6 @@ def estimate_simulation_failure_probability(
         )
         for trial in range(trials)
     ]
-    outcomes = _run_trials(_simulation_trial, payloads, n_jobs)
 
     failures = 0
     details: List[Dict[str, float]] = []
@@ -375,7 +326,6 @@ def find_max_feasible_catalog(
     random_state: RandomState = None,
     m_min: int = 1,
     m_max: Optional[int] = None,
-    n_jobs: int = 1,
 ) -> Dict[str, float]:
     """Binary-search the largest catalog whose empirical failure rate ≤ ``tolerance``.
 
@@ -416,7 +366,6 @@ def find_max_feasible_catalog(
             trials=trials_per_point,
             scheme=scheme,
             random_state=streams[seed_offset],
-            n_jobs=n_jobs,
         )
         return result.failure_probability
 

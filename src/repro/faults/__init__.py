@@ -8,9 +8,6 @@ reproducible:
   (box crash/rejoin bursts, upload brownouts, solver-budget windows)
   registered as ``"fault"`` components and applied to a live engine by a
   :class:`FaultDriver` through the existing mutation hooks;
-* :mod:`repro.faults.process` — environment-driven worker-process fault
-  injection (crash/hang/error inside campaign and Monte-Carlo pools),
-  used by the supervised pool tests and the CI ``chaos-smoke`` job;
 * :mod:`repro.faults.corrupt` — file corruption helpers (truncation,
   byte flips) for exercising store/snapshot integrity checks;
 * :mod:`repro.faults.campaign` — the ``fault_recovery`` campaign pinning

@@ -12,8 +12,7 @@ benchmark scripts into an auditable pipeline:
   content-addressed store of cell results, so re-runs are incremental
   and interrupted campaigns resume from their completed cells;
 * :func:`~repro.orchestrate.runner.run_campaign` — executes the pending
-  cells, optionally over a process pool, persisting each cell as it
-  completes;
+  cells, persisting each cell as it completes;
 * :mod:`~repro.orchestrate.campaigns` — the registered campaign
   definitions (the migrated ``benchmarks/bench_*.py`` experiments);
 * :mod:`~repro.orchestrate.report` — renders the stored results into

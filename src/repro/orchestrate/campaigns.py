@@ -1,18 +1,17 @@
 """Registered campaigns: the migrated ``benchmarks/bench_*.py`` experiments.
 
 Each experiment's *logic* lives here as a registered ``"experiment"``
-component (:mod:`repro.api.registry`) — a top-level, picklable runner
-``f(params) -> rows`` that the process-pool campaign driver can resolve
-by name in worker processes.  The campaign definitions then declare the
-paper's sweeps over those runners; the former benchmark scripts are thin
-wrappers that execute the same cells in-process and keep their
-pytest-benchmark timings and assertions.
+component (:mod:`repro.api.registry`) — a runner ``f(params) -> rows``
+that the campaign runner resolves by name.  The campaign definitions
+then declare the paper's sweeps over those runners; the former benchmark
+scripts are thin wrappers that execute the same cells without a store
+and keep their pytest-benchmark timings and assertions.
 
 Determinism contract: a runner's rows are a pure function of its params
 dict.  Anything stochastic takes an explicit ``seed`` parameter and
 derives its streams with the :mod:`repro.util.rng` helpers, exactly like
-the parallel Monte-Carlo drivers — which is what makes the content
-addressing of :mod:`repro.orchestrate.store` sound.
+the Monte-Carlo estimators — which is what makes the content addressing
+of :mod:`repro.orchestrate.store` sound.
 """
 
 from __future__ import annotations
@@ -598,7 +597,7 @@ register_campaign(
 # The fault-injection chaos runner lives with the faults subsystem
 # (which imports nothing from repro.orchestrate, so there is no cycle);
 # its CampaignSpec is built here to keep this module the single
-# registration point campaign workers import.
+# registration point of every campaign.
 from repro.faults.campaign import CHAOS_SCENARIOS, run_fault_recovery  # noqa: E402
 
 FAULT_RECOVERY_CAMPAIGN = CampaignSpec(

@@ -3,7 +3,7 @@
 Subcommands::
 
     list                         registered campaigns + store coverage
-    run NAME... [--jobs N]       execute missing cells (incremental)
+    run NAME...                  execute missing cells (incremental)
     resume NAME...               alias of run; --expect-complete asserts
                                  the store already held every cell
     report [NAME...]             render Markdown reports + the claim map
@@ -29,7 +29,6 @@ from repro.orchestrate.report import diff_reports, generate_reports
 from repro.orchestrate.runner import run_campaign
 from repro.orchestrate.spec import CampaignSpec
 from repro.orchestrate.store import ResultsStore
-from repro.orchestrate.supervise import SupervisionPolicy
 
 __all__ = ["main"]
 
@@ -79,22 +78,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
     store = ResultsStore(args.store)
     campaigns = _select(args.campaigns, args.all)
-    policy = None
-    if args.cell_timeout is not None or args.retries is not None:
-        policy = SupervisionPolicy(
-            cell_timeout=args.cell_timeout,
-            max_retries=args.retries if args.retries is not None else 2,
-        )
     exit_code = 0
     for campaign in campaigns:
         report = run_campaign(
             campaign,
             store,
-            n_jobs=args.jobs,
             force=getattr(args, "force", False),
             max_cells=getattr(args, "max_cells", None),
             progress=print,
-            policy=policy,
         )
         print(report.describe())
         if not report.complete:
@@ -185,25 +176,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def add_run_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("campaigns", nargs="*", metavar="CAMPAIGN")
         p.add_argument("--all", action="store_true", help="every registered campaign")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker processes for cell fan-out (-1: one per CPU)",
-        )
-        p.add_argument(
-            "--cell-timeout",
-            type=float,
-            default=None,
-            help="per-cell wall-clock budget in seconds for parallel runs "
-            "(hung workers are killed and the cell retried)",
-        )
-        p.add_argument(
-            "--retries",
-            type=int,
-            default=None,
-            help="retries before a failing cell is quarantined (default 2)",
-        )
         add_store_argument(p)
 
     p_run = sub.add_parser("run", help="execute a campaign's missing cells")

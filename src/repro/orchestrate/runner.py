@@ -1,30 +1,29 @@
-"""Campaign execution: incremental, resumable, optionally process-parallel.
+"""Campaign execution: incremental and resumable.
 
 :func:`run_campaign` resolves a :class:`~repro.orchestrate.spec.CampaignSpec`
 into cells, skips every cell whose content address is already in the
 :class:`~repro.orchestrate.store.ResultsStore`, and executes the missing
-ones — serially or over a process pool.  Each completed cell is persisted
-*as it finishes* (atomic write), so a campaign killed mid-run keeps its
+ones in the calling process.  Each completed cell is persisted *as it
+finishes* (atomic write), so a campaign killed mid-run keeps its
 completed cells and a subsequent ``resume`` re-executes only the gap.
 
 Cell execution is deterministic by construction: a cell's parameters
 fully determine its result (runners derive any internal randomness from
 the cell's ``seed`` parameter, via the same
-:func:`repro.util.rng.spawn_seed_sequences` discipline the parallel
-Monte-Carlo drivers use), so executing in a worker process, in a
-different order, or on a different day produces the same rows — and the
-same stored bytes.
+:func:`repro.util.rng.spawn_seed_sequences` discipline the Monte-Carlo
+estimators use), so executing in a different order, in a different
+process or on a different day produces the same rows — and the same
+stored bytes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.api.registry import component_factory
 from repro.orchestrate.spec import CampaignSpec, CellSpec
 from repro.orchestrate.store import ResultsStore
-from repro.orchestrate.supervise import QuarantinedCell, SupervisionPolicy, run_supervised
 
 __all__ = ["CellExecutionError", "ExecutionReport", "execute_cell", "execute_campaign_rows", "run_campaign"]
 
@@ -33,27 +32,9 @@ class CellExecutionError(RuntimeError):
     """A cell's runner raised or returned something other than row dicts."""
 
 
-def _resolve_runner(name: str) -> Callable[[Mapping[str, Any]], Any]:
-    # Importing the campaign definitions registers the built-in experiment
-    # runners — required in fresh worker processes, harmless elsewhere.
-    import repro.orchestrate.campaigns  # noqa: F401
-    from repro.api.registry import component_factory
-
-    return component_factory("experiment", name)
-
-
-def execute_cell(payload: Tuple[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Execute one ``(runner_name, params)`` cell; top-level so pools can pickle it."""
-    runner_name, params = payload
-    if os.environ.get("REPRO_FAULTS"):
-        # Chaos hook for the supervision tests and the CI chaos-smoke
-        # job: injected crashes/hangs/errors live *outside* the cell
-        # params, so faulted and clean stores stay byte-comparable.
-        from repro.faults.process import maybe_inject_worker_fault
-
-        maybe_inject_worker_fault(label=f"cell:{runner_name}")
-    runner = _resolve_runner(runner_name)
-    outcome = runner(params)
+def execute_cell(runner_name: str, params: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """Execute one cell: call the registered ``runner_name`` on ``params``."""
+    outcome = component_factory("experiment", runner_name)(params)
     if isinstance(outcome, Mapping):
         outcome = [outcome]
     if not isinstance(outcome, (list, tuple)) or not all(
@@ -77,9 +58,6 @@ class ExecutionReport:
     executed: List[str] = field(default_factory=list)
     #: Keys already present in the store and reused as-is.
     reused: List[str] = field(default_factory=list)
-    #: Cells that exhausted their retry budget under supervision.
-    #: Reported, never fatal; the campaign is simply incomplete.
-    quarantined: List[QuarantinedCell] = field(default_factory=list)
 
     @property
     def total_cells(self) -> int:
@@ -94,32 +72,23 @@ class ExecutionReport:
     def describe(self) -> str:
         """One-line human summary (what the CLI prints)."""
         state = "complete" if self.complete else "INCOMPLETE"
-        line = (
+        return (
             f"{self.campaign}: {self.total_cells} cells — "
             f"{len(self.executed)} executed, {len(self.reused)} reused ({state})"
         )
-        if self.quarantined:
-            line += f", {len(self.quarantined)} quarantined"
-        return line
 
 
 def run_campaign(
     campaign: CampaignSpec,
     store: ResultsStore,
-    n_jobs: Optional[int] = None,
     force: bool = False,
     max_cells: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    policy: Optional[SupervisionPolicy] = None,
 ) -> ExecutionReport:
     """Execute the campaign's missing cells against ``store``.
 
     Parameters
     ----------
-    n_jobs:
-        ``None``/``1`` for serial execution, ``-1`` for one worker per
-        CPU, otherwise a worker count (the same spec the Monte-Carlo
-        estimators take).
     force:
         Re-execute every cell even if its key is already stored.
     max_cells:
@@ -128,20 +97,16 @@ def run_campaign(
         leave a campaign deliberately incomplete).
     progress:
         Optional callback receiving one human line per executed cell.
-    policy:
-        Supervision knobs for the parallel path (per-cell timeout,
-        retry budget, backoff).  Parallel campaigns always run under the
-        supervised pool — a SIGKILLed or hung worker costs retries, not
-        the campaign; cells that exhaust their retries are *quarantined*
-        on the report instead of raising.  The serial path executes
-        in-process and propagates errors directly (``policy`` ignored).
+
+    A runner's exception propagates unchanged, after one
+    ``FAILED <key> <label>`` line to ``progress`` names the cell that
+    raised.  The cells completed before it stay stored, so ``resume``
+    re-executes only that cell and the ones after it.
 
     Returns the :class:`ExecutionReport`; ``report.executed`` is empty
     exactly when the store already held every cell — the resume-is-a-no-op
     property the CLI's ``resume --expect-complete`` asserts.
     """
-    from repro.analysis.montecarlo import _resolve_jobs
-
     say = progress or (lambda message: None)
     store.write_campaign_index(campaign)
     cells = campaign.cells()
@@ -155,42 +120,24 @@ def run_campaign(
             pending.append(cell)
     if max_cells is not None:
         pending = pending[: max(int(max_cells), 0)]
-    if not pending:
-        return report
 
-    # Runners get a copy: an in-place-normalizing runner must not change
-    # the params (and therefore the key) the result is stored under.
-    payloads = [(cell.runner, dict(cell.params)) for cell in pending]
-    jobs = _resolve_jobs(n_jobs)
-    if jobs == 1 or len(payloads) <= 1:
-        for cell, rows in zip(pending, map(execute_cell, payloads)):
-            store.put(cell, rows)
-            report.executed.append(cell.key)
-            say(f"  [{len(report.executed)}/{len(pending)}] {cell.key[:12]} {cell.label()}")
-        return report
-
-    def _persist(index: int, rows: List[Dict[str, Any]]) -> None:
-        cell = pending[index]
+    for cell in pending:
+        try:
+            # Runners get a copy: an in-place-normalizing runner must not
+            # change the params (and therefore the key) the result is
+            # stored under.
+            rows = execute_cell(cell.runner, dict(cell.params))
+        except Exception:
+            say(f"  FAILED {cell.key[:12]} {cell.label()}")
+            raise
         store.put(cell, rows)
         report.executed.append(cell.key)
         say(f"  [{len(report.executed)}/{len(pending)}] {cell.key[:12]} {cell.label()}")
-
-    _, quarantined = run_supervised(
-        payloads,
-        worker=execute_cell,
-        max_workers=min(jobs, len(payloads)),
-        policy=policy,
-        on_complete=_persist,
-        labels=[cell.label() for cell in pending],
-    )
-    report.quarantined.extend(quarantined)
-    for item in quarantined:
-        say(f"  QUARANTINED {pending[item.index].key[:12]} {item.label}: {item.reason}")
     return report
 
 
 def execute_campaign_rows(campaign: CampaignSpec) -> List[Dict[str, Any]]:
-    """Execute every cell in-process and return the concatenated rows.
+    """Execute every cell and return the concatenated rows.
 
     The store-free path the thin benchmark wrappers use: the table a
     ``bench_*.py`` module prints is exactly the table the campaign
@@ -198,5 +145,5 @@ def execute_campaign_rows(campaign: CampaignSpec) -> List[Dict[str, Any]]:
     """
     rows: List[Dict[str, Any]] = []
     for cell in campaign.cells():
-        rows.extend(execute_cell((cell.runner, cell.params)))
+        rows.extend(execute_cell(cell.runner, cell.params))
     return rows

@@ -46,8 +46,17 @@ class StoreIntegrityError(StoreError):
     """A stored record is corrupt: unparseable, mis-keyed or checksum-failed."""
 
 
+def _is_key(key: str) -> bool:
+    return len(key) == _KEY_LENGTH and all(c in "0123456789abcdef" for c in key)
+
+
+def _is_record_file(path: Path) -> bool:
+    """Whether ``path`` is named ``<key[:2]>/<key>.json`` for a valid key."""
+    return _is_key(path.stem) and path.parent.name == path.stem[:2]
+
+
 def _check_key(key: str) -> str:
-    if len(key) != _KEY_LENGTH or any(c not in "0123456789abcdef" for c in key):
+    if not _is_key(key):
         raise StoreError(f"malformed cell key {key!r} (expected hex SHA-256)")
     return key
 
@@ -149,16 +158,27 @@ class ResultsStore:
             )
         return record
 
-    def keys(self) -> List[str]:
-        """All stored cell keys, sorted."""
+    def _object_files(self) -> List[Path]:
+        """Every ``objects/*/*.json`` file, sorted, well-named or not."""
         objects = self.root / "objects"
         if not objects.is_dir():
             return []
         return sorted(
-            path.stem
+            path
             for shard in objects.iterdir()
             if shard.is_dir()
             for path in shard.glob("*.json")
+        )
+
+    def keys(self) -> List[str]:
+        """All stored cell keys, sorted.
+
+        Files under ``objects/`` that are not named after a key (a
+        ``<key> copy.json`` duplicate, a record moved to the wrong shard)
+        are not records; :meth:`verify` reports them.
+        """
+        return sorted(
+            path.stem for path in self._object_files() if _is_record_file(path)
         )
 
     def __len__(self) -> int:
@@ -172,11 +192,16 @@ class ResultsStore:
 
         Strict: a record without a ``sha256`` field counts as damaged
         (it cannot be distinguished from one whose checksum was torn
-        off).  Returns an empty list for a healthy store.
+        off), and so does a file whose name is not a record's, so that
+        :meth:`repair` removes it.  Returns an empty list for a healthy
+        store.
         """
         damage: List[StoreDamage] = []
-        for key in self.keys():
-            path = self._object_path(key)
+        for path in self._object_files():
+            key = path.stem
+            if not _is_record_file(path):
+                damage.append(StoreDamage(key, path, "malformed file name"))
+                continue
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -196,7 +221,8 @@ class ResultsStore:
         """Delete damaged object files so ``resume`` re-runs those cells.
 
         ``damage`` defaults to a fresh :meth:`verify` sweep.  Returns the
-        keys whose records were removed.  Campaign indexes are untouched
+        keys whose records were removed (the file stem, for a file with a
+        malformed name).  Campaign indexes are untouched
         — they still name the removed keys, which is exactly what lets
         ``resume`` re-execute only the damaged cells.
         """

@@ -56,9 +56,9 @@ def spawn_seed_sequences(
 ) -> List[np.random.SeedSequence]:
     """Spawn ``count`` statistically independent child seed sequences.
 
-    The children are plain :class:`numpy.random.SeedSequence` objects —
-    cheap to pickle, so the parallel Monte-Carlo driver ships them to
-    worker processes and reproduces the serial trial streams exactly.
+    The children are plain :class:`numpy.random.SeedSequence` objects,
+    spawned up front, so the Monte-Carlo estimators give each trial its
+    own stream and a trial's outcome depends only on its child seed.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -153,6 +153,29 @@ class TestVerifyRepairResumeLoop:
         run_campaign(SWEEP, store)
         assert store._object_path(key).read_bytes() == original
 
+    @pytest.mark.parametrize("stray", ["copy", "wrong_shard"])
+    def test_stray_object_file_is_reported_and_repaired(self, store, stray):
+        """A file-manager copy or a misplaced record is damage, not a key."""
+        run_campaign(SWEEP, store)
+        key = SWEEP.cell_keys()[0]
+        if stray == "copy":
+            path = store._object_path(key).with_name(f"{key} copy.json")
+        else:
+            shard = "00" if key[:2] != "00" else "01"
+            path = store.root / "objects" / shard / f"{key}.json"
+            path.parent.mkdir()
+        path.write_bytes(store._object_path(key).read_bytes())
+
+        assert store.keys() == sorted(SWEEP.cell_keys())
+        assert len(store) == 3
+        assert [(d.path, d.reason) for d in store.verify()] == [
+            (path, "malformed file name")
+        ]
+        assert store.repair() == [path.stem]
+        assert not path.exists()
+        assert store.verify() == []
+        assert run_campaign(SWEEP, store).executed == []
+
 
 # ---------------------------------------------------------------------- #
 # Corruption helpers

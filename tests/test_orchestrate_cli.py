@@ -87,6 +87,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert "stale" in captured.err
 
+    def test_keyboard_interrupt_exits_130_with_resume_hint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.orchestrate import cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_campaign", interrupted)
+        code = cli.main(["run", "threshold_formulas", "--store", str(tmp_path)])
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err
+        assert "resume" in err
+
 
 class TestReport:
     def test_report_is_byte_stable(self, store_path, tmp_path):

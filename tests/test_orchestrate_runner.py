@@ -1,4 +1,4 @@
-"""Campaign execution: incremental runs, resume, kill-recovery, parallel parity."""
+"""Campaign execution: incremental runs, resume, kill-recovery, stored bytes."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,9 @@ from repro.orchestrate.runner import (
 from repro.orchestrate.spec import CampaignSpec
 from repro.orchestrate.store import ResultsStore
 
-# A trivially cheap deterministic runner for machinery tests (serial only:
-# worker processes would not see a test-module registration).
+COMMITTED_STORE = Path(__file__).resolve().parents[1] / "results" / "store"
+
+# A trivially cheap deterministic runner for machinery tests.
 register_component(
     "experiment",
     "unit_echo",
@@ -45,20 +47,20 @@ def store(tmp_path):
 
 class TestExecuteCell:
     def test_returns_rows(self):
-        assert execute_cell(("unit_echo", {"x": 3})) == [{"x": 3, "y": 6}]
+        assert execute_cell("unit_echo", {"x": 3}) == [{"x": 3, "y": 6}]
 
     def test_single_mapping_wrapped(self):
         register_component(
             "experiment", "unit_one", lambda p: {"v": 1}, overwrite=True
         )
-        assert execute_cell(("unit_one", {})) == [{"v": 1}]
+        assert execute_cell("unit_one", {}) == [{"v": 1}]
 
     def test_bad_return_type_rejected(self):
         register_component(
             "experiment", "unit_bad", lambda p: 42, overwrite=True
         )
         with pytest.raises(CellExecutionError, match="row dict"):
-            execute_cell(("unit_bad", {}))
+            execute_cell("unit_bad", {})
 
 
 class TestRunCampaign:
@@ -122,6 +124,39 @@ class TestRunCampaign:
         assert set(report.executed) == set(spec.cell_keys())
         assert run_campaign(spec, store).executed == []  # still addressed
 
+    def test_failing_cell_is_named_and_resume_runs_only_the_rest(self, store):
+        """A runner's error propagates as-is; progress names the cell."""
+
+        class RunnerBug(Exception):
+            pass
+
+        def fails_at_three(params):
+            if params["x"] == 3:
+                raise RunnerBug("x == 3")
+            return [{"x": params["x"]}]
+
+        register_component("experiment", "unit_flaky", fails_at_three, overwrite=True)
+        spec = CampaignSpec(
+            name="unit_flaky_sweep",
+            description="",
+            runner="unit_flaky",
+            grid={"x": (1, 2, 3, 4)},
+        )
+        keys = spec.cell_keys()
+        lines = []
+        with pytest.raises(RunnerBug) as raised:
+            run_campaign(spec, store, progress=lines.append)
+        assert type(raised.value) is RunnerBug
+        assert store.keys() == sorted(keys[:2])
+        assert lines[-1] == f'  FAILED {keys[2][:12]} {{"x":3}}'
+
+        register_component(
+            "experiment", "unit_flaky", lambda p: [{"x": p["x"]}], overwrite=True
+        )
+        resumed = run_campaign(spec, store)
+        assert resumed.executed == keys[2:]
+        assert resumed.reused == keys[:2]
+
 
 class TestCrossProcess:
     def run_cli(self, args, cwd=None):
@@ -131,17 +166,17 @@ class TestCrossProcess:
             [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
         )
 
-    def test_parallel_and_serial_stores_are_byte_identical(self, tmp_path):
+    def test_fresh_run_matches_the_committed_store(self, tmp_path):
+        """A fresh run reproduces the records an earlier build committed."""
         campaign = get_campaign("threshold_formulas")
-        serial = ResultsStore(tmp_path / "serial")
-        parallel = ResultsStore(tmp_path / "parallel")
-        run_campaign(campaign, serial, n_jobs=1)
-        run_campaign(campaign, parallel, n_jobs=2)
-        assert serial.keys() == parallel.keys()
-        for key in serial.keys():
+        fresh = ResultsStore(tmp_path / "fresh")
+        committed = ResultsStore(COMMITTED_STORE)
+        run_campaign(campaign, fresh)
+        assert fresh.keys() == sorted(campaign.cell_keys())
+        for key in fresh.keys():
             assert (
-                serial._object_path(key).read_bytes()
-                == parallel._object_path(key).read_bytes()
+                fresh._object_path(key).read_bytes()
+                == committed._object_path(key).read_bytes()
             )
 
     def test_resume_after_sigkill_mid_campaign(self, tmp_path):
