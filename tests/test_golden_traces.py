@@ -48,6 +48,10 @@ GOLDEN_SCENARIOS = [
     # The adaptive adversaries: least_replicated and cold_start demand.
     ("adaptive_adversary", 1234),
     ("catalog_growth_ramp", 1234),
+    # Infeasible rounds solved by the Hopcroft–Karp kernel itself (the
+    # repair fails and no degraded fallback runs): pins its deficit path,
+    # its assignment and its Hall witness.
+    ("near_threshold_load", 1234),
 ]
 
 #: Digests of the goldens that predate the workload-realism tier, frozen
