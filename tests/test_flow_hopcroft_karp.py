@@ -1,10 +1,14 @@
 """Cross-validation of the Hopcroft–Karp kernel against the max-flow solvers."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.flow import MAX_FLOW_SOLVERS
+from repro.flow import hopcroft_karp as hk_module
 from repro.flow.bipartite import solve_b_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.network import build_bipartite_network
@@ -44,6 +48,33 @@ def assert_valid_assignment(result, num_right, edges, caps):
     assert all(load <= cap for load, cap in zip(loads, caps))
     assert result.matched == sum(loads)
     assert result.feasible == (result.matched == len(result.assignment))
+
+
+def csr_instance(seed):
+    """A seeded CSR instance with unsorted rows and duplicate edges.
+
+    Odd seeds are small (up to 40 lefts), so the greedy deficit mostly
+    stays within the single-source Kuhn threshold.  Even seeds have 50 to
+    400 lefts and scarce capacity, so most calls reach the layered phases.
+    """
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        num_left, num_right = int(rng.integers(1, 41)), int(rng.integers(1, 21))
+        max_cap, max_degree = 3, 5
+    else:
+        num_left, num_right = int(rng.integers(50, 401)), int(rng.integers(5, 81))
+        max_cap, max_degree = 2, 6
+    caps = rng.integers(0, max_cap + 1, size=num_right)
+    indptr = np.zeros(num_left + 1, dtype=np.int64)
+    np.cumsum(rng.integers(0, max_degree + 1, size=num_left), out=indptr[1:])
+    indices = rng.integers(0, num_right, size=int(indptr[-1]))
+    return rng, num_left, num_right, indptr, indices, caps
+
+
+def csr_edges(indptr, indices):
+    """The ``(left, right)`` edge list of a CSR adjacency."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return list(zip(rows.tolist(), np.asarray(indices).tolist()))
 
 
 class TestKernelAgainstMaxFlowSolvers:
@@ -117,6 +148,108 @@ class TestKernelAgainstMaxFlowSolvers:
             assert again.matched == cold.matched
             assert again.feasible == cold.feasible
             assert_valid_assignment(again, num_right, edges, caps)
+
+
+#: SHA-256 of the kernel's exact output over the ``csr_instance`` batch:
+#: seeds 0..39, each solved cold, from its exact optimum, from a stale
+#: assignment and from garbage.  Any change to which maximum matching,
+#: deficient set or Hall witness the kernel returns moves this digest.
+PINNED_KERNEL_DIGEST = "b04b8fe30deb287c4c11858e1140b35d6d92fbc420e248db978ca7f53d743ce5"
+
+
+class TestKernelOutputPin:
+    def test_batch_output_is_pinned(self, monkeypatch):
+        kuhn_calls = [0]
+        kuhn_augment = hk_module._kuhn_augment
+
+        def counting_kuhn_augment(*args):
+            kuhn_calls[0] += 1
+            return kuhn_augment(*args)
+
+        monkeypatch.setattr(hk_module, "_kuhn_augment", counting_kuhn_augment)
+        digest = hashlib.sha256()
+        kuhn_then_phases = phase_path = 0
+        for seed in range(40):
+            rng, num_left, num_right, indptr, indices, caps = csr_instance(seed)
+            cold = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
+            # A maximum matching of the same rows under looser capacities:
+            # like a previous round's, it overloads boxes and is not maximal.
+            stale = hopcroft_karp_matching(
+                num_left, num_right, indptr, indices, caps + 1
+            ).assignment
+            garbage = rng.integers(-2, num_right + 2, size=num_left)
+            for warm in (None, cold.assignment, stale, garbage):
+                before = kuhn_calls[0]
+                result = hopcroft_karp_matching(
+                    num_left, num_right, indptr, indices, caps,
+                    initial_assignment=warm,
+                )
+                deficit = num_left - result.matched
+                kuhn_then_phases += kuhn_calls[0] > before and deficit > 0
+                phase_path += deficit > max(8, math.isqrt(num_left))
+                digest.update(result.assignment.astype("<i8").tobytes())
+                digest.update(repr((
+                    result.feasible,
+                    result.matched,
+                    result.deficient_left,
+                    result.unsatisfied_witness,
+                )).encode())
+        # The batch reaches both deficit paths: a failed Kuhn search that
+        # falls through to the phases, and a deficit above the threshold.
+        assert kuhn_then_phases > 0 and phase_path > 0
+        assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+
+def scarce_instance(seed):
+    """A medium instance whose capacity falls well short of its demand."""
+    rng = np.random.default_rng(seed)
+    num_left = int(rng.integers(20, 301))
+    # Mean capacity 1 per box: total capacity is about 30-100% of the lefts.
+    num_right = max(1, int(num_left * rng.uniform(0.3, 1.0)))
+    caps = rng.integers(0, 3, size=num_right)
+    indptr = np.zeros(num_left + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 6, size=num_left), out=indptr[1:])
+    indices = rng.integers(0, num_right, size=int(indptr[-1]))
+    return rng, num_left, num_right, indptr, indices, caps
+
+
+class TestPhasePathWithWarmStarts:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 100_000),
+        warm_kind=st.sampled_from(["stale", "garbage", "partial"]),
+    )
+    def test_warm_started_deficit_is_maximum_with_a_hall_witness(self, seed, warm_kind):
+        rng, num_left, num_right, indptr, indices, caps = scarce_instance(seed)
+        if warm_kind == "stale":
+            warm = hopcroft_karp_matching(
+                num_left, num_right, indptr, indices, caps + 1
+            ).assignment
+        elif warm_kind == "garbage":
+            warm = rng.integers(-2, num_right + 2, size=num_left)
+        else:
+            warm = hopcroft_karp_matching(
+                num_left, num_right, indptr, indices, caps
+            ).assignment.copy()
+            warm[rng.random(num_left) < 0.5] = -1
+        result = hopcroft_karp_matching(
+            num_left, num_right, indptr, indices, caps, initial_assignment=warm
+        )
+        edges = csr_edges(indptr, indices)
+        assert_valid_assignment(result, num_right, edges, caps.tolist())
+        dinic = solve_b_matching(num_left, num_right, edges, caps.tolist(), method="dinic")
+        assert result.matched == dinic.matched
+        unmatched = tuple(np.flatnonzero(result.assignment < 0).tolist())
+        assert result.deficient_left == unmatched
+        if not unmatched:
+            assert result.unsatisfied_witness is None
+            return
+        witness = result.unsatisfied_witness
+        assert set(unmatched) <= set(witness)
+        neighbourhood = {
+            int(j) for i in witness for j in indices[indptr[i]:indptr[i + 1]]
+        }
+        assert sum(int(caps[j]) for j in neighbourhood) < len(witness)
 
 
 class TestKernelEdgeCases:
