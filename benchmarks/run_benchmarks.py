@@ -193,9 +193,15 @@ def bench_obstruction_estimator(n, trials, repeats) -> Dict[str, object]:
 
 
 def cross_validate_kernels(instances, seed) -> Dict[str, object]:
-    """HK vs Dinic on randomized bipartite instances (flow value + validity)."""
+    """HK vs Dinic on randomized bipartite instances.
+
+    Checks flow value, feasibility and validity, and on every infeasible
+    instance that the HK witness holds every deficient left and violates
+    Hall's condition: its neighbourhood's summed capacity is below its size.
+    """
     rng = np.random.default_rng(seed)
     agreements = 0
+    infeasible_checked = 0
     for _ in range(instances):
         num_left = int(rng.integers(1, 40))
         num_right = int(rng.integers(1, 25))
@@ -218,7 +224,20 @@ def cross_validate_kernels(instances, seed) -> Dict[str, object]:
                 assert (i, int(j)) in edge_set, "assignment uses a non-edge"
                 loads[int(j)] += 1
         assert all(l <= cap for l, cap in zip(loads, caps)), "capacity violated"
-    return {"instances": instances, "agreements": agreements, "all_agree": agreements == instances}
+        if not new.feasible:
+            witness = set(new.unsatisfied_witness or ())
+            assert set(new.deficient_left) <= witness, "witness misses a deficient left"
+            neighbourhood = {j for i, j in edges if i in witness}
+            assert sum(caps[j] for j in neighbourhood) < len(witness), (
+                "witness does not violate Hall's condition"
+            )
+            infeasible_checked += 1
+    return {
+        "instances": instances,
+        "agreements": agreements,
+        "infeasible_checked": infeasible_checked,
+        "all_agree": agreements == instances,
+    }
 
 
 def main(argv=None) -> int:
@@ -258,7 +277,8 @@ def main(argv=None) -> int:
     checks = cross_validate_kernels(xval, seed=1)
     print(
         f"[bench] cross-validation: {checks['agreements']}/{checks['instances']} "
-        f"instances agree (HK vs Dinic)"
+        f"instances agree (HK vs Dinic), {checks['infeasible_checked']} Hall "
+        f"witnesses checked"
     )
 
     kernel_speedup = next(r for r in results if r["name"] == "unit_matching_kernel")["speedup"]

@@ -10,12 +10,19 @@ module solves the same problem directly on a CSR (``indptr``/``indices``)
 adjacency with a capacitated Hopcroft–Karp:
 
 * a greedy pass matches the easy requests in ``O(E)``;
-* alternating BFS/DFS phases augment along shortest paths only
-  (``O(E·√V)`` phases bound, as for classical Hopcroft–Karp);
+* a small deficit is cleared one free left at a time (Kuhn), a larger
+  one by alternating BFS/DFS phases that augment along shortest paths
+  only (``O(E·√V)`` phases bound, as for classical Hopcroft–Karp);
 * an optional *warm start* seeds the matching with a previous round's
   assignment, so only the changed part of the instance is re-solved;
 * when the instance is infeasible, the final BFS frontier yields the same
   generalized-Hall witness (Lemma 1) the min-cut extraction produced.
+
+The searches read the instance on demand: a left's row and a right
+node's list of matched lefts become Python lists (:class:`_LazyRows`)
+only when a search first visits them.  An infeasible round whose Hall
+witness is a few dozen lefts therefore pays Python work for the rows its
+searches touch, not for the whole CSR.
 
 The kernel is exact and deterministic: for a fixed instance it always
 returns the same assignment (warm starts may change *which* maximum
@@ -127,116 +134,101 @@ def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
     return keys
 
 
-class _LazyRightMatches:
-    """Per-right matched-left lists, materialized on first touch.
+class _LazyRows(dict):
+    """The rows of a CSR as Python lists, each converted on first touch.
 
-    Built from the warm/greedy adoption order as a CSR; a right node's
-    mutable list is created only when an augmentation actually visits it,
-    so small-deficit rounds touch O(path) lists instead of building all
-    ``num_right`` of them.
+    ``rows[i]`` is ``values[indptr[i]:indptr[i + 1]].tolist()``, cached, so
+    a search pays Python work only for the rows it actually visits.  A
+    cached row is a plain dict hit; only a first touch runs Python code.
+    The cached lists may be mutated in place (the per-right matched-left
+    lists are).
     """
 
-    __slots__ = ("_num_right", "_indptr", "_lefts", "_rows")
+    __slots__ = ("_indptr", "_values")
 
-    def __init__(
-        self,
-        num_right: int,
-        warm_i: np.ndarray,
-        warm_b: np.ndarray,
-        greedy_pairs: List[Tuple[int, int]],
-    ):
-        self._num_right = num_right
-        n_greedy = len(greedy_pairs)
-        seq_i = np.empty(warm_i.size + n_greedy, dtype=np.int64)
-        seq_b = np.empty(warm_i.size + n_greedy, dtype=np.int64)
-        seq_i[: warm_i.size] = warm_i
-        seq_b[: warm_i.size] = warm_b
-        for k, (i, b) in enumerate(greedy_pairs):
-            seq_i[warm_i.size + k] = i
-            seq_b[warm_i.size + k] = b
-        # Stable sort by right node keeps, per node, the exact adoption
-        # order (warm pairs in left order, then greedy first-fits).
-        order = _stable_right_order(seq_b)
-        self._lefts = seq_i[order]
-        counts = np.bincount(seq_b, minlength=num_right) if seq_b.size else np.zeros(
-            num_right, dtype=np.int64
-        )
-        self._indptr = np.zeros(num_right + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._rows: dict = {}
+    def __init__(self, indptr: np.ndarray, values: np.ndarray):
+        super().__init__()
+        self._indptr = indptr
+        self._values = values
 
-    def __getitem__(self, j) -> List[int]:
-        j = int(j)
-        row = self._rows.get(j)
-        if row is None:
-            row = self._rows[j] = self._lefts[
-                self._indptr[j]: self._indptr[j + 1]
-            ].tolist()
+    def __missing__(self, i) -> List[int]:
+        row = self[i] = self._values[self._indptr[i]: self._indptr[i + 1]].tolist()
         return row
 
-    def materialize(self) -> List[List[int]]:
-        """All per-right lists (mutations included), for the BFS fallback."""
-        return [self[j] for j in range(self._num_right)]
+
+def _right_matches(num_right: int, lefts: np.ndarray, rights: np.ndarray) -> _LazyRows:
+    """Per-right matched-left lists of the pairs ``(lefts[k], rights[k])``.
+
+    A stable sort by right node keeps, per node, the order the pairs come
+    in: the kernel passes them in adoption order (warm pairs, then greedy
+    first-fits), the repair in left order.
+    """
+    indptr = np.zeros(num_right + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rights, minlength=num_right), out=indptr[1:])
+    return _LazyRows(indptr, lefts[_stable_right_order(rights)])
 
 
-def _kuhn_augment(i0: int, starts, adj, cap, load, match_left, right_matches) -> bool:
+def _kuhn_augment(i0: int, rows, cap, load, match_left, right_matches) -> bool:
     """Single-source augmentation without layering (small deficits).
 
     Iterative DFS over alternating paths; every full right node is
-    expanded at most once, so one call costs O(V + E).  A left for
-    which it fails has no augmenting path — and by the standard
-    monotonicity lemma never will, whatever else gets augmented.
+    expanded at most once, so one call costs O(V + E) in the worst case,
+    but it reads only the rows it visits: ``rows[i]`` is left ``i``'s list
+    of right neighbours and ``right_matches[j]`` the mutable list of lefts
+    matched to ``j`` (both :class:`_LazyRows`).  A left for which it fails
+    has no augmenting path — and by the standard monotonicity lemma never
+    will, whatever else gets augmented.
 
-    Generic over list- and array-backed structures: ``starts``/``adj``/
-    ``cap`` are read element-wise, ``load``/``match_left`` are mutated
-    element-wise, and ``right_matches[j]`` must yield the mutable list of
-    lefts matched to ``j``.
+    ``cap`` is read element-wise and ``load``/``match_left`` are mutated
+    element-wise, so lists and arrays both serve.
     """
     visited = set()
-    # Frame: [left node, current edge index, child position in the
-    # current edge's right_matches list (advanced while backtracking)].
-    stack: List[List[int]] = [[i0, starts[i0], 0]]
+    # Frame: [left node, its row, position in the row, child position in
+    # the current right node's right_matches list (advanced while
+    # backtracking)].
+    stack: List[list] = [[i0, rows[i0], 0, 0]]
     while stack:
         frame = stack[-1]
-        i, e = frame[0], frame[1]
-        end = starts[i + 1]
+        i, row, p = frame[0], frame[1], frame[2]
+        end = len(row)
         descended = False
-        while e < end:
-            j = adj[e]
+        while p < end:
+            j = row[p]
             if load[j] < cap[j]:
-                frame[1] = e
+                frame[2] = p
                 right_matches[j].append(i)
                 load[j] += 1
                 match_left[i] = j
                 for t in range(len(stack) - 2, -1, -1):
-                    fi, fe, fm = stack[t]
-                    jt = adj[fe]
+                    fi, frow, fp, fm = stack[t]
+                    jt = frow[fp]
                     right_matches[jt][fm] = fi
                     match_left[fi] = jt
                 return True
             if j not in visited:
                 visited.add(j)
-                row = right_matches[j]
-                if row:
-                    frame[1], frame[2] = e, 0
-                    stack.append([row[0], starts[row[0]], 0])
+                matched_lefts = right_matches[j]
+                if matched_lefts:
+                    frame[2], frame[3] = p, 0
+                    i2 = matched_lefts[0]
+                    stack.append([i2, rows[i2], 0, 0])
                     descended = True
                     break
-            e += 1
+            p += 1
         if descended:
             continue
         stack.pop()
         if stack:
             parent = stack[-1]
-            pj = adj[parent[1]]
-            parent[2] += 1
-            row = right_matches[pj]
-            if parent[2] < len(row):
-                i2 = row[parent[2]]
-                stack.append([i2, starts[i2], 0])
+            pj = parent[1][parent[2]]
+            parent[3] += 1
+            matched_lefts = right_matches[pj]
+            if parent[3] < len(matched_lefts):
+                i2 = matched_lefts[parent[3]]
+                stack.append([i2, rows[i2], 0, 0])
             else:
-                parent[1] += 1
-                parent[2] = 0
+                parent[2] += 1
+                parent[3] = 0
     return False
 
 
@@ -283,6 +275,19 @@ def hopcroft_karp_matching(
     if indptr_arr.shape != (num_left + 1,):
         raise ValueError("indptr must have num_left + 1 entries")
     indices_arr = np.asarray(indices, dtype=np.int64)
+    # The same checks as csr_from_edges: a malformed CSR would otherwise
+    # fail far from the cause, or (a negative right id indexing from the
+    # end) return a wrong matching.
+    if indptr_arr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    if indptr_arr[-1] != indices_arr.size:
+        raise ValueError("indptr must end at len(indices)")
+    if num_left and int(np.diff(indptr_arr).min()) < 0:
+        raise ValueError("indptr must be non-decreasing")
+    # One pass for both bounds: viewed as unsigned, a negative id exceeds
+    # every valid one.
+    if indices_arr.size and int(indices_arr.view(np.uint64).max()) >= num_right:
+        raise ValueError("indices must be right-node ids in [0, num_right)")
     cap_arr = np.asarray(right_capacities, dtype=np.int64)
     if cap_arr.shape != (num_right,):
         raise ValueError("right_capacities must have one entry per right node")
@@ -291,11 +296,10 @@ def hopcroft_karp_matching(
 
     match_arr = np.full(num_left, -1, dtype=np.int64)
     load_arr = np.zeros(num_right, dtype=np.int64)
-    # Per-right matched lefts, in the exact adoption order of the scalar
-    # algorithm: warm-validated pairs (ascending left) first, then greedy
-    # first-fits.  Only materialized on the (rare) deficit fallback.
+    # The adopted pairs, in the order that fixes each right node's list of
+    # matched lefts: warm-validated pairs (ascending left per right node)
+    # first, then greedy first-fits.
     warm_i = warm_b = np.empty(0, dtype=np.int64)
-    greedy_pairs: List[Tuple[int, int]] = []
 
     # Warm start: adopt still-valid pairs of a previous assignment.  A
     # pair survives when the right node is still adjacent and (processing
@@ -352,39 +356,45 @@ def hopcroft_karp_matching(
     # inherently sequential; the unmatched rows are gathered into plain
     # Python lists once so the inner scan avoids NumPy scalar indexing.
     unmatched = np.flatnonzero(match_arr < 0)
-    if unmatched.size:
-        row_starts = indptr_arr[unmatched]
-        row_lens = (indptr_arr[unmatched + 1] - row_starts).tolist()
-        total = int(sum(row_lens))
-        if total:
-            gather = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum([0] + row_lens[:-1]), row_lens)
-                + np.repeat(row_starts, row_lens)
-            )
-            flat_rows = indices_arr[gather].tolist()
-        else:
-            flat_rows = []
-        load = load_arr.tolist()
-        cap = cap_arr.tolist()
-        offset = 0
-        for i, row_len in zip(unmatched.tolist(), row_lens):
-            for e in range(offset, offset + row_len):
-                j = flat_rows[e]
-                if load[j] < cap[j]:
-                    match_arr[i] = j
-                    load[j] += 1
-                    greedy_pairs.append((i, j))
-                    break
-            offset += row_len
-        if greedy_pairs:
-            greedy_b = np.fromiter(
-                (b for _, b in greedy_pairs), dtype=np.int64, count=len(greedy_pairs)
-            )
-            load_arr += np.bincount(greedy_b, minlength=num_right).astype(np.int64)
+    if not unmatched.size:
+        return HKMatchingResult(
+            feasible=True,
+            assignment=match_arr,
+            matched=num_left,
+            deficient_left=(),
+            unsatisfied_witness=None,
+        )
+    row_starts = indptr_arr[unmatched]
+    row_lens = (indptr_arr[unmatched + 1] - row_starts).tolist()
+    total = int(sum(row_lens))
+    if total:
+        gather = (
+            np.arange(total, dtype=np.int64)
+            - np.repeat(np.cumsum([0] + row_lens[:-1]), row_lens)
+            + np.repeat(row_starts, row_lens)
+        )
+        flat_rows = indices_arr[gather].tolist()
+    else:
+        flat_rows = []
+    load = load_arr.tolist()
+    cap = cap_arr.tolist()
+    greedy_i: List[int] = []
+    greedy_b: List[int] = []
+    offset = 0
+    for i, row_len in zip(unmatched.tolist(), row_lens):
+        for e in range(offset, offset + row_len):
+            j = flat_rows[e]
+            if load[j] < cap[j]:
+                match_arr[i] = j
+                load[j] += 1
+                greedy_i.append(i)
+                greedy_b.append(j)
+                break
+        offset += row_len
 
-    matched = int((match_arr >= 0).sum())
-    if matched == num_left:
+    free = np.flatnonzero(match_arr < 0)
+    matched = num_left - free.size
+    if not free.size:
         return HKMatchingResult(
             feasible=True,
             assignment=match_arr,
@@ -393,20 +403,15 @@ def hopcroft_karp_matching(
             unsatisfied_witness=None,
         )
 
-    # Deficit remains: fall back to the scalar augmenting machinery on
-    # plain-list structures (faster for element-wise traversal), seeded
-    # with exactly the state the scalar algorithm would have built.
-    starts = indptr_arr.tolist()
-    adj: List[int] = indices_arr.tolist()
-    cap = cap_arr.tolist()
-    match_left = match_arr.tolist()
-    load = load_arr.tolist()
-
-    # Small deficits — the typical warm-started round — augment one source
-    # at a time with Kuhn, which touches only a small neighbourhood; the
-    # per-right matched lists are materialized lazily so the round never
-    # pays for all ``num_right`` of them.
-    deficit = num_left - matched
+    # Deficit remains: augment from the free lefts.  The searches read
+    # rows on demand: a left's row, and a right node's list of matched
+    # lefts, become Python lists only when a search first visits them.
+    rows = _LazyRows(indptr_arr, indices_arr)
+    right_matches = _right_matches(
+        num_right,
+        np.concatenate((warm_i, np.asarray(greedy_i, dtype=np.int64))),
+        np.concatenate((warm_b, np.asarray(greedy_b, dtype=np.int64))),
+    )
     searches_spent = 0
 
     def _charge_search() -> None:
@@ -418,43 +423,37 @@ def hopcroft_karp_matching(
                 f"exhausted with a deficit of {num_left - matched} left"
             )
 
-    lazy_rm: Optional[_LazyRightMatches] = None
-    if 0 < deficit <= max(8, math.isqrt(num_left)):
-        lazy_rm = _LazyRightMatches(num_right, warm_i, warm_b, greedy_pairs)
-        for i in range(num_left):
-            if match_left[i] < 0:
-                _charge_search()
-                if _kuhn_augment(i, starts, adj, cap, load, match_left, lazy_rm):
-                    matched += 1
+    # Small deficits — the typical warm-started round — augment one source
+    # at a time with Kuhn, which touches only a small neighbourhood.  An
+    # augmenting path never unmatches a left, so the lefts free before the
+    # loop are exactly those found free when it reaches them.
+    if free.size <= max(8, math.isqrt(num_left)):
+        for i in free.tolist():
+            _charge_search()
+            if _kuhn_augment(i, rows, cap, load, match_arr, right_matches):
+                matched += 1
         if matched == num_left:
             return HKMatchingResult(
                 feasible=True,
-                assignment=np.asarray(match_left, dtype=np.int64),
+                assignment=match_arr,
                 matched=matched,
                 deficient_left=(),
                 unsatisfied_witness=None,
             )
-
-    if lazy_rm is not None:
-        right_matches = lazy_rm.materialize()
-    else:
-        right_matches = [[] for _ in range(num_right)]
-        for i, b in zip(warm_i.tolist(), warm_b.tolist()):
-            right_matches[b].append(i)
-        for i, b in greedy_pairs:
-            right_matches[b].append(i)
+        free = free[match_arr[free] < 0]
 
     dist: List[float] = [_INF] * num_left
+    # The lefts the latest BFS layered; after a failed BFS, the witness.
+    reached: List[int] = []
 
-    def bfs() -> float:
+    def bfs(free_lefts: List[int]) -> float:
         """Layer the lefts by alternating-path distance from the free ones."""
-        queue: deque = deque()
-        for i in range(num_left):
-            if match_left[i] < 0:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = _INF
+        for i in reached:
+            dist[i] = _INF
+        reached[:] = free_lefts
+        for i in free_lefts:
+            dist[i] = 0
+        queue = deque(free_lefts)
         seen_right = [False] * num_right
         dist_nil = _INF
         while queue:
@@ -463,8 +462,7 @@ def hopcroft_karp_matching(
             if di >= dist_nil:
                 continue
             dn = di + 1
-            for e in range(starts[i], starts[i + 1]):
-                j = adj[e]
+            for j in rows[i]:
                 if load[j] < cap[j]:
                     if dn < dist_nil:
                         dist_nil = dn
@@ -476,80 +474,82 @@ def hopcroft_karp_matching(
                         if dist[i2] == _INF:
                             dist[i2] = dn
                             queue.append(i2)
+                            reached.append(i2)
         return dist_nil
 
-    def augment(i0: int, ptr: List[int], dist_nil: float) -> bool:
+    def augment(i0: int, dist_nil: float) -> bool:
         """Iterative layered DFS from free left ``i0``; applies one augmentation."""
-        # Frame: [left node, current edge index, position in right_matches].
-        stack: List[List[int]] = [[i0, ptr[i0], 0]]
+        # Frame: [left node, its row, position in the row, position in
+        # right_matches].  Every frame starts at its row's head: a left
+        # whose search dead-ends leaves the layering, so is never resumed.
+        stack: List[list] = [[i0, rows[i0], 0, 0]]
         while stack:
             frame = stack[-1]
-            i, e, m = frame
-            end = starts[i + 1]
+            i, row, p, m = frame
+            end = len(row)
             descended = False
-            while e < end:
-                j = adj[e]
+            while p < end:
+                j = row[p]
                 layer = dist[i] + 1
                 if load[j] < cap[j] and layer == dist_nil:
                     # Free capacity at the frontier layer: augment the path.
-                    frame[1] = e
+                    frame[2] = p
                     right_matches[j].append(i)
                     load[j] += 1
-                    match_left[i] = j
+                    match_arr[i] = j
                     for t in range(len(stack) - 2, -1, -1):
-                        fi, fe, fm = stack[t]
-                        jt = adj[fe]
+                        fi, frow, fp, fm = stack[t]
+                        jt = frow[fp]
                         # Replace the deeper left (rematched above) in place:
                         # the right node's load is unchanged.
                         right_matches[jt][fm] = fi
-                        match_left[fi] = jt
+                        match_arr[fi] = jt
                     return True
-                row = right_matches[j]
-                while m < len(row):
-                    i2 = row[m]
+                matched_lefts = right_matches[j]
+                while m < len(matched_lefts):
+                    i2 = matched_lefts[m]
                     if dist[i2] == layer:
-                        frame[1], frame[2] = e, m
-                        stack.append([i2, ptr[i2], 0])
+                        frame[2], frame[3] = p, m
+                        stack.append([i2, rows[i2], 0, 0])
                         descended = True
                         break
                     m += 1
                 if descended:
                     break
-                e += 1
+                p += 1
                 m = 0
             if descended:
                 continue
             # Dead end: prune this left for the rest of the phase.
-            ptr[i] = end
             dist[i] = _INF
             stack.pop()
             if stack:
-                stack[-1][2] += 1
+                stack[-1][3] += 1
         return False
 
-    while matched < num_left:
-        dist_nil = bfs()
+    while True:
+        free_lefts = free.tolist()
+        dist_nil = bfs(free_lefts)
         if dist_nil == _INF:
             break
-        # Per-left persistent edge pointers (reset at each phase).
-        ptr = starts[:num_left]
-        for i in range(num_left):
-            if match_left[i] < 0:
-                _charge_search()
-                if augment(i, ptr, dist_nil):
-                    matched += 1
+        for i in free_lefts:
+            _charge_search()
+            if augment(i, dist_nil):
+                matched += 1
+        if matched == num_left:
+            break
+        free = free[match_arr[free] < 0]
 
-    assignment = np.asarray(match_left, dtype=np.int64)
-    deficient = tuple(i for i in range(num_left) if match_left[i] < 0)
+    deficient = tuple(np.flatnonzero(match_arr < 0).tolist())
     witness: Optional[Tuple[int, ...]] = None
     if deficient:
-        # ``dist`` holds the final (failed) BFS layering: the lefts reachable
-        # from the unmatched ones form the Hall-violating subset, exactly as
-        # the min-cut extraction of the flow formulation.
-        witness = tuple(i for i in range(num_left) if dist[i] != _INF)
+        # The loop only leaves a deficit after a failed BFS: the lefts it
+        # reached from the unmatched ones form the Hall-violating subset,
+        # exactly as the min-cut extraction of the flow formulation.
+        witness = tuple(sorted(reached))
     return HKMatchingResult(
         feasible=not deficient,
-        assignment=assignment,
+        assignment=match_arr,
         matched=matched,
         deficient_left=deficient,
         unsatisfied_witness=witness,
@@ -566,8 +566,8 @@ def _kuhn_augment_lazy(
     """One shortest-augmenting-path search over lazily materialized rows.
 
     Plays the role of :func:`_kuhn_augment` in the incremental repair,
-    but rows are fetched on demand through ``get_row(i) -> (boxes_array,
-    boxes_list, expiry_list)`` instead of a global CSR, so a repair
+    but there is no CSR of the round: rows are gathered on demand through
+    ``get_row(i) -> (boxes_array, boxes_list, expiry_list)``, so a repair
     touches only the adjacency of the lefts an actual alternating path
     visits.  On success the flipped pairs' expiries are written into
     ``pair_expiry`` so the caller's retirement bookkeeping stays exact.
@@ -680,9 +680,7 @@ def repair_matching(
     if search_budget is not None and len(deficit_rows) > search_budget:
         return False
     matched_i = np.flatnonzero(assignment >= 0)
-    right_matches = _LazyRightMatches(
-        num_right, matched_i, assignment[matched_i], []
-    )
+    right_matches = _right_matches(num_right, matched_i, assignment[matched_i])
     has_free = load < right_capacities
     # Shared across the round's searches: bounds the total displacement
     # work at roughly the cost of one cold solve, whatever the instance.

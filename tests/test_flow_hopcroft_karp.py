@@ -290,6 +290,22 @@ class TestKernelEdgeCases:
             hopcroft_karp_matching(
                 1, 1, [0, 0], [], [1], initial_assignment=[0, 0]
             )  # wrong warm-start length
+        # A negative right id once indexed the last box and returned a
+        # "feasible" matching over a non-edge.
+        with pytest.raises(ValueError, match=r"\[0, num_right\)"):
+            hopcroft_karp_matching(
+                2, 3, [0, 2, 3], [0, -1, 0], [1, 0, 1], initial_assignment=[0, -1]
+            )
+        with pytest.raises(ValueError, match=r"\[0, num_right\)"):
+            hopcroft_karp_matching(1, 2, [0, 1], [2], [1, 1])  # right id too large
+        with pytest.raises(ValueError, match="non-decreasing"):
+            hopcroft_karp_matching(3, 2, [0, 2, 1, 2], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="start at 0"):
+            hopcroft_karp_matching(1, 2, [1, 2], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="end at len"):
+            hopcroft_karp_matching(1, 2, [0, 1], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="end at len"):
+            hopcroft_karp_matching(1, 2, [0, 3], [0, 1], [1, 1])
         with pytest.raises(ValueError):
             csr_from_edges(1, 1, [(1, 0)])
         with pytest.raises(ValueError):
