@@ -37,7 +37,8 @@ from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
-from repro.flow.bipartite import solve_b_matching
+from repro.flow.bipartite import hall_deficiency, solve_b_matching
+from repro.flow.hopcroft_karp import csr_from_edges
 
 
 def best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -196,8 +197,8 @@ def cross_validate_kernels(instances, seed) -> Dict[str, object]:
     """HK vs Dinic on randomized bipartite instances.
 
     Checks flow value, feasibility and validity, and on every infeasible
-    instance that the HK witness holds every deficient left and violates
-    Hall's condition: its neighbourhood's summed capacity is below its size.
+    instance that the HK witness holds every deficient left and is exact:
+    its Hall deficiency equals the number of unmatched lefts.
     """
     rng = np.random.default_rng(seed)
     agreements = 0
@@ -225,11 +226,11 @@ def cross_validate_kernels(instances, seed) -> Dict[str, object]:
                 loads[int(j)] += 1
         assert all(l <= cap for l, cap in zip(loads, caps)), "capacity violated"
         if not new.feasible:
-            witness = set(new.unsatisfied_witness or ())
-            assert set(new.deficient_left) <= witness, "witness misses a deficient left"
-            neighbourhood = {j for i, j in edges if i in witness}
-            assert sum(caps[j] for j in neighbourhood) < len(witness), (
-                "witness does not violate Hall's condition"
+            witness = new.unsatisfied_witness or ()
+            assert set(new.deficient_left) <= set(witness), "witness misses a deficient left"
+            indptr, indices = csr_from_edges(num_left, num_right, edges)
+            assert hall_deficiency(witness, indptr, indices, caps) == num_left - new.matched, (
+                "witness deficiency differs from the unmatched count"
             )
             infeasible_checked += 1
     return {

@@ -6,9 +6,7 @@ One registry serves every component *kind* the facade can wire:
 kind             factory signature                                   built-in names
 ===============  ==================================================  =========================
 ``solver``       ``f(upload_slots) -> Solver``                       ``hopcroft_karp``,
-                                                                     ``dinic``,
-                                                                     ``push_relabel``,
-                                                                     ``edmonds_karp``
+                                                                     ``dinic``
 ``scheduler``    ``f(catalog, **params) -> RequestScheduler``        ``preloading``,
                                                                      ``immediate``
 ``workload``     ``f(params, start, mu, rng) -> DemandGenerator``    the 8 scenario kinds
@@ -47,7 +45,7 @@ from repro.core.allocation import (
     random_permutation_allocation,
     round_robin_allocation,
 )
-from repro.core.matching import ConnectionMatcher
+from repro.core.matching import MATCHING_SOLVERS, ConnectionMatcher
 from repro.core.parameters import (
     homogeneous_population,
     pareto_population,
@@ -156,13 +154,13 @@ def _solver_factory(kernel: str) -> Callable[..., ConnectionMatcher]:
     return build
 
 
-for _kernel, _desc in (
-    ("hopcroft_karp", "capacitated Hopcroft–Karp on CSR adjacency (default)"),
-    ("dinic", "Dinic max-flow oracle"),
-    ("push_relabel", "push–relabel max-flow oracle"),
-    ("edmonds_karp", "Edmonds–Karp max-flow oracle"),
-):
-    register_component("solver", _kernel, _solver_factory(_kernel), _desc)
+for _kernel in MATCHING_SOLVERS:
+    register_component(
+        "solver",
+        _kernel,
+        _solver_factory(_kernel),
+        f"ConnectionMatcher(solver={_kernel!r})",
+    )
 
 
 # ---------------------------------------------------------------------- #

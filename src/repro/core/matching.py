@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.video import StripeId
-from repro.flow.bipartite import BMatchingResult, FLOW_SOLVERS, solve_b_matching
+from repro.flow.bipartite import BMatchingResult, solve_b_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
     _stable_right_order,
@@ -48,6 +48,7 @@ __all__ = [
     "PossessionIndex",
     "ConnectionMatching",
     "ConnectionMatcher",
+    "MATCHING_SOLVERS",
     "SortKeyOverflowError",
     "check_feasibility_hall",
 ]
@@ -1048,6 +1049,12 @@ class ConnectionMatching:
     repair_fallback: bool = False
 
 
+#: Matching kernels a :class:`ConnectionMatcher` (and so a scenario, the
+#: CLI and the component registry) accepts by name: the Hopcroft–Karp
+#: production path and the in-house Dinic max-flow reduction, its cold twin.
+MATCHING_SOLVERS: Tuple[str, ...] = ("hopcroft_karp", "dinic")
+
+
 class ConnectionMatcher:
     """Builds the bipartite graph ``G`` and solves the connection matching.
 
@@ -1062,16 +1069,15 @@ class ConnectionMatcher:
         matching when the call carries a :class:`MatchDelta` and falls
         back to the full kernel on the CSR adjacency emitted by
         :meth:`PossessionIndex.adjacency_delta_for`;
-        ``"dinic"``, ``"push_relabel"`` and ``"edmonds_karp"`` keep the
-        original edge-list → max-flow reduction and serve as oracles in
-        cross-validation tests and benchmarks.
+        ``"dinic"`` keeps the original edge-list → max-flow reduction and
+        serves as the cold twin in cross-validation tests and benchmarks.
     augmentation_budget:
         Optional per-round cap on the Hopcroft–Karp kernel's
         augmenting-path searches.  When the kernel exceeds it the round
         is transparently re-solved with the Dinic fallback and the
         returned matching carries ``degraded=True`` — graceful
         degradation instead of an unbounded solve.  Ignored by the
-        max-flow solvers (they have no augmentation budget).
+        Dinic solver (it has no augmentation budget).
     """
 
     def __init__(
@@ -1085,8 +1091,8 @@ class ConnectionMatcher:
             raise ValueError("upload_slots must be a non-empty 1-D sequence")
         if np.any(slots < 0):
             raise ValueError("upload_slots must be non-negative")
-        if solver != "hopcroft_karp" and solver not in FLOW_SOLVERS:
-            known = ", ".join(["hopcroft_karp"] + sorted(FLOW_SOLVERS))
+        if solver not in MATCHING_SOLVERS:
+            known = ", ".join(MATCHING_SOLVERS)
             raise ValueError(f"solver must be one of {known}, got {solver!r}")
         self._slots = slots
         self._solver = solver
@@ -1194,7 +1200,7 @@ class ConnectionMatcher:
         (departed boxes, evicted caches, exhausted capacity) are dropped
         during validation, so the result is always a maximum matching of
         the *current* instance; only the solve gets cheaper.  Ignored by
-        the max-flow oracle solvers.
+        the Dinic solver.
 
         ``delta`` additionally describes how the request set evolved from
         the previous ``match`` call (see :class:`MatchDelta`) and enables
@@ -1223,7 +1229,7 @@ class ConnectionMatcher:
 
         num_requests = len(requests)
         if not num_requests:
-            if self._solver not in FLOW_SOLVERS:
+            if self._solver == "hopcroft_karp":
                 self._pair_expiry = _EMPTY_INT64
             return ConnectionMatching(
                 feasible=True,
@@ -1237,7 +1243,7 @@ class ConnectionMatcher:
 
         degraded = False
         repair_fallback = False
-        if self._solver in FLOW_SOLVERS:
+        if self._solver == "dinic":
             request_list = list(requests)
             edges: List[Tuple[int, int]] = []
             for idx, request in enumerate(request_list):

@@ -6,32 +6,31 @@ implements that substrate from scratch:
 
 * :class:`repro.flow.network.FlowNetwork` — array-backed residual network
   with exact integer capacities;
-* three independent max-flow solvers (Edmonds–Karp, Dinic, FIFO
-  push–relabel with gap heuristic), cross-checked in the test suite;
-* min-cut extraction and max-flow/min-cut certificate verification;
-* bipartite b-matching, generalized-Hall-violation search and expansion
-  measurement, the exact objects appearing in Lemma 1 and the expander
-  argument.
+* the Dinic max-flow solver, the degraded-round fallback and cold twin of
+  the Hopcroft–Karp kernel, checked against networkx and SciPy in the
+  test suite;
+* residual reachability (the source side of a minimum cut), which yields
+  Dinic's Hall witness;
+* bipartite b-matching, generalized-Hall-violation search, the exact Hall
+  deficiency of a witness and expansion measurement, the objects
+  appearing in Lemma 1 and the expander argument.
+
+The differential oracle (:mod:`repro.scenarios.oracle`) checks the
+Hopcroft–Karp kernel against SciPy's compiled ``maximum_flow``.
 """
 
 from repro.flow.network import Edge, FlowNetwork, build_bipartite_network
-from repro.flow.edmonds_karp import edmonds_karp_max_flow
 from repro.flow.dinic import dinic_max_flow
 from repro.flow.hopcroft_karp import (
     HKMatchingResult,
     csr_from_edges,
     hopcroft_karp_matching,
 )
-from repro.flow.push_relabel import push_relabel_max_flow
-from repro.flow.mincut import (
-    cut_capacity,
-    min_cut,
-    residual_reachable,
-    verify_max_flow_min_cut,
-)
+from repro.flow.mincut import residual_reachable
 from repro.flow.bipartite import (
     BMatchingResult,
     expansion_ratio,
+    hall_deficiency,
     hall_violations,
     solve_b_matching,
     worst_expansion_subset,
@@ -41,26 +40,15 @@ __all__ = [
     "Edge",
     "FlowNetwork",
     "build_bipartite_network",
-    "edmonds_karp_max_flow",
     "dinic_max_flow",
-    "push_relabel_max_flow",
     "HKMatchingResult",
     "csr_from_edges",
     "hopcroft_karp_matching",
-    "cut_capacity",
-    "min_cut",
     "residual_reachable",
-    "verify_max_flow_min_cut",
     "BMatchingResult",
     "expansion_ratio",
+    "hall_deficiency",
     "hall_violations",
     "solve_b_matching",
     "worst_expansion_subset",
 ]
-
-MAX_FLOW_SOLVERS = {
-    "edmonds_karp": edmonds_karp_max_flow,
-    "dinic": dinic_max_flow,
-    "push_relabel": push_relabel_max_flow,
-}
-"""Registry of the available max-flow solvers, keyed by name."""

@@ -10,6 +10,9 @@ module provides:
 * :func:`hall_violations` — search for a violated (generalized) Hall
   condition, i.e. a request subset ``X`` with ``U_{B(X)} < |X|/c``;
   used to exhibit *obstruction witnesses*;
+* :func:`hall_deficiency` — the exact deficiency ``|X| − U_{B(X)}`` of
+  one request subset on a CSR instance, which certifies a matching
+  maximum when it equals the number of unmatched requests;
 * :func:`expansion_ratio` — measure the vertex expansion of the bipartite
   graph, the quantity the paper's probabilistic argument controls
   (the allocation graph must be a ``1/(u·c)``-expander).
@@ -24,28 +27,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.flow.dinic import dinic_max_flow
-from repro.flow.edmonds_karp import edmonds_karp_max_flow
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.mincut import residual_reachable
-from repro.flow.network import FlowNetwork, build_bipartite_network
-from repro.flow.push_relabel import push_relabel_max_flow
+from repro.flow.network import build_bipartite_network
 
 __all__ = [
     "BMatchingResult",
-    "FLOW_SOLVERS",
     "solve_b_matching",
     "hall_violations",
+    "hall_deficiency",
     "worst_expansion_subset",
     "expansion_ratio",
 ]
-
-#: Max-flow kernels usable on the network-reduction path of
-#: :func:`solve_b_matching` (every entry is a valid ``method=``).
-FLOW_SOLVERS = {
-    "dinic": dinic_max_flow,
-    "push_relabel": push_relabel_max_flow,
-    "edmonds_karp": edmonds_karp_max_flow,
-}
 
 
 @dataclass(frozen=True)
@@ -101,10 +94,9 @@ def solve_b_matching(
     method:
         ``"auto"`` (default) uses the Hopcroft–Karp kernel when every left
         demand is 1 and falls back to the Dinic max-flow reduction
-        otherwise; ``"hopcroft_karp"``, ``"dinic"``, ``"push_relabel"``
-        and ``"edmonds_karp"`` force one path (the max-flow reductions
-        double as oracles in cross-validation tests — see
-        :mod:`repro.scenarios.oracle`).
+        otherwise; ``"hopcroft_karp"`` and ``"dinic"`` force one path
+        (the Dinic reduction doubles as the cold twin in cross-validation
+        tests).
     """
     demands = [1] * num_left if left_demands is None else [int(x) for x in left_demands]
     if len(demands) != num_left:
@@ -131,9 +123,8 @@ def solve_b_matching(
             deficient_left=hk.deficient_left,
             unsatisfied_witness=hk.unsatisfied_witness,
         )
-    if method not in FLOW_SOLVERS:
+    if method != "dinic":
         raise ValueError(f"unknown b-matching method {method!r}")
-    max_flow = FLOW_SOLVERS[method]
 
     network, source, sink = build_bipartite_network(
         num_left=num_left,
@@ -143,7 +134,7 @@ def solve_b_matching(
         right_capacities=caps,
         edge_capacity=max(demands) if demands else 1,
     )
-    matched = max_flow(network, source, sink)
+    matched = dinic_max_flow(network, source, sink)
     demand_total = sum(demands)
     feasible = matched == demand_total
 
@@ -207,6 +198,32 @@ def hall_violations(
             if capacity + 1e-12 < size * demand_per_left:
                 violations.append(subset)
     return violations
+
+
+def hall_deficiency(
+    witness: Sequence[int],
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    capacities: Sequence[int],
+) -> int:
+    """Hall deficiency ``|X| − U_{B(X)}`` of a left subset of a CSR instance.
+
+    ``X`` is the set of left nodes in ``witness`` (repeats count once),
+    ``B(X)`` the union of their adjacency rows and ``U_{B(X)}`` the summed
+    capacity of those right nodes.  No matching serves more than
+    ``U_{B(X)}`` of ``X``'s requests, so a positive value is a generalized
+    Hall violation (Lemma 1), and a valid matching that leaves exactly
+    this many left nodes unmatched is maximum.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    rows = np.unique(np.asarray(witness, dtype=np.int64))
+    if rows.size and (rows[0] < 0 or rows[-1] >= indptr.size - 1):
+        raise ValueError(f"witness holds left ids outside [0, {indptr.size - 1})")
+    in_witness = np.zeros(indptr.size - 1, dtype=bool)
+    in_witness[rows] = True
+    edges_of_x = np.repeat(in_witness, np.diff(indptr))
+    boxes = np.unique(np.asarray(indices, dtype=np.int64)[edges_of_x])
+    return int(rows.size - np.asarray(capacities, dtype=np.int64)[boxes].sum())
 
 
 def worst_expansion_subset(

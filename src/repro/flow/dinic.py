@@ -1,8 +1,9 @@
 """Dinic's maximum-flow algorithm.
 
-The default solver used by the per-round connection scheduler: on the
-unit-ish bipartite networks produced by the connection-matching reduction
-Dinic runs in ``O(E·√V)`` and is in practice far faster than Edmonds–Karp.
+The in-house max-flow solver: the degraded-round fallback of the
+Hopcroft–Karp path and the ``solver="dinic"`` cold twin.  On the unit-ish
+bipartite networks produced by the connection-matching reduction Dinic
+runs in ``O(E·√V)``.
 """
 
 from __future__ import annotations

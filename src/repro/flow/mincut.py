@@ -1,20 +1,21 @@
-"""Min-cut extraction and max-flow/min-cut verification.
+"""Residual reachability: the source side of a minimum cut.
 
 After a max flow has been computed the source side of a minimum cut is the
 set of nodes reachable from the source in the residual graph.  The paper's
 Lemma 1 is exactly the statement that the connection-matching network has
-min cut ``|Y|/c``; these helpers let the tests and the obstruction
-analysis inspect which request subset ``X`` witnesses an infeasible cut.
+min cut ``|Y|/c``; on an infeasible instance the request nodes on that side
+form the Hall witness that :func:`repro.flow.bipartite.solve_b_matching`
+returns for its Dinic path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Set, Tuple
+from typing import Set
 
 from repro.flow.network import FlowNetwork
 
-__all__ = ["residual_reachable", "min_cut", "cut_capacity", "verify_max_flow_min_cut"]
+__all__ = ["residual_reachable"]
 
 
 def residual_reachable(network: FlowNetwork, source: int) -> Set[int]:
@@ -31,48 +32,3 @@ def residual_reachable(network: FlowNetwork, source: int) -> Set[int]:
                 seen.add(target)
                 queue.append(target)
     return seen
-
-
-def min_cut(network: FlowNetwork, source: int, sink: int) -> Tuple[Set[int], List[int]]:
-    """Return ``(source_side, cut_edges)`` of a minimum cut.
-
-    Must be called *after* a max flow has been computed on ``network``.
-    ``source_side`` is the set of nodes on the source side of the cut and
-    ``cut_edges`` the forward edges crossing it (source side → sink side).
-    """
-    source_side = residual_reachable(network, source)
-    if sink in source_side:
-        raise ValueError(
-            "sink is reachable in the residual graph: the flow on this network "
-            "is not maximal (run a max-flow solver first)"
-        )
-    cut_edges: List[int] = []
-    for edge in network.forward_edges():
-        if edge.source in source_side and edge.target not in source_side:
-            cut_edges.append(edge.edge_id)
-    return source_side, cut_edges
-
-
-def cut_capacity(network: FlowNetwork, source_side: Set[int]) -> int:
-    """Total capacity of forward edges leaving ``source_side``."""
-    total = 0
-    for edge in network.forward_edges():
-        if edge.source in source_side and edge.target not in source_side:
-            total += edge.capacity
-    return total
-
-
-def verify_max_flow_min_cut(network: FlowNetwork, source: int, sink: int) -> bool:
-    """Check the max-flow/min-cut certificate on the current flow state.
-
-    Returns ``True`` iff (i) flow conservation holds, (ii) the sink is not
-    residual-reachable, and (iii) the flow value equals the capacity of the
-    cut induced by residual reachability — i.e. the current flow really is
-    maximal and the cut really is minimal.
-    """
-    if not network.check_conservation(source, sink):
-        return False
-    source_side = residual_reachable(network, source)
-    if sink in source_side:
-        return False
-    return network.flow_value(source) == cut_capacity(network, source_side)

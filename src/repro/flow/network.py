@@ -2,10 +2,9 @@
 
 A minimal, array-backed directed flow network with integer capacities.
 Every edge is stored together with its residual reverse edge at index
-``edge_id ^ 1`` (the classical pairing trick), so all three max-flow
-solvers (:mod:`repro.flow.edmonds_karp`, :mod:`repro.flow.dinic`,
-:mod:`repro.flow.push_relabel`) share the same residual representation and
-min-cut extraction (:mod:`repro.flow.mincut`) works on any of them.
+``edge_id ^ 1`` (the classical pairing trick), so the Dinic solver
+(:mod:`repro.flow.dinic`) and the residual-reachability walk that extracts
+its Hall witness (:mod:`repro.flow.mincut`) share one representation.
 
 Capacities are integers by design: the connection-matching networks of the
 paper have all capacities equal to multiples of ``1/c`` and are scaled by

@@ -15,8 +15,8 @@ declarative layer:
 * :mod:`repro.scenarios.replay` — per-round metric digests, golden
   traces and bit-identical replay verification;
 * :mod:`repro.scenarios.oracle` — the differential solver harness
-  cross-checking the Hopcroft–Karp hot path against the Dinic and
-  push–relabel max-flow oracles at simulation scale;
+  cross-checking the Hopcroft–Karp hot path against SciPy's max flow and
+  exact Hall witnesses at simulation scale;
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios run <name>``.
 """
 

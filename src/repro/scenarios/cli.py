@@ -10,8 +10,8 @@ Commands
 ``verify PATH``
     Replay a golden-trace file and diff it (exit code 1 on divergence).
 ``oracle NAME``
-    Differentially re-solve sampled rounds with Dinic and push–relabel
-    (exit code 1 on any disagreement).
+    Differentially re-solve sampled rounds with SciPy's max flow and check
+    the Hall witnesses exactly (exit code 1 on any disagreement).
 ``session NAME``
     Step a scenario round by round through the :mod:`repro.api` session
     layer, checkpoint mid-run, restore, and verify that the restored
@@ -35,6 +35,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from repro.core.matching import MATCHING_SOLVERS
 from repro.scenarios.build import build_full_solve_twin
 from repro.scenarios.oracle import run_differential_oracle
 from repro.scenarios.registry import all_scenarios, get_scenario, scenario_names
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--solver",
         default=None,
-        choices=["hopcroft_karp", "dinic", "push_relabel", "edmonds_karp"],
+        choices=MATCHING_SOLVERS,
         help="override the matching kernel",
     )
     run_p.add_argument(
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     session_p.add_argument(
         "--solver",
         default=None,
-        choices=["hopcroft_karp", "dinic", "push_relabel", "edmonds_karp"],
+        choices=MATCHING_SOLVERS,
         help="override the matching kernel",
     )
     session_p.add_argument(

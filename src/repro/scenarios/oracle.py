@@ -1,20 +1,18 @@
-"""Differential solver oracles.
+"""Differential solver oracle.
 
-The engine's hot path is the Hopcroft–Karp CSR kernel (PR 1); its slow,
-independent oracles are the max-flow reductions solved by Dinic and FIFO
-push–relabel.  This module cross-checks them at simulation scale:
+The engine's hot path is the Hopcroft–Karp CSR kernel; its one cold
+oracle is SciPy's compiled ``maximum_flow`` on the Lemma 1 flow network.
+This module cross-checks them at simulation scale:
 
-* :func:`check_matching_instance` re-solves one bipartite instance with
-  all three kernels and verifies (i) matching cardinality agreement,
-  (ii) feasibility agreement, (iii) max-flow = min-cut certificates on
-  both flow networks, (iv) assignment validity (every pair is an actual
-  possession edge, no box over capacity) and (v) on infeasible
-  instances, that the Hopcroft–Karp Hall witness really violates the
-  generalized Hall condition ``U_{B(X)} ≥ |X|`` (in upload-slot units);
-* :func:`run_differential_oracle` replays a scenario with a
-  round-observer that captures each sampled round's exact instance
-  (adjacency, effective capacities, the engine's own — possibly
-  warm-started — matching) and runs the instance check against it.
+* :func:`check_matching_instance` re-solves one instance with the kernel
+  and with SciPy and verifies (i) cardinality and (ii) feasibility
+  agreement, (iii) assignment validity (every pair is a possession edge,
+  no box over capacity) and (iv) on infeasible instances, that the Hall
+  witness is exact: its deficiency equals the number of unmatched
+  requests, which proves the matching maximum.  An optional reference
+  (the engine's own assignment and witness) gets the same checks;
+* :func:`run_differential_oracle` replays a scenario and checks each
+  sampled round's exact instance against the engine's own matching.
 
 Any disagreement is reported as a human-readable string; an empty report
 means the fast path is exact on everything the scenario exercised.
@@ -23,21 +21,26 @@ means the fast path is exact on everything the scenario exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.flow.dinic import dinic_max_flow
+from repro.flow.bipartite import hall_deficiency
 from repro.flow.hopcroft_karp import hopcroft_karp_matching
-from repro.flow.mincut import verify_max_flow_min_cut
-from repro.flow.network import build_bipartite_network
-from repro.flow.push_relabel import push_relabel_max_flow
 from repro.scenarios.build import build_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import RoundObservation
 
-__all__ = ["OracleReport", "check_matching_instance", "run_differential_oracle"]
+if TYPE_CHECKING:  # SciPy's sparse stack loads on first use, not on import.
+    from scipy.sparse import csr_array
+
+__all__ = [
+    "OracleReport",
+    "check_matching_instance",
+    "run_differential_oracle",
+    "unit_demand_network",
+]
 
 
 @dataclass
@@ -66,14 +69,41 @@ class OracleReport:
         )
 
 
-def _edges_from_csr(
-    indptr: np.ndarray, indices: np.ndarray, num_left: int
-) -> List[Tuple[int, int]]:
-    edges: List[Tuple[int, int]] = []
-    for i in range(num_left):
-        for e in range(int(indptr[i]), int(indptr[i + 1])):
-            edges.append((i, int(indices[e])))
-    return edges
+def unit_demand_network(
+    num_left: int,
+    num_right: int,
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    capacities: Sequence[int],
+) -> Tuple[csr_array, int, int]:
+    """The Lemma 1 flow network of a unit-demand CSR instance, for SciPy.
+
+    Nodes are ``[source, lefts, rights, sink]``: source → left and one
+    left → right edge per CSR entry with capacity 1, right → sink with the
+    box's capacity.  Returns ``(graph, source, sink)``.  SciPy casts
+    capacities to int32 and wraps silently (``2**32`` reads as 0), so sink
+    capacities are clipped at ``num_left``, which no box can exceed.
+    """
+    from scipy.sparse import csr_array
+
+    indices = np.asarray(indices, dtype=np.int64)
+    sink = num_left + num_right + 1
+    row_lengths = np.concatenate(
+        ([num_left], np.diff(indptr), np.ones(num_right, dtype=np.int64), [0])
+    )
+    graph_indptr = np.concatenate(([0], np.cumsum(row_lengths)))
+    graph_indices = np.concatenate((
+        np.arange(1, num_left + 1), indices + num_left + 1, np.full(num_right, sink)
+    ))
+    data = np.concatenate((
+        np.ones(num_left + indices.size, dtype=np.int64),
+        np.minimum(np.asarray(capacities, dtype=np.int64), num_left),
+    ))
+    graph = csr_array(
+        (data.astype(np.int32), graph_indices.astype(np.int32), graph_indptr),
+        shape=(sink + 1, sink + 1),
+    )
+    return graph, 0, sink
 
 
 def _validate_assignment(
@@ -112,85 +142,67 @@ def check_matching_instance(
     indices: Sequence[int],
     capacities: Sequence[int],
     reference_assignment: Optional[Sequence[int]] = None,
+    reference_witness: Optional[Sequence[int]] = None,
     context: str = "",
 ) -> List[str]:
     """Differentially solve one unit-demand b-matching instance.
 
-    Returns a list of disagreement descriptions (empty = all solvers and
-    certificates agree).  ``reference_assignment`` optionally checks a
-    caller-provided assignment (e.g. the engine's warm-started matching)
-    for validity and for cardinality equality with the cold solves.
+    Returns a list of disagreement descriptions (empty = the kernel, SciPy
+    and the certificates agree).  ``reference_assignment`` optionally
+    adds a caller-provided matching (e.g. the engine's repaired one) to
+    the checks the kernel's matching gets; when it leaves requests
+    unmatched, ``reference_witness`` (its Hall witness) must be exact.
     """
+    from scipy.sparse.csgraph import maximum_flow
+
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    caps = [int(x) for x in capacities]
+    caps = np.asarray(capacities, dtype=np.int64)
     errors: List[str] = []
     where = f" [{context}]" if context else ""
 
     hk = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-    _validate_assignment(
-        f"hopcroft_karp{where}", hk.assignment, indptr, indices, caps, num_right, errors
+    graph, source, sink = unit_demand_network(
+        num_left, num_right, indptr, indices, caps
     )
-
-    edges = _edges_from_csr(indptr, indices, num_left)
-    flow_values = {}
-    for name, solver in (("dinic", dinic_max_flow), ("push_relabel", push_relabel_max_flow)):
-        network, source, sink = build_bipartite_network(
-            num_left, num_right, edges, [1] * num_left, caps
-        )
-        flow_values[name] = solver(network, source, sink)
-        if not verify_max_flow_min_cut(network, source, sink):
-            errors.append(
-                f"{name}{where}: max-flow/min-cut certificate failed "
-                f"(flow {flow_values[name]})"
-            )
-
-    for name, value in flow_values.items():
-        if value != hk.matched:
-            errors.append(
-                f"cardinality{where}: hopcroft_karp matched {hk.matched} but "
-                f"{name} max flow is {value}"
-            )
-    feasible_flow = flow_values["dinic"] == num_left
-    if hk.feasible != feasible_flow:
+    flow = int(maximum_flow(graph, source, sink).flow_value)
+    if hk.matched != flow or hk.feasible != (flow == num_left):
         errors.append(
-            f"feasibility{where}: hopcroft_karp says {hk.feasible}, "
-            f"max flow says {feasible_flow}"
+            f"cardinality{where}: hopcroft_karp reports matched={hk.matched}, "
+            f"feasible={hk.feasible} but scipy max flow is {flow} of {num_left}"
         )
 
-    if not hk.feasible:
-        if hk.unsatisfied_witness is None:
-            errors.append(f"witness{where}: infeasible instance without a Hall witness")
-        else:
-            witness = list(hk.unsatisfied_witness)
-            neighbourhood: set = set()
-            for i in witness:
-                neighbourhood.update(
-                    int(x) for x in indices[int(indptr[i]): int(indptr[i + 1])]
-                )
-            capacity = sum(caps[b] for b in neighbourhood)
-            if capacity >= len(witness):
-                errors.append(
-                    f"witness{where}: claimed Hall violation |X|={len(witness)} "
-                    f"has neighbourhood capacity {capacity} >= |X|"
-                )
-
+    solutions = [("hopcroft_karp", hk.assignment, hk.unsatisfied_witness)]
     if reference_assignment is not None:
-        reference = [int(x) for x in reference_assignment]
-        if len(reference) != num_left:
+        reference = np.asarray(reference_assignment, dtype=np.int64)
+        if reference.size != num_left:
             errors.append(
-                f"reference{where}: assignment length {len(reference)} != {num_left}"
+                f"reference{where}: assignment length {reference.size} != {num_left}"
             )
         else:
-            _validate_assignment(
-                f"engine{where}", reference, indptr, indices, caps, num_right, errors
+            solutions.append(("engine", reference, reference_witness))
+    for label, assignment, witness in solutions:
+        label += where
+        _validate_assignment(
+            label, assignment.tolist(), indptr, indices, caps, num_right, errors
+        )
+        matched = int((assignment >= 0).sum())
+        if matched != flow:
+            errors.append(
+                f"{label}: matched {matched} requests but the cold maximum "
+                f"flow is {flow}"
             )
-            matched = sum(1 for b in reference if b >= 0)
-            if matched != hk.matched:
-                errors.append(
-                    f"engine{where}: matched {matched} requests but the cold "
-                    f"maximum matching has {hk.matched}"
-                )
+        if matched == num_left:
+            continue
+        if witness is None:
+            errors.append(f"{label}: infeasible matching without a Hall witness")
+            continue
+        deficiency = hall_deficiency(witness, indptr, indices, caps)
+        if deficiency != num_left - matched:
+            errors.append(
+                f"{label}: Hall witness |X|={len(witness)} has deficiency "
+                f"{deficiency}, but {num_left - matched} requests are unmatched"
+            )
     return errors
 
 
@@ -202,15 +214,15 @@ def run_differential_oracle(
     max_instances: Optional[int] = None,
     max_errors: int = 20,
 ) -> OracleReport:
-    """Replay a scenario, re-solving sampled rounds with the oracle solvers.
+    """Replay a scenario, re-solving sampled rounds with the cold oracle.
 
     Every ``sample_every``-th round's exact matching instance (adjacency
     from the live possession index, capacities after churn, the engine's
-    warm-started assignment) is differentially checked.  The run itself
-    uses the spec's configured solver and the engine's incremental
-    repair, so this validates the production path, not a sanitized copy:
-    every checked round certifies the repaired matching's cardinality
-    against the cold solves.
+    repaired assignment and Hall witness) is differentially checked.  The
+    run itself uses the spec's configured solver and the engine's
+    incremental repair, so this validates the production path, not a
+    sanitized copy: every checked round certifies the repaired matching's
+    cardinality against the cold solves and its witness exactly.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
@@ -240,6 +252,7 @@ def run_differential_oracle(
             indices=indices,
             capacities=observation.capacities,
             reference_assignment=observation.matching.assignment,
+            reference_witness=observation.matching.obstruction_witness,
             context=f"{spec.name} t={observation.time}",
         )
         report.disagreements.extend(errors)

@@ -14,7 +14,8 @@ with ``trace_level="lean"`` so memory stays bounded over long horizons.
 ``python -m repro.scenarios soak`` and ``tests/test_scale_stress.py``:
 it checks digest stability across repeated runs, bounds per-round memory
 growth with tracemalloc watermarks, and differentially re-solves every
-K-th round's matching instance with the max-flow oracle solvers.
+K-th round's whole matching instance with the cold oracle of
+:mod:`repro.scenarios.oracle`.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ def run_soak(
     num_rounds: Optional[int] = None,
     seed: Optional[int] = None,
     oracle_every: int = 0,
-    oracle_max_flow_requests: int = 2_000,
     repeats: int = 1,
     memory_budget_bytes_per_round: float = 256 * 1024,
     memory_probe: str = "tracemalloc",
@@ -233,13 +233,11 @@ def run_soak(
     per-round budget on average — unbounded per-round allocations (event
     traces, leaked records) fail the check.  ``repeats`` extra runs must
     reproduce the metric digest bit for bit, and with ``oracle_every > 0``
-    every K-th round's live matching instance is differentially re-solved
-    with the max-flow oracle solvers (cardinality, feasibility, min-cut
-    certificates and assignment validity).  Instances larger than
-    ``oracle_max_flow_requests`` get a cold Hopcroft–Karp maximality
-    check on the full instance plus the full differential battery on a
-    seeded random sub-instance of that size (the object-graph max-flow
-    oracles cost minutes on 10k-request rounds).
+    every K-th round's whole live matching instance goes through
+    :func:`~repro.scenarios.oracle.check_matching_instance` (cardinality
+    and feasibility against SciPy's max flow, assignment validity and
+    exact Hall witnesses, the engine's own included); ``0`` turns the
+    oracle off and a negative value raises ``ValueError``.
 
     ``memory_probe`` selects the heap probe: ``"tracemalloc"`` (default)
     traces Python allocations exactly but slows the engine's
@@ -251,6 +249,8 @@ def run_soak(
     from repro.scenarios.oracle import check_matching_instance
     from repro.scenarios.replay import digest_result
 
+    if oracle_every < 0:
+        raise ValueError(f"oracle_every must be >= 0, got {oracle_every}")
     rounds = spec.horizon if num_rounds is None else int(num_rounds)
     if seed is None:
         seed = spec.default_seed
@@ -266,73 +266,23 @@ def run_soak(
 
     observer = None
     if oracle_every > 0:
-        import numpy as np
-
-        from repro.flow.hopcroft_karp import hopcroft_karp_matching
-
         def observer(observation) -> None:
             if observation.time == 0 or observation.time % oracle_every:
                 return
             report.oracle_rounds_checked += 1
-            context = f"soak round {observation.time}"
-            num_left = len(observation.request_set)
             indptr, indices = observation.possession.adjacency_for(
                 observation.request_set, observation.time
             )
-            if num_left <= oracle_max_flow_requests:
-                report.oracle_disagreements.extend(
-                    check_matching_instance(
-                        num_left,
-                        observation.capacities.size,
-                        indptr,
-                        indices,
-                        observation.capacities,
-                        reference_assignment=observation.matching.assignment,
-                        context=context,
-                    )
-                )
-                return
-            # Large instance: the object-graph max-flow oracles cost
-            # minutes here, so (i) a cold Hopcroft–Karp re-solve pins the
-            # engine's warm-started matching to maximum cardinality on the
-            # full instance, and (ii) the full differential battery runs
-            # on a seeded random sub-instance.
-            cold = hopcroft_karp_matching(
-                num_left,
-                int(observation.capacities.size),
-                indptr,
-                indices,
-                observation.capacities,
-            )
-            engine_matched = int((observation.matching.assignment >= 0).sum())
-            if engine_matched != cold.matched:
-                report.oracle_disagreements.append(
-                    f"engine [{context}]: matched {engine_matched} but a cold "
-                    f"maximum matching has {cold.matched}"
-                )
-            rng = np.random.default_rng(observation.time)
-            chosen = np.sort(
-                rng.choice(num_left, size=oracle_max_flow_requests, replace=False)
-            )
-            lens = (indptr[chosen + 1] - indptr[chosen]).astype(np.int64)
-            sub_indptr = np.zeros(chosen.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=sub_indptr[1:])
-            gather = (
-                np.arange(int(lens.sum()), dtype=np.int64)
-                - np.repeat(sub_indptr[:-1], lens)
-                + np.repeat(indptr[chosen], lens)
-            )
-            # Compress the right side to the boxes the sub-instance can
-            # actually reach — edgeless boxes only bloat the flow networks.
-            sub_boxes, sub_indices = np.unique(indices[gather], return_inverse=True)
             report.oracle_disagreements.extend(
                 check_matching_instance(
-                    int(chosen.size),
-                    int(sub_boxes.size),
-                    sub_indptr,
-                    sub_indices,
-                    observation.capacities[sub_boxes],
-                    context=f"{context} (sub-instance of {chosen.size})",
+                    len(observation.request_set),
+                    observation.capacities.size,
+                    indptr,
+                    indices,
+                    observation.capacities,
+                    reference_assignment=observation.matching.assignment,
+                    reference_witness=observation.matching.obstruction_witness,
+                    context=f"soak round {observation.time}",
                 )
             )
 

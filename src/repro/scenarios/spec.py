@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.matching import MATCHING_SOLVERS
 from repro.util.validation import (
     check_in_range,
     check_non_negative_integer,
@@ -60,9 +61,6 @@ WORKLOAD_KINDS = (
     "flash_rotation",
     "trace",
 )
-
-#: Matching kernels a scenario may pin.
-SCENARIO_SOLVERS = ("hopcroft_karp", "dinic", "push_relabel", "edmonds_karp")
 
 
 def _freeze_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -290,7 +288,8 @@ class ScenarioSpec:
     horizon:
         Default number of rounds.
     solver:
-        Matching kernel (``"hopcroft_karp"`` or a max-flow oracle).
+        Matching kernel, one of
+        :data:`~repro.core.matching.MATCHING_SOLVERS`.
     default_seed:
         Seed used when the caller does not supply one.
     trace_level:
@@ -329,9 +328,9 @@ class ScenarioSpec:
             raise ValueError("scenario must declare at least one workload phase")
         check_in_range(self.mu, "mu", 1.0, float("inf"))
         check_positive_integer(self.horizon, "horizon")
-        if self.solver not in SCENARIO_SOLVERS:
+        if self.solver not in MATCHING_SOLVERS:
             raise ValueError(
-                f"solver must be one of {SCENARIO_SOLVERS}, got {self.solver!r}"
+                f"solver must be one of {MATCHING_SOLVERS}, got {self.solver!r}"
             )
         check_non_negative_integer(self.default_seed, "default_seed")
         if self.trace_level not in ("full", "lean"):

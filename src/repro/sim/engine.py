@@ -176,8 +176,8 @@ class VodSimulator:
         become available again when they come back.
     solver:
         Matching kernel: a name handed to :class:`ConnectionMatcher` —
-        ``"hopcroft_karp"`` (default) or one of the max-flow oracles
-        (``"dinic"``, ``"push_relabel"``, ``"edmonds_karp"``) — or a
+        ``"hopcroft_karp"`` (default) or ``"dinic"``, the in-house
+        max-flow reduction that serves as the cold twin — or a
         callable ``f(upload_slots) -> Solver`` (what the
         :mod:`repro.api` registry stores), letting registered custom
         solvers plug in.  Every round hands the solver the pool's

@@ -34,12 +34,7 @@ from repro.workloads.popularity import ZipfDemandWorkload
 def test_builtin_components_are_registered():
     components = available_components()
     assert set(components) == set(COMPONENT_KINDS)
-    assert set(components["solver"]) == {
-        "dinic",
-        "edmonds_karp",
-        "hopcroft_karp",
-        "push_relabel",
-    }
+    assert set(components["solver"]) == {"dinic", "hopcroft_karp"}
     assert {"preloading", "immediate"} <= set(components["scheduler"])
     assert {"zipf", "uniform", "flashcrowd", "cold_start", "static"} <= set(
         components["workload"]

@@ -1,11 +1,14 @@
 """Tests for bipartite b-matching, Hall violations and expansion."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flow.bipartite import (
     expansion_ratio,
+    hall_deficiency,
     hall_violations,
     solve_b_matching,
     worst_expansion_subset,
@@ -136,6 +139,49 @@ class TestHallViolations:
     def test_empty_neighbourhood_is_violation(self):
         violations = hall_violations([set()], [1.0], 1.0)
         assert violations == [(0,)]
+
+
+class TestHallDeficiency:
+    # Rows: 0 -> {0, 0, 1} (a duplicate edge), 1 -> {} (no edges), 2 -> {2}.
+    INDPTR = [0, 3, 3, 4]
+    INDICES = [0, 0, 1, 2]
+
+    def test_empty_witness(self):
+        assert hall_deficiency([], self.INDPTR, self.INDICES, [1, 1, 1]) == 0
+
+    def test_duplicate_edges_count_a_box_once(self):
+        # |X| = 1, B(X) = {0, 1} with capacity 1 + 2.
+        assert hall_deficiency([0], self.INDPTR, self.INDICES, [1, 2, 5]) == -2
+
+    def test_zero_capacity_boxes_add_nothing(self):
+        assert hall_deficiency([0, 2], self.INDPTR, self.INDICES, [0, 0, 0]) == 2
+        assert hall_deficiency([0, 2], self.INDPTR, self.INDICES, [0, 1, 0]) == 1
+
+    def test_row_with_no_edges_is_fully_deficient(self):
+        assert hall_deficiency([1], self.INDPTR, self.INDICES, [4, 4, 4]) == 1
+        # Repeated witness ids count once; the edgeless row adds demand only.
+        assert hall_deficiency([1, 2, 1], self.INDPTR, self.INDICES, [4, 4, 1]) == 1
+
+    def test_matches_the_exhaustive_hall_search(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            num_left, num_right = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            caps = rng.integers(0, 3, size=num_right)
+            indptr = np.concatenate(([0], np.cumsum(rng.integers(0, 4, size=num_left))))
+            indices = rng.integers(0, num_right, size=int(indptr[-1]))
+            neighbourhoods = [
+                set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(num_left)
+            ]
+            violations = set(hall_violations(neighbourhoods, caps, 1.0))
+            for size in range(num_left + 1):
+                for subset in itertools.combinations(range(num_left), size):
+                    deficiency = hall_deficiency(subset, indptr, indices, caps)
+                    assert (deficiency > 0) == (subset in violations)
+
+    def test_out_of_range_ids_rejected(self):
+        for witness in ([3], [-1]):
+            with pytest.raises(ValueError, match="outside"):
+                hall_deficiency(witness, self.INDPTR, self.INDICES, [1, 1, 1])
 
 
 class TestExpansion:

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.sparse.csgraph import maximum_flow
 
-from repro.flow import MAX_FLOW_SOLVERS
 from repro.flow import hopcroft_karp as hk_module
-from repro.flow.bipartite import solve_b_matching
+from repro.flow.bipartite import hall_deficiency, solve_b_matching
+from repro.flow.dinic import dinic_max_flow
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.network import build_bipartite_network
+from repro.scenarios.oracle import unit_demand_network
 
 solver_settings = settings(
     max_examples=60,
@@ -81,20 +83,28 @@ class TestKernelAgainstMaxFlowSolvers:
     @solver_settings
     @given(seed=st.integers(0, 100_000))
     def test_all_four_solvers_agree_on_flow_value(self, seed):
-        """Edmonds–Karp, Dinic, push–relabel and HK find the same optimum."""
+        """HK, the in-house Dinic and SciPy's Dinic and Edmonds–Karp agree."""
         num_left, num_right, edges, caps, _ = random_instance(seed)
         indptr, indices = csr_from_edges(num_left, num_right, edges)
         hk = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-        values = {"hopcroft_karp": hk.matched}
-        for name, solver in MAX_FLOW_SOLVERS.items():
-            network, source, sink = build_bipartite_network(
-                num_left=num_left,
-                num_right=num_right,
-                edges=edges,
-                left_capacities=[1] * num_left,
-                right_capacities=caps,
-            )
-            values[name] = solver(network, source, sink)
+        network, source, sink = build_bipartite_network(
+            num_left=num_left,
+            num_right=num_right,
+            edges=edges,
+            left_capacities=[1] * num_left,
+            right_capacities=caps,
+        )
+        values = {
+            "hopcroft_karp": hk.matched,
+            "dinic": dinic_max_flow(network, source, sink),
+        }
+        graph, source, sink = unit_demand_network(
+            num_left, num_right, indptr, indices, caps
+        )
+        for method in ("dinic", "edmonds_karp"):
+            values[f"scipy_{method}"] = maximum_flow(
+                graph, source, sink, method=method
+            ).flow_value
         assert len(set(values.values())) == 1, values
         assert_valid_assignment(hk, num_right, edges, caps)
 
@@ -124,10 +134,10 @@ class TestKernelAgainstMaxFlowSolvers:
             return
         witness = hk.unsatisfied_witness
         assert witness is not None and len(witness) >= 1
-        neighbourhood = set()
-        for left in witness:
-            neighbourhood |= {j for (i, j) in edges if i == left}
-        assert sum(caps[j] for j in neighbourhood) < len(witness)
+        indptr, indices = csr_from_edges(num_left, num_right, edges)
+        # Exact: the deficiency of the witness equals the unmatched count,
+        # which proves the matching maximum.
+        assert hall_deficiency(witness, indptr, indices, caps) == num_left - hk.matched
 
     @solver_settings
     @given(seed=st.integers(0, 100_000))
@@ -234,10 +244,7 @@ class TestPhasePathWithWarmStarts:
             return
         witness = result.unsatisfied_witness
         assert set(unmatched) <= set(witness)
-        neighbourhood = {
-            int(j) for i in witness for j in indices[indptr[i]:indptr[i + 1]]
-        }
-        assert sum(int(caps[j]) for j in neighbourhood) < len(witness)
+        assert hall_deficiency(witness, indptr, indices, caps) == len(unmatched)
 
 
 class TestKernelEdgeCases:

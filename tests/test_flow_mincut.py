@@ -1,15 +1,9 @@
-"""Tests for min-cut extraction and the max-flow/min-cut certificate."""
+"""Tests for residual reachability (the source side of a minimum cut)."""
 
-import numpy as np
 import pytest
 
 from repro.flow.dinic import dinic_max_flow
-from repro.flow.mincut import (
-    cut_capacity,
-    min_cut,
-    residual_reachable,
-    verify_max_flow_min_cut,
-)
+from repro.flow.mincut import residual_reachable
 from repro.flow.network import FlowNetwork
 
 
@@ -40,64 +34,3 @@ class TestResidualReachable:
         net = FlowNetwork(2)
         with pytest.raises(ValueError):
             residual_reachable(net, 5)
-
-
-class TestMinCut:
-    def test_cut_value_equals_flow(self):
-        net, value = solved_simple_network()
-        source_side, cut_edges = min_cut(net, 0, 3)
-        cut_cap = sum(net.edge(e).capacity for e in cut_edges)
-        assert cut_cap == value == 4
-
-    def test_min_cut_requires_max_flow(self):
-        net = FlowNetwork(2)
-        net.add_edge(0, 1, 1)
-        with pytest.raises(ValueError):
-            min_cut(net, 0, 1)
-
-    def test_cut_capacity_helper(self):
-        net, value = solved_simple_network()
-        source_side, _ = min_cut(net, 0, 3)
-        assert cut_capacity(net, source_side) == value
-
-    def test_bottleneck_cut_identified(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 10)
-        e_mid = net.add_edge(1, 2, 1)
-        net.add_edge(2, 3, 10)
-        dinic_max_flow(net, 0, 3)
-        source_side, cut_edges = min_cut(net, 0, 3)
-        assert cut_edges == [e_mid]
-        assert source_side == {0, 1}
-
-
-class TestCertificate:
-    def test_valid_certificate_after_solver(self):
-        net, _ = solved_simple_network()
-        assert verify_max_flow_min_cut(net, 0, 3)
-
-    def test_partial_flow_fails_certificate(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 2)
-        net.add_edge(1, 2, 2)
-        # no flow pushed: sink still reachable → not a max flow
-        assert not verify_max_flow_min_cut(net, 0, 2)
-
-    def test_unbalanced_flow_fails_certificate(self):
-        net = FlowNetwork(3)
-        e1 = net.add_edge(0, 1, 2)
-        net.add_edge(1, 2, 2)
-        net.push(e1, 2)  # conservation violated at node 1
-        assert not verify_max_flow_min_cut(net, 0, 2)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_certificate_on_random_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 8
-        net = FlowNetwork(n)
-        for a in range(n):
-            for b in range(n):
-                if a != b and rng.random() < 0.4:
-                    net.add_edge(a, b, int(rng.integers(1, 9)))
-        dinic_max_flow(net, 0, n - 1)
-        assert verify_max_flow_min_cut(net, 0, n - 1)

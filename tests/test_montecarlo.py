@@ -200,15 +200,6 @@ class TestAllEstimatorsDeterministic:
             "mu": 1.5,
         }
 
-    def test_new_flow_solvers_agree_with_hk_in_static_estimator(self):
-        baseline = estimate_static_obstruction_probability(**STATIC_KWARGS)
-        for solver in ("push_relabel", "edmonds_karp"):
-            oracle = estimate_static_obstruction_probability(
-                **STATIC_KWARGS, solver=solver
-            )
-            assert oracle.failures == baseline.failures
-            assert oracle.details == baseline.details
-
 
 class TestSeedDerivationEdgeCases:
     """Edge cases surfaced by the scenario determinism work (PR 2)."""

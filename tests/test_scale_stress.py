@@ -10,15 +10,19 @@ boxes under stress profiles:
   per-round budget (catching per-request object or trace leaks);
 * digest stability — repeating the run reproduces the metric digest bit
   for bit;
-* solver-oracle agreement — sampled live rounds re-solved with the
-  max-flow oracles (cardinality, feasibility, certificates, assignment
-  validity).
+* solver-oracle agreement — sampled live rounds re-solved whole with
+  the cold oracle (cardinality and feasibility against SciPy's max flow,
+  assignment validity, exact Hall witnesses).
 
 The long runs here are sized for CI (a few hundred rounds); the CLI
 ``python -m repro.scenarios soak`` runs the full 500+-round versions.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,17 @@ class TestSoakHarness:
         with pytest.raises(ValueError, match="profile"):
             soak_spec(profile="meteor_strike")
 
+    def test_negative_oracle_every_rejected(self):
+        # A negative period used to turn the oracle off and still report OK.
+        with pytest.raises(ValueError, match="oracle_every"):
+            run_soak(
+                soak_spec(boxes=1_000, profile="steady", horizon=20),
+                num_rounds=20,
+                seed=3,
+                oracle_every=-3,
+                memory_probe="rss",
+            )
+
     def test_memory_probe_validated(self):
         with pytest.raises(ValueError, match="memory_probe"):
             run_soak(
@@ -243,6 +258,28 @@ class TestSoakCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "memory" in out and "OK" in out
+
+    def test_soak_command_rejects_negative_oracle_every(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.scenarios", "soak",
+                "--boxes", "1000",
+                "--rounds", "20",
+                "--profile", "steady",
+                "--seed", "3",
+                "--oracle-every", "-3",
+                "--memory-probe", "rss",
+            ],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert proc.returncode != 0, proc.stdout
+        assert "oracle_every" in proc.stderr
+        assert "-> OK" not in proc.stdout
 
     def test_soak_command_fails_on_memory_regression(self, capsys):
         from repro.scenarios.cli import main

@@ -122,9 +122,9 @@ class TestSerialization:
 
     def test_with_overrides(self):
         spec = _minimal_spec()
-        tweaked = spec.with_overrides(horizon=3, solver="push_relabel")
+        tweaked = spec.with_overrides(horizon=3, solver="dinic")
         assert tweaked.horizon == 3
-        assert tweaked.solver == "push_relabel"
+        assert tweaked.solver == "dinic"
         # Untouched fields carry over.
         assert tweaked.catalog == spec.catalog
         assert spec.horizon == 6

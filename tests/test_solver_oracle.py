@@ -1,17 +1,18 @@
-"""Differential solver tests: Hopcroft–Karp vs Dinic vs push–relabel.
+"""Differential solver tests: Hopcroft–Karp vs SciPy's max flow.
 
 :func:`repro.scenarios.oracle.check_matching_instance` re-solves each
-instance with all three kernels and verifies cardinality agreement,
-feasibility agreement, the max-flow/min-cut certificate on both flow
-networks, assignment validity and Hall witnesses.  This module feeds it
+instance with the kernel and with SciPy's ``maximum_flow`` and verifies
+cardinality agreement, feasibility agreement, assignment validity and
+exact Hall witnesses (deficiency equal to the unmatched count).  This
+module feeds it
 
 * 200 randomized instances spanning feasible, overloaded and degenerate
   regimes (the acceptance floor of the differential harness),
 * crafted edge cases: zero capacities, empty adjacencies, single-box
   instances, duplicate edges,
 * full scenario replays through :func:`run_differential_oracle`, which
-  checks the engine's *warm-started* per-round matchings against cold
-  oracle solves on the live possession index.
+  checks the engine's *repaired* per-round matchings and Hall witnesses
+  against cold solves on the live possession index.
 """
 
 from __future__ import annotations
@@ -77,11 +78,12 @@ class TestRandomizedAgreement:
                     for e in range(int(indptr[i]), int(indptr[i + 1]))
                 ],
                 caps,
-                method="push_relabel",
+                method="dinic",
             )
             errors = check_matching_instance(
                 num_left, num_right, indptr, indices, caps,
                 reference_assignment=reference.assignment,
+                reference_witness=reference.unsatisfied_witness,
             )
             assert errors == [], errors
 
@@ -124,16 +126,49 @@ class TestEdgeCases:
         )
         assert any("cold" in e for e in errors)
 
+    def test_detects_missing_reference_witness(self):
+        # Two requests share one single-slot box: the maximum leaves one out.
+        indptr, indices = csr_from_edges(2, 1, [(0, 0), (1, 0)])
+        errors = check_matching_instance(
+            2, 1, indptr, indices, [1], reference_assignment=[0, -1]
+        )
+        assert any("engine" in e and "without a Hall witness" in e for e in errors)
+        assert check_matching_instance(
+            2, 1, indptr, indices, [1], reference_assignment=[0, -1],
+            reference_witness=(0, 1),
+        ) == []
+
+    def test_detects_reference_witness_off_by_one(self):
+        indptr, indices = csr_from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        # X = {0} alone has deficiency 0, not the 1 unmatched request.
+        errors = check_matching_instance(
+            3, 2, indptr, indices, [1, 1], reference_assignment=[0, -1, 1],
+            reference_witness=(0,),
+        )
+        assert any("deficiency 0, but 1 requests" in e for e in errors)
+        # X = {0, 1} needs 2 slots of box 0's 1: deficiency 1, exact.
+        assert check_matching_instance(
+            3, 2, indptr, indices, [1, 1], reference_assignment=[0, -1, 1],
+            reference_witness=(0, 1),
+        ) == []
+
+    def test_capacities_past_int32_do_not_wrap(self):
+        # SciPy reads capacities as int32: unclipped, 2**32 would become 0.
+        indptr, indices = csr_from_edges(2, 1, [(0, 0), (1, 0)])
+        assert check_matching_instance(2, 1, indptr, indices, [2**32]) == []
+
 
 class TestSolverDispatch:
     def test_push_relabel_and_edmonds_karp_methods(self):
+        # The two max-flow methods that only cross-checked Dinic are gone;
+        # the Dinic reduction is the one flow path left.
         edges = [(0, 0), (1, 0), (1, 1), (2, 1)]
-        for method in ("dinic", "push_relabel", "edmonds_karp"):
-            result = solve_b_matching(3, 2, edges, [1, 2], method=method)
-            assert result.feasible
-            assert result.matched == 3
-        with pytest.raises(ValueError, match="unknown b-matching method"):
-            solve_b_matching(3, 2, edges, [1, 2], method="simplex")
+        result = solve_b_matching(3, 2, edges, [1, 2], method="dinic")
+        assert result.feasible
+        assert result.matched == 3
+        for method in ("push_relabel", "edmonds_karp", "simplex"):
+            with pytest.raises(ValueError, match="unknown b-matching method"):
+                solve_b_matching(3, 2, edges, [1, 2], method=method)
 
     def test_flow_methods_reject_hk_only_demands(self):
         with pytest.raises(ValueError, match="unit left demands"):
@@ -144,12 +179,15 @@ class TestSolverDispatch:
 
 
 class TestScenarioOracle:
-    # Scale tiers are oracle-checked by the soak harness in
-    # tests/test_scale_stress.py (re-solving 10k-box instances with the
-    # max-flow oracles per round is too heavy for this sweep).
+    # The 10k tier's eight rounds take about half a second; the 100k and
+    # larger tiers (several seconds each) are left to the soak harness in
+    # tests/test_scale_stress.py and the CLI.
     @pytest.mark.parametrize(
         "name",
-        [n for n in scenario_names() if not n.startswith("scale_tier")],
+        [
+            n for n in scenario_names()
+            if not n.startswith("scale_tier") or n == "scale_tier_10k"
+        ],
     )
     def test_every_scenario_agrees_for_eight_rounds(self, name):
         report = run_differential_oracle(name, seed=11, num_rounds=8)
