@@ -2,9 +2,9 @@
 
 Verifies on random instances that the flow-based matcher agrees with the
 exhaustive generalized-Hall oracle (the literal statement of Lemma 1), and
-times the in-house Dinic against SciPy's compiled ``dinic`` and
-``edmonds_karp`` on the bipartite network produced by a realistic round of
-the simulator; all three must return the same flow.
+times the in-house Dinic (``dinic_matching``) against SciPy's compiled
+``dinic`` and ``edmonds_karp`` on the CSR adjacency of a realistic round
+of the simulator; all three must serve every request.
 """
 
 import numpy as np
@@ -19,9 +19,7 @@ from repro.core.matching import (
     StripeRequest,
     check_feasibility_hall,
 )
-from repro.flow.dinic import dinic_max_flow
-from repro.flow.hopcroft_karp import csr_from_edges
-from repro.flow.network import build_bipartite_network
+from repro.flow.dinic import dinic_matching
 from repro.scenarios.oracle import unit_demand_network
 
 from conftest import build_homogeneous_system
@@ -93,28 +91,18 @@ def test_lemma1_flow_equals_hall_oracle(benchmark, experiment_header):
 def test_maxflow_solver_on_matching_network(benchmark, solver_name, experiment_header):
     """Time each solver, network build included, on one simulated round."""
     population, catalog, allocation, requests, index, matcher = make_round_instance()
-    # Build the bipartite instance once (as the matcher does internally).
-    edges = []
-    for idx, request in enumerate(requests):
-        for box in index.servers_for(request, current_time=3):
-            if box != request.box_id:
-                edges.append((idx, int(box)))
-    caps = population.upload_slots(5).tolist()
+    # Gather the round's CSR once, as the matcher does internally.
+    indptr, indices = index.adjacency_for(requests, current_time=3)
+    caps = population.upload_slots(5)
 
     if solver_name == "dinic":
         def kernel():
-            network, source, sink = build_bipartite_network(
-                num_left=len(requests),
-                num_right=population.n,
-                edges=edges,
-                left_capacities=[1] * len(requests),
-                right_capacities=caps,
-            )
-            return dinic_max_flow(network, source, sink)
+            return dinic_matching(
+                len(requests), population.n, indptr, indices, caps
+            ).matched
     else:
         # SciPy's methods solve the differential oracle's network.
         method = solver_name[len("scipy_"):]
-        indptr, indices = csr_from_edges(len(requests), population.n, edges)
 
         def kernel():
             graph, source, sink = unit_demand_network(
@@ -128,7 +116,7 @@ def test_maxflow_solver_on_matching_network(benchmark, solver_name, experiment_h
             {
                 "solver": solver_name,
                 "requests": len(requests),
-                "edges": len(edges),
+                "edges": len(indices),
                 "max_flow": value,
                 "all_served": value == len(requests),
             }

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.video import StripeId
-from repro.flow.bipartite import BMatchingResult, solve_b_matching
+from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
     _stable_right_order,
@@ -1069,8 +1069,10 @@ class ConnectionMatcher:
         matching when the call carries a :class:`MatchDelta` and falls
         back to the full kernel on the CSR adjacency emitted by
         :meth:`PossessionIndex.adjacency_delta_for`;
-        ``"dinic"`` keeps the original edge-list → max-flow reduction and
-        serves as the cold twin in cross-validation tests and benchmarks.
+        ``"dinic"`` solves every round cold with the in-house Dinic max
+        flow (:func:`repro.flow.dinic.dinic_matching`) on the same CSR
+        adjacency, and serves as the cold twin in cross-validation tests
+        and benchmarks.
     augmentation_budget:
         Optional per-round cap on the Hopcroft–Karp kernel's
         augmenting-path searches.  When the kernel exceeds it the round
@@ -1244,21 +1246,8 @@ class ConnectionMatcher:
         degraded = False
         repair_fallback = False
         if self._solver == "dinic":
-            request_list = list(requests)
-            edges: List[Tuple[int, int]] = []
-            for idx, request in enumerate(request_list):
-                for box in possession.servers_for(request, current_time):
-                    if box == request.box_id:
-                        # A box never serves its own request: it needs the data.
-                        continue
-                    edges.append((idx, int(box)))
-            result: BMatchingResult = solve_b_matching(
-                num_left=num_requests,
-                num_right=n,
-                edges=edges,
-                right_capacities=capacities.tolist(),
-                method=self._solver,
-            )
+            indptr, indices, _ = possession.adjacency_delta_for(requests, current_time)
+            result = dinic_matching(num_requests, n, indptr, indices, capacities)
             assignment = result.assignment
             feasible, matched = result.feasible, result.matched
             witness = result.unsatisfied_witness
@@ -1297,7 +1286,7 @@ class ConnectionMatcher:
                     requests, current_time
                 )
                 try:
-                    hk = hopcroft_karp_matching(
+                    result = hopcroft_karp_matching(
                         num_left=num_requests,
                         num_right=n,
                         indptr=indptr,
@@ -1306,31 +1295,17 @@ class ConnectionMatcher:
                         initial_assignment=warm_seed,
                         augmentation_budget=self._augmentation_budget,
                     )
-                    assignment = hk.assignment
-                    feasible, matched = hk.feasible, hk.matched
-                    witness = hk.unsatisfied_witness
                 except AugmentationBudgetExceeded:
                     # Graceful degradation: re-solve the identical instance
                     # (same CSR adjacency, same capacities) with the Dinic
                     # max-flow kernel.  Maximum-matching cardinality is
                     # solver-independent, so feasibility and per-round metrics
                     # are unchanged; only the degraded flag records the event.
-                    edges = [
-                        (i, int(indices[e]))
-                        for i in range(num_requests)
-                        for e in range(int(indptr[i]), int(indptr[i + 1]))
-                    ]
-                    fallback: BMatchingResult = solve_b_matching(
-                        num_left=num_requests,
-                        num_right=n,
-                        edges=edges,
-                        right_capacities=capacities.tolist(),
-                        method="dinic",
-                    )
-                    assignment = fallback.assignment
-                    feasible, matched = fallback.feasible, fallback.matched
-                    witness = fallback.unsatisfied_witness
+                    result = dinic_matching(num_requests, n, indptr, indices, capacities)
                     degraded = True
+                assignment = result.assignment
+                feasible, matched = result.feasible, result.matched
+                witness = result.unsatisfied_witness
                 if incremental_ctx:
                     self._pair_expiry = self._pair_expiry_from_csr(
                         assignment, indptr, indices, edge_expiry

@@ -1,12 +1,12 @@
-"""Bipartite b-matchings, Hall-style feasibility and expansion measurement.
+"""Hall-style feasibility and expansion measurement.
 
 The connection-matching problem of Section 2.2 is a bipartite *b-matching*:
 every request (left node) must be matched with degree exactly 1, and every
-box (right node) may be matched with degree at most ``⌊u_b·c⌋``.  This
-module provides:
+box (right node) may be matched with degree at most ``⌊u_b·c⌋``.  The
+kernels that solve it live in :mod:`repro.flow.hopcroft_karp` and
+:mod:`repro.flow.dinic`; this module measures the instance side of
+Lemma 1 and of the expander argument:
 
-* :func:`solve_b_matching` — solve the b-matching through max flow and
-  return the request→box assignment;
 * :func:`hall_violations` — search for a violated (generalized) Hall
   condition, i.e. a request subset ``X`` with ``U_{B(X)} < |X|/c``;
   used to exhibit *obstruction witnesses*;
@@ -20,155 +20,17 @@ module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.flow.dinic import dinic_max_flow
-from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
-from repro.flow.mincut import residual_reachable
-from repro.flow.network import build_bipartite_network
-
 __all__ = [
-    "BMatchingResult",
-    "solve_b_matching",
     "hall_violations",
     "hall_deficiency",
     "worst_expansion_subset",
     "expansion_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class BMatchingResult:
-    """Result of a bipartite b-matching computation.
-
-    Attributes
-    ----------
-    feasible:
-        Whether every left node was matched (flow value == number of left
-        nodes weighted by their demand).
-    assignment:
-        ``assignment[i]`` is the right node serving left node ``i`` or
-        ``-1`` if the instance is infeasible and ``i`` was left unmatched.
-    matched:
-        Total matched demand (the max-flow value).
-    deficient_left:
-        Left nodes that could not be fully served (empty when feasible).
-    unsatisfied_witness:
-        When infeasible, a set of left nodes whose neighbourhood violates
-        the generalized Hall condition (extracted from the min cut);
-        ``None`` when feasible.
-    """
-
-    feasible: bool
-    assignment: np.ndarray
-    matched: int
-    deficient_left: Tuple[int, ...]
-    unsatisfied_witness: Optional[Tuple[int, ...]]
-
-
-def solve_b_matching(
-    num_left: int,
-    num_right: int,
-    edges: Sequence[Tuple[int, int]],
-    right_capacities: Sequence[int],
-    left_demands: Optional[Sequence[int]] = None,
-    method: str = "auto",
-) -> BMatchingResult:
-    """Solve a bipartite b-matching (left demands vs right capacities).
-
-    Parameters
-    ----------
-    num_left, num_right:
-        Sizes of the two sides.
-    edges:
-        Admissible (left, right) pairs.
-    right_capacities:
-        Maximum degree of each right node (``⌊u_b·c⌋`` for boxes).
-    left_demands:
-        Required degree of each left node; defaults to 1 for every node
-        (each stripe request needs exactly one server).
-    method:
-        ``"auto"`` (default) uses the Hopcroft–Karp kernel when every left
-        demand is 1 and falls back to the Dinic max-flow reduction
-        otherwise; ``"hopcroft_karp"`` and ``"dinic"`` force one path
-        (the Dinic reduction doubles as the cold twin in cross-validation
-        tests).
-    """
-    demands = [1] * num_left if left_demands is None else [int(x) for x in left_demands]
-    if len(demands) != num_left:
-        raise ValueError("left_demands length must equal num_left")
-    caps = [int(x) for x in right_capacities]
-    if len(caps) != num_right:
-        raise ValueError("right_capacities length must equal num_right")
-
-    unit_demand = all(x == 1 for x in demands)
-    if method == "auto":
-        method = "hopcroft_karp" if unit_demand else "dinic"
-    if method == "hopcroft_karp":
-        if not unit_demand:
-            raise ValueError(
-                "method='hopcroft_karp' requires unit left demands; "
-                "use method='dinic' (or 'auto') for general demands"
-            )
-        indptr, indices = csr_from_edges(num_left, num_right, edges)
-        hk = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-        return BMatchingResult(
-            feasible=hk.feasible,
-            assignment=hk.assignment,
-            matched=hk.matched,
-            deficient_left=hk.deficient_left,
-            unsatisfied_witness=hk.unsatisfied_witness,
-        )
-    if method != "dinic":
-        raise ValueError(f"unknown b-matching method {method!r}")
-
-    network, source, sink = build_bipartite_network(
-        num_left=num_left,
-        num_right=num_right,
-        edges=list(edges),
-        left_capacities=demands,
-        right_capacities=caps,
-        edge_capacity=max(demands) if demands else 1,
-    )
-    matched = dinic_max_flow(network, source, sink)
-    demand_total = sum(demands)
-    feasible = matched == demand_total
-
-    assignment = np.full(num_left, -1, dtype=np.int64)
-    # Forward edges were added in order: source->left (num_left of them),
-    # right->sink (num_right), then the left->right edges.
-    edge_offset = 2 * (num_left + num_right)
-    for idx, (left, right) in enumerate(edges):
-        edge_id = edge_offset + 2 * idx
-        if network.flow_on(edge_id) > 0:
-            assignment[left] = right
-
-    deficient: List[int] = []
-    for left in range(num_left):
-        # Left node is deficient when its source edge is not saturated.
-        source_edge = 2 * left
-        if network.flow_on(source_edge) < demands[left]:
-            deficient.append(left)
-
-    witness: Optional[Tuple[int, ...]] = None
-    if not feasible:
-        # The left nodes on the source side of the min cut form a Hall
-        # violation witness (their joint neighbourhood is too small).
-        reachable = residual_reachable(network, source)
-        witness = tuple(
-            left for left in range(num_left) if (1 + left) in reachable
-        )
-    return BMatchingResult(
-        feasible=feasible,
-        assignment=assignment,
-        matched=matched,
-        deficient_left=tuple(deficient),
-        unsatisfied_witness=witness,
-    )
 
 
 def hall_violations(

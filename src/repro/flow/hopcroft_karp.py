@@ -3,11 +3,11 @@
 The per-round connection matching of Section 2.2 is, in the common case,
 a *unit-demand* bipartite b-matching: every stripe request (left node)
 needs exactly one server, every box (right node) can serve at most
-``⌊u_b·c⌋`` requests.  Reducing it to max flow (as
-:func:`repro.flow.bipartite.solve_b_matching` historically did) pays for
-building a :class:`~repro.flow.network.FlowNetwork` object per round; this
-module solves the same problem directly on a CSR (``indptr``/``indices``)
-adjacency with a capacitated Hopcroft–Karp:
+``⌊u_b·c⌋`` requests.  Both in-house kernels read it as one CSR
+(``indptr``/``indices``) adjacency, checked by one validation, and return
+one result type: the Dinic max flow (:mod:`repro.flow.dinic`) is the
+degraded-round fallback and cold twin, and this module's capacitated
+Hopcroft–Karp is what every round runs:
 
 * a greedy pass matches the easy requests in ``O(E)``;
 * a small deficit is cleared one free left at a time (Kuhn), a larger
@@ -15,8 +15,9 @@ adjacency with a capacitated Hopcroft–Karp:
   only (``O(E·√V)`` phases bound, as for classical Hopcroft–Karp);
 * an optional *warm start* seeds the matching with a previous round's
   assignment, so only the changed part of the instance is re-solved;
-* when the instance is infeasible, the final BFS frontier yields the same
-  generalized-Hall witness (Lemma 1) the min-cut extraction produced.
+* when the instance is infeasible, the final BFS frontier yields the
+  generalized-Hall witness (Lemma 1): the lefts that alternating paths
+  reach from the unmatched ones.
 
 The searches read the instance on demand: a left's row and a right
 node's list of matched lefts become Python lists (:class:`_LazyRows`)
@@ -63,7 +64,7 @@ class AugmentationBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class HKMatchingResult:
-    """Result of a unit-demand b-matching computation.
+    """Result of a unit-demand b-matching computation, by either kernel.
 
     Attributes
     ----------
@@ -94,24 +95,62 @@ def csr_from_edges(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build a left→right CSR adjacency (sorted rows) from an edge list.
 
-    Returns ``(indptr, indices)`` with ``indices[indptr[i]:indptr[i+1]]``
-    the right neighbours of left node ``i`` in ascending order (duplicate
-    edges are preserved; they are harmless to the kernel).
+    ``edges`` holds ``(left, right)`` pairs; anything else, other than an
+    empty list, raises ``ValueError``.  Returns ``(indptr, indices)`` with
+    ``indices[indptr[i]:indptr[i+1]]`` the right neighbours of left node
+    ``i`` in ascending order (duplicate edges are preserved; they are
+    harmless to the kernels).
     """
     arr = np.asarray(list(edges), dtype=np.int64)
-    if arr.size == 0:
-        return np.zeros(num_left + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = arr.reshape(-1, 2)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (left, right) pairs, got shape {arr.shape}")
     left, right = arr[:, 0], arr[:, 1]
-    if left.min() < 0 or left.max() >= num_left:
+    if left.size and (left.min() < 0 or left.max() >= num_left):
         raise ValueError("edge references a left node out of range")
-    if right.min() < 0 or right.max() >= num_right:
+    if right.size and (right.min() < 0 or right.max() >= num_right):
         raise ValueError("edge references a right node out of range")
     order = np.lexsort((right, left))
     counts = np.bincount(left, minlength=num_left)
     indptr = np.zeros(num_left + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, right[order]
+
+
+def _check_csr(
+    num_left: int,
+    num_right: int,
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    right_capacities: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a CSR instance; return its int64 ``indptr``, ``indices``, capacities.
+
+    Both kernels read their input through this check: a malformed CSR
+    would otherwise fail far from the cause, or (a negative right id
+    indexing from the end) return a wrong matching.
+    """
+    indptr_arr = np.asarray(indptr, dtype=np.int64)
+    if indptr_arr.shape != (num_left + 1,):
+        raise ValueError("indptr must have num_left + 1 entries")
+    indices_arr = np.asarray(indices, dtype=np.int64)
+    if indptr_arr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    if indptr_arr[-1] != indices_arr.size:
+        raise ValueError("indptr must end at len(indices)")
+    if num_left and int(np.diff(indptr_arr).min()) < 0:
+        raise ValueError("indptr must be non-decreasing")
+    # One pass for both bounds: viewed as unsigned, a negative id exceeds
+    # every valid one.
+    if indices_arr.size and int(indices_arr.view(np.uint64).max()) >= num_right:
+        raise ValueError("indices must be right-node ids in [0, num_right)")
+    cap_arr = np.asarray(right_capacities, dtype=np.int64)
+    if cap_arr.shape != (num_right,):
+        raise ValueError("right_capacities must have one entry per right node")
+    if cap_arr.size and int(cap_arr.min()) < 0:
+        raise ValueError("right_capacities must be non-negative")
+    return indptr_arr, indices_arr, cap_arr
 
 
 def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
@@ -271,28 +310,9 @@ def hopcroft_karp_matching(
         augmentation_budget = int(augmentation_budget)
         if augmentation_budget < 0:
             raise ValueError("augmentation_budget must be non-negative")
-    indptr_arr = np.asarray(indptr, dtype=np.int64)
-    if indptr_arr.shape != (num_left + 1,):
-        raise ValueError("indptr must have num_left + 1 entries")
-    indices_arr = np.asarray(indices, dtype=np.int64)
-    # The same checks as csr_from_edges: a malformed CSR would otherwise
-    # fail far from the cause, or (a negative right id indexing from the
-    # end) return a wrong matching.
-    if indptr_arr[0] != 0:
-        raise ValueError("indptr must start at 0")
-    if indptr_arr[-1] != indices_arr.size:
-        raise ValueError("indptr must end at len(indices)")
-    if num_left and int(np.diff(indptr_arr).min()) < 0:
-        raise ValueError("indptr must be non-decreasing")
-    # One pass for both bounds: viewed as unsigned, a negative id exceeds
-    # every valid one.
-    if indices_arr.size and int(indices_arr.view(np.uint64).max()) >= num_right:
-        raise ValueError("indices must be right-node ids in [0, num_right)")
-    cap_arr = np.asarray(right_capacities, dtype=np.int64)
-    if cap_arr.shape != (num_right,):
-        raise ValueError("right_capacities must have one entry per right node")
-    if cap_arr.size and int(cap_arr.min()) < 0:
-        raise ValueError("right_capacities must be non-negative")
+    indptr_arr, indices_arr, cap_arr = _check_csr(
+        num_left, num_right, indptr, indices, right_capacities
+    )
 
     match_arr = np.full(num_left, -1, dtype=np.int64)
     load_arr = np.zeros(num_right, dtype=np.int64)

@@ -177,7 +177,8 @@ class VodSimulator:
     solver:
         Matching kernel: a name handed to :class:`ConnectionMatcher` —
         ``"hopcroft_karp"`` (default) or ``"dinic"``, the in-house
-        max-flow reduction that serves as the cold twin — or a
+        Dinic max flow on the same CSR adjacency, which serves as the
+        cold twin — or a
         callable ``f(upload_slots) -> Solver`` (what the
         :mod:`repro.api` registry stores), letting registered custom
         solvers plug in.  Every round hands the solver the pool's

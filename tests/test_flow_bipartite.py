@@ -1,114 +1,16 @@
-"""Tests for bipartite b-matching, Hall violations and expansion."""
+"""Tests for Hall violations, the exact Hall deficiency and expansion."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.flow.bipartite import (
     expansion_ratio,
     hall_deficiency,
     hall_violations,
-    solve_b_matching,
     worst_expansion_subset,
 )
-
-
-class TestSolveBMatching:
-    def test_perfect_matching(self):
-        result = solve_b_matching(
-            num_left=3,
-            num_right=3,
-            edges=[(0, 0), (1, 1), (2, 2), (0, 1)],
-            right_capacities=[1, 1, 1],
-        )
-        assert result.feasible
-        assert result.matched == 3
-        assert result.deficient_left == ()
-        assert result.unsatisfied_witness is None
-        # Every left node is assigned a valid admissible right node.
-        edges = {(0, 0), (1, 1), (2, 2), (0, 1)}
-        for left, right in enumerate(result.assignment):
-            assert (left, int(right)) in edges
-
-    def test_right_capacity_allows_multiple_clients(self):
-        result = solve_b_matching(
-            num_left=3,
-            num_right=1,
-            edges=[(0, 0), (1, 0), (2, 0)],
-            right_capacities=[3],
-        )
-        assert result.feasible
-        assert result.matched == 3
-        assert all(int(r) == 0 for r in result.assignment)
-
-    def test_infeasible_by_capacity(self):
-        result = solve_b_matching(
-            num_left=3,
-            num_right=1,
-            edges=[(0, 0), (1, 0), (2, 0)],
-            right_capacities=[2],
-        )
-        assert not result.feasible
-        assert result.matched == 2
-        assert len(result.deficient_left) == 1
-
-    def test_infeasible_by_missing_edges_witness(self):
-        # Left node 2 has no admissible server: it forms a Hall violation.
-        result = solve_b_matching(
-            num_left=3,
-            num_right=2,
-            edges=[(0, 0), (1, 1)],
-            right_capacities=[1, 1],
-        )
-        assert not result.feasible
-        assert result.unsatisfied_witness is not None
-        assert 2 in result.unsatisfied_witness
-        assert result.assignment[2] == -1
-
-    def test_left_demands(self):
-        result = solve_b_matching(
-            num_left=2,
-            num_right=2,
-            edges=[(0, 0), (0, 1), (1, 1)],
-            right_capacities=[1, 2],
-            left_demands=[2, 1],
-        )
-        assert result.feasible
-        assert result.matched == 3
-
-    def test_empty_instance(self):
-        result = solve_b_matching(0, 3, [], [1, 1, 1])
-        assert result.feasible
-        assert result.matched == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solve_b_matching(2, 2, [], [1])
-        with pytest.raises(ValueError):
-            solve_b_matching(2, 2, [], [1, 1], left_demands=[1])
-        with pytest.raises(ValueError):
-            solve_b_matching(1, 1, [(5, 0)], [1])
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 5_000))
-    def test_matched_value_equals_hall_optimum_on_small_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        num_left = int(rng.integers(1, 6))
-        num_right = int(rng.integers(1, 6))
-        caps = [int(rng.integers(0, 3)) for _ in range(num_right)]
-        edges = [
-            (i, j)
-            for i in range(num_left)
-            for j in range(num_right)
-            if rng.random() < 0.5
-        ]
-        result = solve_b_matching(num_left, num_right, edges, caps)
-        # Feasibility ⇔ no generalized Hall violation (deficiency form).
-        neighbourhoods = [set(j for (i, j) in edges if i == left) for left in range(num_left)]
-        violations = hall_violations(neighbourhoods, caps, demand_per_left=1.0)
-        assert result.feasible == (len(violations) == 0)
 
 
 class TestHallViolations:

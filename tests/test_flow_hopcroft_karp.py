@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.sparse.csgraph import maximum_flow
 
 from repro.flow import hopcroft_karp as hk_module
-from repro.flow.bipartite import hall_deficiency, solve_b_matching
-from repro.flow.dinic import dinic_max_flow
+from repro.flow.bipartite import hall_deficiency
+from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
-from repro.flow.network import build_bipartite_network
 from repro.scenarios.oracle import unit_demand_network
 
 solver_settings = settings(
@@ -87,16 +86,9 @@ class TestKernelAgainstMaxFlowSolvers:
         num_left, num_right, edges, caps, _ = random_instance(seed)
         indptr, indices = csr_from_edges(num_left, num_right, edges)
         hk = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-        network, source, sink = build_bipartite_network(
-            num_left=num_left,
-            num_right=num_right,
-            edges=edges,
-            left_capacities=[1] * num_left,
-            right_capacities=caps,
-        )
         values = {
             "hopcroft_karp": hk.matched,
-            "dinic": dinic_max_flow(network, source, sink),
+            "dinic": dinic_matching(num_left, num_right, indptr, indices, caps).matched,
         }
         graph, source, sink = unit_demand_network(
             num_left, num_right, indptr, indices, caps
@@ -110,31 +102,16 @@ class TestKernelAgainstMaxFlowSolvers:
 
     @solver_settings
     @given(seed=st.integers(0, 100_000))
-    def test_solve_b_matching_methods_agree(self, seed):
-        """The dispatching front-end returns equivalent results per method."""
-        num_left, num_right, edges, caps, _ = random_instance(seed)
-        dinic = solve_b_matching(num_left, num_right, edges, caps, method="dinic")
-        hk = solve_b_matching(num_left, num_right, edges, caps, method="hopcroft_karp")
-        auto = solve_b_matching(num_left, num_right, edges, caps, method="auto")
-        assert dinic.matched == hk.matched == auto.matched
-        assert dinic.feasible == hk.feasible == auto.feasible
-        assert set(dinic.deficient_left) == set() or len(hk.deficient_left) == len(
-            dinic.deficient_left
-        )
-        assert_valid_assignment(hk, num_right, edges, caps)
-
-    @solver_settings
-    @given(seed=st.integers(0, 100_000))
     def test_witness_is_a_hall_violation(self, seed):
         """The infeasibility witness genuinely violates the Hall condition."""
         num_left, num_right, edges, caps, _ = random_instance(seed)
-        hk = solve_b_matching(num_left, num_right, edges, caps, method="hopcroft_karp")
+        indptr, indices = csr_from_edges(num_left, num_right, edges)
+        hk = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
         if hk.feasible:
             assert hk.unsatisfied_witness is None
             return
         witness = hk.unsatisfied_witness
         assert witness is not None and len(witness) >= 1
-        indptr, indices = csr_from_edges(num_left, num_right, edges)
         # Exact: the deficiency of the witness equals the unmatched count,
         # which proves the matching maximum.
         assert hall_deficiency(witness, indptr, indices, caps) == num_left - hk.matched
@@ -233,9 +210,8 @@ class TestPhasePathWithWarmStarts:
         result = hopcroft_karp_matching(
             num_left, num_right, indptr, indices, caps, initial_assignment=warm
         )
-        edges = csr_edges(indptr, indices)
-        assert_valid_assignment(result, num_right, edges, caps.tolist())
-        dinic = solve_b_matching(num_left, num_right, edges, caps.tolist(), method="dinic")
+        assert_valid_assignment(result, num_right, csr_edges(indptr, indices), caps.tolist())
+        dinic = dinic_matching(num_left, num_right, indptr, indices, caps)
         assert result.matched == dinic.matched
         unmatched = tuple(np.flatnonzero(result.assignment < 0).tolist())
         assert result.deficient_left == unmatched
@@ -306,27 +282,15 @@ class TestKernelEdgeCases:
         with pytest.raises(ValueError):
             csr_from_edges(1, 1, [(0, 5)])
 
-    def test_solve_b_matching_rejects_hk_with_general_demands(self):
-        with pytest.raises(ValueError):
-            solve_b_matching(
-                1, 1, [(0, 0)], [2], left_demands=[2], method="hopcroft_karp"
-            )
-
-    def test_solve_b_matching_auto_falls_back_for_general_demands(self):
-        result = solve_b_matching(
-            num_left=2,
-            num_right=2,
-            edges=[(0, 0), (0, 1), (1, 1)],
-            right_capacities=[1, 2],
-            left_demands=[2, 1],
-            method="auto",
-        )
-        assert result.feasible
-        assert result.matched == 3
-
-    def test_solve_b_matching_unknown_method(self):
-        with pytest.raises(ValueError):
-            solve_b_matching(1, 1, [(0, 0)], [1], method="bogus")
+    def test_csr_from_edges_rejects_anything_but_pairs(self):
+        # Triples were once reshaped into pairs: (0, 1, 2), (1, 0, 0) read
+        # as (0, 1), (2, 1), (0, 0).
+        with pytest.raises(ValueError, match="pairs"):
+            csr_from_edges(3, 3, [(0, 1, 2), (1, 0, 0)])
+        with pytest.raises(ValueError, match="pairs"):
+            csr_from_edges(3, 3, [0, 1])
+        indptr, indices = csr_from_edges(3, 3, [])
+        assert indptr.tolist() == [0, 0, 0, 0] and indices.size == 0
 
     def test_large_deficit_uses_phase_path(self):
         # Many unmatched lefts (far above the Kuhn threshold) exercise the

@@ -21,9 +21,8 @@ from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
-from repro.flow.dinic import dinic_max_flow
+from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
-from repro.flow.network import build_bipartite_network
 from repro.scenarios.replay import run_scenario
 
 _SETTINGS = settings(
@@ -83,10 +82,8 @@ class TestMatcherInvariants:
         num_left, num_right, edges, caps = instance
         indptr, indices = csr_from_edges(num_left, num_right, edges)
         result = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-        network, source, sink = build_bipartite_network(
-            num_left, num_right, edges, [1] * num_left, caps
-        )
-        assert result.matched == dinic_max_flow(network, source, sink)
+        dinic = dinic_matching(num_left, num_right, indptr, indices, caps)
+        assert result.matched == dinic.matched
 
     @_SETTINGS
     @given(bipartite_instances(), st.randoms(use_true_random=False))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flow.bipartite import solve_b_matching
+from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges
 from repro.scenarios.oracle import check_matching_instance, run_differential_oracle
 from repro.scenarios.registry import scenario_names
@@ -69,17 +69,7 @@ class TestRandomizedAgreement:
         rng = np.random.default_rng(7)
         for _ in range(25):
             num_left, num_right, indptr, indices, caps = _random_instance(rng)
-            reference = solve_b_matching(
-                num_left,
-                num_right,
-                [
-                    (i, int(indices[e]))
-                    for i in range(num_left)
-                    for e in range(int(indptr[i]), int(indptr[i + 1]))
-                ],
-                caps,
-                method="dinic",
-            )
+            reference = dinic_matching(num_left, num_right, indptr, indices, caps)
             errors = check_matching_instance(
                 num_left, num_right, indptr, indices, caps,
                 reference_assignment=reference.assignment,
@@ -156,26 +146,6 @@ class TestEdgeCases:
         # SciPy reads capacities as int32: unclipped, 2**32 would become 0.
         indptr, indices = csr_from_edges(2, 1, [(0, 0), (1, 0)])
         assert check_matching_instance(2, 1, indptr, indices, [2**32]) == []
-
-
-class TestSolverDispatch:
-    def test_push_relabel_and_edmonds_karp_methods(self):
-        # The two max-flow methods that only cross-checked Dinic are gone;
-        # the Dinic reduction is the one flow path left.
-        edges = [(0, 0), (1, 0), (1, 1), (2, 1)]
-        result = solve_b_matching(3, 2, edges, [1, 2], method="dinic")
-        assert result.feasible
-        assert result.matched == 3
-        for method in ("push_relabel", "edmonds_karp", "simplex"):
-            with pytest.raises(ValueError, match="unknown b-matching method"):
-                solve_b_matching(3, 2, edges, [1, 2], method=method)
-
-    def test_flow_methods_reject_hk_only_demands(self):
-        with pytest.raises(ValueError, match="unit left demands"):
-            solve_b_matching(
-                2, 2, [(0, 0), (1, 1)], [2, 2], left_demands=[2, 1],
-                method="hopcroft_karp",
-            )
 
 
 class TestScenarioOracle:

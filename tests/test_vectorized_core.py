@@ -35,7 +35,7 @@ from repro.core.matching import (
 )
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
-from repro.flow.bipartite import solve_b_matching
+from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
@@ -423,9 +423,7 @@ class TestKernelWarmStart:
         assert warm_result.matched == cold.matched
         assert warm_result.feasible == cold.feasible
 
-        oracle = solve_b_matching(
-            num_left, num_right, edges, caps, method="dinic"
-        )
+        oracle = dinic_matching(num_left, num_right, indptr, indices, caps)
         assert cold.matched == oracle.matched
 
         rows = [
