@@ -9,7 +9,9 @@ one result type: the Dinic max flow (:mod:`repro.flow.dinic`) is the
 degraded-round fallback and cold twin, and this module's capacitated
 Hopcroft–Karp is what every round runs:
 
-* a greedy pass matches the easy requests in ``O(E)``;
+* a greedy first-fit pass matches the easy requests in ``O(E)``: the
+  lefts that find room at their row's head before any head fills up
+  take it in one vectorized step;
 * a small deficit is cleared one free left at a time (Kuhn), a larger
   one by alternating BFS/DFS phases that augment along shortest paths
   only (``O(E·√V)`` phases bound, as for classical Hopcroft–Karp);
@@ -21,9 +23,9 @@ Hopcroft–Karp is what every round runs:
 
 The searches read the instance on demand: a left's row and a right
 node's list of matched lefts become Python lists (:class:`_LazyRows`)
-only when a search first visits them.  An infeasible round whose Hall
-witness is a few dozen lefts therefore pays Python work for the rows its
-searches touch, not for the whole CSR.
+only when the greedy pass or a search first visits them.  An infeasible
+round whose Hall witness is a few dozen lefts therefore pays Python work
+for the rows its searches touch, not for the whole CSR.
 
 The kernel is exact and deterministic: for a fixed instance it always
 returns the same assignment (warm starts may change *which* maximum
@@ -171,6 +173,24 @@ def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
     keys.sort()
     keys &= 0xFFFFFFFF
     return keys
+
+
+def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
+    """``rank[k]``: how many entries before ``k`` equal ``seq_b[k]``.
+
+    First-fit of a sequence of right nodes in one vectorized step: entry
+    ``k`` finds room at ``seq_b[k]`` exactly when its rank is below that
+    node's spare capacity, provided every earlier entry found room too.
+    """
+    order = _stable_right_order(seq_b)
+    sorted_b = seq_b[order]
+    new_group = np.empty(sorted_b.size, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(sorted_b[1:], sorted_b[:-1], out=new_group[1:])
+    group_start = np.flatnonzero(new_group)[np.cumsum(new_group) - 1]
+    rank = np.empty(sorted_b.size, dtype=np.int64)
+    rank[order] = np.arange(sorted_b.size, dtype=np.int64) - group_start
+    return rank
 
 
 class _LazyRows(dict):
@@ -356,25 +376,16 @@ def hopcroft_karp_matching(
                 match_arr[warm_i] = warm_b
                 load_arr += counts
             else:
-                order = np.argsort(cand_b, kind="stable")
-                cand_i = candidates[order]
-                cand_b = cand_b[order]
-                new_group = np.empty(cand_b.size, dtype=bool)
-                new_group[0] = True
-                new_group[1:] = cand_b[1:] != cand_b[:-1]
-                group_start = np.flatnonzero(new_group)
-                group_id = np.cumsum(new_group) - 1
-                rank_in_group = (
-                    np.arange(cand_b.size, dtype=np.int64) - group_start[group_id]
-                )
-                keep = rank_in_group < cap_arr[cand_b]
-                warm_i, warm_b = cand_i[keep], cand_b[keep]
+                keep = _rank_among_equal(cand_b) < cap_arr[cand_b]
+                warm_i, warm_b = candidates[keep], cand_b[keep]
                 match_arr[warm_i] = warm_b
                 load_arr += np.bincount(warm_b, minlength=num_right).astype(np.int64)
 
-    # Greedy pass: first-fit for everything still unmatched.  The loop is
-    # inherently sequential; the unmatched rows are gathered into plain
-    # Python lists once so the inner scan avoids NumPy scalar indexing.
+    # Greedy pass: first-fit for everything still unmatched, in left
+    # order.  Until some left finds its row's head full, first-fit gives
+    # every left its head, so that prefix is adopted in one vectorized
+    # step.  From that left on the pass is inherently sequential: a left
+    # whose head still has room takes it, any other scans its row.
     unmatched = np.flatnonzero(match_arr < 0)
     if not unmatched.size:
         return HKMatchingResult(
@@ -384,33 +395,31 @@ def hopcroft_karp_matching(
             deficient_left=(),
             unsatisfied_witness=None,
         )
-    row_starts = indptr_arr[unmatched]
-    row_lens = (indptr_arr[unmatched + 1] - row_starts).tolist()
-    total = int(sum(row_lens))
-    if total:
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum([0] + row_lens[:-1]), row_lens)
-            + np.repeat(row_starts, row_lens)
-        )
-        flat_rows = indices_arr[gather].tolist()
-    else:
-        flat_rows = []
+    starts = indptr_arr[unmatched]
+    nonempty = np.flatnonzero(indptr_arr[unmatched + 1] > starts)
+    lefts = unmatched[nonempty]
+    heads = indices_arr[starts[nonempty]]
+    fits = _rank_among_equal(heads) < (cap_arr - load_arr)[heads]
+    stop = fits.size if fits.all() else int(fits.argmin())
+    load_arr += np.bincount(heads[:stop], minlength=num_right)
     load = load_arr.tolist()
     cap = cap_arr.tolist()
-    greedy_i: List[int] = []
-    greedy_b: List[int] = []
-    offset = 0
-    for i, row_len in zip(unmatched.tolist(), row_lens):
-        for e in range(offset, offset + row_len):
-            j = flat_rows[e]
+    rows = _LazyRows(indptr_arr, indices_arr)
+    choices = heads[stop:].tolist()
+    for k, j in enumerate(choices):
+        if load[j] < cap[j]:
+            load[j] += 1
+            continue
+        choices[k] = -1
+        for j in rows[int(lefts[stop + k])]:
             if load[j] < cap[j]:
-                match_arr[i] = j
                 load[j] += 1
-                greedy_i.append(i)
-                greedy_b.append(j)
+                choices[k] = j
                 break
-        offset += row_len
+    heads[stop:] = choices
+    taken = heads >= 0
+    greedy_i, greedy_b = lefts[taken], heads[taken]
+    match_arr[greedy_i] = greedy_b
 
     free = np.flatnonzero(match_arr < 0)
     matched = num_left - free.size
@@ -426,11 +435,10 @@ def hopcroft_karp_matching(
     # Deficit remains: augment from the free lefts.  The searches read
     # rows on demand: a left's row, and a right node's list of matched
     # lefts, become Python lists only when a search first visits them.
-    rows = _LazyRows(indptr_arr, indices_arr)
     right_matches = _right_matches(
         num_right,
-        np.concatenate((warm_i, np.asarray(greedy_i, dtype=np.int64))),
-        np.concatenate((warm_b, np.asarray(greedy_b, dtype=np.int64))),
+        np.concatenate((warm_i, greedy_i)),
+        np.concatenate((warm_b, greedy_b)),
     )
     searches_spent = 0
 

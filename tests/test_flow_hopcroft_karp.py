@@ -305,6 +305,65 @@ class TestKernelEdgeCases:
         assert len(result.unsatisfied_witness) == num_left
 
 
+class TestGreedyFirstFit:
+    """The greedy pass is first-fit in left order, in CSR row order.
+
+    Its vectorized prefix (every left takes its row's head until some
+    head is full) must not change which box any left gets.
+    """
+
+    @staticmethod
+    def first_fit(num_left, indptr, indices, caps):
+        """Plain sequential first-fit; also reports whether a head was full."""
+        load = [0] * len(caps)
+        assignment = [-1] * num_left
+        head_was_full = False
+        for i in range(num_left):
+            row = indices[indptr[i]:indptr[i + 1]].tolist()
+            head_was_full |= bool(row) and load[row[0]] >= caps[row[0]]
+            for j in row:
+                if load[j] < caps[j]:
+                    load[j] += 1
+                    assignment[i] = j
+                    break
+        return assignment, head_was_full
+
+    def test_a_full_head_sends_the_left_down_its_row(self):
+        indptr, indices = np.array([0, 2, 4, 5]), np.array([0, 1, 0, 2, 1])
+        result = hopcroft_karp_matching(3, 3, indptr, indices, [1, 1, 1])
+        assert result.assignment.tolist() == [0, 2, 1]
+
+    def test_a_complete_first_fit_is_returned_unchanged(self):
+        """Where first-fit matches every left with a row, nothing augments."""
+        checked = with_full_head = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            num_left, num_right = int(rng.integers(1, 60)), int(rng.integers(1, 15))
+            caps = rng.integers(0, 6, size=num_right)
+            indptr = np.zeros(num_left + 1, dtype=np.int64)
+            np.cumsum(rng.integers(0, 6, size=num_left), out=indptr[1:])
+            indices = rng.integers(0, num_right, size=int(indptr[-1]))
+            expected, head_was_full = self.first_fit(num_left, indptr, indices, caps)
+            has_row = np.diff(indptr) > 0
+            if any(j < 0 for j, row in zip(expected, has_row) if row):
+                continue
+            result = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
+            assert result.assignment.tolist() == expected
+            checked += 1
+            with_full_head += head_was_full
+        # The batch reaches the sequential part past the vectorized prefix.
+        assert checked >= 40 and with_full_head >= 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    @example([])
+    @example([3, 1, 3, 3, 0, 1])
+    def test_rank_among_equal_counts_earlier_equal_entries(self, ids):
+        seq = np.array(ids, dtype=np.int64)
+        expected = [ids[:k].count(b) for k, b in enumerate(ids)]
+        assert hk_module._rank_among_equal(seq).tolist() == expected
+
+
 class TestStableRightOrder:
     """The fast right-node order must equal the stable argsort for any ids."""
 
