@@ -33,6 +33,7 @@ from repro.core.video import StripeId
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
+    HKMatchingResult,
     _stable_right_order,
     hopcroft_karp_matching,
     repair_matching,
@@ -1246,11 +1247,8 @@ class ConnectionMatcher:
         degraded = False
         repair_fallback = False
         if self._solver == "dinic":
-            indptr, indices, _ = possession.adjacency_delta_for(requests, current_time)
+            indptr, indices = possession.adjacency_for(requests, current_time)
             result = dinic_matching(num_requests, n, indptr, indices, capacities)
-            assignment = result.assignment
-            feasible, matched = result.feasible, result.matched
-            witness = result.unsatisfied_witness
         else:
             if warm_start is not None and len(warm_start) != num_requests:
                 raise ValueError("warm_start must have one entry per request")
@@ -1277,9 +1275,14 @@ class ConnectionMatcher:
             else:
                 self._pair_expiry = None
             if repaired is not None:
-                assignment, pair_expiry = repaired
-                feasible, matched, witness = True, num_requests, None
-                self._pair_expiry = pair_expiry
+                assignment, self._pair_expiry = repaired
+                result = HKMatchingResult(
+                    feasible=True,
+                    assignment=assignment,
+                    matched=num_requests,
+                    deficient_left=(),
+                    unsatisfied_witness=None,
+                )
                 self._repair_rounds += 1
             else:
                 indptr, indices, edge_expiry = possession.adjacency_delta_for(
@@ -1303,22 +1306,20 @@ class ConnectionMatcher:
                     # are unchanged; only the degraded flag records the event.
                     result = dinic_matching(num_requests, n, indptr, indices, capacities)
                     degraded = True
-                assignment = result.assignment
-                feasible, matched = result.feasible, result.matched
-                witness = result.unsatisfied_witness
                 if incremental_ctx:
                     self._pair_expiry = self._pair_expiry_from_csr(
-                        assignment, indptr, indices, edge_expiry
+                        result.assignment, indptr, indices, edge_expiry
                     )
 
+        assignment = result.assignment
         served = assignment[assignment >= 0]
         box_load = np.bincount(served, minlength=n).astype(np.int64)
         return ConnectionMatching(
-            feasible=feasible,
+            feasible=result.feasible,
             assignment=assignment,
-            matched=matched,
+            matched=result.matched,
             request_set=requests,
-            obstruction_witness=witness,
+            obstruction_witness=result.unsatisfied_witness,
             box_load=box_load,
             capacities=capacities,
             degraded=degraded,
