@@ -60,10 +60,17 @@ def build_round_instance(n, m, c, k, num_requests, cache_entries, seed):
     allocation = random_permutation_allocation(catalog, population, k, random_state=seed)
     possession = PossessionIndex(allocation, cache_window=catalog.duration)
     rng = np.random.default_rng(seed)
-    for _ in range(cache_entries):
-        possession.record_download(
-            int(rng.integers(catalog.total_stripes)), int(rng.integers(n)), int(rng.integers(3))
-        )
+    downloads = np.array(
+        [
+            (int(rng.integers(catalog.total_stripes)), int(rng.integers(n)), int(rng.integers(3)))
+            for _ in range(cache_entries)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    # The download log is written one round at a time, in round order.
+    for t in range(3):
+        block = downloads[downloads[:, 2] == t]
+        possession.record_downloads(block[:, 0], block[:, 1], t)
     requests = RequestSet(
         StripeRequest(
             stripe_id=int(rng.integers(catalog.total_stripes)),

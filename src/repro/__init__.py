@@ -52,7 +52,6 @@ import warnings as _warnings
 from repro.core import (
     Allocation,
     AllocationError,
-    Box,
     BoxPopulation,
     Catalog,
     CompensationError,
@@ -61,7 +60,6 @@ from repro.core import (
     ConnectionMatching,
     Demand,
     ImmediateRequestScheduler,
-    PlaybackCache,
     PossessionIndex,
     PreloadingScheduler,
     RELAYED_START_UP_DELAY_ROUNDS,
@@ -170,7 +168,6 @@ __all__ = [
     # core model
     "Allocation",
     "AllocationError",
-    "Box",
     "BoxPopulation",
     "Catalog",
     "CompensationError",
@@ -179,7 +176,6 @@ __all__ = [
     "ConnectionMatching",
     "Demand",
     "ImmediateRequestScheduler",
-    "PlaybackCache",
     "PossessionIndex",
     "PreloadingScheduler",
     "RELAYED_START_UP_DELAY_ROUNDS",

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.matching import PossessionIndex
-from repro.core.video import StripeId
 
 __all__ = ["SourcingOnlyPossessionIndex", "sourcing_capacity_bound"]
 
@@ -27,12 +26,10 @@ class SourcingOnlyPossessionIndex(PossessionIndex):
 
     Only the static allocation (and relay caches, which are also static
     reservations) can serve a request.  Downloads are accepted but never
-    recorded, so the index is a drop-in replacement inside the simulator
+    recorded (it overrides :meth:`record_downloads`, the one download
+    writer), so the index is a drop-in replacement inside the simulator
     and every possession query sees an empty playback cache.
     """
-
-    def record_download(self, stripe_id: StripeId, box_id: int, time: int) -> None:
-        """Sourcing-only: the playback caches of other viewers never help."""
 
     def record_downloads(
         self, stripe_ids: np.ndarray, box_ids: np.ndarray, time: int

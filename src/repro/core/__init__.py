@@ -5,7 +5,7 @@ the threshold/obstruction numerics.
 The subpackage follows the paper's structure:
 
 * Section 1.1 (model)            → :mod:`repro.core.parameters`,
-  :mod:`repro.core.video`, :mod:`repro.core.box`
+  :mod:`repro.core.video`
 * Section 2.1 (random allocation) → :mod:`repro.core.allocation`
 * Section 2.2–2.3 (matching)      → :mod:`repro.core.matching`
 * Section 3 (Theorem 1)           → :mod:`repro.core.preloading`,
@@ -23,7 +23,6 @@ from repro.core.parameters import (
     two_class_population,
 )
 from repro.core.video import Catalog, Stripe, StripeId, Video
-from repro.core.box import Box, PlaybackCache
 from repro.core.allocation import (
     Allocation,
     AllocationError,
@@ -68,8 +67,6 @@ __all__ = [
     "Stripe",
     "StripeId",
     "Video",
-    "Box",
-    "PlaybackCache",
     "Allocation",
     "AllocationError",
     "random_independent_allocation",

@@ -50,7 +50,6 @@ __all__ = [
     "ConnectionMatching",
     "ConnectionMatcher",
     "MATCHING_SOLVERS",
-    "SortKeyOverflowError",
     "check_feasibility_hall",
 ]
 
@@ -131,30 +130,19 @@ _EMPTY_INT64 = np.empty(0, dtype=np.int64)
 #: static/relay edges).  Heuristic only — exact searches use full rows.
 _GREEDY_MAX_CACHE_EDGES = 48
 
-#: Bits reserved for the time component of the download-log view's
-#: cached ``(stripe, time)`` composite keys — good for 2M rounds.
-_KEY_SHIFT = 21
-
-#: Largest stripe id whose shifted key still fits int64: the cached
-#: encoding spends ``_KEY_SHIFT`` bits on time, leaving 42 for stripes.
-_MAX_KEYABLE_STRIPE = (1 << (63 - _KEY_SHIFT)) - 1
-
-
-def _stripes_keyable(stripes: np.ndarray) -> bool:
-    """True when every stripe id's shifted composite key fits int64."""
-    return stripes.size == 0 or int(stripes.max()) <= _MAX_KEYABLE_STRIPE
+#: Bits of the round field in the download log's sort key
+#: ``(stripe << _KEY_SHIFT) + round``.  Rounds lie in ``[0, 2**31)`` and
+#: stripe ids in ``[0, num_stripes)``, far below ``2**32``, so no key
+#: leaves int64.  The writer and the queries check both where they enter.
+_KEY_SHIFT = 31
+_ROUND_LIMIT = 1 << _KEY_SHIFT
 
 
-class SortKeyOverflowError(OverflowError):
-    """A packed ``(stripe, time)`` sort key would exceed the int64 range.
-
-    Raised instead of letting NumPy wrap silently: a wrapped key breaks
-    the per-stripe monotonicity the cache-window ``searchsorted`` relies
-    on, turning overflow into wrong (not just failed) matchings.  Seeing
-    this error means the stripe-id universe outgrew the composite-key
-    encoding — widen ``_KEY_SHIFT``'s complement by moving to a wider key
-    dtype, or shrink the id space.
-    """
+def _check_span(name: str, low: int, high: int, limit: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= low`` and ``high < limit``."""
+    if low < 0 or high >= limit:
+        got = low if low < 0 else high
+        raise ValueError(f"{name} must lie in [0, {limit}), got {got}")
 
 
 @dataclass(frozen=True)
@@ -289,17 +277,16 @@ def _request_columns(
 
 
 class _DownloadLog:
-    """Global (time-ordered) playback-cache log, struct-of-arrays.
+    """Global time-ordered playback-cache log, struct-of-arrays.
 
-    Every ``record_download`` appends one ``(stripe, box, time)`` entry;
-    eviction advances a head offset in O(expired) because the engine
-    appends in non-decreasing time order.  Adjacency queries go through a
-    per-generation *sorted view* (stable-sorted by stripe, hence sorted by
-    ``(stripe, time, arrival)``), which turns the whole round's
-    playback-cache gather into a pair of ``searchsorted`` calls.
-    Out-of-order appends (exercised by tests, never by the simulator) flip
-    a flag; eviction then compacts and re-sorts the live segment by time,
-    matching the old per-stripe ring-buffer semantics.
+    :meth:`extend` is the only writer.  It appends one round's block of
+    ``(stripe, box)`` entries and rejects a round earlier than the last
+    live entry, so the live segment is always sorted by time and
+    eviction advances a head offset in O(expired).  Adjacency queries go
+    through a per-generation *sorted view* (stable-sorted by stripe,
+    hence sorted by ``(stripe, time, arrival)``) with cached sort keys,
+    which turns the whole round's playback-cache gather into a pair of
+    ``searchsorted`` calls.
     """
 
     __slots__ = (
@@ -308,7 +295,6 @@ class _DownloadLog:
         "times",
         "head",
         "tail",
-        "sorted",
         "_view_stripes",
         "_view_boxes",
         "_view_times",
@@ -325,18 +311,20 @@ class _DownloadLog:
         self.times = np.empty(64, dtype=np.int64)
         self.head = 0
         self.tail = 0
-        self.sorted = True
+        self._reset_view()
+
+    def _reset_view(self) -> None:
         self._view_stripes: np.ndarray = _EMPTY_INT64
         self._view_boxes: np.ndarray = _EMPTY_INT64
         self._view_times: np.ndarray = _EMPTY_INT64
+        self._view_keys: np.ndarray = _EMPTY_INT64
         self._view_stale = True
         # Incremental-view bookkeeping: total entries ever appended, the
         # total as of the last view build (-1 = view unusable as a merge
         # base), and the strictest eviction horizon since that build.
-        self._append_total = 0
+        self._append_total = self.tail - self.head
         self._view_append_total = -1
         self._evict_horizon: Optional[int] = None
-        self._view_keys: Optional[np.ndarray] = _EMPTY_INT64
 
     def __len__(self) -> int:
         return self.tail - self.head
@@ -347,44 +335,27 @@ class _DownloadLog:
             self.stripes[live].copy(),
             self.boxes[live].copy(),
             self.times[live].copy(),
-            self.sorted,
         )
 
     def __setstate__(self, state):
-        stripes, boxes, times, is_sorted = state
-        self.stripes, self.boxes, self.times = stripes, boxes, times
-        self.head, self.tail = 0, stripes.size
-        self.sorted = is_sorted
-        self._view_stripes = _EMPTY_INT64
-        self._view_boxes = _EMPTY_INT64
-        self._view_times = _EMPTY_INT64
-        self._view_stale = True
-        self._append_total = int(stripes.size)
-        self._view_append_total = -1
-        self._evict_horizon = None
-        self._view_keys = _EMPTY_INT64
-
-    def append(self, stripe: int, box: int, time: int) -> None:
-        if self.tail == self.stripes.size:
-            self._grow()
-        if self.tail > self.head and time < self.times[self.tail - 1]:
-            self.sorted = False
-        self.stripes[self.tail] = stripe
-        self.boxes[self.tail] = box
-        self.times[self.tail] = time
-        self.tail += 1
-        self._append_total += 1
-        self._view_stale = True
+        # Format-3 snapshots from older builds carry a trailing order flag,
+        # always true in engine sessions; it is ignored.
+        self.stripes, self.boxes, self.times = state[:3]
+        self.head, self.tail = 0, self.stripes.size
+        self._reset_view()
 
     def extend(self, stripes: np.ndarray, boxes: np.ndarray, time: int) -> None:
-        """Append a block of entries sharing one time (the engine's round)."""
+        """Append one round's block of entries, all dated ``time``."""
+        if self.tail > self.head and time < self.times[self.tail - 1]:
+            raise ValueError(
+                f"download round {time} precedes the log's last entry "
+                f"(round {int(self.times[self.tail - 1])})"
+            )
         count = int(stripes.size)
         if count == 0:
             return
         while self.tail + count > self.stripes.size:
             self._grow()
-        if self.tail > self.head and time < self.times[self.tail - 1]:
-            self.sorted = False
         lo, hi = self.tail, self.tail + count
         self.stripes[lo:hi] = stripes
         self.boxes[lo:hi] = boxes
@@ -412,29 +383,15 @@ class _DownloadLog:
         """Drop every live entry with time < ``horizon``."""
         if self.head == self.tail:
             return
-        if self.sorted:
-            live_times = self.times[self.head: self.tail]
-            advance = int(np.searchsorted(live_times, horizon, side="left"))
-            if advance:
-                self.head += advance
-                self._view_stale = True
-                if self._evict_horizon is None or horizon > self._evict_horizon:
-                    self._evict_horizon = horizon
-            if self.head > 4096 and self.head > (self.tail - self.head):
-                self._grow()  # reclaim the dead prefix
-        else:
-            live = slice(self.head, self.tail)
-            times = self.times[live]
-            order = np.argsort(times, kind="stable")
-            keep = order[times[order] >= horizon]
-            kept = keep.size
-            self.stripes[:kept] = self.stripes[live][keep]
-            self.boxes[:kept] = self.boxes[live][keep]
-            self.times[:kept] = self.times[live][keep]
-            self.head, self.tail = 0, kept
-            self.sorted = True
+        live_times = self.times[self.head: self.tail]
+        advance = int(np.searchsorted(live_times, horizon, side="left"))
+        if advance:
+            self.head += advance
             self._view_stale = True
-            self._view_append_total = -1  # compaction breaks the merge base
+            if self._evict_horizon is None or horizon > self._evict_horizon:
+                self._evict_horizon = horizon
+        if self.head > 4096 and self.head > (self.tail - self.head):
+            self._grow()  # reclaim the dead prefix
 
     def sorted_view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live entries stable-sorted by stripe: ``(stripes, times, boxes)``.
@@ -446,63 +403,32 @@ class _DownloadLog:
             if not self._patch_view_incremental():
                 live = slice(self.head, self.tail)
                 stripes = self.stripes[live]
-                if self.sorted:
-                    order = np.argsort(stripes, kind="stable")
-                else:
-                    by_time = np.argsort(self.times[live], kind="stable")
-                    by_stripe = np.argsort(stripes[by_time], kind="stable")
-                    order = by_time[by_stripe]
+                order = np.argsort(stripes, kind="stable")
                 self._view_stripes = stripes[order]
                 self._view_times = self.times[live][order]
                 self._view_boxes = self.boxes[live][order]
-                if self._times_keyable() and _stripes_keyable(self._view_stripes):
-                    self._view_keys = (
-                        (self._view_stripes << _KEY_SHIFT) + self._view_times
-                    )
-                else:
-                    self._view_keys = None
+                self._view_keys = (self._view_stripes << _KEY_SHIFT) + self._view_times
             self._view_append_total = self._append_total
             self._evict_horizon = None
             self._view_stale = False
         return self._view_stripes, self._view_times, self._view_boxes
 
-    def _times_keyable(self) -> bool:
-        """True when live times fit the fixed composite-key encoding.
-
-        Stripe magnitude is checked separately (:func:`_stripes_keyable`)
-        at the two key-build sites, so oversized stripe universes fall
-        back to the dynamic-scale keys instead of wrapping int64.
-        """
-        if self.head == self.tail:
-            return True
-        if not self.sorted:
-            return False
-        return (
-            int(self.times[self.head]) >= 0
-            and int(self.times[self.tail - 1]) < (1 << _KEY_SHIFT)
-        )
-
-    def view_keys(self) -> Optional[np.ndarray]:
-        """``(stripe << _KEY_SHIFT) + time`` per sorted-view entry, cached.
-
-        ``None`` when the live times fall outside ``[0, 2**_KEY_SHIFT)``
-        (never in simulator runs) — callers then build their own keys.
-        """
+    def view_keys(self) -> np.ndarray:
+        """``(stripe << _KEY_SHIFT) + time`` per sorted-view entry, cached."""
         self.sorted_view()
         return self._view_keys
 
     def _patch_view_incremental(self) -> bool:
         """Rebuild the sorted view from the previous one plus the delta.
 
-        Sound only while the log stays time-sorted: head evictions map to
-        a time filter on the cached view, and the entries appended since
-        the last build sit at the tail with times no earlier than any
-        cached entry, so one ``searchsorted`` places each new entry after
-        its stripe's existing run.  Returns ``False`` (caller does a full
-        rebuild) whenever the cached view cannot be proven to match the
-        live segment exactly.
+        Head evictions map to a time filter on the cached view, and the
+        entries appended since the last build sit at the tail with times
+        no earlier than any cached entry, so one ``searchsorted`` places
+        each new entry after its stripe's existing run.  Returns ``False``
+        (caller does a full rebuild) whenever the cached view cannot be
+        proven to match the live segment exactly.
         """
-        if not self.sorted or self._view_append_total < 0:
+        if self._view_append_total < 0:
             return False
         new_k = self._append_total - self._view_append_total
         live_n = self.tail - self.head
@@ -513,8 +439,7 @@ class _DownloadLog:
         if self._evict_horizon is not None:
             keep = old_t >= self._evict_horizon
             old_s, old_t, old_b = old_s[keep], old_t[keep], old_b[keep]
-            if old_k is not None:
-                old_k = old_k[keep]
+            old_k = old_k[keep]
         if old_s.size + new_k != live_n:
             return False
         if new_k == 0:
@@ -528,27 +453,16 @@ class _DownloadLog:
         add_b = self.boxes[lo: self.tail][order]
         idx = np.searchsorted(old_s, add_s, side="right")
         idx += np.arange(new_k, dtype=np.int64)
-        merged_s = np.empty(live_n, dtype=np.int64)
-        merged_t = np.empty(live_n, dtype=np.int64)
-        merged_b = np.empty(live_n, dtype=np.int64)
         old_slots = np.ones(live_n, dtype=bool)
         old_slots[idx] = False
-        merged_s[idx] = add_s
-        merged_t[idx] = add_t
-        merged_b[idx] = add_b
-        merged_s[old_slots] = old_s
-        merged_t[old_slots] = old_t
-        merged_b[old_slots] = old_b
-        self._view_stripes = merged_s
-        self._view_times = merged_t
-        self._view_boxes = merged_b
-        if old_k is not None and self._times_keyable() and _stripes_keyable(add_s):
-            merged_k = np.empty(live_n, dtype=np.int64)
-            merged_k[idx] = (add_s << _KEY_SHIFT) + add_t
-            merged_k[old_slots] = old_k
-            self._view_keys = merged_k
-        else:
-            self._view_keys = None
+        add_k = (add_s << _KEY_SHIFT) + add_t
+        merged = []
+        for old, add in zip((old_s, old_t, old_b, old_k), (add_s, add_t, add_b, add_k)):
+            column = np.empty(live_n, dtype=np.int64)
+            column[idx] = add
+            column[old_slots] = old
+            merged.append(column)
+        self._view_stripes, self._view_times, self._view_boxes, self._view_keys = merged
         return True
 
     def live_stripes(self) -> np.ndarray:
@@ -582,8 +496,10 @@ class PossessionIndex:
 
     Every query — :meth:`adjacency_delta_for`, :meth:`row_with_expiry`,
     :meth:`servers_for` — reads the same recorded state, so a subclass
-    changes possession by changing what it records (the sourcing-only
-    baseline records no downloads), never by overriding one query.
+    changes possession by changing what it records, never by overriding
+    one query.  :meth:`record_downloads` is the one download writer to
+    override (the sourcing-only baseline records nothing);
+    :meth:`record_download` calls it.
     """
 
     def __init__(self, allocation: Allocation, cache_window: int):
@@ -657,17 +573,26 @@ class PossessionIndex:
     # ------------------------------------------------------------------ #
     def record_download(self, stripe_id: StripeId, box_id: int, time: int) -> None:
         """Record that ``box_id`` requested/downloads ``stripe_id`` starting at ``time``."""
-        self._log.append(int(stripe_id), int(box_id), int(time))
+        self.record_downloads(np.array([stripe_id]), np.array([box_id]), time)
 
     def record_downloads(
         self, stripe_ids: np.ndarray, box_ids: np.ndarray, time: int
     ) -> None:
-        """Record a block of downloads all starting at round ``time`` (hot path)."""
-        self._log.extend(
-            np.asarray(stripe_ids, dtype=np.int64),
-            np.asarray(box_ids, dtype=np.int64),
-            int(time),
-        )
+        """Record a block of downloads all starting at round ``time``.
+
+        Rounds are written in order, as the engine does: a round earlier
+        than the last live download, a stripe id outside the catalog, a
+        round outside the sort key or unequal lengths raise ``ValueError``.
+        """
+        stripe_ids = np.asarray(stripe_ids, dtype=np.int64)
+        box_ids = np.asarray(box_ids, dtype=np.int64)
+        if stripe_ids.shape != box_ids.shape:
+            raise ValueError("stripe_ids and box_ids must have equal lengths")
+        time = int(time)
+        _check_span("round", time, time, _ROUND_LIMIT)
+        if stripe_ids.size:
+            self._check_stripes(int(stripe_ids.min()), int(stripe_ids.max()))
+        self._log.extend(stripe_ids, box_ids, time)
 
     def record_relay_cache(self, stripe_id: StripeId, box_id: int) -> None:
         """Record that ``box_id`` relay-caches ``stripe_id`` for a poor box."""
@@ -682,6 +607,9 @@ class PossessionIndex:
     # ------------------------------------------------------------------ #
     # Possession queries
     # ------------------------------------------------------------------ #
+    def _check_stripes(self, low: int, high: int) -> None:
+        _check_span("stripe ids", low, high, self._allocation.num_stripes)
+
     def static_servers(self, stripe_id: StripeId) -> np.ndarray:
         """Sorted distinct boxes statically holding ``stripe_id`` (CSR slice)."""
         stripe_id = int(stripe_id)
@@ -747,49 +675,14 @@ class PossessionIndex:
         Returns ``(sorted_times, sorted_boxes, win_lo, win_hi)`` where
         ``[win_lo[i], win_hi[i])`` slices request ``i``'s cache window —
         entries of its stripe with time in ``[current_time − T,
-        request_time)``.  Uses the view's cached composite keys when the
-        involved times fit the fixed encoding; otherwise (exotic
-        test-only inputs) builds one-shot keys with a dynamic scale.
+        request_time)`` — found in the view's cached sort keys.
         """
-        sorted_stripes, sorted_times, sorted_boxes = self._log.sorted_view()
+        _, sorted_times, sorted_boxes = self._log.sorted_view()
         keys = self._log.view_keys()
-        if (
-            keys is not None
-            and times.size
-            and int(times.min()) >= 0
-            and int(times.max()) < (1 << _KEY_SHIFT)
-            and _stripes_keyable(stripes)
-        ):
-            lo = max(current_time - self._window, 0)
-            shifted = stripes << _KEY_SHIFT
-            win_lo = np.searchsorted(keys, shifted + lo, side="left")
-            win_hi = np.searchsorted(keys, shifted + times, side="left")
-        else:
-            # Shift times to be non-negative so the composite keys are
-            # monotone per stripe even for exotic (test-only) inputs.
-            base = min(int(sorted_times.min()), 0)
-            span = max(
-                int(sorted_times.max()),
-                int(times.max()) if times.size else 0,
-                current_time - self._window,
-            )
-            scale = span - base + 2
-            max_stripe = int(sorted_stripes.max()) if sorted_stripes.size else 0
-            if times.size:
-                max_stripe = max(max_stripe, int(stripes.max()))
-            if max_stripe > (np.iinfo(np.int64).max - (span - base)) // scale:
-                raise SortKeyOverflowError(
-                    f"cannot pack (stripe, time) sort keys: max stripe id "
-                    f"{max_stripe} with time span {span - base} overflows "
-                    f"int64 under the dynamic scale {scale}; shrink the "
-                    "stripe-id universe or widen the key dtype"
-                )
-            keys = sorted_stripes * scale + (sorted_times - base)
-            lo = max(current_time - self._window - base, 0)
-            win_lo = np.searchsorted(keys, stripes * scale + lo, side="left")
-            win_hi = np.searchsorted(
-                keys, stripes * scale + (times - base), side="left"
-            )
+        lo = max(current_time - self._window, 0)
+        shifted = stripes << _KEY_SHIFT
+        win_lo = np.searchsorted(keys, shifted + lo, side="left")
+        win_hi = np.searchsorted(keys, shifted + times, side="left")
         return sorted_times, sorted_boxes, win_lo, win_hi
 
     def adjacency_for(
@@ -827,8 +720,13 @@ class PossessionIndex:
         through: parallel int64 arrays of candidate boxes and the last
         round each edge stays valid (:data:`NEVER_EXPIRES` for static
         and relay edges, ``entry_time + T`` for playback-cache edges).
+        A stripe id outside the catalog or a round outside ``[0, 2**31)``
+        raises ``ValueError``.
         """
-        stripe_id = int(stripe_id)
+        stripe_id, request_time = int(stripe_id), int(request_time)
+        self._check_stripes(stripe_id, stripe_id)
+        _check_span("request rounds", request_time, request_time, _ROUND_LIMIT)
+        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
         static = self.static_servers(stripe_id)
         parts = [static]
         exp_parts = [np.full(static.size, NEVER_EXPIRES, dtype=np.int64)]
@@ -883,6 +781,9 @@ class PossessionIndex:
         survive longest).  Clipped rows are **incomplete** — valid for
         heuristic passes like the repair greedy, never for an exact
         solve.
+
+        A stripe id outside the catalog or a round outside ``[0, 2**31)``
+        raises ``ValueError`` before anything is gathered.
         """
         stripes, boxes, times = _request_columns(requests)
         if rows is not None:
@@ -893,6 +794,9 @@ class PossessionIndex:
         num = int(stripes.size)
         if num == 0:
             return np.zeros(1, dtype=np.int64), _EMPTY_INT64, _EMPTY_INT64
+        self._check_stripes(int(stripes.min()), int(stripes.max()))
+        _check_span("request rounds", int(times.min()), int(times.max()), _ROUND_LIMIT)
+        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
 
         # Static block: one fancy-index gather over the stripe CSR.
         row_starts = self._static_indptr[stripes]

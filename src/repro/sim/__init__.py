@@ -20,7 +20,7 @@ from repro.sim.events import (
     RequestEvent,
 )
 from repro.sim.metrics import MetricsCollector, RoundStats, SimulationMetrics
-from repro.sim.scheduler import ActiveRequest, ActiveRequestPool
+from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmGrowthViolation, SwarmRegistry, max_new_members
 from repro.sim.trace import SimulationTrace
 
@@ -41,7 +41,6 @@ __all__ = [
     "MetricsCollector",
     "RoundStats",
     "SimulationMetrics",
-    "ActiveRequest",
     "ActiveRequestPool",
     "SwarmGrowthViolation",
     "SwarmRegistry",

@@ -230,12 +230,6 @@ class MetricsCollector:
             self._peak_box_load = max(self._peak_box_load, int(box_load.max()))
         return stats
 
-    def record_startup_delay(self, delay: int) -> None:
-        """Record the start-up delay of one playback."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self._startup_delays.append(delay)
-
     def record_startup_delays(self, delays: np.ndarray) -> None:
         """Record a round's start-up delays in one append."""
         if delays.size:

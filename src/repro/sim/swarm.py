@@ -18,7 +18,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.util.soa import ensure_column_capacity
-from repro.util.validation import check_in_range, check_non_negative_integer
+from repro.util.validation import (
+    check_in_range,
+    check_non_negative_integer,
+    check_positive_integer,
+)
 
 __all__ = ["SwarmGrowthViolation", "SwarmRegistry", "max_new_members"]
 
@@ -49,54 +53,43 @@ def max_new_members(current_size: int, mu: float) -> int:
 class _VideoSwarm:
     """Entry log of one video's swarm, struct-of-arrays.
 
-    Boxes and entry times are appended in arrival order; while entry times
-    stay non-decreasing (the engine's case — time only moves forward),
-    windowed size/membership queries are ``searchsorted`` slices.  Out-of-
-    order entries (possible through the public API) flip a flag and
-    queries fall back to a linear scan, preserving insertion order.
+    Boxes and entry times are appended in arrival order.  The registry's
+    one writer takes rounds in order, so entry times never decrease and
+    windowed size/membership queries are ``searchsorted`` slices.
     """
 
-    __slots__ = ("boxes", "times", "size", "sorted")
+    __slots__ = ("boxes", "times", "size")
 
     def __init__(self):
         self.boxes = np.empty(16, dtype=np.int64)
         self.times = np.empty(16, dtype=np.int64)
         self.size = 0
-        self.sorted = True
 
     def __getstate__(self):
-        return (self.boxes[: self.size].copy(), self.times[: self.size].copy(), self.sorted)
+        return (self.boxes[: self.size].copy(), self.times[: self.size].copy())
 
     def __setstate__(self, state):
-        self.boxes, self.times, self.sorted = state
+        # Format-3 snapshots from older builds carry a trailing order flag,
+        # always true in engine sessions; it is ignored.
+        self.boxes, self.times = state[:2]
         self.size = self.boxes.size
 
-    def append(self, box: int, time: int) -> None:
-        ensure_column_capacity(self, ("boxes", "times"), self.size, self.size + 1)
-        if self.size and time < self.times[self.size - 1]:
-            self.sorted = False
-        self.boxes[self.size] = box
-        self.times[self.size] = time
-        self.size += 1
+    def _bounds(self, lo_exclusive: int, hi_inclusive: int) -> Tuple[int, int]:
+        times = self.times[: self.size]
+        return (
+            int(np.searchsorted(times, lo_exclusive, side="right")),
+            int(np.searchsorted(times, hi_inclusive, side="right")),
+        )
 
     def window(self, lo_exclusive: int, hi_inclusive: int) -> np.ndarray:
         """Boxes whose entry time lies in ``(lo_exclusive, hi_inclusive]``."""
-        times = self.times[: self.size]
-        if self.sorted:
-            a = int(np.searchsorted(times, lo_exclusive, side="right"))
-            b = int(np.searchsorted(times, hi_inclusive, side="right"))
-            return self.boxes[a:b]
-        mask = (times > lo_exclusive) & (times <= hi_inclusive)
-        return self.boxes[: self.size][mask]
+        a, b = self._bounds(lo_exclusive, hi_inclusive)
+        return self.boxes[a:b]
 
     def count(self, lo_exclusive: int, hi_inclusive: int) -> int:
         """Number of entries with time in ``(lo_exclusive, hi_inclusive]``."""
-        times = self.times[: self.size]
-        if self.sorted:
-            a = int(np.searchsorted(times, lo_exclusive, side="right"))
-            b = int(np.searchsorted(times, hi_inclusive, side="right"))
-            return b - a
-        return int(((times > lo_exclusive) & (times <= hi_inclusive)).sum())
+        a, b = self._bounds(lo_exclusive, hi_inclusive)
+        return b - a
 
 
 class SwarmRegistry:
@@ -107,26 +100,26 @@ class SwarmRegistry:
     ``duration`` rounds later.  Per-video membership is kept as
     struct-of-arrays entry logs, so size queries cost ``O(log members)``
     instead of a scan — the difference between toy populations and the
-    100k-box scale tiers.
+    100k-box scale tiers.  :meth:`enter_batch` is the only writer.
     """
 
     def __init__(self, mu: float, duration: int):
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
-        self._duration = check_non_negative_integer(duration, "duration")
+        self._duration = check_positive_integer(duration, "duration")
         # video_id -> entry log (boxes, entry times) in arrival order.
         self._swarms: Dict[int, _VideoSwarm] = {}
         # Size history: video_id -> {round: size at end of round}
         self._history: Dict[int, Dict[int, int]] = {}
         self._violations: List[SwarmGrowthViolation] = []
-        # Rolling size cache for the batched entry path: live sizes as of
-        # round ``_cache_time`` plus per-round arrival counts (to expire
-        # entries leaving the duration window without re-counting entry
-        # logs).  The unbatched ``enter`` bypasses and invalidates it;
-        # ``enter_batch`` then falls back to counting the entry logs.
+        # Rolling size cache: live sizes as of round ``_cache_time`` plus
+        # per-round arrival counts (to expire entries leaving the duration
+        # window without re-counting entry logs).  ``enter_batch`` takes
+        # rounds in order, so the cache is always current.  Registries
+        # restored from older builds may carry a ``_cache_valid`` flag;
+        # nothing reads it.
         self._size_cache: Dict[int, int] = {}
         self._round_adds: Dict[int, Dict[int, int]] = {}
         self._cache_time = -1
-        self._cache_valid = True
         # Entry blocks accepted by ``enter_batch`` but not yet written to
         # the per-video logs / size history, as ``(time, videos, boxes,
         # unique_videos, final_sizes)`` with videos/boxes grouped by video.
@@ -167,8 +160,6 @@ class SwarmRegistry:
                     swarm = self._swarms[vid] = _VideoSwarm()
                 size = swarm.size
                 ensure_column_capacity(swarm, ("boxes", "times"), size, size + hi - lo)
-                if size and time < swarm.times[size - 1]:
-                    swarm.sorted = False
                 swarm.boxes[size : size + hi - lo] = boxes[lo:hi]
                 swarm.times[size : size + hi - lo] = time
                 swarm.size = size + hi - lo
@@ -192,49 +183,34 @@ class SwarmRegistry:
         return swarm.window(time - self._duration, time).tolist()
 
     def enter(self, video_id: int, box_id: int, time: int) -> None:
-        """Record that ``box_id`` enters the swarm of ``video_id`` at round ``time``.
-
-        Checks the growth bound against the size at round ``time − 1`` and
-        records a violation (without raising) when it is exceeded; the
-        engine surfaces violations in its result.
-        """
-        video_id = int(video_id)
-        self._cache_valid = False
-        self._flush_entries()
-        previous = self.size(video_id, time - 1) if time > 0 else 0
-        swarm = self._swarms.get(video_id)
-        if swarm is None:
-            swarm = self._swarms[video_id] = _VideoSwarm()
-        swarm.append(int(box_id), int(time))
-        new_size = self.size(video_id, time)
-        allowed = math.ceil(max(previous, 1) * self._mu)
-        if new_size > allowed:
-            self._violations.append(
-                SwarmGrowthViolation(
-                    video_id=video_id,
-                    time=int(time),
-                    previous_size=previous,
-                    new_size=new_size,
-                    allowed_size=allowed,
-                )
-            )
-        self._history.setdefault(video_id, {})[int(time)] = new_size
+        """Record that ``box_id`` enters the swarm of ``video_id`` at round ``time``."""
+        self.enter_batch(np.array([video_id]), np.array([box_id]), time)
 
     def enter_batch(
         self, video_ids: np.ndarray, box_ids: np.ndarray, time: int
     ) -> None:
-        """Batched :meth:`enter` over one round's arrivals (hot path).
+        """Record one round's swarm entries (the registry's only writer).
 
-        Records the same swarm entries, growth-bound violations (in the
-        same arrival order, with the same per-entry sizes) and size
-        history as calling :meth:`enter` per ``(video, box)`` pair, but
-        touches each video's entry log once instead of once per arrival.
-        All entries share the arrival round ``time``.
+        Every ``(video, box)`` pair enters at round ``time``.  Rounds come
+        in order: a round earlier than the previous call's, or unequal
+        lengths, raise ``ValueError``.  Each entry is checked against the
+        growth bound — its swarm's size right after it joins against the
+        size at round ``time − 1`` — and a violation is recorded (without
+        raising) in arrival order; the engine surfaces violations in its
+        result.
         """
+        time = check_non_negative_integer(time, "time")
+        if time < self._cache_time:
+            raise ValueError(
+                f"swarm round {time} precedes the previous round {self._cache_time}"
+            )
+        video_ids = np.asarray(video_ids, dtype=np.int64)
+        box_ids = np.asarray(box_ids, dtype=np.int64)
+        if video_ids.shape != box_ids.shape:
+            raise ValueError("video_ids and box_ids must have equal lengths")
         n = int(video_ids.size)
         if n == 0:
             return
-        time = int(time)
         order = np.argsort(video_ids, kind="stable")
         sorted_videos = video_ids[order]
         starts = np.empty(n, dtype=bool)
@@ -248,66 +224,42 @@ class SwarmRegistry:
         previous = np.empty(unique_videos.size, dtype=np.int64)
         sorted_boxes = box_ids[order]
 
-        # Size queries: O(1) against the rolling cache when it is live,
-        # entry-log counting otherwise (after unbatched enter() calls).
+        # Size queries are O(1) against the rolling cache.  Advance it to
+        # `time` before this round's entries: entries from the rounds that
+        # left the duration window stop counting.
         duration = self._duration
-        cache_live = self._cache_valid and self._cache_time <= time
-        if not cache_live:
-            self._cache_valid = False
-            self._flush_entries()
-            for j, vid in enumerate(unique_videos.tolist()):
-                swarm = self._swarms.get(vid)
-                if swarm is None:
-                    swarm = self._swarms[vid] = _VideoSwarm()
-                k = int(counts[j])
-                previous[j] = (
-                    swarm.count(time - 1 - duration, time - 1) if time > 0 else 0
-                )
-                base[j] = swarm.count(time - duration, time)
-                lo = int(start_pos[j])
-                size = swarm.size
-                ensure_column_capacity(swarm, ("boxes", "times"), size, size + k)
-                if size and time < swarm.times[size - 1]:
-                    swarm.sorted = False
-                swarm.boxes[size : size + k] = sorted_boxes[lo : lo + k]
-                swarm.times[size : size + k] = time
-                swarm.size = size + k
-                self._history.setdefault(vid, {})[time] = int(base[j]) + k
-        else:
-            sizes = self._size_cache
-            adds = self._round_adds
-            # Advance pre-append to `time`: entries from the rounds that
-            # left the duration window stop counting.
-            for r in range(self._cache_time + 1, time + 1):
-                expired = adds.get(r - duration)
-                if expired:
-                    for vid, expired_count in expired.items():
-                        left = sizes.get(vid, 0) - expired_count
-                        if left > 0:
-                            sizes[vid] = left
-                        else:
-                            sizes.pop(vid, None)
-            prev_adds = adds.get(time - duration) or {}
-            this_adds = adds.setdefault(time, {})
-            for stale in [r for r in adds if r < time - duration]:
-                del adds[stale]
-            self._cache_time = time
-            for j, vid in enumerate(unique_videos.tolist()):
-                k = int(counts[j])
-                before = sizes.get(vid, 0)
-                previous[j] = (
-                    before - this_adds.get(vid, 0) + prev_adds.get(vid, 0)
-                    if time > 0
-                    else 0
-                )
-                base[j] = before
-                sizes[vid] = before + k
-                this_adds[vid] = this_adds.get(vid, 0) + k
-            # Log writes and size history are deferred: nothing reads them
-            # inside a lean engine round.
-            self._pending_entries.append(
-                (time, sorted_videos, sorted_boxes, unique_videos, base + counts)
+        sizes = self._size_cache
+        adds = self._round_adds
+        for r in range(self._cache_time + 1, time + 1):
+            expired = adds.get(r - duration)
+            if expired:
+                for vid, expired_count in expired.items():
+                    left = sizes.get(vid, 0) - expired_count
+                    if left > 0:
+                        sizes[vid] = left
+                    else:
+                        sizes.pop(vid, None)
+        prev_adds = adds.get(time - duration) or {}
+        this_adds = adds.setdefault(time, {})
+        for stale in [r for r in adds if r < time - duration]:
+            del adds[stale]
+        self._cache_time = time
+        for j, vid in enumerate(unique_videos.tolist()):
+            k = int(counts[j])
+            before = sizes.get(vid, 0)
+            previous[j] = (
+                before - this_adds.get(vid, 0) + prev_adds.get(vid, 0)
+                if time > 0
+                else 0
             )
+            base[j] = before
+            sizes[vid] = before + k
+            this_adds[vid] = this_adds.get(vid, 0) + k
+        # Log writes and size history are deferred: nothing reads them
+        # inside a lean engine round.
+        self._pending_entries.append(
+            (time, sorted_videos, sorted_boxes, unique_videos, base + counts)
+        )
 
         allowed = np.ceil(np.maximum(previous, 1) * self._mu).astype(np.int64)
         # Per-entry size after the append, in arrival order: the i-th

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import Allocation
+from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import (
-    _MAX_KEYABLE_STRIPE,
+    ArrayRequestSet,
     ConnectionMatcher,
     MatchDelta,
     PossessionIndex,
     RequestSet,
-    SortKeyOverflowError,
     StripeRequest,
     check_feasibility_hall,
 )
@@ -244,63 +244,99 @@ class TestHallOracle:
         assert len(witness) >= 3
 
 
-class TestSortKeyOverflowGuards:
-    """Packed ``(stripe, time)`` sort keys must never wrap int64 silently."""
+class TestDownloadWriterAndQueryChecks:
+    """The download log has one writer, :meth:`record_downloads`, fed one
+    round at a time in order.  Stripe ids and rounds are checked where
+    they enter the log or a query, so the sort key
+    ``(stripe << 31) + round`` never leaves int64 and a malformed id
+    raises instead of reading another stripe's row."""
+
+    #: First round outside the sort key's 31-bit round field.
+    ROUND_LIMIT = 2**31
 
     def _index(self):
-        return PossessionIndex(crafted_allocation(), cache_window=20)
-
-    def test_cached_keys_built_at_the_stripe_boundary(self):
-        index = self._index()
-        index._log.append(_MAX_KEYABLE_STRIPE, 1, 3)
-        keys = index._log.view_keys()
-        assert keys is not None
-        assert int(keys[-1]) == (_MAX_KEYABLE_STRIPE << 21) + 3
-
-    def test_cached_keys_fall_back_just_past_the_stripe_boundary(self):
-        index = self._index()
-        index._log.append(_MAX_KEYABLE_STRIPE + 1, 1, 3)
-        assert index._log.view_keys() is None
-
-    def test_incremental_patch_drops_keys_past_the_boundary(self):
-        index = self._index()
-        index._log.append(0, 1, 0)
-        assert index._log.view_keys() is not None
-        # Appending an oversized stripe patches the existing view; the
-        # cached keys must be dropped rather than wrapped.
-        index._log.append(_MAX_KEYABLE_STRIPE + 1, 2, 1)
-        assert index._log.view_keys() is None
-
-    def test_cache_windows_correct_past_the_boundary(self):
-        """The dynamic-key fallback still finds the cache server."""
-        big = _MAX_KEYABLE_STRIPE + 1
-        index = self._index()
-        index._log.append(big, 4, 3)
-        stripes = np.array([big], dtype=np.int64)
-        times = np.array([5], dtype=np.int64)
-        _, sorted_boxes, win_lo, win_hi = index._cache_windows(
-            stripes, times, current_time=5
+        """Catalog of 3 videos × 2 stripes on 8 boxes, k = 2, seed 0."""
+        catalog = Catalog(num_videos=3, num_stripes=2, duration=5)
+        population = homogeneous_population(8, u=1.0, d=2.0)
+        allocation = random_permutation_allocation(
+            catalog, population, replicas_per_stripe=2, random_state=0
         )
-        assert list(sorted_boxes[int(win_lo[0]): int(win_hi[0])]) == [4]
+        return PossessionIndex(allocation, cache_window=5)
 
-    def test_fast_path_skips_oversized_request_stripes(self):
-        """Keyable log + oversized *request* stripe routes to the fallback."""
-        big = _MAX_KEYABLE_STRIPE + 1
-        index = self._index()
-        index.record_download(stripe_id=0, box_id=4, time=3)
-        assert index._log.view_keys() is not None
-        stripes = np.array([0, big], dtype=np.int64)
-        times = np.array([5, 5], dtype=np.int64)
-        _, sorted_boxes, win_lo, win_hi = index._cache_windows(
-            stripes, times, current_time=5
-        )
-        assert list(sorted_boxes[int(win_lo[0]): int(win_hi[0])]) == [4]
-        assert int(win_hi[1]) - int(win_lo[1]) <= 0
+    @staticmethod
+    def _log_state(index):
+        log = index._log
+        live = slice(log.head, log.tail)
+        return log.stripes[live].tolist(), log.boxes[live].tolist(), log.times[live].tolist()
 
-    def test_dynamic_scale_overflow_raises_typed_error(self):
+    def test_out_of_order_block_raises_and_leaves_the_log_unchanged(self):
         index = self._index()
-        index._log.append(2**62, 1, 3)
-        stripes = np.array([2**62], dtype=np.int64)
-        times = np.array([5], dtype=np.int64)
-        with pytest.raises(SortKeyOverflowError, match="stripe"):
-            index._cache_windows(stripes, times, current_time=5)
+        index.record_downloads([0, 1], [2, 3], 4)
+        before = self._log_state(index)
+        with pytest.raises(ValueError, match="precedes"):
+            index.record_downloads([2], [5], 3)
+        with pytest.raises(ValueError, match="precedes"):
+            index.record_download(2, 5, 3)
+        assert self._log_state(index) == before
+        index.record_downloads([2], [5], 4)  # the same round is in order
+        assert self._log_state(index)[2] == [4, 4, 4]
+
+    def test_largest_stripe_and_round_are_found_by_the_cache_window(self):
+        index = self._index()
+        top_stripe = index.allocation.num_stripes - 1
+        top_round = self.ROUND_LIMIT - 1
+        # Round 3 and the last round share the live log (nothing evicts),
+        # so the view holds both ends of the round field.
+        index.record_downloads([top_stripe], [5], 3)
+        index.record_downloads([0, top_stripe], [4, 6], top_round - 1)
+        for stripe, round_, expected in [
+            (top_stripe, 4, [5]),
+            (0, top_round, [4]),
+            (top_stripe, top_round, [6]),
+        ]:
+            _, sorted_boxes, win_lo, win_hi = index._cache_windows(
+                np.array([stripe]), np.array([round_]), current_time=round_
+            )
+            window = sorted_boxes[int(win_lo[0]): int(win_hi[0])].tolist()
+            assert window == expected, (stripe, round_)
+            boxes, _ = index.row_with_expiry(stripe, 7, round_, round_)
+            assert set(expected) <= set(boxes.tolist())
+
+    def test_unequal_lengths_raise_instead_of_broadcasting(self):
+        index = self._index()
+        with pytest.raises(ValueError, match="equal lengths"):
+            index.record_downloads([0, 1, 2], [5], 0)
+        assert len(index._log) == 0
+
+    @pytest.mark.parametrize("stripe", [-3, 6])
+    def test_writer_rejects_stripe_ids_outside_the_catalog(self, stripe):
+        index = self._index()
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.record_downloads([stripe], [2], 0)
+        assert len(index._log) == 0
+
+    @pytest.mark.parametrize("round_", [-1, 2**31])
+    def test_writer_rejects_rounds_outside_the_key(self, round_):
+        index = self._index()
+        with pytest.raises(ValueError, match="round"):
+            index.record_downloads([0], [2], round_)
+        assert len(index._log) == 0
+
+    @pytest.mark.parametrize("stripe", [-2, -1, 6])
+    def test_queries_reject_stripe_ids_outside_the_catalog(self, stripe):
+        index = self._index()
+        requests = ArrayRequestSet([stripe], [0], [7])
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.adjacency_for(requests, 1)
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.row_with_expiry(stripe, 7, 0, 1)
+
+    @pytest.mark.parametrize("round_", [-1, 2**31])
+    def test_queries_reject_rounds_outside_the_key(self, round_):
+        index = self._index()
+        index.record_downloads([0], [2], 0)
+        requests = ArrayRequestSet([0], [round_], [7])
+        with pytest.raises(ValueError, match="request rounds"):
+            index.adjacency_for(requests, 1)
+        with pytest.raises(ValueError, match="request rounds"):
+            index.row_with_expiry(0, 7, round_, 1)

@@ -123,7 +123,8 @@ class TestPossessionInvariants:
             catalog, population, replicas_per_stripe=2, random_state=seed
         )
         possession = PossessionIndex(allocation, cache_window=5)
-        for stripe, box, time in downloads:
+        # The download log is written in round order, as the engine does.
+        for stripe, box, time in sorted(downloads, key=lambda d: d[2]):
             possession.record_download(stripe, box, time)
         current_time = 9
         possession.evict_before(current_time)

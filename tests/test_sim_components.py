@@ -4,7 +4,6 @@ pool, metrics and trace."""
 import numpy as np
 import pytest
 
-from repro.core.matching import StripeRequest
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
     ConnectionEvent,
@@ -106,52 +105,82 @@ class TestSwarmRegistry:
         assert reg.active_videos(2) == [3]
         assert reg.active_videos(20) == []
 
+    def test_out_of_order_round_raises_and_leaves_the_registry_unchanged(self):
+        reg = SwarmRegistry(mu=1.5, duration=10)
+        reg.enter_batch(np.array([0, 0, 1]), np.array([1, 2, 3]), time=4)
+        with pytest.raises(ValueError, match="precedes"):
+            reg.enter_batch(np.array([0, 1]), np.array([4, 5]), time=3)
+        with pytest.raises(ValueError, match="precedes"):
+            reg.enter(0, 4, time=3)
+        assert [reg.size(v, 4) for v in (0, 1)] == [2, 1]
+        assert reg.history(0) == {4: 2}
+        assert reg.violations == ()
+        # The same round is still in order, and counts from the same sizes.
+        reg.enter_batch(np.array([0]), np.array([4]), time=4)
+        assert reg.size(0, 4) == 3
+        assert reg.violations[0].new_size == 3
+
+    def test_unequal_lengths_raise(self):
+        reg = SwarmRegistry(mu=1.5, duration=10)
+        with pytest.raises(ValueError, match="equal lengths"):
+            reg.enter_batch(np.array([0, 1]), np.array([1]), time=0)
+        assert reg.size(0, 0) == 0
+
+    def test_duration_validation(self):
+        with pytest.raises(ValueError):
+            SwarmRegistry(mu=1.5, duration=0)
+
 
 class TestActiveRequestPool:
-    def make_request(self, stripe=0, time=0, box=0):
-        return StripeRequest(stripe_id=stripe, request_time=time, box_id=box)
+    @staticmethod
+    def activate(pool, stripes, time=0, demands=None):
+        stripes = np.asarray(stripes, dtype=np.int64)
+        if demands is None:
+            demands = np.full(stripes.size, -1, dtype=np.int64)
+        pool.extend_from_arrays(
+            stripes,
+            time,
+            np.zeros(stripes.size, dtype=np.int64),
+            np.asarray(demands, dtype=np.int64),
+            False,
+        )
 
     def test_add_and_request_set(self):
         pool = ActiveRequestPool(duration=10)
-        pool.add(self.make_request(1), demand_index=0)
-        pool.add(self.make_request(2), demand_index=0)
+        self.activate(pool, [1, 2], demands=[0, 0])
         assert len(pool) == 2
         assert pool.request_set().stripe_multiset() == [1, 2]
 
     def test_mark_matched_sets_first_round_only(self):
         pool = ActiveRequestPool(duration=10)
-        pool.add(self.make_request())
-        pool.mark_matched([0], time=4)
-        pool.mark_matched([0], time=7)
-        assert pool.active[0].first_matched_round == 4
-        assert pool.active[0].is_served
+        self.activate(pool, [0])
+        pool.apply_matching(np.array([3]), time=4)
+        pool.apply_matching(np.array([5]), time=7)
+        assert pool.first_matched.tolist() == [4]
+        assert pool.assigned_boxes.tolist() == [5]
 
     def test_expire_after_duration(self):
         pool = ActiveRequestPool(duration=5)
-        pool.add(self.make_request(time=0))
-        pool.mark_matched([0], time=1)
-        assert pool.expire(current_time=5) == []
-        removed = pool.expire(current_time=6)
-        assert len(removed) == 1
+        self.activate(pool, [0], time=0)
+        pool.apply_matching(np.array([3]), time=1)
+        assert pool.drop_expired_keeping(current_time=5) is None
+        assert pool.drop_expired_keeping(current_time=6).tolist() == [False]
         assert len(pool) == 0
         assert pool.expired_unserved == 0
 
     def test_unserved_requests_counted_on_expiry(self):
         pool = ActiveRequestPool(duration=3)
-        pool.add(self.make_request(time=0))
-        pool.expire(current_time=3)
+        self.activate(pool, [0], time=0)
+        pool.drop_expired_keeping(current_time=3)
         assert pool.expired_unserved == 1
 
     def test_by_demand_grouping(self):
         pool = ActiveRequestPool(duration=10)
-        pool.add(self.make_request(1), demand_index=0)
-        pool.add(self.make_request(2), demand_index=0)
-        pool.add(self.make_request(3), demand_index=1)
-        pool.add(self.make_request(4), demand_index=None)
-        groups = pool.by_demand()
-        assert len(groups[0]) == 2
-        assert len(groups[1]) == 1
-        assert None not in groups
+        self.activate(pool, [1, 2, 3, 4], demands=[0, 0, 1, -1])
+        demands = pool.demand_indices
+        assert int((demands == 0).sum()) == 2
+        assert int((demands == 1).sum()) == 1
+        assert pool.stripe_ids[demands < 0].tolist() == [4]
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):
@@ -181,8 +210,7 @@ class TestMetricsCollector:
             box_load=np.array([3, 2, 1, 1]),
             upload_capacity=12,
         )
-        collector.record_startup_delay(3)
-        collector.record_startup_delay(5)
+        collector.record_startup_delays(np.array([3, 5]))
         collector.record_swarm_violations(1)
         metrics = collector.finalize()
         assert metrics.rounds == 2
@@ -212,7 +240,7 @@ class TestMetricsCollector:
         with pytest.raises(ValueError):
             collector.record_demands(-1)
         with pytest.raises(ValueError):
-            collector.record_startup_delay(-1)
+            collector.record_startup_delays(np.array([-1]))
 
 
 class TestSimulationTrace:

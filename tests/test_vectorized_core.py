@@ -8,7 +8,8 @@ object-state reference models over randomized small instances:
 * :class:`ActiveRequestPool` against a list-of-records model (activation
   order, expiry, first-service rounds, warm-start column);
 * :class:`SwarmRegistry` against the historical scan-based model (sizes,
-  membership windows, growth violations);
+  membership windows, size history, growth violations), fed one entry
+  at a time and one ``enter_batch`` per round;
 * the batched adjacency gather against the per-request row
   (:meth:`PossessionIndex.row_with_expiry`) and the set query;
 * the Hopcroft–Karp warm-start fast path against cold solves and the
@@ -44,6 +45,17 @@ from repro.sim.swarm import SwarmRegistry
 # --------------------------------------------------------------------- #
 # ActiveRequestPool vs. object-state reference model
 # --------------------------------------------------------------------- #
+def _activate(pool, stripes, time, boxes, demands):
+    """Activate one round's block of non-preload requests."""
+    pool.extend_from_arrays(
+        np.array(list(stripes), dtype=np.int64),
+        time,
+        np.array(list(boxes), dtype=np.int64),
+        np.array(list(demands), dtype=np.int64),
+        False,
+    )
+
+
 class _ReferencePool:
     """The historical list-of-records pool semantics, reimplemented."""
 
@@ -102,10 +114,7 @@ class TestPoolEquivalence:
         for op in ops:
             if op[0] == "add":
                 _, stripe, box, demand = op
-                pool.add(
-                    StripeRequest(stripe_id=stripe, request_time=time, box_id=box),
-                    demand_index=demand,
-                )
+                _activate(pool, [stripe], time, [box], [demand])
                 model.add(stripe, time, box, demand)
             elif op[0] == "match":
                 _, seed = op
@@ -116,7 +125,7 @@ class TestPoolEquivalence:
                 model.apply_matching(assignment, time)
             else:
                 time += op[1]
-                pool.drop_expired(time)
+                pool.drop_expired_keeping(time)
                 model.expire(time)
             self._assert_equal(pool, model)
 
@@ -129,27 +138,13 @@ class TestPoolEquivalence:
         assert pool.assigned_boxes.tolist() == [r["assigned"] for r in model.rows]
         firsts = [-1 if r["first"] is None else r["first"] for r in model.rows]
         assert pool.first_matched.tolist() == firsts
-        # The object views agree with the arrays.
-        for record, row in zip(pool.active, model.rows):
-            assert record.request.stripe_id == row["stripe"]
-            assert record.first_matched_round == row["first"]
-            assert record.assigned_box == row["assigned"]
-
-    def test_expire_returns_materialized_records(self):
-        pool = ActiveRequestPool(duration=2)
-        pool.add(StripeRequest(stripe_id=1, request_time=0, box_id=3))
-        pool.add(StripeRequest(stripe_id=2, request_time=0, box_id=4))
-        pool.apply_matching(np.array([5, -1]), 0)
-        removed = pool.expire(2)
-        assert [r.request.stripe_id for r in removed] == [1, 2]
-        assert pool.expired_unserved == 1
-        assert len(pool) == 0
+        assert pool.demand_indices.tolist() == [r["demand"] for r in model.rows]
 
     def test_request_set_snapshot_survives_pool_mutation(self):
         pool = ActiveRequestPool(duration=4)
-        pool.add(StripeRequest(stripe_id=7, request_time=0, box_id=1))
+        _activate(pool, [7], 0, [1], [-1])
         snapshot = pool.request_set()
-        pool.drop_expired(10)
+        pool.drop_expired_keeping(10)
         assert len(pool) == 0
         assert snapshot.stripe_multiset() == [7]
         assert snapshot[0] == StripeRequest(stripe_id=7, request_time=0, box_id=1)
@@ -190,12 +185,25 @@ swarm_entries = st.lists(
 )
 
 
+#: One ``enter_batch`` per round: each round comes 1–3 rounds after the
+#: previous one (the first at round 0–2) with up to 8 ``(video, box)``
+#: entries in arrival order.
+swarm_rounds = st.lists(
+    st.tuples(
+        st.integers(1, 3),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=8),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
 class TestSwarmEquivalence:
-    @given(entries=swarm_entries, duration=st.integers(0, 8), monotone=st.booleans())
+    @given(entries=swarm_entries, duration=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
-    def test_registry_matches_reference_model(self, entries, duration, monotone):
-        if monotone:
-            entries = sorted(entries, key=lambda entry: entry[1])
+    def test_registry_matches_reference_model(self, entries, duration):
+        # Swarm entries are written in round order, as the engine does.
+        entries = sorted(entries, key=lambda entry: entry[1])
         registry = SwarmRegistry(mu=1.5, duration=duration)
         model = _ReferenceSwarms(mu=1.5, duration=duration)
         for video, time, box in entries:
@@ -209,6 +217,38 @@ class TestSwarmEquivalence:
                 assert sorted(registry.members(video, time)) == sorted(
                     model.members_at(video, time)
                 )
+        got = [
+            (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
+            for v in registry.violations
+        ]
+        assert got == model.violations
+
+    @given(rounds=swarm_rounds, duration=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_enter_batch_matches_reference_model(self, rounds, duration):
+        """The engine's writer — one ``enter_batch`` per round — against
+        the model fed one entry at a time in arrival order."""
+        registry = SwarmRegistry(mu=1.5, duration=duration)
+        model = _ReferenceSwarms(mu=1.5, duration=duration)
+        time = -1
+        entered = {}  # video -> rounds it gained members in
+        for gap, batch in rounds:
+            time += gap
+            registry.enter_batch(
+                np.array([v for v, _ in batch], dtype=np.int64),
+                np.array([b for _, b in batch], dtype=np.int64),
+                time,
+            )
+            for video, box in batch:
+                model.enter(video, box, time)
+                entered.setdefault(video, set()).add(time)
+        for video in range(4):
+            for t in range(0, time + duration + 2):
+                assert registry.size(video, t) == model.size(video, t), (video, t)
+                assert registry.members(video, t) == model.members_at(video, t)
+            assert registry.history(video) == {
+                t: model.size(video, t) for t in entered.get(video, ())
+            }
         got = [
             (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
             for v in registry.violations
@@ -280,7 +320,8 @@ def _array_set(requests):
 class TestAdjacencyEquivalence:
     def _build(self, allocation, downloads, relays, evict_at):
         possession = PossessionIndex(allocation, cache_window=6)
-        for stripe, box, time in downloads:
+        # The download log is written in round order, as the engine does.
+        for stripe, box, time in sorted(downloads, key=lambda d: d[2]):
             possession.record_download(stripe, box, time)
         for stripe, box in relays:
             possession.record_relay_cache(stripe, box)
@@ -489,10 +530,9 @@ class TestArrayStateSnapshot:
 
     def test_pool_pickle_roundtrip_preserves_live_segment_only(self):
         pool = ActiveRequestPool(duration=3)
-        for k in range(10):
-            pool.add(StripeRequest(stripe_id=k, request_time=0, box_id=k))
+        _activate(pool, range(10), 0, range(10), [-1] * 10)
         pool.apply_matching(np.arange(10, dtype=np.int64), 0)
-        pool.drop_expired(3)
+        pool.drop_expired_keeping(3)
         clone = pickle.loads(pickle.dumps(pool))
         assert len(clone) == len(pool)
         assert clone.stripe_ids.tolist() == pool.stripe_ids.tolist()
