@@ -115,8 +115,8 @@ class SwarmRegistry:
         # per-round arrival counts (to expire entries leaving the duration
         # window without re-counting entry logs).  ``enter_batch`` takes
         # rounds in order, so the cache is always current.  Registries
-        # restored from older builds may carry a ``_cache_valid`` flag;
-        # nothing reads it.
+        # restored from older builds may carry a stale cache-validity
+        # flag; nothing reads it.
         self._size_cache: Dict[int, int] = {}
         self._round_adds: Dict[int, Dict[int, int]] = {}
         self._cache_time = -1
