@@ -1,5 +1,8 @@
 """Integration tests for the round-based VoD simulator."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -229,4 +232,57 @@ class TestHeterogeneousRuns:
         sim_reserved = VodSimulator(allocation, mu=1.2, compensation_plan=plan)
         assert (
             sim_reserved._upload_capacity_total < sim_plain._upload_capacity_total
+        )
+
+
+
+class TestPerRequestOutputPin:
+    """The engine's per-request outputs: connection events and witness triples.
+
+    The golden traces hash round records and the event count, not which
+    request each connection serves or which requests a Hall witness names.
+    These digests pin both on two seeded runs with connections recorded
+    and the full trace on.
+    """
+
+    @staticmethod
+    def _digest(result):
+        """``(connections, infeasible rounds, witness triples, sha256)``."""
+        connections = [
+            [e.time, e.server_box, e.client_box, e.stripe_id]
+            for e in result.trace.connections()
+        ]
+        infeasible = [
+            [e.time, e.unmatched, e.witness_requests]
+            for e in result.trace.infeasibilities()
+        ]
+        witnesses = sum(len(w or ()) for _, _, w in infeasible)
+        digest = hashlib.sha256(json.dumps([connections, infeasible]).encode()).hexdigest()
+        return len(connections), len(infeasible), witnesses, digest
+
+    def test_missing_video_adversary_connections_and_witnesses(self):
+        _, _, allocation = build_system(
+            n=40, u=0.5, d=2.0, m=26, c=4, k=3, duration=20, seed=5
+        )
+        sim = VodSimulator(allocation, mu=1.5, record_connections=True, trace_level="full")
+        result = sim.run(MissingVideoAdversary(random_state=0), num_rounds=6)
+        assert self._digest(result) == (
+            440,
+            5,
+            800,
+            "d401a93ce0e530b0cb4349aa99db136e17c4de3e66350394cd517e665bf7775b",
+        )
+
+    def test_flash_crowd_connections(self):
+        _, _, allocation = build_system(
+            n=60, u=2.0, d=3.0, m=30, c=4, k=4, duration=20, seed=1
+        )
+        sim = VodSimulator(allocation, mu=1.5, record_connections=True, trace_level="full")
+        workload = FlashCrowdWorkload(mu=1.5, target_videos=(0, 3), random_state=0)
+        result = sim.run(workload, num_rounds=10)
+        assert self._digest(result) == (
+            1140,
+            0,
+            0,
+            "25c96626425f6ba3e63b9156050410fc4c4378d4fe45928599aa38d690be1b1f",
         )
