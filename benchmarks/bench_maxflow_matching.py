@@ -16,7 +16,6 @@ from repro.core.matching import (
     ConnectionMatcher,
     PossessionIndex,
     RequestSet,
-    StripeRequest,
     check_feasibility_hall,
 )
 from repro.flow.dinic import dinic_matching
@@ -25,18 +24,31 @@ from repro.scenarios.oracle import unit_demand_network
 from conftest import build_homogeneous_system
 
 
+def random_requests(rng, count, num_stripes, num_boxes, rounds=None):
+    """``count`` random requests, each drawing its stripe, round and box in turn.
+
+    The issue round is drawn from ``[0, rounds)``, or is 0 without a draw
+    when ``rounds`` is ``None``.
+    """
+    triples = [
+        (
+            int(rng.integers(num_stripes)),
+            0 if rounds is None else int(rng.integers(rounds)),
+            int(rng.integers(num_boxes)),
+        )
+        for _ in range(count)
+    ]
+    stripes, times, boxes = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return RequestSet(stripes, times, boxes)
+
+
 def make_round_instance(num_requests=200, seed=0):
     population, catalog, allocation = build_homogeneous_system(
         n=120, u=2.0, d=4.0, m=60, c=5, k=4, seed=seed
     )
     rng = np.random.default_rng(seed)
-    requests = RequestSet(
-        StripeRequest(
-            stripe_id=int(rng.integers(catalog.total_stripes)),
-            request_time=int(rng.integers(3)),
-            box_id=int(rng.integers(population.n)),
-        )
-        for _ in range(num_requests)
+    requests = random_requests(
+        rng, num_requests, catalog.total_stripes, population.n, rounds=3
     )
     index = PossessionIndex(allocation, cache_window=catalog.duration)
     matcher = ConnectionMatcher(population.upload_slots(5))
@@ -54,17 +66,12 @@ def test_lemma1_flow_equals_hall_oracle(benchmark, experiment_header):
     agreements = 0
     rows = []
     for trial in range(20):
-        requests = RequestSet(
-            StripeRequest(
-                stripe_id=int(rng.integers(catalog.total_stripes)),
-                request_time=0,
-                box_id=int(rng.integers(population.n)),
-            )
-            for _ in range(int(rng.integers(1, 8)))
+        requests = random_requests(
+            rng, int(rng.integers(1, 8)), catalog.total_stripes, population.n
         )
         flow_feasible = matcher.match(requests, index, current_time=0).feasible
         hall_feasible, _ = check_feasibility_hall(
-            requests, index, population.uploads, 2, current_time=0
+            requests, index, population.upload_slots(2), current_time=0
         )
         agreements += flow_feasible == hall_feasible
         rows.append(
@@ -74,14 +81,7 @@ def test_lemma1_flow_equals_hall_oracle(benchmark, experiment_header):
     assert agreements == 20
 
     def kernel():
-        requests = RequestSet(
-            StripeRequest(
-                stripe_id=int(rng.integers(catalog.total_stripes)),
-                request_time=0,
-                box_id=int(rng.integers(population.n)),
-            )
-            for _ in range(6)
-        )
+        requests = random_requests(rng, 6, catalog.total_stripes, population.n)
         return matcher.match(requests, index, current_time=0).feasible
 
     benchmark(kernel)

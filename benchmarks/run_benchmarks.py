@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.analysis.montecarlo import estimate_static_obstruction_probability
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.bipartite import hall_deficiency
@@ -71,14 +71,15 @@ def build_round_instance(n, m, c, k, num_requests, cache_entries, seed):
     for t in range(3):
         block = downloads[downloads[:, 2] == t]
         possession.record_downloads(block[:, 0], block[:, 1], t)
-    requests = RequestSet(
-        StripeRequest(
-            stripe_id=int(rng.integers(catalog.total_stripes)),
-            request_time=int(rng.integers(4)),
-            box_id=int(rng.integers(n)),
-        )
-        for _ in range(num_requests)
-    )
+    # Each request draws its stripe, issue round and box in turn.
+    triples = np.array(
+        [
+            (int(rng.integers(catalog.total_stripes)), int(rng.integers(4)), int(rng.integers(n)))
+            for _ in range(num_requests)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    requests = RequestSet(triples[:, 0], triples[:, 1], triples[:, 2])
     return population, catalog, allocation, possession, requests
 
 
@@ -86,9 +87,10 @@ def bench_unit_matching_kernel(sizes, repeats) -> Dict[str, object]:
     """The acceptance microbenchmark: the Dinic vs the HK kernel on one CSR."""
     population, catalog, allocation, possession, requests = build_round_instance(**sizes)
     edges = []
-    for idx, request in enumerate(requests):
-        for box in possession.servers_for(request, current_time=4):
-            if box != request.box_id:
+    columns = (requests.stripe_id_array, requests.request_time_array, requests.box_id_array)
+    for idx, (stripe, issued, client) in enumerate(zip(*(c.tolist() for c in columns))):
+        for box in possession.servers_for(stripe, issued, current_time=4):
+            if box != client:
                 edges.append((idx, int(box)))
     caps = population.upload_slots(catalog.num_stripes_per_video).tolist()
     num_left, num_right = len(requests), population.n

@@ -67,7 +67,6 @@ from repro.core import (
     RequestSet,
     START_UP_DELAY_ROUNDS,
     Stripe,
-    StripeRequest,
     SystemParameters,
     Video,
     check_feasibility_hall,
@@ -183,7 +182,6 @@ __all__ = [
     "RequestSet",
     "START_UP_DELAY_ROUNDS",
     "Stripe",
-    "StripeRequest",
     "SystemParameters",
     "Video",
     "check_feasibility_hall",

@@ -31,7 +31,7 @@ import numpy as np
 from repro.api.registry import component_factory
 from repro.api.system import VodSystem
 from repro.core.allocation import Allocation, AllocationError
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import BoxPopulation, homogeneous_population
 from repro.core.video import Catalog
 from repro.util.rng import RandomState, spawn_seed_sequences
@@ -137,16 +137,13 @@ def _static_obstruction_trial(
     for j in num_cold_videos:
         videos = gen.choice(m, size=j, replace=False)
         viewers = gen.choice(n, size=j, replace=False)
-        requests = RequestSet()
-        for video, viewer in zip(videos, viewers):
-            for stripe_index in range(c):
-                requests.add(
-                    StripeRequest(
-                        stripe_id=int(video) * c + stripe_index,
-                        request_time=0,
-                        box_id=int(viewer),
-                    )
-                )
+        # Video-major: the c stripes of each video, in stripe order.
+        stripes = (videos[:, None] * c + np.arange(c)).ravel()
+        requests = RequestSet(
+            stripe_ids=stripes,
+            request_times=np.zeros(stripes.size, dtype=np.int64),
+            box_ids=np.repeat(viewers, c),
+        )
         matching = matcher.match(requests, possession, current_time=0)
         if not matching.feasible:
             trial_failed = True

@@ -41,7 +41,7 @@ from repro.api.errors import (
 from repro.core.preloading import Demand
 from repro.sim.engine import SimulationResult, VodSimulator
 from repro.sim.metrics import RoundStats
-from repro.workloads.base import DemandGenerator, SystemView, demand_arrays
+from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 
@@ -287,7 +287,7 @@ class _SessionWorkload:
         background = self._session._workload
         if background is None:
             return boxes, videos
-        more_boxes, more_videos = demand_arrays(background, view)
+        more_boxes, more_videos = background.demand_arrays_for_round(view)
         if not boxes.size:
             return more_boxes, more_videos
         keep = ~np.isin(more_boxes, boxes)

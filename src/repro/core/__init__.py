@@ -35,7 +35,6 @@ from repro.core.matching import (
     ConnectionMatching,
     PossessionIndex,
     RequestSet,
-    StripeRequest,
     check_feasibility_hall,
 )
 from repro.core.preloading import (
@@ -76,7 +75,6 @@ __all__ = [
     "ConnectionMatching",
     "PossessionIndex",
     "RequestSet",
-    "StripeRequest",
     "check_feasibility_hall",
     "START_UP_DELAY_ROUNDS",
     "Demand",

@@ -9,22 +9,23 @@ has rate ``1/c``.
 
 This module provides:
 
-* :class:`StripeRequest` / :class:`RequestSet` — the request multiset ``Y``;
+* :class:`RequestSet` — the request multiset ``Y`` as three int64 columns;
 * :class:`PossessionIndex` — the "who possesses what" relation ``B(·)``,
   combining the static allocation with playback caches and relay caches;
 * :class:`ConnectionMatcher` — builds the bipartite graph ``G`` from ``Y``
   to the boxes and solves the connection matching through max flow;
 * :func:`check_feasibility_hall` — the direct (exponential) form of
-  Lemma 1's condition ``∀X ⊆ Y : U_{B(X)} ≥ |X|/c``, used on small
-  instances to validate the flow-based answer.
+  Lemma 1's condition ``∀X ⊆ Y : U_{B(X)} ≥ |X|/c`` over the matcher's
+  per-box slots ``⌊u_b·c⌋``, used on small instances to validate the
+  flow-based answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,16 +35,15 @@ from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
     HKMatchingResult,
+    _rank_among_equal,
     _stable_right_order,
     hopcroft_karp_matching,
     repair_matching,
 )
-from repro.util.validation import check_non_negative_integer, check_positive_integer
+from repro.util.validation import check_positive_integer
 
 __all__ = [
-    "StripeRequest",
     "RequestSet",
-    "ArrayRequestSet",
     "MatchDelta",
     "NEVER_EXPIRES",
     "PossessionIndex",
@@ -58,69 +58,50 @@ __all__ = [
 NEVER_EXPIRES: int = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True, order=True)
-class StripeRequest:
-    """A request ``(s_i, t_i, b_i)`` for stripe ``s_i`` made by box ``b_i`` at time ``t_i``."""
-
-    stripe_id: int
-    request_time: int
-    box_id: int
-    #: Whether this is a preloading request (vs a postponed one); only used
-    #: for reporting, the matching treats both identically.
-    is_preload: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_non_negative_integer(self.stripe_id, "stripe_id")
-        check_non_negative_integer(self.request_time, "request_time")
-        check_non_negative_integer(self.box_id, "box_id")
-
-
 class RequestSet:
-    """The multiset ``Y`` of stripe requests pending at a given round."""
+    """The multiset ``Y`` of stripe requests ``(s_i, t_i, b_i)`` of one round.
 
-    def __init__(self, requests: Iterable[StripeRequest] = ()):
-        self._requests: List[StripeRequest] = list(requests)
+    Three parallel int64 columns: request ``i`` is for stripe
+    ``stripe_id_array[i]``, issued at round ``request_time_array[i]`` by
+    box ``box_id_array[i]``.  The columns are shared with the caller (the
+    engine's request pool hands over copies), so they are read-only by
+    convention.  A negative stripe id, round or box, or columns of unequal
+    shape, raise ``ValueError``.
+    """
 
-    def add(self, request: StripeRequest) -> None:
-        """Append a request to the multiset."""
-        self._requests.append(request)
-
-    def extend(self, requests: Iterable[StripeRequest]) -> None:
-        """Append several requests."""
-        self._requests.extend(requests)
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def __iter__(self):
-        return iter(self._requests)
-
-    def __getitem__(self, index: int) -> StripeRequest:
-        return self._requests[index]
+    def __init__(self, stripe_ids, request_times, box_ids):
+        self._stripes = np.asarray(stripe_ids, dtype=np.int64)
+        self._times = np.asarray(request_times, dtype=np.int64)
+        self._boxes = np.asarray(box_ids, dtype=np.int64)
+        if not self._stripes.shape == self._times.shape == self._boxes.shape:
+            raise ValueError("request columns must have identical shapes")
+        for name, column in (
+            ("stripe_id", self._stripes),
+            ("request_time", self._times),
+            ("box_id", self._boxes),
+        ):
+            if column.size and int(column.min()) < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {int(column.min())}"
+                )
 
     @property
-    def requests(self) -> Tuple[StripeRequest, ...]:
-        """The requests as an immutable tuple."""
-        return tuple(self._requests)
+    def stripe_id_array(self) -> np.ndarray:
+        """Per-request stripe identifiers."""
+        return self._stripes
 
-    def stripe_multiset(self) -> List[int]:
-        """The multiset ``S(Y)`` of requested stripe identifiers."""
-        return [r.stripe_id for r in self._requests]
+    @property
+    def request_time_array(self) -> np.ndarray:
+        """Per-request issue rounds."""
+        return self._times
 
-    def distinct_stripes(self) -> Set[int]:
-        """The set of pairwise distinct requested stripes."""
-        return {r.stripe_id for r in self._requests}
+    @property
+    def box_id_array(self) -> np.ndarray:
+        """Per-request requesting boxes."""
+        return self._boxes
 
-    def by_video(self, num_stripes_per_video: int) -> Dict[int, List[StripeRequest]]:
-        """Group requests by the video their stripe belongs to."""
-        check_positive_integer(num_stripes_per_video, "num_stripes_per_video")
-        groups: Dict[int, List[StripeRequest]] = {}
-        for request in self._requests:
-            groups.setdefault(request.stripe_id // num_stripes_per_video, []).append(request)
-        return groups
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RequestSet(size={len(self._requests)}, distinct={len(self.distinct_stripes())})"
+    def __len__(self) -> int:
+        return int(self._stripes.size)
 
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
@@ -162,118 +143,6 @@ class MatchDelta:
     keep_mask: Optional[np.ndarray]
     #: Number of requests appended after the survivors.
     num_new: int
-
-
-class ArrayRequestSet(RequestSet):
-    """A :class:`RequestSet` view over struct-of-arrays request fields.
-
-    The engine's hot path keeps requests as parallel NumPy arrays (stripe,
-    request time, box, preload flag) and only materializes
-    :class:`StripeRequest` objects when an observer, a trace record or a
-    witness actually needs them.  All :class:`RequestSet` queries work; the
-    multiset is immutable (``add``/``extend`` raise), since the arrays are
-    shared with the engine's bookkeeping.
-    """
-
-    def __init__(
-        self,
-        stripe_ids: np.ndarray,
-        request_times: np.ndarray,
-        box_ids: np.ndarray,
-        preload_flags: Optional[np.ndarray] = None,
-    ):
-        self._stripes = np.asarray(stripe_ids, dtype=np.int64)
-        self._times = np.asarray(request_times, dtype=np.int64)
-        self._boxes = np.asarray(box_ids, dtype=np.int64)
-        if self._stripes.shape != self._times.shape or self._stripes.shape != self._boxes.shape:
-            raise ValueError("request field arrays must have identical shapes")
-        if preload_flags is None:
-            preload_flags = np.zeros(self._stripes.size, dtype=bool)
-        self._preload = np.asarray(preload_flags, dtype=bool)
-        self._materialized: Optional[List[StripeRequest]] = None
-
-    # The base-class helpers read ``self._requests``; materialize lazily.
-    @property
-    def _requests(self) -> List[StripeRequest]:
-        if self._materialized is None:
-            self._materialized = [
-                StripeRequest(
-                    stripe_id=int(s), request_time=int(t), box_id=int(b), is_preload=bool(p)
-                )
-                for s, t, b, p in zip(
-                    self._stripes.tolist(),
-                    self._times.tolist(),
-                    self._boxes.tolist(),
-                    self._preload.tolist(),
-                )
-            ]
-        return self._materialized
-
-    @property
-    def stripe_id_array(self) -> np.ndarray:
-        """Per-request stripe identifiers (shared, do not mutate)."""
-        return self._stripes
-
-    @property
-    def request_time_array(self) -> np.ndarray:
-        """Per-request issue times (shared, do not mutate)."""
-        return self._times
-
-    @property
-    def box_id_array(self) -> np.ndarray:
-        """Per-request requesting boxes (shared, do not mutate)."""
-        return self._boxes
-
-    def add(self, request: StripeRequest) -> None:
-        raise TypeError("ArrayRequestSet is immutable")
-
-    def extend(self, requests: Iterable[StripeRequest]) -> None:
-        raise TypeError("ArrayRequestSet is immutable")
-
-    def __len__(self) -> int:
-        return int(self._stripes.size)
-
-    def __getitem__(self, index: int) -> StripeRequest:
-        if self._materialized is not None:
-            return self._materialized[index]
-        # Single-element access (witness extraction) without materializing
-        # the whole multiset.
-        if isinstance(index, (int, np.integer)):
-            i = int(index)
-            return StripeRequest(
-                stripe_id=int(self._stripes[i]),
-                request_time=int(self._times[i]),
-                box_id=int(self._boxes[i]),
-                is_preload=bool(self._preload[i]),
-            )
-        return self._requests[index]
-
-    def stripe_multiset(self) -> List[int]:
-        return self._stripes.tolist()
-
-    def distinct_stripes(self) -> Set[int]:
-        return set(self._stripes.tolist())
-
-
-def _request_columns(
-    requests: Sequence[StripeRequest],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(stripe_ids, box_ids, request_times)`` of ``requests`` as int64 arrays.
-
-    An :class:`ArrayRequestSet` hands out its shared columns; any other
-    sequence of :class:`StripeRequest` is read field by field.
-    """
-    if isinstance(requests, ArrayRequestSet):
-        return (
-            requests.stripe_id_array,
-            requests.box_id_array,
-            requests.request_time_array,
-        )
-    num = len(requests)
-    stripes = np.fromiter((r.stripe_id for r in requests), dtype=np.int64, count=num)
-    boxes = np.fromiter((r.box_id for r in requests), dtype=np.int64, count=num)
-    times = np.fromiter((r.request_time for r in requests), dtype=np.int64, count=num)
-    return stripes, boxes, times
 
 
 class _DownloadLog:
@@ -660,11 +529,17 @@ class PossessionIndex:
             for b in self._cache_boxes_array(int(stripe_id), request_time, current_time)
         }
 
-    def servers_for(self, request: StripeRequest, current_time: int) -> Set[int]:
-        """The neighbourhood ``B(x)`` of a request in the bipartite graph ``G``."""
-        servers: Set[int] = set(self.static_servers(request.stripe_id).tolist())
-        servers |= self._relays.get(int(request.stripe_id), set())
-        servers |= self.cache_servers(request.stripe_id, request.request_time, current_time)
+    def servers_for(
+        self, stripe_id: StripeId, request_time: int, current_time: int
+    ) -> Set[int]:
+        """The neighbourhood ``B(x)`` of a request in the bipartite graph ``G``.
+
+        The request is for ``stripe_id``, issued at round ``request_time``;
+        the requesting box itself is not excluded.
+        """
+        servers: Set[int] = set(self.static_servers(stripe_id).tolist())
+        servers |= self._relays.get(int(stripe_id), set())
+        servers |= self.cache_servers(stripe_id, request_time, current_time)
         return servers
 
     def _cache_windows(
@@ -687,7 +562,7 @@ class PossessionIndex:
 
     def adjacency_for(
         self,
-        requests: Sequence[StripeRequest],
+        requests: RequestSet,
         current_time: int,
         exclude_self: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -757,7 +632,7 @@ class PossessionIndex:
 
     def adjacency_delta_for(
         self,
-        requests: Sequence[StripeRequest],
+        requests: RequestSet,
         current_time: int,
         rows: Optional[np.ndarray] = None,
         exclude_self: bool = True,
@@ -785,7 +660,9 @@ class PossessionIndex:
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.
         """
-        stripes, boxes, times = _request_columns(requests)
+        stripes = requests.stripe_id_array
+        boxes = requests.box_id_array
+        times = requests.request_time_array
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             stripes = stripes[rows]
@@ -919,8 +796,6 @@ class ConnectionMatching:
         it, or ``-1`` when infeasible and left unmatched.
     matched:
         Number of matched requests.
-    request_set:
-        The request multiset that was matched.
     obstruction_witness:
         When infeasible, indices (into the request set) of a subset ``X``
         violating the Lemma 1 condition ``U_{B(X)} ≥ |X|/c``.
@@ -946,7 +821,6 @@ class ConnectionMatching:
     feasible: bool
     assignment: np.ndarray
     matched: int
-    request_set: RequestSet
     obstruction_witness: Optional[Tuple[int, ...]]
     box_load: np.ndarray
     capacities: np.ndarray
@@ -1142,7 +1016,6 @@ class ConnectionMatcher:
                 feasible=True,
                 assignment=np.empty(0, dtype=np.int64),
                 matched=0,
-                request_set=requests,
                 obstruction_witness=None,
                 box_load=np.zeros(n, dtype=np.int64),
                 capacities=capacities,
@@ -1222,7 +1095,6 @@ class ConnectionMatcher:
             feasible=result.feasible,
             assignment=assignment,
             matched=result.matched,
-            request_set=requests,
             obstruction_witness=result.unsatisfied_witness,
             box_load=box_load,
             capacities=capacities,
@@ -1322,17 +1194,8 @@ class ConnectionMatcher:
             # Mask lookup instead of np.isin: assignment == -1 reads the
             # last slot of ``over``, which the active filter discards.
             affected = np.flatnonzero(active & over[assignment])
-            order = np.argsort(assignment[affected], kind="stable")
-            aff_sorted = affected[order]
-            ab = assignment[aff_sorted]
-            new_group = np.empty(ab.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = ab[1:] != ab[:-1]
-            group_start = np.flatnonzero(new_group)
-            group_id = np.cumsum(new_group) - 1
-            rank = np.arange(ab.size, dtype=np.int64) - group_start[group_id]
-            drop = aff_sorted[rank >= capacities[ab]]
-            assignment[drop] = -1
+            ab = assignment[affected]
+            assignment[affected[_rank_among_equal(ab) >= capacities[ab]]] = -1
             load = np.bincount(
                 assignment[assignment >= 0], minlength=n
             ).astype(np.int64)
@@ -1420,7 +1283,9 @@ class ConnectionMatcher:
 
         # Exhaustive augmentation for the stragglers, over lazily
         # materialized rows.  Each flipped pair records its edge expiry.
-        stripes, boxes, times = _request_columns(requests)
+        stripes = requests.stripe_id_array
+        boxes = requests.box_id_array
+        times = requests.request_time_array
         row_cache: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
 
         def get_row(i: int) -> Tuple[np.ndarray, List[int], List[int]]:
@@ -1456,35 +1321,36 @@ class ConnectionMatcher:
 def check_feasibility_hall(
     requests: RequestSet,
     possession: PossessionIndex,
-    uploads: Sequence[float],
-    num_stripes_per_video: int,
+    upload_slots: Sequence[int],
     current_time: int,
     max_subset_size: Optional[int] = None,
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Direct check of Lemma 1: ``∀ X ⊆ Y, U_{B(X)} ≥ |X|/c``.
 
+    Takes the per-box slots ``⌊u_b·c⌋`` the matcher takes, so the
+    condition reads ``Σ_{b ∈ B(X)} ⌊u_b·c⌋ ≥ |X|`` in integers.
     Exhaustive over subsets of the request set (exponential); only usable
     on small instances, where it serves as an oracle for the flow-based
     matcher.  Returns ``(feasible, witness)`` where ``witness`` is a
     violating subset of request indices (or ``None``).
     """
-    uploads_arr = np.asarray(uploads, dtype=np.float64)
-    request_list = list(requests)
-    c = check_positive_integer(num_stripes_per_video, "num_stripes_per_video")
+    slots = np.asarray(upload_slots, dtype=np.int64)
     neighbourhoods: List[Set[int]] = []
-    for request in request_list:
-        servers = possession.servers_for(request, current_time)
-        servers.discard(request.box_id)
+    for stripe, time, box in zip(
+        requests.stripe_id_array.tolist(),
+        requests.request_time_array.tolist(),
+        requests.box_id_array.tolist(),
+    ):
+        servers = possession.servers_for(stripe, time, current_time)
+        servers.discard(box)
         neighbourhoods.append(servers)
-    limit = len(request_list) if max_subset_size is None else min(
-        max_subset_size, len(request_list)
-    )
+    num = len(requests)
+    limit = num if max_subset_size is None else min(max_subset_size, num)
     for size in range(1, limit + 1):
-        for subset in combinations(range(len(request_list)), size):
+        for subset in combinations(range(num), size):
             neighbourhood: Set[int] = set()
             for idx in subset:
                 neighbourhood |= neighbourhoods[idx]
-            capacity = float(uploads_arr[list(neighbourhood)].sum()) if neighbourhood else 0.0
-            if capacity + 1e-12 < size / c:
+            if int(slots[list(neighbourhood)].sum()) < size:
                 return False, subset
     return True, None

@@ -17,12 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.preloading import Demand
-from repro.workloads.base import (
-    DemandGenerator,
-    SystemView,
-    demand_arrays,
-    demands_from_arrays,
-)
+from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = ["WorkloadPhase", "PhasedWorkload"]
 
@@ -69,12 +64,11 @@ class PhasedWorkload:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Arrivals of every phase active at ``view.time``, as ``(box_ids, video_ids)``.
 
-        Phases are queried in declaration order through
-        :func:`~repro.workloads.base.demand_arrays`; a box keeps only its
+        Phases are queried in declaration order; a box keeps only its
         first demand of the round.
         """
         arrivals = [
-            demand_arrays(phase.generator, view)
+            phase.generator.demand_arrays_for_round(view)
             for phase in self._phases
             if phase.active_at(view.time)
         ]
@@ -89,6 +83,14 @@ class PhasedWorkload:
         return boxes[first], videos[first]
 
     def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Object form of :meth:`demand_arrays_for_round`."""
+        """:meth:`demand_arrays_for_round` as :class:`Demand` objects.
+
+        Nothing in the library calls this object form.  It stays because
+        the end-to-end benchmark's tracer (``benchmarks/e2e/spans.py``)
+        wraps it by name and fails when it is missing.
+        """
         boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
+        return [
+            Demand(time=view.time, box_id=b, video_id=v)
+            for b, v in zip(boxes.tolist(), videos.tolist())
+        ]

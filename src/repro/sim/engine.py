@@ -55,7 +55,7 @@ from repro.sim.rules import admission_mask, detect_playback_starts
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
 from repro.sim.trace import SimulationTrace
-from repro.workloads.base import DemandGenerator, SystemView, demand_arrays
+from repro.workloads.base import DemandGenerator, SystemView
 from repro.util.soa import ensure_column_capacity
 from repro.util.validation import check_positive_integer
 
@@ -466,7 +466,7 @@ class VodSimulator:
             swarms=self._swarms,
             free_boxes=self.free_boxes(time),
         )
-        box_ids, video_ids = demand_arrays(workload, view)
+        box_ids, video_ids = workload.demand_arrays_for_round(view)
         demand_indices, boxes, videos = self._accept_demand_arrays(
             box_ids, video_ids, time
         )
@@ -507,27 +507,28 @@ class VodSimulator:
         self._pool.apply_matching(matching.assignment, time)
 
         if self._record_connections:
-            for idx in np.flatnonzero(matching.assignment >= 0).tolist():
-                request = request_set[idx]
+            served = np.flatnonzero(matching.assignment >= 0)
+            for server, client, stripe in zip(
+                matching.assignment[served].tolist(),
+                request_set.box_id_array[served].tolist(),
+                request_set.stripe_id_array[served].tolist(),
+            ):
                 self._trace.record(
                     ConnectionEvent(
-                        time=time,
-                        server_box=int(matching.assignment[idx]),
-                        client_box=request.box_id,
-                        stripe_id=request.stripe_id,
+                        time=time, server_box=server, client_box=client, stripe_id=stripe
                     )
                 )
 
         if not matching.feasible:
             witness = None
             if self._full_trace and matching.obstruction_witness is not None:
+                rows = np.asarray(matching.obstruction_witness, dtype=np.int64)
                 witness = tuple(
-                    (
-                        request_set[idx].stripe_id,
-                        request_set[idx].request_time,
-                        request_set[idx].box_id,
+                    zip(
+                        request_set.stripe_id_array[rows].tolist(),
+                        request_set.request_time_array[rows].tolist(),
+                        request_set.box_id_array[rows].tolist(),
                     )
-                    for idx in matching.obstruction_witness
                 )
             self._trace.record(
                 InfeasibilityEvent(
@@ -626,8 +627,8 @@ class VodSimulator:
             self._scheduler.on_demand_arrays(video_ids, box_ids, demand_indices, time),
             self._scheduler.due_arrays(time),
         )
-        for stripes, boxes, demands, preload in blocks:
-            self._pool.extend_from_arrays(stripes, time, boxes, demands, preload)
+        for stripes, boxes, demands, _ in blocks:
+            self._pool.extend_from_arrays(stripes, time, boxes, demands)
             self._possession.record_downloads(stripes, boxes, time)
         relay_events = getattr(self._scheduler, "relay_cache_events_due", None)
         if relay_events is not None:

@@ -8,8 +8,8 @@ delays) and expiry, and produces the :class:`~repro.core.matching.RequestSet`
 handed to the matcher each round.
 
 The pool's state is struct-of-arrays: one NumPy column per request field
-(stripe, issue time, box, preload flag, first-service round, demand index,
-warm-start assignment), kept in activation order.  Its only writers are
+(stripe, issue time, box, first-service round, demand index, warm-start
+assignment), kept in activation order.  Its only writers are
 the engine's three whole-array steps of a round:
 :meth:`~ActiveRequestPool.drop_expired_keeping` expires requests,
 :meth:`~ActiveRequestPool.extend_from_arrays` activates the round's new
@@ -18,11 +18,11 @@ ones and :meth:`~ActiveRequestPool.apply_matching` adopts its matching.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core.matching import ArrayRequestSet, RequestSet
+from repro.core.matching import RequestSet
 from repro.util.soa import ensure_column_capacity
 from repro.util.validation import check_non_negative_integer, check_positive_integer
 
@@ -45,7 +45,6 @@ class ActiveRequestPool:
         self._stripe = np.empty(capacity, dtype=np.int64)
         self._rtime = np.empty(capacity, dtype=np.int64)
         self._box = np.empty(capacity, dtype=np.int64)
-        self._preload = np.empty(capacity, dtype=bool)
         self._first = np.empty(capacity, dtype=np.int64)
         self._demand = np.empty(capacity, dtype=np.int64)
         self._assigned = np.empty(capacity, dtype=np.int64)
@@ -105,7 +104,7 @@ class ActiveRequestPool:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    _COLUMNS = ("_stripe", "_rtime", "_box", "_preload", "_first", "_demand", "_assigned")
+    _COLUMNS = ("_stripe", "_rtime", "_box", "_first", "_demand", "_assigned")
 
     def extend_from_arrays(
         self,
@@ -113,12 +112,8 @@ class ActiveRequestPool:
         request_time: int,
         box_ids: np.ndarray,
         demand_indices: np.ndarray,
-        is_preload: Union[bool, np.ndarray],
     ) -> None:
-        """Activate a block of requests sharing one issue round (hot path).
-
-        ``is_preload`` is one flag for the whole block or one per request.
-        """
+        """Activate a block of requests sharing one issue round (hot path)."""
         count = int(stripe_ids.size)
         if count == 0:
             return
@@ -127,7 +122,6 @@ class ActiveRequestPool:
         self._stripe[lo:hi] = stripe_ids
         self._rtime[lo:hi] = request_time
         self._box[lo:hi] = box_ids
-        self._preload[lo:hi] = is_preload
         self._first[lo:hi] = -1
         self._demand[lo:hi] = demand_indices
         self._assigned[lo:hi] = -1
@@ -161,16 +155,15 @@ class ActiveRequestPool:
     def request_set(self) -> RequestSet:
         """The multiset ``Y`` of active requests, in activation order.
 
-        The returned :class:`ArrayRequestSet` owns copies of the field
-        columns, so it stays valid after the pool mutates (observers hold
-        on to it across rounds).
+        The returned set owns copies of the field columns, so it stays
+        valid after the pool mutates (observers hold on to it across
+        rounds).
         """
         n = self._size
-        return ArrayRequestSet(
+        return RequestSet(
             stripe_ids=self._stripe[:n].copy(),
             request_times=self._rtime[:n].copy(),
             box_ids=self._box[:n].copy(),
-            preload_flags=self._preload[:n].copy(),
         )
 
     def apply_matching(self, assignment: np.ndarray, time: int) -> None:

@@ -22,11 +22,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.sim.swarm import max_new_members
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_in_range, check_non_negative_integer
-from repro.workloads.base import SystemView, demands_from_arrays, shuffled_free_boxes
+from repro.workloads.base import SystemView, shuffled_free_boxes
 
 __all__ = [
     "MissingVideoAdversary",
@@ -64,7 +63,7 @@ class MissingVideoAdversary:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Pick, for each free box, a stored-nowhere video to demand."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         c = view.catalog.num_stripes_per_video
@@ -113,11 +112,6 @@ class MissingVideoAdversary:
             videos.append(choice)
         return np.array(boxes, dtype=np.int64), np.array(videos, dtype=np.int64)
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Pick, for each free box, a stored-nowhere video to demand."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
-
 
 class LeastReplicatedAdversary:
     """Concentrate demand on the videos with the weakest replication.
@@ -152,7 +146,7 @@ class LeastReplicatedAdversary:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Send the maximal allowed number of joiners to the weakest videos."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         if self._targets is None:
@@ -167,11 +161,6 @@ class LeastReplicatedAdversary:
             takes.append(take)
             cursor += take
         return free[:cursor], np.repeat(np.array(self._targets, dtype=np.int64), takes)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Send the maximal allowed number of joiners to the weakest videos."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
 
 
 class ColdStartAdversary:
@@ -197,7 +186,7 @@ class ColdStartAdversary:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+        """Assign free boxes to distinct cold (empty-swarm) videos.
 
         Shuffles the cold videos first, then a copy of the free boxes.
         """
@@ -217,8 +206,3 @@ class ColdStartAdversary:
             free = free[: self._max_per_round]
         count = min(free.size, cold.size)
         return free[:count], cold[:count]
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Assign free boxes to distinct cold (empty-swarm) videos."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)

@@ -11,7 +11,7 @@ allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -25,10 +25,10 @@ __all__ = [
     "SystemView",
     "DemandGenerator",
     "StaticDemandSchedule",
-    "demand_arrays",
-    "demands_from_arrays",
     "shuffled_free_boxes",
 ]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,20 @@ class SystemView:
 class DemandGenerator(Protocol):
     """Protocol for demand generators.
 
-    :meth:`demands_for_round` is the required method.  A generator may
-    also offer ``demand_arrays_for_round(view) -> (box_ids, video_ids)``,
-    the same arrivals as int64 arrays drawn from the same random stream;
-    :func:`demand_arrays` prefers it when present.  Neither form may
-    mutate ``view.free_boxes``: every phase of a round reads the same
-    array (:func:`shuffled_free_boxes` shuffles a copy).
+    :meth:`demand_arrays_for_round` is the one method.  It must not mutate
+    ``view.free_boxes``: every phase of a round reads the same array
+    (:func:`shuffled_free_boxes` shuffles a copy).
     """
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Return the demands arriving in ``[view.time − 1, view.time[``.
 
-        Implementations must only use boxes from ``view.free_boxes`` and
-        should respect the swarm-growth bound they claim to model (the
-        engine records violations either way).
+        The demands come as int64 ``(box_ids, video_ids)`` arrays, one
+        entry per demand.  Implementations must only use boxes from
+        ``view.free_boxes`` and should respect the swarm-growth bound they
+        claim to model (the engine records violations either way).
         """
         ...  # pragma: no cover
 
@@ -86,19 +86,29 @@ class StaticDemandSchedule:
     """A fixed, precomputed demand schedule (useful in tests and replays)."""
 
     def __init__(self, demands: Sequence[Demand]):
-        self._by_round: dict[int, List[Demand]] = {}
+        by_round: Dict[int, List[Tuple[int, int]]] = {}
         for demand in demands:
-            self._by_round.setdefault(demand.time, []).append(demand)
+            by_round.setdefault(demand.time, []).append((demand.box_id, demand.video_id))
+        #: Per round, the ``(box_ids, video_ids)`` rows in schedule order.
+        self._by_round: Dict[int, np.ndarray] = {
+            time: np.array(pairs, dtype=np.int64).T for time, pairs in by_round.items()
+        }
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Return the scheduled demands whose time equals ``view.time``."""
-        free = set(int(b) for b in view.free_boxes)
-        return [d for d in self._by_round.get(view.time, []) if d.box_id in free]
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The scheduled demands of ``view.time`` whose box is free, in schedule order."""
+        scheduled = self._by_round.get(view.time)
+        if scheduled is None:
+            return _EMPTY, _EMPTY
+        boxes, videos = scheduled
+        free = np.isin(boxes, view.free_boxes)
+        return boxes[free], videos[free]
 
     @property
     def total_demands(self) -> int:
         """Total number of scheduled demands (regardless of box availability)."""
-        return sum(len(v) for v in self._by_round.values())
+        return sum(scheduled.shape[1] for scheduled in self._by_round.values())
 
 
 def shuffled_free_boxes(view: SystemView, rng: np.random.Generator) -> np.ndarray:
@@ -113,39 +123,3 @@ def shuffled_free_boxes(view: SystemView, rng: np.random.Generator) -> np.ndarra
     free = np.array(view.free_boxes, dtype=np.int64)
     rng.shuffle(free)
     return free
-
-
-def demands_from_arrays(
-    time: int, box_ids: np.ndarray, video_ids: np.ndarray
-) -> List[Demand]:
-    """Demand objects for one round's ``(box, video)`` arrival arrays."""
-    return [
-        Demand(time=time, box_id=b, video_id=v)
-        for b, v in zip(box_ids.tolist(), video_ids.tolist())
-    ]
-
-
-def demand_arrays(
-    generator: DemandGenerator, view: SystemView
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One round's arrivals of ``generator`` as int64 ``(box_ids, video_ids)``.
-
-    Uses the generator's ``demand_arrays_for_round`` when it has one;
-    otherwise converts its :meth:`~DemandGenerator.demands_for_round`
-    list, rejecting any demand dated for another round than ``view.time``.
-    """
-    supplier = getattr(generator, "demand_arrays_for_round", None)
-    if supplier is not None:
-        return supplier(view)
-    demands = generator.demands_for_round(view)
-    for demand in demands:
-        if demand.time != view.time:
-            raise ValueError(
-                f"workload produced a demand for round {demand.time} "
-                f"during round {view.time}"
-            )
-    count = len(demands)
-    return (
-        np.fromiter((d.box_id for d in demands), dtype=np.int64, count=count),
-        np.fromiter((d.video_id for d in demands), dtype=np.int64, count=count),
-    )

@@ -19,23 +19,21 @@ Poisson-arrival machinery of :mod:`repro.workloads.popularity`:
 
 Both generators draw all randomness from the single generator they are
 constructed with — in scenarios that is a per-phase child stream of the
-master seed — and their object form wraps the array form, so replays
-are bit-identical either way.  The epoch
-schedule is a pure function of the queried round, and epoch transitions
-consume randomness in epoch order, so a run over rounds ``[0, T)`` is a
-prefix of a run over ``[0, T')`` for ``T' > T`` (append-stable).
+master seed.  The epoch schedule is a pure function of the queried round,
+and epoch transitions consume randomness in epoch order, so a run over
+rounds ``[0, T)`` is a prefix of a run over ``[0, T')`` for ``T' > T``
+(append-stable).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive, check_positive_integer
-from repro.workloads.base import SystemView, demands_from_arrays
+from repro.workloads.base import SystemView
 from repro.workloads.popularity import check_zipf_exponent, zipf_weights
 
 __all__ = ["DriftingZipfWorkload", "FlashRotationWorkload"]
@@ -111,7 +109,7 @@ class DriftingZipfWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Draw Poisson(rate) arrivals over the current epoch's drifted law."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         self._refresh_weights(view.catalog.num_videos, view.time)
@@ -125,11 +123,6 @@ class DriftingZipfWorkload:
             view.catalog.num_videos, size=count, replace=True, p=self._weights
         )
         return boxes.astype(np.int64, copy=False), videos.astype(np.int64, copy=False)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Draw Poisson(rate) arrivals over the current epoch's drifted law."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
 
 
 class FlashRotationWorkload:
@@ -193,7 +186,7 @@ class FlashRotationWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Draw Poisson(rate) arrivals biased toward the promoted window."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         weights = self._weights(view.time, view.catalog.num_videos)
@@ -207,8 +200,3 @@ class FlashRotationWorkload:
             view.catalog.num_videos, size=count, replace=True, p=weights
         )
         return boxes.astype(np.int64, copy=False), videos.astype(np.int64, copy=False)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Draw Poisson(rate) arrivals biased toward the promoted window."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)

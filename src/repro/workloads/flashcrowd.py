@@ -15,11 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.sim.swarm import max_new_members
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_in_range, check_non_negative_integer
-from repro.workloads.base import SystemView, demands_from_arrays, shuffled_free_boxes
+from repro.workloads.base import SystemView, shuffled_free_boxes
 
 __all__ = ["FlashCrowdWorkload", "StaggeredFlashCrowdWorkload"]
 
@@ -65,7 +64,7 @@ class FlashCrowdWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+        """Send as many new members to each target swarm as ``µ`` allows.
 
         Shuffles a copy of the free boxes and hands each target, in
         order, the next ``µ``-allowed joiners from its front.
@@ -90,11 +89,6 @@ class FlashCrowdWorkload:
             cursor += take
             self._sent[video_id] += take
         return free[:cursor], np.repeat(np.array(self._targets, dtype=np.int64), takes)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Send as many new members to each target swarm as ``µ`` allows."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
 
 
 class StaggeredFlashCrowdWorkload:
@@ -127,7 +121,7 @@ class StaggeredFlashCrowdWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Advance every crowd that has already started."""
         free = shuffled_free_boxes(view, self._rng)
         takes: List[int] = []
         cursor = 0
@@ -144,8 +138,3 @@ class StaggeredFlashCrowdWorkload:
             cursor += take
             self._sent[video_id] += take
         return free[:cursor], np.repeat(np.array(self._videos, dtype=np.int64), takes)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Advance every crowd that has already started."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)

@@ -10,14 +10,13 @@ workloads are contrasted in EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive
-from repro.workloads.base import SystemView, demands_from_arrays
+from repro.workloads.base import SystemView
 
 __all__ = ["check_zipf_exponent", "zipf_weights", "ZipfDemandWorkload", "UniformDemandWorkload"]
 
@@ -91,11 +90,9 @@ class ZipfDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``.
+        """Draw Poisson(rate) arrivals and assign them Zipf-popular videos.
 
-        :meth:`demands_for_round` wraps this call, so both forms draw the
-        same arrivals from the random stream; the boxes are distinct
-        (sampled without replacement).
+        The boxes are distinct (sampled without replacement).
         """
         if view.time < self._start:
             return _EMPTY, _EMPTY
@@ -111,11 +108,6 @@ class ZipfDemandWorkload:
             view.catalog.num_videos, size=count, replace=True, p=self._weights
         )
         return boxes.astype(np.int64, copy=False), videos.astype(np.int64, copy=False)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Draw Poisson(rate) arrivals and assign them Zipf-popular videos."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
 
 
 class UniformDemandWorkload:
@@ -134,7 +126,7 @@ class UniformDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Draw Poisson(rate) arrivals over uniformly random videos."""
         if view.time < self._start:
             return _EMPTY, _EMPTY
         count = int(self._rng.poisson(self._rate))
@@ -145,8 +137,3 @@ class UniformDemandWorkload:
         boxes = self._rng.choice(free, size=count, replace=False)
         videos = self._rng.integers(0, view.catalog.num_videos, size=count)
         return boxes.astype(np.int64, copy=False), videos.astype(np.int64, copy=False)
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Draw Poisson(rate) arrivals over uniformly random videos."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)

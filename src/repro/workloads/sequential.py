@@ -10,16 +10,17 @@ videos").  This workload exercises exactly that situation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer
 from repro.workloads.base import SystemView
 
 __all__ = ["SequentialViewingWorkload"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class SequentialViewingWorkload:
@@ -66,19 +67,23 @@ class SequentialViewingWorkload:
             if video != previous:
                 return video
 
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
+    def demand_arrays_for_round(
+        self, view: SystemView
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Every participating free box demands its next video."""
         if view.time < self._start:
-            return []
+            return _EMPTY, _EMPTY
         participants = (
             set(self._boxes) if self._boxes is not None else set(range(view.population.n))
         )
-        demands: List[Demand] = []
+        boxes: List[int] = []
+        videos: List[int] = []
         for box_id in view.free_boxes:
             box_id = int(box_id)
             if box_id not in participants:
                 continue
             video = self._next_video(box_id, view.catalog.num_videos)
             self._last_video[box_id] = video
-            demands.append(Demand(time=view.time, box_id=box_id, video_id=video))
-        return demands
+            boxes.append(box_id)
+            videos.append(video)
+        return np.array(boxes, dtype=np.int64), np.array(videos, dtype=np.int64)

@@ -37,10 +37,9 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.preloading import Demand
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_non_negative_integer, check_positive_integer
-from repro.workloads.base import SystemView, demands_from_arrays
+from repro.workloads.base import SystemView
 
 __all__ = [
     "TRACE_MAGIC",
@@ -254,7 +253,7 @@ class TraceDemandWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`demands_for_round`: ``(box_ids, video_ids)``."""
+        """Replay this round's due trace events."""
         if self._header.num_videos > view.catalog.num_videos:
             raise ValueError(
                 f"trace {self._path!r} was recorded over "
@@ -273,11 +272,6 @@ class TraceDemandWorkload:
         boxes = self._rng.choice(free, size=count, replace=False)
         videos = np.asarray(due[:count], dtype=np.int64)
         return boxes.astype(np.int64, copy=False), videos
-
-    def demands_for_round(self, view: SystemView) -> List[Demand]:
-        """Replay this round's due trace events as demands."""
-        boxes, videos = self.demand_arrays_for_round(view)
-        return demands_from_arrays(view.time, boxes, videos)
 
 
 def synthesize_zipf_trace(

@@ -21,14 +21,7 @@ from repro.baselines.sourcing_only import (
     sourcing_capacity_bound,
 )
 from repro.core.allocation import Allocation, AllocationError, random_permutation_allocation
-from repro.core.matching import (
-    NEVER_EXPIRES,
-    ArrayRequestSet,
-    ConnectionMatcher,
-    PossessionIndex,
-    RequestSet,
-    StripeRequest,
-)
+from repro.core.matching import NEVER_EXPIRES, ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 
@@ -90,9 +83,8 @@ class TestSourcingOnly:
         allocation = random_permutation_allocation(catalog, population, 3, random_state=0)
         index = SourcingOnlyPossessionIndex(allocation, cache_window=20)
         index.record_download(stripe_id=0, box_id=5, time=0)
-        request = StripeRequest(stripe_id=0, request_time=3, box_id=7)
         # The cache entry is ignored; only allocation holders serve.
-        servers = index.servers_for(request, current_time=3)
+        servers = index.servers_for(0, request_time=3, current_time=3)
         assert servers == set(allocation.boxes_with_stripe(0).tolist())
 
     def test_sourcing_only_is_strictly_weaker(self):
@@ -106,9 +98,7 @@ class TestSourcingOnly:
         for index in (swarming, sourcing):
             for box in range(5):
                 index.record_download(stripe_id=0, box_id=box, time=0)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=1, box_id=5 + i) for i in range(5)]
-        )
+        requests = RequestSet([0] * 5, [1] * 5, [5 + i for i in range(5)])
         assert matcher.match(requests, swarming, current_time=1).feasible
         assert not matcher.match(requests, sourcing, current_time=1).feasible
 
@@ -133,17 +123,11 @@ class TestSourcingOnly:
         requester = outsiders[5]
         expected = sorted(holders | {relay})
 
-        assert index.servers_for(
-            StripeRequest(stripe_id=0, request_time=3, box_id=requester), 3
-        ) == set(expected)
+        assert index.servers_for(0, 3, 3) == set(expected)
         boxes, expiry = index.row_with_expiry(0, requester, 3, 3)
         assert sorted(boxes.tolist()) == expected
         assert set(expiry.tolist()) == {NEVER_EXPIRES}
-        requests = ArrayRequestSet(
-            np.array([0], dtype=np.int64),
-            np.array([3], dtype=np.int64),
-            np.array([requester], dtype=np.int64),
-        )
+        requests = RequestSet([0], [3], [requester])
         indptr, indices, edge_expiry = index.adjacency_delta_for(requests, 3)
         assert indices.tolist() == boxes.tolist()
         assert edge_expiry.tolist() == expiry.tolist()
@@ -160,9 +144,7 @@ class TestSourcingOnly:
         allocation = Allocation(catalog, population, 2, replica_box)
         index = SourcingOnlyPossessionIndex(allocation, cache_window=20)
         index.record_download(stripe_id=0, box_id=7, time=0)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 7)]
-        )
+        requests = RequestSet([0] * 5, [1] * 5, list(range(2, 7)))
         slots = population.upload_slots(2)
         fast = ConnectionMatcher(slots).match(requests, index, current_time=1)
         oracle = ConnectionMatcher(slots, solver="dinic").match(

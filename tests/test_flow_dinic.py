@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import Allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.bipartite import hall_deficiency, hall_violations
@@ -200,9 +200,7 @@ class TestLongAugmentingPaths:
         index = PossessionIndex(allocation, cache_window=10)
         for stripe in range(n):
             index.record_download(stripe_id=stripe, box_id=stripe, time=0)
-        requests = RequestSet(
-            StripeRequest(stripe_id=i, request_time=1, box_id=n) for i in range(n)
-        )
+        requests = RequestSet(np.arange(n), np.ones(n, dtype=np.int64), np.full(n, n))
         slots = [1] * n + [0]
         default = ConnectionMatcher(slots).match(requests, index, current_time=1)
         twin = ConnectionMatcher(slots, solver="dinic").match(

@@ -6,22 +6,20 @@ import pytest
 from repro.core.allocation import Allocation
 from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import (
-    ArrayRequestSet,
     ConnectionMatcher,
     MatchDelta,
     PossessionIndex,
     RequestSet,
-    StripeRequest,
     check_feasibility_hall,
 )
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 
 
-def crafted_allocation(num_boxes=6, num_videos=3, c=2, k=2, duration=20):
+def crafted_allocation(num_boxes=6, num_videos=3, c=2, k=2, duration=20, u=1.0):
     """A deterministic allocation: stripe s is stored on boxes (s, s+1) mod n."""
     catalog = Catalog(num_videos=num_videos, num_stripes=c, duration=duration)
-    population = homogeneous_population(num_boxes, u=1.0, d=max(2.0, num_videos * c * k / num_boxes / c + 1))
+    population = homogeneous_population(num_boxes, u=u, d=max(2.0, num_videos * c * k / num_boxes / c + 1))
     replica_box = np.empty(num_videos * c * k, dtype=np.int64)
     for stripe_id in range(num_videos * c):
         for j in range(k):
@@ -29,67 +27,55 @@ def crafted_allocation(num_boxes=6, num_videos=3, c=2, k=2, duration=20):
     return Allocation(catalog, population, k, replica_box)
 
 
+def requests_of(triples):
+    """A :class:`RequestSet` of ``(stripe, request_time, box)`` triples."""
+    stripes, times, boxes = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return RequestSet(stripes, times, boxes)
+
+
 class TestStripeRequestAndRequestSet:
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            StripeRequest(stripe_id=-1, request_time=0, box_id=0)
-        with pytest.raises(ValueError):
-            StripeRequest(stripe_id=0, request_time=-1, box_id=0)
-
-    def test_request_set_operations(self):
-        rs = RequestSet()
-        rs.add(StripeRequest(1, 0, 0))
-        rs.extend([StripeRequest(1, 0, 1), StripeRequest(2, 0, 2)])
-        assert len(rs) == 3
-        assert rs.stripe_multiset() == [1, 1, 2]
-        assert rs.distinct_stripes() == {1, 2}
-        assert rs[0].stripe_id == 1
-
-    def test_by_video_grouping(self):
-        rs = RequestSet(
-            [StripeRequest(0, 0, 0), StripeRequest(1, 0, 1), StripeRequest(4, 0, 2)]
-        )
-        groups = rs.by_video(num_stripes_per_video=2)
-        assert set(groups) == {0, 2}
-        assert len(groups[0]) == 2
-
-    def test_preload_flag_not_part_of_identity(self):
-        a = StripeRequest(1, 0, 0, is_preload=True)
-        b = StripeRequest(1, 0, 0, is_preload=False)
-        assert a == b
+        with pytest.raises(ValueError, match="stripe_id"):
+            RequestSet([1, -1], [0, 0], [0, 0])
+        with pytest.raises(ValueError, match="request_time"):
+            RequestSet([0], [-1], [0])
+        with pytest.raises(ValueError, match="box_id"):
+            RequestSet([0], [0], [-2])
+        with pytest.raises(ValueError, match="identical shapes"):
+            RequestSet([0, 1], [0, 0], [0])
+        requests = RequestSet([1, 1, 2], [0, 3, 0], [0, 1, 2])
+        assert len(requests) == 3
+        assert requests.stripe_id_array.dtype == np.int64
+        assert requests.request_time_array.tolist() == [0, 3, 0]
+        assert len(RequestSet([], [], [])) == 0
 
 
 class TestPossessionIndex:
     def test_allocation_servers(self):
         alloc = crafted_allocation()
         index = PossessionIndex(alloc, cache_window=20)
-        request = StripeRequest(stripe_id=0, request_time=0, box_id=5)
-        servers = index.servers_for(request, current_time=0)
+        servers = index.servers_for(stripe_id=0, request_time=0, current_time=0)
         assert servers == {0, 1}
 
     def test_cache_servers_require_earlier_request(self):
         alloc = crafted_allocation()
         index = PossessionIndex(alloc, cache_window=20)
         index.record_download(stripe_id=0, box_id=4, time=3)
-        late = StripeRequest(stripe_id=0, request_time=5, box_id=5)
-        early = StripeRequest(stripe_id=0, request_time=3, box_id=5)
-        assert 4 in index.servers_for(late, current_time=5)
-        assert 4 not in index.servers_for(early, current_time=5)
+        assert 4 in index.servers_for(0, request_time=5, current_time=5)
+        assert 4 not in index.servers_for(0, request_time=3, current_time=5)
 
     def test_cache_eviction(self):
         alloc = crafted_allocation(duration=5)
         index = PossessionIndex(alloc, cache_window=5)
         index.record_download(stripe_id=0, box_id=4, time=0)
         index.evict_before(current_time=6)
-        request = StripeRequest(stripe_id=0, request_time=5, box_id=5)
-        assert 4 not in index.servers_for(request, current_time=6)
+        assert 4 not in index.servers_for(0, request_time=5, current_time=6)
 
     def test_relay_cache_servers(self):
         alloc = crafted_allocation()
         index = PossessionIndex(alloc, cache_window=20)
         index.record_relay_cache(stripe_id=3, box_id=2)
-        request = StripeRequest(stripe_id=3, request_time=0, box_id=5)
-        assert 2 in index.servers_for(request, current_time=0)
+        assert 2 in index.servers_for(3, request_time=0, current_time=0)
 
     def test_swarm_size(self):
         alloc = crafted_allocation(c=2)
@@ -112,7 +98,7 @@ class TestConnectionMatcher:
         alloc = crafted_allocation()
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
-        result = matcher.match(RequestSet(), index, current_time=0)
+        result = matcher.match(requests_of([]), index, current_time=0)
         assert result.feasible
         assert result.matched == 0
 
@@ -120,7 +106,7 @@ class TestConnectionMatcher:
         alloc = crafted_allocation()
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
-        requests = RequestSet([StripeRequest(stripe_id=0, request_time=0, box_id=5)])
+        requests = requests_of([(0, 0, 5)])
         result = matcher.match(requests, index, current_time=0)
         assert result.feasible
         assert int(result.assignment[0]) in {0, 1}
@@ -131,7 +117,7 @@ class TestConnectionMatcher:
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
         # Box 0 stores stripe 0 but also requests it.
-        requests = RequestSet([StripeRequest(stripe_id=0, request_time=0, box_id=0)])
+        requests = requests_of([(0, 0, 0)])
         result = matcher.match(requests, index, current_time=0)
         assert result.feasible
         assert int(result.assignment[0]) == 1
@@ -142,9 +128,8 @@ class TestConnectionMatcher:
         alloc = crafted_allocation(num_boxes=6, c=2, k=2)
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=0, box_id=b) for b in range(2, 6)]
-            + [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 6)]
+        requests = requests_of(
+            [(0, 0, b) for b in range(2, 6)] + [(0, 1, b) for b in range(2, 6)]
         )
         result = matcher.match(requests, index, current_time=1)
         assert not result.feasible
@@ -157,14 +142,7 @@ class TestConnectionMatcher:
         slots = alloc.population.upload_slots(2)
         matcher = ConnectionMatcher(slots)
         index = PossessionIndex(alloc, cache_window=20)
-        requests = RequestSet(
-            [
-                StripeRequest(stripe_id=0, request_time=0, box_id=3),
-                StripeRequest(stripe_id=0, request_time=0, box_id=4),
-                StripeRequest(stripe_id=0, request_time=0, box_id=5),
-                StripeRequest(stripe_id=0, request_time=1, box_id=2),
-            ]
-        )
+        requests = requests_of([(0, 0, 3), (0, 0, 4), (0, 0, 5), (0, 1, 2)])
         # Without busy slots: boxes 0 and 1 can serve 2 each → feasible.
         assert matcher.match(requests, index, current_time=1).feasible
         # Mark box 0 fully busy: only box 1 remains with 2 slots → infeasible.
@@ -178,15 +156,47 @@ class TestConnectionMatcher:
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
         with pytest.raises(ValueError):
-            matcher.match(RequestSet(), index, 0, busy_slots=[1, 2])
+            matcher.match(requests_of([]), index, 0, busy_slots=[1, 2])
 
     def test_delta_requires_the_warm_start_it_extends(self):
         alloc = crafted_allocation()
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
-        requests = RequestSet([StripeRequest(stripe_id=0, request_time=0, box_id=3)])
+        requests = requests_of([(0, 0, 3)])
         with pytest.raises(ValueError, match="warm_start"):
             matcher.match(requests, index, 0, delta=MatchDelta(keep_mask=None, num_new=1))
+
+    def test_repair_retires_over_capacity_pairs_in_request_order(self):
+        """A box whose capacity drops keeps its first pairs in request order.
+
+        Three requests for stripe 0, held by boxes 0 and 1 with 2 slots
+        each: one holder serves two of them.  When busy slots cut it to
+        one slot, the repair keeps the earlier request there and moves the
+        later one to the other holder, without the full kernel.
+        """
+        alloc = crafted_allocation()
+        matcher = ConnectionMatcher(alloc.population.upload_slots(2))
+        index = PossessionIndex(alloc, cache_window=20)
+        requests = requests_of([(0, 0, 2), (0, 0, 3), (0, 0, 4)])
+        first = matcher.match(
+            requests, index, 0, warm_start=np.full(3, -1),
+            delta=MatchDelta(keep_mask=None, num_new=3),
+        )
+        full = int(np.argmax(first.box_load))
+        assert first.box_load[full] == 2
+        earlier, later = np.flatnonzero(first.assignment == full)
+        busy = np.zeros(alloc.num_boxes, dtype=np.int64)
+        busy[full] = 1
+        repairs = matcher.repair_rounds
+        second = matcher.match(
+            requests, index, 0, busy_slots=busy, warm_start=first.assignment,
+            delta=MatchDelta(keep_mask=None, num_new=0),
+        )
+        assert matcher.repair_rounds == repairs + 1
+        assert second.feasible
+        assert np.all(second.box_load <= second.capacities)
+        assert second.assignment[earlier] == full
+        assert second.assignment[later] == 1 - full
 
     def test_cache_server_expands_capacity(self):
         # With only the allocation, 5 concurrent viewers of stripe 0 are
@@ -194,9 +204,7 @@ class TestConnectionMatcher:
         alloc = crafted_allocation(num_boxes=8, c=2, k=2)
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=1, box_id=b) for b in range(2, 7)]
-        )
+        requests = requests_of([(0, 1, b) for b in range(2, 7)])
         assert not matcher.match(requests, index, current_time=1).feasible
         index.record_download(stripe_id=0, box_id=7, time=0)
         assert matcher.match(requests, index, current_time=1).feasible
@@ -204,41 +212,66 @@ class TestConnectionMatcher:
 
 class TestHallOracle:
     def test_flow_matcher_agrees_with_hall_oracle(self):
-        alloc = crafted_allocation(num_boxes=6, c=2, k=2)
+        """Random instances at ``u = 1`` and at ``u = 1.3`` (``c = 2``).
+
+        At ``u = 1.3`` each box has ``⌊2.6⌋ = 2`` slots.  Up to 7 requests
+        fall on the first video's two stripes there, so that some instances
+        are infeasible in slots although the fractional uploads would pass.
+        """
         c = 2
-        uploads = alloc.population.uploads
-        matcher = ConnectionMatcher(alloc.population.upload_slots(c))
-        index = PossessionIndex(alloc, cache_window=20)
         rng = np.random.default_rng(0)
-        for trial in range(15):
-            num_requests = int(rng.integers(1, 7))
-            requests = RequestSet(
-                [
-                    StripeRequest(
-                        stripe_id=int(rng.integers(alloc.num_stripes)),
-                        request_time=0,
-                        box_id=int(rng.integers(alloc.num_boxes)),
-                    )
-                    for _ in range(num_requests)
-                ]
-            )
-            flow_feasible = matcher.match(requests, index, current_time=0).feasible
-            hall_feasible, witness = check_feasibility_hall(
-                requests, index, uploads, c, current_time=0
-            )
-            assert flow_feasible == hall_feasible
-            if not hall_feasible:
-                assert witness is not None
+        infeasible = 0
+        for u, stripes, max_requests, trials in ((1.0, None, 6, 15), (1.3, 2, 7, 30)):
+            alloc = crafted_allocation(num_boxes=6, c=c, k=2, u=u)
+            slots = alloc.population.upload_slots(c)
+            matcher = ConnectionMatcher(slots)
+            index = PossessionIndex(alloc, cache_window=20)
+            for trial in range(trials):
+                num_requests = int(rng.integers(1, max_requests + 1))
+                requests = requests_of(
+                    [
+                        (
+                            int(rng.integers(stripes or alloc.num_stripes)),
+                            0,
+                            int(rng.integers(alloc.num_boxes)),
+                        )
+                        for _ in range(num_requests)
+                    ]
+                )
+                flow_feasible = matcher.match(requests, index, current_time=0).feasible
+                hall_feasible, witness = check_feasibility_hall(
+                    requests, index, slots, current_time=0
+                )
+                assert flow_feasible == hall_feasible
+                if not hall_feasible:
+                    assert witness is not None
+                    infeasible += u != 1.0
+        assert infeasible > 0
+
+    def test_fractional_upload_is_compared_in_slots(self):
+        """``u = 1.3, c = 2``: boxes 0 and 1 hold stripe 0 with 2 slots each.
+
+        Five requests for it are infeasible (the matcher serves 4), while
+        the fractional uploads would sum to ``2.6 ≥ 5/2``.
+        """
+        alloc = crafted_allocation(num_boxes=6, c=2, k=2, u=1.3)
+        slots = alloc.population.upload_slots(2)
+        assert slots.tolist() == [2] * 6
+        index = PossessionIndex(alloc, cache_window=20)
+        requests = requests_of([(0, 0, b) for b in (2, 3, 4, 5, 2)])
+        result = ConnectionMatcher(slots).match(requests, index, current_time=0)
+        assert result.matched == 4
+        feasible, witness = check_feasibility_hall(requests, index, slots, current_time=0)
+        assert not feasible
+        assert len(witness) == 5
 
     def test_hall_witness_is_a_real_violation(self):
         alloc = crafted_allocation(num_boxes=4, c=2, k=1)
         index = PossessionIndex(alloc, cache_window=20)
-        uploads = alloc.population.uploads
+        slots = alloc.population.upload_slots(2)
         # Six requests for stripe 0 (held by box 0 only, capacity 2 stripes).
-        requests = RequestSet(
-            [StripeRequest(stripe_id=0, request_time=t, box_id=(t % 3) + 1) for t in range(6)]
-        )
-        feasible, witness = check_feasibility_hall(requests, index, uploads, 2, current_time=6)
+        requests = requests_of([(0, t, (t % 3) + 1) for t in range(6)])
+        feasible, witness = check_feasibility_hall(requests, index, slots, current_time=6)
         assert not feasible
         assert witness is not None
         assert len(witness) >= 3
@@ -325,9 +358,12 @@ class TestDownloadWriterAndQueryChecks:
     @pytest.mark.parametrize("stripe", [-2, -1, 6])
     def test_queries_reject_stripe_ids_outside_the_catalog(self, stripe):
         index = self._index()
-        requests = ArrayRequestSet([stripe], [0], [7])
-        with pytest.raises(ValueError, match="stripe ids"):
-            index.adjacency_for(requests, 1)
+        if stripe < 0:
+            with pytest.raises(ValueError, match="stripe_id"):
+                RequestSet([stripe], [0], [7])
+        else:
+            with pytest.raises(ValueError, match="stripe ids"):
+                index.adjacency_for(RequestSet([stripe], [0], [7]), 1)
         with pytest.raises(ValueError, match="stripe ids"):
             index.row_with_expiry(stripe, 7, 0, 1)
 
@@ -335,8 +371,11 @@ class TestDownloadWriterAndQueryChecks:
     def test_queries_reject_rounds_outside_the_key(self, round_):
         index = self._index()
         index.record_downloads([0], [2], 0)
-        requests = ArrayRequestSet([0], [round_], [7])
-        with pytest.raises(ValueError, match="request rounds"):
-            index.adjacency_for(requests, 1)
+        if round_ < 0:
+            with pytest.raises(ValueError, match="request_time"):
+                RequestSet([0], [round_], [7])
+        else:
+            with pytest.raises(ValueError, match="request rounds"):
+                index.adjacency_for(RequestSet([0], [round_], [7]), 1)
         with pytest.raises(ValueError, match="request rounds"):
             index.row_with_expiry(0, 7, round_, 1)

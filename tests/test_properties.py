@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import thresholds as th
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.obstruction import first_moment_bound_paper, lemma4_log_probability
 from repro.core.parameters import homogeneous_population
 from repro.core.preloading import PreloadingScheduler
@@ -116,14 +116,11 @@ class TestMatchingInvariants:
         allocation = random_permutation_allocation(catalog, population, 2, random_state=seed)
         index = PossessionIndex(allocation, cache_window=20)
         matcher = ConnectionMatcher(population.upload_slots(c))
-        requests = RequestSet(
-            StripeRequest(
-                stripe_id=int(rng.integers(catalog.total_stripes)),
-                request_time=int(rng.integers(3)),
-                box_id=int(rng.integers(12)),
-            )
+        triples = [
+            (int(rng.integers(catalog.total_stripes)), int(rng.integers(3)), int(rng.integers(12)))
             for _ in range(num_requests)
-        )
+        ]
+        requests = RequestSet(*np.array(triples, dtype=np.int64).reshape(-1, 3).T)
         result = matcher.match(requests, index, current_time=3)
         # Per-box load never exceeds ⌊u·c⌋.
         assert np.all(result.box_load <= population.upload_slots(c))
@@ -133,9 +130,9 @@ class TestMatchingInvariants:
         for idx, box in enumerate(result.assignment):
             if box < 0:
                 continue
-            request = requests[idx]
-            assert int(box) != request.box_id
-            assert int(box) in index.servers_for(request, current_time=3)
+            stripe, time, client = triples[idx]
+            assert int(box) != client
+            assert int(box) in index.servers_for(stripe, time, current_time=3)
         # Feasible iff everything matched.
         assert result.feasible == (result.matched == len(requests))
 

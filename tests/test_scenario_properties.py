@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
@@ -128,15 +128,15 @@ class TestPossessionInvariants:
             possession.record_download(stripe, box, time)
         current_time = 9
         possession.evict_before(current_time)
-        requests = [
-            StripeRequest(stripe_id=s, request_time=min(t + 1, current_time), box_id=b)
-            for (s, b, t) in downloads
-        ] or [StripeRequest(stripe_id=0, request_time=0, box_id=0)]
+        triples = [
+            (s, min(t + 1, current_time), b) for (s, b, t) in downloads
+        ] or [(0, 0, 0)]
+        requests = RequestSet(*np.array(triples, dtype=np.int64).T)
         indptr, indices = possession.adjacency_for(requests, current_time)
-        for i, request in enumerate(requests):
+        for i, (stripe, time, box) in enumerate(triples):
             row = set(int(x) for x in indices[int(indptr[i]): int(indptr[i + 1])])
-            expected = possession.servers_for(request, current_time)
-            expected.discard(request.box_id)
+            expected = possession.servers_for(stripe, time, current_time)
+            expected.discard(box)
             assert row == expected
 
     @_SETTINGS
@@ -150,21 +150,18 @@ class TestPossessionInvariants:
         possession = PossessionIndex(allocation, cache_window=5)
         matcher = ConnectionMatcher(population.upload_slots(3))
         rng = np.random.default_rng(seed)
-        requests = RequestSet(
-            StripeRequest(
-                stripe_id=int(rng.integers(catalog.total_stripes)),
-                request_time=0,
-                box_id=int(rng.integers(12)),
-            )
+        triples = [
+            (int(rng.integers(catalog.total_stripes)), 0, int(rng.integers(12)))
             for _ in range(8)
-        )
+        ]
+        requests = RequestSet(*np.array(triples, dtype=np.int64).T)
         matching = matcher.match(requests, possession, current_time=0)
         slots = population.upload_slots(3)
-        for i, box in enumerate(matching.assignment):
+        for (stripe, time, client), box in zip(triples, matching.assignment):
             if box >= 0:
-                servers = possession.servers_for(requests[i], 0)
+                servers = possession.servers_for(stripe, time, 0)
                 assert int(box) in servers
-                assert int(box) != requests[i].box_id
+                assert int(box) != client
         assert np.all(matching.box_load <= slots)
 
 

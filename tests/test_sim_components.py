@@ -142,14 +142,16 @@ class TestActiveRequestPool:
             time,
             np.zeros(stripes.size, dtype=np.int64),
             np.asarray(demands, dtype=np.int64),
-            False,
         )
 
     def test_add_and_request_set(self):
         pool = ActiveRequestPool(duration=10)
         self.activate(pool, [1, 2], demands=[0, 0])
         assert len(pool) == 2
-        assert pool.request_set().stripe_multiset() == [1, 2]
+        requests = pool.request_set()
+        assert requests.stripe_id_array.tolist() == [1, 2]
+        assert requests.request_time_array.tolist() == [0, 0]
+        assert requests.box_id_array.tolist() == [0, 0]
 
     def test_mark_matched_sets_first_round_only(self):
         pool = ActiveRequestPool(duration=10)

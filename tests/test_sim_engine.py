@@ -74,42 +74,15 @@ class TestBasicRuns:
         assert result.metrics.total_demands == 1
         assert result.rejected_demands == 0
 
-    def test_workload_with_wrong_round_raises(self):
-        _, _, allocation = build_system()
-
-        class BadWorkload:
-            def demands_for_round(self, view):
-                return [Demand(time=view.time + 1, box_id=0, video_id=0)]
-
-        sim = VodSimulator(allocation, mu=1.5)
-        with pytest.raises(ValueError):
-            sim.run(BadWorkload(), num_rounds=2)
-
-    def test_demand_outside_catalog_raises(self):
-        _, _, allocation = build_system(m=5)
-
-        class BadWorkload:
-            def demands_for_round(self, view):
-                if view.time == 0:
-                    return [Demand(time=0, box_id=0, video_id=50)]
-                return []
-
-        sim = VodSimulator(allocation, mu=1.5)
-        with pytest.raises(ValueError):
-            sim.run(BadWorkload(), num_rounds=1)
-
     @pytest.mark.parametrize(
         "box, video, message",
-        [(-1, 0, "box -1 "), (40, 0, "box 40 "), (0, -1, "video -1 ")],
-        ids=["negative-box", "box-past-population", "negative-video"],
+        [(-1, 0, "box -1 "), (40, 0, "box 40 "), (0, -1, "video -1 "), (0, 20, "video 20 ")],
+        ids=["negative-box", "box-past-population", "negative-video", "video-past-catalog"],
     )
     def test_array_arrival_outside_the_system_raises(self, box, video, message):
-        _, _, allocation = build_system(n=40)
+        _, _, allocation = build_system(n=40, m=20)
 
         class BadArrays:
-            def demands_for_round(self, view):
-                return []
-
             def demand_arrays_for_round(self, view):
                 return np.array([box], dtype=np.int64), np.array([video], dtype=np.int64)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet, StripeRequest
+from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.sim.churn import random_churn_schedule
@@ -159,10 +159,8 @@ class TestMatcherWarmStart:
         population, catalog, allocation = build_system(seed=2)
         possession = PossessionIndex(allocation, cache_window=catalog.duration)
         matcher = ConnectionMatcher(population.upload_slots(catalog.num_stripes_per_video))
-        requests = RequestSet(
-            StripeRequest(stripe_id=s, request_time=0, box_id=(s + 7) % population.n)
-            for s in range(10)
-        )
+        stripes = np.arange(10)
+        requests = RequestSet(stripes, np.zeros_like(stripes), (stripes + 7) % population.n)
         cold = matcher.match(requests, possession, current_time=0)
         assert cold.feasible
         # Replay with the previous assignment and with a corrupted one.
@@ -179,10 +177,8 @@ class TestMatcherWarmStart:
         slots = population.upload_slots(catalog.num_stripes_per_video)
         possession = PossessionIndex(allocation, cache_window=catalog.duration)
         matcher = ConnectionMatcher(slots)
-        requests = RequestSet(
-            StripeRequest(stripe_id=s, request_time=0, box_id=(s + 5) % population.n)
-            for s in range(8)
-        )
+        stripes = np.arange(8)
+        requests = RequestSet(stripes, np.zeros_like(stripes), (stripes + 5) % population.n)
         cold = matcher.match(requests, possession, current_time=0)
         assert cold.feasible
         # Fully occupy the box serving request 0: the warm pair must move.

@@ -28,12 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import (
-    NEVER_EXPIRES,
-    ArrayRequestSet,
-    PossessionIndex,
-    StripeRequest,
-)
+from repro.core.matching import NEVER_EXPIRES, PossessionIndex, RequestSet
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
@@ -46,13 +41,12 @@ from repro.sim.swarm import SwarmRegistry
 # ActiveRequestPool vs. object-state reference model
 # --------------------------------------------------------------------- #
 def _activate(pool, stripes, time, boxes, demands):
-    """Activate one round's block of non-preload requests."""
+    """Activate one round's block of requests."""
     pool.extend_from_arrays(
         np.array(list(stripes), dtype=np.int64),
         time,
         np.array(list(boxes), dtype=np.int64),
         np.array(list(demands), dtype=np.int64),
-        False,
     )
 
 
@@ -146,8 +140,9 @@ class TestPoolEquivalence:
         snapshot = pool.request_set()
         pool.drop_expired_keeping(10)
         assert len(pool) == 0
-        assert snapshot.stripe_multiset() == [7]
-        assert snapshot[0] == StripeRequest(stripe_id=7, request_time=0, box_id=1)
+        assert snapshot.stripe_id_array.tolist() == [7]
+        assert snapshot.request_time_array.tolist() == [0]
+        assert snapshot.box_id_array.tolist() == [1]
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +305,7 @@ def possession_instances(draw):
 
 
 def _array_set(requests):
-    return ArrayRequestSet(
+    return RequestSet(
         np.array([s for s, _, _ in requests], dtype=np.int64),
         np.array([t for _, t, _ in requests], dtype=np.int64),
         np.array([b for _, _, b in requests], dtype=np.int64),
@@ -335,21 +330,13 @@ class TestAdjacencyEquivalence:
         allocation, downloads, relays, requests, current_time, evict_at = instance
         batched = self._build(allocation, downloads, relays, evict_at)
 
-        request_objs = [
-            StripeRequest(stripe_id=s, request_time=t, box_id=b)
-            for s, t, b in requests
-        ]
-        indptr_a, indices_a = batched.adjacency_for(_array_set(requests), current_time)
-        indptr_o, indices_o = batched.adjacency_for(request_objs, current_time)
-        # Array-extracted and object-extracted inputs are bit-identical.
-        assert indptr_a.tolist() == indptr_o.tolist()
-        assert indices_a.tolist() == indices_o.tolist()
+        indptr, indices = batched.adjacency_for(_array_set(requests), current_time)
 
         # The set query agrees on the neighbourhood *sets*.
-        for i, request in enumerate(request_objs):
-            row = set(indices_a[indptr_a[i]: indptr_a[i + 1]].tolist())
-            expected = batched.servers_for(request, current_time)
-            expected.discard(request.box_id)
+        for i, (stripe, time, box) in enumerate(requests):
+            row = set(indices[indptr[i]: indptr[i + 1]].tolist())
+            expected = batched.servers_for(stripe, time, current_time)
+            expected.discard(box)
             assert row == expected
 
     @given(instance=possession_instances(), data=st.data())

@@ -1,13 +1,15 @@
-"""The flash crowds and adversaries draw the same arrivals in array form.
+"""Flash crowds, adversaries and sequential viewing: the same arrivals in array form.
 
-Each generator's ``demand_arrays_for_round`` shuffles an int64 copy of the
-free boxes where its ``demands_for_round`` used to shuffle a Python list
-of them.  The list-based bodies are kept below as references; a twin run
-of each generator over rounds whose free sets and swarm sizes change must
-give the same ``(box, video)`` sequence and leave the random generator in
-the same state, without touching ``view.free_boxes``.  No golden covers
-the staggered crowd or the missing-video adversary, so these tests are
-their only pin.
+Each generator's ``demand_arrays_for_round`` replaces a list-based
+``demands_for_round`` body: the crowds and adversaries shuffle an int64
+copy of the free boxes where that body shuffled a Python list of them,
+and sequential viewing collects arrays where it built ``Demand`` objects.
+The list-based bodies are kept below as references; a twin run of each
+generator over rounds whose free sets and swarm sizes change must give
+the same ``(box, video)`` sequence and leave the random generator in the
+same state, without touching ``view.free_boxes``.  No golden covers the
+staggered crowd, the missing-video adversary or sequential viewing, so
+these tests are their only pin.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from repro.workloads.adversarial import (
     LeastReplicatedAdversary,
     MissingVideoAdversary,
 )
-from repro.workloads.base import SystemView, demands_from_arrays
+from repro.workloads.base import SystemView
 from repro.workloads.flashcrowd import FlashCrowdWorkload, StaggeredFlashCrowdWorkload
+from repro.workloads.sequential import SequentialViewingWorkload
 
 # --------------------------------------------------------------------- #
 # Reference copies of the list-based bodies
@@ -168,6 +171,23 @@ def _list_cold_start(self, view: SystemView) -> List[Demand]:
     return demands
 
 
+def _list_sequential(self, view: SystemView) -> List[Demand]:
+    if view.time < self._start:
+        return []
+    participants = (
+        set(self._boxes) if self._boxes is not None else set(range(view.population.n))
+    )
+    demands: List[Demand] = []
+    for box_id in view.free_boxes:
+        box_id = int(box_id)
+        if box_id not in participants:
+            continue
+        video = self._next_video(box_id, view.catalog.num_videos)
+        self._last_video[box_id] = video
+        demands.append(Demand(time=view.time, box_id=box_id, video_id=video))
+    return demands
+
+
 # --------------------------------------------------------------------- #
 # Twin runs
 # --------------------------------------------------------------------- #
@@ -230,6 +250,23 @@ CASES = [
         ),
         _list_missing_video,
     ),
+    (
+        "sequential",
+        lambda: SequentialViewingWorkload(random_state=19),
+        _list_sequential,
+    ),
+    (
+        "sequential-participants",
+        lambda: SequentialViewingWorkload(
+            boxes=range(0, N_BOXES, 3), start_time=2, random_state=20
+        ),
+        _list_sequential,
+    ),
+    (
+        "sequential-playlist",
+        lambda: SequentialViewingWorkload(playlist=(5, 1, 7), random_state=21),
+        _list_sequential,
+    ),
 ]
 
 
@@ -264,7 +301,7 @@ def _pairs(demands: List[Demand]):
     "factory, reference", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
 )
 def test_array_form_matches_the_list_reference(factory, reference):
-    listed, arrays, objects = factory(), factory(), factory()
+    listed, arrays = factory(), factory()
     # A short duration lets members expire, so swarm sizes both grow and
     # shrink from round to round.
     swarms = SwarmRegistry(mu=2.0, duration=4)
@@ -274,16 +311,10 @@ def test_array_form_matches_the_list_reference(factory, reference):
         expected = reference(listed, view)
         boxes, videos = arrays.demand_arrays_for_round(view)
         assert np.array_equal(view.free_boxes, before)
-        demands = objects.demands_for_round(view)
-        assert np.array_equal(view.free_boxes, before)
 
         assert boxes.dtype == np.int64 and videos.dtype == np.int64
         assert list(zip(boxes.tolist(), videos.tolist())) == _pairs(expected)
-        assert demands == expected
-        assert demands == demands_from_arrays(view.time, boxes, videos)
-        state = listed._rng.bit_generator.state
-        assert arrays._rng.bit_generator.state == state
-        assert objects._rng.bit_generator.state == state
+        assert arrays._rng.bit_generator.state == listed._rng.bit_generator.state
 
         saw_demands |= bool(expected)
         saw_empty |= not expected

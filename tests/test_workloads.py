@@ -42,29 +42,35 @@ def make_view(time=0, n=30, m=20, c=4, u=1.5, d=3.0, k=3, mu=2.0, busy=(), seed=
     )
 
 
+def arrivals(workload, view):
+    """One round's ``(box, video)`` pairs of ``workload``, in arrival order."""
+    boxes, videos = workload.demand_arrays_for_round(view)
+    return list(zip(boxes.tolist(), videos.tolist()))
+
+
 class TestStaticSchedule:
     def test_demands_at_matching_round_only(self):
         schedule = StaticDemandSchedule(
             [Demand(0, 1, 2), Demand(2, 3, 4), Demand(2, 5, 6)]
         )
-        assert len(schedule.demands_for_round(make_view(time=0))) == 1
-        assert len(schedule.demands_for_round(make_view(time=1))) == 0
-        assert len(schedule.demands_for_round(make_view(time=2))) == 2
+        assert arrivals(schedule, make_view(time=0)) == [(1, 2)]
+        assert arrivals(schedule, make_view(time=1)) == []
+        assert arrivals(schedule, make_view(time=2)) == [(3, 4), (5, 6)]
         assert schedule.total_demands == 3
 
     def test_busy_boxes_filtered(self):
-        schedule = StaticDemandSchedule([Demand(0, 1, 2)])
-        assert schedule.demands_for_round(make_view(time=0, busy=(1,))) == []
+        schedule = StaticDemandSchedule([Demand(0, 1, 2), Demand(0, 4, 5), Demand(0, 3, 1)])
+        assert arrivals(schedule, make_view(time=0, busy=(1,))) == [(4, 5), (3, 1)]
 
 
 class TestFlashCrowd:
     def test_growth_respects_mu(self):
         view = make_view(mu=1.5)
         workload = FlashCrowdWorkload(mu=1.5, random_state=0)
-        demands = workload.demands_for_round(view)
+        demands = arrivals(workload, view)
         # Empty swarm: at most ceil(1.5) = 2 joiners.
         assert 1 <= len(demands) <= 2
-        assert all(d.video_id == 0 for d in demands)
+        assert all(video == 0 for _, video in demands)
 
     def test_growth_uses_registry_state(self):
         view = make_view(mu=2.0)
@@ -80,24 +86,22 @@ class TestFlashCrowd:
             free_boxes=np.arange(4, 30, dtype=np.int64),
         )
         workload = FlashCrowdWorkload(mu=2.0, random_state=0)
-        demands = workload.demands_for_round(view2)
-        assert len(demands) == 4  # swarm may double from 4 to 8
+        assert len(arrivals(workload, view2)) == 4  # swarm may double from 4 to 8
 
     def test_max_members_cap(self):
         view = make_view(mu=4.0)
         workload = FlashCrowdWorkload(mu=4.0, max_members=3, random_state=0)
-        total = len(workload.demands_for_round(view))
-        assert total <= 3
+        assert len(arrivals(workload, view)) <= 3
 
     def test_start_time(self):
         workload = FlashCrowdWorkload(mu=1.5, start_time=5, random_state=0)
-        assert workload.demands_for_round(make_view(time=0)) == []
-        assert workload.demands_for_round(make_view(time=5))
+        assert arrivals(workload, make_view(time=0)) == []
+        assert arrivals(workload, make_view(time=5))
 
     def test_target_video_out_of_range(self):
         workload = FlashCrowdWorkload(mu=1.5, target_videos=(99,))
         with pytest.raises(ValueError):
-            workload.demands_for_round(make_view())
+            workload.demand_arrays_for_round(make_view())
 
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):
@@ -115,10 +119,10 @@ class TestFlashCrowd:
         workload = StaggeredFlashCrowdWorkload(
             mu=2.0, target_videos=(0, 1), start_times=(0, 3), random_state=0
         )
-        early = workload.demands_for_round(make_view(time=0))
-        assert {d.video_id for d in early} == {0}
-        late = workload.demands_for_round(make_view(time=3))
-        assert 1 in {d.video_id for d in late}
+        early = arrivals(workload, make_view(time=0))
+        assert {video for _, video in early} == {0}
+        late = arrivals(workload, make_view(time=3))
+        assert 1 in {video for _, video in late}
 
     def test_staggered_validation(self):
         with pytest.raises(ValueError):
@@ -129,40 +133,40 @@ class TestAdversaries:
     def test_missing_video_adversary_targets_unstored_videos(self):
         view = make_view()
         adversary = MissingVideoAdversary(random_state=0)
-        demands = adversary.demands_for_round(view)
+        demands = arrivals(adversary, view)
         assert demands, "every box should miss some video in this configuration"
         c = view.catalog.num_stripes_per_video
-        for demand in demands:
-            stored = view.allocation.stripes_on_box(demand.box_id)
+        for box, video in demands:
+            stored = view.allocation.stripes_on_box(box)
             stored_videos = set((stored // c).tolist())
-            assert demand.video_id not in stored_videos
+            assert video not in stored_videos
 
     def test_missing_video_adversary_throttle(self):
         adversary = MissingVideoAdversary(max_demands_per_round=5, random_state=0)
-        assert len(adversary.demands_for_round(make_view())) <= 5
+        assert len(arrivals(adversary, make_view())) <= 5
 
     def test_missing_video_adversary_respect_growth(self):
         view = make_view(mu=1.5)
         adversary = MissingVideoAdversary(respect_growth=True, mu=1.5, random_state=0)
-        demands = adversary.demands_for_round(view)
+        demands = arrivals(adversary, view)
         # With growth respected, each video receives at most ceil(1.5)=2 joiners.
         per_video = {}
-        for d in demands:
-            per_video[d.video_id] = per_video.get(d.video_id, 0) + 1
+        for _, video in demands:
+            per_video[video] = per_video.get(video, 0) + 1
         assert all(count <= 2 for count in per_video.values())
 
     def test_missing_video_adversary_start_time(self):
         adversary = MissingVideoAdversary(start_time=4, random_state=0)
-        assert adversary.demands_for_round(make_view(time=0)) == []
+        assert arrivals(adversary, make_view(time=0)) == []
 
     def test_least_replicated_adversary_targets_weakest_video(self):
         view = make_view(mu=2.0)
         adversary = LeastReplicatedAdversary(mu=2.0, num_target_videos=1, random_state=0)
-        demands = adversary.demands_for_round(view)
+        demands = arrivals(adversary, view)
         assert demands
         coverage = view.allocation.distinct_coverage()
         per_video = coverage.reshape(view.catalog.num_videos, -1).min(axis=1)
-        target = demands[0].video_id
+        target = demands[0][1]
         assert per_video[target] == per_video.min()
 
     def test_least_replicated_adversary_validation(self):
@@ -173,7 +177,8 @@ class TestAdversaries:
         view = make_view()
         view.swarms.enter(0, 0, time=0)
         adversary = ColdStartAdversary(random_state=0)
-        demands = adversary.demands_for_round(
+        demands = arrivals(
+            adversary,
             SystemView(
                 time=1,
                 catalog=view.catalog,
@@ -181,17 +186,17 @@ class TestAdversaries:
                 population=view.population,
                 swarms=view.swarms,
                 free_boxes=np.arange(1, 30, dtype=np.int64),
-            )
+            ),
         )
         assert demands
-        assert all(d.video_id != 0 for d in demands)
+        assert all(video != 0 for _, video in demands)
         # Each cold video receives at most one demand.
-        videos = [d.video_id for d in demands]
+        videos = [video for _, video in demands]
         assert len(videos) == len(set(videos))
 
     def test_cold_start_adversary_throttle(self):
         adversary = ColdStartAdversary(max_demands_per_round=3, random_state=0)
-        assert len(adversary.demands_for_round(make_view())) <= 3
+        assert len(arrivals(adversary, make_view())) <= 3
 
 
 class TestPopularity:
@@ -208,61 +213,57 @@ class TestPopularity:
 
     def test_zipf_demand_counts_and_boxes(self):
         workload = ZipfDemandWorkload(arrival_rate=5.0, random_state=0)
-        demands = workload.demands_for_round(make_view())
-        assert all(0 <= d.video_id < 20 for d in demands)
-        boxes = [d.box_id for d in demands]
+        demands = arrivals(workload, make_view())
+        assert all(0 <= video < 20 for _, video in demands)
+        boxes = [box for box, _ in demands]
         assert len(boxes) == len(set(boxes))
 
     def test_zipf_demand_truncated_to_free_boxes(self):
         view = make_view(busy=tuple(range(28)))  # only 2 free boxes
         workload = ZipfDemandWorkload(arrival_rate=50.0, random_state=0)
-        assert len(workload.demands_for_round(view)) <= 2
+        assert len(arrivals(workload, view)) <= 2
 
     def test_zipf_start_time(self):
         workload = ZipfDemandWorkload(arrival_rate=5.0, start_time=2, random_state=0)
-        assert workload.demands_for_round(make_view(time=0)) == []
+        assert arrivals(workload, make_view(time=0)) == []
 
     def test_zipf_popularity_skew(self):
         # Over many rounds, video 0 must receive more demands than video 19.
         workload = ZipfDemandWorkload(arrival_rate=10.0, exponent=1.2, random_state=0)
         counts = np.zeros(20)
         for t in range(60):
-            for d in workload.demands_for_round(make_view(time=t)):
-                counts[d.video_id] += 1
+            for _, video in arrivals(workload, make_view(time=t)):
+                counts[video] += 1
         assert counts[0] > counts[19]
 
     def test_uniform_demands(self):
         workload = UniformDemandWorkload(arrival_rate=5.0, random_state=0)
-        demands = workload.demands_for_round(make_view())
-        assert all(0 <= d.video_id < 20 for d in demands)
+        demands = arrivals(workload, make_view())
+        assert all(0 <= video < 20 for _, video in demands)
 
 
 class TestSequentialViewing:
     def test_every_free_box_demands(self):
         workload = SequentialViewingWorkload(random_state=0)
         view = make_view()
-        demands = workload.demands_for_round(view)
-        assert len(demands) == view.free_boxes.size
+        assert len(arrivals(workload, view)) == view.free_boxes.size
 
     def test_playlist_is_cycled(self):
         workload = SequentialViewingWorkload(boxes=[0], playlist=[3, 7], random_state=0)
-        first = workload.demands_for_round(make_view(time=0))
-        second = workload.demands_for_round(make_view(time=1))
-        third = workload.demands_for_round(make_view(time=2))
-        assert [d[0].video_id for d in (first, second, third)] == [3, 7, 3]
+        videos = [arrivals(workload, make_view(time=t)) for t in range(3)]
+        assert videos == [[(0, 3)], [(0, 7)], [(0, 3)]]
 
     def test_no_immediate_repeat_without_playlist(self):
         workload = SequentialViewingWorkload(boxes=[0], random_state=0)
         last = None
         for t in range(10):
-            demand = workload.demands_for_round(make_view(time=t))[0]
-            assert demand.video_id != last
-            last = demand.video_id
+            [(_, video)] = arrivals(workload, make_view(time=t))
+            assert video != last
+            last = video
 
     def test_participant_filter(self):
         workload = SequentialViewingWorkload(boxes=[2, 3], random_state=0)
-        demands = workload.demands_for_round(make_view())
-        assert {d.box_id for d in demands} == {2, 3}
+        assert {box for box, _ in arrivals(workload, make_view())} == {2, 3}
 
     def test_empty_playlist_rejected(self):
         with pytest.raises(ValueError):
@@ -300,16 +301,6 @@ class TestDegenerateZipfParameters:
 
 
 class TestDriftWorkload:
-    def test_array_and_object_paths_agree(self):
-        a = DriftingZipfWorkload(4.0, exponent=1.0, drift_period=3, random_state=11)
-        b = DriftingZipfWorkload(4.0, exponent=1.0, drift_period=3, random_state=11)
-        for t in range(10):
-            boxes, videos = a.demand_arrays_for_round(make_view(time=t))
-            demands = b.demands_for_round(make_view(time=t))
-            assert [(d.box_id, d.video_id) for d in demands] == list(
-                zip(boxes.tolist(), videos.tolist())
-            )
-
     def test_same_seed_reproduces_sequence(self):
         runs = []
         for _ in range(2):
@@ -326,7 +317,7 @@ class TestDriftWorkload:
 
     def test_start_time_gates_arrivals(self):
         workload = DriftingZipfWorkload(4.0, start_time=3, random_state=0)
-        assert workload.demands_for_round(make_view(time=2)) == []
+        assert arrivals(workload, make_view(time=2)) == []
 
     def test_prefix_stability_across_horizons(self):
         """Rounds [0, 8) are identical whether the run lasts 8 or 20 rounds."""
@@ -351,7 +342,7 @@ class TestFlashRotationWorkload:
     def test_hot_window_must_fit_catalog(self):
         workload = FlashRotationWorkload(arrival_rate=1.0, hot_videos=50)
         with pytest.raises(ValueError, match="exceeds the catalog size"):
-            workload.demands_for_round(make_view())
+            workload.demand_arrays_for_round(make_view())
 
     def test_demand_concentrates_on_hot_window(self):
         workload = FlashRotationWorkload(
@@ -359,9 +350,9 @@ class TestFlashRotationWorkload:
         )
         hits = hot_hits = 0
         for t in range(40):
-            for d in workload.demands_for_round(make_view(time=t)):
+            for _, video in arrivals(workload, make_view(time=t)):
                 hits += 1
-                hot_hits += d.video_id in (0, 1)
+                hot_hits += video in (0, 1)
         assert hits > 0 and hot_hits / hits > 0.6
 
     def test_window_rotates(self):
@@ -396,20 +387,9 @@ class TestTraceWorkload:
     def test_surplus_events_drop_when_boxes_scarce(self):
         workload = TraceDemandWorkload("zipf_small", random_state=1)
         view = make_view(time=0, m=16, busy=tuple(range(29)))  # 1 free box
-        demands = workload.demands_for_round(view)
-        assert len(demands) == 1
+        assert len(arrivals(workload, view)) == 1
 
     def test_start_time_shifts_the_replay(self):
         workload = TraceDemandWorkload("zipf_small", start_time=5, random_state=1)
-        assert workload.demands_for_round(make_view(time=4, m=16)) == []
-        assert len(workload.demands_for_round(make_view(time=5, m=16))) > 0
-
-    def test_array_and_object_paths_agree(self):
-        a = TraceDemandWorkload("zipf_small", random_state=7)
-        b = TraceDemandWorkload("zipf_small", random_state=7)
-        for t in range(10):
-            boxes, videos = a.demand_arrays_for_round(make_view(time=t, m=16))
-            demands = b.demands_for_round(make_view(time=t, m=16))
-            assert [(d.box_id, d.video_id) for d in demands] == list(
-                zip(boxes.tolist(), videos.tolist())
-            )
+        assert arrivals(workload, make_view(time=4, m=16)) == []
+        assert len(arrivals(workload, make_view(time=5, m=16))) > 0
