@@ -8,7 +8,11 @@ import pytest
 
 from repro.core.allocation import random_permutation_allocation
 from repro.core.heterogeneous import RelayedPreloadingScheduler, compute_compensation_plan
-from repro.core.parameters import BoxPopulation, homogeneous_population
+from repro.core.parameters import (
+    BoxPopulation,
+    homogeneous_population,
+    two_class_population,
+)
 from repro.core.preloading import Demand
 from repro.core.video import Catalog
 from repro.sim.engine import VodSimulator
@@ -258,4 +262,31 @@ class TestPerRequestOutputPin:
             0,
             0,
             "25c96626425f6ba3e63b9156050410fc4c4378d4fe45928599aa38d690be1b1f",
+        )
+
+    def test_relayed_run_connections(self):
+        # examples/heterogeneous_relay.py's relayed run: most of its repaired
+        # rounds' deficit rows are for stripes with relay caches.
+        population = two_class_population(
+            40, rich_fraction=0.5, u_rich=4.0, u_poor=0.5, d_rich=10.0, d_poor=1.25
+        )
+        plan = compute_compensation_plan(population, u_star=1.5)
+        catalog = Catalog(num_videos=12, num_stripes=8, duration=40)
+        allocation = random_permutation_allocation(catalog, population, 4, random_state=1)
+        scheduler = RelayedPreloadingScheduler(catalog, population, plan, mu=1.1)
+        sim = VodSimulator(
+            allocation,
+            mu=1.1,
+            scheduler=scheduler,
+            compensation_plan=plan,
+            record_connections=True,
+            trace_level="full",
+        )
+        result = sim.run(ZipfDemandWorkload(arrival_rate=3, random_state=1), num_rounds=16)
+        assert sim.matcher.repair_rounds == 15
+        assert self._digest(result) == (
+            2796,
+            0,
+            0,
+            "6236962afc998f8e447b3399719bb813e0bbf81d9c7c5e2b80c2fa5260344175",
         )
