@@ -143,6 +143,35 @@ class TestKernelAgainstMaxFlowSolvers:
 #: deficient set or Hall witness the kernel returns moves this digest.
 PINNED_KERNEL_DIGEST = "b04b8fe30deb287c4c11858e1140b35d6d92fbc420e248db978ca7f53d743ce5"
 
+#: SHA-256 of the kernel's exact output over the ``near_threshold_instance``
+#: batch: 400, 1,000 and 2,000 lefts, seeds 0..3 each, warm-started.
+PINNED_NEAR_THRESHOLD_DIGEST = "37c5498bd42962793540fc71f70bca6f2ff9f88317899ca8f142f5c029a27b09"
+
+
+def near_threshold_instance(seed, num_left):
+    """A warm-started instance just past the capacity threshold.
+
+    ``num_left / 2`` boxes of capacity 2, two to five of them one slot
+    short, and rows of 2 to 5 random boxes: the Hall witness spans nearly
+    every left.  The warm start is a maximum matching with
+    ``⌊√n⌋ / 3`` pairs dropped, so the free lefts stay within the Kuhn
+    loop's threshold and most of its searches fail.
+    """
+    rng = np.random.default_rng(seed)
+    num_right = num_left // 2
+    caps = np.full(num_right, 2, dtype=np.int64)
+    caps[rng.choice(num_right, size=int(rng.integers(2, 6)), replace=False)] -= 1
+    indptr = np.zeros(num_left + 1, dtype=np.int64)
+    np.cumsum(rng.integers(2, 6, size=num_left), out=indptr[1:])
+    indices = rng.integers(0, num_right, size=int(indptr[-1]))
+    warm = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps).assignment
+    warm = warm.copy()
+    dropped = rng.choice(
+        np.flatnonzero(warm >= 0), size=math.isqrt(num_left) // 3, replace=False
+    )
+    warm[dropped] = -1
+    return num_right, indptr, indices, caps, warm
+
 
 class TestKernelOutputPin:
     def test_batch_output_is_pinned(self, monkeypatch):
@@ -185,6 +214,39 @@ class TestKernelOutputPin:
         # falls through to the phases, and a deficit above the threshold.
         assert kuhn_then_phases > 0 and phase_path > 0
         assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+    def test_near_threshold_output_is_pinned(self, monkeypatch):
+        failed_searches = [0]
+        kuhn_augment = hk_module._kuhn_augment
+
+        def counting_kuhn_augment(*args):
+            found = kuhn_augment(*args)
+            failed_searches[0] += not found
+            return found
+
+        monkeypatch.setattr(hk_module, "_kuhn_augment", counting_kuhn_augment)
+        digest = hashlib.sha256()
+        for num_left in (400, 1000, 2000):
+            for seed in range(4):
+                num_right, indptr, indices, caps, warm = near_threshold_instance(
+                    seed, num_left
+                )
+                assert (warm < 0).sum() <= math.isqrt(num_left)
+                before = failed_searches[0]
+                result = hopcroft_karp_matching(
+                    num_left, num_right, indptr, indices, caps,
+                    initial_assignment=warm,
+                )
+                assert failed_searches[0] > before
+                assert len(result.unsatisfied_witness) > 0.9 * num_left
+                digest.update(result.assignment.astype("<i8").tobytes())
+                digest.update(repr((
+                    result.feasible,
+                    result.matched,
+                    result.deficient_left,
+                    result.unsatisfied_witness,
+                )).encode())
+        assert digest.hexdigest() == PINNED_NEAR_THRESHOLD_DIGEST
 
 
 class TestPhasePathWithWarmStarts:
