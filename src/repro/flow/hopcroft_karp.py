@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -227,7 +227,9 @@ def _right_matches(num_right: int, lefts: np.ndarray, rights: np.ndarray) -> _La
     return _LazyRows(indptr, lefts[_stable_right_order(rights)])
 
 
-def _kuhn_augment(i0: int, rows, cap, load, match_left, right_matches) -> bool:
+def _kuhn_augment(
+    i0: int, rows, cap, load, match_left, right_matches, visited: Set[int]
+) -> bool:
     """Single-source augmentation without layering (small deficits).
 
     Iterative DFS over alternating paths; every full right node is
@@ -238,10 +240,14 @@ def _kuhn_augment(i0: int, rows, cap, load, match_left, right_matches) -> bool:
     has no augmenting path — and by the standard monotonicity lemma never
     will, whatever else gets augmented.
 
+    ``visited`` holds the full right nodes already expanded, and the call
+    adds the ones it expands.  After a failed call none of them reaches a
+    free slot until the next augmentation, so the caller passes the same
+    set to the searches that follow one and a fresh set after a success.
+
     ``cap`` is read element-wise and ``load``/``match_left`` are mutated
     element-wise, so lists and arrays both serve.
     """
-    visited = set()
     # Frame: [left node, its row, position in the row, child position in
     # the current right node's right_matches list (advanced while
     # backtracking)].
@@ -456,10 +462,12 @@ def hopcroft_karp_matching(
     # augmenting path never unmatches a left, so the lefts free before the
     # loop are exactly those found free when it reaches them.
     if free.size <= max(8, math.isqrt(num_left)):
+        dead: Set[int] = set()
         for i in free.tolist():
             _charge_search()
-            if _kuhn_augment(i, rows, cap, load, match_arr, right_matches):
+            if _kuhn_augment(i, rows, cap, load, match_arr, right_matches, dead):
                 matched += 1
+                dead = set()
         if matched == num_left:
             return HKMatchingResult(
                 feasible=True,
