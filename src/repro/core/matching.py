@@ -106,9 +106,9 @@ class RequestSet:
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
 
-#: Cache-block clip for the repair greedy's delta gather: per row, only
-#: the newest this-many playback-cache edges are materialized (plus all
-#: static/relay edges).  Heuristic only — exact searches use full rows.
+#: Cache-block clip for the repair greedy's delta rows: per row, only the
+#: newest this-many playback-cache edges are read (plus all static/relay
+#: edges).  Heuristic only — exact searches use full rows.
 _GREEDY_MAX_CACHE_EDGES = 48
 
 #: Bits of the round field in the download log's sort key
@@ -124,6 +124,121 @@ def _check_span(name: str, low: int, high: int, limit: int) -> None:
     if low < 0 or high >= limit:
         got = low if low < 0 else high
         raise ValueError(f"{name} must lie in [0, {limit}), got {got}")
+
+
+class _DeltaRows:
+    """Cursors over one round's delta rows, from :meth:`PossessionIndex.delta_rows`.
+
+    Row ``i`` lists request ``rows[i]``'s static holders, the newest entries
+    of its clipped cache window and its relays, *with* the requester
+    ``requesters[i]``, whom a reader skips.  Position ``p`` of row ``i``
+    lies in block ``k`` when ``bounds[k - 1, i] <= p < bounds[k, i]`` and
+    reads ``source[bases[k, i] + p]``.  A cursor holds that source index
+    and its block's end, so a read costs one gather.
+    """
+
+    def __init__(self, requesters, source, bounds, bases, times, window):
+        self.requesters, self._source, self._bounds = requesters, source, bounds
+        self._bases, self._times, self._window = bases, times, window
+        start = np.zeros(requesters.size, dtype=np.int64)
+        self._base, limit = self._locate(np.arange(requesters.size), start)
+        self._at, self._end = self._base.copy(), self._base + limit
+
+    def _locate(self, rows: np.ndarray, pos: np.ndarray):
+        block = (pos >= self._bounds[0, rows]).astype(np.intp)
+        block += pos >= self._bounds[1, rows]
+        return self._bases[block, rows], self._bounds[block, rows]
+
+    def live(self, rows: np.ndarray) -> np.ndarray:
+        """The rows whose cursor still points at an edge."""
+        return rows[self._at[rows] < self._end[rows]]
+
+    def heads(self, rows: np.ndarray) -> np.ndarray:
+        """The box under each live row's cursor."""
+        return self._source[self._at[rows]]
+
+    def step(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Move the rows' cursors one edge on; returns the live ones and their heads."""
+        at = self._at[rows] + 1
+        self._at[rows] = at
+        done = at >= self._end[rows]
+        if done.any():
+            crossed = rows[done]
+            pos = at[done] - self._base[crossed]
+            base, limit = self._locate(crossed, pos)
+            self._base[crossed], self._at[crossed], self._end[crossed] = (
+                base, base + pos, base + limit
+            )
+            rows = self.live(rows)
+            at = self._at[rows]
+        return rows, self._source[at]
+
+    def expiries(self, rows: np.ndarray) -> np.ndarray:
+        """Expiry of the edges under the cursors (cache edges come first)."""
+        at = self._at[rows]
+        expiry = np.full(rows.size, NEVER_EXPIRES, dtype=np.int64)
+        cached = at < self._times.size
+        expiry[cached] = self._times[at[cached]] + self._window
+        return expiry
+
+
+def _greedy_first_fit(
+    reader: _DeltaRows, residual: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Multi-pass first-fit of the delta rows against ``residual`` (in place).
+
+    Each pass offers every unresolved row's head; per box, the first
+    ``residual`` rows in row order take it.  A rejected row moves on past
+    any further saturated box: residual never grows within a round, so
+    those edges can never be taken.  Entries naming the row's requester
+    are skipped as they are read.  Returns the accepted rows with their
+    boxes and edge expiries, and the sorted rows whose edges ran out.
+    """
+    requesters = reader.requesters
+
+    def advance(check: np.ndarray, head: np.ndarray, past_saturated: bool) -> None:
+        while check.size:  # one read checks the requester and the residual
+            skip = head == requesters[check]
+            if past_saturated:
+                skip |= residual[head] <= 0
+            check, head = reader.step(check[skip])
+
+    unresolved = reader.live(np.arange(requesters.size, dtype=np.int64))
+    advance(unresolved, reader.heads(unresolved), False)
+    accepted_rows: List[np.ndarray] = [_EMPTY_INT64]
+    accepted_boxes: List[np.ndarray] = [_EMPTY_INT64]
+    while True:
+        unresolved = reader.live(unresolved)
+        if not unresolved.size:
+            break
+        cand = reader.heads(unresolved)
+        order = _stable_right_order(cand)
+        sc = cand[order]
+        new_group = np.empty(sc.size, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = sc[1:] != sc[:-1]
+        group_start = np.flatnonzero(new_group)
+        group_id = np.cumsum(new_group) - 1
+        rank = np.arange(sc.size, dtype=np.int64) - group_start[group_id]
+        ok = np.empty(sc.size, dtype=bool)
+        ok[order] = rank < residual[sc]  # back to row order: stays sorted
+        if ok.any():
+            accepted_rows.append(unresolved[ok])
+            accepted_boxes.append(cand[ok])
+            # Per-box acceptance counts straight from the group structure:
+            # each group takes min(size, residual) rows — an O(n)-boxes
+            # bincount per pass would dwarf the pass.
+            group_sizes = np.empty(group_start.size, dtype=np.int64)
+            group_sizes[:-1] = group_start[1:] - group_start[:-1]
+            group_sizes[-1] = sc.size - group_start[-1]
+            group_boxes = sc[group_start]
+            residual[group_boxes] -= np.minimum(group_sizes, residual[group_boxes])
+        unresolved = unresolved[~ok]
+        advance(*reader.step(unresolved), True)
+    rows, boxes = np.concatenate(accepted_rows), np.concatenate(accepted_boxes)
+    left = np.ones(requesters.size, dtype=bool)
+    left[rows] = False
+    return rows, boxes, reader.expiries(rows), np.flatnonzero(left)
 
 
 @dataclass(frozen=True)
@@ -360,11 +475,13 @@ class PossessionIndex:
     live in one global struct-of-arrays download log (O(expired)
     eviction, whole-round batched queries).  The batched
     :meth:`adjacency_delta_for` emits the round's bipartite adjacency as
-    CSR arrays with per-edge expiries, which is what the Hopcroft–Karp
-    matching kernel and the incremental repair consume.
+    CSR arrays with per-edge expiries, which the Hopcroft–Karp matching
+    kernel consumes; the incremental repair's greedy reads the heads of
+    its delta rows on demand through :meth:`delta_rows`.
 
-    Every query — :meth:`adjacency_delta_for`, :meth:`row_with_expiry`,
-    :meth:`servers_for` — reads the same recorded state, so a subclass
+    Every query — :meth:`adjacency_delta_for`, :meth:`delta_rows`,
+    :meth:`row_with_expiry`, :meth:`servers_for` — reads the same recorded
+    state, so a subclass
     changes possession by changing what it records, never by overriding
     one query.  :meth:`record_downloads` is the one download writer to
     override (the sourcing-only baseline records nothing);
@@ -560,6 +677,68 @@ class PossessionIndex:
         win_hi = np.searchsorted(keys, shifted + times, side="left")
         return sorted_times, sorted_boxes, win_lo, win_hi
 
+    def _check_requests(
+        self, stripes: np.ndarray, times: np.ndarray, current_time: int
+    ) -> None:
+        self._check_stripes(int(stripes.min()), int(stripes.max()))
+        _check_span("request rounds", int(times.min()), int(times.max()), _ROUND_LIMIT)
+        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
+
+    def delta_rows(
+        self,
+        requests: RequestSet,
+        current_time: int,
+        rows: Sequence[int],
+        max_cache_edges: int,
+    ) -> _DeltaRows:
+        """A reader over the rows of requests ``rows``, for the repair greedy.
+
+        Row ``i`` is :meth:`row_with_expiry` of request ``rows[i]`` with the
+        requester kept and the cache block clipped to its *newest*
+        ``max_cache_edges`` entries, which expire last.  Clipped rows are
+        **incomplete**: never valid for an exact solve.  Only the static
+        and relay blocks are copied; cache edges are read from the log's
+        sorted view.  Malformed stripes or rounds raise ``ValueError``, as
+        in :meth:`adjacency_delta_for`, before anything is read.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        stripes = requests.stripe_id_array[rows]
+        times = requests.request_time_array[rows]
+        if rows.size:
+            self._check_requests(stripes, times, current_time)
+        # An empty log (the sourcing-only baseline) gives empty windows.
+        view_times, view_boxes, win_lo, win_hi = self._cache_windows(
+            stripes, times, current_time
+        )
+        win_lo = np.maximum(win_lo, win_hi - max_cache_edges)
+        cache_len = np.maximum(win_hi - win_lo, 0)
+        starts = self._static_indptr[stripes]
+        static_len = self._static_indptr[stripes + 1] - starts
+        static_off = np.cumsum(static_len) - static_len
+        gather = np.repeat(starts - static_off, static_len)
+        static = self._static_boxes[np.arange(gather.size) + gather]
+        # One relay block per relayed stripe, shared by its rows.
+        relay_len, relay_off = np.zeros((2, rows.size), dtype=np.int64)
+        relay_blocks: List[np.ndarray] = []
+        if self._relays:
+            relayed = np.fromiter(self._relays, dtype=np.int64, count=len(self._relays))
+            held = np.flatnonzero(np.isin(stripes, relayed))
+            distinct, inverse = np.unique(stripes[held], return_inverse=True)
+            relay_blocks = [self._relay_array(s) for s in distinct.tolist()]
+            sizes = np.array([block.size for block in relay_blocks], dtype=np.int64)
+            relay_len[held] = sizes[inverse]
+            relay_off[held] = (np.cumsum(sizes) - sizes)[inverse]
+        cache_end = static_len + cache_len
+        relay_base = view_boxes.size + static.size + relay_off - cache_end
+        return _DeltaRows(
+            requests.box_id_array[rows],
+            np.concatenate([view_boxes, static] + relay_blocks),
+            np.stack((static_len, cache_end, cache_end + relay_len)),
+            np.stack((view_boxes.size + static_off, win_lo - static_len, relay_base)),
+            view_times,
+            self._window,
+        )
+
     def adjacency_for(
         self,
         requests: RequestSet,
@@ -634,28 +813,15 @@ class PossessionIndex:
         self,
         requests: RequestSet,
         current_time: int,
-        rows: Optional[np.ndarray] = None,
         exclude_self: bool = True,
-        max_cache_edges: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency restricted to ``rows``, with per-edge expiries.
+        """The round's CSR adjacency with per-edge expiries.
 
-        The incremental round path never re-gathers the full instance:
-        pairs carried over from the previous round's CSR stay valid until
-        their recorded expiry, so only the *delta rows* (arrivals plus
-        requests whose pair was retired) need fresh adjacency.  ``rows``
-        selects those request indices (``None`` = all of them); the result
-        is ``(indptr, indices, expiry)`` over ``len(rows)`` rows, where
-        ``expiry[e]`` is the last round edge ``e`` remains valid
+        The result is ``(indptr, indices, expiry)`` over every request,
+        where ``expiry[e]`` is the last round edge ``e`` remains valid
         (:data:`NEVER_EXPIRES` for static/relay edges, ``entry_time + T``
-        for playback-cache edges).
-
-        ``max_cache_edges`` clips every row's playback-cache block to its
-        *newest* that-many entries (popular stripes accumulate thousands
-        of cachers per window; the newest expire last, so the kept pairs
-        survive longest).  Clipped rows are **incomplete** — valid for
-        heuristic passes like the repair greedy, never for an exact
-        solve.
+        for playback-cache edges).  The full kernel solves on it, and the
+        expiries seed the incremental path's pair bookkeeping.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.
@@ -663,17 +829,10 @@ class PossessionIndex:
         stripes = requests.stripe_id_array
         boxes = requests.box_id_array
         times = requests.request_time_array
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            stripes = stripes[rows]
-            boxes = boxes[rows]
-            times = times[rows]
         num = int(stripes.size)
         if num == 0:
             return np.zeros(1, dtype=np.int64), _EMPTY_INT64, _EMPTY_INT64
-        self._check_stripes(int(stripes.min()), int(stripes.max()))
-        _check_span("request rounds", int(times.min()), int(times.max()), _ROUND_LIMIT)
-        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
+        self._check_requests(stripes, times, current_time)
 
         # Static block: one fancy-index gather over the stripe CSR.
         row_starts = self._static_indptr[stripes]
@@ -697,8 +856,6 @@ class PossessionIndex:
             sorted_times, sorted_boxes, win_lo, win_hi = self._cache_windows(
                 stripes, times, current_time
             )
-            if max_cache_edges is not None:
-                win_lo = np.maximum(win_lo, win_hi - max_cache_edges)
             counts_cache = np.maximum(win_hi - win_lo, 0)
             total_cache = int(counts_cache.sum())
             if total_cache:
@@ -922,7 +1079,8 @@ class ConnectionMatcher:
         When a round's repair would exceed the cap it re-runs the full
         Hopcroft–Karp kernel instead (counted via
         :attr:`ConnectionMatching.repair_fallback`).  ``None`` restores
-        the default ``max(256, 2·⌈√n⌉)`` heuristic.
+        the default ``max(256, 2·⌊√n⌋, ⌊n/64⌋)`` heuristic over the
+        round's ``n`` requests.
         """
         if budget is not None:
             budget = int(budget)
@@ -988,14 +1146,14 @@ class ConnectionMatcher:
         the incremental path: instead of re-gathering the full adjacency,
         the matcher retires only the pairs invalidated by the delta
         (expired cache edges, over-capacity boxes) and repairs the small
-        deficit against delta-only adjacency rows.  A repaired-to-perfect
+        deficit from the delta rows, read on demand.  A repaired-to-perfect
         matching is maximum by construction; any other outcome falls back
         to the full kernel, so results are bit-compatible with a full
         solve.  ``delta`` requires ``warm_start``.  Without a delta, or
         with an ``augmentation_budget`` set (budgeted rounds must charge
         the full kernel so degradation fires identically), the round runs
-        the full kernel and drops the pair bookkeeping.  Both routes
-        gather adjacency through
+        the full kernel and drops the pair bookkeeping.  Only the full
+        kernel gathers adjacency, through
         :meth:`PossessionIndex.adjacency_delta_for`.
         """
         n = self._slots.size
@@ -1204,74 +1362,22 @@ class ConnectionMatcher:
         if not deficit.size:
             return assignment, pair_expiry
 
-        # Fresh adjacency for the delta rows only, then a vectorized
-        # multi-pass greedy against the residual capacities.  The cache
-        # blocks are clipped (greedy is a heuristic filler — leftovers go
-        # to the exact search): popular-stripe rows would otherwise carry
-        # thousands of cache edges and dominate the gather.
-        indptr_d, indices_d, expiry_d = possession.adjacency_delta_for(
-            requests, current_time, rows=deficit,
-            max_cache_edges=_GREEDY_MAX_CACHE_EDGES,
+        # Delta rows only, read on demand by a multi-pass greedy against
+        # the residual capacities.  The cache blocks are clipped (greedy is
+        # a heuristic filler — leftovers go to the exact search): popular-
+        # stripe rows would otherwise carry thousands of cache edges.
+        reader = possession.delta_rows(
+            requests, current_time, deficit, _GREEDY_MAX_CACHE_EDGES
         )
         residual = capacities - load
-        ptr = indptr_d[:-1].copy()
-        ends = indptr_d[1:]
-        unresolved = np.arange(deficit.size, dtype=np.int64)
-        leftovers: List[np.ndarray] = []
-        while unresolved.size:
-            has_edge = ptr[unresolved] < ends[unresolved]
-            if not has_edge.all():
-                leftovers.append(unresolved[~has_edge])
-                unresolved = unresolved[has_edge]
-                if not unresolved.size:
-                    break
-            cand = indices_d[ptr[unresolved]]
-            order = _stable_right_order(cand)
-            sc = cand[order]
-            new_group = np.empty(sc.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = sc[1:] != sc[:-1]
-            group_start = np.flatnonzero(new_group)
-            group_id = np.cumsum(new_group) - 1
-            rank = np.arange(sc.size, dtype=np.int64) - group_start[group_id]
-            ok = np.empty(sc.size, dtype=bool)
-            ok[order] = rank < residual[sc]  # back to row order: stays sorted
-            accepted = unresolved[ok]
-            if accepted.size:
-                acc_boxes = cand[ok]
-                assignment[deficit[accepted]] = acc_boxes
-                pair_expiry[deficit[accepted]] = expiry_d[ptr[accepted]]
-                # Per-box acceptance counts straight from the group
-                # structure: each group takes min(size, residual) rows —
-                # an O(n)-boxes bincount per pass would dwarf the pass.
-                group_sizes = np.empty(group_start.size, dtype=np.int64)
-                group_sizes[:-1] = group_start[1:] - group_start[:-1]
-                group_sizes[-1] = sc.size - group_start[-1]
-                group_boxes = sc[group_start]
-                residual[group_boxes] -= np.minimum(
-                    group_sizes, residual[group_boxes]
-                )
-            rejected = unresolved[~ok]
-            ptr[rejected] += 1
-            # Fast-forward rejected rows past runs of saturated boxes:
-            # residual never grows within a round, so such edges can
-            # never be taken and an argsort pass each is wasted on them.
-            check = rejected
-            while check.size:
-                check = check[ptr[check] < ends[check]]
-                if not check.size:
-                    break
-                check = check[residual[indices_d[ptr[check]]] <= 0]
-                ptr[check] += 1
-            unresolved = rejected
+        taken, taken_boxes, taken_expiry, left = _greedy_first_fit(reader, residual)
+        assignment[deficit[taken]] = taken_boxes
+        pair_expiry[deficit[taken]] = taken_expiry
 
         budget = self._repair_search_budget
         if budget is None:
             budget = max(256, 2 * math.isqrt(num_requests), num_requests // 64)
-        if leftovers:
-            remaining = deficit[np.sort(np.concatenate(leftovers))]
-        else:
-            remaining = _EMPTY_INT64
+        remaining = deficit[left]
         if not remaining.size:
             return assignment, pair_expiry
         if remaining.size > budget:

@@ -364,6 +364,8 @@ class TestDownloadWriterAndQueryChecks:
         else:
             with pytest.raises(ValueError, match="stripe ids"):
                 index.adjacency_for(RequestSet([stripe], [0], [7]), 1)
+            with pytest.raises(ValueError, match="stripe ids"):
+                index.delta_rows(RequestSet([stripe], [0], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="stripe ids"):
             index.row_with_expiry(stripe, 7, 0, 1)
 
@@ -377,5 +379,7 @@ class TestDownloadWriterAndQueryChecks:
         else:
             with pytest.raises(ValueError, match="request rounds"):
                 index.adjacency_for(RequestSet([0], [round_], [7]), 1)
+            with pytest.raises(ValueError, match="request rounds"):
+                index.delta_rows(RequestSet([0], [round_], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="request rounds"):
             index.row_with_expiry(0, 7, round_, 1)

@@ -28,7 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import NEVER_EXPIRES, PossessionIndex, RequestSet
+from repro.core.matching import (
+    NEVER_EXPIRES,
+    PossessionIndex,
+    RequestSet,
+    _greedy_first_fit,
+)
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
@@ -312,6 +317,72 @@ def _array_set(requests):
     )
 
 
+def read_delta_rows(reader):
+    """Every row of a fresh delta-row reader as ``(box, expiry)`` pairs."""
+    rows = [[] for _ in range(reader.requesters.size)]
+    live = reader.live(np.arange(reader.requesters.size))
+    heads = reader.heads(live)
+    while live.size:
+        pairs = zip(heads.tolist(), reader.expiries(live).tolist())
+        for r, pair in zip(live.tolist(), pairs):
+            rows[r].append(pair)
+        live, heads = reader.step(live)
+    return rows
+
+
+def clipped_row(possession, request, current_time, k):
+    """A request's row with the requester kept and the newest ``k`` cache edges."""
+    stripe, time, box = request
+    boxes, expiries = possession.row_with_expiry(
+        stripe, box, time, current_time, exclude_self=False
+    )
+    edges = list(zip(boxes.tolist(), expiries.tolist()))
+    # Row order is static, cache, relay; only cache edges expire.
+    num_static = possession.static_servers(stripe).size
+    cache = [e for e in edges[num_static:] if e[1] != NEVER_EXPIRES]
+    relay = edges[num_static + len(cache):]
+    return edges[:num_static] + cache[len(cache) - min(k, len(cache)):] + relay
+
+
+def first_fit_reference(rows, requesters, residual):
+    """Per-pass first-fit over explicit ``(box, expiry)`` rows, one row at a time.
+
+    Each pass offers every unresolved row's head in row order and takes it
+    while the box has residual; a rejected row then moves past its head
+    and past every further box left without residual.  ``residual`` is a
+    list, decremented in place.  Returns ``{row: (box, expiry)}`` and the
+    rows left over.
+    """
+    rows = [[e for e in row if e[0] != req] for row, req in zip(rows, requesters)]
+    ptr = [0] * len(rows)
+    assigned = {}
+    unresolved = list(range(len(rows)))
+    while unresolved:
+        rejected = []
+        for r in unresolved:
+            if ptr[r] == len(rows[r]):
+                continue
+            box, expiry = rows[r][ptr[r]]
+            if residual[box] > 0:
+                residual[box] -= 1
+                assigned[r] = (box, expiry)
+            else:
+                rejected.append(r)
+        for r in rejected:
+            ptr[r] += 1
+            while ptr[r] < len(rows[r]) and residual[rows[r][ptr[r]][0]] <= 0:
+                ptr[r] += 1
+        unresolved = rejected
+    return assigned, [r for r in range(len(rows)) if r not in assigned]
+
+
+def run_greedy(reader, residual):
+    """The repair greedy's accepted ``{row: (box, expiry)}`` and leftovers."""
+    taken, boxes, expiries, left = _greedy_first_fit(reader, residual)
+    assigned = dict(zip(taken.tolist(), zip(boxes.tolist(), expiries.tolist())))
+    return assigned, left.tolist()
+
+
 class TestAdjacencyEquivalence:
     def _build(self, allocation, downloads, relays, evict_at):
         possession = PossessionIndex(allocation, cache_window=6)
@@ -342,51 +413,72 @@ class TestAdjacencyEquivalence:
     @given(instance=possession_instances(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_delta_rows_equal_row_with_expiry(self, instance, data):
-        """Each gathered row is its request's own row: same edges, same
-        order, same expiries — over every row or a ``rows=`` subset."""
+        """Each row is its request's own row: same edges, same order, same
+        expiries — in the round's CSR, and read through the repair's
+        reader over a subset of rows with the cache block unclipped."""
         allocation, downloads, relays, requests, current_time, evict_at = instance
         possession = self._build(allocation, downloads, relays, evict_at)
-        rows = data.draw(
-            st.none() | st.lists(st.integers(0, len(requests) - 1), max_size=30)
-        )
         indptr, indices, expiry = possession.adjacency_delta_for(
-            _array_set(requests), current_time, rows=rows
+            _array_set(requests), current_time
         )
-        selected = range(len(requests)) if rows is None else rows
-        assert indptr.size == len(selected) + 1
-        for i, r in enumerate(selected):
-            stripe, time, box = requests[r]
+        assert indptr.size == len(requests) + 1
+        for i, (stripe, time, box) in enumerate(requests):
             boxes, expiries = possession.row_with_expiry(
                 stripe, box, time, current_time
             )
             lo, hi = int(indptr[i]), int(indptr[i + 1])
-            assert indices[lo:hi].tolist() == boxes.tolist(), (r, rows)
-            assert expiry[lo:hi].tolist() == expiries.tolist(), (r, rows)
+            assert indices[lo:hi].tolist() == boxes.tolist(), i
+            assert expiry[lo:hi].tolist() == expiries.tolist(), i
+        rows = data.draw(st.lists(st.integers(0, len(requests) - 1), max_size=30))
+        reader = possession.delta_rows(
+            _array_set(requests), current_time, rows, max_cache_edges=len(downloads)
+        )
+        for r, row in zip(rows, read_delta_rows(reader)):
+            stripe, time, box = requests[r]
+            boxes, expiries = possession.row_with_expiry(
+                stripe, box, time, current_time
+            )
+            expected = list(zip(boxes.tolist(), expiries.tolist()))
+            assert [e for e in row if e[0] != box] == expected, (r, rows)
 
     @given(instance=possession_instances(), k=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_max_cache_edges_keeps_the_newest_cache_edges(self, instance, k):
-        """A clipped row keeps every static and relay edge and the newest
-        ``k`` cache edges of its window (then drops the requester)."""
+        """A reader row keeps every static and relay edge, the newest ``k``
+        cache edges of its window and the requester, whom the greedy skips."""
         allocation, downloads, relays, requests, current_time, evict_at = instance
         possession = self._build(allocation, downloads, relays, evict_at)
-        indptr, indices, expiry = possession.adjacency_delta_for(
-            _array_set(requests), current_time, max_cache_edges=k
+        reader = possession.delta_rows(
+            _array_set(requests), current_time, np.arange(len(requests)), k
         )
-        for i, (stripe, time, box) in enumerate(requests):
-            boxes, expiries = possession.row_with_expiry(
-                stripe, box, time, current_time, exclude_self=False
+        for i, row in enumerate(read_delta_rows(reader)):
+            assert row == clipped_row(possession, requests[i], current_time, k), i
+
+    @given(instance=possession_instances(), data=st.data(), k=st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_matches_the_first_fit_reference(self, instance, data, k):
+        """The on-demand greedy gives the reference's assignment, pair
+        expiries, leftovers and residual capacities."""
+        allocation, downloads, relays, requests, current_time, evict_at = instance
+        possession = self._build(allocation, downloads, relays, evict_at)
+        rows = data.draw(st.lists(st.integers(0, len(requests) - 1), max_size=30))
+        residual = data.draw(
+            st.lists(
+                st.integers(0, 2),
+                min_size=allocation.num_boxes,
+                max_size=allocation.num_boxes,
             )
-            edges = list(zip(boxes.tolist(), expiries.tolist()))
-            # Row order is static, cache, relay; only cache edges expire.
-            num_static = possession.static_servers(stripe).size
-            cache = [e for e in edges[num_static:] if e[1] != NEVER_EXPIRES]
-            relay = edges[num_static + len(cache):]
-            kept = edges[:num_static] + cache[len(cache) - min(k, len(cache)):] + relay
-            expected = [e for e in kept if e[0] != box]
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            got = list(zip(indices[lo:hi].tolist(), expiry[lo:hi].tolist()))
-            assert got == expected, i
+        )
+        reader = possession.delta_rows(_array_set(requests), current_time, rows, k)
+        got_residual = np.array(residual, dtype=np.int64)
+        got = run_greedy(reader, got_residual)
+        expected = first_fit_reference(
+            [clipped_row(possession, requests[r], current_time, k) for r in rows],
+            [requests[r][2] for r in rows],
+            residual,
+        )
+        assert got == expected
+        assert got_residual.tolist() == residual
 
     @given(instance=possession_instances())
     @settings(max_examples=40, deadline=None)
@@ -410,6 +502,61 @@ class TestAdjacencyEquivalence:
                     if s == stripe and horizon <= t < request_time
                 )
                 assert got == expected, (stripe, request_time)
+
+
+class TestRepairGreedySkipsTheRequester:
+    """A delta row counts the requester's own entries; the greedy skips them."""
+
+    WINDOW = 6
+
+    def _index(self):
+        """Two videos × two stripes on 6 boxes, one static holder per stripe."""
+        catalog = Catalog(num_videos=2, num_stripes=2, duration=self.WINDOW)
+        population = homogeneous_population(6, u=2.0, d=2.0)
+        allocation = random_permutation_allocation(
+            catalog, population, replicas_per_stripe=1, random_state=0
+        )
+        return PossessionIndex(allocation, cache_window=self.WINDOW)
+
+    def _others(self, index, stripe):
+        holder = int(index.static_servers(stripe)[0])
+        return holder, [b for b in range(6) if b != holder]
+
+    def test_requester_holding_the_stripe_statically_is_skipped(self):
+        index = self._index()
+        holder, (a, c, *_) = self._others(index, 0)
+        index.record_downloads([0], [a], 1)
+        index.record_downloads([0], [c], 2)
+        requests = RequestSet([0], [3], [holder])
+        reader = index.delta_rows(requests, 3, [0], max_cache_edges=4)
+        assert read_delta_rows(reader)[0][0] == (holder, NEVER_EXPIRES)
+        reader = index.delta_rows(requests, 3, [0], max_cache_edges=4)
+        assert run_greedy(reader, np.ones(6, dtype=np.int64)) == (
+            {0: (a, 1 + self.WINDOW)}, []
+        )
+
+    def test_requester_in_its_own_cache_window_is_skipped(self):
+        index = self._index()
+        holder, (b, c, *_) = self._others(index, 0)
+        index.record_downloads([0], [b], 1)
+        index.record_downloads([0], [c], 2)
+        residual = np.ones(6, dtype=np.int64)
+        residual[holder] = 0
+        requests = RequestSet([0], [3], [b])
+        reader = index.delta_rows(requests, 3, [0], max_cache_edges=4)
+        assert [box for box, _ in read_delta_rows(reader)[0]] == [holder, b, c]
+        reader = index.delta_rows(requests, 3, [0], max_cache_edges=4)
+        assert run_greedy(reader, residual) == ({0: (c, 2 + self.WINDOW)}, [])
+
+    def test_row_whose_only_edge_is_the_requester_is_left_over(self):
+        index = self._index()
+        holder, _ = self._others(index, 1)
+        other_holder, (a, *_) = self._others(index, 0)
+        requests = RequestSet([1, 0], [0, 0], [holder, a])
+        reader = index.delta_rows(requests, 0, [0, 1], max_cache_edges=4)
+        assert run_greedy(reader, np.ones(6, dtype=np.int64)) == (
+            {1: (other_holder, NEVER_EXPIRES)}, [0]
+        )
 
 
 # --------------------------------------------------------------------- #
