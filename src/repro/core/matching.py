@@ -131,10 +131,10 @@ class _DeltaRows:
 
     Row ``i`` lists request ``rows[i]``'s static holders, the newest entries
     of its clipped cache window and its relays, *with* the requester
-    ``requesters[i]``, whom a reader skips.  Position ``p`` of row ``i``
-    lies in block ``k`` when ``bounds[k - 1, i] <= p < bounds[k, i]`` and
-    reads ``source[bases[k, i] + p]``.  A cursor holds that source index
-    and its block's end, so a read costs one gather.
+    ``requesters[i]``, whom a reader skips.  Block ``k`` of row ``i``
+    (static, cache, relay) ends at position ``bounds[k, i]``, and position
+    ``p`` in it reads ``source[bases[k, i] + p]``.  A cursor holds that
+    source index and its block's end, so a read costs one gather.
     """
 
     def __init__(self, requesters, source, bounds, bases, times, window):
