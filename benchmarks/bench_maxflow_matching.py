@@ -12,12 +12,9 @@ import pytest
 from scipy.sparse.csgraph import maximum_flow
 
 from repro.analysis.report import print_table
-from repro.core.matching import (
-    ConnectionMatcher,
-    PossessionIndex,
-    RequestSet,
-    check_feasibility_hall,
-)
+from repro.core.matching import ConnectionMatcher, check_feasibility_hall
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
 from repro.scenarios.oracle import unit_demand_network
 

@@ -35,8 +35,10 @@ import numpy as np
 
 from repro.analysis.montecarlo import estimate_static_obstruction_probability
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.flow.bipartite import hall_deficiency
 from repro.flow.dinic import dinic_matching

@@ -31,8 +31,10 @@ import numpy as np
 from repro.api.registry import component_factory
 from repro.api.system import VodSystem
 from repro.core.allocation import Allocation, AllocationError
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import BoxPopulation, homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.util.rng import RandomState, spawn_seed_sequences
 from repro.util.validation import check_positive_integer, check_probability

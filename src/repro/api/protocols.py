@@ -34,12 +34,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.matching import (
-    ConnectionMatching,
-    MatchDelta,
-    PossessionIndex,
-    RequestSet,
-)
+from repro.core.matching import ConnectionMatching
+from repro.core.possession import PossessionIndex
+from repro.core.requests import MatchDelta, RequestSet
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = [

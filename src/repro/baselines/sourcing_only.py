@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.matching import PossessionIndex
+from repro.core.possession import PossessionIndex
 
 __all__ = ["SourcingOnlyPossessionIndex", "sourcing_capacity_bound"]
 

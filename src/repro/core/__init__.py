@@ -7,7 +7,8 @@ The subpackage follows the paper's structure:
 * Section 1.1 (model)            → :mod:`repro.core.parameters`,
   :mod:`repro.core.video`
 * Section 2.1 (random allocation) → :mod:`repro.core.allocation`
-* Section 2.2–2.3 (matching)      → :mod:`repro.core.matching`
+* Section 2.2–2.3 (matching)      → :mod:`repro.core.requests`,
+  :mod:`repro.core.possession`, :mod:`repro.core.matching`
 * Section 3 (Theorem 1)           → :mod:`repro.core.preloading`,
   :mod:`repro.core.thresholds`, :mod:`repro.core.obstruction`
 * Section 4 (Theorem 2)           → :mod:`repro.core.heterogeneous`
@@ -30,11 +31,11 @@ from repro.core.allocation import (
     random_permutation_allocation,
     round_robin_allocation,
 )
+from repro.core.requests import RequestSet
+from repro.core.possession import PossessionIndex
 from repro.core.matching import (
     ConnectionMatcher,
     ConnectionMatching,
-    PossessionIndex,
-    RequestSet,
     check_feasibility_hall,
 )
 from repro.core.preloading import (

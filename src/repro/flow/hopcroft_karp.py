@@ -46,7 +46,6 @@ __all__ = [
     "HKMatchingResult",
     "csr_from_edges",
     "hopcroft_karp_matching",
-    "repair_matching",
 ]
 
 _INF = float("inf")
@@ -590,141 +589,3 @@ def hopcroft_karp_matching(
         deficient_left=deficient,
         unsatisfied_witness=witness,
     )
-
-
-# ---------------------------------------------------------------------- #
-# Incremental repair
-# ---------------------------------------------------------------------- #
-def _kuhn_augment_lazy(
-    i0: int, get_row, cap, load, has_free, match_left, right_matches,
-    pair_expiry, budget: List[int],
-) -> Optional[bool]:
-    """One shortest-augmenting-path search over lazily materialized rows.
-
-    Plays the role of :func:`_kuhn_augment` in the incremental repair,
-    but there is no CSR of the round: rows are gathered on demand through
-    ``get_row(i) -> (boxes_array, boxes_list, expiry_list)``, so a repair
-    touches only the adjacency of the lefts an actual alternating path
-    visits.  On success the flipped pairs' expiries are written into
-    ``pair_expiry`` so the caller's retirement bookkeeping stays exact.
-
-    The search is breadth-first: each discovered left first sweeps its
-    whole row for a box with spare capacity (one vectorized gather of
-    the ``has_free`` mask, which the augment step keeps in sync with
-    ``load``), and only the fully saturated boxes contribute displaced
-    lefts to the frontier.  Under Zipf load the saturated boxes
-    cluster, so a depth-first search would plunge through thousands of
-    full boxes while a length-3 path (row → full box → displaced left →
-    free box) sits one level away; BFS finds it after a handful of row
-    scans.  The free-slot test runs at discovery, not at dequeue: the
-    last BFS level is by far the widest (popular rows reach thousands
-    of displaced lefts), and testing on generation means it is never
-    materialized.
-
-    ``budget[0]`` is decremented per discovered left; hitting zero
-    aborts with ``None`` (caller falls back to the full kernel) so one
-    pathological round cannot cost more than a cold solve.
-    """
-    # Per discovered left: (predecessor left, box the predecessor reaches
-    # it through, expiry of that predecessor edge); ``None`` at the root.
-    parent: dict = {i0: None}
-
-    def try_free(u, boxes_arr, boxes, exps):
-        # Sweep ``u``'s row for a box with spare capacity; on a hit,
-        # augment: ``u`` takes the free slot, every predecessor takes
-        # over the slot its displaced left vacates.
-        if not boxes_arr.size:
-            return False
-        mask = has_free[boxes_arr]
-        e = int(np.argmax(mask))
-        if not mask[e]:
-            return False
-        j = boxes[e]
-        right_matches[j].append(u)
-        load[j] += 1
-        if load[j] >= cap[j]:
-            has_free[j] = False
-        match_left[u] = j
-        pair_expiry[u] = exps[e]
-        cur = u
-        link = parent[cur]
-        while link is not None:
-            p, b, x = link
-            siblings = right_matches[b]
-            siblings[siblings.index(cur)] = p
-            match_left[p] = b
-            pair_expiry[p] = x
-            cur = p
-            link = parent[cur]
-        return True
-
-    arr0, row0, exp0 = get_row(i0)
-    if try_free(i0, arr0, row0, exp0):
-        return True
-    visited = set()
-    frontier = deque(((i0, row0, exp0),))
-    while frontier:
-        u, boxes, exps = frontier.popleft()
-        for e in range(len(boxes)):
-            j = boxes[e]
-            if j in visited:
-                continue
-            visited.add(j)
-            x = exps[e]
-            for k in right_matches[j]:
-                if k in parent:
-                    continue
-                if budget[0] <= 0:
-                    return None
-                budget[0] -= 1
-                parent[k] = (u, j, x)
-                ak, bk, xk = get_row(k)
-                if try_free(k, ak, bk, xk):
-                    return True
-                frontier.append((k, bk, xk))
-    return False
-
-
-def repair_matching(
-    num_left: int,
-    num_right: int,
-    get_row,
-    right_capacities: np.ndarray,
-    assignment: np.ndarray,
-    load: np.ndarray,
-    pair_expiry: np.ndarray,
-    deficit_rows: Sequence[int],
-    search_budget: Optional[int] = None,
-) -> bool:
-    """Repair a partial matching by augmenting from a small deficit set.
-
-    The resumable entry point of the incremental round path: ``assignment``
-    (and the matching ``load``/``pair_expiry`` arrays) hold the survivors
-    of the previous round after delta retirement, and ``deficit_rows`` the
-    lefts still unmatched.  Each deficit row gets one exhaustive Kuhn
-    search through ``get_row`` (lazily materialized adjacency); all three
-    arrays are mutated in place.
-
-    Returns ``True`` when every deficit row was matched — the matching is
-    then perfect, hence maximum.  Returns ``False`` (without finishing)
-    when ``search_budget`` searches would be exceeded, the shared
-    displacement budget ran dry, or some row has no augmenting path; the
-    caller falls back to the full kernel, which also produces the Hall
-    witness on genuinely infeasible rounds.
-    """
-    deficit_rows = list(deficit_rows)
-    if search_budget is not None and len(deficit_rows) > search_budget:
-        return False
-    matched_i = np.flatnonzero(assignment >= 0)
-    right_matches = _right_matches(num_right, matched_i, assignment[matched_i])
-    has_free = load < right_capacities
-    # Shared across the round's searches: bounds the total displacement
-    # work at roughly the cost of one cold solve, whatever the instance.
-    budget = [max(100_000, 16 * len(deficit_rows))]
-    for i in deficit_rows:
-        if not _kuhn_augment_lazy(
-            int(i), get_row, right_capacities, load, has_free, assignment,
-            right_matches, pair_expiry, budget,
-        ):
-            return False
-    return True

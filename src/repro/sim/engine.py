@@ -33,14 +33,10 @@ import numpy as np
 
 from repro.core.allocation import Allocation, AllocationError
 from repro.core.heterogeneous import CompensationPlan, RelayedPreloadingScheduler
-from repro.core.matching import (
-    ConnectionMatcher,
-    ConnectionMatching,
-    MatchDelta,
-    PossessionIndex,
-    RequestSet,
-)
+from repro.core.matching import ConnectionMatcher, ConnectionMatching
+from repro.core.possession import PossessionIndex
 from repro.core.preloading import PreloadingScheduler, check_box_ids, check_video_ids
+from repro.core.requests import MatchDelta, RequestSet
 from repro.sim.churn import ChurnSchedule
 from repro.sim.clock import RoundClock
 from repro.sim.events import (

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.matching import RequestSet
+from repro.core.requests import RequestSet
 from repro.util.soa import ensure_column_capacity
 from repro.util.validation import check_non_negative_integer, check_positive_integer
 

@@ -21,8 +21,10 @@ from repro.baselines.sourcing_only import (
     sourcing_capacity_bound,
 )
 from repro.core.allocation import Allocation, AllocationError, random_permutation_allocation
-from repro.core.matching import NEVER_EXPIRES, ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import NEVER_EXPIRES, PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 
 

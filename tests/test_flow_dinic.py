@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import Allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.flow.bipartite import hall_deficiency, hall_violations
 from repro.flow.dinic import dinic_matching

@@ -5,14 +5,10 @@ import pytest
 
 from repro.core.allocation import Allocation
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import (
-    ConnectionMatcher,
-    MatchDelta,
-    PossessionIndex,
-    RequestSet,
-    check_feasibility_hall,
-)
+from repro.core.matching import ConnectionMatcher, check_feasibility_hall
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import MatchDelta, RequestSet
 from repro.core.video import Catalog
 
 

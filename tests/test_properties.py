@@ -8,10 +8,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import thresholds as th
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.obstruction import first_moment_bound_paper, lemma4_log_probability
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
 from repro.core.preloading import PreloadingScheduler
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.sim.swarm import max_new_members
 

@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching

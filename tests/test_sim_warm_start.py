@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import ConnectionMatcher, PossessionIndex, RequestSet
+from repro.core.matching import ConnectionMatcher
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.sim.churn import random_churn_schedule
 from repro.sim.engine import VodSimulator

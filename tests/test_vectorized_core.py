@@ -28,16 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import random_permutation_allocation
-from repro.core.matching import (
-    NEVER_EXPIRES,
-    PossessionIndex,
-    RequestSet,
-    _greedy_first_fit,
-)
 from repro.core.parameters import homogeneous_population
+from repro.core.possession import NEVER_EXPIRES, PossessionIndex
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
+from repro.flow.repair import _greedy_first_fit
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
 
