@@ -39,10 +39,9 @@ from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
     HKMatchingResult,
-    _rank_among_equal,
     hopcroft_karp_matching,
 )
-from repro.flow.repair import _greedy_first_fit, repair_matching
+from repro.flow.repair import _greedy_first_fit, _retire_pairs, repair_matching
 
 __all__ = [
     "ConnectionMatching",
@@ -446,36 +445,13 @@ class ConnectionMatcher:
         elif pair_expiry_prev.size != num_survivors:
             return None
 
-        warm = np.asarray(warm_start, dtype=np.int64)
         n = capacities.size
-        assignment = warm.copy()
+        assignment = np.asarray(warm_start, dtype=np.int64).copy()
         pair_expiry = np.empty(num_requests, dtype=np.int64)
         pair_expiry[:num_survivors] = pair_expiry_prev
         pair_expiry[num_survivors:] = -1
-
-        # Retire pairs whose backing cache edge aged out of the window.
-        active = assignment >= 0
-        stale = active & (pair_expiry < current_time)
-        if stale.any():
-            assignment[stale] = -1
-            active &= ~stale
-        # Retire pairs on boxes whose capacity dropped below their load
-        # (churn outages, fault brownouts/crashes, busy slots) — keeping,
-        # per box, the first ``cap`` pairs in request order, mirroring the
-        # classic warm validation.
-        load = np.bincount(
-            assignment[active], minlength=n
-        ).astype(np.int64)
-        over = load > capacities
-        if over.any():
-            # Mask lookup instead of np.isin: assignment == -1 reads the
-            # last slot of ``over``, which the active filter discards.
-            affected = np.flatnonzero(active & over[assignment])
-            ab = assignment[affected]
-            assignment[affected[_rank_among_equal(ab) >= capacities[ab]]] = -1
-            load = np.bincount(
-                assignment[assignment >= 0], minlength=n
-            ).astype(np.int64)
+        # Retire the pairs whose edge aged out or whose box lost capacity.
+        load = _retire_pairs(assignment, pair_expiry, capacities, current_time)
 
         deficit = np.flatnonzero(assignment < 0)
         if not deficit.size:

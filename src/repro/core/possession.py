@@ -50,6 +50,13 @@ def _check_span(name: str, low: int, high: int, limit: int) -> None:
         raise ValueError(f"{name} must lie in [0, {limit}), got {got}")
 
 
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
 class _DeltaRows:
     """Cursors over one round's delta rows, from :meth:`PossessionIndex.delta_rows`.
 
@@ -295,14 +302,6 @@ class _DownloadLog:
         self._view_stripes, self._view_times, self._view_boxes, self._view_keys = merged
         return True
 
-    def live_stripes(self) -> np.ndarray:
-        """Stripe column of the live segment (unsorted, may repeat)."""
-        return self.stripes[self.head: self.tail]
-
-    def live_boxes(self) -> np.ndarray:
-        """Box column of the live segment (unsorted, may repeat)."""
-        return self.boxes[self.head: self.tail]
-
 
 class PossessionIndex:
     """The relation "box ``b`` possesses the data needed by request ``x``".
@@ -323,7 +322,9 @@ class PossessionIndex:
     :meth:`adjacency_delta_for` emits the round's bipartite adjacency as
     CSR arrays with per-edge expiries, which the Hopcroft–Karp matching
     kernel consumes; the incremental repair's greedy reads the heads of
-    its delta rows on demand through :meth:`delta_rows`.
+    its delta rows on demand through :meth:`delta_rows`.  Both read one
+    block layout: per row, the static holders, then the playback-cache
+    window, then the relays.
 
     Every query — :meth:`adjacency_delta_for`, :meth:`delta_rows`,
     :meth:`row_with_expiry`, :meth:`servers_for` — reads the same recorded
@@ -414,7 +415,8 @@ class PossessionIndex:
 
         Rounds are written in order, as the engine does: a round earlier
         than the last live download, a stripe id outside the catalog, a
-        round outside the sort key or unequal lengths raise ``ValueError``.
+        box id outside the population, a round outside the sort key or
+        unequal lengths raise ``ValueError`` before anything is written.
         """
         stripe_ids = np.asarray(stripe_ids, dtype=np.int64)
         box_ids = np.asarray(box_ids, dtype=np.int64)
@@ -424,12 +426,19 @@ class PossessionIndex:
         _check_span("round", time, time, _ROUND_LIMIT)
         if stripe_ids.size:
             self._check_stripes(int(stripe_ids.min()), int(stripe_ids.max()))
+            self._check_boxes(int(box_ids.min()), int(box_ids.max()))
         self._log.extend(stripe_ids, box_ids, time)
 
     def record_relay_cache(self, stripe_id: StripeId, box_id: int) -> None:
-        """Record that ``box_id`` relay-caches ``stripe_id`` for a poor box."""
-        stripe_id = int(stripe_id)
-        self._relays.setdefault(stripe_id, set()).add(int(box_id))
+        """Record that ``box_id`` relay-caches ``stripe_id`` for a poor box.
+
+        A stripe id outside the catalog or a box id outside the population
+        raises ``ValueError`` before anything is written.
+        """
+        stripe_id, box_id = int(stripe_id), int(box_id)
+        self._check_stripes(stripe_id, stripe_id)
+        self._check_boxes(box_id, box_id)
+        self._relays.setdefault(stripe_id, set()).add(box_id)
         self._relay_arrays.pop(stripe_id, None)
 
     def evict_before(self, current_time: int) -> None:
@@ -441,6 +450,9 @@ class PossessionIndex:
     # ------------------------------------------------------------------ #
     def _check_stripes(self, low: int, high: int) -> None:
         _check_span("stripe ids", low, high, self._allocation.num_stripes)
+
+    def _check_boxes(self, low: int, high: int) -> None:
+        _check_span("box ids", low, high, self._allocation.num_boxes)
 
     def static_servers(self, stripe_id: StripeId) -> np.ndarray:
         """Sorted distinct boxes statically holding ``stripe_id`` (CSR slice)."""
@@ -467,12 +479,6 @@ class PossessionIndex:
         b = int(np.searchsorted(segment, request_time, side="left"))
         return boxes[lo + a: lo + b], segment[a:b]
 
-    def _cache_boxes_array(
-        self, stripe_id: int, request_time: int, current_time: int
-    ) -> np.ndarray:
-        """Playback-cache servers as an array slice (may contain duplicates)."""
-        return self._cache_slice(stripe_id, request_time, current_time)[0]
-
     def _relay_array(self, stripe_id: int) -> np.ndarray:
         relays = self._relays.get(stripe_id)
         if not relays:
@@ -487,10 +493,8 @@ class PossessionIndex:
         self, stripe_id: StripeId, request_time: int, current_time: int
     ) -> Set[int]:
         """Boxes able to serve ``stripe_id`` from their playback cache."""
-        return {
-            int(b)
-            for b in self._cache_boxes_array(int(stripe_id), request_time, current_time)
-        }
+        boxes, _ = self._cache_slice(int(stripe_id), request_time, current_time)
+        return set(boxes.tolist())
 
     def servers_for(
         self, stripe_id: StripeId, request_time: int, current_time: int
@@ -530,6 +534,54 @@ class PossessionIndex:
         _check_span("request rounds", int(times.min()), int(times.max()), _ROUND_LIMIT)
         _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
 
+    def _row_blocks(
+        self,
+        stripes: np.ndarray,
+        times: np.ndarray,
+        current_time: int,
+        max_cache_edges: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The block layout of a batch of rows: static, cache, relay.
+
+        Row ``i``, the request for ``stripes[i]`` issued at ``times[i]``,
+        is its stripe's static holders, its playback-cache window (oldest
+        entry first; with ``max_cache_edges``, only the newest that-many
+        entries) and its stripe's relays, requester kept.  Returns
+        ``(source, starts, lengths, cache_times)``: block ``k`` of row ``i``
+        is ``source[starts[k, i]:][:lengths[k, i]]``.  The source is the
+        download log's sorted view, then the rows' static blocks copied
+        from the static CSR, then one relay array per distinct relayed
+        stripe.  Source entry ``j`` is a cache edge exactly when ``j <
+        cache_times.size``, and entered the cache at ``cache_times[j]``.
+        This is the one place that orders a batched row or clips its
+        cache block.
+        """
+        starts = np.zeros((3, stripes.size), dtype=np.int64)
+        lengths = np.zeros((3, stripes.size), dtype=np.int64)
+        # An empty log (the sourcing-only baseline) gives empty windows.
+        cache_times, cache_boxes, win_lo, win_hi = self._cache_windows(
+            stripes, times, current_time
+        )
+        if max_cache_edges is not None:
+            win_lo = np.maximum(win_lo, win_hi - max_cache_edges)
+        starts[1] = win_lo
+        np.maximum(win_hi - win_lo, 0, out=lengths[1])
+        first = self._static_indptr[stripes]
+        lengths[0] = self._static_indptr[stripes + 1] - first
+        static = self._static_boxes[_concat_ranges(first, lengths[0])]
+        starts[0] = cache_boxes.size + np.cumsum(lengths[0]) - lengths[0]
+        relay_blocks: List[np.ndarray] = []
+        if self._relays:
+            relayed = np.fromiter(self._relays, dtype=np.int64, count=len(self._relays))
+            held = np.flatnonzero(np.isin(stripes, relayed))
+            distinct, inverse = np.unique(stripes[held], return_inverse=True)
+            relay_blocks = [self._relay_array(s) for s in distinct.tolist()]
+            sizes = np.array([block.size for block in relay_blocks], dtype=np.int64)
+            offsets = cache_boxes.size + static.size + np.cumsum(sizes) - sizes
+            starts[2, held], lengths[2, held] = offsets[inverse], sizes[inverse]
+        source = np.concatenate([cache_boxes, static] + relay_blocks)
+        return source, starts, lengths, cache_times
+
     def delta_rows(
         self,
         requests: RequestSet,
@@ -552,59 +604,65 @@ class PossessionIndex:
         times = requests.request_time_array[rows]
         if rows.size:
             self._check_requests(stripes, times, current_time)
-        # An empty log (the sourcing-only baseline) gives empty windows.
-        view_times, view_boxes, win_lo, win_hi = self._cache_windows(
-            stripes, times, current_time
+        source, starts, lengths, cache_times = self._row_blocks(
+            stripes, times, current_time, max_cache_edges
         )
-        win_lo = np.maximum(win_lo, win_hi - max_cache_edges)
-        cache_len = np.maximum(win_hi - win_lo, 0)
-        starts = self._static_indptr[stripes]
-        static_len = self._static_indptr[stripes + 1] - starts
-        static_off = np.cumsum(static_len) - static_len
-        gather = np.repeat(starts - static_off, static_len)
-        static = self._static_boxes[np.arange(gather.size) + gather]
-        # One relay block per relayed stripe, shared by its rows.
-        relay_len, relay_off = np.zeros((2, rows.size), dtype=np.int64)
-        relay_blocks: List[np.ndarray] = []
-        if self._relays:
-            relayed = np.fromiter(self._relays, dtype=np.int64, count=len(self._relays))
-            held = np.flatnonzero(np.isin(stripes, relayed))
-            distinct, inverse = np.unique(stripes[held], return_inverse=True)
-            relay_blocks = [self._relay_array(s) for s in distinct.tolist()]
-            sizes = np.array([block.size for block in relay_blocks], dtype=np.int64)
-            relay_len[held] = sizes[inverse]
-            relay_off[held] = (np.cumsum(sizes) - sizes)[inverse]
-        cache_end = static_len + cache_len
-        relay_base = view_boxes.size + static.size + relay_off - cache_end
+        bounds = np.cumsum(lengths, axis=0)
         return _DeltaRows(
             requests.box_id_array[rows],
-            np.concatenate([view_boxes, static] + relay_blocks),
-            np.stack((static_len, cache_end, cache_end + relay_len)),
-            np.stack((view_boxes.size + static_off, win_lo - static_len, relay_base)),
-            view_times,
+            source,
+            bounds,
+            starts - (bounds - lengths),
+            cache_times,
             self._window,
         )
 
+    def _gather_csr(
+        self, requests: RequestSet, current_time: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR of :meth:`adjacency_delta_for` and :meth:`adjacency_for`.
+
+        One gather reads every row's blocks of :meth:`_row_blocks`, in row
+        order; only cache edges expire; the requester's entries are dropped.
+        """
+        stripes = requests.stripe_id_array
+        num = int(stripes.size)
+        if num == 0:
+            return np.zeros(1, dtype=np.int64), _EMPTY_INT64, _EMPTY_INT64
+        times = requests.request_time_array
+        self._check_requests(stripes, times, current_time)
+        source, starts, lengths, cache_times = self._row_blocks(
+            stripes, times, current_time
+        )
+        at = _concat_ranges(starts.T.ravel(), lengths.T.ravel())
+        indices = source[at]
+        expiry = np.full(source.size, NEVER_EXPIRES, dtype=np.int64)
+        expiry[: cache_times.size] = cache_times + self._window
+        expiry = expiry[at]
+        row_len = lengths.sum(axis=0)
+        indptr = np.zeros(num + 1, dtype=np.int64)
+        np.cumsum(row_len, out=indptr[1:])
+        own = indices == np.repeat(requests.box_id_array, row_len)
+        dropped = np.flatnonzero(own)
+        if dropped.size:
+            # Each row boundary moves back by the requester entries before it.
+            indptr -= np.searchsorted(dropped, indptr)
+            kept = ~own
+            indices, expiry = indices[kept], expiry[kept]
+        return indptr, indices, expiry
+
     def adjacency_for(
-        self,
-        requests: RequestSet,
-        current_time: int,
-        exclude_self: bool = True,
+        self, requests: RequestSet, current_time: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """CSR adjacency (requests → candidate server boxes) for one round.
 
-        Row ``i`` lists the boxes that possess the data of ``requests[i]``
-        — excluding the requesting box itself unless ``exclude_self`` is
-        disabled.  Rows may contain duplicates (a box can hold a stripe
-        statically *and* cache it); the matching kernel tolerates them.
-        The output feeds
-        :func:`repro.flow.hopcroft_karp.hopcroft_karp_matching` directly;
-        it is :meth:`adjacency_delta_for` over every row, without the
-        expiries.
+        Row ``i`` lists the boxes that possess the data of ``requests[i]``,
+        excluding the requesting box itself.  Rows may contain duplicates
+        (a box can hold a stripe statically *and* cache it); the matching
+        kernels tolerate them.  It is :meth:`adjacency_delta_for` without
+        the expiries, which the cold Dinic twin has no use for.
         """
-        return self.adjacency_delta_for(
-            requests, current_time, exclude_self=exclude_self
-        )[:2]
+        return self._gather_csr(requests, current_time)[:2]
 
     def row_with_expiry(
         self,
@@ -621,7 +679,9 @@ class PossessionIndex:
         round each edge stays valid (:data:`NEVER_EXPIRES` for static
         and relay edges, ``entry_time + T`` for playback-cache edges).
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
-        raises ``ValueError``.
+        raises ``ValueError``.  It is the scalar twin of one row of
+        :meth:`adjacency_delta_for`, and the reference the tests compare
+        that CSR against.
         """
         stripe_id, request_time = int(stripe_id), int(request_time)
         self._check_stripes(stripe_id, stripe_id)
@@ -656,131 +716,20 @@ class PossessionIndex:
         return boxes_arr, expiry_arr
 
     def adjacency_delta_for(
-        self,
-        requests: RequestSet,
-        current_time: int,
-        exclude_self: bool = True,
+        self, requests: RequestSet, current_time: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The round's CSR adjacency with per-edge expiries.
 
         The result is ``(indptr, indices, expiry)`` over every request,
-        where ``expiry[e]`` is the last round edge ``e`` remains valid
-        (:data:`NEVER_EXPIRES` for static/relay edges, ``entry_time + T``
-        for playback-cache edges).  The full kernel solves on it, and the
-        expiries seed the incremental path's pair bookkeeping.
+        where row ``i`` is :meth:`row_with_expiry` of ``requests[i]``: its
+        static holders, its playback-cache window and its relays, without
+        the requester, and ``expiry[e]`` is the last round edge ``e``
+        remains valid (:data:`NEVER_EXPIRES` for static/relay edges,
+        ``entry_time + T`` for playback-cache edges).  The full kernel
+        solves on it, and the expiries seed the incremental path's pair
+        bookkeeping.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.
         """
-        stripes = requests.stripe_id_array
-        boxes = requests.box_id_array
-        times = requests.request_time_array
-        num = int(stripes.size)
-        if num == 0:
-            return np.zeros(1, dtype=np.int64), _EMPTY_INT64, _EMPTY_INT64
-        self._check_requests(stripes, times, current_time)
-
-        # Static block: one fancy-index gather over the stripe CSR.
-        row_starts = self._static_indptr[stripes]
-        lens = self._static_indptr[stripes + 1] - row_starts
-        total = int(lens.sum())
-        offsets = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets[:-1], lens)
-            + np.repeat(row_starts, lens)
-        )
-        all_vals = self._static_boxes[gather]
-        all_rows = np.repeat(np.arange(num, dtype=np.int64), lens)
-        all_expiry = np.full(total, NEVER_EXPIRES, dtype=np.int64)
-
-        extra_vals: List[np.ndarray] = []
-        extra_rows: List[np.ndarray] = []
-        extra_expiry: List[np.ndarray] = []
-        if len(self._log):
-            sorted_times, sorted_boxes, win_lo, win_hi = self._cache_windows(
-                stripes, times, current_time
-            )
-            counts_cache = np.maximum(win_hi - win_lo, 0)
-            total_cache = int(counts_cache.sum())
-            if total_cache:
-                cache_offsets = np.zeros(num + 1, dtype=np.int64)
-                np.cumsum(counts_cache, out=cache_offsets[1:])
-                gather_cache = (
-                    np.arange(total_cache, dtype=np.int64)
-                    - np.repeat(cache_offsets[:-1], counts_cache)
-                    + np.repeat(win_lo, counts_cache)
-                )
-                cache_vals = sorted_boxes[gather_cache]
-                cache_expiry = sorted_times[gather_cache] + self._window
-                if not self._relays:
-                    # Static + caches only: positional merge, no edge sort.
-                    row_counts = lens + counts_cache
-                    indptr_merged = np.zeros(num + 1, dtype=np.int64)
-                    np.cumsum(row_counts, out=indptr_merged[1:])
-                    merged = np.empty(total + total_cache, dtype=np.int64)
-                    merged_expiry = np.empty(total + total_cache, dtype=np.int64)
-                    static_pos = (
-                        np.repeat(indptr_merged[:-1], lens)
-                        + (gather - np.repeat(row_starts, lens))
-                    )
-                    cache_pos = (
-                        np.repeat(indptr_merged[:-1] + lens, counts_cache)
-                        + (gather_cache - np.repeat(win_lo, counts_cache))
-                    )
-                    merged[static_pos] = all_vals
-                    merged[cache_pos] = cache_vals
-                    merged_expiry[static_pos] = all_expiry
-                    merged_expiry[cache_pos] = cache_expiry
-                    all_vals = merged
-                    all_expiry = merged_expiry
-                    all_rows = np.repeat(np.arange(num, dtype=np.int64), row_counts)
-                else:
-                    extra_vals.append(cache_vals)
-                    extra_rows.append(
-                        np.repeat(np.arange(num, dtype=np.int64), counts_cache)
-                    )
-                    extra_expiry.append(cache_expiry)
-        if self._relays:
-            relay_stripes = np.fromiter(
-                self._relays.keys(), dtype=np.int64, count=len(self._relays)
-            )
-            for i in np.flatnonzero(np.isin(stripes, relay_stripes)).tolist():
-                relay = self._relay_array(int(stripes[i]))
-                if relay.size:
-                    extra_vals.append(relay)
-                    extra_rows.append(np.full(relay.size, i, dtype=np.int64))
-                    extra_expiry.append(
-                        np.full(relay.size, NEVER_EXPIRES, dtype=np.int64)
-                    )
-        if extra_vals:
-            all_vals = np.concatenate([all_vals] + extra_vals)
-            all_rows = np.concatenate([all_rows] + extra_rows)
-            all_expiry = np.concatenate([all_expiry] + extra_expiry)
-            order = np.argsort(all_rows, kind="stable")
-            all_vals = all_vals[order]
-            all_rows = all_rows[order]
-            all_expiry = all_expiry[order]
-
-        if exclude_self:
-            mask = all_vals != boxes[all_rows]
-            if not mask.all():
-                all_vals = all_vals[mask]
-                all_rows = all_rows[mask]
-                all_expiry = all_expiry[mask]
-        counts = np.bincount(all_rows, minlength=num)
-        indptr = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, all_vals, all_expiry
-
-    def swarm_size(self, video_id: int, num_stripes_per_video: int) -> int:
-        """Number of distinct boxes currently downloading any stripe of a video."""
-        base = video_id * num_stripes_per_video
-        stripes = self._log.live_stripes()
-        if not stripes.size:
-            return 0
-        mask = (stripes >= base) & (stripes < base + num_stripes_per_video)
-        if not mask.any():
-            return 0
-        return int(np.unique(self._log.live_boxes()[mask]).size)
+        return self._gather_csr(requests, current_time)

@@ -5,6 +5,8 @@ matcher (:class:`repro.core.matching.ConnectionMatcher`) keeps the
 previous round's pairs that are still valid and repairs the deficit
 instead of re-solving the round:
 
+* :func:`_retire_pairs` unmatches the carried-over pairs whose edge
+  expired or whose right node lost capacity;
 * :func:`_greedy_first_fit` fills the deficit rows first-fit against the
   residual capacities, reading each row's head on demand;
 * :func:`repair_matching` finishes the stragglers with exhaustive
@@ -22,11 +24,45 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.flow.hopcroft_karp import _right_matches, _stable_right_order
+from repro.flow.hopcroft_karp import _rank_among_equal, _right_matches
 
 __all__ = ["repair_matching"]
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
+
+
+def _retire_pairs(
+    assignment: np.ndarray,
+    pair_expiry: np.ndarray,
+    right_capacities: np.ndarray,
+    current_time: int,
+) -> np.ndarray:
+    """Unmatch the carried-over pairs that no longer hold; returns the load.
+
+    ``assignment`` (``-1`` = unmatched) loses, in place, every pair whose
+    edge expired before ``current_time`` (``pair_expiry``), then, on each
+    right node whose capacity dropped below its load (churn outages,
+    fault brownouts and crashes, busy slots), every pair past its first
+    ``right_capacities[j]`` in left order, as the kernel's warm-start
+    validation keeps them.  Returns the per-right-node load of the pairs
+    that remain.
+    """
+    n = right_capacities.size
+    active = assignment >= 0
+    stale = active & (pair_expiry < current_time)
+    if stale.any():
+        assignment[stale] = -1
+        active &= ~stale
+    load = np.bincount(assignment[active], minlength=n).astype(np.int64)
+    over = load > right_capacities
+    if over.any():
+        # Mask lookup instead of np.isin: assignment == -1 reads the
+        # last slot of ``over``, which the active filter discards.
+        affected = np.flatnonzero(active & over[assignment])
+        ab = assignment[affected]
+        assignment[affected[_rank_among_equal(ab) >= right_capacities[ab]]] = -1
+        load = np.bincount(assignment[assignment >= 0], minlength=n).astype(np.int64)
+    return load
 
 
 def _greedy_first_fit(
@@ -40,6 +76,15 @@ def _greedy_first_fit(
     those edges can never be taken.  Entries naming the row's requester
     are skipped as they are read.  Returns the accepted rows with their
     boxes and edge expiries, and the sorted rows whose edges ran out.
+
+    ``reader`` holds one cursor per delta row
+    (:meth:`repro.core.possession.PossessionIndex.delta_rows` builds it)
+    and is used through five calls: ``requesters``, each row's requesting
+    box; ``live(rows)``, the rows whose cursor still points at an edge;
+    ``heads(rows)``, the box under each of those cursors; ``step(rows)``,
+    which moves the cursors one edge on and returns the live rows with
+    their heads; and ``expiries(rows)``, the expiry of the edges under
+    the cursors.
     """
     requesters = reader.requesters
 
@@ -59,27 +104,13 @@ def _greedy_first_fit(
         if not unresolved.size:
             break
         cand = reader.heads(unresolved)
-        order = _stable_right_order(cand)
-        sc = cand[order]
-        new_group = np.empty(sc.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = sc[1:] != sc[:-1]
-        group_start = np.flatnonzero(new_group)
-        group_id = np.cumsum(new_group) - 1
-        rank = np.arange(sc.size, dtype=np.int64) - group_start[group_id]
-        ok = np.empty(sc.size, dtype=bool)
-        ok[order] = rank < residual[sc]  # back to row order: stays sorted
+        ok = _rank_among_equal(cand) < residual[cand]
         if ok.any():
             accepted_rows.append(unresolved[ok])
             accepted_boxes.append(cand[ok])
-            # Per-box acceptance counts straight from the group structure:
-            # each group takes min(size, residual) rows — an O(n)-boxes
-            # bincount per pass would dwarf the pass.
-            group_sizes = np.empty(group_start.size, dtype=np.int64)
-            group_sizes[:-1] = group_start[1:] - group_start[:-1]
-            group_sizes[-1] = sc.size - group_start[-1]
-            group_boxes = sc[group_start]
-            residual[group_boxes] -= np.minimum(group_sizes, residual[group_boxes])
+            # Costs one step per accepted edge; a bincount over every box
+            # per pass would dwarf the pass.
+            np.subtract.at(residual, cand[ok], 1)
         unresolved = unresolved[~ok]
         advance(*reader.step(unresolved), True)
     rows, boxes = np.concatenate(accepted_rows), np.concatenate(accepted_boxes)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.matching as matching
 from repro.api.session import VodSession
 from repro.scenarios.build import build_full_solve_twin, build_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
@@ -168,3 +169,29 @@ def test_disable_toggle_resets_incremental_state():
         r.to_dict() for r in untouched.reports
     ]
     assert session.digest() == untouched.digest()
+
+
+def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
+    """The matcher reaches both solvers through ``repro.core.matching``.
+
+    The end-to-end benchmark's tracer patches ``hopcroft_karp_matching``
+    and ``repair_matching`` on that module, so a call routed through
+    another module would silently drop out of traced runs.
+    ``near_threshold_load`` at seed 0 runs the full kernel and the exact
+    repair within 20 rounds.
+    """
+    counts = {"hopcroft_karp_matching": 0, "repair_matching": 0}
+
+    def counting(name):
+        solve = getattr(matching, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(matching, name, counting(name))
+    _run_scenario("near_threshold_load", 0, 20, incremental=True)
+    assert all(counts.values()), counts

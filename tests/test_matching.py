@@ -73,15 +73,6 @@ class TestPossessionIndex:
         index.record_relay_cache(stripe_id=3, box_id=2)
         assert 2 in index.servers_for(3, request_time=0, current_time=0)
 
-    def test_swarm_size(self):
-        alloc = crafted_allocation(c=2)
-        index = PossessionIndex(alloc, cache_window=20)
-        index.record_download(0, box_id=1, time=0)
-        index.record_download(1, box_id=1, time=0)
-        index.record_download(0, box_id=2, time=1)
-        assert index.swarm_size(video_id=0, num_stripes_per_video=2) == 2
-        assert index.swarm_size(video_id=1, num_stripes_per_video=2) == 0
-
 
 class TestConnectionMatcher:
     def test_upload_slots_validation(self):
@@ -350,6 +341,62 @@ class TestDownloadWriterAndQueryChecks:
         with pytest.raises(ValueError, match="round"):
             index.record_downloads([0], [2], round_)
         assert len(index._log) == 0
+
+    @pytest.mark.parametrize("box", [-1, 8])
+    def test_writer_rejects_box_ids_outside_the_population(self, box):
+        index = self._index()
+        with pytest.raises(ValueError, match="box ids"):
+            index.record_downloads([0, 1], [2, box], 0)
+        assert len(index._log) == 0
+
+    @pytest.mark.parametrize("box", [-1, 8])
+    def test_relay_writer_rejects_box_ids_outside_the_population(self, box):
+        index = self._index()
+        with pytest.raises(ValueError, match="box ids"):
+            index.record_relay_cache(0, box)
+        assert index._relays == {}
+
+    @pytest.mark.parametrize("stripe", [-1, 6])
+    def test_relay_writer_rejects_stripe_ids_outside_the_catalog(self, stripe):
+        index = self._index()
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.record_relay_cache(stripe, 2)
+        assert index._relays == {}
+
+    def test_a_download_by_box_minus_one_cannot_reach_the_repair(self):
+        """Box −1 once entered the log and served a request from the repair.
+
+        Two videos × two stripes on 6 boxes, one holder per stripe, 4 slots
+        per box.  Stripe 0's only holder requests it along with four other
+        boxes; an accepted write of ``(stripe 0, box −1)`` made the repair
+        hand the holder's own request to ``residual[-1]``, box 5's slot,
+        and report 6 matched requests against a load of 5.
+        """
+        catalog = Catalog(num_videos=2, num_stripes=2, duration=6)
+        population = homogeneous_population(6, u=2.0, d=2.0)
+        allocation = random_permutation_allocation(
+            catalog, population, replicas_per_stripe=1, random_state=0
+        )
+        index = PossessionIndex(allocation, cache_window=6)
+        (holder,) = index.static_servers(0).tolist()
+        matcher = ConnectionMatcher(np.full(6, 4))
+        first = matcher.match(
+            requests_of([(1, 1, 0)]), index, 1, warm_start=[-1],
+            delta=MatchDelta(keep_mask=None, num_new=1),
+        )
+        with pytest.raises(ValueError, match="box ids"):
+            index.record_downloads([0], [-1], 1)
+        assert len(index._log) == 0
+        others = [b for b in range(1, 6) if b != holder]
+        requests = requests_of([(1, 1, 0)] + [(0, 2, b) for b in [holder] + others])
+        second = matcher.match(
+            requests, index, 2,
+            warm_start=np.concatenate([first.assignment, np.full(5, -1)]),
+            delta=MatchDelta(keep_mask=None, num_new=5),
+        )
+        assert second.matched == int(second.box_load.sum()) == 5
+        assert second.assignment[1] == -1  # the holder cannot serve itself
+        assert np.all(second.box_load <= second.capacities)
 
     @pytest.mark.parametrize("stripe", [-2, -1, 6])
     def test_queries_reject_stripe_ids_outside_the_catalog(self, stripe):

@@ -490,9 +490,9 @@ class TestAdjacencyEquivalence:
         for stripe in range(allocation.num_stripes):
             for request_time in range(0, 12):
                 got = sorted(
-                    possession._cache_boxes_array(
+                    possession._cache_slice(
                         stripe, request_time, current_time
-                    ).tolist()
+                    )[0].tolist()
                 )
                 expected = sorted(
                     b for s, b, t in live
@@ -501,19 +501,23 @@ class TestAdjacencyEquivalence:
                 assert got == expected, (stripe, request_time)
 
 
+def one_holder_index(window):
+    """Two videos × two stripes on 6 boxes, one static holder per stripe."""
+    catalog = Catalog(num_videos=2, num_stripes=2, duration=window)
+    population = homogeneous_population(6, u=2.0, d=2.0)
+    allocation = random_permutation_allocation(
+        catalog, population, replicas_per_stripe=1, random_state=0
+    )
+    return PossessionIndex(allocation, cache_window=window)
+
+
 class TestRepairGreedySkipsTheRequester:
     """A delta row counts the requester's own entries; the greedy skips them."""
 
     WINDOW = 6
 
     def _index(self):
-        """Two videos × two stripes on 6 boxes, one static holder per stripe."""
-        catalog = Catalog(num_videos=2, num_stripes=2, duration=self.WINDOW)
-        population = homogeneous_population(6, u=2.0, d=2.0)
-        allocation = random_permutation_allocation(
-            catalog, population, replicas_per_stripe=1, random_state=0
-        )
-        return PossessionIndex(allocation, cache_window=self.WINDOW)
+        return one_holder_index(self.WINDOW)
 
     def _others(self, index, stripe):
         holder = int(index.static_servers(stripe)[0])
@@ -554,6 +558,38 @@ class TestRepairGreedySkipsTheRequester:
         assert run_greedy(reader, np.ones(6, dtype=np.int64)) == (
             {1: (other_holder, NEVER_EXPIRES)}, [0]
         )
+
+
+class TestBatchedRowsDropTheRequester:
+    """The round's CSR drops the requester from every block of its row."""
+
+    def test_requester_entries_leave_no_trace_in_any_block(self):
+        """Rows 0 and 2 hold only the requester's own entries (static and
+        cache; static and relay); row 1's requester is its stripe's static
+        holder, has a cache entry and relays it, beside one other cache
+        entry and one other relay."""
+        window = 6
+        index = one_holder_index(window)
+        holder = [int(index.static_servers(s)[0]) for s in range(3)]
+        a, c = [b for b in range(6) if b != holder[0]][:2]
+        index.record_downloads([0, 0, 1], [holder[0], a, holder[1]], 1)
+        for stripe, box in ((0, holder[0]), (0, c), (2, holder[2])):
+            index.record_relay_cache(stripe, box)
+        requests = RequestSet([1, 0, 2], [3, 3, 3], [holder[1], holder[0], holder[2]])
+        indptr, indices, expiry = index.adjacency_delta_for(requests, 3)
+        assert indptr.tolist() == [0, 0, 2, 2]
+        assert indices.tolist() == [a, c]
+        assert expiry.tolist() == [1 + window, NEVER_EXPIRES]
+        for i in range(3):
+            boxes, expiries = index.row_with_expiry(
+                requests.stripe_id_array[i], requests.box_id_array[i], 3, 3
+            )
+            row = slice(indptr[i], indptr[i + 1])
+            assert indices[row].tolist() == boxes.tolist(), i
+            assert expiry[row].tolist() == expiries.tolist(), i
+        assert [x.tolist() for x in index.adjacency_for(requests, 3)] == [
+            indptr.tolist(), indices.tolist()
+        ]
 
 
 # --------------------------------------------------------------------- #
