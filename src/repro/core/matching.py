@@ -50,8 +50,6 @@ __all__ = [
     "check_feasibility_hall",
 ]
 
-_EMPTY_INT64 = np.empty(0, dtype=np.int64)
-
 #: Cache-block clip for the repair greedy's delta rows: per row, only the
 #: newest this-many playback-cache edges are read (plus all static/relay
 #: edges).  Heuristic only — exact searches use full rows.
@@ -287,7 +285,7 @@ class ConnectionMatcher:
         num_requests = len(requests)
         if not num_requests:
             if self._solver == "hopcroft_karp":
-                self._pair_expiry = _EMPTY_INT64
+                self._pair_expiry = np.empty(0, dtype=np.int64)
             return ConnectionMatching(
                 feasible=True,
                 assignment=np.empty(0, dtype=np.int64),

@@ -1,19 +1,8 @@
-"""The possession relation ``B(·)``: who can serve which request.
+"""The possession relation ``B(·)`` (Sections 2.2 and 4) and its rows.
 
-A box possesses the data needed by request ``(s, t_i, b_i)`` when it
-stores a replica of stripe ``s``, relay-caches ``s`` for a poor box, or is
-further ahead in the same stripe within the playback-cache window
-(Sections 2.2 and 4).  This module holds that relation's state and the
-queries that turn it into matching rows:
-
-* :class:`PossessionIndex` — the static stripe CSR, the relay caches and
-  the download log, with the round's batched CSR adjacency
-  (:meth:`~PossessionIndex.adjacency_delta_for`), the repair's delta-row
-  reader (:meth:`~PossessionIndex.delta_rows`) and the scalar per-request
-  row (:meth:`~PossessionIndex.row_with_expiry`);
-* :class:`_DownloadLog` — the global, time-ordered playback-cache log
-  with its sorted view;
-* :data:`NEVER_EXPIRES` — the expiry of edges that never age out.
+:class:`PossessionIndex` holds the static stripe CSR, the relay caches and
+the playback-cache download log (:class:`_DownloadLog`), and turns them
+into the rows the matching kernel and the incremental repair read.
 """
 
 from __future__ import annotations
@@ -63,14 +52,21 @@ class _DeltaRows:
     Row ``i`` lists request ``rows[i]``'s static holders, the newest entries
     of its clipped cache window and its relays, *with* the requester
     ``requesters[i]``, whom a reader skips.  Block ``k`` of row ``i``
-    (static, cache, relay) ends at position ``bounds[k, i]``, and position
-    ``p`` in it reads ``source[bases[k, i] + p]``.  A cursor holds that
-    source index and its block's end, so a read costs one gather.
+    (static, cache, relay) is ``source[starts[k, i]:][:lengths[k, i]]``,
+    as :meth:`PossessionIndex._row_blocks` lays it out.  A cursor holds
+    its source index and its block's end, so a read costs one gather.
     """
 
-    def __init__(self, requesters, source, bounds, bases, times, window):
-        self.requesters, self._source, self._bounds = requesters, source, bounds
-        self._bases, self._times, self._window = bases, times, window
+    def __init__(self, requesters, source, starts, lengths, times, window):
+        self.requesters, self._source, self._times = requesters, source, times
+        self._window = window
+        # Block k of row i ends at row position bounds[k, i]; position p
+        # in it reads source[bases[k, i] + p].  (A cumsum along the blocks
+        # axis would take ten times as long: it loops over the rows.)
+        self._bounds = lengths.copy()
+        self._bounds[1] += self._bounds[0]
+        self._bounds[2] += self._bounds[1]
+        self._bases = starts - (self._bounds - lengths)
         start = np.zeros(requesters.size, dtype=np.int64)
         self._base, limit = self._locate(np.arange(requesters.size), start)
         self._at, self._end = self._base.copy(), self._base + limit
@@ -604,16 +600,9 @@ class PossessionIndex:
         times = requests.request_time_array[rows]
         if rows.size:
             self._check_requests(stripes, times, current_time)
-        source, starts, lengths, cache_times = self._row_blocks(
-            stripes, times, current_time, max_cache_edges
-        )
-        bounds = np.cumsum(lengths, axis=0)
         return _DeltaRows(
             requests.box_id_array[rows],
-            source,
-            bounds,
-            starts - (bounds - lengths),
-            cache_times,
+            *self._row_blocks(stripes, times, current_time, max_cache_edges),
             self._window,
         )
 
@@ -688,32 +677,16 @@ class PossessionIndex:
         _check_span("request rounds", request_time, request_time, _ROUND_LIMIT)
         _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
         static = self.static_servers(stripe_id)
-        parts = [static]
-        exp_parts = [np.full(static.size, NEVER_EXPIRES, dtype=np.int64)]
         cache_boxes, cache_times = self._cache_slice(
             stripe_id, request_time, current_time
         )
-        if cache_boxes.size:
-            parts.append(cache_boxes)
-            exp_parts.append(cache_times + self._window)
-        if self._relays:
-            relay = self._relay_array(stripe_id)
-            if relay.size:
-                parts.append(relay)
-                exp_parts.append(
-                    np.full(relay.size, NEVER_EXPIRES, dtype=np.int64)
-                )
-        if len(parts) == 1:
-            boxes_arr, expiry_arr = parts[0], exp_parts[0]
-        else:
-            boxes_arr = np.concatenate(parts)
-            expiry_arr = np.concatenate(exp_parts)
+        boxes = np.concatenate((static, cache_boxes, self._relay_array(stripe_id)))
+        expiry = np.full(boxes.size, NEVER_EXPIRES, dtype=np.int64)
+        expiry[static.size: static.size + cache_times.size] = cache_times + self._window
         if exclude_self:
-            mask = boxes_arr != box_id
-            if not mask.all():
-                boxes_arr = boxes_arr[mask]
-                expiry_arr = expiry_arr[mask]
-        return boxes_arr, expiry_arr
+            kept = boxes != box_id
+            boxes, expiry = boxes[kept], expiry[kept]
+        return boxes, expiry
 
     def adjacency_delta_for(
         self, requests: RequestSet, current_time: int

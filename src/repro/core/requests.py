@@ -1,13 +1,8 @@
-"""The per-round request multiset ``Y`` and its inter-round change.
+"""The round's request multiset ``Y`` (Section 2.2) and its change.
 
-At every round ``t`` the set of *stripe requests* not yet wired,
-``Y = {(s_1, t_1, b_1), …, (s_p, t_p, b_p)}``, is matched against the
-boxes that possess the corresponding data (Section 2.2).  This module
-holds the two values the engine hands the matcher each round:
-
-* :class:`RequestSet` — the request multiset ``Y`` as three int64 columns;
-* :class:`MatchDelta` — how ``Y`` changed since the previous round, which
-  lets the matcher repair its previous matching instead of re-solving.
+:class:`RequestSet` holds the stripe requests not yet wired as columns;
+:class:`MatchDelta` tells the matcher how they changed since the previous
+round, so it can repair its previous matching instead of re-solving.
 """
 
 from __future__ import annotations
@@ -71,12 +66,12 @@ class MatchDelta:
     """The inter-round change of the active request multiset.
 
     Produced by the engine each round and handed to
-    :meth:`ConnectionMatcher.match`: the new request set equals the
-    previous one filtered by ``keep_mask`` (order preserved) followed by
-    ``num_new`` appended arrivals.  ``keep_mask`` is ``None`` when no
-    request expired.  Capacity changes (churn, faults, joins) need no
-    explicit feed — the matcher compares its own load bookkeeping against
-    the capacities of the current round.
+    :meth:`repro.core.matching.ConnectionMatcher.match`: the new request
+    set equals the previous one filtered by ``keep_mask`` (order
+    preserved) followed by ``num_new`` appended arrivals.  ``keep_mask``
+    is ``None`` when no request expired.  Capacity changes (churn, faults,
+    joins) need no explicit feed — the matcher compares its own load
+    bookkeeping against the capacities of the current round.
     """
 
     #: Boolean mask over the *previous* round's requests (``None`` = all kept).

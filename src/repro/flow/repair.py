@@ -1,20 +1,11 @@
 """Incremental repair of the previous round's b-matching.
 
-When the request multiset changes only a little between rounds, the
-matcher (:class:`repro.core.matching.ConnectionMatcher`) keeps the
-previous round's pairs that are still valid and repairs the deficit
-instead of re-solving the round:
-
-* :func:`_retire_pairs` unmatches the carried-over pairs whose edge
-  expired or whose right node lost capacity;
-* :func:`_greedy_first_fit` fills the deficit rows first-fit against the
-  residual capacities, reading each row's head on demand;
-* :func:`repair_matching` finishes the stragglers with exhaustive
-  augmenting-path searches (:func:`_kuhn_augment_lazy`) over lazily
-  materialized rows.
-
-Rows come from the caller through small reader interfaces, so this module
-knows nothing of how possession is stored.
+The matcher (:class:`repro.core.matching.ConnectionMatcher`) keeps the
+previous round's valid pairs and repairs the deficit instead of
+re-solving: :func:`_retire_pairs` drops the pairs that no longer hold,
+:func:`_greedy_first_fit` fills most of the deficit and
+:func:`repair_matching` finishes it with exact searches.  Rows come from
+the caller through reader interfaces, so possession stays out of here.
 """
 
 from __future__ import annotations
@@ -47,13 +38,9 @@ def _retire_pairs(
     validation keeps them.  Returns the per-right-node load of the pairs
     that remain.
     """
-    n = right_capacities.size
+    assignment[pair_expiry < current_time] = -1
     active = assignment >= 0
-    stale = active & (pair_expiry < current_time)
-    if stale.any():
-        assignment[stale] = -1
-        active &= ~stale
-    load = np.bincount(assignment[active], minlength=n).astype(np.int64)
+    load = np.bincount(assignment[active], minlength=right_capacities.size)
     over = load > right_capacities
     if over.any():
         # Mask lookup instead of np.isin: assignment == -1 reads the
@@ -61,7 +48,7 @@ def _retire_pairs(
         affected = np.flatnonzero(active & over[assignment])
         ab = assignment[affected]
         assignment[affected[_rank_among_equal(ab) >= right_capacities[ab]]] = -1
-        load = np.bincount(assignment[assignment >= 0], minlength=n).astype(np.int64)
+        load = np.minimum(load, right_capacities)  # each kept exactly its cap
     return load
 
 
