@@ -387,15 +387,15 @@ class TestDownloadWriterAndQueryChecks:
         with pytest.raises(ValueError, match="box ids"):
             index.record_downloads([0], [-1], 1)
         assert len(index._log) == 0
-        others = [b for b in range(1, 6) if b != holder]
-        requests = requests_of([(1, 1, 0)] + [(0, 2, b) for b in [holder] + others])
+        # Request b (for b = 1..5) is box b's request for stripe 0.
+        requests = requests_of([(1, 1, 0)] + [(0, 2, b) for b in range(1, 6)])
         second = matcher.match(
             requests, index, 2,
             warm_start=np.concatenate([first.assignment, np.full(5, -1)]),
             delta=MatchDelta(keep_mask=None, num_new=5),
         )
         assert second.matched == int(second.box_load.sum()) == 5
-        assert second.assignment[1] == -1  # the holder cannot serve itself
+        assert second.assignment[holder] == -1  # the holder cannot serve itself
         assert np.all(second.box_load <= second.capacities)
 
     @pytest.mark.parametrize("stripe", [-2, -1, 6])
