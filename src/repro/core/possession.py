@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.requests import RequestSet
 from repro.core.video import StripeId
+from repro.flow.hopcroft_karp import _stable_right_order
 from repro.util.validation import check_positive_integer
 
 __all__ = ["NEVER_EXPIRES", "PossessionIndex"]
@@ -30,6 +31,7 @@ _EMPTY_INT64 = np.empty(0, dtype=np.int64)
 #: leaves int64.  The writer and the queries check both where they enter.
 _KEY_SHIFT = 31
 _ROUND_LIMIT = 1 << _KEY_SHIFT
+_ROUND_MASK = _ROUND_LIMIT - 1
 
 
 def _check_span(name: str, low: int, high: int, limit: int) -> None:
@@ -53,12 +55,13 @@ class _DeltaRows:
     of its clipped cache window and its relays, *with* the requester
     ``requesters[i]``, whom a reader skips.  Block ``k`` of row ``i``
     (static, cache, relay) is ``source[starts[k, i]:][:lengths[k, i]]``,
-    as :meth:`PossessionIndex._row_blocks` lays it out.  A cursor holds
-    its source index and its block's end, so a read costs one gather.
+    as :meth:`PossessionIndex._row_blocks` lays it out, and ``keys`` are
+    the sort keys of the source's cache edges.  A cursor holds its source
+    index and its block's end, so a read costs one gather.
     """
 
-    def __init__(self, requesters, source, starts, lengths, times, window):
-        self.requesters, self._source, self._times = requesters, source, times
+    def __init__(self, requesters, source, starts, lengths, keys, window):
+        self.requesters, self._source, self._keys = requesters, source, keys
         self._window = window
         # Block k of row i ends at row position bounds[k, i]; position p
         # in it reads source[bases[k, i] + p].  (A cumsum along the blocks
@@ -104,8 +107,8 @@ class _DeltaRows:
         """Expiry of the edges under the cursors (cache edges come first)."""
         at = self._at[rows]
         expiry = np.full(rows.size, NEVER_EXPIRES, dtype=np.int64)
-        cached = at < self._times.size
-        expiry[cached] = self._times[at[cached]] + self._window
+        cached = at < self._keys.size
+        expiry[cached] = (self._keys[at[cached]] & _ROUND_MASK) + self._window
         return expiry
 
 
@@ -117,9 +120,10 @@ class _DownloadLog:
     live entry, so the live segment is always sorted by time and
     eviction advances a head offset in O(expired).  Adjacency queries go
     through a per-generation *sorted view* (stable-sorted by stripe,
-    hence sorted by ``(stripe, time, arrival)``) with cached sort keys,
-    which turns the whole round's playback-cache gather into a pair of
-    ``searchsorted`` calls.
+    hence sorted by ``(stripe, time, arrival)``) of two columns: each
+    entry's sort key ``(stripe << _KEY_SHIFT) + time`` and its box.  The
+    whole round's playback-cache gather is then a pair of ``searchsorted``
+    calls into the keys.
     """
 
     __slots__ = (
@@ -128,14 +132,12 @@ class _DownloadLog:
         "times",
         "head",
         "tail",
-        "_view_stripes",
+        "_view_keys",
         "_view_boxes",
-        "_view_times",
         "_view_stale",
         "_append_total",
         "_view_append_total",
         "_evict_horizon",
-        "_view_keys",
     )
 
     def __init__(self):
@@ -147,10 +149,8 @@ class _DownloadLog:
         self._reset_view()
 
     def _reset_view(self) -> None:
-        self._view_stripes: np.ndarray = _EMPTY_INT64
-        self._view_boxes: np.ndarray = _EMPTY_INT64
-        self._view_times: np.ndarray = _EMPTY_INT64
         self._view_keys: np.ndarray = _EMPTY_INT64
+        self._view_boxes: np.ndarray = _EMPTY_INT64
         self._view_stale = True
         # Incremental-view bookkeeping: total entries ever appended, the
         # total as of the last view build (-1 = view unusable as a merge
@@ -226,40 +226,39 @@ class _DownloadLog:
         if self.head > 4096 and self.head > (self.tail - self.head):
             self._grow()  # reclaim the dead prefix
 
-    def sorted_view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live entries stable-sorted by stripe: ``(stripes, times, boxes)``.
+    def sorted_view(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Live entries stable-sorted by stripe: ``(keys, boxes)``.
 
-        Within a stripe the order is by time then arrival — exactly the
-        order the old per-stripe ring buffers exposed.
+        ``keys >> _KEY_SHIFT`` is an entry's stripe and ``keys & _ROUND_MASK``
+        its round.  Within a stripe the order is by time then arrival, so
+        the keys are sorted.
         """
         if self._view_stale:
             if not self._patch_view_incremental():
                 live = slice(self.head, self.tail)
-                stripes = self.stripes[live]
-                order = np.argsort(stripes, kind="stable")
-                self._view_stripes = stripes[order]
-                self._view_times = self.times[live][order]
-                self._view_boxes = self.boxes[live][order]
-                self._view_keys = (self._view_stripes << _KEY_SHIFT) + self._view_times
+                self._view_keys, self._view_boxes = self._sorted_block(live)
             self._view_append_total = self._append_total
             self._evict_horizon = None
             self._view_stale = False
-        return self._view_stripes, self._view_times, self._view_boxes
+        return self._view_keys, self._view_boxes
 
-    def view_keys(self) -> np.ndarray:
-        """``(stripe << _KEY_SHIFT) + time`` per sorted-view entry, cached."""
-        self.sorted_view()
-        return self._view_keys
+    def _sorted_block(self, block: slice) -> Tuple[np.ndarray, np.ndarray]:
+        """A block of the log stable-sorted by stripe, as view columns."""
+        stripes = self.stripes[block]
+        order = _stable_right_order(stripes)
+        keys = stripes[order] << _KEY_SHIFT
+        keys += self.times[block][order]
+        return keys, self.boxes[block][order]
 
     def _patch_view_incremental(self) -> bool:
         """Rebuild the sorted view from the previous one plus the delta.
 
-        Head evictions map to a time filter on the cached view, and the
+        Head evictions map to a round filter on the cached view, and the
         entries appended since the last build sit at the tail with times
-        no earlier than any cached entry, so one ``searchsorted`` places
-        each new entry after its stripe's existing run.  Returns ``False``
-        (caller does a full rebuild) whenever the cached view cannot be
-        proven to match the live segment exactly.
+        no earlier than any cached entry, so one ``searchsorted`` of their
+        keys places each new entry after its stripe's existing run.
+        Returns ``False`` (caller does a full rebuild) whenever the cached
+        view cannot be proven to match the live segment exactly.
         """
         if self._view_append_total < 0:
             return False
@@ -267,35 +266,26 @@ class _DownloadLog:
         live_n = self.tail - self.head
         if new_k < 0 or new_k > live_n:
             return False
-        old_s, old_t, old_b = self._view_stripes, self._view_times, self._view_boxes
-        old_k = self._view_keys
+        old_k, old_b = self._view_keys, self._view_boxes
         if self._evict_horizon is not None:
-            keep = old_t >= self._evict_horizon
-            old_s, old_t, old_b = old_s[keep], old_t[keep], old_b[keep]
-            old_k = old_k[keep]
-        if old_s.size + new_k != live_n:
+            keep = (old_k & _ROUND_MASK) >= self._evict_horizon
+            old_k, old_b = old_k[keep], old_b[keep]
+        if old_k.size + new_k != live_n:
             return False
-        if new_k == 0:
-            self._view_stripes, self._view_times, self._view_boxes = old_s, old_t, old_b
-            self._view_keys = old_k
-            return True
-        lo = self.tail - new_k
-        order = np.argsort(self.stripes[lo: self.tail], kind="stable")
-        add_s = self.stripes[lo: self.tail][order]
-        add_t = self.times[lo: self.tail][order]
-        add_b = self.boxes[lo: self.tail][order]
-        idx = np.searchsorted(old_s, add_s, side="right")
-        idx += np.arange(new_k, dtype=np.int64)
-        old_slots = np.ones(live_n, dtype=bool)
-        old_slots[idx] = False
-        add_k = (add_s << _KEY_SHIFT) + add_t
-        merged = []
-        for old, add in zip((old_s, old_t, old_b, old_k), (add_s, add_t, add_b, add_k)):
-            column = np.empty(live_n, dtype=np.int64)
-            column[idx] = add
-            column[old_slots] = old
-            merged.append(column)
-        self._view_stripes, self._view_times, self._view_boxes, self._view_keys = merged
+        if new_k:
+            add_k, add_b = self._sorted_block(slice(self.tail - new_k, self.tail))
+            idx = np.searchsorted(old_k, add_k, side="right")
+            idx += np.arange(new_k, dtype=np.int64)
+            old_slots = np.ones(live_n, dtype=bool)
+            old_slots[idx] = False
+            merged = []
+            for old, add in ((old_k, add_k), (old_b, add_b)):
+                column = np.empty(live_n, dtype=np.int64)
+                column[idx] = add
+                column[old_slots] = old
+                merged.append(column)
+            old_k, old_b = merged
+        self._view_keys, self._view_boxes = old_k, old_b
         return True
 
 
@@ -450,30 +440,38 @@ class PossessionIndex:
     def _check_boxes(self, low: int, high: int) -> None:
         _check_span("box ids", low, high, self._allocation.num_boxes)
 
-    def static_servers(self, stripe_id: StripeId) -> np.ndarray:
-        """Sorted distinct boxes statically holding ``stripe_id`` (CSR slice)."""
-        stripe_id = int(stripe_id)
+    def _check_one_request(
+        self, stripe_id: int, request_time: int, current_time: int
+    ) -> None:
+        self._check_stripes(stripe_id, stripe_id)
+        _check_span("request rounds", request_time, request_time, _ROUND_LIMIT)
+        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
+
+    def _static_block(self, stripe_id: int) -> np.ndarray:
         return self._static_boxes[
             self._static_indptr[stripe_id]: self._static_indptr[stripe_id + 1]
         ]
 
+    def static_servers(self, stripe_id: StripeId) -> np.ndarray:
+        """Sorted distinct boxes statically holding ``stripe_id`` (CSR slice).
+
+        A stripe id outside the catalog raises ``ValueError``.
+        """
+        stripe_id = int(stripe_id)
+        self._check_stripes(stripe_id, stripe_id)
+        return self._static_block(stripe_id)
+
     def _cache_slice(
         self, stripe_id: int, request_time: int, current_time: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Playback-cache servers and their entry times for one request."""
+        """Playback-cache servers and their entry rounds for one checked request."""
         if not len(self._log):
             return _EMPTY_INT64, _EMPTY_INT64
-        stripes, times, boxes = self._log.sorted_view()
-        stripe_id = int(stripe_id)
-        lo = int(np.searchsorted(stripes, stripe_id, side="left"))
-        hi = int(np.searchsorted(stripes, stripe_id, side="right"))
-        if lo == hi:
-            return _EMPTY_INT64, _EMPTY_INT64
-        horizon = current_time - self._window
-        segment = times[lo:hi]
-        a = int(np.searchsorted(segment, horizon, side="left"))
-        b = int(np.searchsorted(segment, request_time, side="left"))
-        return boxes[lo + a: lo + b], segment[a:b]
+        keys, boxes = self._log.sorted_view()
+        base = stripe_id << _KEY_SHIFT
+        lo = int(np.searchsorted(keys, base + max(current_time - self._window, 0)))
+        hi = int(np.searchsorted(keys, base + request_time))
+        return boxes[lo:hi], keys[lo:hi] & _ROUND_MASK
 
     def _relay_array(self, stripe_id: int) -> np.ndarray:
         relays = self._relays.get(stripe_id)
@@ -488,8 +486,14 @@ class PossessionIndex:
     def cache_servers(
         self, stripe_id: StripeId, request_time: int, current_time: int
     ) -> Set[int]:
-        """Boxes able to serve ``stripe_id`` from their playback cache."""
-        boxes, _ = self._cache_slice(int(stripe_id), request_time, current_time)
+        """Boxes able to serve ``stripe_id`` from their playback cache.
+
+        A stripe id outside the catalog or a round outside ``[0, 2**31)``
+        raises ``ValueError``.
+        """
+        stripe_id, request_time = int(stripe_id), int(request_time)
+        self._check_one_request(stripe_id, request_time, current_time)
+        boxes, _ = self._cache_slice(stripe_id, request_time, current_time)
         return set(boxes.tolist())
 
     def servers_for(
@@ -498,11 +502,15 @@ class PossessionIndex:
         """The neighbourhood ``B(x)`` of a request in the bipartite graph ``G``.
 
         The request is for ``stripe_id``, issued at round ``request_time``;
-        the requesting box itself is not excluded.
+        the requesting box itself is not excluded.  A stripe id outside
+        the catalog or a round outside ``[0, 2**31)`` raises ``ValueError``.
         """
-        servers: Set[int] = set(self.static_servers(stripe_id).tolist())
-        servers |= self._relays.get(int(stripe_id), set())
-        servers |= self.cache_servers(stripe_id, request_time, current_time)
+        stripe_id, request_time = int(stripe_id), int(request_time)
+        self._check_one_request(stripe_id, request_time, current_time)
+        servers: Set[int] = set(self._static_block(stripe_id).tolist())
+        servers |= self._relays.get(stripe_id, set())
+        boxes, _ = self._cache_slice(stripe_id, request_time, current_time)
+        servers.update(boxes.tolist())
         return servers
 
     def _cache_windows(
@@ -510,18 +518,25 @@ class PossessionIndex:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-request playback-cache windows into the log's sorted view.
 
-        Returns ``(sorted_times, sorted_boxes, win_lo, win_hi)`` where
+        Returns ``(sorted_keys, sorted_boxes, win_lo, win_hi)`` where
         ``[win_lo[i], win_hi[i])`` slices request ``i``'s cache window —
         entries of its stripe with time in ``[current_time − T,
-        request_time)`` — found in the view's cached sort keys.
+        request_time)`` — found in the view's sort keys.  The needles are
+        searched in key order, so each search starts where the last ended,
+        and the bounds are scattered back to request order.
         """
-        _, sorted_times, sorted_boxes = self._log.sorted_view()
-        keys = self._log.view_keys()
-        lo = max(current_time - self._window, 0)
-        shifted = stripes << _KEY_SHIFT
-        win_lo = np.searchsorted(keys, shifted + lo, side="left")
-        win_hi = np.searchsorted(keys, shifted + times, side="left")
-        return sorted_times, sorted_boxes, win_lo, win_hi
+        keys, boxes = self._log.sorted_view()
+        horizon = max(current_time - self._window, 0)
+        base = stripes << _KEY_SHIFT
+        upper = base + times
+        # Sorting the upper needles sorts them by stripe, so the lower
+        # needles, all the same round past their stripe's base, follow.
+        order = np.argsort(upper)
+        win_lo = np.empty(stripes.size, dtype=np.int64)
+        win_hi = np.empty(stripes.size, dtype=np.int64)
+        win_lo[order] = np.searchsorted(keys, base[order] + horizon)
+        win_hi[order] = np.searchsorted(keys, upper[order])
+        return keys, boxes, win_lo, win_hi
 
     def _check_requests(
         self, stripes: np.ndarray, times: np.ndarray, current_time: int
@@ -543,19 +558,19 @@ class PossessionIndex:
         is its stripe's static holders, its playback-cache window (oldest
         entry first; with ``max_cache_edges``, only the newest that-many
         entries) and its stripe's relays, requester kept.  Returns
-        ``(source, starts, lengths, cache_times)``: block ``k`` of row ``i``
+        ``(source, starts, lengths, cache_keys)``: block ``k`` of row ``i``
         is ``source[starts[k, i]:][:lengths[k, i]]``.  The source is the
         download log's sorted view, then the rows' static blocks copied
         from the static CSR, then one relay array per distinct relayed
         stripe.  Source entry ``j`` is a cache edge exactly when ``j <
-        cache_times.size``, and entered the cache at ``cache_times[j]``.
-        This is the one place that orders a batched row or clips its
-        cache block.
+        cache_keys.size``, and entered the cache at round ``cache_keys[j]
+        & _ROUND_MASK``.  This is the one place that orders a batched row
+        or clips its cache block.
         """
         starts = np.zeros((3, stripes.size), dtype=np.int64)
         lengths = np.zeros((3, stripes.size), dtype=np.int64)
         # An empty log (the sourcing-only baseline) gives empty windows.
-        cache_times, cache_boxes, win_lo, win_hi = self._cache_windows(
+        cache_keys, cache_boxes, win_lo, win_hi = self._cache_windows(
             stripes, times, current_time
         )
         if max_cache_edges is not None:
@@ -576,7 +591,7 @@ class PossessionIndex:
             offsets = cache_boxes.size + static.size + np.cumsum(sizes) - sizes
             starts[2, held], lengths[2, held] = offsets[inverse], sizes[inverse]
         source = np.concatenate([cache_boxes, static] + relay_blocks)
-        return source, starts, lengths, cache_times
+        return source, starts, lengths, cache_keys
 
     def delta_rows(
         self,
@@ -620,13 +635,13 @@ class PossessionIndex:
             return np.zeros(1, dtype=np.int64), _EMPTY_INT64, _EMPTY_INT64
         times = requests.request_time_array
         self._check_requests(stripes, times, current_time)
-        source, starts, lengths, cache_times = self._row_blocks(
+        source, starts, lengths, cache_keys = self._row_blocks(
             stripes, times, current_time
         )
         at = _concat_ranges(starts.T.ravel(), lengths.T.ravel())
         indices = source[at]
         expiry = np.full(source.size, NEVER_EXPIRES, dtype=np.int64)
-        expiry[: cache_times.size] = cache_times + self._window
+        expiry[: cache_keys.size] = (cache_keys & _ROUND_MASK) + self._window
         expiry = expiry[at]
         row_len = lengths.sum(axis=0)
         indptr = np.zeros(num + 1, dtype=np.int64)
@@ -673,10 +688,8 @@ class PossessionIndex:
         that CSR against.
         """
         stripe_id, request_time = int(stripe_id), int(request_time)
-        self._check_stripes(stripe_id, stripe_id)
-        _check_span("request rounds", request_time, request_time, _ROUND_LIMIT)
-        _check_span("current_time", current_time, current_time, _ROUND_LIMIT)
-        static = self.static_servers(stripe_id)
+        self._check_one_request(stripe_id, request_time, current_time)
+        static = self._static_block(stripe_id)
         cache_boxes, cache_times = self._cache_slice(
             stripe_id, request_time, current_time
         )

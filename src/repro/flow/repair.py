@@ -11,7 +11,7 @@ the caller through reader interfaces, so possession stays out of here.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,6 +20,11 @@ from repro.flow.hopcroft_karp import _rank_among_equal, _right_matches
 __all__ = ["repair_matching"]
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
+
+#: The exact searches of one repair call may discover this many lefts per
+#: deficit row, and at least the floor, before the call gives up.
+_DISPLACEMENT_BUDGET_PER_ROW = 16
+_DISPLACEMENT_BUDGET_FLOOR = 100_000
 
 
 def _retire_pairs(
@@ -106,9 +111,46 @@ def _greedy_first_fit(
     return rows, boxes, reader.expiries(rows), np.flatnonzero(left)
 
 
+class _MatchedLefts:
+    """Each box's matched lefts during one :func:`repair_matching` call.
+
+    The per-box index (:func:`_right_matches`) is built when a search
+    first reads a box's list.  That read is a breadth-first expansion: a
+    path flip only follows boxes already expanded.  Before it, a search
+    can only succeed at its root, and a root success only appends one
+    pair, so :meth:`append` records the pairs in order instead.  The index then lists, per box, its start-of-repair
+    lefts in ascending order followed by its recorded lefts in order:
+    exactly the lists an index built at entry and appended to would hold.
+    """
+
+    __slots__ = ("_num_right", "_lefts", "_rights", "_added", "_rows")
+
+    def __init__(self, num_right: int, lefts: np.ndarray, rights: np.ndarray):
+        self._num_right, self._lefts, self._rights = num_right, lefts, rights
+        self._added: List[Tuple[int, int]] = []
+        self._rows = None
+
+    def append(self, j: int, u: int) -> None:
+        """Match left ``u`` to box ``j``, last in ``j``'s list."""
+        if self._rows is None:
+            self._added.append((u, j))
+        else:
+            self._rows[j].append(u)
+
+    def __getitem__(self, j: int) -> List[int]:
+        if self._rows is None:
+            added = np.array(self._added, dtype=np.int64).reshape(-1, 2)
+            self._rows = _right_matches(
+                self._num_right,
+                np.concatenate((self._lefts, added[:, 0])),
+                np.concatenate((self._rights, added[:, 1])),
+            )
+        return self._rows[j]
+
+
 def _kuhn_augment_lazy(
     i0: int, get_row, cap, load, has_free, match_left, right_matches,
-    pair_expiry, budget: List[int],
+    pair_expiry, budget: List[int], dead: Set[int],
 ) -> Optional[bool]:
     """One shortest-augmenting-path search over lazily materialized rows.
 
@@ -132,6 +174,12 @@ def _kuhn_augment_lazy(
     of displaced lefts), and testing on generation means it is never
     materialized.
 
+    ``right_matches[j]`` is box ``j``'s list of matched lefts
+    (:class:`_MatchedLefts`).  ``dead`` holds the lefts whose row had no
+    free box: within one repair call ``has_free`` only goes from true to
+    false (a success fills one slot, a path flip moves no load), so such
+    a row never gets one and is not tested again.
+
     ``budget[0]`` is decremented per discovered left; hitting zero
     aborts with ``None`` (caller falls back to the full kernel) so one
     pathological round cannot cost more than a cold solve.
@@ -144,14 +192,15 @@ def _kuhn_augment_lazy(
         # Sweep ``u``'s row for a box with spare capacity; on a hit,
         # augment: ``u`` takes the free slot, every predecessor takes
         # over the slot its displaced left vacates.
-        if not boxes_arr.size:
+        if u in dead or not boxes_arr.size:
             return False
         mask = has_free[boxes_arr]
         e = int(np.argmax(mask))
         if not mask[e]:
+            dead.add(u)
             return False
         j = boxes[e]
-        right_matches[j].append(u)
+        right_matches.append(j, u)
         load[j] += 1
         if load[j] >= cap[j]:
             has_free[j] = False
@@ -227,15 +276,18 @@ def repair_matching(
     if search_budget is not None and len(deficit_rows) > search_budget:
         return False
     matched_i = np.flatnonzero(assignment >= 0)
-    right_matches = _right_matches(num_right, matched_i, assignment[matched_i])
+    right_matches = _MatchedLefts(num_right, matched_i, assignment[matched_i])
     has_free = load < right_capacities
     # Shared across the round's searches: bounds the total displacement
     # work at roughly the cost of one cold solve, whatever the instance.
-    budget = [max(100_000, 16 * len(deficit_rows))]
+    budget = [
+        max(_DISPLACEMENT_BUDGET_FLOOR, _DISPLACEMENT_BUDGET_PER_ROW * len(deficit_rows))
+    ]
+    dead: Set[int] = set()
     for i in deficit_rows:
         if not _kuhn_augment_lazy(
             int(i), get_row, right_capacities, load, has_free, assignment,
-            right_matches, pair_expiry, budget,
+            right_matches, pair_expiry, budget, dead,
         ):
             return False
     return True

@@ -411,6 +411,12 @@ class TestDownloadWriterAndQueryChecks:
                 index.delta_rows(RequestSet([stripe], [0], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="stripe ids"):
             index.row_with_expiry(stripe, 7, 0, 1)
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.static_servers(stripe)
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.cache_servers(stripe, 0, 1)
+        with pytest.raises(ValueError, match="stripe ids"):
+            index.servers_for(stripe, 0, 1)
 
     @pytest.mark.parametrize("round_", [-1, 2**31])
     def test_queries_reject_rounds_outside_the_key(self, round_):
@@ -426,3 +432,22 @@ class TestDownloadWriterAndQueryChecks:
                 index.delta_rows(RequestSet([0], [round_], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="request rounds"):
             index.row_with_expiry(0, 7, round_, 1)
+        with pytest.raises(ValueError, match="request rounds"):
+            index.cache_servers(0, round_, 1)
+        with pytest.raises(ValueError, match="request rounds"):
+            index.servers_for(0, round_, 1)
+        with pytest.raises(ValueError, match="current_time"):
+            index.row_with_expiry(0, 7, 0, round_)
+        with pytest.raises(ValueError, match="current_time"):
+            index.cache_servers(0, 0, round_)
+        with pytest.raises(ValueError, match="current_time"):
+            index.servers_for(0, 0, round_)
+
+    def test_a_round_past_the_key_cannot_read_the_next_stripe(self):
+        """Round ``2**31 + 5`` of stripe 0 would be key ``(1 << 31) + 5``,
+        inside stripe 1's run, where box 7 cached stripe 1 at round 0."""
+        index = self._index()
+        index.record_downloads([1], [7], 0)
+        with pytest.raises(ValueError, match="request rounds"):
+            index.cache_servers(0, 2**31 + 5, 4)
+        assert index.cache_servers(1, 4, 4) == {7}

@@ -592,6 +592,88 @@ class TestBatchedRowsDropTheRequester:
         ]
 
 
+TOP_ROUND = 2**31 - 1
+
+
+@st.composite
+def log_histories(draw):
+    """Round-ordered download blocks, evictions and queries on one index.
+
+    Several blocks and queries may share a round.  Rounds start anywhere
+    up to the largest the sort key holds and stay there once they reach
+    it; stripe ids span the whole catalog.
+    """
+    catalog = Catalog(num_videos=draw(st.integers(1, 3)), num_stripes=2, duration=6)
+    population = homogeneous_population(8, u=2.0, d=3.0)
+    allocation = random_permutation_allocation(
+        catalog, population, replicas_per_stripe=2,
+        random_state=draw(st.integers(0, 10_000)),
+    )
+    window = draw(st.integers(1, 4))
+    stripe = st.integers(0, catalog.total_stripes - 1)
+    box = st.integers(0, population.n - 1)
+    round_ = draw(
+        st.integers(0, 12) | st.integers(TOP_ROUND - 12, TOP_ROUND) | st.integers(0, TOP_ROUND)
+    )
+    ops = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["next round", "write", "evict", "query"]))
+        if kind == "next round":
+            round_ = min(round_ + draw(st.integers(1, 2)), TOP_ROUND)
+        elif kind == "write":
+            ops.append((kind, round_, draw(st.lists(st.tuples(stripe, box), max_size=6))))
+        elif kind == "evict":
+            ops.append((kind, round_, None))
+        else:
+            # Entries of the current round show only to requests issued after it.
+            latest = min(round_ + 1, TOP_ROUND)
+            issued = st.integers(max(round_ - window - 2, 0), latest) | st.just(latest)
+            requests = st.lists(st.tuples(stripe, issued, box), min_size=1, max_size=8)
+            ops.append((kind, round_, draw(requests)))
+    return allocation, window, ops
+
+
+class TestPatchedSortedView:
+    """The download log's sorted view, patched between queries, gives the
+    windows and rows a fresh sort of the live entries gives."""
+
+    @given(history=log_histories())
+    @settings(max_examples=150, deadline=None)
+    def test_windows_and_rows_after_writes_and_evictions(self, history):
+        allocation, window, ops = history
+        possession = PossessionIndex(allocation, cache_window=window)
+        live = []  # (stripe, box, round) in arrival order
+        for kind, round_, arg in ops:
+            if kind == "write":
+                possession.record_downloads(
+                    np.array([s for s, _ in arg], dtype=np.int64),
+                    np.array([b for _, b in arg], dtype=np.int64),
+                    round_,
+                )
+                live += [(s, b, round_) for s, b in arg]
+            elif kind == "evict":
+                possession.evict_before(round_)
+                live = [e for e in live if e[2] >= round_ - window]
+            else:
+                requests = _array_set(arg)
+                _, boxes, win_lo, win_hi = possession._cache_windows(
+                    requests.stripe_id_array, requests.request_time_array, round_
+                )
+                indptr, indices, expiry = possession.adjacency_delta_for(requests, round_)
+                for i, (stripe, issued, box) in enumerate(arg):
+                    expected = [
+                        b for s, b, t in live
+                        if s == stripe and round_ - window <= t < issued
+                    ]
+                    assert boxes[win_lo[i]: win_hi[i]].tolist() == expected, (i, ops)
+                    row_boxes, row_expiry = possession.row_with_expiry(
+                        stripe, box, issued, round_
+                    )
+                    row = slice(indptr[i], indptr[i + 1])
+                    assert indices[row].tolist() == row_boxes.tolist(), (i, ops)
+                    assert expiry[row].tolist() == row_expiry.tolist(), (i, ops)
+
+
 # --------------------------------------------------------------------- #
 # Kernel: warm-start fast path vs. cold solves and the max-flow oracle
 # --------------------------------------------------------------------- #
