@@ -155,7 +155,7 @@ def _check_csr(
 
 
 def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
-    """Stable argsort of right-node (or stripe) ids, through distinct composite keys.
+    """Stable argsort of right-node or stripe ids, through composite keys.
 
     Each entry becomes the int64 key ``(id << 32) | position``.  The keys
     are distinct, so the plain ``np.sort`` of them, which is much faster

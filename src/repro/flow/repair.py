@@ -118,9 +118,10 @@ class _MatchedLefts:
     first reads a box's list.  That read is a breadth-first expansion: a
     path flip only follows boxes already expanded.  Before it, a search
     can only succeed at its root, and a root success only appends one
-    pair, so :meth:`append` records the pairs in order instead.  The index then lists, per box, its start-of-repair
-    lefts in ascending order followed by its recorded lefts in order:
-    exactly the lists an index built at entry and appended to would hold.
+    pair, so :meth:`append` records the pairs in order instead.  The
+    index then lists, per box, its start-of-repair lefts in ascending
+    order followed by its recorded lefts in order: exactly the lists an
+    index built at entry and appended to would hold.
     """
 
     __slots__ = ("_num_right", "_lefts", "_rights", "_added", "_rows")
