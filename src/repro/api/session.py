@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import re
+import struct
 
 import numpy as np
 from dataclasses import dataclass, fields
@@ -174,6 +176,10 @@ class SessionSnapshot:
     taken.  A snapshot can be restored any number of times; restores are
     independent sessions.  Round observers are *not* captured (they may
     close over live resources) and must be re-attached after restore.
+
+    On disk (:meth:`to_file`) the payload follows a fixed, checksummed
+    header that carries the other fields, so a checkpoint file is written
+    and read without pickling the snapshot around its payload.
     """
 
     payload: bytes
@@ -183,25 +189,48 @@ class SessionSnapshot:
     rounds_completed: int
     format_version: int = SNAPSHOT_FORMAT_VERSION
     #: SHA-256 of ``payload``, recorded at :meth:`VodSession.snapshot`
-    #: time; :meth:`VodSession.restore` re-verifies it so a corrupted
-    #: in-memory or on-disk payload fails with a typed error.  Empty on
-    #: snapshots recorded before checksums existed (then unverified).
+    #: time.  :meth:`to_file` writes it into the file's header,
+    #: :meth:`from_file` checks the payload it reads against it and
+    #: :meth:`VodSession.restore` re-verifies it, so a corrupted in-memory
+    #: or on-disk payload fails with a typed error.  Empty on snapshots
+    #: recorded before checksums existed (then unverified by restore).
     payload_sha256: str = ""
 
     def to_file(self, path: Union[str, Path]) -> Path:
         """Persist the snapshot to ``path`` (checkpoint files).
 
-        The file is framed — magic, pickle length and a SHA-256 over the
-        pickled snapshot — so :meth:`from_file` detects truncated or torn
-        checkpoint files instead of unpickling garbage.
+        The file is a fixed header — magic, format version, time, rounds
+        completed, payload length, the payload's SHA-256 and a SHA-256 of
+        the header itself — followed by the raw payload bytes, so
+        :meth:`from_file` detects truncated or torn checkpoint files.  The
+        payload digest is the one recorded at capture; the payload is
+        hashed here only when none was recorded.  A recorded digest that is
+        not 64 hex digits raises
+        :class:`~repro.api.errors.SnapshotIntegrityError` before anything
+        is written.
         """
+        recorded = self.payload_sha256
+        if not recorded:
+            digest = hashlib.sha256(self.payload).digest()
+        elif re.fullmatch("[0-9a-fA-F]{64}", recorded):
+            digest = bytes.fromhex(recorded)
+        else:
+            raise SnapshotIntegrityError(
+                f"snapshot payload_sha256 {recorded!r} is not a SHA-256 hex digest"
+            )
+        packed = _FRAME_FIELDS.pack(
+            _SNAPSHOT_MAGIC,
+            self.format_version,
+            self.time,
+            self.rounds_completed,
+            len(self.payload),
+            digest,
+        )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(body).digest()
-        path.write_bytes(
-            _SNAPSHOT_MAGIC + len(body).to_bytes(8, "big") + digest + body
-        )
+        with path.open("wb") as handle:
+            handle.write(packed + hashlib.sha256(packed).digest())
+            handle.write(self.payload)
         return path
 
     @classmethod
@@ -209,25 +238,70 @@ class SessionSnapshot:
         """Load a snapshot previously written with :meth:`to_file`.
 
         Raises :class:`~repro.api.errors.SnapshotIntegrityError` when the
-        file is truncated or its checksum does not match (torn write,
-        bit rot), and :class:`~repro.api.errors.SnapshotFormatError` when
-        it is not a snapshot file at all or was recorded under a different
+        file is truncated or a checksum does not match (torn write, bit
+        rot), and :class:`~repro.api.errors.SnapshotFormatError` when it is
+        not a snapshot file at all or was recorded under a different
         snapshot format version — the payload pickles the engine's
         internal state, which is not migratable across layout changes;
         re-record the checkpoint from a fresh run instead.
+
+        A file in the current frame is read without unpickling anything:
+        the payload is checked against its recorded SHA-256, which the
+        returned snapshot carries in ``payload_sha256``.  Files in the
+        earlier frame (a pickled snapshot behind magic, length and
+        SHA-256) and bare pickles of a snapshot still load.
         """
-        raw = Path(path).read_bytes()
-        if raw.startswith(_SNAPSHOT_MAGIC):
-            header_len = len(_SNAPSHOT_MAGIC) + 8 + 32
+        with Path(path).open("rb") as handle:
+            header = handle.read(_FRAME_HEADER_SIZE)
+            if not header.startswith(_SNAPSHOT_MAGIC):
+                handle.seek(0)
+                return cls._from_pickled(handle.read(), path)
+            if len(header) < _FRAME_HEADER_SIZE:
+                raise SnapshotIntegrityError(
+                    f"snapshot {path} is truncated: incomplete header "
+                    f"({len(header)} bytes)"
+                )
+            packed = header[: _FRAME_FIELDS.size]
+            if hashlib.sha256(packed).digest() != header[_FRAME_FIELDS.size:]:
+                raise SnapshotIntegrityError(
+                    f"snapshot {path} is corrupt: checksum mismatch in its header"
+                )
+            _, version, time, rounds_completed, length, digest = (
+                _FRAME_FIELDS.unpack(packed)
+            )
+            _check_format_version(version, path)
+            payload = handle.read(length)
+            found = len(payload) + len(handle.read())
+        if found != length:
+            raise SnapshotIntegrityError(
+                f"snapshot {path} is truncated: expected {length} payload "
+                f"bytes, found {found}"
+            )
+        if hashlib.sha256(payload).digest() != digest:
+            raise SnapshotIntegrityError(
+                f"snapshot {path} is corrupt: checksum mismatch"
+            )
+        return cls(
+            payload=payload,
+            time=time,
+            rounds_completed=rounds_completed,
+            format_version=version,
+            payload_sha256=digest.hex(),
+        )
+
+    @classmethod
+    def _from_pickled(cls, raw: bytes, path: Union[str, Path]) -> "SessionSnapshot":
+        """A checkpoint in the earlier frame, or a bare pickled snapshot."""
+        if raw.startswith(_PICKLED_SNAPSHOT_MAGIC):
+            start = len(_PICKLED_SNAPSHOT_MAGIC)
+            header_len = start + 8 + 32
             if len(raw) < header_len:
                 raise SnapshotIntegrityError(
                     f"snapshot {path} is truncated: incomplete header "
                     f"({len(raw)} bytes)"
                 )
-            body_len = int.from_bytes(
-                raw[len(_SNAPSHOT_MAGIC): len(_SNAPSHOT_MAGIC) + 8], "big"
-            )
-            digest = raw[len(_SNAPSHOT_MAGIC) + 8: header_len]
+            body_len = int.from_bytes(raw[start: start + 8], "big")
+            digest = raw[start + 8: header_len]
             body = raw[header_len:]
             if len(body) != body_len:
                 raise SnapshotIntegrityError(
@@ -251,19 +325,33 @@ class SessionSnapshot:
             raise SnapshotFormatError(
                 f"{path} does not contain a SessionSnapshot"
             )
-        if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
-            raise SnapshotFormatError(
-                f"snapshot {path} has format version {snapshot.format_version}, "
-                f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
-                "snapshots are not migratable across engine-layout changes — "
-                "re-record the checkpoint from a fresh run"
-            )
+        _check_format_version(snapshot.format_version, path)
         return snapshot
 
 
-#: Leading bytes of a framed snapshot checkpoint file (format: magic,
-#: 8-byte big-endian pickle length, 32-byte SHA-256 of the pickle, pickle).
-_SNAPSHOT_MAGIC = b"VODSNAP\x01"
+#: Leading bytes of a checkpoint file.  The header that follows is the
+#: format version, time and rounds completed (signed 64-bit), the payload
+#: length (unsigned 64-bit), all big-endian, and the payload's 32-byte
+#: SHA-256; a SHA-256 of those header bytes closes it, and the raw
+#: payload follows.
+_SNAPSHOT_MAGIC = b"VODSNAP\x02"
+_FRAME_FIELDS = struct.Struct(">8sqqqQ32s")
+_FRAME_HEADER_SIZE = _FRAME_FIELDS.size + 32
+
+#: Leading bytes of the earlier checkpoint frame, still read: magic,
+#: 8-byte big-endian pickle length, 32-byte SHA-256 of the pickle, and a
+#: pickled :class:`SessionSnapshot`.
+_PICKLED_SNAPSHOT_MAGIC = b"VODSNAP\x01"
+
+
+def _check_format_version(version: int, path: Union[str, Path]) -> None:
+    if version != SNAPSHOT_FORMAT_VERSION:
+        raise SnapshotFormatError(
+            f"snapshot {path} has format version {version}, "
+            f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
+            "snapshots are not migratable across engine-layout changes — "
+            "re-record the checkpoint from a fresh run"
+        )
 
 
 class _SessionWorkload:
@@ -605,9 +693,10 @@ class VodSession:
         Each call produces a fresh object graph: restoring twice yields two
         sessions that evolve independently (and identically, given the same
         inputs).  A snapshot from a different format version, or one whose
-        checksummed payload names classes this build no longer has, raises
-        :class:`~repro.api.errors.SnapshotFormatError`; a truncated or
-        corrupted payload raises
+        checksummed payload this build cannot unpickle (it names classes
+        this build no longer has, or a state layout they no longer read),
+        raises :class:`~repro.api.errors.SnapshotFormatError`; a truncated
+        or corrupted payload raises
         :class:`~repro.api.errors.SnapshotIntegrityError` instead of a raw
         ``UnpicklingError``/``EOFError``.
         """
@@ -626,12 +715,13 @@ class VodSession:
         try:
             session = pickle.loads(snapshot.payload)
         except Exception as exc:
-            if recorded and isinstance(exc, (ImportError, AttributeError)):
+            if recorded:
                 # The checksum held, so these are the captured bytes: they
-                # name code this build no longer has (a removed engine mode).
+                # name code this build no longer has (a removed engine
+                # mode) or a state layout it no longer reads.
                 raise SnapshotFormatError(
-                    f"snapshot payload refers to code this build does not "
-                    f"have ({exc}); re-record the checkpoint from a fresh run"
+                    f"snapshot payload cannot be read by this build ({exc}); "
+                    "re-record the checkpoint from a fresh run"
                 ) from exc
             raise SnapshotIntegrityError(
                 f"snapshot payload is truncated or corrupt ({exc})"

@@ -14,9 +14,9 @@ Commands
     the Hall witnesses exactly (exit code 1 on any disagreement).
 ``session NAME``
     Step a scenario round by round through the :mod:`repro.api` session
-    layer, checkpoint mid-run, restore, and verify that the restored
-    continuation and the batch ``run()`` agree bit for bit (exit code 1
-    on divergence).
+    layer, checkpoint mid-run through a checkpoint file, restore, and
+    verify that the restored continuation and the batch ``run()`` agree
+    bit for bit (exit code 1 on divergence).
 ``soak``
     Long-horizon stress run at scale (10k+ boxes): digest stability over
     repeated runs, tracemalloc memory-growth watermarks, and differential
@@ -33,6 +33,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.matching import MATCHING_SOLVERS
@@ -219,7 +221,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    from repro.api import VodSession
+    from repro.api import SessionSnapshot, VodSession
     from repro.scenarios.build import build_scenario
 
     spec = get_scenario(args.name).with_overrides(solver=args.solver)
@@ -238,7 +240,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
     session = compiled.session(horizon=rounds)
 
     reports = list(session.step_until(round=checkpoint_at))
-    snapshot = session.snapshot()
+    # The checkpoint goes through a file, as a resumed run reads it.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = session.snapshot().to_file(Path(scratch) / "checkpoint.snap")
+        snapshot = SessionSnapshot.from_file(path)
     reports += list(session.step_until(round=rounds))
 
     if args.json:

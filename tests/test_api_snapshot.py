@@ -222,6 +222,52 @@ class TestSnapshotFormatVersioning:
             VodSession.restore(snapshot)
         assert not isinstance(excinfo.value, SnapshotIntegrityError)
 
+    def test_payload_in_a_changed_state_layout_raises_a_format_error(self):
+        """A checksummed payload whose class now reads another state layout.
+
+        The class pickles a two-value state and is then redefined with a
+        ``__setstate__`` that unpacks three, as a refactor would change an
+        engine class's layout.  The checksum holds, so the bytes are the
+        captured ones: restore must report a format error with a
+        re-record hint, not a truncated or corrupt payload.
+        """
+        import hashlib
+        import pickle
+        import sys
+        import types
+
+        from repro.api import SessionSnapshot, SnapshotFormatError, SnapshotIntegrityError
+
+        module = types.ModuleType("repro_snapshot_relaid_module")
+        sys.modules[module.__name__] = module
+        try:
+            exec(
+                "class RelaidEngine:\n"
+                "    def __getstate__(self):\n"
+                "        return (1, 2)\n"
+                "    def __setstate__(self, state):\n"
+                "        self.a, self.b = state\n",
+                module.__dict__,
+            )
+            payload = pickle.dumps(module.RelaidEngine())
+            exec(
+                "class RelaidEngine:\n"
+                "    def __setstate__(self, state):\n"
+                "        self.a, self.b, self.c = state\n",
+                module.__dict__,
+            )
+            snapshot = SessionSnapshot(
+                payload=payload,
+                time=0,
+                rounds_completed=0,
+                payload_sha256=hashlib.sha256(payload).hexdigest(),
+            )
+            with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
+                VodSession.restore(snapshot)
+        finally:
+            del sys.modules[module.__name__]
+        assert not isinstance(excinfo.value, SnapshotIntegrityError)
+
     def test_restore_rejects_stale_in_memory_snapshots(self):
         from repro.api import SessionSnapshot, SnapshotFormatError, VodSession
 
@@ -247,6 +293,60 @@ class TestSnapshotFormatVersioning:
         path = snapshot.to_file(tmp_path / "current.ckpt")
         restored = VodSession.restore(SessionSnapshot.from_file(path))
         assert restored.rounds_completed == 3
+
+
+def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
+    tmp_path, monkeypatch
+):
+    """The exact work of ``snapshot`` → ``to_file`` → ``from_file`` → ``restore``.
+
+    The payload is hashed at capture, at the file read and at restore, and
+    the session is pickled and unpickled once: the file frame carries the
+    payload as it is, under the digest recorded at capture.
+    """
+    import hashlib
+    import pickle
+
+    from repro.api import SessionSnapshot
+    from repro.api import session as session_module
+
+    hashed: list = []
+    dumps: list = []
+    loads: list = []
+    real_sha256 = session_module.hashlib.sha256
+    real_dumps = session_module.pickle.dumps
+    real_loads = session_module.pickle.loads
+
+    def counting_sha256(data=b"", *args, **kwargs):
+        hashed.append(len(data))
+        return real_sha256(data, *args, **kwargs)
+
+    def counting_dumps(obj, *args, **kwargs):
+        dumps.append(type(obj).__name__)
+        return real_dumps(obj, *args, **kwargs)
+
+    def counting_loads(data, *args, **kwargs):
+        loads.append(len(data))
+        return real_loads(data, *args, **kwargs)
+
+    assert session_module.hashlib is hashlib and session_module.pickle is pickle
+    session = _session_for("steady_state", "hopcroft_karp", ROUNDS)
+    session.step_until(round=SPLIT)
+    monkeypatch.setattr(session_module.hashlib, "sha256", counting_sha256)
+    monkeypatch.setattr(session_module.pickle, "dumps", counting_dumps)
+    monkeypatch.setattr(session_module.pickle, "loads", counting_loads)
+    snapshot = session.snapshot()
+    path = snapshot.to_file(tmp_path / "cycle.ckpt")
+    restored = VodSession.restore(SessionSnapshot.from_file(path))
+    monkeypatch.undo()
+
+    payload_length = len(snapshot.payload)
+    assert sum(length >= payload_length for length in hashed) == 3
+    assert dumps == ["VodSession"]
+    assert loads == [payload_length]
+    session.step_until(round=ROUNDS)
+    restored.step_until(round=ROUNDS)
+    assert restored.digest() == session.digest()
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -10,11 +10,18 @@ the damaged cells.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from repro.api import SessionSnapshot, SnapshotFormatError, SnapshotIntegrityError
+from repro.api import (
+    SessionSnapshot,
+    SnapshotFormatError,
+    SnapshotIntegrityError,
+    VodSession,
+)
 from repro.api.registry import register_component
 from repro.faults.corrupt import corrupt_store_record, flip_byte, truncate_file
 from repro.orchestrate.runner import run_campaign
@@ -24,6 +31,12 @@ from repro.scenarios.build import build_scenario
 from repro.scenarios.registry import get_scenario
 
 TRUNCATED_FIXTURE = Path(__file__).parent / "fixtures" / "session_snapshot_truncated.bin"
+
+#: A checkpoint file's fixed header: magic, format version, time, rounds
+#: completed, payload length, the payload's SHA-256 and the header's own.
+FRAME_HEADER_BYTES = 104
+#: Offset of the big-endian ``time`` field inside that header.
+TIME_FIELD_OFFSET = 16
 
 register_component(
     "experiment",
@@ -208,10 +221,14 @@ class TestCorruptHelpers:
 # ---------------------------------------------------------------------- #
 # Snapshot checkpoints
 # ---------------------------------------------------------------------- #
-def _checkpoint(tmp_path):
+def _stepped_session():
     session = build_scenario(get_scenario("steady_state"), seed=1).session()
     session.step_until(rounds=2)
-    return session.snapshot().to_file(tmp_path / "checkpoint.snap")
+    return session
+
+
+def _checkpoint(tmp_path):
+    return _stepped_session().snapshot().to_file(tmp_path / "checkpoint.snap")
 
 
 class TestSnapshotIntegrity:
@@ -223,7 +240,7 @@ class TestSnapshotIntegrity:
 
     def test_truncated_header_detected(self, tmp_path):
         path = _checkpoint(tmp_path)
-        truncate_file(path, keep_bytes=20)  # inside the 48-byte header
+        truncate_file(path, keep_bytes=20)  # inside the 104-byte header
         with pytest.raises(SnapshotIntegrityError, match="incomplete header"):
             SessionSnapshot.from_file(path)
 
@@ -244,6 +261,74 @@ class TestSnapshotIntegrity:
         snapshot = SessionSnapshot.from_file(path)
         assert snapshot.rounds_completed == 2
         assert snapshot.payload_sha256
+
+    def test_flipped_header_field_fails_the_header_checksum(self, tmp_path):
+        path = _checkpoint(tmp_path)
+        flip_byte(path, offset=TIME_FIELD_OFFSET + 7)  # low byte of ``time``
+        with pytest.raises(SnapshotIntegrityError, match="checksum mismatch"):
+            SessionSnapshot.from_file(path)
+
+    def test_file_one_byte_short_of_its_payload_is_truncated(self, tmp_path):
+        path = _checkpoint(tmp_path)
+        truncate_file(path, keep_bytes=path.stat().st_size - 1)
+        with pytest.raises(SnapshotIntegrityError, match="truncated"):
+            SessionSnapshot.from_file(path)
+
+    def test_file_one_byte_past_its_payload_is_rejected(self, tmp_path):
+        path = _checkpoint(tmp_path)
+        with path.open("ab") as handle:
+            handle.write(b"\0")
+        with pytest.raises(SnapshotIntegrityError, match="truncated"):
+            SessionSnapshot.from_file(path)
+
+    def test_other_format_version_in_the_header_is_a_format_error(self, tmp_path):
+        snapshot = SessionSnapshot(
+            payload=b"irrelevant", time=3, rounds_completed=3, format_version=2
+        )
+        path = snapshot.to_file(tmp_path / "v2.snap")
+        with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
+            SessionSnapshot.from_file(path)
+        assert not isinstance(excinfo.value, SnapshotIntegrityError)
+
+    def test_snapshot_without_a_recorded_digest_gets_one_on_read(self, tmp_path):
+        session = _stepped_session()
+        captured = session.snapshot()
+        unchecked = dataclasses.replace(captured, payload_sha256="")
+        loaded = SessionSnapshot.from_file(unchecked.to_file(tmp_path / "old.snap"))
+        assert loaded.payload_sha256 == captured.payload_sha256
+        restored = VodSession.restore(loaded)
+        session.step_until(rounds=3)
+        restored.step_until(rounds=3)
+        assert restored.digest() == session.digest()
+
+    def test_payload_not_matching_its_recorded_digest_is_refused_on_read(self, tmp_path):
+        snapshot = SessionSnapshot(
+            payload=b"captured",
+            time=0,
+            rounds_completed=0,
+            payload_sha256=hashlib.sha256(b"something else").hexdigest(),
+        )
+        path = snapshot.to_file(tmp_path / "mismatch.snap")
+        with pytest.raises(SnapshotIntegrityError, match="checksum mismatch"):
+            SessionSnapshot.from_file(path)
+
+    @pytest.mark.parametrize(
+        "recorded", ["abc", "g" * 64, "ab" * 33, " " + "ab" * 31 + " "]
+    )
+    def test_malformed_recorded_digest_writes_nothing(self, tmp_path, recorded):
+        snapshot = SessionSnapshot(
+            payload=b"captured", time=0, rounds_completed=0, payload_sha256=recorded
+        )
+        path = tmp_path / "checkpoints" / "bad.snap"
+        with pytest.raises(SnapshotIntegrityError, match="payload_sha256"):
+            snapshot.to_file(path)
+        assert not path.parent.exists()
+
+    def test_file_is_the_header_followed_by_the_raw_payload(self, tmp_path):
+        snapshot = _stepped_session().snapshot()
+        path = snapshot.to_file(tmp_path / "checkpoint.snap")
+        assert path.stat().st_size == FRAME_HEADER_BYTES + len(snapshot.payload)
+        assert path.read_bytes()[FRAME_HEADER_BYTES:] == snapshot.payload
 
 
 # ---------------------------------------------------------------------- #
