@@ -56,7 +56,10 @@ __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 #:     deserializing into a torn engine;
 #: 3 — one request path: the engine's last-demand dicts and the
 #:     schedulers' demand logs are gone, and the relayed scheduler queues
-#:     its requests and relay-cache events as arrays.
+#:     its requests and relay-cache events as arrays.  The swarm registry
+#:     now keeps live sizes instead of entry logs and the churn schedule
+#:     columns instead of ``Outage`` objects; format-3 payloads from older
+#:     builds load through their ``__setstate__`` converters.
 SNAPSHOT_FORMAT_VERSION = 3
 
 

@@ -6,11 +6,11 @@ and their stored replicas out of the system for a while.  This module adds
 a simple churn model to the simulator (an extension, not part of the
 paper's analysis):
 
-* :class:`ChurnSchedule` — a deterministic list of outage intervals
-  ``(box_id, start_round, end_round)``;
+* :class:`ChurnSchedule` — a deterministic table of outage intervals
+  ``(box_id, start_round, end_round)``, kept as columns;
 * :func:`random_churn_schedule` — draw outages with a given per-round
   failure probability and outage duration;
-* the engine consults :meth:`ChurnSchedule.offline_boxes` every round and
+* the engine consults :meth:`ChurnSchedule.offline_array` every round and
   (i) removes offline boxes from the demand-eligible set and (ii) zeroes
   their upload capacity in the connection matching, which is exactly the
   effect of an unplugged set-top box.
@@ -64,49 +64,53 @@ class Outage:
 class ChurnSchedule:
     """A set of box outages consulted by the simulator each round.
 
-    The outage table is mirrored into box/start/end columns so the
-    per-round "who is offline" query is a vectorized mask instead of an
-    object scan (the engine asks several times per round); the most recent
-    round's answer is cached.
+    Outages are kept as box/start/end columns ordered by start, so the
+    per-round "who is offline" query is a vectorized mask over the
+    outages started by then instead of an object scan (the engine asks
+    several times per round); the most recent round's answer is cached.
     """
 
     def __init__(self, outages: Iterable[Outage] = ()):
-        self._outages: List[Outage] = sorted(outages)
-        self._columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        outages = list(outages)
+        n = len(outages)
+        self._set_columns(
+            np.fromiter((o.box_id for o in outages), dtype=np.int64, count=n),
+            np.fromiter((o.start for o in outages), dtype=np.int64, count=n),
+            np.fromiter((o.end for o in outages), dtype=np.int64, count=n),
+        )
+
+    def _set_columns(self, boxes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+        order = np.lexsort((ends, boxes, starts))
+        self._boxes = boxes[order]
+        self._starts = starts[order]
+        self._ends = ends[order]
         self._cached_time: Optional[int] = None
-        self._cached_offline: np.ndarray = np.empty(0, dtype=np.int64)
+        self._cached_offline = np.empty(0, dtype=np.int64)
+
+    def __setstate__(self, state: dict) -> None:
+        if "_outages" in state:
+            # A format-3 schedule from an older build: sorted ``Outage``
+            # objects, rebuilt as columns.
+            ChurnSchedule.__init__(self, state["_outages"])
+        else:
+            self.__dict__.update(state)
 
     @property
     def outages(self) -> Tuple[Outage, ...]:
         """All outages, sorted by box then time."""
-        return tuple(self._outages)
+        rows = zip(self._boxes.tolist(), self._starts.tolist(), self._ends.tolist())
+        return tuple(sorted(Outage(*row) for row in rows))
 
     def __len__(self) -> int:
-        return len(self._outages)
-
-    def add(self, outage: Outage) -> None:
-        """Add an outage to the schedule."""
-        self._outages.append(outage)
-        self._outages.sort()
-        self._columns = None
-        self._cached_time = None
-
-    def _outage_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._columns is None:
-            n = len(self._outages)
-            boxes = np.fromiter((o.box_id for o in self._outages), dtype=np.int64, count=n)
-            starts = np.fromiter((o.start for o in self._outages), dtype=np.int64, count=n)
-            ends = np.fromiter((o.end for o in self._outages), dtype=np.int64, count=n)
-            self._columns = (boxes, starts, ends)
-        return self._columns
+        return int(self._boxes.size)
 
     def offline_array(self, time: int) -> np.ndarray:
         """Sorted distinct boxes offline at round ``time`` (cached)."""
         check_non_negative_integer(time, "time")
         if self._cached_time == time:
             return self._cached_offline
-        boxes, starts, ends = self._outage_columns()
-        offline = np.unique(boxes[(starts <= time) & (time < ends)])
+        started = np.searchsorted(self._starts, time, side="right")
+        offline = np.unique(self._boxes[:started][self._ends[:started] > time])
         self._cached_time = time
         self._cached_offline = offline
         return offline
@@ -117,18 +121,15 @@ class ChurnSchedule:
 
     def is_offline(self, box_id: int, time: int) -> bool:
         """Whether ``box_id`` is offline at round ``time``."""
-        boxes, starts, ends = self._outage_columns()
-        return bool(np.any((boxes == box_id) & (starts <= time) & (time < ends)))
-
-    def offline_fraction(self, time: int, num_boxes: int) -> float:
-        """Fraction of the population offline at round ``time``."""
-        check_positive_integer(num_boxes, "num_boxes")
-        return len(self.offline_boxes(time)) / num_boxes
+        started = np.searchsorted(self._starts, time, side="right")
+        return bool(
+            np.any((self._boxes[:started] == box_id) & (self._ends[:started] > time))
+        )
 
     def max_concurrent_outages(self, horizon: int) -> int:
         """Largest number of simultaneously offline boxes in ``[0, horizon)``."""
         check_positive_integer(horizon, "horizon")
-        return max((len(self.offline_boxes(t)) for t in range(horizon)), default=0)
+        return max(self.offline_array(t).size for t in range(horizon))
 
 
 def random_churn_schedule(
@@ -150,7 +151,8 @@ def random_churn_schedule(
     check_probability(failure_probability, "failure_probability")
     check_positive_integer(outage_duration, "outage_duration")
     gen = as_generator(random_state)
-    outages: List[Outage] = []
+    boxes: List[np.ndarray] = []
+    starts: List[np.ndarray] = []
     eligible_base = np.ones(num_boxes, dtype=bool)
     for b in protected_boxes:
         # Out-of-range ids were silently inert under the historical scalar
@@ -168,7 +170,13 @@ def random_churn_schedule(
         if eligible.size == 0:
             continue
         failed = eligible[gen.random(eligible.size) < failure_probability]
-        for box in failed.tolist():
-            outages.append(Outage(box_id=box, start=t, end=t + outage_duration))
+        boxes.append(failed)
+        starts.append(np.full(failed.size, t, dtype=np.int64))
         offline_until[failed] = t + outage_duration
-    return ChurnSchedule(outages)
+    schedule = ChurnSchedule()
+    if boxes:
+        start_column = np.concatenate(starts)
+        schedule._set_columns(
+            np.concatenate(boxes), start_column, start_column + outage_duration
+        )
+    return schedule

@@ -599,7 +599,7 @@ class VodSimulator:
         self._demand_started[lo:hi] = False
         self._demand_count = hi
         self._busy_until[boxes] = time + self._catalog.duration
-        self._swarms.enter_batch(videos, boxes, time)
+        self._swarms.enter_batch(videos, time)
         if self._full_trace:
             for box, video in zip(boxes.tolist(), videos.tolist()):
                 self._trace.record(DemandEvent(time=time, box_id=box, video_id=video))

@@ -1,10 +1,10 @@
 """Struct-of-arrays buffer helpers.
 
 The vectorized engine core keeps its hot-path state as parallel NumPy
-columns with amortized doubling growth (request pool, demand log, swarm
-entry logs).  :func:`ensure_column_capacity` is the one shared growth
-routine: every column keeps its dtype, the live prefix is preserved, and
-capacity at least doubles so appends stay O(1) amortized.
+columns with amortized doubling growth (request pool, demand log).
+:func:`ensure_column_capacity` is the one shared growth routine: every
+column keeps its dtype, the live prefix is preserved, and capacity at
+least doubles so appends stay O(1) amortized.
 """
 
 from __future__ import annotations

@@ -168,6 +168,44 @@ class TestSnapshotFormatVersioning:
         assert restored.digest() == uninterrupted.digest()
 
     @pytest.mark.parametrize(
+        "fixture,name,rounds",
+        [
+            ("session_snapshot_v3_flashcrowd.bin", "flashcrowd_spike", 6),
+            ("session_snapshot_v3_churn.bin", "churn_storm", 4),
+        ],
+    )
+    def test_v3_fixture_with_entry_logs_or_outage_objects_restores_and_steps(
+        self, fixture, name, rounds
+    ):
+        """Format-3 checkpoints of the registry's and the schedule's old layouts.
+
+        Both fixtures (seed 1, written through ``to_file``) were recorded
+        while the swarm registry kept per-video entry logs and the churn
+        schedule kept ``Outage`` objects.  The ``flashcrowd_spike`` one
+        holds five written logs and one deferred entry block, the
+        ``churn_storm`` one 27 outages.  Restored and stepped to the
+        horizon, each must reproduce an uninterrupted run, down to its
+        growth violations and every swarm's size in the last round.
+        """
+        from repro.api import SessionSnapshot
+
+        snapshot = SessionSnapshot.from_file(Path(__file__).parent / "fixtures" / fixture)
+        assert snapshot.format_version == 3
+        assert snapshot.rounds_completed == rounds
+        restored = VodSession.restore(snapshot)
+        spec = get_scenario(name)
+        uninterrupted = build_scenario(spec, seed=1).session()
+        uninterrupted.step_until(round=spec.horizon)
+        restored.step_until(round=spec.horizon)
+        assert restored.digest() == uninterrupted.digest()
+        swarms, expected = restored.engine.swarms, uninterrupted.engine.swarms
+        assert swarms.violations == expected.violations
+        last = spec.horizon - 1
+        assert [swarms.size(v, last) for v in range(spec.catalog.num_videos)] == [
+            expected.size(v, last) for v in range(spec.catalog.num_videos)
+        ]
+
+    @pytest.mark.parametrize(
         "fixture", ["session_snapshot_sharded.bin", "session_snapshot_event.bin"]
     )
     def test_snapshot_of_a_removed_engine_mode_raises_a_format_error(self, fixture):

@@ -37,17 +37,23 @@ class TestChurnSchedule:
         assert schedule.offline_boxes(3) == {2}
         assert len(schedule) == 2
 
-    def test_is_offline_and_fraction(self):
+    def test_is_offline(self):
         schedule = ChurnSchedule([Outage(1, 0, 10)])
         assert schedule.is_offline(1, 5)
         assert not schedule.is_offline(0, 5)
-        assert schedule.offline_fraction(5, num_boxes=10) == pytest.approx(0.1)
+        assert not schedule.is_offline(1, 10)
 
-    def test_add_and_max_concurrent(self):
-        schedule = ChurnSchedule()
-        schedule.add(Outage(0, 0, 5))
-        schedule.add(Outage(1, 3, 6))
+    def test_max_concurrent(self):
+        schedule = ChurnSchedule([Outage(1, 3, 6), Outage(0, 0, 5)])
         assert schedule.max_concurrent_outages(horizon=10) == 2
+        assert schedule.max_concurrent_outages(horizon=3) == 1
+
+    def test_outages_read_back_sorted_by_box_then_time(self):
+        outages = [Outage(2, 0, 3), Outage(0, 4, 6), Outage(1, 1, 2), Outage(0, 0, 2)]
+        schedule = ChurnSchedule(outages)
+        assert schedule.outages == tuple(sorted(outages))
+        assert schedule.offline_array(1).tolist() == [0, 1, 2]
+        assert schedule.offline_array(4).tolist() == [0]
 
     def test_random_schedule_properties(self):
         schedule = random_churn_schedule(

@@ -59,19 +59,18 @@ class TestMaxNewMembers:
 class TestSwarmRegistry:
     def test_membership_and_expiry(self):
         reg = SwarmRegistry(mu=2.0, duration=5)
-        reg.enter(video_id=0, box_id=1, time=0)
-        reg.enter(video_id=0, box_id=2, time=1)
+        reg.enter(video_id=0, time=0)
+        reg.enter(video_id=0, time=1)
         assert reg.size(0, 1) == 2
-        assert set(reg.members(0, 1)) == {1, 2}
-        # Box 1 leaves the swarm at time 5 (entered at 0, duration 5).
+        # The first entrant leaves the swarm at time 5 (entered at 0, duration 5).
         assert reg.size(0, 5) == 1
         assert reg.size(0, 6) == 0
 
     def test_growth_violation_recorded(self):
         reg = SwarmRegistry(mu=1.5, duration=10)
-        reg.enter(0, 1, time=0)
-        reg.enter(0, 2, time=0)  # ceil(max(0,1)*1.5) = 2 allowed at t=0
-        reg.enter(0, 3, time=0)  # third joiner violates the bound
+        reg.enter(0, time=0)
+        reg.enter(0, time=0)  # ceil(max(0,1)*1.5) = 2 allowed at t=0
+        reg.enter(0, time=0)  # third joiner violates the bound
         assert len(reg.violations) == 1
         violation = reg.violations[0]
         assert violation.video_id == 0
@@ -80,51 +79,64 @@ class TestSwarmRegistry:
 
     def test_no_violation_at_maximal_growth(self):
         reg = SwarmRegistry(mu=2.0, duration=100)
-        boxes = iter(range(1000))
         size = 0
         for t in range(6):
             allowed = max_new_members(size, 2.0)
             for _ in range(allowed):
-                reg.enter(0, next(boxes), time=t)
+                reg.enter(0, time=t)
             size = reg.size(0, t)
         assert reg.violations == ()
         # Doubling from 2 initial members over rounds 0..5: 2·2⁵ = 64.
         assert reg.size(0, 5) == 64
 
-    def test_admissible_joiners(self):
-        reg = SwarmRegistry(mu=1.5, duration=10)
-        reg.enter(0, 1, time=0)
-        assert reg.admissible_joiners(0, time=1) == 1  # ceil(1*1.5) = 2 → 1 more
-        reg.enter(0, 2, time=1)
-        assert reg.admissible_joiners(0, time=1) == 0
-
-    def test_history_and_active_videos(self):
-        reg = SwarmRegistry(mu=2.0, duration=10)
-        reg.enter(3, 1, time=2)
-        assert reg.history(3) == {2: 1}
-        assert reg.active_videos(2) == [3]
-        assert reg.active_videos(20) == []
-
     def test_out_of_order_round_raises_and_leaves_the_registry_unchanged(self):
         reg = SwarmRegistry(mu=1.5, duration=10)
-        reg.enter_batch(np.array([0, 0, 1]), np.array([1, 2, 3]), time=4)
+        reg.enter_batch(np.array([0, 0, 1]), time=4)
         with pytest.raises(ValueError, match="precedes"):
-            reg.enter_batch(np.array([0, 1]), np.array([4, 5]), time=3)
+            reg.enter_batch(np.array([0, 1]), time=3)
         with pytest.raises(ValueError, match="precedes"):
-            reg.enter(0, 4, time=3)
+            reg.enter(0, time=3)
         assert [reg.size(v, 4) for v in (0, 1)] == [2, 1]
-        assert reg.history(0) == {4: 2}
         assert reg.violations == ()
         # The same round is still in order, and counts from the same sizes.
-        reg.enter_batch(np.array([0]), np.array([4]), time=4)
+        reg.enter_batch(np.array([0]), time=4)
         assert reg.size(0, 4) == 3
         assert reg.violations[0].new_size == 3
 
-    def test_unequal_lengths_raise(self):
+    def test_a_further_batch_of_a_round_checks_against_the_round_before(self):
+        reg = SwarmRegistry(mu=1.5, duration=2)
+        reg.enter_batch(np.array([0, 0]), time=0)
+        # Round 0's entrants count at round 1 and have left by round 2, so
+        # every batch of round 2 may grow the swarm to ceil(2 · 1.5) = 3.
+        reg.enter_batch(np.array([0]), time=2)
+        reg.enter_batch(np.array([0, 0]), time=2)
+        assert reg.size(0, 2) == 3
+        assert reg.violations == ()
+        reg.enter_batch(np.array([0]), time=2)
+        assert [(v.previous_size, v.new_size, v.allowed_size) for v in reg.violations] == [
+            (2, 4, 3)
+        ]
+
+    def test_size_before_the_last_written_round_raises(self):
         reg = SwarmRegistry(mu=1.5, duration=10)
-        with pytest.raises(ValueError, match="equal lengths"):
-            reg.enter_batch(np.array([0, 1]), np.array([1]), time=0)
-        assert reg.size(0, 0) == 0
+        reg.enter_batch(np.array([0, 1]), time=4)
+        with pytest.raises(ValueError, match="precedes"):
+            reg.size(0, 3)
+        assert reg.size(0, 4) == 1
+
+    def test_negative_video_id_raises(self):
+        reg = SwarmRegistry(mu=1.5, duration=10)
+        with pytest.raises(ValueError):
+            reg.enter_batch(np.array([2, -1]), time=0)
+        with pytest.raises(ValueError):
+            reg.size(-1, 0)
+        assert reg.size(2, 0) == 0
+
+    def test_video_past_every_entered_one_reads_zero(self):
+        reg = SwarmRegistry(mu=1.5, duration=10)
+        reg.enter_batch(np.array([0, 3]), time=0)
+        assert reg.size(4, 0) == 0
+        assert reg.size(1_000_000, 5) == 0
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):

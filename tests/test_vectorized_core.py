@@ -7,9 +7,10 @@ object-state reference models over randomized small instances:
 
 * :class:`ActiveRequestPool` against a list-of-records model (activation
   order, expiry, first-service rounds, warm-start column);
-* :class:`SwarmRegistry` against the historical scan-based model (sizes,
-  membership windows, size history, growth violations), fed one entry
-  at a time and one ``enter_batch`` per round;
+* :class:`SwarmRegistry` against the historical scan-based model (sizes
+  from the round just written through ``duration + 1`` rounds ahead,
+  growth violations), fed one entry at a time and one ``enter_batch``
+  per round;
 * the batched adjacency gather against the per-request row
   (:meth:`PossessionIndex.row_with_expiry`) and the set query;
 * the Hopcroft–Karp warm-start fast path against cold solves and the
@@ -155,41 +156,41 @@ class _ReferenceSwarms:
 
     def __init__(self, mu, duration):
         self.mu, self.duration = mu, duration
-        self.members = {}  # video -> [(box, entry)]
+        self.entries = {}  # video -> [entry round]
         self.violations = []
 
     def size(self, video, time):
-        entries = self.members.get(video, [])
-        return sum(1 for _, e in entries if e <= time < e + self.duration)
+        entries = self.entries.get(video, [])
+        return sum(1 for e in entries if e <= time < e + self.duration)
 
-    def members_at(self, video, time):
-        entries = self.members.get(video, [])
-        return [b for b, e in entries if e <= time < e + self.duration]
-
-    def enter(self, video, box, time):
+    def enter(self, video, time):
         previous = self.size(video, time - 1) if time > 0 else 0
-        self.members.setdefault(video, []).append((box, time))
+        self.entries.setdefault(video, []).append(time)
         new_size = self.size(video, time)
         allowed = math.ceil(max(previous, 1) * self.mu)
         if new_size > allowed:
             self.violations.append((video, time, previous, new_size, allowed))
 
 
+def _assert_sizes_ahead(registry, model, time, duration):
+    """Every video's size from round ``time`` through ``duration + 1`` rounds ahead."""
+    for video in range(4):
+        for t in range(time, time + duration + 2):
+            assert registry.size(video, t) == model.size(video, t), (video, t)
+
+
 swarm_entries = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 20), st.integers(0, 15)),
+    st.tuples(st.integers(0, 3), st.integers(0, 20)),
     min_size=1,
     max_size=50,
 )
 
 
 #: One ``enter_batch`` per round: each round comes 1–3 rounds after the
-#: previous one (the first at round 0–2) with up to 8 ``(video, box)``
-#: entries in arrival order.
+#: previous one (the first at round 0–2) with up to 8 videos entered in
+#: arrival order.
 swarm_rounds = st.lists(
-    st.tuples(
-        st.integers(1, 3),
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=8),
-    ),
+    st.tuples(st.integers(1, 3), st.lists(st.integers(0, 3), max_size=8)),
     min_size=1,
     max_size=10,
 )
@@ -203,17 +204,10 @@ class TestSwarmEquivalence:
         entries = sorted(entries, key=lambda entry: entry[1])
         registry = SwarmRegistry(mu=1.5, duration=duration)
         model = _ReferenceSwarms(mu=1.5, duration=duration)
-        for video, time, box in entries:
-            registry.enter(video, box, time)
-            model.enter(video, box, time)
-        for video in range(4):
-            for time in range(0, 22):
-                assert registry.size(video, time) == model.size(video, time), (
-                    video, time,
-                )
-                assert sorted(registry.members(video, time)) == sorted(
-                    model.members_at(video, time)
-                )
+        for video, time in entries:
+            registry.enter(video, time)
+            model.enter(video, time)
+            _assert_sizes_ahead(registry, model, time, duration)
         got = [
             (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
             for v in registry.violations
@@ -228,35 +222,17 @@ class TestSwarmEquivalence:
         registry = SwarmRegistry(mu=1.5, duration=duration)
         model = _ReferenceSwarms(mu=1.5, duration=duration)
         time = -1
-        entered = {}  # video -> rounds it gained members in
-        for gap, batch in rounds:
+        for gap, videos in rounds:
             time += gap
-            registry.enter_batch(
-                np.array([v for v, _ in batch], dtype=np.int64),
-                np.array([b for _, b in batch], dtype=np.int64),
-                time,
-            )
-            for video, box in batch:
-                model.enter(video, box, time)
-                entered.setdefault(video, set()).add(time)
-        for video in range(4):
-            for t in range(0, time + duration + 2):
-                assert registry.size(video, t) == model.size(video, t), (video, t)
-                assert registry.members(video, t) == model.members_at(video, t)
-            assert registry.history(video) == {
-                t: model.size(video, t) for t in entered.get(video, ())
-            }
+            registry.enter_batch(np.array(videos, dtype=np.int64), time)
+            for video in videos:
+                model.enter(video, time)
+            _assert_sizes_ahead(registry, model, time, duration)
         got = [
             (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
             for v in registry.violations
         ]
         assert got == model.violations
-
-    def test_members_preserve_insertion_order_when_monotone(self):
-        registry = SwarmRegistry(mu=10.0, duration=10)
-        for box in (5, 3, 9):
-            registry.enter(0, box, 2)
-        assert registry.members(0, 2) == [5, 3, 9]
 
 
 # --------------------------------------------------------------------- #

@@ -319,7 +319,7 @@ def test_array_form_matches_the_list_reference(factory, reference):
         saw_demands |= bool(expected)
         saw_empty |= not expected
         for demand in expected:
-            swarms.enter(demand.video_id, demand.box_id, view.time)
+            swarms.enter(demand.video_id, view.time)
     assert saw_demands and saw_empty
 
 

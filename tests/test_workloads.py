@@ -75,8 +75,8 @@ class TestFlashCrowd:
     def test_growth_uses_registry_state(self):
         view = make_view(mu=2.0)
         # Pretend 4 boxes already joined video 0 at round -? use time 1.
-        for b in range(4):
-            view.swarms.enter(0, b, time=0)
+        for _ in range(4):
+            view.swarms.enter(0, time=0)
         view2 = SystemView(
             time=1,
             catalog=view.catalog,
@@ -175,7 +175,7 @@ class TestAdversaries:
 
     def test_cold_start_adversary_targets_empty_swarms(self):
         view = make_view()
-        view.swarms.enter(0, 0, time=0)
+        view.swarms.enter(0, time=0)
         adversary = ColdStartAdversary(random_state=0)
         demands = arrivals(
             adversary,
