@@ -264,7 +264,8 @@ class TestPerRequestOutputPin:
             "25c96626425f6ba3e63b9156050410fc4c4378d4fe45928599aa38d690be1b1f",
         )
 
-    def test_relayed_run_connections(self):
+    @staticmethod
+    def _relayed_simulator():
         # examples/heterogeneous_relay.py's relayed run: most of its repaired
         # rounds' deficit rows are for stripes with relay caches.
         population = two_class_population(
@@ -274,7 +275,7 @@ class TestPerRequestOutputPin:
         catalog = Catalog(num_videos=12, num_stripes=8, duration=40)
         allocation = random_permutation_allocation(catalog, population, 4, random_state=1)
         scheduler = RelayedPreloadingScheduler(catalog, population, plan, mu=1.1)
-        sim = VodSimulator(
+        return VodSimulator(
             allocation,
             mu=1.1,
             scheduler=scheduler,
@@ -282,6 +283,9 @@ class TestPerRequestOutputPin:
             record_connections=True,
             trace_level="full",
         )
+
+    def test_relayed_run_connections(self):
+        sim = self._relayed_simulator()
         result = sim.run(ZipfDemandWorkload(arrival_rate=3, random_state=1), num_rounds=16)
         assert sim.matcher.repair_rounds == 15
         assert self._digest(result) == (
@@ -289,4 +293,47 @@ class TestPerRequestOutputPin:
             0,
             0,
             "6236962afc998f8e447b3399719bb813e0bbf81d9c7c5e2b80c2fa5260344175",
+        )
+
+    def test_relayed_run_with_every_unrepaired_round_on_the_kernel(self):
+        """The relayed run with no repair searches: its fallbacks keep their pairs.
+
+        With a search budget of 0, a round whose greedy leaves a deficit
+        falls back to the full kernel, seeded with the repair's partial
+        assignment.  Every matched pair's expiry, after every round, is
+        the expiry of one of its edges and never later than the latest of
+        them: a pair carried from a repair keeps the expiry recorded when
+        it was made, which may be a cache edge's although the box also
+        relays the stripe.
+        """
+        sim = self._relayed_simulator()
+        matcher = sim.matcher
+        matcher.set_repair_search_budget(0)
+        solve = matcher.match
+        checked = [0]
+
+        def match(requests, possession, current_time, **kwargs):
+            matching = solve(requests, possession, current_time, **kwargs)
+            for i in np.flatnonzero(matching.assignment >= 0).tolist():
+                boxes, expiry = possession.row_with_expiry(
+                    int(requests.stripe_id_array[i]),
+                    int(requests.box_id_array[i]),
+                    int(requests.request_time_array[i]),
+                    current_time,
+                )
+                edges = expiry[boxes == matching.assignment[i]].tolist()
+                assert matcher._pair_expiry[i] in edges
+                assert matcher._pair_expiry[i] <= max(edges)
+                checked[0] += 1
+            return matching
+
+        matcher.match = match
+        result = sim.run(ZipfDemandWorkload(arrival_rate=3, random_state=1), num_rounds=16)
+        assert (matcher.repair_rounds, sim.repair_fallback_rounds) == (13, 2)
+        assert checked[0] > 0
+        assert self._digest(result) == (
+            2796,
+            0,
+            0,
+            "b15656c4f63580e24da1c4d17365f602b0582c22130918da15cee315845bb5fb",
         )
