@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -107,6 +107,21 @@ class ConnectionMatching:
 MATCHING_SOLVERS: Tuple[str, ...] = ("hopcroft_karp", "dinic")
 
 
+class _Repair(NamedTuple):
+    """One round's incremental repair, handed to the full kernel if short.
+
+    ``assignment`` holds only pairs that are edges of the round within
+    capacity, and ``pair_expiry`` the expiry recorded for each.
+    ``complete``: perfect, hence maximum.  ``over_budget``: the repair
+    gave up on its search budget (a repair fallback).
+    """
+
+    assignment: np.ndarray
+    pair_expiry: np.ndarray
+    complete: bool
+    over_budget: bool
+
+
 class ConnectionMatcher:
     """Builds the bipartite graph ``G`` and solves the connection matching.
 
@@ -120,7 +135,7 @@ class ConnectionMatcher:
         ``"hopcroft_karp"`` (default) repairs the previous round's
         matching when the call carries a :class:`MatchDelta` and falls
         back to the full kernel on the CSR adjacency emitted by
-        :meth:`PossessionIndex.adjacency_delta_for`;
+        :meth:`PossessionIndex.adjacency_for`;
         ``"dinic"`` solves every round cold with the in-house Dinic max
         flow (:func:`repro.flow.dinic.dinic_matching`) on the same CSR
         adjacency, and serves as the cold twin in cross-validation tests
@@ -157,7 +172,6 @@ class ConnectionMatcher:
         # ``None`` means "no usable state" — the next delta round runs the
         # full kernel once and rebuilds it.
         self._pair_expiry: Optional[np.ndarray] = None
-        self._partial_repair: Optional[np.ndarray] = None
         self._repair_search_budget: Optional[int] = None
         self._repair_rounds = 0
 
@@ -216,7 +230,6 @@ class ConnectionMatcher:
         which rebuilds the bookkeeping.
         """
         self._pair_expiry = None
-        self._partial_repair = None
 
     def update_upload_slots(self, upload_slots: Sequence[int]) -> None:
         """Replace the per-box capacities (live capacity reconfiguration).
@@ -268,9 +281,22 @@ class ConnectionMatcher:
         solve.  ``delta`` requires ``warm_start``.  Without a delta, or
         with an ``augmentation_budget`` set (budgeted rounds must charge
         the full kernel so degradation fires identically), the round runs
-        the full kernel and drops the pair bookkeeping.  Only the full
-        kernel gathers adjacency, through
-        :meth:`PossessionIndex.adjacency_delta_for`.
+        the full kernel and drops the pair bookkeeping.
+
+        Only the full kernel gathers adjacency, through
+        :meth:`PossessionIndex.adjacency_for`.  When the repair fell
+        short, its partial assignment seeds the kernel as a trusted seed:
+        its pairs are edges the retirement already checked, so the
+        kernel skips its adjacency test.  A pair the kernel returns equal
+        to its seed pair keeps the expiry recorded when the pair was
+        made.  That may be an earlier edge's than the box's latest (a
+        cache edge's although the box also relays the stripe, or caches
+        it again later), so the pair may retire early, which is safe.
+        Only the pairs the kernel made are looked up, through
+        :meth:`PossessionIndex.adjacency_delta_for` on their rows, and
+        take their box's latest edge expiry.  A seed without pair state
+        (round 0, after a reset) carries none, so all its matched rows
+        are looked up.
         """
         n = self._slots.size
         capacities = self._slots.copy()
@@ -309,36 +335,27 @@ class ConnectionMatcher:
             # the searching so AugmentationBudgetExceeded → degraded fires
             # exactly as without the incremental layer.
             incremental_ctx = delta is not None and self._augmentation_budget is None
-            repaired: Optional[Tuple[np.ndarray, np.ndarray]] = None
-            warm_seed = warm_start
+            repair: Optional[_Repair] = None
             if incremental_ctx:
-                try:
-                    repaired = self._try_repair(
-                        requests, possession, current_time, capacities,
-                        warm_start, delta,
-                    )
-                except AugmentationBudgetExceeded:
-                    repair_fallback = True
-                if repaired is None and self._partial_repair is not None:
-                    # The partially repaired assignment only holds valid
-                    # pairs within capacity — a strictly better warm seed.
-                    warm_seed = self._partial_repair
+                repair = self._try_repair(
+                    requests, possession, current_time, capacities,
+                    warm_start, delta,
+                )
             else:
                 self._pair_expiry = None
-            if repaired is not None:
-                assignment, self._pair_expiry = repaired
+            if repair is not None and repair.complete:
+                self._pair_expiry = repair.pair_expiry
                 result = HKMatchingResult(
                     feasible=True,
-                    assignment=assignment,
+                    assignment=repair.assignment,
                     matched=num_requests,
                     deficient_left=(),
                     unsatisfied_witness=None,
                 )
                 self._repair_rounds += 1
             else:
-                indptr, indices, edge_expiry = possession.adjacency_delta_for(
-                    requests, current_time
-                )
+                repair_fallback = repair is not None and repair.over_budget
+                indptr, indices = possession.adjacency_for(requests, current_time)
                 try:
                     result = hopcroft_karp_matching(
                         num_left=num_requests,
@@ -346,8 +363,11 @@ class ConnectionMatcher:
                         indptr=indptr,
                         indices=indices,
                         right_capacities=capacities,
-                        initial_assignment=warm_seed,
+                        initial_assignment=(
+                            warm_start if repair is None else repair.assignment
+                        ),
                         augmentation_budget=self._augmentation_budget,
+                        trusted_seed=repair is not None,
                     )
                 except AugmentationBudgetExceeded:
                     # Graceful degradation: re-solve the identical instance
@@ -358,8 +378,8 @@ class ConnectionMatcher:
                     result = dinic_matching(num_requests, n, indptr, indices, capacities)
                     degraded = True
                 if incremental_ctx:
-                    self._pair_expiry = self._pair_expiry_from_csr(
-                        result.assignment, indptr, indices, edge_expiry
+                    self._pair_expiry = self._kernel_pair_expiry(
+                        result.assignment, repair, requests, possession, current_time
                     )
 
         assignment = result.assignment
@@ -379,6 +399,42 @@ class ConnectionMatcher:
     # ------------------------------------------------------------------ #
     # Incremental round path
     # ------------------------------------------------------------------ #
+    def _kernel_pair_expiry(
+        self,
+        assignment: np.ndarray,
+        repair: Optional[_Repair],
+        requests: RequestSet,
+        possession: PossessionIndex,
+        current_time: int,
+    ) -> np.ndarray:
+        """Per-request expiry of the full kernel's matched pairs.
+
+        A pair equal to the repair's seed pair keeps the expiry the repair
+        recorded when it made the pair.  The rest — every matched row
+        when there was no repair — are looked up: only their rows are
+        gathered with expiries, and each pair takes its box's latest.
+        """
+        pair_expiry = np.full(assignment.size, -1, dtype=np.int64)
+        made = assignment >= 0
+        if repair is not None:
+            carried = made & (assignment == repair.assignment)
+            pair_expiry[carried] = repair.pair_expiry[carried]
+            made &= ~carried
+        rows = np.flatnonzero(made)
+        if rows.size:
+            indptr, indices, edge_expiry = possession.adjacency_delta_for(
+                RequestSet(
+                    requests.stripe_id_array[rows],
+                    requests.request_time_array[rows],
+                    requests.box_id_array[rows],
+                ),
+                current_time,
+            )
+            pair_expiry[rows] = self._pair_expiry_from_csr(
+                assignment[rows], indptr, indices, edge_expiry
+            )
+        return pair_expiry
+
     def _pair_expiry_from_csr(
         self,
         assignment: np.ndarray,
@@ -386,7 +442,7 @@ class ConnectionMatcher:
         indices: np.ndarray,
         edge_expiry: np.ndarray,
     ) -> np.ndarray:
-        """Per-request expiry of the matched pair, from a full expiry CSR.
+        """Per-request expiry of the matched pair, from its rows' expiry CSR.
 
         Duplicate ``(request, box)`` edges (static holder that also
         caches) take the *latest* expiry — exactly the round after which
@@ -411,19 +467,19 @@ class ConnectionMatcher:
         capacities: np.ndarray,
         warm_start: Sequence[int],
         delta: MatchDelta,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    ) -> Optional[_Repair]:
         """Attempt the incremental repair of one round.
 
-        Returns ``(assignment, pair_expiry)`` when the delta was repaired
-        to a perfect — hence maximum — matching, ``None`` when the round
-        must run the full kernel (no usable state, or some request has no
-        augmenting path, i.e. the round is infeasible and needs the
-        kernel's Hall witness).  Raises
-        :class:`~repro.flow.hopcroft_karp.AugmentationBudgetExceeded`
-        when the repair search budget runs out; the caller counts that as
-        a *repair fallback* and re-solves with the full kernel.
+        Returns ``None`` when there is no usable pair state.  Otherwise
+        the repair's assignment and pair expiries: ``complete`` when the
+        delta was repaired to a perfect — hence maximum — matching; else
+        the round must run the full kernel, seeded with this partial
+        assignment (some request has no augmenting path, i.e. the round
+        is infeasible and needs the kernel's Hall witness, or
+        ``over_budget``: the repair search budget ran out, which the
+        caller counts as a *repair fallback*).  Every pair of a partial
+        assignment is an edge of this round within capacity.
         """
-        self._partial_repair: Optional[np.ndarray] = None
         pair_expiry_prev = self._pair_expiry
         if pair_expiry_prev is None:
             return None
@@ -453,7 +509,7 @@ class ConnectionMatcher:
 
         deficit = np.flatnonzero(assignment < 0)
         if not deficit.size:
-            return assignment, pair_expiry
+            return _Repair(assignment, pair_expiry, True, False)
 
         # Delta rows only, read on demand by a multi-pass greedy against
         # the residual capacities.  The cache blocks are clipped (greedy is
@@ -472,13 +528,9 @@ class ConnectionMatcher:
             budget = max(256, 2 * math.isqrt(num_requests), num_requests // 64)
         remaining = deficit[left]
         if not remaining.size:
-            return assignment, pair_expiry
+            return _Repair(assignment, pair_expiry, True, False)
         if remaining.size > budget:
-            self._partial_repair = assignment
-            raise AugmentationBudgetExceeded(
-                f"incremental repair budget of {budget} searches exhausted "
-                f"with a deficit of {remaining.size}"
-            )
+            return _Repair(assignment, pair_expiry, False, True)
 
         # Exhaustive augmentation for the stragglers, over lazily
         # materialized rows.  Each flipped pair records its edge expiry.
@@ -508,13 +560,11 @@ class ConnectionMatcher:
             remaining.tolist(),
             search_budget=budget,
         )
-        if not complete:
-            # Some request has no augmenting path: the round is infeasible
-            # and the full kernel must run for the Hall witness.  Not a
-            # budget event — the partial matching still seeds the kernel.
-            self._partial_repair = assignment
-            return None
-        return assignment, pair_expiry
+        # Incomplete: some request has no augmenting path (the round is
+        # infeasible and the full kernel must run for the Hall witness) or
+        # the searches' displacement budget ran dry.  Not a budget event:
+        # the partial matching still seeds the kernel.
+        return _Repair(assignment, pair_expiry, complete, False)
 
 
 def check_feasibility_hall(

@@ -305,20 +305,21 @@ class PossessionIndex:
     allocation as a CSR (``indptr``/``indices``) index; the dynamic caches
     live in one global struct-of-arrays download log (O(expired)
     eviction, whole-round batched queries).  The batched
-    :meth:`adjacency_delta_for` emits the round's bipartite adjacency as
-    CSR arrays with per-edge expiries, which the Hopcroft–Karp matching
-    kernel consumes; the incremental repair's greedy reads the heads of
-    its delta rows on demand through :meth:`delta_rows`.  Both read one
-    block layout: per row, the static holders, then the playback-cache
-    window, then the relays.
+    :meth:`adjacency_for` emits the round's bipartite adjacency as CSR
+    arrays, which the Hopcroft–Karp matching kernel consumes, and
+    :meth:`adjacency_delta_for` the same CSR of any rows with per-edge
+    expiries; the incremental repair's greedy reads the heads of its
+    delta rows on demand through :meth:`delta_rows`.  All read one block
+    layout: per row, the static holders, then the playback-cache window,
+    then the relays.
 
-    Every query — :meth:`adjacency_delta_for`, :meth:`delta_rows`,
-    :meth:`row_with_expiry`, :meth:`servers_for` — reads the same recorded
-    state, so a subclass
-    changes possession by changing what it records, never by overriding
-    one query.  :meth:`record_downloads` is the one download writer to
-    override (the sourcing-only baseline records nothing);
-    :meth:`record_download` calls it.
+    Every query — :meth:`adjacency_for`, :meth:`adjacency_delta_for`,
+    :meth:`delta_rows`, :meth:`row_with_expiry`, :meth:`servers_for` —
+    reads the same recorded state, so a subclass changes possession by
+    changing what it records, never by overriding one query.
+    :meth:`record_downloads` is the one download writer to override (the
+    sourcing-only baseline records nothing); :meth:`record_download`
+    calls it.
     """
 
     def __init__(self, allocation: Allocation, cache_window: int):
@@ -622,12 +623,13 @@ class PossessionIndex:
         )
 
     def _gather_csr(
-        self, requests: RequestSet, current_time: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, requests: RequestSet, current_time: int, with_expiry: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The CSR of :meth:`adjacency_delta_for` and :meth:`adjacency_for`.
 
         One gather reads every row's blocks of :meth:`_row_blocks`, in row
         order; only cache edges expire; the requester's entries are dropped.
+        The expiry column is built only ``with_expiry`` (else ``None``).
         """
         stripes = requests.stripe_id_array
         num = int(stripes.size)
@@ -640,9 +642,11 @@ class PossessionIndex:
         )
         at = _concat_ranges(starts.T.ravel(), lengths.T.ravel())
         indices = source[at]
-        expiry = np.full(source.size, NEVER_EXPIRES, dtype=np.int64)
-        expiry[: cache_keys.size] = (cache_keys & _ROUND_MASK) + self._window
-        expiry = expiry[at]
+        expiry = None
+        if with_expiry:
+            expiry = np.full(source.size, NEVER_EXPIRES, dtype=np.int64)
+            expiry[: cache_keys.size] = (cache_keys & _ROUND_MASK) + self._window
+            expiry = expiry[at]
         row_len = lengths.sum(axis=0)
         indptr = np.zeros(num + 1, dtype=np.int64)
         np.cumsum(row_len, out=indptr[1:])
@@ -652,7 +656,9 @@ class PossessionIndex:
             # Each row boundary moves back by the requester entries before it.
             indptr -= np.searchsorted(dropped, indptr)
             kept = ~own
-            indices, expiry = indices[kept], expiry[kept]
+            indices = indices[kept]
+            if with_expiry:
+                expiry = expiry[kept]
         return indptr, indices, expiry
 
     def adjacency_for(
@@ -664,9 +670,13 @@ class PossessionIndex:
         excluding the requesting box itself.  Rows may contain duplicates
         (a box can hold a stripe statically *and* cache it); the matching
         kernels tolerate them.  It is :meth:`adjacency_delta_for` without
-        the expiries, which the cold Dinic twin has no use for.
+        the expiry column, which it never builds: the kernel's gather and
+        the cold Dinic twin take this one, and the matcher looks up the
+        expiries of only the pairs the kernel made through
+        :meth:`adjacency_delta_for`.
         """
-        return self._gather_csr(requests, current_time)[:2]
+        indptr, indices, _ = self._gather_csr(requests, current_time, False)
+        return indptr, indices
 
     def row_with_expiry(
         self,
@@ -711,11 +721,12 @@ class PossessionIndex:
         static holders, its playback-cache window and its relays, without
         the requester, and ``expiry[e]`` is the last round edge ``e``
         remains valid (:data:`NEVER_EXPIRES` for static/relay edges,
-        ``entry_time + T`` for playback-cache edges).  The full kernel
-        solves on it, and the expiries seed the incremental path's pair
-        bookkeeping.
+        ``entry_time + T`` for playback-cache edges).  The matcher calls
+        it on a request set of just the rows whose pair the full kernel
+        made, and takes each pair's latest edge expiry as the pair's
+        expiry; the kernel itself solves on :meth:`adjacency_for`.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.
         """
-        return self._gather_csr(requests, current_time)
+        return self._gather_csr(requests, current_time, True)

@@ -304,6 +304,8 @@ def hopcroft_karp_matching(
     right_capacities: Sequence[int],
     initial_assignment: Optional[Sequence[int]] = None,
     augmentation_budget: Optional[int] = None,
+    *,
+    trusted_seed: bool = False,
 ) -> HKMatchingResult:
     """Maximum unit-demand b-matching on a CSR bipartite adjacency.
 
@@ -330,6 +332,15 @@ def hopcroft_karp_matching(
         supervising caller can fall back to another solver.  A budget of
         ``0`` forbids any augmentation: the call raises whenever the
         greedy pass leaves a deficit.
+    trusted_seed:
+        The caller vouches that every pair of ``initial_assignment`` is
+        an edge of its row.  The kernel then skips the warm start's
+        ``O(E)`` adjacency test and keeps only its ``O(V)`` checks: the
+        right-node range and the capacities.  On such a seed the result
+        is identical to the validated one.  A pair that is not an edge
+        would be returned as matched, so only a caller that built the
+        seed from this instance's rows may set it: the connection
+        matcher does, for the incremental repair's partial assignment.
     """
     if augmentation_budget is not None:
         augmentation_budget = int(augmentation_budget)
@@ -356,19 +367,21 @@ def hopcroft_karp_matching(
         if warm.shape != (num_left,):
             raise ValueError("initial_assignment must have one entry per left node")
         in_range = (warm >= 0) & (warm < num_right)
-        adjacent = np.zeros(num_left, dtype=bool)
-        if indices_arr.size and in_range.any():
-            # Membership in one O(E) pass: compare every edge against its
-            # row's warm target (out-of-range rows get the impossible -2),
-            # then map the few hit edges back to their rows.  This avoids
-            # the old dense ``row_of`` index plus two O(E) gathers.
-            targets = np.where(in_range, warm, -2)
-            hit_edges = indices_arr == np.repeat(targets, np.diff(indptr_arr))
-            hit_pos = np.flatnonzero(hit_edges)
-            if hit_pos.size:
-                hit_rows = np.searchsorted(indptr_arr, hit_pos, side="right") - 1
-                adjacent[hit_rows] = True
-        candidates = np.flatnonzero(in_range & adjacent)
+        if not trusted_seed:
+            adjacent = np.zeros(num_left, dtype=bool)
+            if indices_arr.size and in_range.any():
+                # Membership in one O(E) pass: compare every edge against
+                # its row's warm target (out-of-range rows get the
+                # impossible -2), then map the few hit edges back to their
+                # rows.
+                targets = np.where(in_range, warm, -2)
+                hit_edges = indices_arr == np.repeat(targets, np.diff(indptr_arr))
+                hit_pos = np.flatnonzero(hit_edges)
+                if hit_pos.size:
+                    hit_rows = np.searchsorted(indptr_arr, hit_pos, side="right") - 1
+                    adjacent[hit_rows] = True
+            in_range &= adjacent
+        candidates = np.flatnonzero(in_range)
         if candidates.size:
             cand_b = warm[candidates]
             counts = np.bincount(cand_b, minlength=num_right).astype(np.int64)

@@ -110,7 +110,14 @@ class ChurnSchedule:
         if self._cached_time == time:
             return self._cached_offline
         started = np.searchsorted(self._starts, time, side="right")
-        offline = np.unique(self._boxes[:started][self._ends[:started] > time])
+        offline = np.sort(self._boxes[:started][self._ends[:started] > time])
+        if offline.size > 1:
+            # A box with overlapping outages is listed once: drop the
+            # adjacent duplicates (``np.unique`` costs ten times as much).
+            distinct = np.empty(offline.size, dtype=bool)
+            distinct[0] = True
+            np.not_equal(offline[1:], offline[:-1], out=distinct[1:])
+            offline = offline[distinct]
         self._cached_time = time
         self._cached_offline = offline
         return offline

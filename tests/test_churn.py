@@ -55,6 +55,30 @@ class TestChurnSchedule:
         assert schedule.offline_array(1).tolist() == [0, 1, 2]
         assert schedule.offline_array(4).tolist() == [0]
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            random_churn_schedule(200, 40, 0.05, 6, random_state=3),
+            # Box 3's outages overlap (and one repeats), so it is offline
+            # through more than one of them at rounds 2 to 5.
+            ChurnSchedule([
+                Outage(3, 0, 6), Outage(3, 2, 8), Outage(3, 2, 8), Outage(1, 1, 4),
+                Outage(7, 4, 5), Outage(0, 3, 9), Outage(3, 8, 9),
+            ]),
+        ],
+        ids=["random", "overlapping"],
+    )
+    def test_offline_array_is_the_sorted_distinct_offline_boxes(self, schedule):
+        outages = schedule.outages
+        horizon = max(o.end for o in outages) + 1
+        for time in range(horizon):
+            reference = np.unique(
+                np.array([o.box_id for o in outages if o.covers(time)], dtype=np.int64)
+            )
+            offline = schedule.offline_array(time)
+            assert offline.dtype == np.int64
+            assert offline.tolist() == reference.tolist()
+
     def test_random_schedule_properties(self):
         schedule = random_churn_schedule(
             num_boxes=20, horizon=30, failure_probability=0.1, outage_duration=5,

@@ -249,6 +249,67 @@ class TestKernelOutputPin:
         assert digest.hexdigest() == PINNED_NEAR_THRESHOLD_DIGEST
 
 
+def result_fields(result):
+    """Everything a kernel result says, comparable with ``==``."""
+    return (
+        result.assignment.tolist(),
+        result.feasible,
+        result.matched,
+        result.deficient_left,
+        result.unsatisfied_witness,
+    )
+
+
+class TestTrustedSeed:
+    @solver_settings
+    @given(seed=st.integers(0, 100_000), keep=st.floats(0.0, 1.0))
+    def test_a_valid_seed_gives_the_validated_result(self, seed, keep):
+        """A seed of edges within capacity: the flag changes nothing.
+
+        Without the flag, a seed pair that is not an edge is dropped, as
+        if its left came unmatched.
+        """
+        rng, num_left, num_right, indptr, indices, caps = csr_instance(seed)
+        # A valid seed: a random edge of each row, kept with probability
+        # ``keep`` while its right node has room, in left order.
+        seed_pairs = np.full(num_left, -1, dtype=np.int64)
+        room = caps.copy()
+        for i in range(num_left):
+            row = indices[indptr[i]:indptr[i + 1]]
+            if row.size and rng.random() < keep:
+                j = int(row[rng.integers(row.size)])
+                if room[j]:
+                    seed_pairs[i] = j
+                    room[j] -= 1
+        validated = hopcroft_karp_matching(
+            num_left, num_right, indptr, indices, caps, initial_assignment=seed_pairs
+        )
+        trusted = hopcroft_karp_matching(
+            num_left, num_right, indptr, indices, caps,
+            initial_assignment=seed_pairs, trusted_seed=True,
+        )
+        assert result_fields(trusted) == result_fields(validated)
+        assert_valid_assignment(trusted, num_right, csr_edges(indptr, indices), caps.tolist())
+
+        # Stale pairs: lefts moved to a right node outside their row.
+        stale = seed_pairs.copy()
+        for i in range(num_left):
+            outside = np.setdiff1d(np.arange(num_right), indices[indptr[i]:indptr[i + 1]])
+            if outside.size and rng.random() < 0.3:
+                stale[i] = int(outside[rng.integers(outside.size)])
+        dropped = np.where(stale == seed_pairs, seed_pairs, -1)
+        assert result_fields(
+            hopcroft_karp_matching(
+                num_left, num_right, indptr, indices, caps, initial_assignment=stale
+            )
+        ) == result_fields(
+            hopcroft_karp_matching(
+                num_left, num_right, indptr, indices, caps,
+                initial_assignment=dropped, trusted_seed=True,
+            )
+        )
+
+
 class TestPhasePathWithWarmStarts:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -21,6 +21,9 @@ serving schedule is forced, so there the full digest must agree too.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -29,6 +32,7 @@ from repro.api.session import VodSession
 from repro.scenarios.build import build_full_solve_twin, build_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.replay import digest_result
+from repro.scenarios.scale import soak_spec
 
 #: Round caps for the heavyweight scale tiers — their full-solve
 #: baselines run at seconds per round from cold; two rounds are enough
@@ -195,3 +199,76 @@ def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
         monkeypatch.setattr(matching, name, counting(name))
     _run_scenario("near_threshold_load", 0, 20, incremental=True)
     assert all(counts.values()), counts
+
+
+def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
+    """A fallback seeded by the repair solves as if the seed were validated.
+
+    A churn storm at 5% outages a round makes nearly every round
+    infeasible, so the full kernel runs seeded with the repair's partial
+    assignment and trusts it.  Each trusted call is re-run by the
+    validating kernel on the same CSR and seed and must return the same
+    result.  After every round each pair the kernel made carries the
+    latest expiry of its box's edges in the request's row.  A pair the
+    repair made keeps the expiry it recorded, which is one of those
+    edges' and never later than the latest: at this seed one box caches
+    a stripe twice in a request's window, and the repair's pair keeps the
+    earlier entry's expiry through the round's fallback.
+    """
+    # Per kernel call, its trusted seed (None for an unseeded call).
+    kernel_seeds = []
+    solve = matching.hopcroft_karp_matching
+
+    def checked_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        seed = None
+        if kwargs.get("trusted_seed"):
+            validated = solve(*args, **dict(kwargs, trusted_seed=False))
+            assert np.array_equal(result.assignment, validated.assignment)
+            assert result.matched == validated.matched
+            assert result.deficient_left == validated.deficient_left
+            assert result.unsatisfied_witness == validated.unsatisfied_witness
+            seed = kwargs["initial_assignment"]
+        kernel_seeds.append(seed)
+        return result
+
+    monkeypatch.setattr(matching, "hopcroft_karp_matching", checked_solve)
+    spec = soak_spec(2_000, "churn_storm", horizon=30)
+    spec = replace(spec, churn=replace(spec.churn, failure_probability=0.05))
+    compiled = build_scenario(spec, seed=1)
+    matcher = compiled.simulator.matcher
+    match = matcher.match
+    kernel_pairs = early_pairs = 0
+
+    def checked_match(requests, possession, current_time, **kwargs):
+        nonlocal kernel_pairs, early_pairs
+        calls = len(kernel_seeds)
+        result = match(requests, possession, current_time, **kwargs)
+        made_by_kernel = result.assignment >= 0
+        if len(kernel_seeds) == calls:
+            made_by_kernel[:] = False  # a repaired round
+        elif kernel_seeds[-1] is not None:
+            made_by_kernel &= result.assignment != kernel_seeds[-1]
+        pair_expiry = matcher._pair_expiry
+        for i in np.flatnonzero(result.assignment >= 0).tolist():
+            boxes, expiry = possession.row_with_expiry(
+                int(requests.stripe_id_array[i]),
+                int(requests.box_id_array[i]),
+                int(requests.request_time_array[i]),
+                current_time,
+            )
+            edges = expiry[boxes == result.assignment[i]]
+            if made_by_kernel[i]:
+                assert pair_expiry[i] == edges.max()
+                kernel_pairs += 1
+            else:
+                assert pair_expiry[i] in edges.tolist()
+                assert pair_expiry[i] <= edges.max()
+                early_pairs += int(pair_expiry[i] < edges.max())
+        return result
+
+    matcher.match = checked_match
+    compiled.run(30)
+    trusted_calls = sum(seed is not None for seed in kernel_seeds)
+    assert trusted_calls == len(kernel_seeds) - 1 >= 20
+    assert kernel_pairs > 0 and early_pairs > 0

@@ -304,7 +304,7 @@ class TestPerRequestOutputPin:
         the expiry of one of its edges and never later than the latest of
         them: a pair carried from a repair keeps the expiry recorded when
         it was made, which may be a cache edge's although the box also
-        relays the stripe.
+        relays the stripe.  Such a pair retires early, which is safe.
         """
         sim = self._relayed_simulator()
         matcher = sim.matcher

@@ -395,6 +395,12 @@ class TestAdjacencyEquivalence:
             _array_set(requests), current_time
         )
         assert indptr.size == len(requests) + 1
+        # The kernel's gather is the same CSR without the expiry column.
+        plain_indptr, plain_indices = possession.adjacency_for(
+            _array_set(requests), current_time
+        )
+        assert np.array_equal(plain_indptr, indptr)
+        assert np.array_equal(plain_indices, indices)
         for i, (stripe, time, box) in enumerate(requests):
             boxes, expiries = possession.row_with_expiry(
                 stripe, box, time, current_time
