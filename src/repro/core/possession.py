@@ -1,8 +1,9 @@
 """The possession relation ``B(·)`` (Sections 2.2 and 4) and its rows.
 
-:class:`PossessionIndex` holds the static stripe CSR, the relay caches and
-the playback-cache download log (:class:`_DownloadLog`), and turns them
-into the rows the matching kernel and the incremental repair read.
+:class:`PossessionIndex` holds each part of the relation once — the static
+stripe CSR, the relay sets and the playback-cache download log
+(:class:`_DownloadLog`, two key-sorted columns) — and turns them into the
+rows the matching kernel and the incremental repair read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.requests import RequestSet
 from repro.core.video import StripeId
-from repro.flow.hopcroft_karp import _stable_right_order
+from repro.util.soa import stable_argsort
 from repro.util.validation import check_positive_integer
 
 __all__ = ["NEVER_EXPIRES", "PossessionIndex"]
@@ -113,180 +114,105 @@ class _DeltaRows:
 
 
 class _DownloadLog:
-    """Global time-ordered playback-cache log, struct-of-arrays.
+    """The playback-cache download log: two key-sorted columns.
 
-    :meth:`extend` is the only writer.  It appends one round's block of
-    ``(stripe, box)`` entries and rejects a round earlier than the last
-    live entry, so the live segment is always sorted by time and
-    eviction advances a head offset in O(expired).  Adjacency queries go
-    through a per-generation *sorted view* (stable-sorted by stripe,
-    hence sorted by ``(stripe, time, arrival)``) of two columns: each
-    entry's sort key ``(stripe << _KEY_SHIFT) + time`` and its box.  The
-    whole round's playback-cache gather is then a pair of ``searchsorted``
-    calls into the keys.
+    Entry ``j`` is a download of stripe ``keys[j] >> _KEY_SHIFT`` at round
+    ``keys[j] & _ROUND_MASK`` by box ``boxes[j]``, and the columns are
+    sorted by ``(stripe, round, arrival)``, so the keys are sorted and a
+    whole round's playback-cache gather is a pair of ``searchsorted``
+    calls into them.  :meth:`extend`, the only writer, queues a round's
+    block and rejects a round earlier than the newest live entry's;
+    :meth:`evict_before` drops the queued blocks older than its horizon
+    and records the horizon.  :meth:`sorted_view` folds both into the
+    columns before a query reads them: a round filter, and one merge of
+    the queued entries, sorted on their own.  The columns are the
+    pickled state.
     """
 
-    __slots__ = (
-        "stripes",
-        "boxes",
-        "times",
-        "head",
-        "tail",
-        "_view_keys",
-        "_view_boxes",
-        "_view_stale",
-        "_append_total",
-        "_view_append_total",
-        "_evict_horizon",
-    )
+    __slots__ = ("_keys", "_boxes", "_blocks", "_horizon", "_latest")
 
     def __init__(self):
-        self.stripes = np.empty(64, dtype=np.int64)
-        self.boxes = np.empty(64, dtype=np.int64)
-        self.times = np.empty(64, dtype=np.int64)
-        self.head = 0
-        self.tail = 0
-        self._reset_view()
-
-    def _reset_view(self) -> None:
-        self._view_keys: np.ndarray = _EMPTY_INT64
-        self._view_boxes: np.ndarray = _EMPTY_INT64
-        self._view_stale = True
-        # Incremental-view bookkeeping: total entries ever appended, the
-        # total as of the last view build (-1 = view unusable as a merge
-        # base), and the strictest eviction horizon since that build.
-        self._append_total = self.tail - self.head
-        self._view_append_total = -1
-        self._evict_horizon: Optional[int] = None
+        self._keys: np.ndarray = _EMPTY_INT64
+        self._boxes: np.ndarray = _EMPTY_INT64
+        # Queued (keys, boxes) blocks in arrival order, one round each.
+        self._blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+        # The columns' entries of an earlier round than this are evicted.
+        self._horizon = 0
+        # The newest live entry's round (-1 when the log is empty).
+        self._latest = -1
 
     def __len__(self) -> int:
-        return self.tail - self.head
+        return self.sorted_view()[0].size
 
     def __getstate__(self):
-        live = slice(self.head, self.tail)
-        return (
-            self.stripes[live].copy(),
-            self.boxes[live].copy(),
-            self.times[live].copy(),
-        )
+        return self.sorted_view()
 
     def __setstate__(self, state):
-        # Format-3 snapshots from older builds carry a trailing order flag,
-        # always true in engine sessions; it is ignored.
-        self.stripes, self.boxes, self.times = state[:3]
-        self.head, self.tail = 0, self.stripes.size
-        self._reset_view()
+        self.__init__()
+        if len(state) == 2:
+            self._keys, self._boxes = state
+        else:
+            # A format-3 state from an older build: the time-ordered
+            # ``(stripes, boxes, times)`` columns and a trailing order flag,
+            # always true in engine sessions, which is ignored.
+            stripes, boxes, times = state[:3]
+            self._blocks.append(((stripes << _KEY_SHIFT) + times, boxes))
+        keys = self.sorted_view()[0]
+        self._latest = int((keys & _ROUND_MASK).max()) if keys.size else -1
 
     def extend(self, stripes: np.ndarray, boxes: np.ndarray, time: int) -> None:
-        """Append one round's block of entries, all dated ``time``."""
-        if self.tail > self.head and time < self.times[self.tail - 1]:
+        """Queue one round's block of entries, all dated ``time``."""
+        if time < self._latest:
             raise ValueError(
                 f"download round {time} precedes the log's last entry "
-                f"(round {int(self.times[self.tail - 1])})"
+                f"(round {self._latest})"
             )
-        count = int(stripes.size)
-        if count == 0:
-            return
-        while self.tail + count > self.stripes.size:
-            self._grow()
-        lo, hi = self.tail, self.tail + count
-        self.stripes[lo:hi] = stripes
-        self.boxes[lo:hi] = boxes
-        self.times[lo:hi] = time
-        self.tail = hi
-        self._append_total += count
-        self._view_stale = True
-
-    def _grow(self) -> None:
-        live = self.tail - self.head
-        if self.head > 0 and live <= self.stripes.size // 2:
-            # Enough slack at the head: compact instead of reallocating.
-            for arr in (self.stripes, self.boxes, self.times):
-                arr[:live] = arr[self.head: self.tail]
-        else:
-            new_size = max(64, 2 * self.stripes.size)
-            for name in ("stripes", "boxes", "times"):
-                old = getattr(self, name)
-                new = np.empty(new_size, dtype=np.int64)
-                new[:live] = old[self.head: self.tail]
-                setattr(self, name, new)
-        self.head, self.tail = 0, live
+        if stripes.size:
+            keys = stripes << _KEY_SHIFT
+            keys += time
+            self._blocks.append((keys, boxes.copy()))
+            self._latest = time
 
     def evict_before(self, horizon: int) -> None:
         """Drop every live entry with time < ``horizon``."""
-        if self.head == self.tail:
-            return
-        live_times = self.times[self.head: self.tail]
-        advance = int(np.searchsorted(live_times, horizon, side="left"))
-        if advance:
-            self.head += advance
-            self._view_stale = True
-            if self._evict_horizon is None or horizon > self._evict_horizon:
-                self._evict_horizon = horizon
-        if self.head > 4096 and self.head > (self.tail - self.head):
-            self._grow()  # reclaim the dead prefix
+        self._blocks = [b for b in self._blocks if (b[0][0] & _ROUND_MASK) >= horizon]
+        self._horizon = max(self._horizon, horizon)
+        if horizon > self._latest:
+            self._latest = -1
 
     def sorted_view(self) -> Tuple[np.ndarray, np.ndarray]:
         """Live entries stable-sorted by stripe: ``(keys, boxes)``.
 
         ``keys >> _KEY_SHIFT`` is an entry's stripe and ``keys & _ROUND_MASK``
         its round.  Within a stripe the order is by time then arrival, so
-        the keys are sorted.
+        the keys are sorted.  Queued entries are no earlier than any entry
+        of the columns, so a stable sort of them by stripe and one
+        ``searchsorted`` of their keys place each after its stripe's run.
         """
-        if self._view_stale:
-            if not self._patch_view_incremental():
-                live = slice(self.head, self.tail)
-                self._view_keys, self._view_boxes = self._sorted_block(live)
-            self._view_append_total = self._append_total
-            self._evict_horizon = None
-            self._view_stale = False
-        return self._view_keys, self._view_boxes
-
-    def _sorted_block(self, block: slice) -> Tuple[np.ndarray, np.ndarray]:
-        """A block of the log stable-sorted by stripe, as view columns."""
-        stripes = self.stripes[block]
-        order = _stable_right_order(stripes)
-        keys = stripes[order] << _KEY_SHIFT
-        keys += self.times[block][order]
-        return keys, self.boxes[block][order]
-
-    def _patch_view_incremental(self) -> bool:
-        """Rebuild the sorted view from the previous one plus the delta.
-
-        Head evictions map to a round filter on the cached view, and the
-        entries appended since the last build sit at the tail with times
-        no earlier than any cached entry, so one ``searchsorted`` of their
-        keys places each new entry after its stripe's existing run.
-        Returns ``False`` (caller does a full rebuild) whenever the cached
-        view cannot be proven to match the live segment exactly.
-        """
-        if self._view_append_total < 0:
-            return False
-        new_k = self._append_total - self._view_append_total
-        live_n = self.tail - self.head
-        if new_k < 0 or new_k > live_n:
-            return False
-        old_k, old_b = self._view_keys, self._view_boxes
-        if self._evict_horizon is not None:
-            keep = (old_k & _ROUND_MASK) >= self._evict_horizon
-            old_k, old_b = old_k[keep], old_b[keep]
-        if old_k.size + new_k != live_n:
-            return False
-        if new_k:
-            add_k, add_b = self._sorted_block(slice(self.tail - new_k, self.tail))
-            idx = np.searchsorted(old_k, add_k, side="right")
-            idx += np.arange(new_k, dtype=np.int64)
-            old_slots = np.ones(live_n, dtype=bool)
-            old_slots[idx] = False
+        keys, boxes = self._keys, self._boxes
+        if self._horizon:
+            keep = (keys & _ROUND_MASK) >= self._horizon
+            keys, boxes = keys[keep], boxes[keep]
+            self._horizon = 0
+        if self._blocks:
+            add_k = np.concatenate([k for k, _ in self._blocks])
+            add_b = np.concatenate([b for _, b in self._blocks])
+            self._blocks = []
+            order = stable_argsort(add_k >> _KEY_SHIFT)
+            add_k, add_b = add_k[order], add_b[order]
+            at = np.searchsorted(keys, add_k, side="right")
+            at += np.arange(at.size)
+            kept = np.ones(keys.size + at.size, dtype=bool)
+            kept[at] = False
             merged = []
-            for old, add in ((old_k, add_k), (old_b, add_b)):
-                column = np.empty(live_n, dtype=np.int64)
-                column[idx] = add
-                column[old_slots] = old
+            for old, add in ((keys, add_k), (boxes, add_b)):
+                column = np.empty(kept.size, dtype=np.int64)
+                column[at] = add
+                column[kept] = old
                 merged.append(column)
-            old_k, old_b = merged
-        self._view_keys, self._view_boxes = old_k, old_b
-        return True
+            keys, boxes = merged
+        self._keys, self._boxes = keys, boxes
+        return keys, boxes
 
 
 class PossessionIndex:
@@ -302,9 +228,10 @@ class PossessionIndex:
       (playback cache: it is further ahead in the same stripe).
 
     The static stripe→boxes relation is precomputed once from the
-    allocation as a CSR (``indptr``/``indices``) index; the dynamic caches
-    live in one global struct-of-arrays download log (O(expired)
-    eviction, whole-round batched queries).  The batched
+    allocation as a CSR (``indptr``/``indices``) index, the relays are
+    one set of boxes per stripe, and the playback caches live in one
+    download log kept as two key-sorted columns, into which each round's
+    writes and evictions are folded before a query reads them.  The batched
     :meth:`adjacency_for` emits the round's bipartite adjacency as CSR
     arrays, which the Hopcroft–Karp matching kernel consumes, and
     :meth:`adjacency_delta_for` the same CSR of any rows with per-edge
@@ -327,11 +254,10 @@ class PossessionIndex:
         self._window = check_positive_integer(cache_window, "cache_window")
         # Static stripe -> sorted distinct holder boxes, in CSR form.
         self._rebuild_static()
-        # Global struct-of-arrays log of (stripe, box, time) downloads.
+        # Key-sorted log of (stripe, round, box) downloads.
         self._log = _DownloadLog()
         # stripe_id -> set of boxes relay-caching it (Section 4).
         self._relays: Dict[int, Set[int]] = {}
-        self._relay_arrays: Dict[int, np.ndarray] = {}
 
     @property
     def allocation(self) -> Allocation:
@@ -360,33 +286,20 @@ class PossessionIndex:
             self._static_indptr = np.zeros(num_stripes + 1, dtype=np.int64)
             self._static_boxes = _EMPTY_INT64
 
-    def set_allocation(self, allocation: Allocation) -> None:
-        """Swap the allocation reference without rebuilding the static index.
+    def adopt_allocation(self, allocation: Allocation) -> None:
+        """Adopt a grown allocation, keeping the downloads and relays.
 
-        Only valid when the replica placement is unchanged (e.g. the
-        population grew around the same ``replica_box`` array); use
-        :meth:`refresh_allocation` after placements changed.
+        The static stripe→boxes index is rebuilt only when the replica
+        placement changed (the live ``add_videos`` grows it); a population
+        grown around the same ``replica_box`` (``join_boxes``) keeps it.
+        Existing downloads keep serving either way.
         """
-        if allocation.replica_box is not self._allocation.replica_box and not (
-            allocation.replica_box.shape == self._allocation.replica_box.shape
-            and np.array_equal(allocation.replica_box, self._allocation.replica_box)
+        old = self._allocation.replica_box
+        self._allocation = allocation
+        if allocation.replica_box is not old and not np.array_equal(
+            allocation.replica_box, old
         ):
-            raise ValueError(
-                "set_allocation requires an identical replica placement; "
-                "use refresh_allocation for changed placements"
-            )
-        self._allocation = allocation
-
-    def refresh_allocation(self, allocation: Allocation) -> None:
-        """Adopt a new allocation, rebuilding the static stripe→boxes index.
-
-        The dynamic state — playback-cache swarms, eviction timeline and
-        relay caches — is preserved, which is what the live ``add_videos``
-        reconfiguration needs: existing downloads keep serving while the
-        static index grows.
-        """
-        self._allocation = allocation
-        self._rebuild_static()
+            self._rebuild_static()
 
     # ------------------------------------------------------------------ #
     # Dynamic state maintenance
@@ -426,7 +339,6 @@ class PossessionIndex:
         self._check_stripes(stripe_id, stripe_id)
         self._check_boxes(box_id, box_id)
         self._relays.setdefault(stripe_id, set()).add(box_id)
-        self._relay_arrays.pop(stripe_id, None)
 
     def evict_before(self, current_time: int) -> None:
         """Drop cache entries older than ``current_time − T``."""
@@ -466,8 +378,6 @@ class PossessionIndex:
         self, stripe_id: int, request_time: int, current_time: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Playback-cache servers and their entry rounds for one checked request."""
-        if not len(self._log):
-            return _EMPTY_INT64, _EMPTY_INT64
         keys, boxes = self._log.sorted_view()
         base = stripe_id << _KEY_SHIFT
         lo = int(np.searchsorted(keys, base + max(current_time - self._window, 0)))
@@ -475,14 +385,8 @@ class PossessionIndex:
         return boxes[lo:hi], keys[lo:hi] & _ROUND_MASK
 
     def _relay_array(self, stripe_id: int) -> np.ndarray:
-        relays = self._relays.get(stripe_id)
-        if not relays:
-            return _EMPTY_INT64
-        cached = self._relay_arrays.get(stripe_id)
-        if cached is None or cached.size != len(relays):
-            cached = np.fromiter(relays, dtype=np.int64, count=len(relays))
-            self._relay_arrays[stripe_id] = cached
-        return cached
+        relays = self._relays.get(stripe_id, ())
+        return np.fromiter(relays, dtype=np.int64, count=len(relays))
 
     def cache_servers(
         self, stripe_id: StripeId, request_time: int, current_time: int

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.video import Catalog
+from repro.util.soa import stable_argsort
 from repro.util.validation import check_non_negative_integer
 
 __all__ = [
@@ -125,7 +126,7 @@ def preload_indices(
     per-demand loop would have counted.
     """
     n = int(video_ids.size)
-    order = np.argsort(video_ids, kind="stable")
+    order = stable_argsort(video_ids)
     sorted_videos = video_ids[order]
     starts = np.empty(n, dtype=bool)
     starts[0] = True

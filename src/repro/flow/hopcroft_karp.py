@@ -41,6 +41,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.util.soa import stable_argsort
+
 __all__ = [
     "AugmentationBudgetExceeded",
     "HKMatchingResult",
@@ -154,26 +156,6 @@ def _check_csr(
     return indptr_arr, indices_arr, cap_arr
 
 
-def _stable_right_order(seq_b: np.ndarray) -> np.ndarray:
-    """Stable argsort of right-node or stripe ids, through composite keys.
-
-    Each entry becomes the int64 key ``(id << 32) | position``.  The keys
-    are distinct, so the plain ``np.sort`` of them, which is much faster
-    than a stable argsort, orders equal ids by position: their low 32
-    bits are ``np.argsort(seq_b, kind="stable")``.  Inputs a key cannot
-    hold (a negative id, an id of ``2**31`` or more, ``2**32`` entries or
-    more) take that argsort.
-    """
-    n = seq_b.size
-    if not n or n >= 1 << 32 or int(seq_b.min()) < 0 or int(seq_b.max()) >= 1 << 31:
-        return np.argsort(seq_b, kind="stable")
-    keys = seq_b.astype(np.int64) << 32
-    keys |= np.arange(n, dtype=np.int64)
-    keys.sort()
-    keys &= 0xFFFFFFFF
-    return keys
-
-
 def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
     """``rank[k]``: how many entries before ``k`` equal ``seq_b[k]``.
 
@@ -181,7 +163,7 @@ def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
     ``k`` finds room at ``seq_b[k]`` exactly when its rank is below that
     node's spare capacity, provided every earlier entry found room too.
     """
-    order = _stable_right_order(seq_b)
+    order = stable_argsort(seq_b)
     sorted_b = seq_b[order]
     new_group = np.empty(sorted_b.size, dtype=bool)
     new_group[:1] = True
@@ -223,7 +205,7 @@ def _right_matches(num_right: int, lefts: np.ndarray, rights: np.ndarray) -> _La
     """
     indptr = np.zeros(num_right + 1, dtype=np.int64)
     np.cumsum(np.bincount(rights, minlength=num_right), out=indptr[1:])
-    return _LazyRows(indptr, lefts[_stable_right_order(rights)])
+    return _LazyRows(indptr, lefts[stable_argsort(rights)])
 
 
 def _kuhn_augment(

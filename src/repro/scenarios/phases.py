@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.preloading import Demand
+from repro.util.soa import stable_argsort
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = ["WorkloadPhase", "PhasedWorkload"]
@@ -76,11 +77,13 @@ class PhasedWorkload:
             return _EMPTY, _EMPTY
         boxes = np.concatenate([a[0] for a in arrivals])
         videos = np.concatenate([a[1] for a in arrivals])
-        _, first = np.unique(boxes, return_index=True)
-        if first.size == boxes.size:
+        # A box's later demands follow its first in the stable order.
+        order = stable_argsort(boxes)
+        later = np.zeros(boxes.size, dtype=bool)
+        later[order[1:]] = boxes[order[1:]] == boxes[order[:-1]]
+        if not later.any():
             return boxes, videos
-        first.sort()
-        return boxes[first], videos[first]
+        return boxes[~later], videos[~later]
 
     def demands_for_round(self, view: SystemView) -> List[Demand]:
         """:meth:`demand_arrays_for_round` as :class:`Demand` objects.

@@ -735,7 +735,7 @@ class VodSimulator:
         )
         self._population = population
         self._allocation = allocation
-        self._possession.set_allocation(allocation)
+        self._possession.adopt_allocation(allocation)
 
         c = self._catalog.num_stripes_per_video
         new_slots = np.floor(uploads_arr * c + 1e-9).astype(np.int64)
@@ -806,5 +806,5 @@ class VodSimulator:
         catalog_updater(catalog)  # validates growth before any engine mutation
         self._catalog = catalog
         self._allocation = allocation
-        self._possession.refresh_allocation(allocation)
+        self._possession.adopt_allocation(allocation)
         return list(range(old_m, old_m + num_videos))

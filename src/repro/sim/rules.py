@@ -12,6 +12,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.util.soa import stable_argsort
+
 __all__ = ["admission_mask", "detect_playback_starts"]
 
 
@@ -29,7 +31,7 @@ def admission_mask(
     n = int(box_ids.size)
     accept = busy_until[box_ids] <= time
     if accept.any() and n > 1:
-        order = np.argsort(box_ids, kind="stable")
+        order = stable_argsort(box_ids)
         sorted_boxes = box_ids[order]
         dup_sorted = np.empty(n, dtype=bool)
         dup_sorted[0] = False

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.util.soa import stable_argsort
 from repro.util.validation import (
     check_in_range,
     check_integer,
@@ -188,7 +189,7 @@ class SwarmRegistry:
         n = int(video_ids.size)
         if n == 0:
             return
-        order = np.argsort(video_ids, kind="stable")
+        order = stable_argsort(video_ids)
         sorted_videos = video_ids[order]
         if sorted_videos[0] < 0:
             raise ValueError(f"video ids must be non-negative, got {int(sorted_videos[0])}")

@@ -2,8 +2,9 @@
 
 The utilities are intentionally small and dependency free: seeded RNG
 construction (:mod:`repro.util.rng`), argument validation helpers
-(:mod:`repro.util.validation`) and exact integer/rational arithmetic for
-stripe-rate bookkeeping (:mod:`repro.util.intmath`).
+(:mod:`repro.util.validation`), exact integer/rational arithmetic for
+stripe-rate bookkeeping (:mod:`repro.util.intmath`) and struct-of-arrays
+column helpers (:mod:`repro.util.soa`).
 """
 
 from repro.util.rng import (
@@ -26,6 +27,7 @@ from repro.util.intmath import (
     lcm_of,
     scale_to_integer_capacities,
 )
+from repro.util.soa import stable_argsort
 
 __all__ = [
     "RandomState",
@@ -42,4 +44,5 @@ __all__ = [
     "floor_to_stripe_units",
     "lcm_of",
     "scale_to_integer_capacities",
+    "stable_argsort",
 ]

@@ -4,7 +4,9 @@ The vectorized engine core keeps its hot-path state as parallel NumPy
 columns with amortized doubling growth (request pool, demand log).
 :func:`ensure_column_capacity` is the one shared growth routine: every
 column keeps its dtype, the live prefix is preserved, and capacity at
-least doubles so appends stay O(1) amortized.
+least doubles so appends stay O(1) amortized.  :func:`stable_argsort` is
+the one order that groups a column's equal ids (boxes, videos, stripes,
+right nodes) with each group in arrival order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ensure_column_capacity"]
+__all__ = ["ensure_column_capacity", "stable_argsort"]
 
 
 def ensure_column_capacity(owner, names: Sequence[str], live: int, needed: int) -> None:
@@ -32,3 +34,23 @@ def ensure_column_capacity(owner, names: Sequence[str], live: int, needed: int) 
         new = np.empty(new_capacity, dtype=old.dtype)
         new[:live] = old[:live]
         setattr(owner, name, new)
+
+
+def stable_argsort(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")``, through composite keys.
+
+    Each entry becomes the int64 key ``(id << 32) | position``.  The keys
+    are distinct, so the plain ``np.sort`` of them, which is much faster
+    than a stable argsort, orders equal ids by position: their low 32
+    bits are the stable argsort.  Inputs a key cannot hold (a negative
+    id, an id of ``2**31`` or more, ``2**32`` entries or more) take the
+    stable argsort itself.
+    """
+    n = ids.size
+    if not n or n >= 1 << 32 or int(ids.min()) < 0 or int(ids.max()) >= 1 << 31:
+        return np.argsort(ids, kind="stable")
+    keys = ids.astype(np.int64) << 32
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys

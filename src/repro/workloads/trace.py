@@ -165,16 +165,18 @@ def read_trace_header(path: str) -> TraceHeader:
     return TraceHeader(num_videos=int(num_videos), num_events=int(num_events))
 
 
-def iter_trace(path: str) -> Iterator[Tuple[int, int]]:
+def iter_trace(path: str, start: int = 0) -> Iterator[Tuple[int, int]]:
     """Stream ``(time, video)`` events from ``path`` in bounded memory.
 
     Reads ``CHUNK_EVENTS`` events per I/O call; a multi-gigabyte trace
-    replays with the same footprint as the bundled fixture.
+    replays with the same footprint as the bundled fixture.  The stream
+    begins at event ``start``, which it seeks to.
     """
     header = read_trace_header(path)
-    remaining = header.num_events
+    start = check_non_negative_integer(start, "start")
+    remaining = header.num_events - start
     with open(path, "rb") as handle:
-        handle.seek(_HEADER.size)
+        handle.seek(_HEADER.size + start * _EVENT_DTYPE.itemsize)
         while remaining > 0:
             batch = min(remaining, CHUNK_EVENTS)
             raw = handle.read(batch * _EVENT_DTYPE.itemsize)
@@ -211,6 +213,10 @@ class TraceDemandWorkload:
         Bundled trace name or path (see :func:`resolve_trace_path`).
     start_time:
         Offset added to every trace timestamp, shifting the replay.
+
+    A pickled workload keeps the trace reference as given and the number
+    of events it has taken from the stream, and reopens the stream at
+    that event when unpickled.
     """
 
     def __init__(
@@ -219,13 +225,25 @@ class TraceDemandWorkload:
         start_time: int = 0,
         random_state: RandomState = None,
     ):
+        self._trace = trace
         self._path = resolve_trace_path(trace)
         self._start = check_non_negative_integer(start_time, "start_time")
         self._rng = as_generator(random_state)
         self._header = read_trace_header(self._path)
         self._events = iter_trace(self._path)
+        self._consumed = 0  # events taken from the stream, the pending one too
         self._pending: Tuple[int, int] | None = None
         self._exhausted = self._header.num_events == 0
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_events"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._path = resolve_trace_path(self._trace)
+        self._events = iter_trace(self._path, self._consumed)
 
     @property
     def header(self) -> TraceHeader:
@@ -240,6 +258,7 @@ class TraceDemandWorkload:
                     break
                 try:
                     self._pending = next(self._events)
+                    self._consumed += 1
                 except StopIteration:
                     self._exhausted = True
                     break

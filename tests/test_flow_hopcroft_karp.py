@@ -13,6 +13,7 @@ from repro.flow.bipartite import hall_deficiency
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.scenarios.oracle import unit_demand_network
+from repro.util import stable_argsort
 
 solver_settings = settings(
     max_examples=60,
@@ -488,18 +489,15 @@ class TestGreedyFirstFit:
 
 
 class TestStableRightOrder:
-    """The fast right-node order must equal the stable argsort for any ids."""
+    """The kernel's right-node order, :func:`repro.util.stable_argsort`, must
+    equal the stable argsort for any ids."""
 
     def test_small_ids_use_int32_and_stay_stable(self):
-        from repro.flow.hopcroft_karp import _stable_right_order
-
         seq = np.array([5, 2, 5, 2, 0], dtype=np.int64)
         expected = np.argsort(seq, kind="stable")
-        assert list(_stable_right_order(seq)) == list(expected)
+        assert list(stable_argsort(seq)) == list(expected)
 
     def test_ids_past_int32_sort_correctly(self):
-        from repro.flow.hopcroft_karp import _stable_right_order
-
         boundary = np.iinfo(np.int32).max
         # Just past the int32 boundary: the old unconditional cast wrapped
         # these negative and scrambled the stable CSR adoption order.
@@ -507,17 +505,15 @@ class TestStableRightOrder:
             [boundary + 1, 3, boundary + 1, 2, boundary + 2], dtype=np.int64
         )
         expected = np.argsort(seq, kind="stable")
-        assert list(_stable_right_order(seq)) == list(expected)
+        assert list(stable_argsort(seq)) == list(expected)
         wrapped = np.argsort(seq.astype(np.int32), kind="stable")
         assert list(wrapped) != list(expected)
 
     def test_boundary_id_still_uses_the_cast(self):
-        from repro.flow.hopcroft_karp import _stable_right_order
-
         boundary = np.iinfo(np.int32).max
         seq = np.array([boundary, 0, boundary], dtype=np.int64)
         expected = np.argsort(seq, kind="stable")
-        assert list(_stable_right_order(seq)) == list(expected)
+        assert list(stable_argsort(seq)) == list(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -535,8 +531,6 @@ class TestStableRightOrder:
     @example([-1, 0, -1, 2])
     @example([2**31, 0, 2**31, 2**31 - 1])
     def test_equals_the_stable_argsort(self, ids):
-        from repro.flow.hopcroft_karp import _stable_right_order
-
         seq = np.array(ids, dtype=np.int64)
         expected = np.argsort(seq, kind="stable")
-        assert list(_stable_right_order(seq)) == list(expected)
+        assert list(stable_argsort(seq)) == list(expected)

@@ -264,6 +264,51 @@ class TestHallOracle:
         assert len(witness) >= 3
 
 
+class TestAdoptAllocation:
+    """One setter adopts a grown allocation: it rebuilds the static index
+    only when the replica placement changed, and keeps the downloads."""
+
+    def _index(self):
+        catalog = Catalog(num_videos=3, num_stripes=2, duration=5)
+        population = homogeneous_population(8, u=1.0, d=2.0)
+        allocation = random_permutation_allocation(
+            catalog, population, replicas_per_stripe=2, random_state=0
+        )
+        index = PossessionIndex(allocation, cache_window=5)
+        index.record_downloads([1], [7], 2)
+        return index
+
+    def test_a_grown_population_with_the_same_placement_keeps_the_static_index(self):
+        index = self._index()
+        before = index.allocation
+        static = (index._static_indptr, index._static_boxes)
+        grown = Allocation(
+            before.catalog, homogeneous_population(10, u=1.0, d=2.0), 2,
+            before.replica_box.copy(),
+        )
+        index.adopt_allocation(grown)
+        assert index.allocation is grown
+        assert index._static_indptr is static[0] and index._static_boxes is static[1]
+        index.record_downloads([1], [9], 3)  # a joined box
+        assert index.cache_servers(1, 4, 4) == {7, 9}
+
+    def test_a_grown_catalog_rebuilds_the_static_index(self):
+        index = self._index()
+        before = index.allocation
+        grown = Allocation(
+            Catalog(num_videos=4, num_stripes=2, duration=5), before.population, 2,
+            np.concatenate([before.replica_box, [3, 0, 2, 2]]),
+        )
+        index.adopt_allocation(grown)
+        assert index.allocation is grown
+        for stripe in range(6):
+            expected = np.unique(before.replica_box[2 * stripe: 2 * stripe + 2])
+            assert index.static_servers(stripe).tolist() == expected.tolist()
+        assert index.static_servers(6).tolist() == [0, 3]
+        assert index.static_servers(7).tolist() == [2]
+        assert index.cache_servers(1, 3, 3) == {7}
+
+
 class TestDownloadWriterAndQueryChecks:
     """The download log has one writer, :meth:`record_downloads`, fed one
     round at a time in order.  Stripe ids and rounds are checked where
@@ -285,9 +330,9 @@ class TestDownloadWriterAndQueryChecks:
 
     @staticmethod
     def _log_state(index):
-        log = index._log
-        live = slice(log.head, log.tail)
-        return log.stripes[live].tolist(), log.boxes[live].tolist(), log.times[live].tolist()
+        """The live entries as ``(stripes, boxes, rounds)``, in key order."""
+        keys, boxes = index._log.sorted_view()
+        return (keys >> 31).tolist(), boxes.tolist(), (keys & (2**31 - 1)).tolist()
 
     def test_out_of_order_block_raises_and_leaves_the_log_unchanged(self):
         index = self._index()
@@ -300,6 +345,21 @@ class TestDownloadWriterAndQueryChecks:
         assert self._log_state(index) == before
         index.record_downloads([2], [5], 4)  # the same round is in order
         assert self._log_state(index)[2] == [4, 4, 4]
+
+    def test_eviction_drops_folded_and_queued_entries(self):
+        index = self._index()
+        log = index._log
+        log.extend(np.array([0, 1]), np.array([2, 3]), 1)
+        log.extend(np.array([2]), np.array([4]), 3)
+        assert len(log) == 3  # a query folds rounds 1 and 3 into the columns
+        log.extend(np.array([1]), np.array([5]), 3)
+        log.extend(np.array([0]), np.array([6]), 4)
+        log.evict_before(4)  # the folded rounds 1 and 3, the queued round 3
+        log.evict_before(3)  # a lower horizon evicts no less
+        assert self._log_state(index) == ([0], [6], [4])
+        log.evict_before(5)  # an empty log takes any round again
+        log.extend(np.array([1]), np.array([7]), 0)
+        assert self._log_state(index) == ([1], [7], [0])
 
     def test_largest_stripe_and_round_are_found_by_the_cache_window(self):
         index = self._index()

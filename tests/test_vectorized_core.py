@@ -579,11 +579,13 @@ TOP_ROUND = 2**31 - 1
 
 @st.composite
 def log_histories(draw):
-    """Round-ordered download blocks, evictions and queries on one index.
+    """Round-ordered download blocks, evictions, queries and pickle round
+    trips on one index.
 
     Several blocks and queries may share a round.  Rounds start anywhere
     up to the largest the sort key holds and stay there once they reach
-    it; stripe ids span the whole catalog.
+    it; stripe ids span the whole catalog.  An eviction may lag the
+    current round by up to two rounds.
     """
     catalog = Catalog(num_videos=draw(st.integers(1, 3)), num_stripes=2, duration=6)
     population = homogeneous_population(8, u=2.0, d=3.0)
@@ -599,12 +601,14 @@ def log_histories(draw):
     )
     ops = []
     for _ in range(draw(st.integers(1, 16))):
-        kind = draw(st.sampled_from(["next round", "write", "evict", "query"]))
+        kind = draw(st.sampled_from(["next round", "write", "evict", "pickle", "query"]))
         if kind == "next round":
             round_ = min(round_ + draw(st.integers(1, 2)), TOP_ROUND)
         elif kind == "write":
             ops.append((kind, round_, draw(st.lists(st.tuples(stripe, box), max_size=6))))
         elif kind == "evict":
+            ops.append((kind, draw(st.integers(max(round_ - 2, 0), round_)), None))
+        elif kind == "pickle":
             ops.append((kind, round_, None))
         else:
             # Entries of the current round show only to requests issued after it.
@@ -616,8 +620,9 @@ def log_histories(draw):
 
 
 class TestPatchedSortedView:
-    """The download log's sorted view, patched between queries, gives the
-    windows and rows a fresh sort of the live entries gives."""
+    """The download log's sorted columns, with writes and evictions folded
+    in between queries and across pickle round trips, give the windows
+    and rows a fresh sort of the live entries gives."""
 
     @given(history=log_histories())
     @settings(max_examples=150, deadline=None)
@@ -636,7 +641,14 @@ class TestPatchedSortedView:
             elif kind == "evict":
                 possession.evict_before(round_)
                 live = [e for e in live if e[2] >= round_ - window]
+            elif kind == "pickle":
+                possession = pickle.loads(pickle.dumps(possession))
             else:
+                keys, boxes = possession._log.sorted_view()
+                # The live entries, ordered by (stripe, round, arrival).
+                assert list(zip(
+                    (keys >> 31).tolist(), boxes.tolist(), (keys & TOP_ROUND).tolist()
+                )) == sorted(live, key=lambda e: (e[0], e[2])), ops
                 requests = _array_set(arg)
                 _, boxes, win_lo, win_hi = possession._cache_windows(
                     requests.stripe_id_array, requests.request_time_array, round_
@@ -654,6 +666,43 @@ class TestPatchedSortedView:
                     row = slice(indptr[i], indptr[i + 1])
                     assert indices[row].tolist() == row_boxes.tolist(), (i, ops)
                     assert expiry[row].tolist() == row_expiry.tolist(), (i, ops)
+
+    def test_a_restored_log_sorts_only_the_entries_written_since(self, monkeypatch):
+        """The pickled log is its two sorted int64 columns, so a restore
+        sorts nothing: the first query after it sorts only the new block."""
+        import repro.core.possession as possession_module
+
+        catalog = Catalog(num_videos=3, num_stripes=2, duration=6)
+        allocation = random_permutation_allocation(
+            catalog, homogeneous_population(8, u=2.0, d=3.0),
+            replicas_per_stripe=2, random_state=3,
+        )
+        index = PossessionIndex(allocation, cache_window=2)
+        rng = np.random.default_rng(0)
+        for round_ in range(5):
+            index.evict_before(round_)
+            index.record_downloads(rng.integers(0, 6, 10), rng.integers(0, 8, 10), round_)
+        requests = RequestSet(list(range(6)), [5] * 6, [0] * 6)
+        index.adjacency_for(requests, 5)
+        state = index._log.__getstate__()
+        assert [column.dtype for column in state] == [np.int64, np.int64]
+
+        payload = pickle.dumps(index)
+        sorted_sizes = []
+        stable_argsort = possession_module.stable_argsort
+        monkeypatch.setattr(
+            possession_module, "stable_argsort",
+            lambda ids: sorted_sizes.append(ids.size) or stable_argsort(ids),
+        )
+        restored = pickle.loads(payload)
+        for possession in (restored, index):
+            possession.evict_before(5)
+            possession.record_downloads([0, 5, 0], [1, 2, 3], 5)
+        requests = RequestSet(list(range(6)), [6] * 6, [4] * 6)
+        got = restored.adjacency_delta_for(requests, 6)
+        assert sorted_sizes == [3]
+        expected = index.adjacency_delta_for(requests, 6)
+        assert [x.tolist() for x in got] == [x.tolist() for x in expected]
 
 
 # --------------------------------------------------------------------- #

@@ -344,3 +344,13 @@ class TestTraceReader:
         path = tmp_path / "long.trace"
         write_trace(str(path), events, num_videos=5)
         assert list(iter_trace(str(path))) == events
+
+    def test_stream_starts_at_the_given_event(self, tmp_path, monkeypatch):
+        import repro.workloads.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "CHUNK_EVENTS", 7)
+        events = [(t // 3, t % 5) for t in range(30)]
+        path = tmp_path / "long.trace"
+        write_trace(str(path), events, num_videos=5)
+        for start in (0, 1, 7, 13, 29, 30, 31):
+            assert list(iter_trace(str(path), start)) == events[start:]
