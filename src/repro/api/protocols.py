@@ -27,7 +27,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     runtime_checkable,
 )
@@ -36,7 +35,7 @@ import numpy as np
 
 from repro.core.matching import ConnectionMatching
 from repro.core.possession import PossessionIndex
-from repro.core.requests import MatchDelta, RequestSet
+from repro.core.requests import RequestSet
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = [
@@ -64,14 +63,18 @@ class Solver(Protocol):
         current_time: int,
         busy_slots: Optional[Sequence[int]] = None,
         warm_start: Optional[Sequence[int]] = None,
-        delta: Optional[MatchDelta] = None,
+        pair_expiry: Optional[Sequence[int]] = None,
     ) -> ConnectionMatching:
         """Solve the round's b-matching; must return a *maximum* matching.
 
-        The engine passes the previous round's assignment (``warm_start``,
-        one entry per request) and how the request set evolved since the
-        previous call (``delta``) every round; a solver may use both to
-        repair rather than re-solve, or ignore them.
+        Every round the engine passes the previous round's assignment
+        (``warm_start``, one entry per request) and the ``pair_expiry``
+        that round's result carried (one entry per request, ``-1`` for the
+        requests activated since; ``None`` when it carried none).  A
+        solver may use both to repair rather than re-solve, or ignore
+        them.  The engine keeps the ``pair_expiry`` of each result (``None``
+        if it has none) for the next round, so a solver needs no round
+        state.
         """
         ...  # pragma: no cover
 
@@ -118,8 +121,8 @@ class RequestScheduler(Protocol):
 class ChurnModel(Protocol):
     """Per-round box availability."""
 
-    def offline_boxes(self, time: int) -> Set[int]:
-        """Boxes offline at round ``time``."""
+    def offline_array(self, time: int) -> np.ndarray:
+        """Sorted distinct int64 ids of the boxes offline at round ``time``."""
         ...  # pragma: no cover
 
     def is_offline(self, box_id: int, time: int) -> bool:

@@ -9,8 +9,8 @@ kind             factory signature                                   built-in na
                                                                      ``dinic``
 ``scheduler``    ``f(catalog, **params) -> RequestScheduler``        ``preloading``,
                                                                      ``immediate``
-``workload``     ``f(params, start, mu, rng) -> DemandGenerator``    the 8 scenario kinds
-                                                                     plus ``static``
+``workload``     ``f(params, start, mu, rng) -> DemandGenerator``    ``zipf``, ``uniform``,
+                                                                     ``static`` and 9 more
 ``churn``        ``f(num_boxes, horizon, params, rng)``              ``random``
 ``population``   ``f(kind_params, rng) -> BoxPopulation``            ``homogeneous``,
                                                                      ``two_class``, ``pareto``

@@ -57,9 +57,12 @@ __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 #: 3 — one request path: the engine's last-demand dicts and the
 #:     schedulers' demand logs are gone, and the relayed scheduler queues
 #:     its requests and relay-cache events as arrays.  The swarm registry
-#:     now keeps live sizes instead of entry logs and the churn schedule
-#:     columns instead of ``Outage`` objects; format-3 payloads from older
-#:     builds load through their ``__setstate__`` converters.
+#:     now keeps live sizes and a violation count instead of entry logs
+#:     and violation records, the churn schedule columns instead of
+#:     ``Outage`` objects, the metrics collector start-up delay totals
+#:     instead of every delay, and the request pool the pair expiries the
+#:     matcher used to hold; format-3 payloads from older builds load
+#:     through their ``__setstate__`` converters.
 SNAPSHOT_FORMAT_VERSION = 3
 
 
@@ -604,7 +607,7 @@ class VodSession:
             demands_injected=injected,
             demands_rejected=int(engine.rejected_demands - rejected_before),
             playback_starts=playback_starts,
-            offline_boxes=len(engine.offline_boxes(time)),
+            offline_boxes=int(engine.offline_array(time).size),
             degraded=int(engine.last_round_degraded),
             repair_fallback=int(getattr(engine, "last_round_repair_fallback", False)),
         )

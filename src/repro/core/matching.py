@@ -13,7 +13,9 @@ repair in :mod:`repro.flow.repair`.  This module provides:
 
 * :class:`ConnectionMatcher` — builds the bipartite graph ``G`` from ``Y``
   to the boxes and solves the connection matching, repairing the previous
-  round's matching when it can;
+  round's matching when the call carries its pair expiries.  The matcher
+  keeps no round state: the engine's request pool holds the previous
+  assignment and pair expiries, and each result hands back the new ones;
 * :func:`check_feasibility_hall` — the direct (exponential) form of
   Lemma 1's condition ``∀X ⊆ Y : U_{B(X)} ≥ |X|/c`` over the matcher's
   per-box slots ``⌊u_b·c⌋``, used on small instances to validate the
@@ -34,7 +36,7 @@ import numpy as np
 # ``session_snapshot_v3.bin`` fixture names both), and the end-to-end
 # benchmark's tracer imports ``PossessionIndex`` from here.
 from repro.core.possession import PossessionIndex, _DownloadLog  # noqa: F401
-from repro.core.requests import MatchDelta, RequestSet
+from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
@@ -89,6 +91,11 @@ class ConnectionMatching:
         budget and the round was re-solved by the full Hopcroft–Karp
         kernel.  Like ``degraded``, a pure provenance flag: the matching
         itself is identical to what the repair would have produced.
+    pair_expiry:
+        Per request, the last round its matched pair stays valid
+        (meaningless where unmatched), for the next round's repair;
+        ``None`` when the round kept none (no ``warm_start``, an
+        augmentation budget, or the Dinic solver).
     """
 
     feasible: bool
@@ -99,6 +106,7 @@ class ConnectionMatching:
     capacities: np.ndarray
     degraded: bool = False
     repair_fallback: bool = False
+    pair_expiry: Optional[np.ndarray] = None
 
 
 #: Matching kernels a :class:`ConnectionMatcher` (and so a scenario, the
@@ -133,8 +141,8 @@ class ConnectionMatcher:
         (Section 4).
     solver:
         ``"hopcroft_karp"`` (default) repairs the previous round's
-        matching when the call carries a :class:`MatchDelta` and falls
-        back to the full kernel on the CSR adjacency emitted by
+        matching when the call carries its pair expiries and falls back
+        to the full kernel on the CSR adjacency emitted by
         :meth:`PossessionIndex.adjacency_for`;
         ``"dinic"`` solves every round cold with the in-house Dinic max
         flow (:func:`repro.flow.dinic.dinic_matching`) on the same CSR
@@ -167,11 +175,6 @@ class ConnectionMatcher:
         self._solver = solver
         self._augmentation_budget: Optional[int] = None
         self.set_augmentation_budget(augmentation_budget)
-        # Incremental round state: per previous-round request, the last
-        # round its matched pair stays valid (meaningless where unmatched).
-        # ``None`` means "no usable state" — the next delta round runs the
-        # full kernel once and rebuilds it.
-        self._pair_expiry: Optional[np.ndarray] = None
         self._repair_search_budget: Optional[int] = None
         self._repair_rounds = 0
 
@@ -223,14 +226,6 @@ class ConnectionMatcher:
         """Rounds solved entirely by the incremental repair (no full kernel)."""
         return self._repair_rounds
 
-    def reset_incremental_state(self) -> None:
-        """Drop the incremental pair bookkeeping.
-
-        The next round has nothing to repair and runs the full kernel,
-        which rebuilds the bookkeeping.
-        """
-        self._pair_expiry = None
-
     def update_upload_slots(self, upload_slots: Sequence[int]) -> None:
         """Replace the per-box capacities (live capacity reconfiguration).
 
@@ -254,7 +249,7 @@ class ConnectionMatcher:
         current_time: int,
         busy_slots: Optional[Sequence[int]] = None,
         warm_start: Optional[Sequence[int]] = None,
-        delta: Optional[MatchDelta] = None,
+        pair_expiry: Optional[Sequence[int]] = None,
     ) -> ConnectionMatching:
         """Wire the requests of round ``current_time``.
 
@@ -270,18 +265,22 @@ class ConnectionMatcher:
         the *current* instance; only the solve gets cheaper.  Ignored by
         the Dinic solver.
 
-        ``delta`` additionally describes how the request set evolved from
-        the previous ``match`` call (see :class:`MatchDelta`) and enables
-        the incremental path: instead of re-gathering the full adjacency,
-        the matcher retires only the pairs invalidated by the delta
-        (expired cache edges, over-capacity boxes) and repairs the small
-        deficit from the delta rows, read on demand.  A repaired-to-perfect
-        matching is maximum by construction; any other outcome falls back
-        to the full kernel, so results are bit-compatible with a full
-        solve.  ``delta`` requires ``warm_start``.  Without a delta, or
-        with an ``augmentation_budget`` set (budgeted rounds must charge
-        the full kernel so degradation fires identically), the round runs
-        the full kernel and drops the pair bookkeeping.
+        ``pair_expiry`` gives, per request, the last round its
+        ``warm_start`` pair stays valid, as the previous round's result
+        returned it in :attr:`ConnectionMatching.pair_expiry` (``-1`` for
+        the requests activated since).  It enables the incremental path:
+        instead of re-gathering the full adjacency, the matcher retires
+        only the pairs that no longer hold (expired cache edges,
+        over-capacity boxes) and repairs the small deficit from the
+        deficit rows, read on demand.  A repaired-to-perfect matching is
+        maximum by construction; any other outcome falls back to the full
+        kernel, so results are bit-compatible with a full solve.
+        ``pair_expiry`` needs a ``warm_start`` of the same length, else
+        ``ValueError``.  Without it, or with an ``augmentation_budget`` set
+        (budgeted rounds must charge the full kernel so degradation fires
+        identically), the round runs the full kernel.  The result carries
+        the pair expiries of its matching whenever the call has a
+        ``warm_start`` and no budget is set.
 
         Only the full kernel gathers adjacency, through
         :meth:`PossessionIndex.adjacency_for`.  When the repair fell
@@ -294,9 +293,9 @@ class ConnectionMatcher:
         it again later), so the pair may retire early, which is safe.
         Only the pairs the kernel made are looked up, through
         :meth:`PossessionIndex.adjacency_delta_for` on their rows, and
-        take their box's latest edge expiry.  A seed without pair state
-        (round 0, after a reset) carries none, so all its matched rows
-        are looked up.
+        take their box's latest edge expiry.  A seed without pair
+        expiries (round 0, after a reset) carries none, so all its matched
+        rows are looked up.
         """
         n = self._slots.size
         capacities = self._slots.copy()
@@ -310,41 +309,42 @@ class ConnectionMatcher:
 
         num_requests = len(requests)
         if not num_requests:
-            if self._solver == "hopcroft_karp":
-                self._pair_expiry = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
             return ConnectionMatching(
                 feasible=True,
-                assignment=np.empty(0, dtype=np.int64),
+                assignment=empty,
                 matched=0,
                 obstruction_witness=None,
                 box_load=np.zeros(n, dtype=np.int64),
                 capacities=capacities,
+                pair_expiry=empty if self._solver == "hopcroft_karp" else None,
             )
 
         degraded = False
         repair_fallback = False
+        expiry: Optional[np.ndarray] = None
         if self._solver == "dinic":
             indptr, indices = possession.adjacency_for(requests, current_time)
             result = dinic_matching(num_requests, n, indptr, indices, capacities)
         else:
             if warm_start is not None and len(warm_start) != num_requests:
                 raise ValueError("warm_start must have one entry per request")
-            if delta is not None and warm_start is None:
-                raise ValueError("delta requires the warm_start assignment it extends")
+            if pair_expiry is not None and (
+                warm_start is None or len(pair_expiry) != num_requests
+            ):
+                raise ValueError("pair_expiry needs a warm_start of the same length")
             # A budgeted round skips the repair: the full kernel must do
             # the searching so AugmentationBudgetExceeded → degraded fires
             # exactly as without the incremental layer.
-            incremental_ctx = delta is not None and self._augmentation_budget is None
+            incremental = warm_start is not None and self._augmentation_budget is None
             repair: Optional[_Repair] = None
-            if incremental_ctx:
+            if incremental and pair_expiry is not None:
                 repair = self._try_repair(
                     requests, possession, current_time, capacities,
-                    warm_start, delta,
+                    warm_start, pair_expiry,
                 )
-            else:
-                self._pair_expiry = None
             if repair is not None and repair.complete:
-                self._pair_expiry = repair.pair_expiry
+                expiry = repair.pair_expiry
                 result = HKMatchingResult(
                     feasible=True,
                     assignment=repair.assignment,
@@ -377,8 +377,8 @@ class ConnectionMatcher:
                     # are unchanged; only the degraded flag records the event.
                     result = dinic_matching(num_requests, n, indptr, indices, capacities)
                     degraded = True
-                if incremental_ctx:
-                    self._pair_expiry = self._kernel_pair_expiry(
+                if incremental:
+                    expiry = self._kernel_pair_expiry(
                         result.assignment, repair, requests, possession, current_time
                     )
 
@@ -394,6 +394,7 @@ class ConnectionMatcher:
             capacities=capacities,
             degraded=degraded,
             repair_fallback=repair_fallback,
+            pair_expiry=expiry,
         )
 
     # ------------------------------------------------------------------ #
@@ -466,44 +467,24 @@ class ConnectionMatcher:
         current_time: int,
         capacities: np.ndarray,
         warm_start: Sequence[int],
-        delta: MatchDelta,
-    ) -> Optional[_Repair]:
+        pair_expiry: Sequence[int],
+    ) -> _Repair:
         """Attempt the incremental repair of one round.
 
-        Returns ``None`` when there is no usable pair state.  Otherwise
-        the repair's assignment and pair expiries: ``complete`` when the
-        delta was repaired to a perfect — hence maximum — matching; else
-        the round must run the full kernel, seeded with this partial
-        assignment (some request has no augmenting path, i.e. the round
-        is infeasible and needs the kernel's Hall witness, or
-        ``over_budget``: the repair search budget ran out, which the
-        caller counts as a *repair fallback*).  Every pair of a partial
-        assignment is an edge of this round within capacity.
+        Returns the repair's assignment and pair expiries, both new
+        arrays: ``complete`` when the deficit was repaired to a perfect —
+        hence maximum — matching; else the round must run the full
+        kernel, seeded with this partial assignment (some request has no
+        augmenting path, i.e. the round is infeasible and needs the
+        kernel's Hall witness, or ``over_budget``: the repair search
+        budget ran out, which the caller counts as a *repair fallback*).
+        Every pair of a partial assignment is an edge of this round
+        within capacity.
         """
-        pair_expiry_prev = self._pair_expiry
-        if pair_expiry_prev is None:
-            return None
         num_requests = len(requests)
-        num_new = int(delta.num_new)
-        num_survivors = num_requests - num_new
-        if num_survivors < 0:
-            return None
-        keep = delta.keep_mask
-        if keep is not None:
-            if (
-                keep.size != pair_expiry_prev.size
-                or int(keep.sum()) != num_survivors
-            ):
-                return None
-            pair_expiry_prev = pair_expiry_prev[keep]
-        elif pair_expiry_prev.size != num_survivors:
-            return None
-
         n = capacities.size
         assignment = np.asarray(warm_start, dtype=np.int64).copy()
-        pair_expiry = np.empty(num_requests, dtype=np.int64)
-        pair_expiry[:num_survivors] = pair_expiry_prev
-        pair_expiry[num_survivors:] = -1
+        pair_expiry = np.array(pair_expiry, dtype=np.int64)
         # Retire the pairs whose edge aged out or whose box lost capacity.
         load = _retire_pairs(assignment, pair_expiry, capacities, current_time)
 

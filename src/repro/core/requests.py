@@ -1,18 +1,16 @@
-"""The round's request multiset ``Y`` (Section 2.2) and its change.
+"""The round's request multiset ``Y`` (Section 2.2).
 
-:class:`RequestSet` holds the stripe requests not yet wired as columns;
-:class:`MatchDelta` tells the matcher how they changed since the previous
-round, so it can repair its previous matching instead of re-solving.
+:class:`RequestSet` holds the stripe requests not yet wired as columns.
+What the previous round's matching left to repair (its assignment and
+pair expiries) lives with the requests in the engine's pool,
+:class:`repro.sim.scheduler.ActiveRequestPool`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-__all__ = ["RequestSet", "MatchDelta"]
+__all__ = ["RequestSet"]
 
 
 class RequestSet:
@@ -60,21 +58,3 @@ class RequestSet:
     def __len__(self) -> int:
         return int(self._stripes.size)
 
-
-@dataclass(frozen=True)
-class MatchDelta:
-    """The inter-round change of the active request multiset.
-
-    Produced by the engine each round and handed to
-    :meth:`repro.core.matching.ConnectionMatcher.match`: the new request
-    set equals the previous one filtered by ``keep_mask`` (order
-    preserved) followed by ``num_new`` appended arrivals.  ``keep_mask``
-    is ``None`` when no request expired.  Capacity changes (churn, faults,
-    joins) need no explicit feed — the matcher compares its own load
-    bookkeeping against the capacities of the current round.
-    """
-
-    #: Boolean mask over the *previous* round's requests (``None`` = all kept).
-    keep_mask: Optional[np.ndarray]
-    #: Number of requests appended after the survivors.
-    num_new: int

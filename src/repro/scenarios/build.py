@@ -224,16 +224,17 @@ def build_full_solve_twin(
     """Compile ``spec`` so that every round runs the full matching kernel.
 
     The twin is :func:`build_scenario`'s build plus a round observer that
-    drops the matcher's repair state after each round, so the next round
-    has no pairs to repair and falls back to the full Hopcroft–Karp
-    kernel, warm-seeded by the pool's assignment.  It is the reference
+    drops the pool's pair expiries after each round
+    (:meth:`VodSimulator.reset_incremental_state`), so the next round has
+    no pairs to repair and falls back to the full Hopcroft–Karp kernel,
+    warm-seeded by the pool's assignment.  It is the reference
     the incremental repair is checked against: its per-round records
     must equal those of a plain build.
     """
     compiled: Optional[CompiledScenario] = None
 
     def drop_repair_state(_observation: RoundObservation) -> None:
-        compiled.simulator.matcher.reset_incremental_state()
+        compiled.simulator.reset_incremental_state()
 
     compiled = build_scenario(
         spec, seed=seed, round_observer=drop_repair_state, min_horizon=min_horizon

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.matching import MATCHING_SOLVERS
+from repro.api.registry import available_components
 from repro.util.validation import (
     check_in_range,
     check_non_negative_integer,
@@ -29,9 +29,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "POPULATION_KINDS",
-    "ALLOCATION_SCHEMES",
-    "WORKLOAD_KINDS",
     "CatalogSpec",
     "PopulationSpec",
     "AllocationSpec",
@@ -41,26 +38,11 @@ __all__ = [
     "ScenarioSpec",
 ]
 
-#: Population constructors the compiler knows how to build.
-POPULATION_KINDS = ("homogeneous", "two_class", "pareto", "tiered")
-
-#: Allocation schemes the compiler knows how to draw.
-ALLOCATION_SCHEMES = ("permutation", "independent", "round_robin", "hierarchical_cache")
-
-#: Workload generators usable as scenario phases.
-WORKLOAD_KINDS = (
-    "zipf",
-    "uniform",
-    "flashcrowd",
-    "staggered_flashcrowd",
-    "sequential",
-    "missing_video",
-    "least_replicated",
-    "cold_start",
-    "drift",
-    "flash_rotation",
-    "trace",
-)
+def _check_registered(kind: str, name: str, what: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a registered ``kind`` component."""
+    registered = tuple(available_components(kind)[kind])
+    if name not in registered:
+        raise ValueError(f"{what} must be one of {registered}, got {name!r}")
 
 
 def _freeze_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -115,10 +97,7 @@ class PopulationSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in POPULATION_KINDS:
-            raise ValueError(
-                f"population kind must be one of {POPULATION_KINDS}, got {self.kind!r}"
-            )
+        _check_registered("population", self.kind, "population kind")
         object.__setattr__(self, "params", _freeze_params(self.params))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -138,10 +117,7 @@ class AllocationSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.scheme not in ALLOCATION_SCHEMES:
-            raise ValueError(
-                f"allocation scheme must be one of {ALLOCATION_SCHEMES}, got {self.scheme!r}"
-            )
+        _check_registered("allocation", self.scheme, "allocation scheme")
         check_positive_integer(self.replicas_per_stripe, "replicas_per_stripe")
         object.__setattr__(self, "params", _freeze_params(self.params))
 
@@ -178,10 +154,7 @@ class WorkloadPhaseSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"workload kind must be one of {WORKLOAD_KINDS}, got {self.kind!r}"
-            )
+        _check_registered("workload", self.kind, "workload kind")
         check_non_negative_integer(self.start, "start")
         if self.stop is not None:
             check_positive_integer(self.stop, "stop")
@@ -288,8 +261,9 @@ class ScenarioSpec:
     horizon:
         Default number of rounds.
     solver:
-        Matching kernel, one of
-        :data:`~repro.core.matching.MATCHING_SOLVERS`.
+        Matching kernel: a registered ``"solver"`` component
+        (:mod:`repro.api.registry`; built in: ``"hopcroft_karp"`` and
+        ``"dinic"``).
     default_seed:
         Seed used when the caller does not supply one.
     trace_level:
@@ -328,10 +302,7 @@ class ScenarioSpec:
             raise ValueError("scenario must declare at least one workload phase")
         check_in_range(self.mu, "mu", 1.0, float("inf"))
         check_positive_integer(self.horizon, "horizon")
-        if self.solver not in MATCHING_SOLVERS:
-            raise ValueError(
-                f"solver must be one of {MATCHING_SOLVERS}, got {self.solver!r}"
-            )
+        _check_registered("solver", self.solver, "solver")
         check_non_negative_integer(self.default_seed, "default_seed")
         if self.trace_level not in ("full", "lean"):
             raise ValueError(

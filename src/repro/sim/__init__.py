@@ -21,7 +21,7 @@ from repro.sim.events import (
 )
 from repro.sim.metrics import MetricsCollector, RoundStats, SimulationMetrics
 from repro.sim.scheduler import ActiveRequestPool
-from repro.sim.swarm import SwarmGrowthViolation, SwarmRegistry, max_new_members
+from repro.sim.swarm import SwarmRegistry, max_new_members
 from repro.sim.trace import SimulationTrace
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "RoundStats",
     "SimulationMetrics",
     "ActiveRequestPool",
-    "SwarmGrowthViolation",
     "SwarmRegistry",
     "max_new_members",
     "SimulationTrace",

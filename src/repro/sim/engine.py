@@ -36,7 +36,7 @@ from repro.core.heterogeneous import CompensationPlan, RelayedPreloadingSchedule
 from repro.core.matching import ConnectionMatcher, ConnectionMatching
 from repro.core.possession import PossessionIndex
 from repro.core.preloading import PreloadingScheduler, check_box_ids, check_video_ids
-from repro.core.requests import MatchDelta, RequestSet
+from repro.core.requests import RequestSet
 from repro.sim.churn import ChurnSchedule
 from repro.sim.clock import RoundClock
 from repro.sim.events import (
@@ -178,15 +178,17 @@ class VodSimulator:
         callable ``f(upload_slots) -> Solver`` (what the
         :mod:`repro.api` registry stores), letting registered custom
         solvers plug in.  Every round hands the solver the pool's
-        request→box assignment and a :class:`MatchDelta`; the default
-        kernel repairs that assignment (surviving pairs are validated —
-        box still possesses the data, still has capacity, not offline —
-        and only the delta is re-solved) and falls back to the full
-        kernel.  Each round's matched count and feasibility equal a cold
-        solve of the same state (the kernel always returns a maximum
-        matching), so fully feasible runs agree with the cold oracles on
-        every request-level observable: per-round matched counts, service
-        rounds, startup delays, metrics.  *Which* box serves each request
+        request→box assignment and the pair expiries the previous
+        round's matching returned (the pool keeps both; the solver keeps
+        no round state); the default kernel repairs that assignment
+        (pairs past their expiry, or on a box over capacity or offline,
+        are retired, and only the requests left without a server are
+        re-solved) and falls back to the full kernel.  Each round's
+        matched count and feasibility equal a cold solve of the same
+        state (the kernel always returns a maximum matching), so fully
+        feasible runs agree with the cold oracles on every request-level
+        observable: per-round matched counts, service rounds, startup
+        delays, metrics.  *Which* box serves each request
         may still differ (maximum matchings are not unique), so
         connection-level records (``record_connections`` events, per-box
         loads) are solver-dependent.  In overload regimes a partially
@@ -380,12 +382,12 @@ class VodSimulator:
     def free_boxes(self, time: int) -> np.ndarray:
         """Boxes not playing any video (and not offline) at round ``time``."""
         mask = self._busy_until <= time
-        offline = self._offline_array(time)
+        offline = self.offline_array(time)
         if offline.size:
             mask[offline] = False
         return np.flatnonzero(mask).astype(np.int64)
 
-    def _offline_array(self, time: int) -> np.ndarray:
+    def offline_array(self, time: int) -> np.ndarray:
         """Sorted array of boxes offline at round ``time`` (empty without churn)."""
         if self._churn is None:
             return np.empty(0, dtype=np.int64)
@@ -393,7 +395,7 @@ class VodSimulator:
 
     def offline_boxes(self, time: int) -> set:
         """Boxes offline at round ``time`` under the churn schedule (empty without churn)."""
-        return self._churn.offline_boxes(time) if self._churn is not None else set()
+        return set(self.offline_array(time).tolist())
 
     def is_box_busy(self, box_id: int, time: int) -> bool:
         """Whether ``box_id`` is still playing a video at round ``time``."""
@@ -430,13 +432,30 @@ class VodSimulator:
         """Execute one round against ``workload``; returns its feasibility."""
         return self._step(workload)
 
+    def reset_incremental_state(self) -> None:
+        """Drop the last matching's pair expiries: the next round has
+        nothing to repair and runs the full kernel, which records them
+        afresh (the full-solve twin does this after every round)."""
+        self._pool.forget_expiries()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_expiry" not in vars(self._pool):
+            # A format-3 engine from an older build: its matcher held the
+            # round state, the pair expiries of the pool's rows (snapshots
+            # are taken between rounds, so the two line up) and in older
+            # builds a partial repair that nothing reads.
+            matcher_state = vars(self._matcher)
+            matcher_state.pop("_partial_repair", None)
+            self._pool._expiry = matcher_state.pop("_pair_expiry", None)
+
     def result(self, stopped_early: bool = False) -> SimulationResult:
         """Aggregate everything executed so far into a :class:`SimulationResult`.
 
         Non-destructive: the engine can keep stepping afterwards, and
         ``result()`` can be called again.
         """
-        self._metrics.record_swarm_violations(len(self._swarms.violations))
+        self._metrics.record_swarm_violations(self._swarms.violation_count)
         return SimulationResult(
             metrics=self._metrics.finalize(),
             trace=self._trace,
@@ -450,8 +469,7 @@ class VodSimulator:
     def _step(self, workload: DemandGenerator) -> bool:
         time = self._clock.now
         self._possession.evict_before(time)
-        keep_mask = self._pool.drop_expired_keeping(time)
-        survivors = len(self._pool)
+        self._pool.drop_expired_keeping(time)
 
         # 1. Demand arrivals.
         view = SystemView(
@@ -478,7 +496,7 @@ class VodSimulator:
         # cannot serve: their whole capacity is marked busy for this round.
         request_set = self._pool.request_set()
         busy_slots = None
-        offline = self._offline_array(time)
+        offline = self.offline_array(time)
         if offline.size:
             busy_slots = np.zeros(self._population.n, dtype=np.int64)
             busy_slots[offline] = self._matcher.upload_slots[offline]
@@ -488,9 +506,7 @@ class VodSimulator:
             time,
             busy_slots=busy_slots,
             warm_start=self._pool.assigned_snapshot(),
-            delta=MatchDelta(
-                keep_mask=keep_mask, num_new=len(self._pool) - survivors
-            ),
+            pair_expiry=self._pool.pair_expiry,
         )
         self._last_round_degraded = bool(getattr(matching, "degraded", False))
         if self._last_round_degraded:
@@ -500,7 +516,9 @@ class VodSimulator:
         )
         if self._last_round_repair_fallback:
             self._repair_fallback_rounds += 1
-        self._pool.apply_matching(matching.assignment, time)
+        self._pool.apply_matching(
+            matching.assignment, time, getattr(matching, "pair_expiry", None)
+        )
 
         if self._record_connections:
             served = np.flatnonzero(matching.assignment >= 0)

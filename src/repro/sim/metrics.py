@@ -165,11 +165,25 @@ class MetricsCollector:
             raise ValueError(f"num_boxes must be positive, got {num_boxes}")
         self._num_boxes = num_boxes
         self._round_stats: List[RoundStats] = []
-        self._startup_delays: List[int] = []
+        # Start-up delays as running totals: ``finalize`` reads only their
+        # maximum and mean, and the float64 mean of integers below 2**53
+        # is the correctly rounded ``total / count`` either way.
+        self._startup_delay_count = 0
+        self._startup_delay_total = 0
+        self._startup_delay_max = 0
         self._total_demands = 0
         self._total_requests = 0
         self._peak_box_load = 0
         self._swarm_violations = 0
+
+    def __setstate__(self, state: dict) -> None:
+        if "_startup_delays" in state:
+            # A format-3 collector from an older build kept every delay.
+            delays = state.pop("_startup_delays")
+            state["_startup_delay_count"] = len(delays)
+            state["_startup_delay_total"] = sum(delays)
+            state["_startup_delay_max"] = max(delays, default=0)
+        self.__dict__.update(state)
 
     @property
     def rounds_recorded(self) -> int:
@@ -231,11 +245,13 @@ class MetricsCollector:
         return stats
 
     def record_startup_delays(self, delays: np.ndarray) -> None:
-        """Record a round's start-up delays in one append."""
+        """Record a round's start-up delays."""
         if delays.size:
             if int(delays.min()) < 0:
                 raise ValueError("delay must be non-negative")
-            self._startup_delays.extend(delays.tolist())
+            self._startup_delay_count += int(delays.size)
+            self._startup_delay_total += int(delays.sum())
+            self._startup_delay_max = max(self._startup_delay_max, int(delays.max()))
 
     def record_swarm_violations(self, count: int) -> None:
         """Record the (final) number of swarm-growth violations."""
@@ -251,16 +267,15 @@ class MetricsCollector:
         infeasible = sum(1 for s in self._round_stats if not s.feasible)
         unmatched = sum(s.unmatched for s in self._round_stats)
         utilizations = [s.utilization for s in self._round_stats]
+        count = self._startup_delay_count
         return SimulationMetrics(
             rounds=len(self._round_stats),
             total_demands=self._total_demands,
             total_requests=self._total_requests,
             infeasible_rounds=infeasible,
             unmatched_requests=unmatched,
-            max_startup_delay=max(self._startup_delays) if self._startup_delays else None,
-            mean_startup_delay=float(np.mean(self._startup_delays))
-            if self._startup_delays
-            else None,
+            max_startup_delay=self._startup_delay_max if count else None,
+            mean_startup_delay=self._startup_delay_total / count if count else None,
             peak_utilization=max(utilizations) if utilizations else 0.0,
             mean_utilization=float(np.mean(utilizations)) if utilizations else 0.0,
             peak_box_load=self._peak_box_load,

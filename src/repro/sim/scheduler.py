@@ -9,11 +9,16 @@ handed to the matcher each round.
 
 The pool's state is struct-of-arrays: one NumPy column per request field
 (stripe, issue time, box, first-service round, demand index, warm-start
-assignment), kept in activation order.  Its only writers are
-the engine's three whole-array steps of a round:
-:meth:`~ActiveRequestPool.drop_expired_keeping` expires requests,
-:meth:`~ActiveRequestPool.extend_from_arrays` activates the round's new
-ones and :meth:`~ActiveRequestPool.apply_matching` adopts its matching.
+assignment), kept in activation order, plus the last matching's pair
+expiries, one per request it matched over (the incremental repair's
+input).  The pool is the one owner of this per-request round state: the
+matcher keeps none.  Its only writers are the engine's three whole-array
+steps of a round: :meth:`~ActiveRequestPool.drop_expired_keeping`
+expires requests, :meth:`~ActiveRequestPool.extend_from_arrays`
+activates the round's new ones and
+:meth:`~ActiveRequestPool.apply_matching` adopts its matching; the
+full-solve twin also drops the pair expiries after every round
+(:meth:`~ActiveRequestPool.forget_expiries`).
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ class ActiveRequestPool:
         self._first = np.empty(capacity, dtype=np.int64)
         self._demand = np.empty(capacity, dtype=np.int64)
         self._assigned = np.empty(capacity, dtype=np.int64)
+        # The last matching's pair expiries, exactly one per request it
+        # matched over (the first rows), or ``None`` when it kept none.
+        self._expiry: Optional[np.ndarray] = None
         self._size = 0
         self._expired_unserved = 0
 
@@ -101,6 +109,20 @@ class ActiveRequestPool:
         """A copy of the warm-start assignment column (safe to hand out)."""
         return self._assigned[: self._size].copy()
 
+    @property
+    def pair_expiry(self) -> Optional[np.ndarray]:
+        """Per-request last round of its warm-start pair (a new array).
+
+        The rows activated since the last matching read ``-1``.  ``None``
+        when that matching kept no pair expiries.
+        """
+        expiry = self._expiry
+        if expiry is None:
+            return None
+        return np.concatenate(
+            (expiry, np.full(self._size - expiry.size, -1, dtype=np.int64))
+        )
+
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
@@ -127,30 +149,29 @@ class ActiveRequestPool:
         self._assigned[lo:hi] = -1
         self._size = hi
 
-    def drop_expired_keeping(self, current_time: int) -> Optional[np.ndarray]:
+    def drop_expired_keeping(self, current_time: int) -> None:
         """Remove the requests whose playback window has elapsed.
 
-        Returns ``None`` when no request expired; otherwise the boolean
-        mask (over the pre-drop rows) of the survivors, in order — the
-        delta feed of the incremental matcher.
+        The survivors keep their order, and their pair expiries.
         """
         check_non_negative_integer(current_time, "current_time")
         n = self._size
         if n == 0:
-            return None
+            return
         first = self._first[:n]
         anchor = np.where(first >= 0, first, self._rtime[:n])
         removed_mask = current_time - anchor >= self._duration
         if not removed_mask.any():
-            return None
+            return
         self._expired_unserved += int((removed_mask & (first < 0)).sum())
         keep = ~removed_mask
         kept = int(keep.sum())
         for name in self._COLUMNS:
             arr = getattr(self, name)
             arr[:kept] = arr[:n][keep]
+        if self._expiry is not None:
+            self._expiry = self._expiry[keep[: self._expiry.size]]
         self._size = kept
-        return keep
 
     def request_set(self) -> RequestSet:
         """The multiset ``Y`` of active requests, in activation order.
@@ -166,13 +187,26 @@ class ActiveRequestPool:
             box_ids=self._box[:n].copy(),
         )
 
-    def apply_matching(self, assignment: np.ndarray, time: int) -> None:
-        """Adopt one round's matching: warm-start column + first-service rounds."""
+    def apply_matching(
+        self,
+        assignment: np.ndarray,
+        time: int,
+        pair_expiry: Optional[np.ndarray] = None,
+    ) -> None:
+        """Adopt one round's matching: warm-start column, first-service
+        rounds and its pair expiries (``None`` when it kept none)."""
         check_non_negative_integer(time, "time")
         n = self._size
         if assignment.shape != (n,):
             raise ValueError("assignment must have one entry per active request")
+        if pair_expiry is not None and pair_expiry.shape != (n,):
+            raise ValueError("pair_expiry must have one entry per active request")
+        self._expiry = pair_expiry
         self._assigned[:n] = assignment
         first = self._first[:n]
         newly = (first < 0) & (assignment >= 0)
         first[newly] = time
+
+    def forget_expiries(self) -> None:
+        """Drop the last matching's pair expiries: the next has nothing to repair."""
+        self._expiry = None

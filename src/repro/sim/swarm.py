@@ -12,12 +12,10 @@ exactly to the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.util.soa import stable_argsort
 from repro.util.validation import (
     check_in_range,
     check_integer,
@@ -25,18 +23,7 @@ from repro.util.validation import (
     check_positive_integer,
 )
 
-__all__ = ["SwarmGrowthViolation", "SwarmRegistry", "max_new_members"]
-
-
-@dataclass(frozen=True)
-class SwarmGrowthViolation:
-    """A violation of the swarm-growth bound ``µ`` for one video at one round."""
-
-    video_id: int
-    time: int
-    previous_size: int
-    new_size: int
-    allowed_size: int
+__all__ = ["SwarmRegistry", "max_new_members"]
 
 
 def max_new_members(current_size: int, mu: float) -> int:
@@ -52,14 +39,19 @@ def max_new_members(current_size: int, mu: float) -> int:
 
 
 class _VideoSwarm:
-    """Unpickling stub for the per-video entry logs of format-3 registries.
+    """Unpickling stub for the entry logs and violations of format-3 registries.
 
-    Registries pickled by older builds hold their entry logs as instances
-    of this class; :meth:`SwarmRegistry.__setstate__` drops them.
+    Registries pickled by older builds hold their entry logs and growth
+    violations as instances of this class and of
+    ``SwarmGrowthViolation``; :meth:`SwarmRegistry.__setstate__` drops
+    the logs and keeps only the number of violations.
     """
 
     def __setstate__(self, state) -> None:
         pass
+
+
+SwarmGrowthViolation = _VideoSwarm
 
 
 class SwarmRegistry:
@@ -72,14 +64,15 @@ class SwarmRegistry:
     the last written round, indexed by video id, and the per-video entry
     counts of the last ``duration + 1`` rounds: the rounds still counted
     at the last written round, plus the one its predecessor still counts.
-    Its state is bounded by the catalog and the duration, whatever the
-    horizon.  :meth:`enter_batch` is the only writer.
+    Growth violations are only counted.  Its state is bounded by the
+    catalog and the duration, whatever the horizon.  :meth:`enter_batch`
+    is the only writer.
     """
 
     def __init__(self, mu: float, duration: int):
         self._mu = check_in_range(mu, "mu", 1.0, math.inf)
         self._duration = check_positive_integer(duration, "duration")
-        self._violations: List[SwarmGrowthViolation] = []
+        self._violation_count = 0
         # Live swarm sizes at round ``_time``, the last written round;
         # grown when a larger video id enters.
         self._sizes = np.zeros(0, dtype=np.int64)
@@ -89,6 +82,9 @@ class SwarmRegistry:
         self._time = -1
 
     def __setstate__(self, state: dict) -> None:
+        if "_violations" in state:
+            # A format-3 registry from an older build listed every violation.
+            state["_violation_count"] = len(state.pop("_violations"))
         if "_size_cache" in state:
             # A format-3 registry from an older build.  Next to its entry
             # logs (dropped here) it kept live sizes at ``_cache_time`` and
@@ -102,7 +98,7 @@ class SwarmRegistry:
             state = {
                 "_mu": state["_mu"],
                 "_duration": state["_duration"],
-                "_violations": state["_violations"],
+                "_violation_count": state["_violation_count"],
                 "_sizes": sizes,
                 "_counts": {
                     r: (
@@ -122,9 +118,9 @@ class SwarmRegistry:
         return self._mu
 
     @property
-    def violations(self) -> Tuple[SwarmGrowthViolation, ...]:
-        """All growth-bound violations observed so far."""
-        return tuple(self._violations)
+    def violation_count(self) -> int:
+        """Number of growth-bound violations observed so far."""
+        return self._violation_count
 
     def _entries(self, round_: int, videos: np.ndarray) -> np.ndarray:
         """Entries of round ``round_`` into each of ``videos`` (sorted)."""
@@ -177,8 +173,8 @@ class SwarmRegistry:
         negative video id, raise ``ValueError``.  Each entry is checked
         against the growth bound — its swarm's size right after it joins
         against the size at round ``time − 1`` — and a violation is
-        recorded (without raising) in arrival order; the engine surfaces
-        violations in its result.
+        counted (without raising); the engine surfaces the count in its
+        result.
         """
         time = check_non_negative_integer(time, "time")
         if time < self._time:
@@ -189,8 +185,7 @@ class SwarmRegistry:
         n = int(video_ids.size)
         if n == 0:
             return
-        order = stable_argsort(video_ids)
-        sorted_videos = video_ids[order]
+        sorted_videos = np.sort(video_ids)
         if sorted_videos[0] < 0:
             raise ValueError(f"video ids must be non-negative, got {int(sorted_videos[0])}")
         starts = np.empty(n, dtype=bool)
@@ -236,20 +231,9 @@ class SwarmRegistry:
         sizes[videos] = base + counts
 
         allowed = np.ceil(np.maximum(previous, 1) * self._mu).astype(np.int64)
-        # The i-th arrival of a video this round takes its swarm to
-        # base + i + 1 (the stable sort keeps arrival order within each
-        # video); violations are recorded in arrival order.
-        group = np.repeat(np.arange(videos.size), counts)
-        new_size = base[group] + np.arange(n) - start_pos[group] + 1
-        over = np.flatnonzero(new_size > allowed[group])
-        for k in over[np.argsort(order[over])].tolist():
-            j = int(group[k])
-            self._violations.append(
-                SwarmGrowthViolation(
-                    video_id=int(videos[j]),
-                    time=time,
-                    previous_size=int(previous[j]),
-                    new_size=int(new_size[k]),
-                    allowed_size=int(allowed[j]),
-                )
-            )
+        # The i-th of a video's ``counts`` arrivals this round takes its
+        # swarm to base + i + 1, so those taking it past ``allowed``
+        # violate the bound.
+        self._violation_count += int(
+            np.clip(base + counts - allowed, 0, counts).sum()
+        )

@@ -157,6 +157,64 @@ def test_non_components_fail_protocol_checks():
     assert not isinstance(object(), ChurnModel)
 
 
+class _OddRoundOutage:
+    """A churn model with only the protocol's methods: box 0 is offline on odd rounds."""
+
+    def offline_array(self, time):
+        return np.array([0] if time % 2 else [], dtype=np.int64)
+
+    def is_offline(self, box_id, time):
+        return box_id == 0 and time % 2 == 1
+
+
+def test_a_churn_model_with_only_the_protocol_methods_drives_a_session():
+    churn = _OddRoundOutage()
+    assert isinstance(churn, ChurnModel)
+    system = VodSystem.configure(
+        catalog={"num_videos": 6, "num_stripes": 4, "duration": 8},
+        population=("homogeneous", {"n": 12, "u": 2.0, "d": 3.0}),
+    )
+    system.allocate("permutation", replicas_per_stripe=3, seed=1)
+    session = system.open_session(horizon=4, churn=churn)
+    session.submit(1, 0)
+    reports = session.step_until(round=4)
+    assert [report.offline_boxes for report in reports] == [0, 1, 0, 1]
+    assert session.engine.offline_boxes(1) == {0}
+    assert session.engine.is_box_offline(0, 3)
+
+
+def test_a_workload_kind_registered_at_test_time_builds_from_a_spec(monkeypatch):
+    """A registered name is usable from a scenario spec, as the registry says."""
+    from dataclasses import replace
+
+    from repro.api import registry as registry_module
+    from repro.scenarios.build import build_scenario
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import ScenarioSpec, WorkloadPhaseSpec
+
+    built = []
+
+    def factory(params, start, mu, rng):
+        workload = component_factory("workload", "uniform")(params, start, mu, rng)
+        built.append(workload)
+        return workload
+
+    monkeypatch.setitem(
+        registry_module._REGISTRY["workload"], "my_uniform", (factory, "test only")
+    )
+    base = get_scenario("steady_state")
+    spec = replace(
+        base,
+        workload=(WorkloadPhaseSpec(kind="my_uniform", params={"arrival_rate": 2.0}),),
+    )
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    result = build_scenario(spec, seed=0).run(3)
+    assert len(built) == 1 and result.metrics.rounds == 3
+    with pytest.raises(ValueError, match="my_uniform") as excinfo:
+        WorkloadPhaseSpec(kind="not_registered")
+    assert "'static'" in str(excinfo.value)
+
+
 # ---------------------------------------------------------------------- #
 # Legacy deprecation shim
 # ---------------------------------------------------------------------- #

@@ -202,11 +202,46 @@ class TestSnapshotFormatVersioning:
         restored.step_until(round=spec.horizon)
         assert restored.digest() == uninterrupted.digest()
         swarms, expected = restored.engine.swarms, uninterrupted.engine.swarms
-        assert swarms.violations == expected.violations
+        assert swarms.violation_count == expected.violation_count
         last = spec.horizon - 1
         assert [swarms.size(v, last) for v in range(spec.catalog.num_videos)] == [
             expected.size(v, last) for v in range(spec.catalog.num_videos)
         ]
+
+    @pytest.mark.parametrize(
+        "fixture,name",
+        [
+            ("session_snapshot_v3.bin", "steady_state"),
+            ("session_snapshot_v3_flashcrowd.bin", "flashcrowd_spike"),
+            ("session_snapshot_v3_churn.bin", "churn_storm"),
+        ],
+    )
+    def test_v3_fixture_repairs_its_first_restored_round(self, fixture, name):
+        """A format-3 engine's round state reaches its new owners.
+
+        Older builds kept the previous round's pair expiries in the
+        matcher, every start-up delay in the metrics collector and every
+        growth violation in the swarm registry.  Restored, the expiries
+        must seed the first round's repair, not leave it to the full
+        kernel, the matcher keeps no round state, and the run's summary
+        (delays and violation count included) equals an uninterrupted
+        run's.
+        """
+        from repro.api import SessionSnapshot
+        from repro.core.matching import ConnectionMatcher
+
+        path = Path(__file__).parent / "fixtures" / fixture
+        restored = VodSession.restore(SessionSnapshot.from_file(path))
+        matcher = restored.engine.matcher
+        assert set(vars(matcher)) == set(vars(ConnectionMatcher([1])))
+        repairs = matcher.repair_rounds
+        restored.step()
+        assert matcher.repair_rounds == repairs + 1
+        spec = get_scenario(name)
+        uninterrupted = build_scenario(spec, seed=1).session()
+        uninterrupted.step_until(round=spec.horizon)
+        restored.step_until(round=spec.horizon)
+        assert restored.result().metrics.to_dict() == uninterrupted.result().metrics.to_dict()
 
     @pytest.mark.parametrize(
         "fixture", ["session_snapshot_sharded.bin", "session_snapshot_event.bin"]

@@ -18,9 +18,9 @@ from repro.scenarios.registry import get_scenario
 
 
 def _registry_state_outside_the_window(registry) -> bytes:
-    """The registry's pickled state without its violations and window counts."""
+    """The registry's pickled state without its violation count and window counts."""
     state = dict(vars(registry))
-    del state["_violations"], state["_counts"]
+    del state["_violation_count"], state["_counts"]
     return pickle.dumps(state)
 
 

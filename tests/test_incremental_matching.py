@@ -4,7 +4,7 @@ The engine's incremental path repairs each round's delta (expirations,
 arrivals, churn/fault capacity changes) instead of re-solving the whole
 instance; it must be *observationally identical* to the full per-round
 solve.  Comparing a run against the full-solve twin of the same
-``(spec, seed)`` — the same build with the matcher's repair state dropped
+``(spec, seed)`` — the same build with the pool's pair expiries dropped
 after every round, so every round runs the full kernel — pins the
 per-round records (matched/unmatched counts, feasibility, upload usage)
 bit for bit — across every registered scenario, including the
@@ -163,7 +163,7 @@ def test_disable_toggle_resets_incremental_state():
         horizon=rounds
     )
     session.step_until(round=rounds // 2)
-    session.engine.matcher.reset_incremental_state()
+    session.engine.reset_incremental_state()
     repairs_before = session.engine.matcher.repair_rounds
     session.step()
     assert session.engine.matcher.repair_rounds == repairs_before
@@ -173,6 +173,47 @@ def test_disable_toggle_resets_incremental_state():
         r.to_dict() for r in untouched.reports
     ]
     assert session.digest() == untouched.digest()
+
+
+#: What a :class:`ConnectionMatcher` holds: its configuration and its
+#: repair counter, and no round state.
+_MATCHER_ATTRIBUTES = {
+    "_slots",
+    "_solver",
+    "_augmentation_budget",
+    "_repair_search_budget",
+    "_repair_rounds",
+}
+
+
+def test_the_matcher_keeps_no_round_state():
+    """A round's matching is a function of the call's arguments.
+
+    Every ``match`` call of a ``churn_storm`` session is replayed on a
+    fresh matcher with the same requests, busy slots, warm start and pair
+    expiries: it returns the same assignment and pair expiries, and
+    afterwards holds nothing but its configuration and repair counter.
+    """
+    spec = get_scenario("churn_storm")
+    session = build_scenario(spec, seed=2).session()
+    matcher = session.engine.matcher
+    match = matcher.match
+    repaired = []
+
+    def replayed_match(requests, possession, current_time, **kwargs):
+        result = match(requests, possession, current_time, **kwargs)
+        fresh = matching.ConnectionMatcher(matcher.upload_slots)
+        again = fresh.match(requests, possession, current_time, **kwargs)
+        assert set(vars(fresh)) == _MATCHER_ATTRIBUTES
+        assert np.array_equal(again.assignment, result.assignment)
+        assert np.array_equal(again.pair_expiry, result.pair_expiry)
+        assert again.obstruction_witness == result.obstruction_witness
+        repaired.append(fresh.repair_rounds)
+        return result
+
+    matcher.match = replayed_match
+    session.step_until(round=spec.horizon)
+    assert len(repaired) == spec.horizon and 0 < sum(repaired) < spec.horizon
 
 
 def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
@@ -249,7 +290,7 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
             made_by_kernel[:] = False  # a repaired round
         elif kernel_seeds[-1] is not None:
             made_by_kernel &= result.assignment != kernel_seeds[-1]
-        pair_expiry = matcher._pair_expiry
+        pair_expiry = result.pair_expiry
         for i in np.flatnonzero(result.assignment >= 0).tolist():
             boxes, expiry = possession.row_with_expiry(
                 int(requests.stripe_id_array[i]),

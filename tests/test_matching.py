@@ -8,7 +8,7 @@ from repro.core.allocation import random_permutation_allocation
 from repro.core.matching import ConnectionMatcher, check_feasibility_hall
 from repro.core.parameters import homogeneous_population
 from repro.core.possession import PossessionIndex
-from repro.core.requests import MatchDelta, RequestSet
+from repro.core.requests import RequestSet
 from repro.core.video import Catalog
 
 
@@ -145,13 +145,25 @@ class TestConnectionMatcher:
         with pytest.raises(ValueError):
             matcher.match(requests_of([]), index, 0, busy_slots=[1, 2])
 
-    def test_delta_requires_the_warm_start_it_extends(self):
+    def test_pair_expiry_requires_the_warm_start_it_dates(self):
         alloc = crafted_allocation()
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
         requests = requests_of([(0, 0, 3)])
         with pytest.raises(ValueError, match="warm_start"):
-            matcher.match(requests, index, 0, delta=MatchDelta(keep_mask=None, num_new=1))
+            matcher.match(requests, index, 0, pair_expiry=[-1])
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_pair_expiry_of_another_length_raises(self, length):
+        """A misaligned ``pair_expiry`` is an error, not a full-kernel round."""
+        alloc = crafted_allocation()
+        matcher = ConnectionMatcher(alloc.population.upload_slots(2))
+        index = PossessionIndex(alloc, cache_window=20)
+        requests = requests_of([(0, 0, 3), (0, 0, 4)])
+        with pytest.raises(ValueError, match="pair_expiry"):
+            matcher.match(
+                requests, index, 0, warm_start=[-1, -1], pair_expiry=[-1] * length
+            )
 
     def test_repair_retires_over_capacity_pairs_in_request_order(self):
         """A box whose capacity drops keeps its first pairs in request order.
@@ -165,10 +177,7 @@ class TestConnectionMatcher:
         matcher = ConnectionMatcher(alloc.population.upload_slots(2))
         index = PossessionIndex(alloc, cache_window=20)
         requests = requests_of([(0, 0, 2), (0, 0, 3), (0, 0, 4)])
-        first = matcher.match(
-            requests, index, 0, warm_start=np.full(3, -1),
-            delta=MatchDelta(keep_mask=None, num_new=3),
-        )
+        first = matcher.match(requests, index, 0, warm_start=np.full(3, -1))
         full = int(np.argmax(first.box_load))
         assert first.box_load[full] == 2
         earlier, later = np.flatnonzero(first.assignment == full)
@@ -177,7 +186,7 @@ class TestConnectionMatcher:
         repairs = matcher.repair_rounds
         second = matcher.match(
             requests, index, 0, busy_slots=busy, warm_start=first.assignment,
-            delta=MatchDelta(keep_mask=None, num_new=0),
+            pair_expiry=first.pair_expiry,
         )
         assert matcher.repair_rounds == repairs + 1
         assert second.feasible
@@ -440,10 +449,7 @@ class TestDownloadWriterAndQueryChecks:
         index = PossessionIndex(allocation, cache_window=6)
         (holder,) = index.static_servers(0).tolist()
         matcher = ConnectionMatcher(np.full(6, 4))
-        first = matcher.match(
-            requests_of([(1, 1, 0)]), index, 1, warm_start=[-1],
-            delta=MatchDelta(keep_mask=None, num_new=1),
-        )
+        first = matcher.match(requests_of([(1, 1, 0)]), index, 1, warm_start=[-1])
         with pytest.raises(ValueError, match="box ids"):
             index.record_downloads([0], [-1], 1)
         assert len(index._log) == 0
@@ -452,7 +458,7 @@ class TestDownloadWriterAndQueryChecks:
         second = matcher.match(
             requests, index, 2,
             warm_start=np.concatenate([first.assignment, np.full(5, -1)]),
-            delta=MatchDelta(keep_mask=None, num_new=5),
+            pair_expiry=np.concatenate([first.pair_expiry, np.full(5, -1)]),
         )
         assert second.matched == int(second.box_load.sum()) == 5
         assert second.assignment[holder] == -1  # the holder cannot serve itself

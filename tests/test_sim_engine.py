@@ -322,8 +322,8 @@ class TestPerRequestOutputPin:
                     current_time,
                 )
                 edges = expiry[boxes == matching.assignment[i]].tolist()
-                assert matcher._pair_expiry[i] in edges
-                assert matcher._pair_expiry[i] <= max(edges)
+                assert matching.pair_expiry[i] in edges
+                assert matching.pair_expiry[i] <= max(edges)
                 checked[0] += 1
             return matching
 

@@ -9,8 +9,8 @@ object-state reference models over randomized small instances:
   order, expiry, first-service rounds, warm-start column);
 * :class:`SwarmRegistry` against the historical scan-based model (sizes
   from the round just written through ``duration + 1`` rounds ahead,
-  growth violations), fed one entry at a time and one ``enter_batch``
-  per round;
+  the growth-violation count), fed one entry at a time and one
+  ``enter_batch`` per round;
 * the batched adjacency gather against the per-request row
   (:meth:`PossessionIndex.row_with_expiry`) and the set query;
 * the Hopcroft–Karp warm-start fast path against cold solves and the
@@ -208,11 +208,7 @@ class TestSwarmEquivalence:
             registry.enter(video, time)
             model.enter(video, time)
             _assert_sizes_ahead(registry, model, time, duration)
-        got = [
-            (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
-            for v in registry.violations
-        ]
-        assert got == model.violations
+        assert registry.violation_count == len(model.violations)
 
     @given(rounds=swarm_rounds, duration=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -228,11 +224,7 @@ class TestSwarmEquivalence:
             for video in videos:
                 model.enter(video, time)
             _assert_sizes_ahead(registry, model, time, duration)
-        got = [
-            (v.video_id, v.time, v.previous_size, v.new_size, v.allowed_size)
-            for v in registry.violations
-        ]
-        assert got == model.violations
+        assert registry.violation_count == len(model.violations)
 
 
 # --------------------------------------------------------------------- #
