@@ -42,6 +42,7 @@ from repro.flow.hopcroft_karp import (
     AugmentationBudgetExceeded,
     HKMatchingResult,
     hopcroft_karp_matching,
+    hopcroft_karp_rows,
 )
 from repro.flow.repair import _greedy_first_fit, _retire_pairs, repair_matching
 
@@ -142,10 +143,12 @@ class ConnectionMatcher:
     solver:
         ``"hopcroft_karp"`` (default) repairs the previous round's
         matching when the call carries its pair expiries and falls back
-        to the full kernel on the CSR adjacency emitted by
+        to the full kernel on the round's rows
+        (:meth:`PossessionIndex.kernel_rows`); a round without a repair
+        runs the kernel on the CSR adjacency emitted by
         :meth:`PossessionIndex.adjacency_for`;
         ``"dinic"`` solves every round cold with the in-house Dinic max
-        flow (:func:`repro.flow.dinic.dinic_matching`) on the same CSR
+        flow (:func:`repro.flow.dinic.dinic_matching`) on that CSR
         adjacency, and serves as the cold twin in cross-validation tests
         and benchmarks.
     augmentation_budget:
@@ -282,11 +285,15 @@ class ConnectionMatcher:
         the pair expiries of its matching whenever the call has a
         ``warm_start`` and no budget is set.
 
-        Only the full kernel gathers adjacency, through
-        :meth:`PossessionIndex.adjacency_for`.  When the repair fell
-        short, its partial assignment seeds the kernel as a trusted seed:
-        its pairs are edges the retirement already checked, so the
-        kernel skips its adjacency test.  A pair the kernel returns equal
+        When the repair fell short, the full kernel solves on the round's
+        rows (:meth:`PossessionIndex.kernel_rows`, read as the kernel
+        touches them) through
+        :func:`~repro.flow.hopcroft_karp.hopcroft_karp_rows`, seeded with
+        the repair's partial assignment: its pairs are edges the
+        retirement already checked, so the seed is not tested against
+        the adjacency.  Only a kernel call without a repair gathers the
+        round's CSR, through :meth:`PossessionIndex.adjacency_for`, and
+        validates its ``warm_start`` against it.  A pair the kernel returns equal
         to its seed pair keeps the expiry recorded when the pair was
         made.  That may be an earlier edge's than the box's latest (a
         cache edge's although the box also relays the stripe, or caches
@@ -354,29 +361,42 @@ class ConnectionMatcher:
                 )
                 self._repair_rounds += 1
             else:
-                repair_fallback = repair is not None and repair.over_budget
-                indptr, indices = possession.adjacency_for(requests, current_time)
-                try:
-                    result = hopcroft_karp_matching(
-                        num_left=num_requests,
-                        num_right=n,
-                        indptr=indptr,
-                        indices=indices,
-                        right_capacities=capacities,
-                        initial_assignment=(
-                            warm_start if repair is None else repair.assignment
-                        ),
-                        augmentation_budget=self._augmentation_budget,
-                        trusted_seed=repair is not None,
+                if repair is not None:
+                    # The repair fell short.  Its pairs are edges of this
+                    # round within capacity, so the kernel solves on the
+                    # round's rows as it touches them, seeded without an
+                    # adjacency test.
+                    repair_fallback = repair.over_budget
+                    result = hopcroft_karp_rows(
+                        num_requests,
+                        n,
+                        possession.kernel_rows(requests, current_time),
+                        capacities,
+                        repair.assignment,
                     )
-                except AugmentationBudgetExceeded:
-                    # Graceful degradation: re-solve the identical instance
-                    # (same CSR adjacency, same capacities) with the Dinic
-                    # max-flow kernel.  Maximum-matching cardinality is
-                    # solver-independent, so feasibility and per-round metrics
-                    # are unchanged; only the degraded flag records the event.
-                    result = dinic_matching(num_requests, n, indptr, indices, capacities)
-                    degraded = True
+                else:
+                    indptr, indices = possession.adjacency_for(requests, current_time)
+                    try:
+                        result = hopcroft_karp_matching(
+                            num_left=num_requests,
+                            num_right=n,
+                            indptr=indptr,
+                            indices=indices,
+                            right_capacities=capacities,
+                            initial_assignment=warm_start,
+                            augmentation_budget=self._augmentation_budget,
+                        )
+                    except AugmentationBudgetExceeded:
+                        # Graceful degradation: re-solve the identical
+                        # instance (same CSR adjacency, same capacities) with
+                        # the Dinic max-flow kernel.  Maximum-matching
+                        # cardinality is solver-independent, so feasibility
+                        # and per-round metrics are unchanged; only the
+                        # degraded flag records the event.
+                        result = dinic_matching(
+                            num_requests, n, indptr, indices, capacities
+                        )
+                        degraded = True
                 if incremental:
                     expiry = self._kernel_pair_expiry(
                         result.assignment, repair, requests, possession, current_time

@@ -113,6 +113,58 @@ class _DeltaRows:
         return expiry
 
 
+class _KernelRows(dict):
+    """A round's rows for the full kernel, from :meth:`PossessionIndex.kernel_rows`.
+
+    The row source :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`
+    reads: ``rows[i]`` is row ``i`` of :meth:`PossessionIndex.adjacency_for`
+    as a Python list, cut from its three blocks (laid out by
+    :meth:`PossessionIndex._row_blocks`, as for :class:`_DeltaRows`) with
+    every requester entry dropped, on first touch and cached.
+    ``heads(lefts)`` gives each row's first entry that is not the
+    requester, ``-1`` for a row left empty, without converting a row.
+    """
+
+    __slots__ = ("_requesters", "_layout", "_spans")
+
+    def __init__(self, requesters, source, starts, lengths, keys, window):
+        super().__init__()
+        self._requesters = requesters
+        self._layout = (source, starts, lengths, keys, window)
+        # Block k of row i is source[spans[i, k]:spans[i, k + 3]], and
+        # spans[i, 6] is its requester: one ``tolist`` reads a row's all.
+        self._spans = np.concatenate((starts, starts + lengths, requesters[None])).T
+
+    def __missing__(self, i) -> List[int]:
+        source = self._layout[0]
+        s0, s1, s2, e0, e1, e2, requester = self._spans[i].tolist()
+        row = source[s0:e0].tolist()
+        if e1 > s1:
+            row += source[s1:e1].tolist()
+        if e2 > s2:
+            row += source[s2:e2].tolist()
+        if requester in row:
+            row = [j for j in row if j != requester]
+        self[i] = row
+        return row
+
+    def heads(self, lefts: np.ndarray) -> np.ndarray:
+        """Each row's first entry that is not the requester, ``-1`` if none."""
+        source, starts, lengths, keys, window = self._layout
+        reader = _DeltaRows(
+            self._requesters[lefts], source, starts[:, lefts], lengths[:, lefts],
+            keys, window,
+        )
+        heads = np.full(lefts.size, -1, dtype=np.int64)
+        rows = reader.live(np.arange(lefts.size))
+        head = reader.heads(rows)
+        while rows.size:
+            own = head == reader.requesters[rows]
+            heads[rows[~own]] = head[~own]
+            rows, head = reader.step(rows[own])
+        return heads
+
+
 class _DownloadLog:
     """The playback-cache download log: two key-sorted columns.
 
@@ -233,15 +285,19 @@ class PossessionIndex:
     download log kept as two key-sorted columns, into which each round's
     writes and evictions are folded before a query reads them.  The batched
     :meth:`adjacency_for` emits the round's bipartite adjacency as CSR
-    arrays, which the Hopcroft–Karp matching kernel consumes, and
-    :meth:`adjacency_delta_for` the same CSR of any rows with per-edge
-    expiries; the incremental repair's greedy reads the heads of its
-    delta rows on demand through :meth:`delta_rows`.  All read one block
-    layout: per row, the static holders, then the playback-cache window,
-    then the relays.
+    arrays, which the Hopcroft–Karp kernel consumes on a round without a
+    repair, and :meth:`adjacency_delta_for` the same CSR of any rows with
+    per-edge expiries.  :meth:`kernel_rows` serves the same rows to the
+    kernel's fallback rounds without gathering them: row heads in one
+    array step, and a row as a list when the kernel first touches it.
+    The incremental repair's greedy reads the heads of its delta rows on
+    demand through :meth:`delta_rows`.  All read one block layout: per
+    row, the static holders, then the playback-cache window, then the
+    relays.
 
     Every query — :meth:`adjacency_for`, :meth:`adjacency_delta_for`,
-    :meth:`delta_rows`, :meth:`row_with_expiry`, :meth:`servers_for` —
+    :meth:`kernel_rows`, :meth:`delta_rows`, :meth:`row_with_expiry`,
+    :meth:`servers_for` —
     reads the same recorded state, so a subclass changes possession by
     changing what it records, never by overriding one query.
     :meth:`record_downloads` is the one download writer to override (the
@@ -526,6 +582,28 @@ class PossessionIndex:
             self._window,
         )
 
+    def kernel_rows(self, requests: RequestSet, current_time: int) -> _KernelRows:
+        """The round's rows as the full kernel reads them, gathering no CSR.
+
+        Row ``i`` is row ``i`` of :meth:`adjacency_for`: the blocks of
+        :meth:`_row_blocks`, unclipped, without the requester's entries.
+        Only the static and relay blocks are copied; a row becomes a list
+        when the kernel first touches it (:class:`_KernelRows`).  The
+        matcher's fallback rounds solve on it with
+        :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.  Malformed
+        stripes or rounds raise ``ValueError``, as in :meth:`adjacency_for`,
+        before anything is read.
+        """
+        stripes = requests.stripe_id_array
+        times = requests.request_time_array
+        if stripes.size:
+            self._check_requests(stripes, times, current_time)
+        return _KernelRows(
+            requests.box_id_array,
+            *self._row_blocks(stripes, times, current_time),
+            self._window,
+        )
+
     def _gather_csr(
         self, requests: RequestSet, current_time: int, with_expiry: bool
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -574,9 +652,11 @@ class PossessionIndex:
         excluding the requesting box itself.  Rows may contain duplicates
         (a box can hold a stripe statically *and* cache it); the matching
         kernels tolerate them.  It is :meth:`adjacency_delta_for` without
-        the expiry column, which it never builds: the kernel's gather and
-        the cold Dinic twin take this one, and the matcher looks up the
-        expiries of only the pairs the kernel made through
+        the expiry column, which it never builds: a kernel call without a
+        repair (round 0, after a reset, a budgeted round), the cold Dinic
+        twin and the oracle take this one, a fallback round reads the
+        same rows through :meth:`kernel_rows`, and the matcher looks up
+        the expiries of only the pairs the kernel made through
         :meth:`adjacency_delta_for`.
         """
         indptr, indices, _ = self._gather_csr(requests, current_time, False)
@@ -628,7 +708,8 @@ class PossessionIndex:
         ``entry_time + T`` for playback-cache edges).  The matcher calls
         it on a request set of just the rows whose pair the full kernel
         made, and takes each pair's latest edge expiry as the pair's
-        expiry; the kernel itself solves on :meth:`adjacency_for`.
+        expiry; the kernel itself solves on :meth:`adjacency_for` or
+        :meth:`kernel_rows`.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.

@@ -7,7 +7,9 @@ boxes' capacities, and returns one result type
 (:class:`HKMatchingResult`):
 
 * the capacitated Hopcroft–Karp kernel the hot path uses
-  (:func:`hopcroft_karp_matching`);
+  (:func:`hopcroft_karp_matching`; its row entry
+  :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` runs the same
+  kernel on rows read on demand instead of a CSR);
 * Dinic's max flow on the same network (:func:`dinic_matching`), the
   degraded-round fallback and cold twin of that kernel; on an infeasible
   instance its Hall witness is the source side of a minimum cut;

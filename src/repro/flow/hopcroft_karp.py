@@ -21,11 +21,23 @@ Hopcroft–Karp is what every round runs:
   generalized-Hall witness (Lemma 1): the lefts that alternating paths
   reach from the unmatched ones.
 
-The searches read the instance on demand: a left's row and a right
-node's list of matched lefts become Python lists (:class:`_LazyRows`)
-only when the greedy pass or a search first visits them.  An infeasible
-round whose Hall witness is a few dozen lefts therefore pays Python work
-for the rows its searches touch, not for the whole CSR.
+The kernel reads the instance on demand, through two members of a *row
+source*: ``heads(lefts)``, each row's first entry (``-1`` for an empty
+row), which the greedy pass reads in one vectorized step, and
+``rows[i]``, left ``i``'s row as a Python list, converted on first touch
+and cached, which the sequential greedy and the searches read.  A right
+node's list of matched lefts is converted the same way
+(:class:`_LazyRows`).  An infeasible round whose Hall witness is a few
+dozen lefts therefore pays Python work for the rows its searches touch,
+not for the whole instance.  The kernel has two entry points:
+
+* :func:`hopcroft_karp_matching` takes a CSR, checks it, validates its
+  warm start against the adjacency and solves on the CSR's rows;
+* :func:`hopcroft_karp_rows` takes any row source and a seed the caller
+  built from that source's rows, and keeps only the seed's ``O(V)``
+  range and capacity checks: the connection matcher's fallback rounds
+  solve there on :meth:`repro.core.possession.PossessionIndex.kernel_rows`,
+  which gathers no CSR.
 
 The kernel is exact and deterministic: for a fixed instance it always
 returns the same assignment (warm starts may change *which* maximum
@@ -48,6 +60,7 @@ __all__ = [
     "HKMatchingResult",
     "csr_from_edges",
     "hopcroft_karp_matching",
+    "hopcroft_karp_rows",
 ]
 
 _INF = float("inf")
@@ -148,12 +161,25 @@ def _check_csr(
     # every valid one.
     if indices_arr.size and int(indices_arr.view(np.uint64).max()) >= num_right:
         raise ValueError("indices must be right-node ids in [0, num_right)")
+    return indptr_arr, indices_arr, _check_capacities(num_right, right_capacities)
+
+
+def _check_capacities(num_right: int, right_capacities: Sequence[int]) -> np.ndarray:
+    """Validate the right capacities; return them as int64."""
     cap_arr = np.asarray(right_capacities, dtype=np.int64)
     if cap_arr.shape != (num_right,):
         raise ValueError("right_capacities must have one entry per right node")
     if cap_arr.size and int(cap_arr.min()) < 0:
         raise ValueError("right_capacities must be non-negative")
-    return indptr_arr, indices_arr, cap_arr
+    return cap_arr
+
+
+def _check_seed(num_left: int, num_right: int, seed: Sequence[int]) -> np.ndarray:
+    """A warm start as int64, with every right id out of range unmatched."""
+    warm = np.asarray(seed, dtype=np.int64)
+    if warm.shape != (num_left,):
+        raise ValueError("initial_assignment must have one entry per left node")
+    return np.where((warm >= 0) & (warm < num_right), warm, -1)
 
 
 def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
@@ -194,6 +220,14 @@ class _LazyRows(dict):
     def __missing__(self, i) -> List[int]:
         row = self[i] = self._values[self._indptr[i]: self._indptr[i + 1]].tolist()
         return row
+
+    def heads(self, lefts: np.ndarray) -> np.ndarray:
+        """Each row's first entry, ``-1`` for an empty row."""
+        starts = self._indptr[lefts]
+        nonempty = self._indptr[lefts + 1] > starts
+        heads = np.full(lefts.size, -1, dtype=np.int64)
+        heads[nonempty] = self._values[starts[nonempty]]
+        return heads
 
 
 def _right_matches(num_right: int, lefts: np.ndarray, rights: np.ndarray) -> _LazyRows:
@@ -286,8 +320,6 @@ def hopcroft_karp_matching(
     right_capacities: Sequence[int],
     initial_assignment: Optional[Sequence[int]] = None,
     augmentation_budget: Optional[int] = None,
-    *,
-    trusted_seed: bool = False,
 ) -> HKMatchingResult:
     """Maximum unit-demand b-matching on a CSR bipartite adjacency.
 
@@ -306,6 +338,8 @@ def hopcroft_karp_matching(
         adjacent and its capacity is not exhausted — then the kernel
         augments from there.  An arbitrary/stale assignment therefore
         cannot corrupt the result, only speed it up or slow it down.
+        The adjacency test reads every edge once; a caller whose seed
+        pairs are edges by construction calls :func:`hopcroft_karp_rows`.
     augmentation_budget:
         Optional hard cap on the number of augmenting-path searches spent
         *after* the warm-start and greedy passes.  ``None`` (the default)
@@ -314,15 +348,6 @@ def hopcroft_karp_matching(
         supervising caller can fall back to another solver.  A budget of
         ``0`` forbids any augmentation: the call raises whenever the
         greedy pass leaves a deficit.
-    trusted_seed:
-        The caller vouches that every pair of ``initial_assignment`` is
-        an edge of its row.  The kernel then skips the warm start's
-        ``O(E)`` adjacency test and keeps only its ``O(V)`` checks: the
-        right-node range and the capacities.  On such a seed the result
-        is identical to the validated one.  A pair that is not an edge
-        would be returned as matched, so only a caller that built the
-        seed from this instance's rows may set it: the connection
-        matcher does, for the incremental repair's partial assignment.
     """
     if augmentation_budget is not None:
         augmentation_budget = int(augmentation_budget)
@@ -331,7 +356,68 @@ def hopcroft_karp_matching(
     indptr_arr, indices_arr, cap_arr = _check_csr(
         num_left, num_right, indptr, indices, right_capacities
     )
+    warm = None
+    if initial_assignment is not None:
+        warm = _check_seed(num_left, num_right, initial_assignment)
+        adjacent = np.zeros(num_left, dtype=bool)
+        if indices_arr.size and (warm >= 0).any():
+            # Membership in one O(E) pass: compare every edge against its
+            # row's warm target (unmatched rows get the impossible -1),
+            # then map the few hit edges back to their rows.
+            hit_edges = indices_arr == np.repeat(warm, np.diff(indptr_arr))
+            hit_pos = np.flatnonzero(hit_edges)
+            if hit_pos.size:
+                hit_rows = np.searchsorted(indptr_arr, hit_pos, side="right") - 1
+                adjacent[hit_rows] = True
+        warm[~adjacent] = -1
+    return _solve(
+        num_left, num_right, _LazyRows(indptr_arr, indices_arr), cap_arr, warm,
+        augmentation_budget,
+    )
 
+
+def hopcroft_karp_rows(
+    num_left: int,
+    num_right: int,
+    rows,
+    right_capacities: Sequence[int],
+    seed: Sequence[int],
+) -> HKMatchingResult:
+    """The kernel of :func:`hopcroft_karp_matching` on a row source.
+
+    ``rows`` gives ``heads(lefts)``, each left's first right node (``-1``
+    for an empty row), and ``rows[i]``, left ``i``'s right nodes as a
+    list, cached by the source on first touch; the kernel reads the rows
+    only through them.  ``seed`` is a partial assignment (``-1`` =
+    unmatched) whose pairs the caller built from those rows: the kernel
+    keeps only its ``O(V)`` checks, the right-node range and the
+    capacities, and does not test that a pair is an edge.  On such a
+    seed the result equals :func:`hopcroft_karp_matching`'s on the same
+    rows as a CSR; a pair that is not an edge would be returned as
+    matched.  The connection matcher calls it on
+    :meth:`repro.core.possession.PossessionIndex.kernel_rows`, seeded by
+    the incremental repair's partial assignment.
+    """
+    cap_arr = _check_capacities(num_right, right_capacities)
+    return _solve(
+        num_left, num_right, rows, cap_arr, _check_seed(num_left, num_right, seed), None
+    )
+
+
+def _solve(
+    num_left: int,
+    num_right: int,
+    rows,
+    cap_arr: np.ndarray,
+    warm: Optional[np.ndarray],
+    augmentation_budget: Optional[int],
+) -> HKMatchingResult:
+    """The kernel body: adopt the seed, greedy pass, then augment.
+
+    ``warm`` holds the seed pairs that are edges of their rows (``-1``
+    elsewhere), or is ``None``; ``rows`` is read only through ``heads``
+    and item access.
+    """
     match_arr = np.full(num_left, -1, dtype=np.int64)
     load_arr = np.zeros(num_right, dtype=np.int64)
     # The adopted pairs, in the order that fixes each right node's list of
@@ -339,31 +425,13 @@ def hopcroft_karp_matching(
     # first, then greedy first-fits.
     warm_i = warm_b = np.empty(0, dtype=np.int64)
 
-    # Warm start: adopt still-valid pairs of a previous assignment.  A
-    # pair survives when the right node is still adjacent and (processing
-    # lefts in ascending order) its capacity is not yet exhausted — the
-    # vectorized form keeps, per right node, the first cap[b] adjacent
-    # candidates in left order, which is the same set the scalar loop kept.
-    if initial_assignment is not None:
-        warm = np.asarray(initial_assignment, dtype=np.int64)
-        if warm.shape != (num_left,):
-            raise ValueError("initial_assignment must have one entry per left node")
-        in_range = (warm >= 0) & (warm < num_right)
-        if not trusted_seed:
-            adjacent = np.zeros(num_left, dtype=bool)
-            if indices_arr.size and in_range.any():
-                # Membership in one O(E) pass: compare every edge against
-                # its row's warm target (out-of-range rows get the
-                # impossible -2), then map the few hit edges back to their
-                # rows.
-                targets = np.where(in_range, warm, -2)
-                hit_edges = indices_arr == np.repeat(targets, np.diff(indptr_arr))
-                hit_pos = np.flatnonzero(hit_edges)
-                if hit_pos.size:
-                    hit_rows = np.searchsorted(indptr_arr, hit_pos, side="right") - 1
-                    adjacent[hit_rows] = True
-            in_range &= adjacent
-        candidates = np.flatnonzero(in_range)
+    # Warm start: adopt the seed pairs within capacity.  Processing lefts
+    # in ascending order, a pair survives while its right node's capacity
+    # is not yet exhausted — the vectorized form keeps, per right node,
+    # the first cap[b] candidates in left order, which is the same set the
+    # scalar loop kept.
+    if warm is not None:
+        candidates = np.flatnonzero(warm >= 0)
         if candidates.size:
             cand_b = warm[candidates]
             counts = np.bincount(cand_b, minlength=num_right).astype(np.int64)
@@ -395,16 +463,15 @@ def hopcroft_karp_matching(
             deficient_left=(),
             unsatisfied_witness=None,
         )
-    starts = indptr_arr[unmatched]
-    nonempty = np.flatnonzero(indptr_arr[unmatched + 1] > starts)
+    heads = rows.heads(unmatched)
+    nonempty = heads >= 0
     lefts = unmatched[nonempty]
-    heads = indices_arr[starts[nonempty]]
+    heads = heads[nonempty]
     fits = _rank_among_equal(heads) < (cap_arr - load_arr)[heads]
     stop = fits.size if fits.all() else int(fits.argmin())
     load_arr += np.bincount(heads[:stop], minlength=num_right)
     load = load_arr.tolist()
     cap = cap_arr.tolist()
-    rows = _LazyRows(indptr_arr, indices_arr)
     choices = heads[stop:].tolist()
     for k, j in enumerate(choices):
         if load[j] < cap[j]:

@@ -179,7 +179,9 @@ def _kuhn_augment_lazy(
     (:class:`_MatchedLefts`).  ``dead`` holds the lefts whose row had no
     free box: within one repair call ``has_free`` only goes from true to
     false (a success fills one slot, a path flip moves no load), so such
-    a row never gets one and is not tested again.
+    a row never gets one and is not tested again.  A discovered left
+    already in ``dead`` is queued without its row, which is fetched only
+    if the left is popped: most discovered lefts never are.
 
     ``budget[0]`` is decremented per discovered left; hitting zero
     aborts with ``None`` (caller falls back to the full kernel) so one
@@ -192,8 +194,10 @@ def _kuhn_augment_lazy(
     def try_free(u, boxes_arr, boxes, exps):
         # Sweep ``u``'s row for a box with spare capacity; on a hit,
         # augment: ``u`` takes the free slot, every predecessor takes
-        # over the slot its displaced left vacates.
-        if u in dead or not boxes_arr.size:
+        # over the slot its displaced left vacates.  ``u`` is not in
+        # ``dead``: a root is unmatched, and only matched lefts are
+        # discovered.
+        if not boxes_arr.size:
             return False
         mask = has_free[boxes_arr]
         e = int(np.argmax(mask))
@@ -226,6 +230,8 @@ def _kuhn_augment_lazy(
     frontier = deque(((i0, row0, exp0),))
     while frontier:
         u, boxes, exps = frontier.popleft()
+        if boxes is None:
+            _, boxes, exps = get_row(u)
         for e in range(len(boxes)):
             j = boxes[e]
             if j in visited:
@@ -239,6 +245,9 @@ def _kuhn_augment_lazy(
                     return None
                 budget[0] -= 1
                 parent[k] = (u, j, x)
+                if k in dead:
+                    frontier.append((k, None, None))
+                    continue
                 ak, bk, xk = get_row(k)
                 if try_free(k, ak, bk, xk):
                     return True

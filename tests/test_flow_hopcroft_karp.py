@@ -11,7 +11,11 @@ from scipy.sparse.csgraph import maximum_flow
 from repro.flow import hopcroft_karp as hk_module
 from repro.flow.bipartite import hall_deficiency
 from repro.flow.dinic import dinic_matching
-from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
+from repro.flow.hopcroft_karp import (
+    csr_from_edges,
+    hopcroft_karp_matching,
+    hopcroft_karp_rows,
+)
 from repro.scenarios.oracle import unit_demand_network
 from repro.util import stable_argsort
 
@@ -77,6 +81,13 @@ def csr_edges(indptr, indices):
     """The ``(left, right)`` edge list of a CSR adjacency."""
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     return list(zip(rows.tolist(), np.asarray(indices).tolist()))
+
+
+def csr_rows(indptr, indices):
+    """The row source of a CSR adjacency, as the CSR entry builds it."""
+    return hk_module._LazyRows(
+        np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    )
 
 
 class TestKernelAgainstMaxFlowSolvers:
@@ -265,10 +276,12 @@ class TestTrustedSeed:
     @solver_settings
     @given(seed=st.integers(0, 100_000), keep=st.floats(0.0, 1.0))
     def test_a_valid_seed_gives_the_validated_result(self, seed, keep):
-        """A seed of edges within capacity: the flag changes nothing.
+        """The row entry, on a seed of edges within capacity, equals the
+        validating kernel.
 
-        Without the flag, a seed pair that is not an edge is dropped, as
-        if its left came unmatched.
+        The row entry solves on the CSR's own row source and does not test
+        the seed against the adjacency.  A seed pair that is not an edge is
+        dropped by the validating kernel, as if its left came unmatched.
         """
         rng, num_left, num_right, indptr, indices, caps = csr_instance(seed)
         # A valid seed: a random edge of each row, kept with probability
@@ -285,12 +298,11 @@ class TestTrustedSeed:
         validated = hopcroft_karp_matching(
             num_left, num_right, indptr, indices, caps, initial_assignment=seed_pairs
         )
-        trusted = hopcroft_karp_matching(
-            num_left, num_right, indptr, indices, caps,
-            initial_assignment=seed_pairs, trusted_seed=True,
+        on_rows = hopcroft_karp_rows(
+            num_left, num_right, csr_rows(indptr, indices), caps, seed_pairs
         )
-        assert result_fields(trusted) == result_fields(validated)
-        assert_valid_assignment(trusted, num_right, csr_edges(indptr, indices), caps.tolist())
+        assert result_fields(on_rows) == result_fields(validated)
+        assert_valid_assignment(on_rows, num_right, csr_edges(indptr, indices), caps.tolist())
 
         # Stale pairs: lefts moved to a right node outside their row.
         stale = seed_pairs.copy()
@@ -304,9 +316,27 @@ class TestTrustedSeed:
                 num_left, num_right, indptr, indices, caps, initial_assignment=stale
             )
         ) == result_fields(
+            hopcroft_karp_rows(
+                num_left, num_right, csr_rows(indptr, indices), caps, dropped
+            )
+        )
+
+        # The row entry's own checks: right ids out of range come unmatched,
+        # and each right node keeps its first pairs in left order.
+        crowded = np.full(num_left, -1, dtype=np.int64)
+        for i in range(num_left):
+            row = indices[indptr[i]:indptr[i + 1]]
+            if row.size and rng.random() < keep:
+                crowded[i] = int(row[rng.integers(row.size)])
+            elif rng.random() < 0.2:
+                crowded[i] = int(rng.choice([-3, num_right, num_right + 2]))
+        assert result_fields(
+            hopcroft_karp_rows(
+                num_left, num_right, csr_rows(indptr, indices), caps, crowded
+            )
+        ) == result_fields(
             hopcroft_karp_matching(
-                num_left, num_right, indptr, indices, caps,
-                initial_assignment=dropped, trusted_seed=True,
+                num_left, num_right, indptr, indices, caps, initial_assignment=crowded
             )
         )
 

@@ -258,3 +258,42 @@ def test_a_row_found_without_a_free_box_still_counts_against_the_budget():
     assert assignment == [0, 2, 3, 1, -1]
     assert load == [1, 1, 1, 1, 0]
     assert pair_expiry == [0, 3, 0, 7, 0]
+
+
+def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
+    """Boxes 0 to 4 hold one slot each; left 0 (row [0]) holds box 0, left
+    1 (row [1, 2]) box 1 and left 2 box 3.  Left 3's search reads left 0's
+    row, finds no free box in it, and moves left 1 to box 2.  Left 4's
+    search (row [0, 3]) discovers left 0 again and queues it without
+    reading its row.  With left 2's row [3, 4], the search moves left 2 to
+    box 4 before it pops left 0, whose row is never read again.  With left
+    2's row [3], the search pops left 0 and only then reads its row, and
+    fails."""
+    for row_2, calls_expected, done_expected, assignment_expected in (
+        ([3, 4], [3, 0, 1, 4, 2], True, [0, 2, 4, 1, 3]),
+        ([3], [3, 0, 1, 4, 2, 0], False, [0, 2, 3, 1, -1]),
+    ):
+        rows = [[0], [1, 2], row_2, [0, 1], [0, 3]]
+        expiries = [[1] * len(row) for row in rows]
+        instance = (
+            5, [1] * 5, rows, expiries, [0, 1, 3, -1, -1], [1, 1, 0, 1, 0], [0] * 5,
+            [3, 4], None, 100_000, 16,
+        )
+        got, expected = run_both(instance)
+        assert got == expected
+        calls = []
+        read = row_reader(rows, expiries)
+
+        def get_row(i):
+            calls.append(i)
+            return read(i)
+
+        assignment = np.array([0, 1, 3, -1, -1], dtype=np.int64)
+        done = repair_matching(
+            5, 5, get_row, np.ones(5, dtype=np.int64), assignment,
+            np.array([1, 1, 0, 1, 0], dtype=np.int64), np.zeros(5, dtype=np.int64),
+            [3, 4],
+        )
+        assert calls == calls_expected
+        assert done is done_expected
+        assert assignment.tolist() == assignment_expected == got[1]

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.matching as matching
 from repro.api.session import VodSession
+from repro.core.possession import PossessionIndex
 from repro.scenarios.build import build_full_solve_twin, build_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.replay import digest_result
@@ -221,11 +222,13 @@ def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
 
     The end-to-end benchmark's tracer patches ``hopcroft_karp_matching``
     and ``repair_matching`` on that module, so a call routed through
-    another module would silently drop out of traced runs.
-    ``near_threshold_load`` at seed 0 runs the full kernel and the exact
-    repair within 20 rounds.
+    another module would silently drop out of traced runs; the row entry
+    ``hopcroft_karp_rows`` is a global there too, for a tracer to patch.
+    ``near_threshold_load`` at seed 0 runs the full kernel on the CSR (in
+    round 0) and on the round's rows (its fallbacks), and the exact repair,
+    within 20 rounds.
     """
-    counts = {"hopcroft_karp_matching": 0, "repair_matching": 0}
+    counts = {"hopcroft_karp_matching": 0, "hopcroft_karp_rows": 0, "repair_matching": 0}
 
     def counting(name):
         solve = getattr(matching, name)
@@ -243,37 +246,47 @@ def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
 
 
 def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
-    """A fallback seeded by the repair solves as if the seed were validated.
+    """A fallback on the round's rows solves as the validating CSR kernel.
 
     A churn storm at 5% outages a round makes nearly every round
-    infeasible, so the full kernel runs seeded with the repair's partial
-    assignment and trusts it.  Each trusted call is re-run by the
-    validating kernel on the same CSR and seed and must return the same
-    result.  After every round each pair the kernel made carries the
-    latest expiry of its box's edges in the request's row.  A pair the
-    repair made keeps the expiry it recorded, which is one of those
-    edges' and never later than the latest: at this seed one box caches
-    a stripe twice in a request's window, and the repair's pair keeps the
-    earlier entry's expiry through the round's fallback.
+    infeasible, so the full kernel runs on the round's rows, seeded with
+    the repair's partial assignment, which it trusts.  Each such call is
+    re-run by the validating kernel on ``adjacency_for``'s CSR with the
+    same seed and must return the same result.  After every round each
+    pair the kernel made carries the latest expiry of its box's edges in
+    the request's row.  A pair the repair made keeps the expiry it
+    recorded, which is one of those edges' and never later than the
+    latest: at this seed one box caches a stripe twice in a request's
+    window, and the repair's pair keeps the earlier entry's expiry through
+    the round's fallback.
     """
-    # Per kernel call, its trusted seed (None for an unseeded call).
+    # Per kernel call, the seed of a row-entry call (None for a CSR call).
     kernel_seeds = []
     solve = matching.hopcroft_karp_matching
+    solve_rows = matching.hopcroft_karp_rows
+    # The arguments of the match call in progress.
+    instance = []
 
-    def checked_solve(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        seed = None
-        if kwargs.get("trusted_seed"):
-            validated = solve(*args, **dict(kwargs, trusted_seed=False))
-            assert np.array_equal(result.assignment, validated.assignment)
-            assert result.matched == validated.matched
-            assert result.deficient_left == validated.deficient_left
-            assert result.unsatisfied_witness == validated.unsatisfied_witness
-            seed = kwargs["initial_assignment"]
+    def counted_solve(*args, **kwargs):
+        kernel_seeds.append(None)
+        return solve(*args, **kwargs)
+
+    def checked_solve_rows(num_left, num_right, rows, capacities, seed):
+        result = solve_rows(num_left, num_right, rows, capacities, seed)
+        requests, possession, current_time = instance[-1]
+        indptr, indices = possession.adjacency_for(requests, current_time)
+        validated = solve(
+            num_left, num_right, indptr, indices, capacities, initial_assignment=seed
+        )
+        assert np.array_equal(result.assignment, validated.assignment)
+        assert result.matched == validated.matched
+        assert result.deficient_left == validated.deficient_left
+        assert result.unsatisfied_witness == validated.unsatisfied_witness
         kernel_seeds.append(seed)
         return result
 
-    monkeypatch.setattr(matching, "hopcroft_karp_matching", checked_solve)
+    monkeypatch.setattr(matching, "hopcroft_karp_matching", counted_solve)
+    monkeypatch.setattr(matching, "hopcroft_karp_rows", checked_solve_rows)
     spec = soak_spec(2_000, "churn_storm", horizon=30)
     spec = replace(spec, churn=replace(spec.churn, failure_probability=0.05))
     compiled = build_scenario(spec, seed=1)
@@ -284,6 +297,7 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
     def checked_match(requests, possession, current_time, **kwargs):
         nonlocal kernel_pairs, early_pairs
         calls = len(kernel_seeds)
+        instance.append((requests, possession, current_time))
         result = match(requests, possession, current_time, **kwargs)
         made_by_kernel = result.assignment >= 0
         if len(kernel_seeds) == calls:
@@ -310,6 +324,36 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
 
     matcher.match = checked_match
     compiled.run(30)
-    trusted_calls = sum(seed is not None for seed in kernel_seeds)
-    assert trusted_calls == len(kernel_seeds) - 1 >= 20
+    row_calls = sum(seed is not None for seed in kernel_seeds)
+    assert row_calls == len(kernel_seeds) - 1 >= 20
+    assert kernel_seeds[0] is None  # round 0 runs on the CSR
     assert kernel_pairs > 0 and early_pairs > 0
+
+
+def test_a_churn_storm_session_gathers_the_round_csr_only_in_round_0(monkeypatch):
+    """A churn storm's fallbacks read the round's rows, not its CSR.
+
+    At 5% outages a round nearly every round falls back to the full
+    kernel.  Only round 0's unseeded call gathers ``adjacency_for``; every
+    fallback solves on ``kernel_rows``.
+    """
+    gathered, row_calls = [], []
+    gather = PossessionIndex.adjacency_for
+    solve_rows = matching.hopcroft_karp_rows
+
+    def counted_gather(self, requests, current_time):
+        gathered.append(current_time)
+        return gather(self, requests, current_time)
+
+    def counted_solve_rows(*args):
+        row_calls.append(args[0])
+        return solve_rows(*args)
+
+    monkeypatch.setattr(PossessionIndex, "adjacency_for", counted_gather)
+    monkeypatch.setattr(matching, "hopcroft_karp_rows", counted_solve_rows)
+    spec = soak_spec(2_000, "churn_storm", horizon=12)
+    spec = replace(spec, churn=replace(spec.churn, failure_probability=0.05))
+    session = build_scenario(spec, seed=1).session()
+    session.step_until(round=12)
+    assert gathered == [0]
+    assert len(row_calls) >= 8

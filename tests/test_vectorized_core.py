@@ -412,6 +412,52 @@ class TestAdjacencyEquivalence:
             expected = list(zip(boxes.tolist(), expiries.tolist()))
             assert [e for e in row if e[0] != box] == expected, (r, rows)
 
+    @given(instance=possession_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_rows_equal_the_round_csr(self, instance, data):
+        """The full kernel's row source reads the round's CSR on demand.
+
+        Some downloads repeat in later rounds, so a box may sit twice in a
+        cache window, and most requesters are drawn from their own row, so
+        they sit in its static, cache or relay block and may leave it
+        empty.  Each row, touched in any order, is row ``i`` of
+        ``adjacency_for``, and ``heads`` is each row's first entry, ``-1``
+        for an empty one, before and after the rows are touched.
+        """
+        allocation, downloads, relays, requests, current_time, evict_at = instance
+        if downloads:
+            repeats = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(downloads) - 1), st.integers(1, 3)),
+                    max_size=8,
+                )
+            )
+            downloads = downloads + [
+                (downloads[k][0], downloads[k][1], downloads[k][2] + later)
+                for k, later in repeats
+            ]
+        possession = self._build(allocation, downloads, relays, evict_at)
+        drawn = []
+        for stripe, time, box in requests:
+            row, _ = possession.row_with_expiry(
+                stripe, box, time, current_time, exclude_self=False
+            )
+            if row.size and data.draw(st.integers(0, 3)):
+                box = data.draw(st.sampled_from(row.tolist()))
+            drawn.append((stripe, time, box))
+        request_set = _array_set(drawn)
+        indptr, indices = possession.adjacency_for(request_set, current_time)
+        csr_rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(drawn))]
+        expected_heads = [row[0] if row else -1 for row in csr_rows]
+        rows = possession.kernel_rows(request_set, current_time)
+        lefts = np.array(
+            data.draw(st.lists(st.integers(0, len(drawn) - 1), max_size=30)), dtype=np.int64
+        )
+        assert rows.heads(lefts).tolist() == [expected_heads[i] for i in lefts]
+        for i in data.draw(st.permutations(range(len(drawn)))):
+            assert rows[i] == csr_rows[i], i
+        assert rows.heads(lefts).tolist() == [expected_heads[i] for i in lefts]
+
     @given(instance=possession_instances(), k=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_max_cache_edges_keeps_the_newest_cache_edges(self, instance, k):
@@ -535,7 +581,8 @@ class TestRepairGreedySkipsTheRequester:
 
 
 class TestBatchedRowsDropTheRequester:
-    """The round's CSR drops the requester from every block of its row."""
+    """The round's CSR and the kernel's row source drop the requester from
+    every block of its row."""
 
     def test_requester_entries_leave_no_trace_in_any_block(self):
         """Rows 0 and 2 hold only the requester's own entries (static and
@@ -564,6 +611,9 @@ class TestBatchedRowsDropTheRequester:
         assert [x.tolist() for x in index.adjacency_for(requests, 3)] == [
             indptr.tolist(), indices.tolist()
         ]
+        rows = index.kernel_rows(requests, 3)
+        assert rows.heads(np.arange(3)).tolist() == [-1, a, -1]
+        assert [rows[i] for i in range(3)] == [[], [a, c], []]
 
 
 TOP_ROUND = 2**31 - 1
