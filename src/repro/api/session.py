@@ -23,7 +23,9 @@ workload are bit-identical:
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import json
 import pickle
 import re
@@ -62,8 +64,35 @@ __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 #:     ``Outage`` objects, the metrics collector start-up delay totals
 #:     instead of every delay, and the request pool the pair expiries the
 #:     matcher used to hold; format-3 payloads from older builds load
-#:     through their ``__setstate__`` converters.
+#:     through their ``__setstate__`` converters.  The request pool and
+#:     the demand log now pickle their live rows only, and NumPy's bool,
+#:     integer and float dtypes are pickled by name; both read as before,
+#:     so format-3 payloads stay loadable across builds in both
+#:     directions.
 SNAPSHOT_FORMAT_VERSION = 3
+
+
+def _reduce_dtype(dtype: np.dtype):
+    # A dtype with metadata keeps NumPy's own reduction, which carries it.
+    if dtype.metadata is not None:
+        return dtype.__reduce__()
+    return np.dtype, (dtype.str,)
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles NumPy's bool, integer and float dtypes by name.
+
+    NumPy reduces a dtype to ``np.dtype(name, False, True)``, which loads
+    as a new copy.  Arrays on a copied dtype leave ``ufunc.at``'s fast
+    loop, and so does every array computed from them: by name, the dtypes
+    load as NumPy's own shared instances.  Arrays keep NumPy's reduction.
+    """
+
+    dispatch_table = copyreg.dispatch_table.copy()
+    dispatch_table.update(
+        (type(np.dtype(code)), _reduce_dtype)
+        for code in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+    )
 
 
 @dataclass(frozen=True)
@@ -676,15 +705,20 @@ class VodSession:
         queued injected demands — so ``restore(snapshot)`` followed by
         ``step()``s is bit-identical to continuing uninterrupted.  The
         engine's ``round_observer`` (if any) is excluded and must be
-        re-attached after restore.
+        re-attached after restore.  Only live state is pickled: the request
+        pool and the demand log keep their live rows, and NumPy's dtypes
+        are named, so the restored arrays are on NumPy's own dtype
+        instances and the restored session steps as fast as this one.
         """
         engine = self._engine
         observer = engine._round_observer
         engine._round_observer = None
+        buffer = io.BytesIO()
         try:
-            payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+            _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(self)
         finally:
             engine._round_observer = observer
+        payload = buffer.getvalue()
         return SessionSnapshot(
             payload=payload,
             time=self.now,

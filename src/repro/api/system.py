@@ -118,20 +118,6 @@ class VodSystem:
         system._allocation = allocation
         return system
 
-    @classmethod
-    def from_scenario(cls, scenario, seed: Optional[int] = None):
-        """Compile a registered scenario (name or spec) through the facade.
-
-        Returns the :class:`~repro.scenarios.build.CompiledScenario`, whose
-        ``system`` attribute is the facade and whose ``session()`` method
-        opens a stepwise session over the compiled run.
-        """
-        from repro.scenarios.build import build_scenario
-        from repro.scenarios.registry import get_scenario
-
-        spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        return build_scenario(spec, seed=seed)
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

@@ -147,11 +147,6 @@ class SystemParameters:
         return self.k * self.m * self.c
 
     @property
-    def total_storage_slots(self) -> int:
-        """Number of stripe-sized storage slots in the system, ``⌊d·n·c⌋``."""
-        return int(round(self.d * self.n * self.c))
-
-    @property
     def storage_slots_per_box(self) -> int:
         """Stripe-sized slots per box under homogeneous storage, ``⌊d·c⌋``."""
         return int(round(self.d * self.c))
@@ -265,11 +260,6 @@ class BoxPopulation:
     def total_upload(self) -> float:
         """Aggregate upload capacity ``Σ_b u_b``."""
         return float(self._uploads.sum())
-
-    @property
-    def total_storage(self) -> float:
-        """Aggregate storage ``Σ_b d_b`` (in videos)."""
-        return float(self._storages.sum())
 
     @property
     def max_storage(self) -> float:

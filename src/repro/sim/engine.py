@@ -52,7 +52,7 @@ from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
 from repro.sim.trace import SimulationTrace
 from repro.workloads.base import DemandGenerator, SystemView
-from repro.util.soa import ensure_column_capacity
+from repro.util.soa import ensure_column_capacity, live_column_state
 from repro.util.validation import check_positive_integer
 
 __all__ = ["RoundObservation", "SimulationResult", "VodSimulator"]
@@ -438,6 +438,11 @@ class VodSimulator:
         afresh (the full-solve twin does this after every round)."""
         self._pool.forget_expiries()
 
+    _DEMAND_COLUMNS = ("_demand_time", "_demand_box", "_demand_video", "_demand_started")
+
+    def __getstate__(self) -> dict:
+        return live_column_state(self, self._DEMAND_COLUMNS, self._demand_count)
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         if "_expiry" not in vars(self._pool):
@@ -604,10 +609,7 @@ class VodSimulator:
         videos = video_ids[accept] if kept != n else video_ids
 
         ensure_column_capacity(
-            self,
-            ("_demand_time", "_demand_box", "_demand_video", "_demand_started"),
-            self._demand_count,
-            self._demand_count + kept,
+            self, self._DEMAND_COLUMNS, self._demand_count, self._demand_count + kept
         )
         lo = self._demand_count
         hi = lo + kept

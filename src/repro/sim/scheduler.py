@@ -18,7 +18,8 @@ expires requests, :meth:`~ActiveRequestPool.extend_from_arrays`
 activates the round's new ones and
 :meth:`~ActiveRequestPool.apply_matching` adopts its matching; the
 full-solve twin also drops the pair expiries after every round
-(:meth:`~ActiveRequestPool.forget_expiries`).
+(:meth:`~ActiveRequestPool.forget_expiries`).  A pickled pool holds its
+live rows only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.requests import RequestSet
-from repro.util.soa import ensure_column_capacity
+from repro.util.soa import ensure_column_capacity, live_column_state
 from repro.util.validation import check_non_negative_integer, check_positive_integer
 
 __all__ = ["ActiveRequestPool"]
@@ -210,3 +211,6 @@ class ActiveRequestPool:
     def forget_expiries(self) -> None:
         """Drop the last matching's pair expiries: the next has nothing to repair."""
         self._expiry = None
+
+    def __getstate__(self):
+        return live_column_state(self, self._COLUMNS, self._size)

@@ -60,10 +60,6 @@ class SimulationTrace:
         """All recorded events, in recording order."""
         return list(self._events)
 
-    def events_since(self, start: int) -> List[Event]:
-        """Events recorded at index ``start`` onwards (cheap tail slice)."""
-        return self._events[start:]
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

@@ -4,9 +4,10 @@ The vectorized engine core keeps its hot-path state as parallel NumPy
 columns with amortized doubling growth (request pool, demand log).
 :func:`ensure_column_capacity` is the one shared growth routine: every
 column keeps its dtype, the live prefix is preserved, and capacity at
-least doubles so appends stay O(1) amortized.  :func:`stable_argsort` is
-the one order that groups a column's equal ids (boxes, videos, stripes,
-right nodes) with each group in arrival order.
+least doubles so appends stay O(1) amortized; :func:`live_column_state`
+pickles only the live prefix.  :func:`stable_argsort` is the one order
+that groups a column's equal ids (boxes, videos, stripes, right nodes)
+with each group in arrival order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ensure_column_capacity", "stable_argsort"]
+__all__ = ["ensure_column_capacity", "live_column_state", "stable_argsort"]
 
 
 def ensure_column_capacity(owner, names: Sequence[str], live: int, needed: int) -> None:
@@ -34,6 +35,20 @@ def ensure_column_capacity(owner, names: Sequence[str], live: int, needed: int) 
         new = np.empty(new_capacity, dtype=old.dtype)
         new[:live] = old[:live]
         setattr(owner, name, new)
+
+
+def live_column_state(owner, names: Sequence[str], live: int) -> dict:
+    """``owner``'s attributes with the columns ``names`` cut to ``live`` entries.
+
+    The ``__getstate__`` of a column owner: the slack past the live prefix
+    is not pickled.  Loading needs nothing more, since
+    :func:`ensure_column_capacity` grows a column whose capacity equals its
+    live count, zero included.
+    """
+    state = vars(owner).copy()
+    for name in names:
+        state[name] = state[name][:live]
+    return state
 
 
 def stable_argsort(ids: np.ndarray) -> np.ndarray:

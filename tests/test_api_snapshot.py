@@ -10,8 +10,11 @@ requests).
 
 from __future__ import annotations
 
+import io
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,26 @@ def _session_for(name: str, solver: str, rounds: int) -> VodSession:
     return build_scenario(spec, min_horizon=rounds).session(horizon=rounds)
 
 
+def _arrays_on_copied_dtypes(session: VodSession) -> list:
+    """The arrays in ``session``'s state whose dtype is not NumPy's own instance.
+
+    Found by re-pickling the session through a recording
+    ``reducer_override``.  ``ufunc.at`` leaves its fast loop on a copied
+    dtype, so a restored session holding one steps slowly.
+    """
+    met = []
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, np.ndarray):
+                met.append(obj)
+            return NotImplemented
+
+    Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(session)
+    assert met
+    return [a for a in met if a.dtype is not np.dtype(a.dtype.str)]
+
+
 @pytest.mark.parametrize("name,solver", SNAPSHOT_GRID)
 def test_snapshot_restore_step_matches_uninterrupted_run(name, solver):
     baseline = _session_for(name, solver, ROUNDS)
@@ -55,6 +78,15 @@ def test_snapshot_restore_step_matches_uninterrupted_run(name, solver):
     restored = VodSession.restore(snapshot)
     assert restored.now == SPLIT
     assert restored.rounds_completed == SPLIT
+    # The payload holds only live rows, and its arrays load on NumPy's
+    # own dtypes.
+    engine = restored.engine
+    pool = engine._pool
+    assert {getattr(pool, column).size for column in pool._COLUMNS} == {len(pool)}
+    assert {getattr(engine, column).size for column in engine._DEMAND_COLUMNS} == {
+        engine._demand_count
+    }
+    assert _arrays_on_copied_dtypes(restored) == []
     restored.step_until(round=ROUNDS)
 
     assert [r.to_dict() for r in restored.reports] == expected
@@ -164,6 +196,10 @@ class TestSnapshotFormatVersioning:
         assert snapshot.format_version == 3
         assert snapshot.rounds_completed == 3
         restored = VodSession.restore(snapshot)
+        # Its arrays loaded on copied dtypes; one new checkpoint cycle
+        # leaves none.
+        restored = VodSession.restore(restored.snapshot())
+        assert _arrays_on_copied_dtypes(restored) == []
         spec = get_scenario("steady_state")
         uninterrupted = build_scenario(spec, seed=1).session()
         uninterrupted.step_until(round=spec.horizon)
@@ -378,7 +414,9 @@ def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
 
     The payload is hashed at capture, at the file read and at restore, and
     the session is pickled and unpickled once: the file frame carries the
-    payload as it is, under the digest recorded at capture.
+    payload as it is, under the digest recorded at capture.  The session
+    is pickled through the snapshot pickler's ``dump``; ``pickle.dumps`` is
+    counted too, so a second pickle of either kind fails.
     """
     import hashlib
     import pickle
@@ -390,12 +428,17 @@ def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
     dumps: list = []
     loads: list = []
     real_sha256 = session_module.hashlib.sha256
+    real_dump = session_module._SnapshotPickler.dump
     real_dumps = session_module.pickle.dumps
     real_loads = session_module.pickle.loads
 
     def counting_sha256(data=b"", *args, **kwargs):
         hashed.append(len(data))
         return real_sha256(data, *args, **kwargs)
+
+    def counting_dump(pickler, obj):
+        dumps.append(type(obj).__name__)
+        return real_dump(pickler, obj)
 
     def counting_dumps(obj, *args, **kwargs):
         dumps.append(type(obj).__name__)
@@ -409,6 +452,7 @@ def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
     session = _session_for("steady_state", "hopcroft_karp", ROUNDS)
     session.step_until(round=SPLIT)
     monkeypatch.setattr(session_module.hashlib, "sha256", counting_sha256)
+    monkeypatch.setattr(session_module._SnapshotPickler, "dump", counting_dump)
     monkeypatch.setattr(session_module.pickle, "dumps", counting_dumps)
     monkeypatch.setattr(session_module.pickle, "loads", counting_loads)
     snapshot = session.snapshot()
