@@ -131,13 +131,9 @@ class RoundReport:
     playback_starts: int
     #: Boxes offline under churn this round.
     offline_boxes: int
-    #: 1 when the round was solved through the degraded fallback chain
-    #: (augmentation budget exhausted → Dinic re-solve), 0 otherwise.
-    #: Serialized only when set, so fault-free digests are unchanged.
-    degraded: int = 0
     #: 1 when the incremental repair path gave up on its search budget and
     #: the round fell back to the full matching kernel, 0 otherwise.
-    #: Serialized only when set (same digest-stability rule as ``degraded``).
+    #: Serialized only when set, so digests of runs without it are unchanged.
     repair_fallback: int = 0
 
     @property
@@ -152,11 +148,10 @@ class RoundReport:
         payload = self.to_round_stats().to_dict()
         for name in _SESSION_ONLY_FIELDS:
             payload[name] = int(getattr(self, name))
-        for flag in ("degraded", "repair_fallback"):
-            if not payload[flag]:
-                # Only rounds that tripped the flag serialize it: digests of
-                # fault-free runs are byte-identical to earlier recordings.
-                del payload[flag]
+        if not payload["repair_fallback"]:
+            # Only rounds that tripped the flag serialize it: digests of
+            # runs without it are byte-identical to earlier recordings.
+            del payload["repair_fallback"]
         return payload
 
     @classmethod
@@ -443,11 +438,6 @@ class VodSession:
         every round (before the engine steps).  The driver's schedule is
         precomputed and keyed by absolute round, so it pickles with the
         session: snapshot/restore replays the remaining faults exactly.
-    shed_when_degraded:
-        When ``True``, :meth:`submit_demands` raises
-        :class:`AdmissionError` while the engine's last round ran through
-        the degraded solver fallback — load shedding instead of piling
-        demand onto a struggling solver.
     """
 
     def __init__(
@@ -456,7 +446,6 @@ class VodSession:
         workload: Optional[DemandGenerator] = None,
         horizon: Optional[int] = None,
         fault_driver=None,
-        shed_when_degraded: bool = False,
     ):
         if horizon is not None and horizon <= 0:
             raise ValueError(f"horizon must be positive or None, got {horizon}")
@@ -465,7 +454,6 @@ class VodSession:
         self._horizon = horizon
         self._adapter = _SessionWorkload(self)
         self._fault_driver = fault_driver
-        self._shed_when_degraded = bool(shed_when_degraded)
         #: (box_id, video_id) demands queued for the next step, in order.
         self._pending: List[Tuple[int, int]] = []
         self._reports: List[RoundReport] = []
@@ -550,11 +538,6 @@ class VodSession:
                 f"session is closed after {self.rounds_completed} rounds"
             )
         engine = self._engine
-        if self._shed_when_degraded and engine.last_round_degraded:
-            raise AdmissionError(
-                "admission shed: the previous round ran through the degraded "
-                "solver fallback; retry once the solver recovers"
-            )
         time = engine.now
         count = 0
         queued = {box_id for box_id, _ in self._pending}
@@ -637,7 +620,6 @@ class VodSession:
             demands_rejected=int(engine.rejected_demands - rejected_before),
             playback_starts=playback_starts,
             offline_boxes=int(engine.offline_array(time).size),
-            degraded=int(engine.last_round_degraded),
             repair_fallback=int(getattr(engine, "last_round_repair_fallback", False)),
         )
         self._reports.append(report)

@@ -39,7 +39,6 @@ from repro.core.possession import PossessionIndex, _DownloadLog  # noqa: F401
 from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (
-    AugmentationBudgetExceeded,
     HKMatchingResult,
     hopcroft_karp_matching,
     hopcroft_karp_rows,
@@ -83,20 +82,20 @@ class ConnectionMatching:
         exact right-hand side of the solved instance, reused by the
         differential solver oracle.
     degraded:
-        ``True`` when the primary solver ran out of its augmentation
-        budget and the round was re-solved by the Dinic fallback.  The
-        matching is still a maximum matching of the same instance; the
-        flag only records that the fast path gave up.
+        Always ``False``: every round is solved on the one matching path.
+        The field stays only because the end-to-end benchmark's tracer
+        (``benchmarks/e2e/spans.py``) reads ``result.degraded`` on every
+        traced call; it goes together with that read.
     repair_fallback:
         ``True`` when the incremental repair path exceeded its search
         budget and the round was re-solved by the full Hopcroft–Karp
-        kernel.  Like ``degraded``, a pure provenance flag: the matching
-        itself is identical to what the repair would have produced.
+        kernel.  A pure provenance flag: the matching itself is identical
+        to what the repair would have produced.
     pair_expiry:
         Per request, the last round its matched pair stays valid
         (meaningless where unmatched), for the next round's repair;
-        ``None`` when the round kept none (no ``warm_start``, an
-        augmentation budget, or the Dinic solver).
+        ``None`` when the round kept none (no ``warm_start``, or the
+        Dinic solver).
     """
 
     feasible: bool
@@ -151,21 +150,9 @@ class ConnectionMatcher:
         flow (:func:`repro.flow.dinic.dinic_matching`) on that CSR
         adjacency, and serves as the cold twin in cross-validation tests
         and benchmarks.
-    augmentation_budget:
-        Optional per-round cap on the Hopcroft–Karp kernel's
-        augmenting-path searches.  When the kernel exceeds it the round
-        is transparently re-solved with the Dinic fallback and the
-        returned matching carries ``degraded=True`` — graceful
-        degradation instead of an unbounded solve.  Ignored by the
-        Dinic solver (it has no augmentation budget).
     """
 
-    def __init__(
-        self,
-        upload_slots: Sequence[int],
-        solver: str = "hopcroft_karp",
-        augmentation_budget: Optional[int] = None,
-    ):
+    def __init__(self, upload_slots: Sequence[int], solver: str = "hopcroft_karp"):
         slots = np.asarray(upload_slots, dtype=np.int64)
         if slots.ndim != 1 or slots.size == 0:
             raise ValueError("upload_slots must be a non-empty 1-D sequence")
@@ -176,8 +163,6 @@ class ConnectionMatcher:
             raise ValueError(f"solver must be one of {known}, got {solver!r}")
         self._slots = slots
         self._solver = solver
-        self._augmentation_budget: Optional[int] = None
-        self.set_augmentation_budget(augmentation_budget)
         self._repair_search_budget: Optional[int] = None
         self._repair_rounds = 0
 
@@ -190,19 +175,6 @@ class ConnectionMatcher:
     def solver(self) -> str:
         """Name of the matching kernel in use."""
         return self._solver
-
-    @property
-    def augmentation_budget(self) -> Optional[int]:
-        """Current per-round augmentation budget (``None`` = unlimited)."""
-        return self._augmentation_budget
-
-    def set_augmentation_budget(self, budget: Optional[int]) -> None:
-        """Set (or clear, with ``None``) the per-round augmentation budget."""
-        if budget is not None:
-            budget = int(budget)
-            if budget < 0:
-                raise ValueError("augmentation_budget must be non-negative")
-        self._augmentation_budget = budget
 
     @property
     def repair_search_budget(self) -> Optional[int]:
@@ -279,11 +251,9 @@ class ConnectionMatcher:
         maximum by construction; any other outcome falls back to the full
         kernel, so results are bit-compatible with a full solve.
         ``pair_expiry`` needs a ``warm_start`` of the same length, else
-        ``ValueError``.  Without it, or with an ``augmentation_budget`` set
-        (budgeted rounds must charge the full kernel so degradation fires
-        identically), the round runs the full kernel.  The result carries
-        the pair expiries of its matching whenever the call has a
-        ``warm_start`` and no budget is set.
+        ``ValueError``.  Without it the round runs the full kernel.  The
+        result carries the pair expiries of its matching whenever the call
+        has a ``warm_start``.
 
         When the repair fell short, the full kernel solves on the round's
         rows (:meth:`PossessionIndex.kernel_rows`, read as the kernel
@@ -327,7 +297,6 @@ class ConnectionMatcher:
                 pair_expiry=empty if self._solver == "hopcroft_karp" else None,
             )
 
-        degraded = False
         repair_fallback = False
         expiry: Optional[np.ndarray] = None
         if self._solver == "dinic":
@@ -340,12 +309,8 @@ class ConnectionMatcher:
                 warm_start is None or len(pair_expiry) != num_requests
             ):
                 raise ValueError("pair_expiry needs a warm_start of the same length")
-            # A budgeted round skips the repair: the full kernel must do
-            # the searching so AugmentationBudgetExceeded → degraded fires
-            # exactly as without the incremental layer.
-            incremental = warm_start is not None and self._augmentation_budget is None
             repair: Optional[_Repair] = None
-            if incremental and pair_expiry is not None:
+            if pair_expiry is not None:
                 repair = self._try_repair(
                     requests, possession, current_time, capacities,
                     warm_start, pair_expiry,
@@ -376,28 +341,15 @@ class ConnectionMatcher:
                     )
                 else:
                     indptr, indices = possession.adjacency_for(requests, current_time)
-                    try:
-                        result = hopcroft_karp_matching(
-                            num_left=num_requests,
-                            num_right=n,
-                            indptr=indptr,
-                            indices=indices,
-                            right_capacities=capacities,
-                            initial_assignment=warm_start,
-                            augmentation_budget=self._augmentation_budget,
-                        )
-                    except AugmentationBudgetExceeded:
-                        # Graceful degradation: re-solve the identical
-                        # instance (same CSR adjacency, same capacities) with
-                        # the Dinic max-flow kernel.  Maximum-matching
-                        # cardinality is solver-independent, so feasibility
-                        # and per-round metrics are unchanged; only the
-                        # degraded flag records the event.
-                        result = dinic_matching(
-                            num_requests, n, indptr, indices, capacities
-                        )
-                        degraded = True
-                if incremental:
+                    result = hopcroft_karp_matching(
+                        num_left=num_requests,
+                        num_right=n,
+                        indptr=indptr,
+                        indices=indices,
+                        right_capacities=capacities,
+                        initial_assignment=warm_start,
+                    )
+                if warm_start is not None:
                     expiry = self._kernel_pair_expiry(
                         result.assignment, repair, requests, possession, current_time
                     )
@@ -412,7 +364,6 @@ class ConnectionMatcher:
             obstruction_witness=result.unsatisfied_witness,
             box_load=box_load,
             capacities=capacities,
-            degraded=degraded,
             repair_fallback=repair_fallback,
             pair_expiry=expiry,
         )

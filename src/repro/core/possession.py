@@ -653,7 +653,7 @@ class PossessionIndex:
         (a box can hold a stripe statically *and* cache it); the matching
         kernels tolerate them.  It is :meth:`adjacency_delta_for` without
         the expiry column, which it never builds: a kernel call without a
-        repair (round 0, after a reset, a budgeted round), the cold Dinic
+        repair (round 0, after a reset), the cold Dinic
         twin and the oracle take this one, a fallback round reads the
         same rows through :meth:`kernel_rows`, and the matcher looks up
         the expiries of only the pairs the kernel made through

@@ -5,8 +5,8 @@ The paper's catalog-size thresholds only matter if the system holds them
 reproducible:
 
 * :mod:`repro.faults.plan` — declarative, seed-deterministic fault plans
-  (box crash/rejoin bursts, upload brownouts, solver-budget windows)
-  registered as ``"fault"`` components and applied to a live engine by a
+  (box crash/rejoin bursts and upload brownouts) registered as
+  ``"fault"`` components and applied to a live engine by a
   :class:`FaultDriver` through the existing mutation hooks;
 * :mod:`repro.faults.corrupt` — file corruption helpers (truncation,
   byte flips) for exercising store/snapshot integrity checks;

@@ -13,12 +13,9 @@ can pin:
   file must raise the typed
   :class:`~repro.api.errors.SnapshotIntegrityError`
   (``truncated_detected``), never unpickle garbage;
-* **degradation accounting** — the number of rounds served by the
-  solver fallback chain, and whether the per-round metrics equal the
-  fault-free twin's (``matches_fault_free`` — true by design for
-  solver-budget faults, where the fallback preserves matching
-  cardinality; false for capacity faults, which genuinely change the
-  system).
+* **fault-free comparison** — whether the per-round metrics equal the
+  fault-free twin's (``matches_fault_free``; false for capacity faults,
+  which genuinely change the system).
 
 The runner is a pure function of ``(scenario, seed)``; the campaign
 registers through :mod:`repro.orchestrate.campaigns` (which imports this
@@ -34,7 +31,7 @@ from typing import Any, Dict, List, Mapping
 
 __all__ = ["FAULT_RECOVERY_CAMPAIGN", "run_fault_recovery"]
 
-CHAOS_SCENARIOS = ("chaos_box_crash", "chaos_brownout", "chaos_degraded_solver")
+CHAOS_SCENARIOS = ("chaos_box_crash", "chaos_brownout")
 
 
 def run_fault_recovery(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
@@ -76,8 +73,7 @@ def run_fault_recovery(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
     recovered = restored.result()
     recovered_digest = digest_result(spec, seed, rounds, recovered).digest
 
-    # Degradation accounting against the fault-free twin.
-    degraded_rounds = sum(report.degraded for report in restored.reports)
+    # Compare with the fault-free twin.
     twin = build_scenario(dataclasses.replace(spec, faults=()), seed=seed).run(rounds)
     matches_fault_free = _round_records(reference) == _round_records(twin)
 
@@ -89,7 +85,6 @@ def run_fault_recovery(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
             "digest": reference_digest,
             "recovered_matches": recovered_digest == reference_digest,
             "truncated_detected": truncated_detected,
-            "degraded_rounds": int(degraded_rounds),
             "matches_fault_free": matches_fault_free,
         }
     ]

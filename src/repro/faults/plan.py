@@ -34,17 +34,16 @@ __all__ = [
 ]
 
 #: Actions a fault event may apply to the engine.
-_ACTIONS = ("set_capacity", "set_budget", "clear_budget")
+_ACTIONS = ("set_capacity",)
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled mutation of the live engine.
 
-    ``action`` is ``"set_capacity"`` (set ``box_id``'s upload to
+    ``action`` is ``"set_capacity"``: set ``box_id``'s upload to
     ``value`` bitrates — 0.0 models a crash, the original upload a
-    rejoin), ``"set_budget"`` (cap the matcher's per-round augmentation
-    searches at ``int(value)``) or ``"clear_budget"``.
+    rejoin.
     """
 
     time: int
@@ -100,12 +99,7 @@ class FaultDriver:
         """Apply round ``time``'s events to ``engine``; returns the count."""
         events = self.events_at(time)
         for event in events:
-            if event.action == "set_capacity":
-                engine.set_upload_capacity(event.box_id, event.value)
-            elif event.action == "set_budget":
-                engine.set_solver_budget(int(event.value))
-            else:  # clear_budget
-                engine.set_solver_budget(None)
+            engine.set_upload_capacity(event.box_id, event.value)
         return len(events)
 
 
@@ -195,28 +189,8 @@ def brownout_plan(
     return FaultPlan(kind="brownout", events=tuple(events))
 
 
-def solver_budget_plan(
-    params: Mapping[str, Any], population, horizon: int, rng: np.random.Generator
-) -> FaultPlan:
-    """A solver-budget exhaustion window: cap augmentation searches.
-
-    Parameters: ``start``, ``duration``, ``budget`` (default 0 — any
-    post-greedy deficit trips the degraded fallback).  The budget is
-    cleared at ``start + duration``.
-    """
-    start, duration = _window(params, horizon)
-    budget = int(params.get("budget", 0))
-    if budget < 0:
-        raise ValueError(f"solver budget must be non-negative, got {budget}")
-    events = (
-        FaultEvent(start, "set_budget", value=float(budget)),
-        FaultEvent(start + duration, "clear_budget"),
-    )
-    return FaultPlan(kind="solver_budget", events=events)
-
-
 #: Built-in fault component kinds.
-FAULT_KINDS = ("box_crash", "brownout", "solver_budget")
+FAULT_KINDS = ("box_crash", "brownout")
 
 register_component(
     "fault", "box_crash", box_crash_plan,
@@ -225,10 +199,6 @@ register_component(
 register_component(
     "fault", "brownout", brownout_plan,
     "upload brownout: chosen boxes run at a fraction of capacity",
-)
-register_component(
-    "fault", "solver_budget", solver_budget_plan,
-    "solver-budget window: cap per-round augmentation searches",
 )
 
 

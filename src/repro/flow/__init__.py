@@ -11,8 +11,8 @@ boxes' capacities, and returns one result type
   :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` runs the same
   kernel on rows read on demand instead of a CSR);
 * Dinic's max flow on the same network (:func:`dinic_matching`), the
-  degraded-round fallback and cold twin of that kernel; on an infeasible
-  instance its Hall witness is the source side of a minimum cut;
+  cold twin of that kernel; on an infeasible instance its Hall witness
+  is the source side of a minimum cut;
 * generalized-Hall-violation search, the exact Hall deficiency of a
   witness and expansion measurement, the objects appearing in Lemma 1
   and the expander argument.

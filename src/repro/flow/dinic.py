@@ -1,14 +1,14 @@
 """Dinic's maximum flow on the requests→boxes network of a CSR round.
 
-The in-house max-flow solver: the degraded-round fallback of the
-Hopcroft–Karp path and the ``solver="dinic"`` cold twin.  Lemma 1 makes a
-round's connection matching the maximum flow of a unit-demand network:
-source→request edges of capacity 1, request→box edges of capacity 1 and
-box→sink edges of the box's capacity.  :func:`dinic_matching` builds that
-residual network from the CSR adjacency with NumPy and solves it by
-Dinic's BFS levels and blocking flows, in ``O(E·√V)`` on these unit
-networks.  Its result type and input checks are the Hopcroft–Karp
-kernel's, so the two kernels read one instance format.
+The in-house max-flow solver: the ``solver="dinic"`` cold twin of the
+Hopcroft–Karp path.  Lemma 1 makes a round's connection matching the
+maximum flow of a unit-demand network: source→request edges of capacity
+1, request→box edges of capacity 1 and box→sink edges of the box's
+capacity.  :func:`dinic_matching` builds that residual network from the
+CSR adjacency with NumPy and solves it by Dinic's BFS levels and
+blocking flows, in ``O(E·√V)`` on these unit networks.  Its result type
+and input checks are the Hopcroft–Karp kernel's, so the two kernels read
+one instance format.
 """
 
 from __future__ import annotations

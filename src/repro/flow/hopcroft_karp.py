@@ -6,8 +6,8 @@ needs exactly one server, every box (right node) can serve at most
 ``⌊u_b·c⌋`` requests.  Both in-house kernels read it as one CSR
 (``indptr``/``indices``) adjacency, checked by one validation, and return
 one result type: the Dinic max flow (:mod:`repro.flow.dinic`) is the
-degraded-round fallback and cold twin, and this module's capacitated
-Hopcroft–Karp is what every round runs:
+cold twin, and this module's capacitated Hopcroft–Karp is what every
+round runs:
 
 * a greedy first-fit pass matches the easy requests in ``O(E)``: the
   lefts that find room at their row's head before any head fills up
@@ -56,7 +56,6 @@ import numpy as np
 from repro.util.soa import stable_argsort
 
 __all__ = [
-    "AugmentationBudgetExceeded",
     "HKMatchingResult",
     "csr_from_edges",
     "hopcroft_karp_matching",
@@ -64,18 +63,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-class AugmentationBudgetExceeded(RuntimeError):
-    """The per-call augmentation budget ran out before the deficit cleared.
-
-    Raised by :func:`hopcroft_karp_matching` when ``augmentation_budget``
-    is set and resolving the residual deficit would need more
-    augmenting-path searches than allowed.  The caller decides what to do
-    with the partially-solved instance — the degraded-solver fallback in
-    :class:`repro.core.matching.ConnectionMatcher` re-solves it with the
-    Dinic max-flow kernel instead of crashing the round.
-    """
 
 
 @dataclass(frozen=True)
@@ -319,7 +306,6 @@ def hopcroft_karp_matching(
     indices: Sequence[int],
     right_capacities: Sequence[int],
     initial_assignment: Optional[Sequence[int]] = None,
-    augmentation_budget: Optional[int] = None,
 ) -> HKMatchingResult:
     """Maximum unit-demand b-matching on a CSR bipartite adjacency.
 
@@ -340,19 +326,7 @@ def hopcroft_karp_matching(
         cannot corrupt the result, only speed it up or slow it down.
         The adjacency test reads every edge once; a caller whose seed
         pairs are edges by construction calls :func:`hopcroft_karp_rows`.
-    augmentation_budget:
-        Optional hard cap on the number of augmenting-path searches spent
-        *after* the warm-start and greedy passes.  ``None`` (the default)
-        means unlimited; when the cap would be exceeded the kernel raises
-        :class:`AugmentationBudgetExceeded` instead of finishing, so a
-        supervising caller can fall back to another solver.  A budget of
-        ``0`` forbids any augmentation: the call raises whenever the
-        greedy pass leaves a deficit.
     """
-    if augmentation_budget is not None:
-        augmentation_budget = int(augmentation_budget)
-        if augmentation_budget < 0:
-            raise ValueError("augmentation_budget must be non-negative")
     indptr_arr, indices_arr, cap_arr = _check_csr(
         num_left, num_right, indptr, indices, right_capacities
     )
@@ -371,8 +345,7 @@ def hopcroft_karp_matching(
                 adjacent[hit_rows] = True
         warm[~adjacent] = -1
     return _solve(
-        num_left, num_right, _LazyRows(indptr_arr, indices_arr), cap_arr, warm,
-        augmentation_budget,
+        num_left, num_right, _LazyRows(indptr_arr, indices_arr), cap_arr, warm
     )
 
 
@@ -400,7 +373,7 @@ def hopcroft_karp_rows(
     """
     cap_arr = _check_capacities(num_right, right_capacities)
     return _solve(
-        num_left, num_right, rows, cap_arr, _check_seed(num_left, num_right, seed), None
+        num_left, num_right, rows, cap_arr, _check_seed(num_left, num_right, seed)
     )
 
 
@@ -410,7 +383,6 @@ def _solve(
     rows,
     cap_arr: np.ndarray,
     warm: Optional[np.ndarray],
-    augmentation_budget: Optional[int],
 ) -> HKMatchingResult:
     """The kernel body: adopt the seed, greedy pass, then augment.
 
@@ -507,16 +479,6 @@ def _solve(
         np.concatenate((warm_i, greedy_i)),
         np.concatenate((warm_b, greedy_b)),
     )
-    searches_spent = 0
-
-    def _charge_search() -> None:
-        nonlocal searches_spent
-        searches_spent += 1
-        if augmentation_budget is not None and searches_spent > augmentation_budget:
-            raise AugmentationBudgetExceeded(
-                f"augmentation budget of {augmentation_budget} searches "
-                f"exhausted with a deficit of {num_left - matched} left"
-            )
 
     # Small deficits — the typical warm-started round — augment one source
     # at a time with Kuhn, which touches only a small neighbourhood.  An
@@ -525,7 +487,6 @@ def _solve(
     if free.size <= max(8, math.isqrt(num_left)):
         dead: Set[int] = set()
         for i in free.tolist():
-            _charge_search()
             if _kuhn_augment(i, rows, cap, load, match_arr, right_matches, dead):
                 matched += 1
                 dead = set()
@@ -630,7 +591,6 @@ def _solve(
         if dist_nil == _INF:
             break
         for i in free_lefts:
-            _charge_search()
             if augment(i, dist_nil):
                 matched += 1
         if matched == num_left:

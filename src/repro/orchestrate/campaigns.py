@@ -602,21 +602,20 @@ from repro.faults.campaign import CHAOS_SCENARIOS, run_fault_recovery  # noqa: E
 
 FAULT_RECOVERY_CAMPAIGN = CampaignSpec(
     name="fault_recovery",
-    description="Chaos scenarios: checkpoint/restore parity through fault windows, "
-    "torn-checkpoint detection, and solver-fallback metric preservation.",
+    description="Chaos scenarios: checkpoint/restore parity through fault windows "
+    "and torn-checkpoint detection.",
     runner="fault_recovery",
     base={"seed": 0},
     grid={"scenario": CHAOS_SCENARIOS},
     paper_claim=(
         "Robustness of the reproduction itself: injected faults (crash "
-        "bursts, brownouts, solver-budget exhaustion) replay "
-        "deterministically, checkpoints recover bit-identically through "
-        "fault windows, damaged checkpoints fail typed, and the solver "
-        "fallback chain degrades without changing any per-round metric."
+        "bursts, brownouts) replay deterministically, checkpoints recover "
+        "bit-identically through fault windows, and damaged checkpoints "
+        "fail typed."
     ),
     columns=(
         "scenario", "seed", "rounds", "digest", "recovered_matches",
-        "truncated_detected", "degraded_rounds", "matches_fault_free",
+        "truncated_detected", "matches_fault_free",
     ),
     benchmark="",
 )

@@ -302,28 +302,6 @@ register(
 
 register(
     ScenarioSpec(
-        name="chaos_degraded_solver",
-        description="Near-threshold load with the matcher's search budget cut to zero.",
-        paper_claim=(
-            "Graceful degradation: when the primary solver's augmentation "
-            "budget is exhausted the fallback chain must preserve the "
-            "matching cardinality, so per-round metrics equal the "
-            "fault-free run bit for bit."
-        ),
-        catalog=CatalogSpec(num_videos=14, num_stripes=4, duration=10),
-        population=PopulationSpec("homogeneous", {"n": 48, "u": 1.05, "d": 2.5}),
-        allocation=AllocationSpec("permutation", replicas_per_stripe=3),
-        workload=(WorkloadPhaseSpec("uniform", params={"arrival_rate": 10.0}),),
-        mu=1.5,
-        horizon=20,
-        faults=(
-            FaultSpec("solver_budget", {"start": 1, "duration": 19, "budget": 0}),
-        ),
-    )
-)
-
-register(
-    ScenarioSpec(
         name="zipf_steady",
         description=(
             "Stationary truncated-Zipf demand with the classic VoD "

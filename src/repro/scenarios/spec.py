@@ -219,10 +219,10 @@ class FaultSpec:
     """One deterministic fault injection: registry kind plus parameters.
 
     ``kind`` names a registered ``"fault"`` component (built-ins in
-    :mod:`repro.faults.plan`: ``"box_crash"``, ``"brownout"``,
-    ``"solver_budget"``); ``params`` are forwarded to its factory.  All
-    randomness the plan needs is drawn from a dedicated child stream of
-    the scenario master seed, so faulted runs replay bit-identically.
+    :mod:`repro.faults.plan`: ``"box_crash"`` and ``"brownout"``);
+    ``params`` are forwarded to its factory.  All randomness the plan
+    needs is drawn from a dedicated child stream of the scenario master
+    seed, so faulted runs replay bit-identically.
     """
 
     kind: str
@@ -273,8 +273,8 @@ class ScenarioSpec:
         pre-existing golden recordings stay byte-identical.
     faults:
         Deterministic fault injections (:class:`FaultSpec` tuple) applied
-        by the compiled scenario: box crash/rejoin bursts, capacity
-        brownouts, solver-budget windows.  Serialized only when
+        by the compiled scenario: box crash/rejoin bursts and capacity
+        brownouts.  Serialized only when
         non-empty, for the same golden-compatibility reason.
     """
 

@@ -267,8 +267,6 @@ class VodSimulator:
         self._demand_started = np.empty(64, dtype=bool)
         self._rejected_demands = 0
         self._playbacks_started = 0
-        self._degraded_rounds = 0
-        self._last_round_degraded = False
         self._repair_fallback_rounds = 0
         self._last_round_repair_fallback = False
 
@@ -326,16 +324,6 @@ class VodSimulator:
         return self._metrics.rounds_recorded
 
     @property
-    def last_round_degraded(self) -> bool:
-        """Whether the last round fell back to the degraded solver path."""
-        return self._last_round_degraded
-
-    @property
-    def degraded_rounds(self) -> int:
-        """Number of rounds solved through the degraded fallback so far."""
-        return self._degraded_rounds
-
-    @property
     def last_round_repair_fallback(self) -> bool:
         """Whether the last round's incremental repair fell back to the full kernel."""
         return self._last_round_repair_fallback
@@ -344,20 +332,6 @@ class VodSimulator:
     def repair_fallback_rounds(self) -> int:
         """Number of rounds whose repair budget forced a full re-solve so far."""
         return self._repair_fallback_rounds
-
-    def set_solver_budget(self, budget) -> None:
-        """Set (or clear, with ``None``) the matcher's per-round augmentation budget.
-
-        Only meaningful for matchers exposing ``set_augmentation_budget``
-        (the default :class:`~repro.core.matching.ConnectionMatcher`);
-        a custom matcher without the hook raises ``RuntimeError``.
-        """
-        setter = getattr(self._matcher, "set_augmentation_budget", None)
-        if setter is None:
-            raise RuntimeError(
-                "the configured matcher does not support augmentation budgets"
-            )
-        setter(budget)
 
     @property
     def trace(self) -> SimulationTrace:
@@ -448,10 +422,12 @@ class VodSimulator:
         if "_expiry" not in vars(self._pool):
             # A format-3 engine from an older build: its matcher held the
             # round state, the pair expiries of the pool's rows (snapshots
-            # are taken between rounds, so the two line up) and in older
-            # builds a partial repair that nothing reads.
+            # are taken between rounds, so the two line up), an
+            # augmentation budget that no path reads and, in older builds,
+            # a partial repair that nothing reads.
             matcher_state = vars(self._matcher)
             matcher_state.pop("_partial_repair", None)
+            matcher_state.pop("_augmentation_budget", None)
             self._pool._expiry = matcher_state.pop("_pair_expiry", None)
 
     def result(self, stopped_early: bool = False) -> SimulationResult:
@@ -513,9 +489,6 @@ class VodSimulator:
             warm_start=self._pool.assigned_snapshot(),
             pair_expiry=self._pool.pair_expiry,
         )
-        self._last_round_degraded = bool(getattr(matching, "degraded", False))
-        if self._last_round_degraded:
-            self._degraded_rounds += 1
         self._last_round_repair_fallback = bool(
             getattr(matching, "repair_fallback", False)
         )

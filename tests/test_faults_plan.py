@@ -1,10 +1,9 @@
-"""The scenario-level fault-injection layer: plans, drivers, degradation.
+"""The scenario-level fault-injection layer: plans, drivers, recovery.
 
 Covers the determinism contract (same spec + seed ⇒ same fault events ⇒
 same run digest), batch/session parity for faulted runs, snapshot
-recovery *through* a fault window, and the solver-budget degradation
-chain (budget trip → Dinic fallback → identical metrics → `degraded`
-flags → optional admission shedding).
+recovery *through* a fault window, and the lean serialization of a
+round report's flags.
 """
 
 from __future__ import annotations
@@ -14,22 +13,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import AdmissionError, VodSession
-from repro.core.matching import ConnectionMatcher
+from repro.api import VodSession
 from repro.faults.plan import (
     FAULT_KINDS,
-    FaultDriver,
     FaultEvent,
     box_crash_plan,
     build_fault_driver,
 )
-from repro.flow.hopcroft_karp import AugmentationBudgetExceeded, hopcroft_karp_matching
 from repro.scenarios.build import build_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.replay import _round_records, _summary, run_scenario
 from repro.scenarios.spec import FaultSpec, ScenarioSpec
 
-CHAOS_NAMES = ("chaos_box_crash", "chaos_brownout", "chaos_degraded_solver")
+CHAOS_NAMES = ("chaos_box_crash", "chaos_brownout")
 
 
 def _with_faults(base_name: str, *faults: FaultSpec) -> ScenarioSpec:
@@ -162,91 +158,24 @@ def test_snapshot_restore_through_fault_window():
 
 
 # ---------------------------------------------------------------------- #
-# Solver-budget degradation
+# Round report flags
 # ---------------------------------------------------------------------- #
-def test_hopcroft_karp_budget_raises_typed_error():
-    # A 2x2 crossing where the greedy pass picks the blocking edges:
-    # finishing needs augmenting-path searches, which budget 0 forbids.
-    # CSR for adjacency [[0, 1], [0]]:
-    indptr, indices = [0, 2, 3], [0, 1, 0]
-    with pytest.raises(AugmentationBudgetExceeded):
-        hopcroft_karp_matching(
-            2, 2, indptr, indices, right_capacities=[1, 1], augmentation_budget=0
-        )
-    # The same instance solves fine without a budget.
-    result = hopcroft_karp_matching(2, 2, indptr, indices, right_capacities=[1, 1])
-    assert result.matched == 2
-
-
-def test_hopcroft_karp_budget_validation():
-    with pytest.raises(ValueError, match="augmentation_budget"):
-        hopcroft_karp_matching(1, 1, [0, 1], [0], [1], augmentation_budget=-1)
-
-
-def test_connection_matcher_budget_setter_validates():
-    matcher = ConnectionMatcher(np.array([1, 1]))
-    with pytest.raises(ValueError, match="budget"):
-        matcher.set_augmentation_budget(-3)
-    matcher.set_augmentation_budget(5)
-    assert matcher.augmentation_budget == 5
-    matcher.set_augmentation_budget(None)
-    assert matcher.augmentation_budget is None
-
-
-def test_degraded_solver_metrics_match_fault_free_bitwise():
-    spec = get_scenario("chaos_degraded_solver")
-    session = build_scenario(spec, seed=spec.default_seed).session()
-    degraded_run = session.run_to_horizon()
-    fault_free = build_scenario(
-        dataclasses.replace(spec, faults=()), seed=spec.default_seed
-    ).run()
-    assert sum(r.degraded for r in session.reports) > 0
-    assert _round_records(degraded_run) == _round_records(fault_free)
-    assert _summary(degraded_run) == _summary(fault_free)
-    assert session.engine.degraded_rounds == sum(r.degraded for r in session.reports)
-
-
-def test_round_report_degraded_flag_roundtrip_and_lean_serialization():
+def test_round_report_repair_fallback_flag_roundtrip_and_lean_serialization():
     from repro.api.session import RoundReport
 
-    spec = get_scenario("chaos_degraded_solver")
-    session = build_scenario(spec, seed=0).session()
-    reports = session.step_until(rounds=8)
-    degraded = [r for r in reports if r.degraded]
-    clean = [r for r in reports if not r.degraded]
-    assert degraded and clean
-    # Fault-free rounds serialize without the key (golden/digest compat);
-    # degraded rounds carry it and round-trip.
-    assert "degraded" not in clean[0].to_dict()
-    assert degraded[0].to_dict()["degraded"] == 1
-    assert RoundReport.from_dict(degraded[0].to_dict()) == degraded[0]
+    compiled = build_scenario(get_scenario("near_threshold_load"), seed=9)
+    session = compiled.session(horizon=16)
+    session.engine.matcher.set_repair_search_budget(0)
+    reports = session.step_until(round=16)
+    flagged = [r for r in reports if r.repair_fallback]
+    clean = [r for r in reports if not r.repair_fallback]
+    assert flagged and clean
+    # Rounds without a fallback serialize without the key (golden/digest
+    # compat); flagged rounds carry it and round-trip.
+    assert "repair_fallback" not in clean[0].to_dict()
+    assert flagged[0].to_dict()["repair_fallback"] == 1
+    assert RoundReport.from_dict(flagged[0].to_dict()) == flagged[0]
     assert RoundReport.from_dict(clean[0].to_dict()) == clean[0]
-
-
-def test_admission_shedding_when_degraded():
-    spec = get_scenario("chaos_degraded_solver")
-    compiled = build_scenario(spec, seed=0)
-    session = VodSession(
-        compiled.simulator,
-        workload=compiled.workload,
-        horizon=spec.horizon,
-        fault_driver=compiled.fault_driver,
-        shed_when_degraded=True,
-    )
-    session.step_until(rounds=12)  # rounds 10+ are all degraded at seed 0
-    assert session.engine.last_round_degraded
-    with pytest.raises(AdmissionError, match="shed"):
-        session.submit_demands([(0, 0)])
-
-
-def test_engine_without_budget_hook_raises():
-    class NoBudget:
-        pass
-
-    engine = build_scenario(get_scenario("steady_state"), seed=0).simulator
-    engine._matcher = NoBudget()
-    with pytest.raises(RuntimeError, match="budget"):
-        engine.set_solver_budget(1)
 
 
 def test_fault_recovery_runner_row_shape_and_guarantees():
@@ -262,15 +191,3 @@ def test_fault_recovery_runner_row_shape_and_guarantees():
     assert len(row["digest"]) > 0
     assert FAULT_RECOVERY_CAMPAIGN.runner == "fault_recovery"
     assert set(FAULT_RECOVERY_CAMPAIGN.grid["scenario"]) == set(CHAOS_NAMES)
-
-
-def test_driver_applies_budget_events():
-    engine = build_scenario(get_scenario("steady_state"), seed=0).simulator
-    driver = FaultDriver(
-        [FaultEvent(0, "set_budget", value=3.0), FaultEvent(1, "clear_budget")]
-    )
-    assert driver.apply(engine, 0) == 1
-    assert engine._matcher.augmentation_budget == 3
-    assert driver.apply(engine, 1) == 1
-    assert engine._matcher.augmentation_budget is None
-    assert driver.apply(engine, 2) == 0  # nothing scheduled

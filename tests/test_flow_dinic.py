@@ -1,4 +1,4 @@
-"""Tests of the in-house Dinic, the degraded fallback and cold twin."""
+"""Tests of the in-house Dinic, the cold twin of the Hopcroft–Karp path."""
 
 import hashlib
 
@@ -208,11 +208,6 @@ class TestLongAugmentingPaths:
         twin = ConnectionMatcher(slots, solver="dinic").match(
             requests, index, current_time=1
         )
-        degraded = ConnectionMatcher(slots, augmentation_budget=0).match(
-            requests, index, current_time=1
-        )
-        assert default.matched == twin.matched == degraded.matched == n
-        assert degraded.degraded
-        for matching in (twin, degraded):
-            assert matching.feasible
-            assert matching.box_load.tolist() == [1] * n + [0]
+        assert default.matched == twin.matched == n
+        assert twin.feasible
+        assert twin.box_load.tolist() == [1] * n + [0]

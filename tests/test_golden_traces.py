@@ -38,7 +38,6 @@ GOLDEN_SCENARIOS = [
     ("scale_tier_100k", 1234),
     ("chaos_box_crash", 1234),
     ("chaos_brownout", 1234),
-    ("chaos_degraded_solver", 1234),
     # The workload-realism tier: Zipf/drift/trace demand and the
     # hierarchical CDN baseline (population + allocation components).
     ("zipf_steady", 1234),
@@ -49,8 +48,8 @@ GOLDEN_SCENARIOS = [
     ("adaptive_adversary", 1234),
     ("catalog_growth_ramp", 1234),
     # Infeasible rounds solved by the Hopcroft–Karp kernel itself (the
-    # repair fails and no degraded fallback runs): pins its deficit path,
-    # its assignment and its Hall witness.
+    # repair falls short and the kernel takes over): pins its deficit
+    # path, its assignment and its Hall witness.
     ("near_threshold_load", 1234),
 ]
 
@@ -63,7 +62,6 @@ GOLDEN_SCENARIOS = [
 PRE_WORKLOAD_TIER_DIGESTS = {
     "chaos_box_crash": "cd16266ec0a257c123faed2f0ac1f3d3d084c7dcd0354034e39ad85f68711ce3",
     "chaos_brownout": "74dca888b31f2850e0ee19ee3a2c8380624f18f7c02251deebf4d1808a7b2643",
-    "chaos_degraded_solver": "377ade9de49170fa0c83a0375ab7d193a3907ef2f3f5c9ce4c4952efddaa97a8",
     "churn_storm": "2cc505a467cbdec10c457feb589a8c4c058bb8d4e189c5b9705e5333ece4de5a",
     "flashcrowd_spike": "519f5ea4c09fe6e7e34041013a90652a784b4aebca05000daf40ecc90f194451",
     "scale_tier_100k": "d0c45edbbcca27aa6127dde148e6141db09cb75551845380c4900ef62a5a01ba",

@@ -181,7 +181,6 @@ def test_disable_toggle_resets_incremental_state():
 _MATCHER_ATTRIBUTES = {
     "_slots",
     "_solver",
-    "_augmentation_budget",
     "_repair_search_budget",
     "_repair_rounds",
 }
