@@ -41,12 +41,12 @@ class ComponentLookupError(ApiError, KeyError):
 
 class SnapshotFormatError(ApiError, ValueError):
     """A session snapshot was recorded under an incompatible format version,
-    or the bytes handed to :meth:`SessionSnapshot.from_file` are not a
-    snapshot at all.
+    or the file handed to :meth:`SessionSnapshot.from_file` is not in the
+    current snapshot frame (another file, an earlier frame, a bare pickle).
 
     Snapshot payloads pickle the engine's internal state; a payload from a
-    different ``SNAPSHOT_FORMAT_VERSION`` cannot be deserialized into the
-    current engine layout and must be re-recorded from a fresh run.
+    different ``SNAPSHOT_FORMAT_VERSION`` is rejected, not converted, and
+    must be re-recorded from a fresh run.
     """
 
 

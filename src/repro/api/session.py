@@ -27,6 +27,7 @@ import copyreg
 import hashlib
 import io
 import json
+import os
 import pickle
 import re
 import struct
@@ -49,27 +50,13 @@ from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
 
-#: Bump when the snapshot payload layout changes.  Version history:
+#: Bump when the pickled payload layout changes: no converter reads an
+#: older format.  Version history:
 #: 1 — object-graph engine state (per-request/per-member Python objects);
-#: 2 — struct-of-arrays engine core (NumPy request pool, download log,
-#:     swarm entry logs, demand log).  Version-1 payloads pickle classes
-#:     whose layout no longer exists, so loading one raises a typed
-#:     :class:`~repro.api.errors.SnapshotFormatError` instead of
-#:     deserializing into a torn engine;
-#: 3 — one request path: the engine's last-demand dicts and the
-#:     schedulers' demand logs are gone, and the relayed scheduler queues
-#:     its requests and relay-cache events as arrays.  The swarm registry
-#:     now keeps live sizes and a violation count instead of entry logs
-#:     and violation records, the churn schedule columns instead of
-#:     ``Outage`` objects, the metrics collector start-up delay totals
-#:     instead of every delay, and the request pool the pair expiries the
-#:     matcher used to hold; format-3 payloads from older builds load
-#:     through their ``__setstate__`` converters.  The request pool and
-#:     the demand log now pickle their live rows only, and NumPy's bool,
-#:     integer and float dtypes are pickled by name; both read as before,
-#:     so format-3 payloads stay loadable across builds in both
-#:     directions.
-SNAPSHOT_FORMAT_VERSION = 3
+#: 2 — struct-of-arrays engine core (request pool, download log, demand log);
+#: 3 — one request path, bounded round state, live rows, dtypes by name;
+#: 4 — format-3 payloads of older builds are rejected, not converted.
+SNAPSHOT_FORMAT_VERSION = 4
 
 
 def _reduce_dtype(dtype: np.dtype):
@@ -209,7 +196,11 @@ class SessionSnapshot:
 
     On disk (:meth:`to_file`) the payload follows a fixed, checksummed
     header that carries the other fields, so a checkpoint file is written
-    and read without pickling the snapshot around its payload.
+    and read without pickling the snapshot around its payload.  Only
+    :meth:`VodSession.restore` unpickles the payload, and only one of the
+    current format: a change to the pickled layout bumps
+    :data:`SNAPSHOT_FORMAT_VERSION`, and older payloads are rejected, not
+    converted.
     """
 
     payload: bytes
@@ -222,8 +213,8 @@ class SessionSnapshot:
     #: time.  :meth:`to_file` writes it into the file's header,
     #: :meth:`from_file` checks the payload it reads against it and
     #: :meth:`VodSession.restore` re-verifies it, so a corrupted in-memory
-    #: or on-disk payload fails with a typed error.  Empty on snapshots
-    #: recorded before checksums existed (then unverified by restore).
+    #: or on-disk payload fails with a typed error.  When empty,
+    #: :meth:`to_file` hashes the payload and restore skips the check.
     payload_sha256: str = ""
 
     def to_file(self, path: Union[str, Path]) -> Path:
@@ -270,22 +261,22 @@ class SessionSnapshot:
         Raises :class:`~repro.api.errors.SnapshotIntegrityError` when the
         file is truncated or a checksum does not match (torn write, bit
         rot), and :class:`~repro.api.errors.SnapshotFormatError` when it is
-        not a snapshot file at all or was recorded under a different
-        snapshot format version — the payload pickles the engine's
-        internal state, which is not migratable across layout changes;
+        not in the current frame (any other file, an earlier frame, a bare
+        pickle) or was recorded under a different snapshot format version;
         re-record the checkpoint from a fresh run instead.
 
-        A file in the current frame is read without unpickling anything:
-        the payload is checked against its recorded SHA-256, which the
-        returned snapshot carries in ``payload_sha256``.  Files in the
-        earlier frame (a pickled snapshot behind magic, length and
-        SHA-256) and bare pickles of a snapshot still load.
+        Nothing is unpickled: the header is checked, then the format
+        version, then the payload's length against the file's size before
+        the payload is read, then its recorded SHA-256, which the returned
+        snapshot carries in ``payload_sha256``.
         """
         with Path(path).open("rb") as handle:
             header = handle.read(_FRAME_HEADER_SIZE)
             if not header.startswith(_SNAPSHOT_MAGIC):
-                handle.seek(0)
-                return cls._from_pickled(handle.read(), path)
+                raise SnapshotFormatError(
+                    f"{path} is not a readable snapshot file (no {_SNAPSHOT_MAGIC!r} "
+                    "frame); re-record the checkpoint from a fresh run"
+                )
             if len(header) < _FRAME_HEADER_SIZE:
                 raise SnapshotIntegrityError(
                     f"snapshot {path} is truncated: incomplete header "
@@ -299,14 +290,16 @@ class SessionSnapshot:
             _, version, time, rounds_completed, length, digest = (
                 _FRAME_FIELDS.unpack(packed)
             )
-            _check_format_version(version, path)
+            _check_format_version(version, f"snapshot {path}")
+            # The header checksum catches bit rot, not a crafted length:
+            # compare it with the file before reading that many bytes.
+            found = os.fstat(handle.fileno()).st_size - _FRAME_HEADER_SIZE
+            if found != length:
+                raise SnapshotIntegrityError(
+                    f"snapshot {path} is truncated: expected {length} payload "
+                    f"bytes, found {found}"
+                )
             payload = handle.read(length)
-            found = len(payload) + len(handle.read())
-        if found != length:
-            raise SnapshotIntegrityError(
-                f"snapshot {path} is truncated: expected {length} payload "
-                f"bytes, found {found}"
-            )
         if hashlib.sha256(payload).digest() != digest:
             raise SnapshotIntegrityError(
                 f"snapshot {path} is corrupt: checksum mismatch"
@@ -319,45 +312,6 @@ class SessionSnapshot:
             payload_sha256=digest.hex(),
         )
 
-    @classmethod
-    def _from_pickled(cls, raw: bytes, path: Union[str, Path]) -> "SessionSnapshot":
-        """A checkpoint in the earlier frame, or a bare pickled snapshot."""
-        if raw.startswith(_PICKLED_SNAPSHOT_MAGIC):
-            start = len(_PICKLED_SNAPSHOT_MAGIC)
-            header_len = start + 8 + 32
-            if len(raw) < header_len:
-                raise SnapshotIntegrityError(
-                    f"snapshot {path} is truncated: incomplete header "
-                    f"({len(raw)} bytes)"
-                )
-            body_len = int.from_bytes(raw[start: start + 8], "big")
-            digest = raw[start + 8: header_len]
-            body = raw[header_len:]
-            if len(body) != body_len:
-                raise SnapshotIntegrityError(
-                    f"snapshot {path} is truncated: expected {body_len} "
-                    f"payload bytes, found {len(body)}"
-                )
-            if hashlib.sha256(body).digest() != digest:
-                raise SnapshotIntegrityError(
-                    f"snapshot {path} is corrupt: checksum mismatch"
-                )
-        else:
-            # Legacy checkpoint: a bare pickle of the snapshot object.
-            body = raw
-        try:
-            snapshot = pickle.loads(body)
-        except Exception as exc:
-            raise SnapshotFormatError(
-                f"{path} is not a readable snapshot file ({exc})"
-            ) from exc
-        if not isinstance(snapshot, cls):
-            raise SnapshotFormatError(
-                f"{path} does not contain a SessionSnapshot"
-            )
-        _check_format_version(snapshot.format_version, path)
-        return snapshot
-
 
 #: Leading bytes of a checkpoint file.  The header that follows is the
 #: format version, time and rounds completed (signed 64-bit), the payload
@@ -368,16 +322,11 @@ _SNAPSHOT_MAGIC = b"VODSNAP\x02"
 _FRAME_FIELDS = struct.Struct(">8sqqqQ32s")
 _FRAME_HEADER_SIZE = _FRAME_FIELDS.size + 32
 
-#: Leading bytes of the earlier checkpoint frame, still read: magic,
-#: 8-byte big-endian pickle length, 32-byte SHA-256 of the pickle, and a
-#: pickled :class:`SessionSnapshot`.
-_PICKLED_SNAPSHOT_MAGIC = b"VODSNAP\x01"
 
-
-def _check_format_version(version: int, path: Union[str, Path]) -> None:
+def _check_format_version(version: int, what: str = "snapshot") -> None:
     if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotFormatError(
-            f"snapshot {path} has format version {version}, "
+            f"{what} has format version {version}, "
             f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
             "snapshots are not migratable across engine-layout changes — "
             "re-record the checkpoint from a fresh run"
@@ -620,7 +569,7 @@ class VodSession:
             demands_rejected=int(engine.rejected_demands - rejected_before),
             playback_starts=playback_starts,
             offline_boxes=int(engine.offline_array(time).size),
-            repair_fallback=int(getattr(engine, "last_round_repair_fallback", False)),
+            repair_fallback=int(engine.last_round_repair_fallback),
         )
         self._reports.append(report)
         if not feasible and engine._stop_on_infeasible:
@@ -714,21 +663,18 @@ class VodSession:
 
         Each call produces a fresh object graph: restoring twice yields two
         sessions that evolve independently (and identically, given the same
-        inputs).  A snapshot from a different format version, or one whose
-        checksummed payload this build cannot unpickle (it names classes
-        this build no longer has, or a state layout they no longer read),
-        raises :class:`~repro.api.errors.SnapshotFormatError`; a truncated
-        or corrupted payload raises
+        inputs).  This is the one place the package unpickles, and it reads
+        only payloads of the current format: a snapshot from a different
+        format version, or one whose checksummed payload this build cannot
+        unpickle (it names classes this build no longer has, or a state
+        layout they no longer read), raises
+        :class:`~repro.api.errors.SnapshotFormatError`; a truncated or
+        corrupted payload raises
         :class:`~repro.api.errors.SnapshotIntegrityError` instead of a raw
         ``UnpicklingError``/``EOFError``.
         """
-        if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
-            raise SnapshotFormatError(
-                f"snapshot has format version {snapshot.format_version}, "
-                f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
-                "re-record the checkpoint from a fresh run"
-            )
-        recorded = getattr(snapshot, "payload_sha256", "")
+        _check_format_version(snapshot.format_version)
+        recorded = snapshot.payload_sha256
         if recorded and hashlib.sha256(snapshot.payload).hexdigest() != recorded:
             raise SnapshotIntegrityError(
                 "snapshot payload is corrupt: checksum mismatch against the "

@@ -31,11 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-# ``PossessionIndex`` and ``_DownloadLog`` stay importable from this module:
-# format-3 snapshots pickle them under ``repro.core.matching`` (the committed
-# ``session_snapshot_v3.bin`` fixture names both), and the end-to-end
-# benchmark's tracer imports ``PossessionIndex`` from here.
-from repro.core.possession import PossessionIndex, _DownloadLog  # noqa: F401
+from repro.core.possession import PossessionIndex
 from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import (

@@ -201,16 +201,9 @@ class _DownloadLog:
 
     def __setstate__(self, state):
         self.__init__()
-        if len(state) == 2:
-            self._keys, self._boxes = state
-        else:
-            # A format-3 state from an older build: the time-ordered
-            # ``(stripes, boxes, times)`` columns and a trailing order flag,
-            # always true in engine sessions, which is ignored.
-            stripes, boxes, times = state[:3]
-            self._blocks.append(((stripes << _KEY_SHIFT) + times, boxes))
-        keys = self.sorted_view()[0]
-        self._latest = int((keys & _ROUND_MASK).max()) if keys.size else -1
+        self._keys, self._boxes = state
+        if self._keys.size:
+            self._latest = int((self._keys & _ROUND_MASK).max())
 
     def extend(self, stripes: np.ndarray, boxes: np.ndarray, time: int) -> None:
         """Queue one round's block of entries, all dated ``time``."""

@@ -87,14 +87,6 @@ class ChurnSchedule:
         self._cached_time: Optional[int] = None
         self._cached_offline = np.empty(0, dtype=np.int64)
 
-    def __setstate__(self, state: dict) -> None:
-        if "_outages" in state:
-            # A format-3 schedule from an older build: sorted ``Outage``
-            # objects, rebuilt as columns.
-            ChurnSchedule.__init__(self, state["_outages"])
-        else:
-            self.__dict__.update(state)
-
     @property
     def outages(self) -> Tuple[Outage, ...]:
         """All outages, sorted by box then time."""

@@ -417,19 +417,6 @@ class VodSimulator:
     def __getstate__(self) -> dict:
         return live_column_state(self, self._DEMAND_COLUMNS, self._demand_count)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "_expiry" not in vars(self._pool):
-            # A format-3 engine from an older build: its matcher held the
-            # round state, the pair expiries of the pool's rows (snapshots
-            # are taken between rounds, so the two line up), an
-            # augmentation budget that no path reads and, in older builds,
-            # a partial repair that nothing reads.
-            matcher_state = vars(self._matcher)
-            matcher_state.pop("_partial_repair", None)
-            matcher_state.pop("_augmentation_budget", None)
-            self._pool._expiry = matcher_state.pop("_pair_expiry", None)
-
     def result(self, stopped_early: bool = False) -> SimulationResult:
         """Aggregate everything executed so far into a :class:`SimulationResult`.
 

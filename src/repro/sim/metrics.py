@@ -176,15 +176,6 @@ class MetricsCollector:
         self._peak_box_load = 0
         self._swarm_violations = 0
 
-    def __setstate__(self, state: dict) -> None:
-        if "_startup_delays" in state:
-            # A format-3 collector from an older build kept every delay.
-            delays = state.pop("_startup_delays")
-            state["_startup_delay_count"] = len(delays)
-            state["_startup_delay_total"] = sum(delays)
-            state["_startup_delay_max"] = max(delays, default=0)
-        self.__dict__.update(state)
-
     @property
     def rounds_recorded(self) -> int:
         """Number of rounds recorded so far."""

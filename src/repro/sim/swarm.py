@@ -38,22 +38,6 @@ def max_new_members(current_size: int, mu: float) -> int:
     return max(allowed_next - current_size, 0)
 
 
-class _VideoSwarm:
-    """Unpickling stub for the entry logs and violations of format-3 registries.
-
-    Registries pickled by older builds hold their entry logs and growth
-    violations as instances of this class and of
-    ``SwarmGrowthViolation``; :meth:`SwarmRegistry.__setstate__` drops
-    the logs and keeps only the number of violations.
-    """
-
-    def __setstate__(self, state) -> None:
-        pass
-
-
-SwarmGrowthViolation = _VideoSwarm
-
-
 class SwarmRegistry:
     """Tracks swarm sizes per video and validates the growth bound.
 
@@ -80,37 +64,6 @@ class SwarmRegistry:
         # counts), for the rounds ``[_time - duration, _time]``.
         self._counts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._time = -1
-
-    def __setstate__(self, state: dict) -> None:
-        if "_violations" in state:
-            # A format-3 registry from an older build listed every violation.
-            state["_violation_count"] = len(state.pop("_violations"))
-        if "_size_cache" in state:
-            # A format-3 registry from an older build.  Next to its entry
-            # logs (dropped here) it kept live sizes at ``_cache_time`` and
-            # per-round entry counts over the same window as dicts; engine
-            # sessions wrote only through ``enter_batch``, which kept them
-            # current.
-            live, adds = state["_size_cache"], state["_round_adds"]
-            top = max([*live, *(v for c in adds.values() for v in c)], default=-1)
-            sizes = np.zeros(top + 1, dtype=np.int64)
-            sizes[list(live)] = list(live.values())
-            state = {
-                "_mu": state["_mu"],
-                "_duration": state["_duration"],
-                "_violation_count": state["_violation_count"],
-                "_sizes": sizes,
-                "_counts": {
-                    r: (
-                        np.array(sorted(c), dtype=np.int64),
-                        np.array([c[v] for v in sorted(c)], dtype=np.int64),
-                    )
-                    for r, c in adds.items()
-                    if c
-                },
-                "_time": state["_cache_time"],
-            }
-        self.__dict__.update(state)
 
     @property
     def mu(self) -> float:

@@ -166,118 +166,77 @@ class TestSnapshotFormatVersioning:
     older files must fail with a typed, documented error instead of
     deserializing into a torn engine."""
 
-    FIXTURE_V1 = Path(__file__).parent / "fixtures" / "session_snapshot_v1.bin"
-    FIXTURE_V3 = Path(__file__).parent / "fixtures" / "session_snapshot_v3.bin"
+    FIXTURES = Path(__file__).parent / "fixtures"
+    FIXTURE_V1 = FIXTURES / "session_snapshot_v1.bin"
 
-    def test_current_format_version_is_3(self):
+    def test_current_format_version_is_4(self):
         from repro.api.session import SNAPSHOT_FORMAT_VERSION
 
-        assert SNAPSHOT_FORMAT_VERSION == 3
+        assert SNAPSHOT_FORMAT_VERSION == 4
 
     def test_loading_a_v1_fixture_raises_a_typed_error(self):
         from repro.api import SessionSnapshot, SnapshotFormatError
 
         assert self.FIXTURE_V1.exists(), "pre-refactor fixture missing"
-        with pytest.raises(SnapshotFormatError, match="format version 1"):
+        with pytest.raises(SnapshotFormatError, match="not a readable snapshot"):
             SessionSnapshot.from_file(self.FIXTURE_V1)
 
-    def test_v3_fixture_from_an_older_build_restores_and_steps(self):
-        """A current-format checkpoint written by an older build resumes.
-
-        The fixture (``steady_state``, seed 1, 3 rounds, written through
-        ``to_file``) was recorded while the engine still had its
-        ``warm_start`` and ``incremental_matching`` switches.  Its payload
-        still carries both attributes, which nothing reads.  Restored and
-        stepped to the horizon, it must reproduce an uninterrupted run.
-        """
-        from repro.api import SessionSnapshot
-
-        snapshot = SessionSnapshot.from_file(self.FIXTURE_V3)
-        assert snapshot.format_version == 3
-        assert snapshot.rounds_completed == 3
-        restored = VodSession.restore(snapshot)
-        # Its arrays loaded on copied dtypes; one new checkpoint cycle
-        # leaves none.
-        restored = VodSession.restore(restored.snapshot())
-        assert _arrays_on_copied_dtypes(restored) == []
-        spec = get_scenario("steady_state")
-        uninterrupted = build_scenario(spec, seed=1).session()
-        uninterrupted.step_until(round=spec.horizon)
-        restored.step_until(round=spec.horizon)
-        assert restored.digest() == uninterrupted.digest()
-
     @pytest.mark.parametrize(
-        "fixture,name,rounds",
+        "fixture",
         [
-            ("session_snapshot_v3_flashcrowd.bin", "flashcrowd_spike", 6),
-            ("session_snapshot_v3_churn.bin", "churn_storm", 4),
+            "session_snapshot_v3.bin",
+            "session_snapshot_v3_flashcrowd.bin",
+            "session_snapshot_v3_churn.bin",
         ],
     )
-    def test_v3_fixture_with_entry_logs_or_outage_objects_restores_and_steps(
-        self, fixture, name, rounds
-    ):
-        """Format-3 checkpoints of the registry's and the schedule's old layouts.
+    def test_v3_fixture_is_rejected_with_a_format_error(self, fixture):
+        """Format-3 checkpoints of older builds are rejected, not converted.
 
-        Both fixtures (seed 1, written through ``to_file``) were recorded
-        while the swarm registry kept per-video entry logs and the churn
-        schedule kept ``Outage`` objects.  The ``flashcrowd_spike`` one
-        holds five written logs and one deferred entry block, the
-        ``churn_storm`` one 27 outages.  Restored and stepped to the
-        horizon, each must reproduce an uninterrupted run, down to its
-        growth violations and every swarm's size in the last round.
+        ``session_snapshot_v3.bin`` (``steady_state``) is in the earlier
+        ``VODSNAP\\x01`` frame; the ``flashcrowd_spike`` and ``churn_storm``
+        ones are in the current frame under format version 3.  Each is
+        intact, so what fails is the format, with a re-record hint.
         """
-        from repro.api import SessionSnapshot
+        from repro.api import SessionSnapshot, SnapshotFormatError, SnapshotIntegrityError
 
-        snapshot = SessionSnapshot.from_file(Path(__file__).parent / "fixtures" / fixture)
-        assert snapshot.format_version == 3
-        assert snapshot.rounds_completed == rounds
-        restored = VodSession.restore(snapshot)
-        spec = get_scenario(name)
-        uninterrupted = build_scenario(spec, seed=1).session()
-        uninterrupted.step_until(round=spec.horizon)
-        restored.step_until(round=spec.horizon)
-        assert restored.digest() == uninterrupted.digest()
-        swarms, expected = restored.engine.swarms, uninterrupted.engine.swarms
-        assert swarms.violation_count == expected.violation_count
-        last = spec.horizon - 1
-        assert [swarms.size(v, last) for v in range(spec.catalog.num_videos)] == [
-            expected.size(v, last) for v in range(spec.catalog.num_videos)
-        ]
+        with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
+            SessionSnapshot.from_file(self.FIXTURES / fixture)
+        assert not isinstance(excinfo.value, SnapshotIntegrityError)
 
-    @pytest.mark.parametrize(
-        "fixture,name",
-        [
-            ("session_snapshot_v3.bin", "steady_state"),
-            ("session_snapshot_v3_flashcrowd.bin", "flashcrowd_spike"),
-            ("session_snapshot_v3_churn.bin", "churn_storm"),
-        ],
-    )
-    def test_v3_fixture_repairs_its_first_restored_round(self, fixture, name):
-        """A format-3 engine's round state reaches its new owners.
+    @pytest.mark.parametrize("frame", ["bare_pickle", "old_frame"])
+    def test_from_file_unpickles_nothing(self, tmp_path, frame):
+        """A file outside the current frame is refused before any unpickling.
 
-        Older builds kept the previous round's pair expiries in the
-        matcher, every start-up delay in the metrics collector and every
-        growth violation in the swarm registry.  Restored, the expiries
-        must seed the first round's repair, not leave it to the full
-        kernel, the matcher keeps no round state, and the run's summary
-        (delays and violation count included) equals an uninterrupted
-        run's.
+        The pickled object's reduction runs code when it loads.  Neither a
+        bare pickle nor one in the earlier frame (magic, 8-byte length and
+        a valid SHA-256) may run it: each fails with a format error.
         """
-        from repro.api import SessionSnapshot
-        from repro.core.matching import ConnectionMatcher
+        import builtins
+        import hashlib
 
-        path = Path(__file__).parent / "fixtures" / fixture
-        restored = VodSession.restore(SessionSnapshot.from_file(path))
-        matcher = restored.engine.matcher
-        assert set(vars(matcher)) == set(vars(ConnectionMatcher([1])))
-        repairs = matcher.repair_rounds
-        restored.step()
-        assert matcher.repair_rounds == repairs + 1
-        spec = get_scenario(name)
-        uninterrupted = build_scenario(spec, seed=1).session()
-        uninterrupted.step_until(round=spec.horizon)
-        restored.step_until(round=spec.horizon)
-        assert restored.result().metrics.to_dict() == uninterrupted.result().metrics.to_dict()
+        from repro.api import SessionSnapshot, SnapshotFormatError
+
+        class Trap:
+            def __reduce__(self):
+                return (exec, ("import builtins; builtins._repro_trap_ran = True",))
+
+        body = pickle.dumps(Trap())
+        if frame == "old_frame":
+            body = (
+                b"VODSNAP\x01"
+                + len(body).to_bytes(8, "big")
+                + hashlib.sha256(body).digest()
+                + body
+            )
+        path = tmp_path / "trap.ckpt"
+        path.write_bytes(body)
+        try:
+            with pytest.raises(SnapshotFormatError, match="not a readable snapshot"):
+                SessionSnapshot.from_file(path)
+            assert not hasattr(builtins, "_repro_trap_ran")
+        finally:
+            if hasattr(builtins, "_repro_trap_ran"):
+                del builtins._repro_trap_ran
 
     @pytest.mark.parametrize(
         "fixture", ["session_snapshot_sharded.bin", "session_snapshot_event.bin"]
@@ -287,8 +246,8 @@ class TestSnapshotFormatVersioning:
 
         Both fixtures (``steady_state``, seed 1, 3 rounds; one on 2 inline
         shards, one on the event clock) were recorded while those modes
-        existed, under snapshot format 2.  Their framing and checksum still
-        verify, so what fails is the format check: that must read as a
+        existed, under snapshot format 2 in the earlier ``VODSNAP\\x01``
+        frame, which this build no longer reads: loading one must read as a
         format error with a re-record hint, not as a corrupt payload.
         """
         from repro.api import (

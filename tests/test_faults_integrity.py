@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from pathlib import Path
 
 import pytest
 
@@ -30,13 +29,14 @@ from repro.orchestrate.store import ResultsStore, StoreIntegrityError
 from repro.scenarios.build import build_scenario
 from repro.scenarios.registry import get_scenario
 
-TRUNCATED_FIXTURE = Path(__file__).parent / "fixtures" / "session_snapshot_truncated.bin"
-
 #: A checkpoint file's fixed header: magic, format version, time, rounds
 #: completed, payload length, the payload's SHA-256 and the header's own.
 FRAME_HEADER_BYTES = 104
-#: Offset of the big-endian ``time`` field inside that header.
+#: Offsets of the big-endian ``time`` and payload-length fields inside
+#: that header, and the length of the fields the header's SHA-256 covers.
 TIME_FIELD_OFFSET = 16
+LENGTH_FIELD_OFFSET = 32
+HEADER_FIELDS_BYTES = 72
 
 register_component(
     "experiment",
@@ -232,12 +232,6 @@ def _checkpoint(tmp_path):
 
 
 class TestSnapshotIntegrity:
-    def test_committed_truncated_fixture_raises_integrity_error(self):
-        # A torn checkpoint frozen into the repo: the framed header is
-        # intact but the payload is cut short.
-        with pytest.raises(SnapshotIntegrityError, match="truncated"):
-            SessionSnapshot.from_file(TRUNCATED_FIXTURE)
-
     def test_truncated_header_detected(self, tmp_path):
         path = _checkpoint(tmp_path)
         truncate_file(path, keep_bytes=20)  # inside the 104-byte header
@@ -272,6 +266,21 @@ class TestSnapshotIntegrity:
         path = _checkpoint(tmp_path)
         truncate_file(path, keep_bytes=path.stat().st_size - 1)
         with pytest.raises(SnapshotIntegrityError, match="truncated"):
+            SessionSnapshot.from_file(path)
+
+    def test_header_claiming_more_payload_than_the_file_holds_is_truncated(
+        self, tmp_path
+    ):
+        # The header's SHA-256 catches bit rot, not a crafted length: a
+        # checksummed header may claim any payload length, and the claim is
+        # compared with the file before that many bytes are read.
+        path = _checkpoint(tmp_path)
+        fields = bytearray(path.read_bytes()[:HEADER_FIELDS_BYTES])
+        claimed = (1 << 63) - 1
+        fields[LENGTH_FIELD_OFFSET:LENGTH_FIELD_OFFSET + 8] = claimed.to_bytes(8, "big")
+        path.write_bytes(bytes(fields) + hashlib.sha256(fields).digest() + b"abc")
+        expected = f"truncated: expected {claimed} payload bytes, found 3"
+        with pytest.raises(SnapshotIntegrityError, match=expected):
             SessionSnapshot.from_file(path)
 
     def test_file_one_byte_past_its_payload_is_rejected(self, tmp_path):

@@ -290,17 +290,6 @@ class TestMetricsCollector:
         else:
             assert metrics.mean_startup_delay is None is metrics.max_startup_delay
 
-    def test_a_format_3_delay_list_loads_as_totals(self):
-        state = dict(vars(MetricsCollector(2)))
-        for name in ("_startup_delay_count", "_startup_delay_total", "_startup_delay_max"):
-            del state[name]
-        state["_startup_delays"] = [5, 2, 9]
-        collector = MetricsCollector.__new__(MetricsCollector)
-        collector.__setstate__(state)
-        collector.record_startup_delays(np.array([4]))
-        metrics = collector.finalize()
-        assert (metrics.max_startup_delay, metrics.mean_startup_delay) == (9, 5.0)
-
 
 class TestSimulationTrace:
     def test_queries(self):
