@@ -47,8 +47,6 @@ constants and is far larger than what simulations need; the experiments
 use small empirical ``k`` and compare against the theorem's guarantee.
 """
 
-import warnings as _warnings
-
 from repro.core import (
     Allocation,
     AllocationError,
@@ -126,42 +124,6 @@ from repro import analysis, api, baselines, flow, scenarios, sim, workloads
 
 __version__ = "1.0.0"
 
-#: Legacy construction paths superseded by the repro.api facade: accessing
-#: them from the top-level package warns but keeps working, so downstream
-#: code migrates without breaking.  (The engine itself remains available,
-#: warning-free, at repro.sim.engine.VodSimulator for embedders.)
-_DEPRECATED_FACADE_ALIASES = {
-    "VodSimulator": (
-        "repro.sim.engine",
-        "VodSimulator",
-        "construct engines through repro.api.VodSystem "
-        "(VodSystem.for_allocation(...).build_simulator(...) or open_session(...))",
-    ),
-}
-
-#: Alias names that have already warned this process: the shim fires once
-#: per name, not once per attribute access, so a hot loop over the legacy
-#: name cannot flood logs.  Tests reset this set to re-arm the warning.
-_warned_aliases: set = set()
-
-
-def __getattr__(name):
-    """Serve deprecated legacy names lazily, with a one-shot migration warning."""
-    alias = _DEPRECATED_FACADE_ALIASES.get(name)
-    if alias is not None:
-        module_name, attr, hint = alias
-        if name not in _warned_aliases:
-            _warned_aliases.add(name)
-            _warnings.warn(
-                f"repro.{name} is deprecated; {hint}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "__version__",
     # core model
@@ -217,9 +179,7 @@ __all__ = [
     "register_component",
     "create_component",
     "available_components",
-    # simulator + workloads.  repro.VodSimulator still resolves (with a
-    # DeprecationWarning) via __getattr__, but is kept out of __all__ so
-    # `from repro import *` stays warning-free for users who never touch it.
+    # simulator + workloads
     "SimulationResult",
     "ColdStartAdversary",
     "FlashCrowdWorkload",

@@ -21,7 +21,7 @@ from repro.analysis.report import (
     render_markdown_table,
     render_table,
 )
-from repro.analysis.sweep import ParameterSweep, SweepResult, cartesian_grid
+from repro.analysis.sweep import cartesian_grid
 
 __all__ = [
     "catalog_bound_vs_n",
@@ -39,7 +39,5 @@ __all__ = [
     "print_table",
     "render_markdown_table",
     "render_table",
-    "ParameterSweep",
-    "SweepResult",
     "cartesian_grid",
 ]

@@ -1,18 +1,16 @@
-"""Generic parameter-sweep harness.
+"""Parameter grids.
 
-Every experiment in EXPERIMENTS.md is a sweep: a grid of parameter points,
-a function evaluated at each point returning a flat record, and a table of
-the collected records.  :class:`ParameterSweep` factors that pattern so
-that benchmarks stay short and uniform.
+Every experiment in EXPERIMENTS.md is a sweep over a grid of parameter
+points; :func:`cartesian_grid` builds one from named axes.  The campaign
+layer (:mod:`repro.orchestrate`) runs the sweeps the repository records.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-__all__ = ["SweepResult", "ParameterSweep", "cartesian_grid"]
+__all__ = ["cartesian_grid"]
 
 
 def cartesian_grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
@@ -30,77 +28,3 @@ def cartesian_grid(**axes: Sequence[Any]) -> List[Dict[str, Any]]:
             raise ValueError(f"axis {name!r} has no values")
     combos = itertools.product(*(axes[name] for name in names))
     return [dict(zip(names, combo)) for combo in combos]
-
-
-@dataclass
-class SweepResult:
-    """Collected records of a parameter sweep."""
-
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def columns(self) -> List[str]:
-        """Union of the column names across all rows (stable order)."""
-        seen: Dict[str, None] = {}
-        for row in self.rows:
-            for key in row:
-                seen.setdefault(key, None)
-        return list(seen)
-
-    def column(self, name: str) -> List[Any]:
-        """Values of one column across rows (``None`` where missing)."""
-        return [row.get(name) for row in self.rows]
-
-    def filter(self, predicate: Callable[[Dict[str, Any]], bool]) -> "SweepResult":
-        """Rows satisfying a predicate, as a new result."""
-        return SweepResult(rows=[row for row in self.rows if predicate(row)])
-
-    def sort_by(self, *keys: str) -> "SweepResult":
-        """Rows sorted by the given column names, as a new result."""
-        return SweepResult(rows=sorted(self.rows, key=lambda r: tuple(r.get(k) for k in keys)))
-
-
-class ParameterSweep:
-    """Evaluate a function over a parameter grid and collect flat records.
-
-    Parameters
-    ----------
-    func:
-        Callable invoked as ``func(**point)``; it must return either a flat
-        mapping (merged with the point into one row) or a list of flat
-        mappings (each merged with the point into its own row).
-    """
-
-    def __init__(self, func: Callable[..., Any]):
-        self._func = func
-
-    def run(
-        self,
-        grid: Iterable[Mapping[str, Any]],
-        progress: Optional[Callable[[int, Mapping[str, Any]], None]] = None,
-    ) -> SweepResult:
-        """Evaluate every point of ``grid`` and collect the rows."""
-        result = SweepResult()
-        for index, point in enumerate(grid):
-            if progress is not None:
-                progress(index, point)
-            outcome = self._func(**point)
-            if isinstance(outcome, Mapping):
-                outcomes: List[Mapping[str, Any]] = [outcome]
-            elif isinstance(outcome, (list, tuple)):
-                outcomes = list(outcome)
-            else:
-                raise TypeError(
-                    "sweep function must return a mapping or a list of mappings, "
-                    f"got {type(outcome).__name__}"
-                )
-            for record in outcomes:
-                row = dict(point)
-                row.update(record)
-                result.rows.append(row)
-        return result

@@ -41,20 +41,21 @@ class ComponentLookupError(ApiError, KeyError):
 
 class SnapshotFormatError(ApiError, ValueError):
     """A session snapshot was recorded under an incompatible format version,
-    or the file handed to :meth:`SessionSnapshot.from_file` is not in the
-    current snapshot frame (another file, an earlier frame, a bare pickle).
+    the file handed to :meth:`SessionSnapshot.from_file` is not in the
+    current snapshot frame (another file, an earlier frame, a bare pickle),
+    or :meth:`VodSession.restore` cannot unpickle a session from the payload.
 
     Snapshot payloads pickle the engine's internal state; a payload from a
-    different ``SNAPSHOT_FORMAT_VERSION`` is rejected, not converted, and
-    must be re-recorded from a fresh run.
+    different ``SNAPSHOT_FORMAT_VERSION`` or engine layout is rejected, not
+    converted, and must be re-recorded from a fresh run.
     """
 
 
 class SnapshotIntegrityError(SnapshotFormatError):
-    """A snapshot file or payload is truncated or corrupt.
+    """A snapshot file is truncated or corrupt.
 
-    Raised instead of a raw ``UnpicklingError``/``EOFError`` when a
-    checkpoint was torn mid-write, truncated on disk, or its payload does
-    not match the checksum recorded at :meth:`VodSession.snapshot` time.
-    The snapshot must be discarded; restore from an intact checkpoint.
+    Raised by :meth:`SessionSnapshot.from_file`, the one place a payload's
+    integrity is checked, when a checkpoint was torn mid-write, truncated
+    on disk, or its header or payload does not match the SHA-256 written
+    with it.  The file must be discarded; restore from an intact checkpoint.
     """

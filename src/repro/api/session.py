@@ -29,7 +29,6 @@ import io
 import json
 import os
 import pickle
-import re
 import struct
 
 import numpy as np
@@ -195,12 +194,14 @@ class SessionSnapshot:
     close over live resources) and must be re-attached after restore.
 
     On disk (:meth:`to_file`) the payload follows a fixed, checksummed
-    header that carries the other fields, so a checkpoint file is written
-    and read without pickling the snapshot around its payload.  Only
-    :meth:`VodSession.restore` unpickles the payload, and only one of the
-    current format: a change to the pickled layout bumps
-    :data:`SNAPSHOT_FORMAT_VERSION`, and older payloads are rejected, not
-    converted.
+    header that carries the format version, the other fields and the
+    payload's SHA-256, so a checkpoint file is written and read without
+    pickling the snapshot around its payload.  The file is the one place
+    the payload's integrity is checked: :meth:`to_file` hashes it and
+    :meth:`from_file` verifies it.  Only :meth:`VodSession.restore`
+    unpickles the payload, and only one of the current format: a change
+    to the pickled layout bumps :data:`SNAPSHOT_FORMAT_VERSION`, and older
+    payloads are rejected, not converted.
     """
 
     payload: bytes
@@ -208,14 +209,6 @@ class SessionSnapshot:
     time: int
     #: Rounds completed when the snapshot was taken.
     rounds_completed: int
-    format_version: int = SNAPSHOT_FORMAT_VERSION
-    #: SHA-256 of ``payload``, recorded at :meth:`VodSession.snapshot`
-    #: time.  :meth:`to_file` writes it into the file's header,
-    #: :meth:`from_file` checks the payload it reads against it and
-    #: :meth:`VodSession.restore` re-verifies it, so a corrupted in-memory
-    #: or on-disk payload fails with a typed error.  When empty,
-    #: :meth:`to_file` hashes the payload and restore skips the check.
-    payload_sha256: str = ""
 
     def to_file(self, path: Union[str, Path]) -> Path:
         """Persist the snapshot to ``path`` (checkpoint files).
@@ -224,28 +217,15 @@ class SessionSnapshot:
         completed, payload length, the payload's SHA-256 and a SHA-256 of
         the header itself — followed by the raw payload bytes, so
         :meth:`from_file` detects truncated or torn checkpoint files.  The
-        payload digest is the one recorded at capture; the payload is
-        hashed here only when none was recorded.  A recorded digest that is
-        not 64 hex digits raises
-        :class:`~repro.api.errors.SnapshotIntegrityError` before anything
-        is written.
+        payload is hashed here, once per file written.
         """
-        recorded = self.payload_sha256
-        if not recorded:
-            digest = hashlib.sha256(self.payload).digest()
-        elif re.fullmatch("[0-9a-fA-F]{64}", recorded):
-            digest = bytes.fromhex(recorded)
-        else:
-            raise SnapshotIntegrityError(
-                f"snapshot payload_sha256 {recorded!r} is not a SHA-256 hex digest"
-            )
         packed = _FRAME_FIELDS.pack(
             _SNAPSHOT_MAGIC,
-            self.format_version,
+            SNAPSHOT_FORMAT_VERSION,
             self.time,
             self.rounds_completed,
             len(self.payload),
-            digest,
+            hashlib.sha256(self.payload).digest(),
         )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -267,8 +247,9 @@ class SessionSnapshot:
 
         Nothing is unpickled: the header is checked, then the format
         version, then the payload's length against the file's size before
-        the payload is read, then its recorded SHA-256, which the returned
-        snapshot carries in ``payload_sha256``.
+        the payload is read, then the payload's SHA-256.  A snapshot this
+        returns needs no further check: :meth:`VodSession.restore` only
+        unpickles it.
         """
         with Path(path).open("rb") as handle:
             header = handle.read(_FRAME_HEADER_SIZE)
@@ -290,7 +271,13 @@ class SessionSnapshot:
             _, version, time, rounds_completed, length, digest = (
                 _FRAME_FIELDS.unpack(packed)
             )
-            _check_format_version(version, f"snapshot {path}")
+            if version != SNAPSHOT_FORMAT_VERSION:
+                raise SnapshotFormatError(
+                    f"snapshot {path} has format version {version}, "
+                    f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
+                    "snapshots are not migratable across engine-layout changes — "
+                    "re-record the checkpoint from a fresh run"
+                )
             # The header checksum catches bit rot, not a crafted length:
             # compare it with the file before reading that many bytes.
             found = os.fstat(handle.fileno()).st_size - _FRAME_HEADER_SIZE
@@ -304,13 +291,7 @@ class SessionSnapshot:
             raise SnapshotIntegrityError(
                 f"snapshot {path} is corrupt: checksum mismatch"
             )
-        return cls(
-            payload=payload,
-            time=time,
-            rounds_completed=rounds_completed,
-            format_version=version,
-            payload_sha256=digest.hex(),
-        )
+        return cls(payload=payload, time=time, rounds_completed=rounds_completed)
 
 
 #: Leading bytes of a checkpoint file.  The header that follows is the
@@ -321,16 +302,6 @@ class SessionSnapshot:
 _SNAPSHOT_MAGIC = b"VODSNAP\x02"
 _FRAME_FIELDS = struct.Struct(">8sqqqQ32s")
 _FRAME_HEADER_SIZE = _FRAME_FIELDS.size + 32
-
-
-def _check_format_version(version: int, what: str = "snapshot") -> None:
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"{what} has format version {version}, "
-            f"but this build reads version {SNAPSHOT_FORMAT_VERSION}; "
-            "snapshots are not migratable across engine-layout changes — "
-            "re-record the checkpoint from a fresh run"
-        )
 
 
 class _SessionWorkload:
@@ -635,26 +606,20 @@ class VodSession:
         component, warm-start assignment, pending postponed requests and
         queued injected demands — so ``restore(snapshot)`` followed by
         ``step()``s is bit-identical to continuing uninterrupted.  The
-        engine's ``round_observer`` (if any) is excluded and must be
-        re-attached after restore.  Only live state is pickled: the request
-        pool and the demand log keep their live rows, and NumPy's dtypes
-        are named, so the restored arrays are on NumPy's own dtype
-        instances and the restored session steps as fast as this one.
+        engine's ``round_observer`` (if any) is left out of its pickled
+        state and must be re-attached after restore.  Only live state is
+        pickled: the request pool and the demand log keep their live rows,
+        and NumPy's dtypes are named, so the restored arrays are on NumPy's
+        own dtype instances and the restored session steps as fast as this
+        one.  The payload is not hashed here: :meth:`SessionSnapshot.to_file`
+        hashes it when it writes a checkpoint file.
         """
-        engine = self._engine
-        observer = engine._round_observer
-        engine._round_observer = None
         buffer = io.BytesIO()
-        try:
-            _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(self)
-        finally:
-            engine._round_observer = observer
-        payload = buffer.getvalue()
+        _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(self)
         return SessionSnapshot(
-            payload=payload,
+            payload=buffer.getvalue(),
             time=self.now,
             rounds_completed=self.rounds_completed,
-            payload_sha256=hashlib.sha256(payload).hexdigest(),
         )
 
     @classmethod
@@ -663,40 +628,25 @@ class VodSession:
 
         Each call produces a fresh object graph: restoring twice yields two
         sessions that evolve independently (and identically, given the same
-        inputs).  This is the one place the package unpickles, and it reads
-        only payloads of the current format: a snapshot from a different
-        format version, or one whose checksummed payload this build cannot
+        inputs).  This is the one place the package unpickles, and it only
+        unpickles: a snapshot's payload comes from :meth:`snapshot` in this
+        process or from :meth:`SessionSnapshot.from_file`, which has checked
+        its frame, format version and SHA-256.  A payload this build cannot
         unpickle (it names classes this build no longer has, or a state
-        layout they no longer read), raises
-        :class:`~repro.api.errors.SnapshotFormatError`; a truncated or
-        corrupted payload raises
-        :class:`~repro.api.errors.SnapshotIntegrityError` instead of a raw
-        ``UnpicklingError``/``EOFError``.
+        layout they no longer read), or one that does not hold a session,
+        raises :class:`~repro.api.errors.SnapshotFormatError`.
         """
-        _check_format_version(snapshot.format_version)
-        recorded = snapshot.payload_sha256
-        if recorded and hashlib.sha256(snapshot.payload).hexdigest() != recorded:
-            raise SnapshotIntegrityError(
-                "snapshot payload is corrupt: checksum mismatch against the "
-                "digest recorded at capture time"
-            )
         try:
             session = pickle.loads(snapshot.payload)
         except Exception as exc:
-            if recorded:
-                # The checksum held, so these are the captured bytes: they
-                # name code this build no longer has (a removed engine
-                # mode) or a state layout it no longer reads.
-                raise SnapshotFormatError(
-                    f"snapshot payload cannot be read by this build ({exc}); "
-                    "re-record the checkpoint from a fresh run"
-                ) from exc
-            raise SnapshotIntegrityError(
-                f"snapshot payload is truncated or corrupt ({exc})"
+            raise SnapshotFormatError(
+                f"snapshot payload cannot be read by this build ({exc}); "
+                "re-record the checkpoint from a fresh run"
             ) from exc
         if not isinstance(session, cls):
             raise SnapshotFormatError(
-                "snapshot payload does not contain a VodSession"
+                "snapshot payload does not contain a VodSession; "
+                "re-record the checkpoint from a fresh run"
             )
         return session
 

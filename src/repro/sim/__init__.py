@@ -15,7 +15,6 @@ from repro.sim.events import (
     ConnectionEvent,
     DemandEvent,
     InfeasibilityEvent,
-    PlaybackEndEvent,
     PlaybackStartEvent,
     RequestEvent,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ConnectionEvent",
     "DemandEvent",
     "InfeasibilityEvent",
-    "PlaybackEndEvent",
     "PlaybackStartEvent",
     "RequestEvent",
     "MetricsCollector",

@@ -415,7 +415,9 @@ class VodSimulator:
     _DEMAND_COLUMNS = ("_demand_time", "_demand_box", "_demand_video", "_demand_started")
 
     def __getstate__(self) -> dict:
-        return live_column_state(self, self._DEMAND_COLUMNS, self._demand_count)
+        state = live_column_state(self, self._DEMAND_COLUMNS, self._demand_count)
+        state["_round_observer"] = None  # may close over live resources
+        return state
 
     def result(self, stopped_early: bool = False) -> SimulationResult:
         """Aggregate everything executed so far into a :class:`SimulationResult`.

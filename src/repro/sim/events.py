@@ -16,7 +16,6 @@ __all__ = [
     "RequestEvent",
     "ConnectionEvent",
     "PlaybackStartEvent",
-    "PlaybackEndEvent",
     "InfeasibilityEvent",
 ]
 
@@ -61,15 +60,6 @@ class PlaybackStartEvent:
     box_id: int
     video_id: int
     startup_delay: int
-
-
-@dataclass(frozen=True)
-class PlaybackEndEvent:
-    """Playback of ``video_id`` on ``box_id`` completed at round ``time``."""
-
-    time: int
-    box_id: int
-    video_id: int
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from repro.sim.events import (
     ConnectionEvent,
     DemandEvent,
     InfeasibilityEvent,
-    PlaybackEndEvent,
     PlaybackStartEvent,
     RequestEvent,
 )
@@ -29,7 +28,6 @@ Event = Union[
     RequestEvent,
     ConnectionEvent,
     PlaybackStartEvent,
-    PlaybackEndEvent,
     InfeasibilityEvent,
 ]
 E = TypeVar("E")
@@ -128,7 +126,6 @@ class SimulationTrace:
                 RequestEvent,
                 ConnectionEvent,
                 PlaybackStartEvent,
-                PlaybackEndEvent,
                 InfeasibilityEvent,
             )
         }

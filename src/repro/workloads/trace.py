@@ -215,9 +215,13 @@ class TraceDemandWorkload:
         Offset added to every trace timestamp, shifting the replay.
 
     A pickled workload keeps the trace reference as given and the number
-    of events it has taken from the stream, and reopens the stream at
-    that event when unpickled.
+    of events it has taken from the stream, not the stream or the
+    resolved path: the first read after unpickling resolves the reference
+    and reopens the stream at that event.
     """
+
+    #: The open event stream; ``None`` until the first read.
+    _events = None
 
     def __init__(
         self,
@@ -226,24 +230,17 @@ class TraceDemandWorkload:
         random_state: RandomState = None,
     ):
         self._trace = trace
-        self._path = resolve_trace_path(trace)
         self._start = check_non_negative_integer(start_time, "start_time")
         self._rng = as_generator(random_state)
-        self._header = read_trace_header(self._path)
-        self._events = iter_trace(self._path)
+        self._header = read_trace_header(resolve_trace_path(trace))
         self._consumed = 0  # events taken from the stream, the pending one too
         self._pending: Tuple[int, int] | None = None
         self._exhausted = self._header.num_events == 0
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_events"]
+        state.pop("_events", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._path = resolve_trace_path(self._trace)
-        self._events = iter_trace(self._path, self._consumed)
 
     @property
     def header(self) -> TraceHeader:
@@ -256,6 +253,10 @@ class TraceDemandWorkload:
             if self._pending is None:
                 if self._exhausted:
                     break
+                if self._events is None:
+                    self._events = iter_trace(
+                        resolve_trace_path(self._trace), self._consumed
+                    )
                 try:
                     self._pending = next(self._events)
                     self._consumed += 1
@@ -275,7 +276,7 @@ class TraceDemandWorkload:
         """Replay this round's due trace events."""
         if self._header.num_videos > view.catalog.num_videos:
             raise ValueError(
-                f"trace {self._path!r} was recorded over "
+                f"trace {resolve_trace_path(self._trace)!r} was recorded over "
                 f"{self._header.num_videos} videos but the catalog holds only "
                 f"{view.catalog.num_videos}; replay it against a catalog of at "
                 f"least {self._header.num_videos} videos"

@@ -18,7 +18,7 @@ from repro.analysis.montecarlo import (
     find_max_feasible_catalog,
 )
 from repro.analysis.report import format_value, render_markdown_table, render_table
-from repro.analysis.sweep import ParameterSweep, SweepResult, cartesian_grid
+from repro.analysis.sweep import cartesian_grid
 from repro.core.parameters import homogeneous_population
 from repro.core.video import Catalog
 from repro.workloads.flashcrowd import FlashCrowdWorkload
@@ -169,35 +169,6 @@ class TestSweepHarness:
         assert cartesian_grid() == [{}]
         with pytest.raises(ValueError):
             cartesian_grid(a=[])
-
-    def test_parameter_sweep_with_dict_result(self):
-        sweep = ParameterSweep(lambda a, b: {"sum": a + b})
-        result = sweep.run(cartesian_grid(a=[1, 2], b=[10]))
-        assert len(result) == 2
-        assert result.rows[0]["sum"] == 11
-        assert result.column("sum") == [11, 12]
-        assert set(result.columns()) == {"a", "b", "sum"}
-
-    def test_parameter_sweep_with_list_result(self):
-        sweep = ParameterSweep(lambda a: [{"v": a}, {"v": a * 2}])
-        result = sweep.run([{"a": 3}])
-        assert [row["v"] for row in result] == [3, 6]
-
-    def test_parameter_sweep_invalid_return(self):
-        sweep = ParameterSweep(lambda a: 42)
-        with pytest.raises(TypeError):
-            sweep.run([{"a": 1}])
-
-    def test_sweep_result_filter_and_sort(self):
-        result = SweepResult(rows=[{"x": 2}, {"x": 1}, {"x": 3}])
-        assert [r["x"] for r in result.sort_by("x")] == [1, 2, 3]
-        assert len(result.filter(lambda r: r["x"] > 1)) == 2
-
-    def test_progress_callback(self):
-        calls = []
-        sweep = ParameterSweep(lambda a: {"v": a})
-        sweep.run([{"a": 1}, {"a": 2}], progress=lambda i, p: calls.append((i, p["a"])))
-        assert calls == [(0, 1), (1, 2)]
 
 
 class TestReport:

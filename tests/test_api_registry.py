@@ -1,4 +1,4 @@
-"""Component registry, protocol conformance and the deprecation shim."""
+"""Component registry, protocol conformance and import hygiene."""
 
 from __future__ import annotations
 
@@ -216,34 +216,8 @@ def test_a_workload_kind_registered_at_test_time_builds_from_a_spec(monkeypatch)
 
 
 # ---------------------------------------------------------------------- #
-# Legacy deprecation shim
+# Import hygiene
 # ---------------------------------------------------------------------- #
-def test_top_level_vodsimulator_warns_and_resolves():
-    repro._warned_aliases.clear()  # re-arm the one-shot warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = repro.VodSimulator
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    # stacklevel=2 must attribute the warning to this file (the caller of
-    # the attribute access), not to repro/__init__.py.
-    assert deprecations[0].filename == __file__
-    from repro.sim.engine import VodSimulator
-
-    assert legacy is VodSimulator
-
-
-def test_top_level_vodsimulator_warns_exactly_once():
-    repro._warned_aliases.clear()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = repro.VodSimulator
-        second = repro.VodSimulator
-    assert first is second
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-
-
 def test_engine_path_does_not_warn():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -258,8 +232,7 @@ def test_unknown_top_level_attribute_raises():
 
 
 def test_star_import_does_not_warn():
-    # VodSimulator stays resolvable (with a warning) but out of __all__, so
-    # wildcard imports under warnings-as-errors keep working.
+    # The engine is not a top-level name: it lives at repro.sim.engine.
     assert "VodSimulator" not in repro.__all__
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

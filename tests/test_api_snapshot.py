@@ -87,6 +87,8 @@ def test_snapshot_restore_step_matches_uninterrupted_run(name, solver):
         engine._demand_count
     }
     assert _arrays_on_copied_dtypes(restored) == []
+    # A restored session re-pickles to the payload it came from.
+    assert restored.snapshot().payload == snapshot.payload
     restored.step_until(round=ROUNDS)
 
     assert [r.to_dict() for r in restored.reports] == expected
@@ -116,6 +118,28 @@ def test_snapshot_is_restorable_multiple_times(name, solver):
     # The original session keeps stepping independently and identically.
     session.step_until(round=ROUNDS)
     assert session.digest() == first.digest()
+
+
+def test_a_round_observer_stays_out_of_the_snapshot():
+    """The engine leaves its round observer out of its pickled state.
+
+    The observer here is a lambda, which pickle refuses, so the snapshot
+    succeeds only if the observer is left out.  The live session keeps it.
+    """
+    seen: list = []
+    observer = lambda observation: seen.append(observation.time)  # noqa: E731
+    session = build_scenario(
+        get_scenario("churn_storm"), seed=1, round_observer=observer
+    ).session()
+    session.step_until(rounds=3)
+    snapshot = session.snapshot()
+
+    restored = VodSession.restore(snapshot)
+    assert restored.engine._round_observer is None
+    assert session.engine._round_observer is observer
+    assert seen == [0, 1, 2]
+    session.step()
+    assert seen == [0, 1, 2, 3]
 
 
 def test_snapshot_file_round_trip(tmp_path):
@@ -263,13 +287,12 @@ class TestSnapshotFormatVersioning:
         assert not isinstance(excinfo.value, SnapshotIntegrityError)
 
     def test_payload_naming_missing_code_raises_a_format_error(self):
-        """A checksummed current-version payload whose classes are gone.
+        """A payload whose classes are gone.
 
         The payload pickles an instance of a class from a module that is
         then removed, as a refactor would remove an engine class: restore
         must report a format error with a re-record hint, not corruption.
         """
-        import hashlib
         import pickle
         import sys
         import types
@@ -283,26 +306,20 @@ class TestSnapshotFormatVersioning:
             payload = pickle.dumps(module.VanishedEngine())
         finally:
             del sys.modules[module.__name__]
-        snapshot = SessionSnapshot(
-            payload=payload,
-            time=0,
-            rounds_completed=0,
-            payload_sha256=hashlib.sha256(payload).hexdigest(),
-        )
+        snapshot = SessionSnapshot(payload=payload, time=0, rounds_completed=0)
         with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
             VodSession.restore(snapshot)
         assert not isinstance(excinfo.value, SnapshotIntegrityError)
 
     def test_payload_in_a_changed_state_layout_raises_a_format_error(self):
-        """A checksummed payload whose class now reads another state layout.
+        """A payload whose class now reads another state layout.
 
         The class pickles a two-value state and is then redefined with a
         ``__setstate__`` that unpacks three, as a refactor would change an
-        engine class's layout.  The checksum holds, so the bytes are the
-        captured ones: restore must report a format error with a
+        engine class's layout.  Restore checks no integrity, so what fails
+        is the format: restore must report a format error with a
         re-record hint, not a truncated or corrupt payload.
         """
-        import hashlib
         import pickle
         import sys
         import types
@@ -327,26 +344,12 @@ class TestSnapshotFormatVersioning:
                 "        self.a, self.b, self.c = state\n",
                 module.__dict__,
             )
-            snapshot = SessionSnapshot(
-                payload=payload,
-                time=0,
-                rounds_completed=0,
-                payload_sha256=hashlib.sha256(payload).hexdigest(),
-            )
+            snapshot = SessionSnapshot(payload=payload, time=0, rounds_completed=0)
             with pytest.raises(SnapshotFormatError, match="re-record") as excinfo:
                 VodSession.restore(snapshot)
         finally:
             del sys.modules[module.__name__]
         assert not isinstance(excinfo.value, SnapshotIntegrityError)
-
-    def test_restore_rejects_stale_in_memory_snapshots(self):
-        from repro.api import SessionSnapshot, SnapshotFormatError, VodSession
-
-        stale = SessionSnapshot(
-            payload=b"irrelevant", time=3, rounds_completed=3, format_version=1
-        )
-        with pytest.raises(SnapshotFormatError, match="re-record"):
-            VodSession.restore(stale)
 
     def test_snapshot_format_error_is_an_api_error(self):
         from repro.api import ApiError, SnapshotFormatError
@@ -359,22 +362,24 @@ class TestSnapshotFormatVersioning:
 
         session = _session_for("steady_state", "hopcroft_karp", 6)
         session.step_until(rounds=3)
-        snapshot = session.snapshot()
-        assert snapshot.format_version == SNAPSHOT_FORMAT_VERSION
-        path = snapshot.to_file(tmp_path / "current.ckpt")
+        path = session.snapshot().to_file(tmp_path / "current.ckpt")
+        # The big-endian format version follows the file's 8-byte magic.
+        written = int.from_bytes(path.read_bytes()[8:16], "big", signed=True)
+        assert written == SNAPSHOT_FORMAT_VERSION
         restored = VodSession.restore(SessionSnapshot.from_file(path))
         assert restored.rounds_completed == 3
 
 
-def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
+def test_one_checkpoint_cycle_hashes_the_payload_twice_and_pickles_once(
     tmp_path, monkeypatch
 ):
     """The exact work of ``snapshot`` → ``to_file`` → ``from_file`` → ``restore``.
 
-    The payload is hashed at capture, at the file read and at restore, and
-    the session is pickled and unpickled once: the file frame carries the
-    payload as it is, under the digest recorded at capture.  The session
-    is pickled through the snapshot pickler's ``dump``; ``pickle.dumps`` is
+    The payload is hashed only at the file boundary: once when the file
+    is written and once when it is read; ``snapshot`` only pickles and
+    ``restore`` only unpickles.  The session is pickled and unpickled
+    once: the file frame carries the payload as it is.  The session is
+    pickled through the snapshot pickler's ``dump``; ``pickle.dumps`` is
     counted too, so a second pickle of either kind fails.
     """
     import hashlib
@@ -414,13 +419,24 @@ def test_one_checkpoint_cycle_hashes_the_payload_three_times_and_pickles_once(
     monkeypatch.setattr(session_module._SnapshotPickler, "dump", counting_dump)
     monkeypatch.setattr(session_module.pickle, "dumps", counting_dumps)
     monkeypatch.setattr(session_module.pickle, "loads", counting_loads)
+    payload_hashes = []
+
+    def count_payload_hashes(length):
+        payload_hashes.append(sum(size >= length for size in hashed))
+        hashed.clear()
+
     snapshot = session.snapshot()
+    payload_length = len(snapshot.payload)
+    count_payload_hashes(payload_length)
     path = snapshot.to_file(tmp_path / "cycle.ckpt")
-    restored = VodSession.restore(SessionSnapshot.from_file(path))
+    count_payload_hashes(payload_length)
+    loaded = SessionSnapshot.from_file(path)
+    count_payload_hashes(payload_length)
+    restored = VodSession.restore(loaded)
+    count_payload_hashes(payload_length)
     monkeypatch.undo()
 
-    payload_length = len(snapshot.payload)
-    assert sum(length >= payload_length for length in hashed) == 3
+    assert payload_hashes == [0, 1, 1, 0]
     assert dumps == ["VodSession"]
     assert loads == [payload_length]
     session.step_until(round=ROUNDS)
