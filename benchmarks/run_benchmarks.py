@@ -11,7 +11,8 @@ cross-validates the two kernels on randomized instances along the way:
   (the acceptance microbenchmark: the Hopcroft–Karp kernel must be ≥5×
   faster);
 * ``per_round_matcher`` — full ``ConnectionMatcher.match`` round cost,
-  CSR gather + Dinic (the cold twin) vs CSR gather + Hopcroft–Karp;
+  CSR gather + Dinic (the cold twin) vs Hopcroft–Karp on the round's
+  rows (``PossessionIndex.kernel_rows``, no CSR gathered), unseeded;
 * ``incremental_matching`` — the 10k-box scale tier as built (delta
   repair) vs its full-solve twin, which re-solves every round with the
   full kernel (per-round matched cardinalities cross-checked equal).
@@ -119,7 +120,7 @@ def bench_unit_matching_kernel(sizes, repeats) -> Dict[str, object]:
 
 
 def bench_per_round_matcher(sizes, repeats) -> Dict[str, object]:
-    """Full per-round match cost, CSR gather + solve: the Dinic twin vs HK."""
+    """Full per-round match cost: CSR gather + the Dinic twin vs HK on the rows."""
     population, catalog, allocation, possession, requests = build_round_instance(**sizes)
     slots = population.upload_slots(catalog.num_stripes_per_video)
     old_matcher = ConnectionMatcher(slots, solver="dinic")

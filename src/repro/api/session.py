@@ -45,6 +45,7 @@ from repro.api.errors import (
 from repro.core.preloading import Demand
 from repro.sim.engine import SimulationResult, VodSimulator
 from repro.sim.metrics import RoundStats
+from repro.util.files import write_atomic
 from repro.workloads.base import DemandGenerator, SystemView
 
 __all__ = ["RoundReport", "SessionSnapshot", "VodSession"]
@@ -217,7 +218,10 @@ class SessionSnapshot:
         completed, payload length, the payload's SHA-256 and a SHA-256 of
         the header itself — followed by the raw payload bytes, so
         :meth:`from_file` detects truncated or torn checkpoint files.  The
-        payload is hashed here, once per file written.
+        payload is hashed here, once per file written.  The file is
+        replaced atomically (:func:`repro.util.files.write_atomic`): a
+        write killed mid-way leaves the previous checkpoint at ``path``
+        intact.
         """
         packed = _FRAME_FIELDS.pack(
             _SNAPSHOT_MAGIC,
@@ -228,10 +232,7 @@ class SessionSnapshot:
             hashlib.sha256(self.payload).digest(),
         )
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as handle:
-            handle.write(packed + hashlib.sha256(packed).digest())
-            handle.write(self.payload)
+        write_atomic(path, packed + hashlib.sha256(packed).digest(), self.payload)
         return path
 
     @classmethod
@@ -239,8 +240,8 @@ class SessionSnapshot:
         """Load a snapshot previously written with :meth:`to_file`.
 
         Raises :class:`~repro.api.errors.SnapshotIntegrityError` when the
-        file is truncated or a checksum does not match (torn write, bit
-        rot), and :class:`~repro.api.errors.SnapshotFormatError` when it is
+        file is truncated (down to a proper prefix of its magic bytes) or a
+        checksum does not match (torn copy, bit rot), and :class:`~repro.api.errors.SnapshotFormatError` when it is
         not in the current frame (any other file, an earlier frame, a bare
         pickle) or was recorded under a different snapshot format version;
         re-record the checkpoint from a fresh run instead.
@@ -253,7 +254,8 @@ class SessionSnapshot:
         """
         with Path(path).open("rb") as handle:
             header = handle.read(_FRAME_HEADER_SIZE)
-            if not header.startswith(_SNAPSHOT_MAGIC):
+            # A file torn inside the magic is a prefix of it, not foreign.
+            if not _SNAPSHOT_MAGIC.startswith(header[: len(_SNAPSHOT_MAGIC)]):
                 raise SnapshotFormatError(
                     f"{path} is not a readable snapshot file (no {_SNAPSHOT_MAGIC!r} "
                     "frame); re-record the checkpoint from a fresh run"

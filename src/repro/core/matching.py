@@ -27,18 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.possession import PossessionIndex
 from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
-from repro.flow.hopcroft_karp import (
-    HKMatchingResult,
-    hopcroft_karp_matching,
-    hopcroft_karp_rows,
-)
+from repro.flow.hopcroft_karp import HKMatchingResult, hopcroft_karp_rows
+
+# Not called here: the end-to-end benchmark's tracer
+# (``benchmarks/e2e/spans.py``) patches this name on this module, as it
+# imports ``PossessionIndex`` from it.
+from repro.flow.hopcroft_karp import hopcroft_karp_matching  # noqa: F401
 from repro.flow.repair import _greedy_first_fit, _retire_pairs, repair_matching
 
 __all__ = [
@@ -111,21 +112,6 @@ class ConnectionMatching:
 MATCHING_SOLVERS: Tuple[str, ...] = ("hopcroft_karp", "dinic")
 
 
-class _Repair(NamedTuple):
-    """One round's incremental repair, handed to the full kernel if short.
-
-    ``assignment`` holds only pairs that are edges of the round within
-    capacity, and ``pair_expiry`` the expiry recorded for each.
-    ``complete``: perfect, hence maximum.  ``over_budget``: the repair
-    gave up on its search budget (a repair fallback).
-    """
-
-    assignment: np.ndarray
-    pair_expiry: np.ndarray
-    complete: bool
-    over_budget: bool
-
-
 class ConnectionMatcher:
     """Builds the bipartite graph ``G`` and solves the connection matching.
 
@@ -136,16 +122,15 @@ class ConnectionMatcher:
         possibly already reduced by statically reserved relay capacity
         (Section 4).
     solver:
-        ``"hopcroft_karp"`` (default) repairs the previous round's
-        matching when the call carries its pair expiries and falls back
-        to the full kernel on the round's rows
-        (:meth:`PossessionIndex.kernel_rows`); a round without a repair
-        runs the kernel on the CSR adjacency emitted by
-        :meth:`PossessionIndex.adjacency_for`;
+        ``"hopcroft_karp"`` (default) seeds every round with the previous
+        round's pairs that still hold, repairs the seed when the call
+        carries its pair expiries, and otherwise, or when the repair falls
+        short, solves with the full kernel on the round's rows
+        (:meth:`PossessionIndex.kernel_rows`) from that seed;
         ``"dinic"`` solves every round cold with the in-house Dinic max
-        flow (:func:`repro.flow.dinic.dinic_matching`) on that CSR
-        adjacency, and serves as the cold twin in cross-validation tests
-        and benchmarks.
+        flow (:func:`repro.flow.dinic.dinic_matching`) on the CSR
+        adjacency emitted by :meth:`PossessionIndex.adjacency_for`, and
+        serves as the cold twin in cross-validation tests and benchmarks.
     """
 
     def __init__(self, upload_slots: Sequence[int], solver: str = "hopcroft_karp"):
@@ -230,45 +215,39 @@ class ConnectionMatcher:
         capacity available to new requests.
 
         ``warm_start`` optionally seeds the matching with a previous
-        round's request→box assignment (``-1`` = unmatched).  Stale pairs
-        (departed boxes, evicted caches, exhausted capacity) are dropped
-        during validation, so the result is always a maximum matching of
-        the *current* instance; only the solve gets cheaper.  Ignored by
-        the Dinic solver.
+        round's request→box assignment (``-1`` = unmatched).  Ignored by
+        the Dinic solver.  ``pair_expiry`` gives, per request, the last
+        round its ``warm_start`` pair stays valid, as the previous round's
+        result returned it in :attr:`ConnectionMatching.pair_expiry`
+        (``-1`` for the requests activated since); it needs a
+        ``warm_start`` of the same length, else ``ValueError``.  A call
+        with a ``warm_start`` but no ``pair_expiry`` (round 0, after a
+        reset) looks each seed pair's expiry up instead; a pair that is
+        not an edge of the round reads ``-1``.
 
-        ``pair_expiry`` gives, per request, the last round its
-        ``warm_start`` pair stays valid, as the previous round's result
-        returned it in :attr:`ConnectionMatching.pair_expiry` (``-1`` for
-        the requests activated since).  It enables the incremental path:
-        instead of re-gathering the full adjacency, the matcher retires
-        only the pairs that no longer hold (expired cache edges,
-        over-capacity boxes) and repairs the small deficit from the
-        deficit rows, read on demand.  A repaired-to-perfect matching is
-        maximum by construction; any other outcome falls back to the full
-        kernel, so results are bit-compatible with a full solve.
-        ``pair_expiry`` needs a ``warm_start`` of the same length, else
-        ``ValueError``.  Without it the round runs the full kernel.  The
-        result carries the pair expiries of its matching whenever the call
-        has a ``warm_start``.
+        Every Hopcroft–Karp round runs one route.  The seed is the
+        ``warm_start`` (all ``-1`` without one).  :func:`_retire_pairs`
+        drops the pairs that no longer hold — expired or never an edge,
+        then past their box's capacity in request order — so the seed
+        holds only edges of this round within capacity, and the result is
+        always a maximum matching of the *current* instance.  A call with
+        ``pair_expiry`` repairs the seed's deficit from the deficit rows,
+        read on demand; a repaired-to-perfect matching is maximum by
+        construction.  Otherwise, or when the repair fell short, the full
+        kernel solves on the round's rows
+        (:meth:`PossessionIndex.kernel_rows`, read as the kernel touches
+        them) through :func:`~repro.flow.hopcroft_karp.hopcroft_karp_rows`
+        from that seed, which it adopts without an adjacency test.  No
+        route gathers the round's CSR.
 
-        When the repair fell short, the full kernel solves on the round's
-        rows (:meth:`PossessionIndex.kernel_rows`, read as the kernel
-        touches them) through
-        :func:`~repro.flow.hopcroft_karp.hopcroft_karp_rows`, seeded with
-        the repair's partial assignment: its pairs are edges the
-        retirement already checked, so the seed is not tested against
-        the adjacency.  Only a kernel call without a repair gathers the
-        round's CSR, through :meth:`PossessionIndex.adjacency_for`, and
-        validates its ``warm_start`` against it.  A pair the kernel returns equal
-        to its seed pair keeps the expiry recorded when the pair was
-        made.  That may be an earlier edge's than the box's latest (a
-        cache edge's although the box also relays the stripe, or caches
-        it again later), so the pair may retire early, which is safe.
-        Only the pairs the kernel made are looked up, through
-        :meth:`PossessionIndex.adjacency_delta_for` on their rows, and
-        take their box's latest edge expiry.  A seed without pair
-        expiries (round 0, after a reset) carries none, so all its matched
-        rows are looked up.
+        The result carries the pair expiries of its matching whenever the
+        call has a ``warm_start``.  A pair the kernel returns equal to its
+        seed pair keeps the seed's expiry, which may be an earlier edge's
+        than the box's latest (a cache edge's although the box also relays
+        the stripe, or caches it again later), so the pair may retire
+        early, which is safe.  Only the pairs the kernel made are looked
+        up, through :meth:`PossessionIndex.adjacency_delta_for` on their
+        rows, and take their box's latest edge expiry.
         """
         n = self._slots.size
         capacities = self._slots.copy()
@@ -305,50 +284,54 @@ class ConnectionMatcher:
                 warm_start is None or len(pair_expiry) != num_requests
             ):
                 raise ValueError("pair_expiry needs a warm_start of the same length")
-            repair: Optional[_Repair] = None
-            if pair_expiry is not None:
-                repair = self._try_repair(
-                    requests, possession, current_time, capacities,
-                    warm_start, pair_expiry,
+            if warm_start is None:
+                seed = np.full(num_requests, -1, dtype=np.int64)
+            else:
+                seed = np.array(warm_start, dtype=np.int64)
+            if pair_expiry is None:
+                seed_expiry = self._pair_expiry(
+                    seed, np.flatnonzero(seed >= 0), requests, possession, current_time
                 )
-            if repair is not None and repair.complete:
-                expiry = repair.pair_expiry
+            else:
+                seed_expiry = np.array(pair_expiry, dtype=np.int64)
+            # Retire the pairs whose edge aged out (or never was one) or
+            # whose box lost capacity: what is left are edges of this
+            # round within capacity, the seed of the repair and the kernel.
+            load = _retire_pairs(seed, seed_expiry, capacities, current_time)
+            complete = False
+            if pair_expiry is not None:
+                complete, repair_fallback = self._try_repair(
+                    requests, possession, current_time, capacities,
+                    seed, seed_expiry, load,
+                )
+            if complete:
+                expiry = seed_expiry
                 result = HKMatchingResult(
                     feasible=True,
-                    assignment=repair.assignment,
+                    assignment=seed,
                     matched=num_requests,
                     deficient_left=(),
                     unsatisfied_witness=None,
                 )
                 self._repair_rounds += 1
             else:
-                if repair is not None:
-                    # The repair fell short.  Its pairs are edges of this
-                    # round within capacity, so the kernel solves on the
-                    # round's rows as it touches them, seeded without an
-                    # adjacency test.
-                    repair_fallback = repair.over_budget
-                    result = hopcroft_karp_rows(
-                        num_requests,
-                        n,
-                        possession.kernel_rows(requests, current_time),
-                        capacities,
-                        repair.assignment,
-                    )
-                else:
-                    indptr, indices = possession.adjacency_for(requests, current_time)
-                    result = hopcroft_karp_matching(
-                        num_left=num_requests,
-                        num_right=n,
-                        indptr=indptr,
-                        indices=indices,
-                        right_capacities=capacities,
-                        initial_assignment=warm_start,
-                    )
+                result = hopcroft_karp_rows(
+                    num_requests,
+                    n,
+                    possession.kernel_rows(requests, current_time),
+                    capacities,
+                    seed,
+                )
                 if warm_start is not None:
-                    expiry = self._kernel_pair_expiry(
-                        result.assignment, repair, requests, possession, current_time
+                    # A pair equal to its seed pair keeps the seed's
+                    # expiry; only the pairs the kernel made are looked up.
+                    assignment = result.assignment
+                    carried = (assignment >= 0) & (assignment == seed)
+                    made = np.flatnonzero((assignment >= 0) & ~carried)
+                    expiry = self._pair_expiry(
+                        assignment, made, requests, possession, current_time
                     )
+                    expiry[carried] = seed_expiry[carried]
 
         assignment = result.assignment
         served = assignment[assignment >= 0]
@@ -367,64 +350,39 @@ class ConnectionMatcher:
     # ------------------------------------------------------------------ #
     # Incremental round path
     # ------------------------------------------------------------------ #
-    def _kernel_pair_expiry(
-        self,
+    @staticmethod
+    def _pair_expiry(
         assignment: np.ndarray,
-        repair: Optional[_Repair],
+        rows: np.ndarray,
         requests: RequestSet,
         possession: PossessionIndex,
         current_time: int,
     ) -> np.ndarray:
-        """Per-request expiry of the full kernel's matched pairs.
+        """Per-request pair expiries, looked up on ``rows`` only (``-1`` elsewhere).
 
-        A pair equal to the repair's seed pair keeps the expiry the repair
-        recorded when it made the pair.  The rest — every matched row
-        when there was no repair — are looked up: only their rows are
-        gathered with expiries, and each pair takes its box's latest.
+        Row ``i`` of ``rows`` gets the expiry of the pair ``(i,
+        assignment[i])``: only those rows are gathered with expiries,
+        through :meth:`PossessionIndex.adjacency_delta_for` (no requester
+        entries).  Duplicate ``(request, box)`` edges (a static holder that
+        also caches) take the *latest* expiry — exactly the round after
+        which the pair stops being an edge; a pair that is not an edge of
+        the round reads ``-1``.
         """
         pair_expiry = np.full(assignment.size, -1, dtype=np.int64)
-        made = assignment >= 0
-        if repair is not None:
-            carried = made & (assignment == repair.assignment)
-            pair_expiry[carried] = repair.pair_expiry[carried]
-            made &= ~carried
-        rows = np.flatnonzero(made)
-        if rows.size:
-            indptr, indices, edge_expiry = possession.adjacency_delta_for(
-                RequestSet(
-                    requests.stripe_id_array[rows],
-                    requests.request_time_array[rows],
-                    requests.box_id_array[rows],
-                ),
-                current_time,
-            )
-            pair_expiry[rows] = self._pair_expiry_from_csr(
-                assignment[rows], indptr, indices, edge_expiry
-            )
-        return pair_expiry
-
-    def _pair_expiry_from_csr(
-        self,
-        assignment: np.ndarray,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        edge_expiry: np.ndarray,
-    ) -> np.ndarray:
-        """Per-request expiry of the matched pair, from its rows' expiry CSR.
-
-        Duplicate ``(request, box)`` edges (static holder that also
-        caches) take the *latest* expiry — exactly the round after which
-        the classic validation would drop the pair.
-        """
-        num = assignment.size
-        pair_expiry = np.full(num, -1, dtype=np.int64)
-        if num and indices.size:
-            rows_of = np.repeat(
-                np.arange(num, dtype=np.int64), np.diff(indptr)
-            )
-            hit = indices == assignment[rows_of]
-            if hit.any():
-                np.maximum.at(pair_expiry, rows_of[hit], edge_expiry[hit])
+        if not rows.size:
+            return pair_expiry
+        indptr, indices, edge_expiry = possession.adjacency_delta_for(
+            RequestSet(
+                requests.stripe_id_array[rows],
+                requests.request_time_array[rows],
+                requests.box_id_array[rows],
+            ),
+            current_time,
+        )
+        rows_of = np.repeat(rows, np.diff(indptr))
+        hit = indices == assignment[rows_of]
+        if hit.any():
+            np.maximum.at(pair_expiry, rows_of[hit], edge_expiry[hit])
         return pair_expiry
 
     def _try_repair(
@@ -433,31 +391,28 @@ class ConnectionMatcher:
         possession: PossessionIndex,
         current_time: int,
         capacities: np.ndarray,
-        warm_start: Sequence[int],
-        pair_expiry: Sequence[int],
-    ) -> _Repair:
-        """Attempt the incremental repair of one round.
+        assignment: np.ndarray,
+        pair_expiry: np.ndarray,
+        load: np.ndarray,
+    ) -> Tuple[bool, bool]:
+        """Repair the retired seed ``assignment`` of one round in place.
 
-        Returns the repair's assignment and pair expiries, both new
-        arrays: ``complete`` when the deficit was repaired to a perfect —
-        hence maximum — matching; else the round must run the full
-        kernel, seeded with this partial assignment (some request has no
-        augmenting path, i.e. the round is infeasible and needs the
-        kernel's Hall witness, or ``over_budget``: the repair search
-        budget ran out, which the caller counts as a *repair fallback*).
-        Every pair of a partial assignment is an edge of this round
-        within capacity.
+        ``assignment`` holds only edges of this round within capacity,
+        ``pair_expiry`` their expiries and ``load`` the per-box load of
+        those pairs; each pair the repair makes records its edge's expiry.
+        Returns ``(complete, over_budget)``: ``complete`` when the deficit
+        was repaired to a perfect — hence maximum — matching; else the
+        round must run the full kernel, seeded with this partial
+        assignment (some request has no augmenting path, i.e. the round is
+        infeasible and needs the kernel's Hall witness, or
+        ``over_budget``: the repair search budget ran out, which the
+        caller counts as a *repair fallback*).
         """
         num_requests = len(requests)
         n = capacities.size
-        assignment = np.asarray(warm_start, dtype=np.int64).copy()
-        pair_expiry = np.array(pair_expiry, dtype=np.int64)
-        # Retire the pairs whose edge aged out or whose box lost capacity.
-        load = _retire_pairs(assignment, pair_expiry, capacities, current_time)
-
         deficit = np.flatnonzero(assignment < 0)
         if not deficit.size:
-            return _Repair(assignment, pair_expiry, True, False)
+            return True, False
 
         # Delta rows only, read on demand by a multi-pass greedy against
         # the residual capacities.  The cache blocks are clipped (greedy is
@@ -476,9 +431,9 @@ class ConnectionMatcher:
             budget = max(256, 2 * math.isqrt(num_requests), num_requests // 64)
         remaining = deficit[left]
         if not remaining.size:
-            return _Repair(assignment, pair_expiry, True, False)
+            return True, False
         if remaining.size > budget:
-            return _Repair(assignment, pair_expiry, False, True)
+            return False, True
 
         # Exhaustive augmentation for the stragglers, over lazily
         # materialized rows.  Each flipped pair records its edge expiry.
@@ -496,14 +451,13 @@ class ConnectionMatcher:
                 row = row_cache[i] = (arr, arr.tolist(), exp.tolist())
             return row
 
-        load = capacities - residual
         complete = repair_matching(
             num_requests,
             n,
             get_row,
             capacities,
             assignment,
-            load,
+            capacities - residual,
             pair_expiry,
             remaining.tolist(),
             search_budget=budget,
@@ -512,7 +466,7 @@ class ConnectionMatcher:
         # infeasible and the full kernel must run for the Hall witness) or
         # the searches' displacement budget ran dry.  Not a budget event:
         # the partial matching still seeds the kernel.
-        return _Repair(assignment, pair_expiry, complete, False)
+        return complete, False
 
 
 def check_feasibility_hall(

@@ -116,8 +116,10 @@ class _DeltaRows:
 class _KernelRows(dict):
     """A round's rows for the full kernel, from :meth:`PossessionIndex.kernel_rows`.
 
-    The row source :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`
-    reads: ``rows[i]`` is row ``i`` of :meth:`PossessionIndex.adjacency_for`
+    The row source the kernel's seeded entry
+    :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` reads in every
+    kernel round: ``rows[i]`` is row ``i`` of
+    :meth:`PossessionIndex.adjacency_for`
     as a Python list, cut from its three blocks (laid out by
     :meth:`PossessionIndex._row_blocks`, as for :class:`_DeltaRows`) with
     every requester entry dropped, on first touch and cached.
@@ -278,11 +280,12 @@ class PossessionIndex:
     download log kept as two key-sorted columns, into which each round's
     writes and evictions are folded before a query reads them.  The batched
     :meth:`adjacency_for` emits the round's bipartite adjacency as CSR
-    arrays, which the Hopcroft–Karp kernel consumes on a round without a
-    repair, and :meth:`adjacency_delta_for` the same CSR of any rows with
-    per-edge expiries.  :meth:`kernel_rows` serves the same rows to the
-    kernel's fallback rounds without gathering them: row heads in one
-    array step, and a row as a list when the kernel first touches it.
+    arrays, which the cold solvers (the Dinic twin, the oracle) consume,
+    and :meth:`adjacency_delta_for` the same CSR of any rows with
+    per-edge expiries, from which the matcher looks up pair expiries.
+    :meth:`kernel_rows` serves the same rows to every Hopcroft–Karp
+    kernel round without gathering them: row heads in one array step,
+    and a row as a list when the kernel first touches it.
     The incremental repair's greedy reads the heads of its delta rows on
     demand through :meth:`delta_rows`.  All read one block layout: per
     row, the static holders, then the playback-cache window, then the
@@ -581,8 +584,8 @@ class PossessionIndex:
         Row ``i`` is row ``i`` of :meth:`adjacency_for`: the blocks of
         :meth:`_row_blocks`, unclipped, without the requester's entries.
         Only the static and relay blocks are copied; a row becomes a list
-        when the kernel first touches it (:class:`_KernelRows`).  The
-        matcher's fallback rounds solve on it with
+        when the kernel first touches it (:class:`_KernelRows`).  Every
+        kernel round of the matcher solves on it with
         :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.  Malformed
         stripes or rounds raise ``ValueError``, as in :meth:`adjacency_for`,
         before anything is read.
@@ -645,12 +648,10 @@ class PossessionIndex:
         excluding the requesting box itself.  Rows may contain duplicates
         (a box can hold a stripe statically *and* cache it); the matching
         kernels tolerate them.  It is :meth:`adjacency_delta_for` without
-        the expiry column, which it never builds: a kernel call without a
-        repair (round 0, after a reset), the cold Dinic
-        twin and the oracle take this one, a fallback round reads the
-        same rows through :meth:`kernel_rows`, and the matcher looks up
-        the expiries of only the pairs the kernel made through
-        :meth:`adjacency_delta_for`.
+        the expiry column, which it never builds: the cold Dinic twin and
+        the oracle take this one, every Hopcroft–Karp kernel round reads
+        the same rows through :meth:`kernel_rows`, and the matcher looks
+        up pair expiries through :meth:`adjacency_delta_for`.
         """
         indptr, indices, _ = self._gather_csr(requests, current_time, False)
         return indptr, indices
@@ -661,14 +662,15 @@ class PossessionIndex:
         box_id: int,
         request_time: int,
         current_time: int,
-        exclude_self: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One request's candidate boxes plus per-edge expiry rounds.
 
         The lazily materialized row the incremental repair augments
         through: parallel int64 arrays of candidate boxes and the last
         round each edge stays valid (:data:`NEVER_EXPIRES` for static
-        and relay edges, ``entry_time + T`` for playback-cache edges).
+        and relay edges, ``entry_time + T`` for playback-cache edges),
+        without the entries of the requester ``box_id``; pass ``-1``,
+        which no row holds, for the row with the requester kept.
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError``.  It is the scalar twin of one row of
         :meth:`adjacency_delta_for`, and the reference the tests compare
@@ -683,10 +685,8 @@ class PossessionIndex:
         boxes = np.concatenate((static, cache_boxes, self._relay_array(stripe_id)))
         expiry = np.full(boxes.size, NEVER_EXPIRES, dtype=np.int64)
         expiry[static.size: static.size + cache_times.size] = cache_times + self._window
-        if exclude_self:
-            kept = boxes != box_id
-            boxes, expiry = boxes[kept], expiry[kept]
-        return boxes, expiry
+        kept = boxes != box_id
+        return boxes[kept], expiry[kept]
 
     def adjacency_delta_for(
         self, requests: RequestSet, current_time: int
@@ -699,10 +699,10 @@ class PossessionIndex:
         the requester, and ``expiry[e]`` is the last round edge ``e``
         remains valid (:data:`NEVER_EXPIRES` for static/relay edges,
         ``entry_time + T`` for playback-cache edges).  The matcher calls
-        it on a request set of just the rows whose pair the full kernel
-        made, and takes each pair's latest edge expiry as the pair's
-        expiry; the kernel itself solves on :meth:`adjacency_for` or
-        :meth:`kernel_rows`.
+        it on a request set of just the rows whose pair expiry it looks
+        up (a seed without pair expiries, the pairs the full kernel
+        made), and takes each pair's latest edge expiry as the pair's
+        expiry; the kernel itself solves on :meth:`kernel_rows`.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.

@@ -33,31 +33,21 @@ __all__ = [
     "build_fault_driver",
 ]
 
-#: Actions a fault event may apply to the engine.
-_ACTIONS = ("set_capacity",)
-
-
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled mutation of the live engine.
 
-    ``action`` is ``"set_capacity"``: set ``box_id``'s upload to
-    ``value`` bitrates — 0.0 models a crash, the original upload a
-    rejoin.
+    At round ``time``, set ``box_id``'s upload to ``value`` bitrates —
+    0.0 models a crash, the original upload a rejoin.
     """
 
     time: int
-    action: str
-    box_id: int = -1
-    value: float = 0.0
+    box_id: int
+    value: float
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"event time must be non-negative, got {self.time}")
-        if self.action not in _ACTIONS:
-            raise ValueError(
-                f"action must be one of {_ACTIONS}, got {self.action!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ class FaultDriver:
     """
 
     def __init__(self, events: Sequence[FaultEvent]):
-        ordered = sorted(events, key=lambda e: (e.time, e.action, e.box_id))
+        ordered = sorted(events, key=lambda e: (e.time, e.box_id))
         self._events: Tuple[FaultEvent, ...] = tuple(ordered)
         by_time: Dict[int, List[FaultEvent]] = {}
         for event in self._events:
@@ -157,9 +147,9 @@ def box_crash_plan(
     uploads = population.uploads
     events: List[FaultEvent] = []
     for box in boxes:
-        events.append(FaultEvent(start, "set_capacity", box, 0.0))
+        events.append(FaultEvent(start, box, 0.0))
         events.append(
-            FaultEvent(start + duration, "set_capacity", box, float(uploads[box]))
+            FaultEvent(start + duration, box, float(uploads[box]))
         )
     return FaultPlan(kind="box_crash", events=tuple(events))
 
@@ -181,10 +171,10 @@ def brownout_plan(
     events: List[FaultEvent] = []
     for box in boxes:
         events.append(
-            FaultEvent(start, "set_capacity", box, factor * float(uploads[box]))
+            FaultEvent(start, box, factor * float(uploads[box]))
         )
         events.append(
-            FaultEvent(start + duration, "set_capacity", box, float(uploads[box]))
+            FaultEvent(start + duration, box, float(uploads[box]))
         )
     return FaultPlan(kind="brownout", events=tuple(events))
 

@@ -6,10 +6,10 @@ reads one instance format, a CSR adjacency of requests to boxes plus the
 boxes' capacities, and returns one result type
 (:class:`HKMatchingResult`):
 
-* the capacitated Hopcroft–Karp kernel the hot path uses
-  (:func:`hopcroft_karp_matching`; its row entry
-  :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` runs the same
-  kernel on rows read on demand instead of a CSR);
+* the capacitated Hopcroft–Karp kernel, with a cold CSR entry
+  (:func:`hopcroft_karp_matching`) and one seeded row entry
+  (:func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`), which the hot
+  path runs on rows read on demand instead of a CSR;
 * Dinic's max flow on the same network (:func:`dinic_matching`), the
   cold twin of that kernel; on an infeasible instance its Hall witness
   is the source side of a minimum cut;

@@ -3,11 +3,11 @@
 The per-round connection matching of Section 2.2 is, in the common case,
 a *unit-demand* bipartite b-matching: every stripe request (left node)
 needs exactly one server, every box (right node) can serve at most
-``⌊u_b·c⌋`` requests.  Both in-house kernels read it as one CSR
+``⌊u_b·c⌋`` requests.  Both in-house kernels accept it as one CSR
 (``indptr``/``indices``) adjacency, checked by one validation, and return
 one result type: the Dinic max flow (:mod:`repro.flow.dinic`) is the
 cold twin, and this module's capacitated Hopcroft–Karp is what every
-round runs:
+round runs, on rows read on demand (below):
 
 * a greedy first-fit pass matches the easy requests in ``O(E)``: the
   lefts that find room at their row's head before any head fills up
@@ -15,8 +15,8 @@ round runs:
 * a small deficit is cleared one free left at a time (Kuhn), a larger
   one by alternating BFS/DFS phases that augment along shortest paths
   only (``O(E·√V)`` phases bound, as for classical Hopcroft–Karp);
-* an optional *warm start* seeds the matching with a previous round's
-  assignment, so only the changed part of the instance is re-solved;
+* a *seed* — a previous round's pairs that still hold — starts the
+  matching, so only the changed part of the instance is re-solved;
 * when the instance is infeasible, the final BFS frontier yields the
   generalized-Hall witness (Lemma 1): the lefts that alternating paths
   reach from the unmatched ones.
@@ -31,17 +31,18 @@ node's list of matched lefts is converted the same way
 dozen lefts therefore pays Python work for the rows its searches touch,
 not for the whole instance.  The kernel has two entry points:
 
-* :func:`hopcroft_karp_matching` takes a CSR, checks it, validates its
-  warm start against the adjacency and solves on the CSR's rows;
+* :func:`hopcroft_karp_matching` takes a CSR, checks it and solves cold
+  on the CSR's rows: the differential oracle, the Dinic cross-checks and
+  the kernel benchmark call it;
 * :func:`hopcroft_karp_rows` takes any row source and a seed the caller
-  built from that source's rows, and keeps only the seed's ``O(V)``
-  range and capacity checks: the connection matcher's fallback rounds
-  solve there on :meth:`repro.core.possession.PossessionIndex.kernel_rows`,
+  built from that source's rows, and checks only the seed's ``O(V)``
+  range and capacities: the connection matcher solves every kernel round
+  there, on :meth:`repro.core.possession.PossessionIndex.kernel_rows`,
   which gathers no CSR.
 
 The kernel is exact and deterministic: for a fixed instance it always
-returns the same assignment (warm starts may change *which* maximum
-matching is returned, never its cardinality or feasibility).
+returns the same assignment (a seed may change *which* maximum matching
+is returned, never its cardinality or feasibility).
 """
 
 from __future__ import annotations
@@ -162,11 +163,13 @@ def _check_capacities(num_right: int, right_capacities: Sequence[int]) -> np.nda
 
 
 def _check_seed(num_left: int, num_right: int, seed: Sequence[int]) -> np.ndarray:
-    """A warm start as int64, with every right id out of range unmatched."""
+    """A seed as int64; ``ValueError`` on an entry outside ``[-1, num_right)``."""
     warm = np.asarray(seed, dtype=np.int64)
     if warm.shape != (num_left,):
-        raise ValueError("initial_assignment must have one entry per left node")
-    return np.where((warm >= 0) & (warm < num_right), warm, -1)
+        raise ValueError("seed must have one entry per left node")
+    if num_left and (int(warm.min()) < -1 or int(warm.max()) >= num_right):
+        raise ValueError("seed entries must be -1 or right-node ids in [0, num_right)")
+    return warm
 
 
 def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
@@ -305,9 +308,8 @@ def hopcroft_karp_matching(
     indptr: Sequence[int],
     indices: Sequence[int],
     right_capacities: Sequence[int],
-    initial_assignment: Optional[Sequence[int]] = None,
 ) -> HKMatchingResult:
-    """Maximum unit-demand b-matching on a CSR bipartite adjacency.
+    """Maximum unit-demand b-matching on a CSR bipartite adjacency, solved cold.
 
     Parameters
     ----------
@@ -318,35 +320,14 @@ def hopcroft_karp_matching(
         ``indices[indptr[i]:indptr[i+1]]``.
     right_capacities:
         Maximum number of left nodes each right node may be matched to.
-    initial_assignment:
-        Optional warm start: a previous assignment (``-1`` = unmatched).
-        Entries are *validated* — kept only while the right node is still
-        adjacent and its capacity is not exhausted — then the kernel
-        augments from there.  An arbitrary/stale assignment therefore
-        cannot corrupt the result, only speed it up or slow it down.
-        The adjacency test reads every edge once; a caller whose seed
-        pairs are edges by construction calls :func:`hopcroft_karp_rows`.
+
+    A caller that holds a seed calls :func:`hopcroft_karp_rows`.
     """
     indptr_arr, indices_arr, cap_arr = _check_csr(
         num_left, num_right, indptr, indices, right_capacities
     )
-    warm = None
-    if initial_assignment is not None:
-        warm = _check_seed(num_left, num_right, initial_assignment)
-        adjacent = np.zeros(num_left, dtype=bool)
-        if indices_arr.size and (warm >= 0).any():
-            # Membership in one O(E) pass: compare every edge against its
-            # row's warm target (unmatched rows get the impossible -1),
-            # then map the few hit edges back to their rows.
-            hit_edges = indices_arr == np.repeat(warm, np.diff(indptr_arr))
-            hit_pos = np.flatnonzero(hit_edges)
-            if hit_pos.size:
-                hit_rows = np.searchsorted(indptr_arr, hit_pos, side="right") - 1
-                adjacent[hit_rows] = True
-        warm[~adjacent] = -1
-    return _solve(
-        num_left, num_right, _LazyRows(indptr_arr, indices_arr), cap_arr, warm
-    )
+    cold = np.full(num_left, -1, dtype=np.int64)
+    return _solve(num_left, num_right, _LazyRows(indptr_arr, indices_arr), cap_arr, cold)
 
 
 def hopcroft_karp_rows(
@@ -356,20 +337,21 @@ def hopcroft_karp_rows(
     right_capacities: Sequence[int],
     seed: Sequence[int],
 ) -> HKMatchingResult:
-    """The kernel of :func:`hopcroft_karp_matching` on a row source.
+    """The kernel of :func:`hopcroft_karp_matching` on a row source, seeded.
 
     ``rows`` gives ``heads(lefts)``, each left's first right node (``-1``
     for an empty row), and ``rows[i]``, left ``i``'s right nodes as a
     list, cached by the source on first touch; the kernel reads the rows
     only through them.  ``seed`` is a partial assignment (``-1`` =
     unmatched) whose pairs the caller built from those rows: the kernel
-    keeps only its ``O(V)`` checks, the right-node range and the
-    capacities, and does not test that a pair is an edge.  On such a
-    seed the result equals :func:`hopcroft_karp_matching`'s on the same
-    rows as a CSR; a pair that is not an edge would be returned as
-    matched.  The connection matcher calls it on
+    adopts every pair, and checks only, in ``O(V)``, that each entry is
+    ``-1`` or a right node in range and that no right node is seeded past
+    its capacity (else ``ValueError``); it does not test that a pair is
+    an edge, and a pair that is not one would be returned as matched.
+    An all ``-1`` seed solves as :func:`hopcroft_karp_matching` on the
+    same rows as a CSR.  The connection matcher calls it on
     :meth:`repro.core.possession.PossessionIndex.kernel_rows`, seeded by
-    the incremental repair's partial assignment.
+    the previous round's retired, and possibly repaired, pairs.
     """
     cap_arr = _check_capacities(num_right, right_capacities)
     return _solve(
@@ -382,44 +364,22 @@ def _solve(
     num_right: int,
     rows,
     cap_arr: np.ndarray,
-    warm: Optional[np.ndarray],
+    warm: np.ndarray,
 ) -> HKMatchingResult:
     """The kernel body: adopt the seed, greedy pass, then augment.
 
-    ``warm`` holds the seed pairs that are edges of their rows (``-1``
-    elsewhere), or is ``None``; ``rows`` is read only through ``heads``
-    and item access.
+    ``warm`` is a checked seed (``-1`` = unmatched; all ``-1`` for a cold
+    solve); ``rows`` is read only through ``heads`` and item access.
     """
-    match_arr = np.full(num_left, -1, dtype=np.int64)
-    load_arr = np.zeros(num_right, dtype=np.int64)
     # The adopted pairs, in the order that fixes each right node's list of
-    # matched lefts: warm-validated pairs (ascending left per right node)
-    # first, then greedy first-fits.
-    warm_i = warm_b = np.empty(0, dtype=np.int64)
-
-    # Warm start: adopt the seed pairs within capacity.  Processing lefts
-    # in ascending order, a pair survives while its right node's capacity
-    # is not yet exhausted — the vectorized form keeps, per right node,
-    # the first cap[b] candidates in left order, which is the same set the
-    # scalar loop kept.
-    if warm is not None:
-        candidates = np.flatnonzero(warm >= 0)
-        if candidates.size:
-            cand_b = warm[candidates]
-            counts = np.bincount(cand_b, minlength=num_right).astype(np.int64)
-            if (counts <= cap_arr).all():
-                # Every warm pair fits: adopt them all without the per-box
-                # ranking sort.  On a fully valid warm start this is the
-                # whole validation, and a maximal warm assignment returns
-                # from the greedy early-out without further work.
-                warm_i, warm_b = candidates, cand_b
-                match_arr[warm_i] = warm_b
-                load_arr += counts
-            else:
-                keep = _rank_among_equal(cand_b) < cap_arr[cand_b]
-                warm_i, warm_b = candidates[keep], cand_b[keep]
-                match_arr[warm_i] = warm_b
-                load_arr += np.bincount(warm_b, minlength=num_right).astype(np.int64)
+    # matched lefts: seed pairs (ascending left per right node) first, then
+    # greedy first-fits.
+    match_arr = warm.copy()
+    warm_i = np.flatnonzero(warm >= 0)
+    warm_b = warm[warm_i]
+    load_arr = np.bincount(warm_b, minlength=num_right).astype(np.int64)
+    if (load_arr > cap_arr).any():
+        raise ValueError("seed matches a right node past its capacity")
 
     # Greedy pass: first-fit for everything still unmatched, in left
     # order.  Until some left finds its row's head full, first-fit gives

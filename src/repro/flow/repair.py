@@ -2,7 +2,8 @@
 
 The matcher (:class:`repro.core.matching.ConnectionMatcher`) keeps the
 previous round's valid pairs and repairs the deficit instead of
-re-solving: :func:`_retire_pairs` drops the pairs that no longer hold,
+re-solving: :func:`_retire_pairs` drops the pairs that no longer hold
+(for the repair and for the full kernel alike),
 :func:`_greedy_first_fit` fills most of the deficit and
 :func:`repair_matching` finishes it with exact searches.  Rows come from
 the caller through reader interfaces, so possession stays out of here.
@@ -36,12 +37,12 @@ def _retire_pairs(
     """Unmatch the carried-over pairs that no longer hold; returns the load.
 
     ``assignment`` (``-1`` = unmatched) loses, in place, every pair whose
-    edge expired before ``current_time`` (``pair_expiry``), then, on each
-    right node whose capacity dropped below its load (churn outages,
-    fault brownouts and crashes, busy slots), every pair past its first
-    ``right_capacities[j]`` in left order, as the kernel's warm-start
-    validation keeps them.  Returns the per-right-node load of the pairs
-    that remain.
+    edge expired before ``current_time`` (``pair_expiry``; ``-1`` for a
+    pair that is not an edge), then, on each right node whose capacity
+    dropped below its load (churn outages, fault brownouts and crashes,
+    busy slots), every pair past its first ``right_capacities[j]`` in
+    left order.  What remains is the seed of the repair and the kernel.
+    Returns the per-right-node load of the pairs that remain.
     """
     assignment[pair_expiry < current_time] = -1
     active = assignment >= 0

@@ -27,11 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.orchestrate.spec import CampaignSpec, CellSpec, canonical_json
+from repro.util.files import write_atomic
 
 __all__ = ["StoreError", "StoreIntegrityError", "StoreDamage", "ResultsStore"]
 
@@ -125,7 +125,7 @@ class ResultsStore:
         }
         record["sha256"] = _record_checksum(record)
         path = self._object_path(key)
-        self._write_atomic(path, canonical_json(record) + "\n")
+        write_atomic(path, (canonical_json(record) + "\n").encode("utf-8"))
         return key
 
     def get(self, key: str) -> Dict[str, Any]:
@@ -261,7 +261,7 @@ class ResultsStore:
             "cells": campaign.cell_keys(),
         }
         path = self._index_path(campaign.name)
-        self._write_atomic(path, canonical_json(payload) + "\n")
+        write_atomic(path, (canonical_json(payload) + "\n").encode("utf-8"))
         return path
 
     def read_campaign_index(self, name: str) -> Dict[str, Any]:
@@ -285,24 +285,6 @@ class ResultsStore:
     def missing_cells(self, campaign: CampaignSpec) -> List[CellSpec]:
         """The campaign's cells that have no stored record yet."""
         return [cell for cell in campaign.cells() if not self.has(cell.key)]
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _write_atomic(path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ResultsStore({str(self.root)!r}, cells={len(self)})"

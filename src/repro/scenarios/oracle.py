@@ -1,8 +1,8 @@
 """Differential solver oracle.
 
-The engine's hot path is the Hopcroft–Karp CSR kernel; its one cold
-oracle is SciPy's compiled ``maximum_flow`` on the Lemma 1 flow network.
-This module cross-checks them at simulation scale:
+The engine's hot path is the Hopcroft–Karp kernel; its one cold oracle
+is SciPy's compiled ``maximum_flow`` on the Lemma 1 flow network.  This
+module cross-checks them at simulation scale:
 
 * :func:`check_matching_instance` re-solves one instance with the kernel
   and with SciPy and verifies (i) cardinality and (ii) feasibility
@@ -11,8 +11,10 @@ This module cross-checks them at simulation scale:
   witness is exact: its deficiency equals the number of unmatched
   requests, which proves the matching maximum.  An optional reference
   (the engine's own assignment and witness) gets the same checks;
+* :func:`check_observed_round` runs those checks on one round a round
+  observer saw, against the engine's own matching;
 * :func:`run_differential_oracle` replays a scenario and checks each
-  sampled round's exact instance against the engine's own matching.
+  sampled round that way.
 
 Any disagreement is reported as a human-readable string; an empty report
 means the fast path is exact on everything the scenario exercised.
@@ -38,6 +40,7 @@ if TYPE_CHECKING:  # SciPy's sparse stack loads on first use, not on import.
 __all__ = [
     "OracleReport",
     "check_matching_instance",
+    "check_observed_round",
     "run_differential_oracle",
     "unit_demand_network",
 ]
@@ -206,6 +209,28 @@ def check_matching_instance(
     return errors
 
 
+def check_observed_round(observation: RoundObservation, context: str) -> List[str]:
+    """:func:`check_matching_instance` on one observed round.
+
+    The round's exact instance — :meth:`PossessionIndex.adjacency_for` of
+    its request set at its round, and the capacities it was solved
+    against — is re-solved and checked together with the engine's
+    assignment and Hall witness.  ``context`` labels the disagreements.
+    """
+    requests = observation.request_set
+    indptr, indices = observation.possession.adjacency_for(requests, observation.time)
+    return check_matching_instance(
+        num_left=len(requests),
+        num_right=int(observation.capacities.size),
+        indptr=indptr,
+        indices=indices,
+        capacities=observation.capacities,
+        reference_assignment=observation.matching.assignment,
+        reference_witness=observation.matching.obstruction_witness,
+        context=context,
+    )
+
+
 def run_differential_oracle(
     scenario: Union[str, ScenarioSpec],
     seed: Optional[int] = None,
@@ -239,23 +264,11 @@ def run_differential_oracle(
             # Error budget exhausted: stop solving (and stop counting, so
             # the report never overstates what was actually checked).
             return
-        requests = observation.request_set
-        indptr, indices = observation.possession.adjacency_for(
-            requests, observation.time
-        )
         report.instances_checked += 1
-        report.requests_checked += len(requests)
-        errors = check_matching_instance(
-            num_left=len(requests),
-            num_right=int(observation.capacities.size),
-            indptr=indptr,
-            indices=indices,
-            capacities=observation.capacities,
-            reference_assignment=observation.matching.assignment,
-            reference_witness=observation.matching.obstruction_witness,
-            context=f"{spec.name} t={observation.time}",
+        report.requests_checked += len(observation.request_set)
+        report.disagreements.extend(
+            check_observed_round(observation, f"{spec.name} t={observation.time}")
         )
-        report.disagreements.extend(errors)
 
     rounds = spec.horizon if num_rounds is None else int(num_rounds)
     compiled = build_scenario(

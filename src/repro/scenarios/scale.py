@@ -234,7 +234,7 @@ def run_soak(
     traces, leaked records) fail the check.  ``repeats`` extra runs must
     reproduce the metric digest bit for bit, and with ``oracle_every > 0``
     every K-th round's whole live matching instance goes through
-    :func:`~repro.scenarios.oracle.check_matching_instance` (cardinality
+    :func:`~repro.scenarios.oracle.check_observed_round` (cardinality
     and feasibility against SciPy's max flow, assignment validity and
     exact Hall witnesses, the engine's own included); ``0`` turns the
     oracle off and a negative value raises ``ValueError``.
@@ -246,7 +246,7 @@ def run_soak(
     a fallback) at full speed — what the CI scale-smoke budgeted runs use.
     """
     from repro.scenarios.build import build_scenario
-    from repro.scenarios.oracle import check_matching_instance
+    from repro.scenarios.oracle import check_observed_round
     from repro.scenarios.replay import digest_result
 
     if oracle_every < 0:
@@ -270,20 +270,8 @@ def run_soak(
             if observation.time == 0 or observation.time % oracle_every:
                 return
             report.oracle_rounds_checked += 1
-            indptr, indices = observation.possession.adjacency_for(
-                observation.request_set, observation.time
-            )
             report.oracle_disagreements.extend(
-                check_matching_instance(
-                    len(observation.request_set),
-                    observation.capacities.size,
-                    indptr,
-                    indices,
-                    observation.capacities,
-                    reference_assignment=observation.matching.assignment,
-                    reference_witness=observation.matching.obstruction_witness,
-                    context=f"soak round {observation.time}",
-                )
+                check_observed_round(observation, f"soak round {observation.time}")
             )
 
     compiled = build_scenario(

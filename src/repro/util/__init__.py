@@ -3,8 +3,9 @@
 The utilities are intentionally small and dependency free: seeded RNG
 construction (:mod:`repro.util.rng`), argument validation helpers
 (:mod:`repro.util.validation`), exact integer/rational arithmetic for
-stripe-rate bookkeeping (:mod:`repro.util.intmath`) and struct-of-arrays
-column helpers (:mod:`repro.util.soa`).
+stripe-rate bookkeeping (:mod:`repro.util.intmath`), struct-of-arrays
+column helpers (:mod:`repro.util.soa`) and atomic file replacement
+(:mod:`repro.util.files`).
 """
 
 from repro.util.rng import (
@@ -28,6 +29,7 @@ from repro.util.intmath import (
     scale_to_integer_capacities,
 )
 from repro.util.soa import stable_argsort
+from repro.util.files import write_atomic
 
 __all__ = [
     "RandomState",
@@ -45,4 +47,5 @@ __all__ = [
     "lcm_of",
     "scale_to_integer_capacities",
     "stable_argsort",
+    "write_atomic",
 ]

@@ -11,6 +11,7 @@ the damaged cells.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
@@ -228,11 +229,50 @@ def _checkpoint(tmp_path):
 
 
 class TestSnapshotIntegrity:
-    def test_truncated_header_detected(self, tmp_path):
+    # Inside the 104-byte header: empty, torn inside the 8-byte magic, the
+    # bare magic, and past it.
+    @pytest.mark.parametrize("keep_bytes", [0, 4, 7, 8, 20])
+    def test_truncated_header_detected(self, tmp_path, keep_bytes):
         path = _checkpoint(tmp_path)
-        truncate_file(path, keep_bytes=20)  # inside the 104-byte header
+        truncate_file(path, keep_bytes=keep_bytes)
         with pytest.raises(SnapshotIntegrityError, match="incomplete header"):
             SessionSnapshot.from_file(path)
+
+    def test_a_write_failing_mid_way_keeps_the_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        session = _stepped_session()
+        first = session.snapshot()
+        path = first.to_file(tmp_path / "checkpoint.snap")
+        session.step()
+        fdopen = os.fdopen
+
+        class TornHandle:
+            """Writes the header, then half the payload, then fails."""
+
+            def __init__(self, fd, mode):
+                self._handle = fdopen(fd, mode)
+                self._chunks = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, chunk):
+                self._chunks += 1
+                if self._chunks == 1:
+                    return self._handle.write(chunk)
+                self._handle.write(chunk[: len(chunk) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fdopen", TornHandle)
+        with pytest.raises(OSError, match="no space left"):
+            session.snapshot().to_file(path)
+        monkeypatch.undo()
+        assert SessionSnapshot.from_file(path) == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.snap"]
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
         path = _checkpoint(tmp_path)

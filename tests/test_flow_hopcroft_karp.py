@@ -18,6 +18,7 @@ from repro.flow.hopcroft_karp import (
 )
 from repro.scenarios.oracle import unit_demand_network
 from repro.util import stable_argsort
+from seeded_kernel import csr_rows, solve_seeded
 
 solver_settings = settings(
     max_examples=60,
@@ -83,13 +84,6 @@ def csr_edges(indptr, indices):
     return list(zip(rows.tolist(), np.asarray(indices).tolist()))
 
 
-def csr_rows(indptr, indices):
-    """The row source of a CSR adjacency, as the CSR entry builds it."""
-    return hk_module._LazyRows(
-        np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
-    )
-
-
 class TestKernelAgainstMaxFlowSolvers:
     @solver_settings
     @given(seed=st.integers(0, 100_000))
@@ -131,7 +125,10 @@ class TestKernelAgainstMaxFlowSolvers:
     @solver_settings
     @given(seed=st.integers(0, 100_000))
     def test_warm_start_never_changes_the_optimum(self, seed):
-        """Any warm start — exact, stale or garbage — yields the same optimum."""
+        """Any warm start — exact, stale or garbage — yields the same optimum.
+
+        Each is seeded as the matcher seeds the kernel (``solve_seeded``).
+        """
         num_left, num_right, edges, caps, rng = random_instance(seed)
         indptr, indices = csr_from_edges(num_left, num_right, edges)
         cold = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
@@ -141,22 +138,22 @@ class TestKernelAgainstMaxFlowSolvers:
             rng.integers(-1, num_right, size=num_left),
         ]
         for warm in warm_starts:
-            again = hopcroft_karp_matching(
-                num_left, num_right, indptr, indices, caps, initial_assignment=warm
-            )
+            again = solve_seeded(num_left, num_right, indptr, indices, caps, warm)
             assert again.matched == cold.matched
             assert again.feasible == cold.feasible
             assert_valid_assignment(again, num_right, edges, caps)
 
 
 #: SHA-256 of the kernel's exact output over the ``csr_instance`` batch:
-#: seeds 0..39, each solved cold, from its exact optimum, from a stale
-#: assignment and from garbage.  Any change to which maximum matching,
-#: deficient set or Hall witness the kernel returns moves this digest.
+#: seeds 0..39, each solved cold, and from its exact optimum, a stale
+#: assignment and garbage, seeded as the matcher seeds (``solve_seeded``).
+#: Any change to which maximum matching, deficient set or Hall witness the
+#: kernel returns moves this digest.
 PINNED_KERNEL_DIGEST = "b04b8fe30deb287c4c11858e1140b35d6d92fbc420e248db978ca7f53d743ce5"
 
 #: SHA-256 of the kernel's exact output over the ``near_threshold_instance``
-#: batch: 400, 1,000 and 2,000 lefts, seeds 0..3 each, warm-started.
+#: batch: 400, 1,000 and 2,000 lefts, seeds 0..3 each, warm-started
+#: through ``solve_seeded``.
 PINNED_NEAR_THRESHOLD_DIGEST = "37c5498bd42962793540fc71f70bca6f2ff9f88317899ca8f142f5c029a27b09"
 
 
@@ -208,10 +205,14 @@ class TestKernelOutputPin:
             garbage = rng.integers(-2, num_right + 2, size=num_left)
             for warm in (None, cold.assignment, stale, garbage):
                 before = kuhn_calls[0]
-                result = hopcroft_karp_matching(
-                    num_left, num_right, indptr, indices, caps,
-                    initial_assignment=warm,
-                )
+                if warm is None:
+                    result = hopcroft_karp_matching(
+                        num_left, num_right, indptr, indices, caps
+                    )
+                else:
+                    result = solve_seeded(
+                        num_left, num_right, indptr, indices, caps, warm
+                    )
                 deficit = num_left - result.matched
                 kuhn_then_phases += kuhn_calls[0] > before and deficit > 0
                 phase_path += deficit > max(8, math.isqrt(num_left))
@@ -245,10 +246,7 @@ class TestKernelOutputPin:
                 )
                 assert (warm < 0).sum() <= math.isqrt(num_left)
                 before = failed_searches[0]
-                result = hopcroft_karp_matching(
-                    num_left, num_right, indptr, indices, caps,
-                    initial_assignment=warm,
-                )
+                result = solve_seeded(num_left, num_right, indptr, indices, caps, warm)
                 assert failed_searches[0] > before
                 assert len(result.unsatisfied_witness) > 0.9 * num_left
                 digest.update(result.assignment.astype("<i8").tobytes())
@@ -277,11 +275,12 @@ class TestTrustedSeed:
     @given(seed=st.integers(0, 100_000), keep=st.floats(0.0, 1.0))
     def test_a_valid_seed_gives_the_validated_result(self, seed, keep):
         """The row entry, on a seed of edges within capacity, equals the
-        validating kernel.
+        seeding reference.
 
-        The row entry solves on the CSR's own row source and does not test
-        the seed against the adjacency.  A seed pair that is not an edge is
-        dropped by the validating kernel, as if its left came unmatched.
+        The row entry does not test the seed against the adjacency; the
+        reference (``solve_seeded``) retires every seed pair that is not
+        an edge first, as if its left came unmatched.  A seed entry out of
+        range, or a right node seeded past its capacity, raises.
         """
         rng, num_left, num_right, indptr, indices, caps = csr_instance(seed)
         # A valid seed: a random edge of each row, kept with probability
@@ -295,9 +294,7 @@ class TestTrustedSeed:
                 if room[j]:
                     seed_pairs[i] = j
                     room[j] -= 1
-        validated = hopcroft_karp_matching(
-            num_left, num_right, indptr, indices, caps, initial_assignment=seed_pairs
-        )
+        validated = solve_seeded(num_left, num_right, indptr, indices, caps, seed_pairs)
         on_rows = hopcroft_karp_rows(
             num_left, num_right, csr_rows(indptr, indices), caps, seed_pairs
         )
@@ -312,33 +309,42 @@ class TestTrustedSeed:
                 stale[i] = int(outside[rng.integers(outside.size)])
         dropped = np.where(stale == seed_pairs, seed_pairs, -1)
         assert result_fields(
-            hopcroft_karp_matching(
-                num_left, num_right, indptr, indices, caps, initial_assignment=stale
-            )
+            solve_seeded(num_left, num_right, indptr, indices, caps, stale)
         ) == result_fields(
             hopcroft_karp_rows(
                 num_left, num_right, csr_rows(indptr, indices), caps, dropped
             )
         )
 
-        # The row entry's own checks: right ids out of range come unmatched,
-        # and each right node keeps its first pairs in left order.
+        # The row entry's own checks raise instead of dropping pairs: a
+        # right id out of range, and a right node seeded past its capacity.
+        out_of_range = seed_pairs.copy()
+        out_of_range[rng.integers(num_left)] = int(
+            rng.choice([-3, num_right, num_right + 2])
+        )
+        with pytest.raises(ValueError, match=r"\[0, num_right\)"):
+            hopcroft_karp_rows(
+                num_left, num_right, csr_rows(indptr, indices), caps, out_of_range
+            )
         crowded = np.full(num_left, -1, dtype=np.int64)
         for i in range(num_left):
             row = indices[indptr[i]:indptr[i + 1]]
             if row.size and rng.random() < keep:
                 crowded[i] = int(row[rng.integers(row.size)])
-            elif rng.random() < 0.2:
-                crowded[i] = int(rng.choice([-3, num_right, num_right + 2]))
-        assert result_fields(
-            hopcroft_karp_rows(
-                num_left, num_right, csr_rows(indptr, indices), caps, crowded
+        load = np.bincount(crowded[crowded >= 0], minlength=num_right)
+        if (load > caps).any():
+            with pytest.raises(ValueError, match="past its capacity"):
+                hopcroft_karp_rows(
+                    num_left, num_right, csr_rows(indptr, indices), caps, crowded
+                )
+        else:
+            assert result_fields(
+                hopcroft_karp_rows(
+                    num_left, num_right, csr_rows(indptr, indices), caps, crowded
+                )
+            ) == result_fields(
+                solve_seeded(num_left, num_right, indptr, indices, caps, crowded)
             )
-        ) == result_fields(
-            hopcroft_karp_matching(
-                num_left, num_right, indptr, indices, caps, initial_assignment=crowded
-            )
-        )
 
 
 class TestPhasePathWithWarmStarts:
@@ -361,9 +367,7 @@ class TestPhasePathWithWarmStarts:
                 num_left, num_right, indptr, indices, caps
             ).assignment.copy()
             warm[rng.random(num_left) < 0.5] = -1
-        result = hopcroft_karp_matching(
-            num_left, num_right, indptr, indices, caps, initial_assignment=warm
-        )
+        result = solve_seeded(num_left, num_right, indptr, indices, caps, warm)
         assert_valid_assignment(result, num_right, csr_edges(indptr, indices), caps.tolist())
         dinic = dinic_matching(num_left, num_right, indptr, indices, caps)
         assert result.matched == dinic.matched
@@ -411,16 +415,16 @@ class TestKernelEdgeCases:
             hopcroft_karp_matching(1, 1, [0], [], [-1])  # negative capacity
         with pytest.raises(ValueError):
             hopcroft_karp_matching(2, 1, [0, 0], [], [1])  # wrong indptr length
-        with pytest.raises(ValueError):
-            hopcroft_karp_matching(
-                1, 1, [0, 0], [], [1], initial_assignment=[0, 0]
-            )  # wrong warm-start length
+        with pytest.raises(ValueError, match="one entry per left"):
+            hopcroft_karp_rows(1, 1, csr_rows([0, 0], []), [1], [0, 0])
         # A negative right id once indexed the last box and returned a
-        # "feasible" matching over a non-edge.
+        # "feasible" matching over a non-edge: in the CSR, and in a seed.
         with pytest.raises(ValueError, match=r"\[0, num_right\)"):
-            hopcroft_karp_matching(
-                2, 3, [0, 2, 3], [0, -1, 0], [1, 0, 1], initial_assignment=[0, -1]
-            )
+            hopcroft_karp_matching(2, 3, [0, 2, 3], [0, -1, 0], [1, 0, 1])
+        with pytest.raises(ValueError, match=r"\[0, num_right\)"):
+            hopcroft_karp_rows(2, 3, csr_rows([0, 2, 3], [0, 1, 0]), [1, 0, 1], [0, -2])
+        with pytest.raises(ValueError, match="past its capacity"):
+            hopcroft_karp_rows(2, 1, csr_rows([0, 1, 2], [0, 0]), [1], [0, 0])
         with pytest.raises(ValueError, match=r"\[0, num_right\)"):
             hopcroft_karp_matching(1, 2, [0, 1], [2], [1, 1])  # right id too large
         with pytest.raises(ValueError, match="non-decreasing"):

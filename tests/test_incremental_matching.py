@@ -21,6 +21,7 @@ serving schedule is forced, so there the full digest must agree too.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.scenarios.build import build_full_solve_twin, build_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.replay import digest_result
 from repro.scenarios.scale import soak_spec
+from seeded_kernel import solve_seeded
 
 #: Round caps for the heavyweight scale tiers — their full-solve
 #: baselines run at seconds per round from cold; two rounds are enough
@@ -223,9 +225,10 @@ def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
     and ``repair_matching`` on that module, so a call routed through
     another module would silently drop out of traced runs; the row entry
     ``hopcroft_karp_rows`` is a global there too, for a tracer to patch.
-    ``near_threshold_load`` at seed 0 runs the full kernel on the CSR (in
-    round 0) and on the round's rows (its fallbacks), and the exact repair,
-    within 20 rounds.
+    ``near_threshold_load`` at seed 0 runs the full kernel on the round's
+    rows (in round 0 and in its fallbacks) and the exact repair, within
+    20 rounds.  The CSR entry ``hopcroft_karp_matching`` stays a global
+    of the module, for the tracer, and is never called.
     """
     counts = {"hopcroft_karp_matching": 0, "hopcroft_karp_rows": 0, "repair_matching": 0}
 
@@ -241,42 +244,37 @@ def test_matcher_calls_the_kernel_and_the_repair_as_module_globals(monkeypatch):
     for name in counts:
         monkeypatch.setattr(matching, name, counting(name))
     _run_scenario("near_threshold_load", 0, 20, incremental=True)
-    assert all(counts.values()), counts
+    assert counts["hopcroft_karp_rows"] and counts["repair_matching"], counts
+    assert counts["hopcroft_karp_matching"] == 0
 
 
 def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
-    """A fallback on the round's rows solves as the validating CSR kernel.
+    """A kernel call on the round's rows solves as the seeding reference.
 
     A churn storm at 5% outages a round makes nearly every round
     infeasible, so the full kernel runs on the round's rows, seeded with
-    the repair's partial assignment, which it trusts.  Each such call is
-    re-run by the validating kernel on ``adjacency_for``'s CSR with the
-    same seed and must return the same result.  After every round each
-    pair the kernel made carries the latest expiry of its box's edges in
-    the request's row.  A pair the repair made keeps the expiry it
-    recorded, which is one of those edges' and never later than the
-    latest: at this seed one box caches a stripe twice in a request's
+    the retired and repaired pairs, which it trusts.  Each call is re-run
+    on ``adjacency_for``'s CSR from the same seed through the test-side
+    reference (``solve_seeded``), which retires every seed pair that is
+    not an edge first, and must return the same result.  After every
+    round each pair the kernel made carries the latest expiry of its
+    box's edges in the request's row.  A pair the repair made keeps the
+    expiry it recorded, which is one of those edges' and never later than
+    the latest: at this seed one box caches a stripe twice in a request's
     window, and the repair's pair keeps the earlier entry's expiry through
     the round's fallback.
     """
-    # Per kernel call, the seed of a row-entry call (None for a CSR call).
+    # Per kernel call, its seed.
     kernel_seeds = []
-    solve = matching.hopcroft_karp_matching
     solve_rows = matching.hopcroft_karp_rows
     # The arguments of the match call in progress.
     instance = []
-
-    def counted_solve(*args, **kwargs):
-        kernel_seeds.append(None)
-        return solve(*args, **kwargs)
 
     def checked_solve_rows(num_left, num_right, rows, capacities, seed):
         result = solve_rows(num_left, num_right, rows, capacities, seed)
         requests, possession, current_time = instance[-1]
         indptr, indices = possession.adjacency_for(requests, current_time)
-        validated = solve(
-            num_left, num_right, indptr, indices, capacities, initial_assignment=seed
-        )
+        validated = solve_seeded(num_left, num_right, indptr, indices, capacities, seed)
         assert np.array_equal(result.assignment, validated.assignment)
         assert result.matched == validated.matched
         assert result.deficient_left == validated.deficient_left
@@ -284,11 +282,8 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
         kernel_seeds.append(seed)
         return result
 
-    monkeypatch.setattr(matching, "hopcroft_karp_matching", counted_solve)
     monkeypatch.setattr(matching, "hopcroft_karp_rows", checked_solve_rows)
-    spec = soak_spec(2_000, "churn_storm", horizon=30)
-    spec = replace(spec, churn=replace(spec.churn, failure_probability=0.05))
-    compiled = build_scenario(spec, seed=1)
+    compiled = build_scenario(_churn_storm_soak_spec(30), seed=1)
     matcher = compiled.simulator.matcher
     match = matcher.match
     kernel_pairs = early_pairs = 0
@@ -301,7 +296,7 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
         made_by_kernel = result.assignment >= 0
         if len(kernel_seeds) == calls:
             made_by_kernel[:] = False  # a repaired round
-        elif kernel_seeds[-1] is not None:
+        else:
             made_by_kernel &= result.assignment != kernel_seeds[-1]
         pair_expiry = result.pair_expiry
         for i in np.flatnonzero(result.assignment >= 0).tolist():
@@ -323,18 +318,121 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
 
     matcher.match = checked_match
     compiled.run(30)
-    row_calls = sum(seed is not None for seed in kernel_seeds)
-    assert row_calls == len(kernel_seeds) - 1 >= 20
-    assert kernel_seeds[0] is None  # round 0 runs on the CSR
+    assert len(kernel_seeds) >= 21
+    assert (kernel_seeds[0] == -1).all()  # round 0 has nothing to carry
     assert kernel_pairs > 0 and early_pairs > 0
 
 
-def test_a_churn_storm_session_gathers_the_round_csr_only_in_round_0(monkeypatch):
-    """A churn storm's fallbacks read the round's rows, not its CSR.
+def _churn_storm_soak_spec(horizon: int):
+    """The 2k-box churn-storm soak at 5% outages a round."""
+    spec = soak_spec(2_000, "churn_storm", horizon=horizon)
+    return replace(spec, churn=replace(spec.churn, failure_probability=0.05))
+
+
+def _matcher_output_digest(spec, seed: int, rounds: int, build, search_budget=None):
+    """SHA-256 over every ``match`` call of a run, in call order.
+
+    Each call contributes its assignment, matched count, feasibility, Hall
+    witness, repair-fallback flag and pair expiries.
+    """
+    compiled = build(spec, seed=seed, min_horizon=rounds)
+    matcher = compiled.simulator.matcher
+    if search_budget is not None:
+        matcher.set_repair_search_budget(search_budget)
+    match = matcher.match
+    digest = hashlib.sha256()
+
+    def hashed_match(*args, **kwargs):
+        result = match(*args, **kwargs)
+        digest.update(np.asarray(result.assignment, dtype=np.int64).tobytes())
+        digest.update(
+            repr(
+                (
+                    result.matched,
+                    result.feasible,
+                    result.obstruction_witness,
+                    result.repair_fallback,
+                )
+            ).encode()
+        )
+        expiry = result.pair_expiry
+        digest.update(
+            b"none" if expiry is None else np.asarray(expiry, dtype=np.int64).tobytes()
+        )
+        return result
+
+    matcher.match = hashed_match
+    compiled.run(rounds)
+    return digest.hexdigest()
+
+
+#: Which maximum matching the matcher returns, call by call, as built and
+#: as the full-solve twin; the golden traces hash only per-round counts.
+PINNED_MATCHER_OUTPUT = {
+    "churn_storm": (
+        "fd1a6bf75ea0bc3a4afa071169901efd"
+        "8ea48dc80cacdaee84ad7be1fbdd949e"
+    ),
+    "churn_storm/twin": (
+        "fd1a6bf75ea0bc3a4afa071169901efd"
+        "8ea48dc80cacdaee84ad7be1fbdd949e"
+    ),
+    "near_threshold_load": (
+        "99d0bf5fb0e702c3ee5ba23b5bfcc889"
+        "885156f9c1dfaf2fe163eea191092c15"
+    ),
+    "near_threshold_load/twin": (
+        "2040063997468af6c38a609ef74d5577"
+        "8b28ab6b9ed63c1499fdb4f7022730ec"
+    ),
+    "near_threshold_load/budget_0": (
+        "ca60a20008922c3ff6e8659009692482"
+        "ce93ba58d973086e6bbfa458fd96979c"
+    ),
+    "churn_storm_soak_2k": (
+        "41213ab353d025e94089142d187db671"
+        "6e5cb72eec80dc1ab17a228f5cc2f373"
+    ),
+    "churn_storm_soak_2k/twin": (
+        "e4e78b1d01477fcd5953f3dad4881da4"
+        "587cc08ba8c7fcac57927a20b8974b9d"
+    ),
+}
+
+
+def test_matcher_output_is_pinned():
+    """Every ``match`` call's output is pinned, on both routes.
+
+    ``churn_storm`` (seed 1, 24 rounds), ``near_threshold_load`` (seed 0,
+    20 rounds) and the 2k-box churn-storm soak at 5% outages (seed 1,
+    30 rounds) run as built and as the full-solve twin;
+    ``near_threshold_load`` also runs with a repair search budget of 0,
+    so its over-budget fallbacks are pinned too.
+    """
+    runs = {
+        "churn_storm": (get_scenario("churn_storm"), 1, 24),
+        "near_threshold_load": (get_scenario("near_threshold_load"), 0, 20),
+        "churn_storm_soak_2k": (_churn_storm_soak_spec(30), 1, 30),
+    }
+    digests = {}
+    for name, (spec, seed, rounds) in runs.items():
+        digests[name] = _matcher_output_digest(spec, seed, rounds, build_scenario)
+        digests[f"{name}/twin"] = _matcher_output_digest(
+            spec, seed, rounds, build_full_solve_twin
+        )
+    spec, seed, rounds = runs["near_threshold_load"]
+    digests["near_threshold_load/budget_0"] = _matcher_output_digest(
+        spec, seed, rounds, build_scenario, search_budget=0
+    )
+    assert digests == PINNED_MATCHER_OUTPUT
+
+
+def test_a_churn_storm_session_gathers_no_round_csr(monkeypatch):
+    """A churn storm's kernel calls read the round's rows, not its CSR.
 
     At 5% outages a round nearly every round falls back to the full
-    kernel.  Only round 0's unseeded call gathers ``adjacency_for``; every
-    fallback solves on ``kernel_rows``.
+    kernel.  Every kernel call, round 0's included, solves on
+    ``kernel_rows``; ``adjacency_for`` is never gathered.
     """
     gathered, row_calls = [], []
     gather = PossessionIndex.adjacency_for
@@ -350,9 +448,7 @@ def test_a_churn_storm_session_gathers_the_round_csr_only_in_round_0(monkeypatch
 
     monkeypatch.setattr(PossessionIndex, "adjacency_for", counted_gather)
     monkeypatch.setattr(matching, "hopcroft_karp_rows", counted_solve_rows)
-    spec = soak_spec(2_000, "churn_storm", horizon=12)
-    spec = replace(spec, churn=replace(spec.churn, failure_probability=0.05))
-    session = build_scenario(spec, seed=1).session()
+    session = build_scenario(_churn_storm_soak_spec(12), seed=1).session()
     session.step_until(round=12)
-    assert gathered == [0]
-    assert len(row_calls) >= 8
+    assert gathered == []
+    assert len(row_calls) >= 9

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -71,6 +72,17 @@ class TestObjects:
         )
         with pytest.raises(StoreError, match="claims key"):
             store.get(other.key)
+
+    def test_a_failed_put_leaves_no_record_and_no_temp_file(self, store, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space left"):
+            store.put(CELL, ROWS)
+        monkeypatch.undo()
+        assert not store.has(CELL.key)
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
     def test_objects_sharded_by_key_prefix(self, store):
         store.put(CELL, ROWS)

@@ -26,6 +26,7 @@ from repro.core.video import Catalog
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.scenarios.replay import run_scenario
+from seeded_kernel import solve_seeded
 
 _SETTINGS = settings(
     max_examples=40,
@@ -98,9 +99,7 @@ class TestMatcherInvariants:
         warm_seed = [
             pyrandom.randrange(-2, num_right + 2) for _ in range(num_left)
         ]
-        warm = hopcroft_karp_matching(
-            num_left, num_right, indptr, indices, caps, initial_assignment=warm_seed
-        )
+        warm = solve_seeded(num_left, num_right, indptr, indices, caps, warm_seed)
         assert warm.matched == cold.matched
         assert warm.feasible == cold.feasible
 

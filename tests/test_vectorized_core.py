@@ -38,6 +38,7 @@ from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.repair import _greedy_first_fit
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
+from seeded_kernel import solve_seeded
 
 
 # --------------------------------------------------------------------- #
@@ -297,10 +298,9 @@ def read_delta_rows(reader):
 
 def clipped_row(possession, request, current_time, k):
     """A request's row with the requester kept and the newest ``k`` cache edges."""
-    stripe, time, box = request
-    boxes, expiries = possession.row_with_expiry(
-        stripe, box, time, current_time, exclude_self=False
-    )
+    stripe, time, _ = request
+    # Box -1, which no row holds, keeps the requester in the row.
+    boxes, expiries = possession.row_with_expiry(stripe, -1, time, current_time)
     edges = list(zip(boxes.tolist(), expiries.tolist()))
     # Row order is static, cache, relay; only cache edges expire.
     num_static = possession.static_servers(stripe).size
@@ -439,9 +439,8 @@ class TestAdjacencyEquivalence:
         possession = self._build(allocation, downloads, relays, evict_at)
         drawn = []
         for stripe, time, box in requests:
-            row, _ = possession.row_with_expiry(
-                stripe, box, time, current_time, exclude_self=False
-            )
+            # Box -1 excludes nothing: the row keeps the requester.
+            row, _ = possession.row_with_expiry(stripe, -1, time, current_time)
             if row.size and data.draw(st.integers(0, 3)):
                 box = data.draw(st.sampled_from(row.tolist()))
             drawn.append((stripe, time, box))
@@ -779,10 +778,7 @@ class TestKernelWarmStart:
         num_left, num_right, edges, caps, warm = instance
         indptr, indices = csr_from_edges(num_left, num_right, edges)
         cold = hopcroft_karp_matching(num_left, num_right, indptr, indices, caps)
-        warm_result = hopcroft_karp_matching(
-            num_left, num_right, indptr, indices, caps,
-            initial_assignment=warm,
-        )
+        warm_result = solve_seeded(num_left, num_right, indptr, indices, caps, warm)
         assert warm_result.matched == cold.matched
         assert warm_result.feasible == cold.feasible
 
