@@ -86,8 +86,11 @@ class ConnectionMatching:
     repair_fallback:
         ``True`` when the incremental repair path exceeded its search
         budget and the round was re-solved by the full Hopcroft–Karp
-        kernel.  A pure provenance flag: the matching itself is identical
-        to what the repair would have produced.
+        kernel.  A provenance flag only: an over-budget repair stops
+        before its exact searches, and the kernel returns its own maximum
+        matching from the greedy-filled seed, which need not be the one a
+        completed repair would have made.  Either way the result is a
+        maximum matching of the same instance.
     pair_expiry:
         Per request, the last round its matched pair stays valid
         (meaningless where unmatched), for the next round's repair;

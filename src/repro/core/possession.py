@@ -113,33 +113,66 @@ class _DeltaRows:
         return expiry
 
 
+#: A kernel round's row source builds its first ``len(requests) >>
+#: _LAYOUT_SHIFT`` rows one at a time, then lays out every row at its next
+#: miss.  Measured on one core of a 2-CPU host, a row built alone costs
+#: 8.7–9.5 µs on ``churn_20k`` (5.5–6.1 µs on a cold-start round's short
+#: rows), one cut from the layout 4.4–4.9 µs (1.8–2.8 µs), and the layout
+#: 0.2–0.3 µs a row, so building alone pays until 5–7% of the rows are
+#: touched.  At a 32nd no ``churn_20k`` call lays its round out (they touch
+#: 0.8% of the rows in the median, 2.6% at most), and a cold-start round
+#: near u' = 1, which touches every row, builds 2,500 of its 80,000 alone.
+_LAYOUT_SHIFT = 5
+
+
 class _KernelRows(dict):
     """A round's rows for the full kernel, from :meth:`PossessionIndex.kernel_rows`.
 
     The row source the kernel's seeded entry
     :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` reads in every
     kernel round: ``rows[i]`` is row ``i`` of
-    :meth:`PossessionIndex.adjacency_for`
-    as a Python list, cut from its three blocks (laid out by
-    :meth:`PossessionIndex._row_blocks`, as for :class:`_DeltaRows`) with
-    every requester entry dropped, on first touch and cached.
-    ``heads(lefts)`` gives each row's first entry that is not the
-    requester, ``-1`` for a row left empty, without converting a row.
+    :meth:`PossessionIndex.adjacency_for` as a Python list with every
+    requester entry dropped, built on first touch and cached.  The first
+    ``len(requests) >> _LAYOUT_SHIFT`` rows are built one at a time from
+    the index: the static CSR slice, the cache window found by two
+    searches in the download log's sorted view, and the relays.  The next
+    miss lays out every row's blocks (:meth:`PossessionIndex._row_blocks`,
+    as for :class:`_DeltaRows`), and that row and every later one is cut
+    from the layout.  ``heads(lefts)`` gives each row's first entry that
+    is not the requester, ``-1`` for a row left empty, without converting
+    a row: it lays out only ``lefts`` until the round is laid out, and
+    lays out the round when asked about every row.  Rows are built from
+    the index as it stands, so the source serves one kernel call.
     """
 
-    __slots__ = ("_requesters", "_layout", "_spans")
+    __slots__ = (
+        "_index", "_stripes", "_times", "_requesters", "_time", "_horizon",
+        "_view", "_budget", "_layout", "_spans",
+    )
 
-    def __init__(self, requesters, source, starts, lengths, keys, window):
+    def __init__(self, index: PossessionIndex, requests: RequestSet, current_time: int):
         super().__init__()
-        self._requesters = requesters
-        self._layout = (source, starts, lengths, keys, window)
-        # Block k of row i is source[spans[i, k]:spans[i, k + 3]], and
-        # spans[i, 6] is its requester: one ``tolist`` reads a row's all.
-        self._spans = np.concatenate((starts, starts + lengths, requesters[None])).T
+        self._index, self._time = index, current_time
+        self._stripes = requests.stripe_id_array
+        self._times = requests.request_time_array
+        self._requesters = requests.box_id_array
+        self._horizon = max(current_time - index._window, 0)
+        self._view = index._log.sorted_view()
+        self._budget = len(requests) >> _LAYOUT_SHIFT
+        # The round's block layout and span table, once laid out.
+        self._layout = self._spans = None
 
     def __missing__(self, i) -> List[int]:
+        spans = self._spans
+        if spans is None:
+            if self._budget:
+                self._budget -= 1
+                row = self[i] = self._build(i)
+                return row
+            self._lay_out()
+            spans = self._spans
         source = self._layout[0]
-        s0, s1, s2, e0, e1, e2, requester = self._spans[i].tolist()
+        s0, s1, s2, e0, e1, e2, requester = spans[i].tolist()
         row = source[s0:e0].tolist()
         if e1 > s1:
             row += source[s1:e1].tolist()
@@ -150,13 +183,47 @@ class _KernelRows(dict):
         self[i] = row
         return row
 
+    def _build(self, i) -> List[int]:
+        """Row ``i`` from the index alone, in :meth:`_row_blocks`' order."""
+        index = self._index
+        stripe = self._stripes.item(i)
+        indptr = index._static_indptr
+        row = index._static_boxes[indptr.item(stripe):indptr.item(stripe + 1)].tolist()
+        keys, boxes = self._view
+        base = stripe << _KEY_SHIFT
+        lo = keys.searchsorted(base + self._horizon)
+        hi = keys.searchsorted(base + self._times.item(i))
+        if hi > lo:
+            row += boxes[lo:hi].tolist()
+        relays = index._relays.get(stripe)
+        if relays:
+            # The set's own order, as _relay_array reads it.
+            row += relays
+        requester = self._requesters.item(i)
+        if requester in row:
+            row = [j for j in row if j != requester]
+        return row
+
+    def _lay_out(self) -> None:
+        self._layout = self._index._row_blocks(self._stripes, self._times, self._time)
+        _, starts, lengths, _ = self._layout
+        # Block k of row i is source[spans[i, k]:spans[i, k + 3]], and
+        # spans[i, 6] is its requester: one ``tolist`` reads a row's all.
+        self._spans = np.concatenate((starts, starts + lengths, self._requesters[None])).T
+
     def heads(self, lefts: np.ndarray) -> np.ndarray:
         """Each row's first entry that is not the requester, ``-1`` if none."""
-        source, starts, lengths, keys, window = self._layout
-        reader = _DeltaRows(
-            self._requesters[lefts], source, starts[:, lefts], lengths[:, lefts],
-            keys, window,
-        )
+        window = self._index._window
+        if self._spans is None and lefts.size >= self._stripes.size:
+            self._lay_out()
+        if self._spans is None:
+            blocks = self._index._row_blocks(
+                self._stripes[lefts], self._times[lefts], self._time
+            )
+        else:
+            source, starts, lengths, keys = self._layout
+            blocks = (source, starts[:, lefts], lengths[:, lefts], keys)
+        reader = _DeltaRows(self._requesters[lefts], *blocks, window)
         heads = np.full(lefts.size, -1, dtype=np.int64)
         rows = reader.live(np.arange(lefts.size))
         head = reader.heads(rows)
@@ -284,10 +351,12 @@ class PossessionIndex:
     and :meth:`adjacency_delta_for` the same CSR of any rows with
     per-edge expiries, from which the matcher looks up pair expiries.
     :meth:`kernel_rows` serves the same rows to every Hopcroft–Karp
-    kernel round without gathering them: row heads in one array step,
-    and a row as a list when the kernel first touches it.
+    kernel round without gathering them: the heads of the rows the
+    kernel asks about in one array step, and a row as a list, built from
+    the index, when the kernel first touches it; only a round whose
+    searches touch a fixed share of its rows is laid out whole.
     The incremental repair's greedy reads the heads of its delta rows on
-    demand through :meth:`delta_rows`.  All read one block layout: per
+    demand through :meth:`delta_rows`.  All read one block order: per
     row, the static holders, then the playback-cache window, then the
     relays.
 
@@ -583,22 +652,19 @@ class PossessionIndex:
 
         Row ``i`` is row ``i`` of :meth:`adjacency_for`: the blocks of
         :meth:`_row_blocks`, unclipped, without the requester's entries.
-        Only the static and relay blocks are copied; a row becomes a list
-        when the kernel first touches it (:class:`_KernelRows`).  Every
-        kernel round of the matcher solves on it with
-        :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.  Malformed
-        stripes or rounds raise ``ValueError``, as in :meth:`adjacency_for`,
-        before anything is read.
+        Nothing is laid out up front: a row is built as a list when the
+        kernel first touches it, and ``heads`` lays out only the rows it
+        is asked about, until the kernel has touched ``len(requests) >>
+        _LAYOUT_SHIFT`` rows and the source lays out the whole round
+        (:class:`_KernelRows`).  Every kernel round of the matcher solves
+        on it with :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.
+        Malformed stripes or rounds raise ``ValueError``, as in
+        :meth:`adjacency_for`, before anything is read.
         """
         stripes = requests.stripe_id_array
-        times = requests.request_time_array
         if stripes.size:
-            self._check_requests(stripes, times, current_time)
-        return _KernelRows(
-            requests.box_id_array,
-            *self._row_blocks(stripes, times, current_time),
-            self._window,
-        )
+            self._check_requests(stripes, requests.request_time_array, current_time)
+        return _KernelRows(self, requests, current_time)
 
     def _gather_csr(
         self, requests: RequestSet, current_time: int, with_expiry: bool

@@ -29,7 +29,9 @@ and cached, which the sequential greedy and the searches read.  A right
 node's list of matched lefts is converted the same way
 (:class:`_LazyRows`).  An infeasible round whose Hall witness is a few
 dozen lefts therefore pays Python work for the rows its searches touch,
-not for the whole instance.  The kernel has two entry points:
+not for the whole instance, and on the matcher's row source NumPy work
+too: it lays out only the rows ``heads`` asks about and builds each
+other row when it is first touched.  The kernel has two entry points:
 
 * :func:`hopcroft_karp_matching` takes a CSR, checks it and solves cold
   on the CSR's rows: the differential oracle, the Dinic cross-checks and

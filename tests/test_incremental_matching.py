@@ -29,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.matching as matching
+import repro.core.possession as possession_module
 from repro.api.session import VodSession
 from repro.core.possession import PossessionIndex
 from repro.scenarios.build import build_full_solve_twin, build_scenario
@@ -321,6 +322,46 @@ def test_trusted_fallback_equals_the_validating_kernel(monkeypatch):
     assert len(kernel_seeds) >= 21
     assert (kernel_seeds[0] == -1).all()  # round 0 has nothing to carry
     assert kernel_pairs > 0 and early_pairs > 0
+
+
+def test_sparse_kernel_rounds_lay_out_only_their_heads(monkeypatch):
+    """A kernel round that touches few rows never lays out the round.
+
+    The 2k-box churn storm at 5% outages falls back to the full kernel
+    nearly every round, from a seed that leaves a few of its up to 2,078
+    requests unmatched.  In every call whose searches touch no more rows
+    than the row source builds one at a time, the rows passed to
+    ``_row_blocks`` during the call are exactly the seed's unmatched
+    lefts, which ``heads`` lays out once: never the whole round.
+    """
+    laid_out = []
+    row_blocks = PossessionIndex._row_blocks
+    solve_rows = matching.hopcroft_karp_rows
+    sparse_rounds, unmatched_rows, round_rows = 0, 0, 0
+
+    def counted_blocks(index, stripes, *args):
+        laid_out.append(stripes.size)
+        return row_blocks(index, stripes, *args)
+
+    def counted_solve_rows(num_left, num_right, rows, capacities, seed):
+        nonlocal sparse_rounds, unmatched_rows, round_rows
+        laid_out.clear()
+        result = solve_rows(num_left, num_right, rows, capacities, seed)
+        unmatched = int((seed < 0).sum())
+        if len(rows) <= num_left >> possession_module._LAYOUT_SHIFT and unmatched < num_left:
+            assert laid_out == [unmatched]
+            sparse_rounds += 1
+            unmatched_rows += unmatched
+            round_rows += num_left
+        return result
+
+    monkeypatch.setattr(PossessionIndex, "_row_blocks", counted_blocks)
+    monkeypatch.setattr(matching, "hopcroft_karp_rows", counted_solve_rows)
+    session = build_scenario(_churn_storm_soak_spec(30), seed=1).session()
+    session.step_until(round=30)
+    # 22 of the 23 kernel calls (all but round 0's cold solve) lay out
+    # 102 of their 36,790 rows.
+    assert (sparse_rounds, unmatched_rows, round_rows) == (22, 102, 36_790)
 
 
 def _churn_storm_soak_spec(horizon: int):

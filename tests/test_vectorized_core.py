@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.possession as possession_module
 from repro.core.allocation import random_permutation_allocation
 from repro.core.parameters import homogeneous_population
 from repro.core.possession import NEVER_EXPIRES, PossessionIndex
@@ -348,6 +350,51 @@ def run_greedy(reader, residual):
     return assigned, left.tolist()
 
 
+def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
+    """Check ``kernel_rows`` against ``adjacency_for`` at switch point ``shift``.
+
+    With ``_LAYOUT_SHIFT`` patched to ``shift``, the source builds its
+    first ``len(requests) >> shift`` rows alone and lays out the round at
+    the next miss.  Reading the rows in ``order``, every row equals the
+    CSR's row whether built alone or cut from the layout, and so does
+    every cached row read again after the switch.  ``heads(lefts)``
+    equals each row's first entry before and after, and lays out only
+    ``lefts`` (the round, when asked about every row) until the round is
+    laid out; it is laid out exactly once, at the first miss past the
+    budget.
+    """
+    num = len(requests)
+    indptr, indices = possession.adjacency_for(requests, current_time)
+    csr_rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(num)]
+    expected_heads = [csr_rows[i][0] if csr_rows[i] else -1 for i in lefts]
+    budget = num >> shift
+    laid_out = []
+    row_blocks = PossessionIndex._row_blocks
+
+    def counted_blocks(index, stripes, *args):
+        laid_out.append(stripes.size)
+        return row_blocks(index, stripes, *args)
+
+    with mock.patch.object(possession_module, "_LAYOUT_SHIFT", shift), \
+            mock.patch.object(PossessionIndex, "_row_blocks", counted_blocks):
+        rows = possession.kernel_rows(requests, current_time)
+        assert laid_out == []
+        assert rows.heads(lefts).tolist() == expected_heads
+        whole = lefts.size >= num
+        assert laid_out == [num if whole else lefts.size]
+        laid_out.clear()
+        for k, i in enumerate(order):
+            assert rows[i] == csr_rows[i], (shift, k, i)
+            assert laid_out == ([num] if k >= budget and not whole else []), (shift, k)
+        for i in order:
+            assert rows[i] == csr_rows[i], (shift, i)
+        switched = whole or budget < len(order)
+        assert laid_out == ([] if whole or not switched else [num])
+        laid_out.clear()
+        assert rows.heads(lefts).tolist() == expected_heads
+        assert laid_out == ([] if switched else [lefts.size])
+
+
 class TestAdjacencyEquivalence:
     def _build(self, allocation, downloads, relays, evict_at):
         possession = PossessionIndex(allocation, cache_window=6)
@@ -420,9 +467,12 @@ class TestAdjacencyEquivalence:
         Some downloads repeat in later rounds, so a box may sit twice in a
         cache window, and most requesters are drawn from their own row, so
         they sit in its static, cache or relay block and may leave it
-        empty.  Each row, touched in any order, is row ``i`` of
+        empty.  Every row, touched in any order, is row ``i`` of
         ``adjacency_for``, and ``heads`` is each row's first entry, ``-1``
-        for an empty one, before and after the rows are touched.
+        for an empty one, before and after the rows are touched.  The
+        rounds hold at most 25 rows, so the built switch point lays each
+        out at its first miss: each example also runs with the switch
+        patched to build every row alone and to lay out partway through.
         """
         allocation, downloads, relays, requests, current_time, evict_at = instance
         if downloads:
@@ -444,18 +494,36 @@ class TestAdjacencyEquivalence:
             if row.size and data.draw(st.integers(0, 3)):
                 box = data.draw(st.sampled_from(row.tolist()))
             drawn.append((stripe, time, box))
-        request_set = _array_set(drawn)
-        indptr, indices = possession.adjacency_for(request_set, current_time)
-        csr_rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(drawn))]
-        expected_heads = [row[0] if row else -1 for row in csr_rows]
-        rows = possession.kernel_rows(request_set, current_time)
+        num = len(drawn)
         lefts = np.array(
-            data.draw(st.lists(st.integers(0, len(drawn) - 1), max_size=30)), dtype=np.int64
+            data.draw(st.lists(st.integers(0, num - 1), max_size=30)), dtype=np.int64
         )
-        assert rows.heads(lefts).tolist() == [expected_heads[i] for i in lefts]
-        for i in data.draw(st.permutations(range(len(drawn)))):
-            assert rows[i] == csr_rows[i], i
-        assert rows.heads(lefts).tolist() == [expected_heads[i] for i in lefts]
+        order = data.draw(st.permutations(range(num)))
+        inside = data.draw(st.integers(1, max(num.bit_length() - 1, 1)))
+        for shift in (0, inside, num.bit_length(), possession_module._LAYOUT_SHIFT):
+            check_kernel_rows(
+                possession, _array_set(drawn), current_time, lefts, order, shift
+            )
+
+    def test_kernel_rows_build_relayed_rows_alone_and_laid_out(self):
+        """Relays and a relaying requester, in both regimes of the row source."""
+        catalog = Catalog(num_videos=3, num_stripes=3, duration=6)
+        allocation = random_permutation_allocation(
+            catalog, homogeneous_population(12, u=2.0, d=3.0),
+            replicas_per_stripe=2, random_state=3,
+        )
+        downloads = [(0, 5, 1), (0, 9, 2), (4, 5, 2), (4, 2, 3), (2, 11, 4)]
+        relays = [(0, 3), (0, 7), (4, 3), (2, 11), (8, 6)]
+        possession = self._build(allocation, downloads, relays, None)
+        # Requesters 3, 7 and 11 relay the stripe they request.
+        requests = _array_set(
+            [(0, 4, 3), (0, 4, 7), (4, 5, 1), (2, 5, 11), (8, 3, 6), (1, 4, 2),
+             (0, 3, 9), (4, 5, 3)]
+        )
+        lefts = np.array([1, 3, 4, 6], dtype=np.int64)
+        order = [3, 0, 7, 4, 1, 6, 2, 5]
+        for shift in (0, 1, 2, 4):
+            check_kernel_rows(possession, requests, 5, lefts, order, shift)
 
     @given(instance=possession_instances(), k=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
