@@ -16,14 +16,15 @@ capacities and the seed) and times ``kernel_rows`` plus
 ``hopcroft_karp_rows`` on each, in interleaved repetitions of two
 settings: the row source as built, which builds its first
 ``len(requests) >> _LAYOUT_SHIFT`` rows one at a time before it lays out
-the round, and with that budget patched to 0, so that it lays out the
-round at its first miss.  It prints each round's median and quartiles
-in milliseconds, and exits 1 when no round reached the kernel.
+the round, and with that budget patched to 0, so that the kernel's
+first read (its ``heads`` call) lays out the round and every row is cut
+from the layout: the cost of a source that lays out every row.  It
+prints each round's median and quartiles in milliseconds, and exits 1
+when no round reached the kernel.
 
 Run ``python benchmarks/bench_cold_start_kernel.py`` for the full run
-(n = 20,000), ``--smoke`` for n = 2,000, whose rounds 9 and 10 are
-repaired without the kernel.  There is no ``test_`` function: pytest
-collects nothing here.
+(n = 20,000), ``--smoke`` for n = 2,000.  There is no ``test_``
+function: pytest collects nothing here.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ import repro.core.possession as possession
 from repro.api import VodSystem
 from repro.core.possession import PossessionIndex
 
-#: Rounds whose kernel calls are captured and timed.
+#: Rounds whose kernel calls are captured and timed: at N boxes every box
+#: is watching from round 8 on; at SMOKE_N only round 8 reaches the kernel.
 ROUNDS = (8, 9, 10)
+N = 20_000
+SMOKE_N = 2_000
 #: ``_LAYOUT_SHIFT`` at which every round's budget of single rows is 0.
-LAY_OUT_AT_FIRST_MISS = 64
+LAY_OUT_AT_FIRST_READ = 64
 
 
 def build_session(n: int, seed: int = 0):
@@ -114,6 +118,14 @@ def time_call(call, shift: int) -> float:
         possession._LAYOUT_SHIFT = built
 
 
+def repeats_arg(text: str) -> int:
+    """``--repeats``: quartiles need at least two samples."""
+    repeats = int(text)
+    if repeats < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {repeats}")
+    return repeats
+
+
 def quartiles(samples):
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return q1, median, q3
@@ -121,17 +133,19 @@ def quartiles(samples):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="n = 2,000 boxes")
-    parser.add_argument("--n", type=int, default=20_000, help="boxes (default 20,000)")
-    parser.add_argument("--repeats", type=int, default=11)
+    parser.add_argument("--smoke", action="store_true", help=f"n = {SMOKE_N:,} boxes")
+    parser.add_argument(
+        "--repeats", type=repeats_arg,
+        help="interleaved repetitions, at least 2 (default 11; 3 with --smoke)",
+    )
     args = parser.parse_args()
-    n = 2_000 if args.smoke else args.n
-    repeats = 3 if args.smoke else args.repeats
+    n = SMOKE_N if args.smoke else N
+    repeats = args.repeats or (3 if args.smoke else 11)
 
     calls = capture(n)
     settings = {
         f"as built (>> {possession._LAYOUT_SHIFT})": possession._LAYOUT_SHIFT,
-        "lay out at first miss": LAY_OUT_AT_FIRST_MISS,
+        "lay out at first read": LAY_OUT_AT_FIRST_READ,
     }
     print(f"cold-start kernel calls, n = {n:,}, {repeats} interleaved repetitions")
     for call in calls:

@@ -49,6 +49,17 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
+def _cache_bounds(keys: np.ndarray, stripe: int, request_time: int, horizon: int):
+    """``(lo, hi)``: one request's playback-cache window in the log's sort keys.
+
+    ``keys[lo:hi]`` are the entries of ``stripe`` with round in ``[horizon,
+    request_time)``, as :meth:`PossessionIndex._cache_windows` finds them
+    for a batch.
+    """
+    base = stripe << _KEY_SHIFT
+    return keys.searchsorted(base + horizon), keys.searchsorted(base + request_time)
+
+
 class _DeltaRows:
     """Cursors over one round's delta rows, from :meth:`PossessionIndex.delta_rows`.
 
@@ -115,13 +126,19 @@ class _DeltaRows:
 
 #: A kernel round's row source builds its first ``len(requests) >>
 #: _LAYOUT_SHIFT`` rows one at a time, then lays out every row at its next
-#: miss.  Measured on one core of a 2-CPU host, a row built alone costs
-#: 8.7–9.5 µs on ``churn_20k`` (5.5–6.1 µs on a cold-start round's short
-#: rows), one cut from the layout 4.4–4.9 µs (1.8–2.8 µs), and the layout
-#: 0.2–0.3 µs a row, so building alone pays until 5–7% of the rows are
-#: touched.  At a 32nd no ``churn_20k`` call lays its round out (they touch
-#: 0.8% of the rows in the median, 2.6% at most), and a cold-start round
-#: near u' = 1, which touches every row, builds 2,500 of its 80,000 alone.
+#: miss, or at once when ``heads`` asks about more rows than that.  On one
+#: core of a 2-CPU host a row built alone costs 3.4–4.0 µs (5.5–6.2 µs on
+#: ``flashcrowd_50k``'s long rows), one cut from the layout 1.3–2.3 µs
+#: (4.2–4.7 µs), and the layout 0.2 µs a row, so a round that touches
+#: less than about a tenth of its rows is cheaper built alone.  The budget
+#: sits below that because a round that touches every row pays it on top
+#: of the layout: the cold-start rounds near u' = 1 (80,000 rows, 18
+#: ``heads`` lefts) read 11–13 ms slower than laid out at once with a
+#: 16th, 6–10 ms with a 32nd and 1–3 ms with a 64th.  A 32nd is the
+#: smallest budget at which no ``churn_20k`` call lays its round out
+#: (they touch 0.8% of the rows in the median, 2.6% at most; a 64th lays
+#: out 5 of 70); a 16th would save ``flashcrowd_50k`` 5 ms more a 2.2 s
+#: loop.
 _LAYOUT_SHIFT = 5
 
 
@@ -141,8 +158,9 @@ class _KernelRows(dict):
     from the layout.  ``heads(lefts)`` gives each row's first entry that
     is not the requester, ``-1`` for a row left empty, without converting
     a row: it lays out only ``lefts`` until the round is laid out, and
-    lays out the round when asked about every row.  Rows are built from
-    the index as it stands, so the source serves one kernel call.
+    lays out the round when asked about more rows than the source still
+    builds alone.  Rows are built from the index as it stands, so the
+    source serves one kernel call.
     """
 
     __slots__ = (
@@ -190,9 +208,7 @@ class _KernelRows(dict):
         indptr = index._static_indptr
         row = index._static_boxes[indptr.item(stripe):indptr.item(stripe + 1)].tolist()
         keys, boxes = self._view
-        base = stripe << _KEY_SHIFT
-        lo = keys.searchsorted(base + self._horizon)
-        hi = keys.searchsorted(base + self._times.item(i))
+        lo, hi = _cache_bounds(keys, stripe, self._times.item(i), self._horizon)
         if hi > lo:
             row += boxes[lo:hi].tolist()
         relays = index._relays.get(stripe)
@@ -214,7 +230,7 @@ class _KernelRows(dict):
     def heads(self, lefts: np.ndarray) -> np.ndarray:
         """Each row's first entry that is not the requester, ``-1`` if none."""
         window = self._index._window
-        if self._spans is None and lefts.size >= self._stripes.size:
+        if self._spans is None and lefts.size > self._budget:
             self._lay_out()
         if self._spans is None:
             blocks = self._index._row_blocks(
@@ -500,9 +516,9 @@ class PossessionIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Playback-cache servers and their entry rounds for one checked request."""
         keys, boxes = self._log.sorted_view()
-        base = stripe_id << _KEY_SHIFT
-        lo = int(np.searchsorted(keys, base + max(current_time - self._window, 0)))
-        hi = int(np.searchsorted(keys, base + request_time))
+        lo, hi = _cache_bounds(
+            keys, stripe_id, request_time, max(current_time - self._window, 0)
+        )
         return boxes[lo:hi], keys[lo:hi] & _ROUND_MASK
 
     def _relay_array(self, stripe_id: int) -> np.ndarray:
@@ -655,10 +671,11 @@ class PossessionIndex:
         Nothing is laid out up front: a row is built as a list when the
         kernel first touches it, and ``heads`` lays out only the rows it
         is asked about, until the kernel has touched ``len(requests) >>
-        _LAYOUT_SHIFT`` rows and the source lays out the whole round
-        (:class:`_KernelRows`).  Every kernel round of the matcher solves
-        on it with :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.
-        Malformed stripes or rounds raise ``ValueError``, as in
+        _LAYOUT_SHIFT`` rows, or asks ``heads`` about more, and the
+        source lays out the whole round (:class:`_KernelRows`).  Every
+        kernel round of the matcher solves on it with
+        :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.  Malformed
+        stripes or rounds raise ``ValueError``, as in
         :meth:`adjacency_for`, before anything is read.
         """
         stripes = requests.stripe_id_array

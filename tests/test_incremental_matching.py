@@ -329,10 +329,11 @@ def test_sparse_kernel_rounds_lay_out_only_their_heads(monkeypatch):
 
     The 2k-box churn storm at 5% outages falls back to the full kernel
     nearly every round, from a seed that leaves a few of its up to 2,078
-    requests unmatched.  In every call whose searches touch no more rows
-    than the row source builds one at a time, the rows passed to
-    ``_row_blocks`` during the call are exactly the seed's unmatched
-    lefts, which ``heads`` lays out once: never the whole round.
+    requests unmatched.  In every call whose seed leaves unmatched, and
+    whose searches touch, no more rows than the row source builds one at
+    a time, the rows passed to ``_row_blocks`` during the call are
+    exactly the seed's unmatched lefts, which ``heads`` lays out once:
+    never the whole round.
     """
     laid_out = []
     row_blocks = PossessionIndex._row_blocks
@@ -348,7 +349,8 @@ def test_sparse_kernel_rounds_lay_out_only_their_heads(monkeypatch):
         laid_out.clear()
         result = solve_rows(num_left, num_right, rows, capacities, seed)
         unmatched = int((seed < 0).sum())
-        if len(rows) <= num_left >> possession_module._LAYOUT_SHIFT and unmatched < num_left:
+        budget = num_left >> possession_module._LAYOUT_SHIFT
+        if len(rows) <= budget and unmatched <= budget:
             assert laid_out == [unmatched]
             sparse_rounds += 1
             unmatched_rows += unmatched

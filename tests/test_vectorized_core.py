@@ -359,9 +359,9 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
     CSR's row whether built alone or cut from the layout, and so does
     every cached row read again after the switch.  ``heads(lefts)``
     equals each row's first entry before and after, and lays out only
-    ``lefts`` (the round, when asked about every row) until the round is
-    laid out; it is laid out exactly once, at the first miss past the
-    budget.
+    ``lefts`` until the round is laid out, or the round when asked about
+    more rows than the source still builds alone; the round is laid out
+    at most once, by ``heads`` or at the first miss past the budget.
     """
     num = len(requests)
     indptr, indices = possession.adjacency_for(requests, current_time)
@@ -380,7 +380,7 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
         rows = possession.kernel_rows(requests, current_time)
         assert laid_out == []
         assert rows.heads(lefts).tolist() == expected_heads
-        whole = lefts.size >= num
+        whole = lefts.size > budget
         assert laid_out == [num if whole else lefts.size]
         laid_out.clear()
         for k, i in enumerate(order):
@@ -392,7 +392,12 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
         assert laid_out == ([] if whole or not switched else [num])
         laid_out.clear()
         assert rows.heads(lefts).tolist() == expected_heads
-        assert laid_out == ([] if switched else [lefts.size])
+        if switched:
+            assert laid_out == []
+        else:
+            # The source still builds ``budget - len(order)`` rows alone.
+            whole = lefts.size > budget - len(order)
+            assert laid_out == [num if whole else lefts.size]
 
 
 class TestAdjacencyEquivalence:
@@ -471,7 +476,7 @@ class TestAdjacencyEquivalence:
         ``adjacency_for``, and ``heads`` is each row's first entry, ``-1``
         for an empty one, before and after the rows are touched.  The
         rounds hold at most 25 rows, so the built switch point lays each
-        out at its first miss: each example also runs with the switch
+        out at its first read: each example also runs with the switch
         patched to build every row alone and to lay out partway through.
         """
         allocation, downloads, relays, requests, current_time, evict_at = instance
