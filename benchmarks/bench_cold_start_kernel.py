@@ -19,8 +19,13 @@ settings: the row source as built, which builds its first
 the round, and with that budget patched to 0, so that the kernel's
 first read (its ``heads`` call) lays out the round and every row is cut
 from the layout: the cost of a source that lays out every row.  It
-prints each round's median and quartiles in milliseconds, and exits 1
-when no round reached the kernel.
+prints each round's median and quartiles in milliseconds.  It checks
+what it times: on every repetition of every captured call both settings
+must return the assignment and Hall witness of an untimed solve with the
+budget patched to every row, whose rows are all built alone from the
+index, so the kernel's row reads (``heads``, ``first_fit`` and the rows
+its searches walk) give one answer in both regimes of the row source.
+It exits 1 when they differ or when no round reached the kernel.
 
 Run ``python benchmarks/bench_cold_start_kernel.py`` for the full run
 (n = 20,000), ``--smoke`` for n = 2,000.  There is no ``test_``
@@ -53,6 +58,8 @@ N = 20_000
 SMOKE_N = 2_000
 #: ``_LAYOUT_SHIFT`` at which every round's budget of single rows is 0.
 LAY_OUT_AT_FIRST_READ = 64
+#: ``_LAYOUT_SHIFT`` at which every row is built alone.
+BUILD_EVERY_ROW_ALONE = 0
 
 
 def build_session(n: int, seed: int = 0):
@@ -103,8 +110,8 @@ def capture(n: int):
     return calls
 
 
-def time_call(call, shift: int) -> float:
-    """Seconds for ``kernel_rows`` plus ``hopcroft_karp_rows`` on one call."""
+def time_call(call, shift: int):
+    """``(seconds, result)`` of ``kernel_rows`` plus ``hopcroft_karp_rows`` on one call."""
     current_time, index, requests, (num_left, num_right, capacities, seed) = call
     built = possession._LAYOUT_SHIFT
     possession._LAYOUT_SHIFT = shift
@@ -112,10 +119,18 @@ def time_call(call, shift: int) -> float:
         gc.collect()
         start = time.perf_counter()
         rows = index.kernel_rows(requests, current_time)
-        matching.hopcroft_karp_rows(num_left, num_right, rows, capacities, seed)
-        return time.perf_counter() - start
+        result = matching.hopcroft_karp_rows(num_left, num_right, rows, capacities, seed)
+        return time.perf_counter() - start, result
     finally:
         possession._LAYOUT_SHIFT = built
+
+
+def same_solution(a, b) -> bool:
+    """Whether two kernel results have the same assignment and Hall witness."""
+    return (
+        np.array_equal(a.assignment, b.assignment)
+        and a.unsatisfied_witness == b.unsatisfied_witness
+    )
 
 
 def repeats_arg(text: str) -> int:
@@ -148,15 +163,22 @@ def main() -> int:
         "lay out at first read": LAY_OUT_AT_FIRST_READ,
     }
     print(f"cold-start kernel calls, n = {n:,}, {repeats} interleaved repetitions")
+    differ = 0
     for call in calls:
         current_time, _, requests, (_, _, _, seed) = call
         samples = {label: [] for label in settings}
+        _, reference = time_call(call, BUILD_EVERY_ROW_ALONE)
         for rep in range(repeats):
             order = list(settings.items())
             if rep % 2:
                 order.reverse()
             for label, shift in order:
-                samples[label].append(time_call(call, shift))
+                seconds, result = time_call(call, shift)
+                samples[label].append(seconds)
+                if not same_solution(reference, result):
+                    differ += 1
+                    print(f"FAIL: round {current_time}, {label}: another solution",
+                          file=sys.stderr)
         print(
             f"round {current_time}: {len(requests):,} requests, "
             f"{int((seed < 0).sum()):,} unmatched in the seed"
@@ -167,7 +189,7 @@ def main() -> int:
     if not calls:
         print(f"FAIL: no kernel call in rounds {ROUNDS}", file=sys.stderr)
         return 1
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

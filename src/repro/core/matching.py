@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -277,6 +277,9 @@ class ConnectionMatcher:
 
         repair_fallback = False
         expiry: Optional[np.ndarray] = None
+        # A repaired round's load, as the repair tracked it; else counted
+        # from the assignment below.
+        box_load: Optional[np.ndarray] = None
         if self._solver == "dinic":
             indptr, indices = possession.adjacency_for(requests, current_time)
             result = dinic_matching(num_requests, n, indptr, indices, capacities)
@@ -301,13 +304,12 @@ class ConnectionMatcher:
             # whose box lost capacity: what is left are edges of this
             # round within capacity, the seed of the repair and the kernel.
             load = _retire_pairs(seed, seed_expiry, capacities, current_time)
-            complete = False
             if pair_expiry is not None:
-                complete, repair_fallback = self._try_repair(
+                box_load, repair_fallback = self._try_repair(
                     requests, possession, current_time, capacities,
                     seed, seed_expiry, load,
                 )
-            if complete:
+            if box_load is not None:
                 expiry = seed_expiry
                 result = HKMatchingResult(
                     feasible=True,
@@ -337,8 +339,8 @@ class ConnectionMatcher:
                     expiry[carried] = seed_expiry[carried]
 
         assignment = result.assignment
-        served = assignment[assignment >= 0]
-        box_load = np.bincount(served, minlength=n).astype(np.int64)
+        if box_load is None:
+            box_load = np.bincount(assignment[assignment >= 0], minlength=n)
         return ConnectionMatching(
             feasible=result.feasible,
             assignment=assignment,
@@ -397,25 +399,31 @@ class ConnectionMatcher:
         assignment: np.ndarray,
         pair_expiry: np.ndarray,
         load: np.ndarray,
-    ) -> Tuple[bool, bool]:
+    ) -> Tuple[Optional[np.ndarray], bool]:
         """Repair the retired seed ``assignment`` of one round in place.
 
         ``assignment`` holds only edges of this round within capacity,
         ``pair_expiry`` their expiries and ``load`` the per-box load of
         those pairs; each pair the repair makes records its edge's expiry.
-        Returns ``(complete, over_budget)``: ``complete`` when the deficit
-        was repaired to a perfect — hence maximum — matching; else the
-        round must run the full kernel, seeded with this partial
-        assignment (some request has no augmenting path, i.e. the round is
-        infeasible and needs the kernel's Hall witness, or
-        ``over_budget``: the repair search budget ran out, which the
-        caller counts as a *repair fallback*).
+        The greedy reads the deficit rows through
+        :meth:`PossessionIndex.delta_rows`, and the exact searches read
+        rows through :meth:`PossessionIndex.search_rows`, which builds a
+        row from the index when a search reaches it and converts it to a
+        list only when a search walks it.  Returns ``(load,
+        over_budget)``: ``load`` is the per-box load of the repaired
+        matching when the deficit was repaired to a perfect — hence
+        maximum — matching, tracked through the greedy and the searches,
+        and ``None`` otherwise: the round must then run the full kernel,
+        seeded with this partial assignment (some request has no
+        augmenting path, i.e. the round is infeasible and needs the
+        kernel's Hall witness, or ``over_budget``: the repair search
+        budget ran out, which the caller counts as a *repair fallback*).
         """
         num_requests = len(requests)
         n = capacities.size
         deficit = np.flatnonzero(assignment < 0)
         if not deficit.size:
-            return True, False
+            return load, False
 
         # Delta rows only, read on demand by a multi-pass greedy against
         # the residual capacities.  The cache blocks are clipped (greedy is
@@ -432,35 +440,23 @@ class ConnectionMatcher:
         budget = self._repair_search_budget
         if budget is None:
             budget = max(256, 2 * math.isqrt(num_requests), num_requests // 64)
+        load = capacities - residual
         remaining = deficit[left]
         if not remaining.size:
-            return True, False
+            return load, False
         if remaining.size > budget:
-            return False, True
+            return None, True
 
-        # Exhaustive augmentation for the stragglers, over lazily
-        # materialized rows.  Each flipped pair records its edge expiry.
-        stripes = requests.stripe_id_array
-        boxes = requests.box_id_array
-        times = requests.request_time_array
-        row_cache: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
-
-        def get_row(i: int) -> Tuple[np.ndarray, List[int], List[int]]:
-            row = row_cache.get(i)
-            if row is None:
-                arr, exp = possession.row_with_expiry(
-                    int(stripes[i]), int(boxes[i]), int(times[i]), current_time
-                )
-                row = row_cache[i] = (arr, arr.tolist(), exp.tolist())
-            return row
-
+        # Exhaustive augmentation for the stragglers, over rows built from
+        # the index as the searches reach them.  Each flipped pair records
+        # its edge expiry.
         complete = repair_matching(
             num_requests,
             n,
-            get_row,
+            possession.search_rows(requests, current_time),
             capacities,
             assignment,
-            capacities - residual,
+            load,
             pair_expiry,
             remaining.tolist(),
             search_budget=budget,
@@ -469,7 +465,7 @@ class ConnectionMatcher:
         # infeasible and the full kernel must run for the Hall witness) or
         # the searches' displacement budget ran dry.  Not a budget event:
         # the partial matching still seeds the kernel.
-        return complete, False
+        return (load if complete else None), False
 
 
 def check_feasibility_hall(

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.requests import RequestSet
 from repro.core.video import StripeId
+from repro.flow.hopcroft_karp import _LIST_SCAN_MAX, _first_in_blocks
 from repro.util.soa import stable_argsort
 from repro.util.validation import check_positive_integer
 
@@ -58,6 +59,31 @@ def _cache_bounds(keys: np.ndarray, stripe: int, request_time: int, horizon: int
     """
     base = stripe << _KEY_SHIFT
     return keys.searchsorted(base + horizon), keys.searchsorted(base + request_time)
+
+
+def _int_array(boxes) -> np.ndarray:
+    """A collection of box ids as an int64 array, in its iteration order."""
+    return np.fromiter(boxes, dtype=np.int64, count=len(boxes))
+
+
+def _request_blocks(index: PossessionIndex, view, horizon: int, stripe: int, time: int):
+    """One request's row blocks from the index: ``(static, cache, lo, relays)``.
+
+    The row is ``static``, the stripe's slice of the static CSR, then
+    ``cache``, its playback-cache window oldest entry first (entries
+    ``lo`` on of the log's sorted ``view``, whose keys date them; see
+    :func:`_cache_bounds`), then ``relays``, the stripe's relay set in its
+    own iteration order, as :meth:`PossessionIndex._relay_array` reads it
+    (``()`` when none), with the requester kept: one row of
+    :meth:`PossessionIndex._row_blocks`, unclipped.  The one scalar copy
+    of that order: every row built alone, for the kernel, the exact
+    searches or :meth:`PossessionIndex.row_with_expiry`, reads it.
+    """
+    indptr = index._static_indptr
+    static = index._static_boxes[indptr.item(stripe):indptr.item(stripe + 1)]
+    keys, boxes = view
+    lo, hi = _cache_bounds(keys, stripe, time, horizon)
+    return static, boxes[lo:hi], lo, index._relays.get(stripe, ())
 
 
 class _DeltaRows:
@@ -151,16 +177,20 @@ class _KernelRows(dict):
     :meth:`PossessionIndex.adjacency_for` as a Python list with every
     requester entry dropped, built on first touch and cached.  The first
     ``len(requests) >> _LAYOUT_SHIFT`` rows are built one at a time from
-    the index: the static CSR slice, the cache window found by two
-    searches in the download log's sorted view, and the relays.  The next
-    miss lays out every row's blocks (:meth:`PossessionIndex._row_blocks`,
-    as for :class:`_DeltaRows`), and that row and every later one is cut
-    from the layout.  ``heads(lefts)`` gives each row's first entry that
-    is not the requester, ``-1`` for a row left empty, without converting
-    a row: it lays out only ``lefts`` until the round is laid out, and
-    lays out the round when asked about more rows than the source still
-    builds alone.  Rows are built from the index as it stands, so the
-    source serves one kernel call.
+    the index (:func:`_request_blocks`: the static CSR slice, the cache
+    window found by two searches in the download log's sorted view, and
+    the relays).  The next miss lays out every row's blocks
+    (:meth:`PossessionIndex._row_blocks`, as for :class:`_DeltaRows`), and
+    that row and every later one is cut from the layout.
+    ``heads(lefts)`` gives each row's first entry that is not the
+    requester, ``-1`` for a row left empty, without converting a row: it
+    lays out only ``lefts`` until the round is laid out, and lays out the
+    round when asked about more rows than the source still builds alone.
+    ``first_fit(i, room)``, which the kernel's sequential greedy asks,
+    gives row ``i``'s first box with room: on a long row's arrays, without
+    converting it either, and on a short one converted as a miss would.
+    Rows are built from the index as it stands, so the source serves one
+    kernel call.
     """
 
     __slots__ = (
@@ -181,11 +211,16 @@ class _KernelRows(dict):
         self._layout = self._spans = None
 
     def __missing__(self, i) -> List[int]:
+        return self._convert(i)
+
+    def _convert(self, i, blocks=None) -> List[int]:
+        """Row ``i`` as a list, cached: built alone (from ``blocks``, when
+        already read) while the budget lasts, else cut from the layout."""
         spans = self._spans
         if spans is None:
             if self._budget:
                 self._budget -= 1
-                row = self[i] = self._build(i)
+                row = self[i] = self._build(i, blocks)
                 return row
             self._lay_out()
             spans = self._spans
@@ -201,24 +236,56 @@ class _KernelRows(dict):
         self[i] = row
         return row
 
-    def _build(self, i) -> List[int]:
+    def _blocks(self, i):
+        """Row ``i``'s blocks from the index alone (:func:`_request_blocks`)."""
+        return _request_blocks(
+            self._index, self._view, self._horizon,
+            self._stripes.item(i), self._times.item(i),
+        )
+
+    def _build(self, i, blocks=None) -> List[int]:
         """Row ``i`` from the index alone, in :meth:`_row_blocks`' order."""
-        index = self._index
-        stripe = self._stripes.item(i)
-        indptr = index._static_indptr
-        row = index._static_boxes[indptr.item(stripe):indptr.item(stripe + 1)].tolist()
-        keys, boxes = self._view
-        lo, hi = _cache_bounds(keys, stripe, self._times.item(i), self._horizon)
-        if hi > lo:
-            row += boxes[lo:hi].tolist()
-        relays = index._relays.get(stripe)
+        static, cache, _, relays = self._blocks(i) if blocks is None else blocks
+        row = static.tolist()
+        if cache.size:
+            row += cache.tolist()
         if relays:
-            # The set's own order, as _relay_array reads it.
             row += relays
         requester = self._requesters.item(i)
         if requester in row:
             row = [j for j in row if j != requester]
         return row
+
+    def first_fit(self, i, room: np.ndarray) -> int:
+        """Row ``i``'s first box with ``room`` (a boolean mask), ``-1`` if none.
+
+        A row longer than :data:`repro.flow.hopcroft_karp._LIST_SCAN_MAX`
+        entries is scanned on its arrays and stays unconverted: its slices
+        of the layout once the round is laid out, else its blocks from the
+        index.  Any other row is converted as a miss converts it, from the
+        blocks already read, and scanned as a list.
+        """
+        row = self.get(i)
+        if row is None:
+            blocks = None
+            if self._spans is None:
+                blocks = static, cache, _, relays = self._blocks(i)
+                if static.size + cache.size + len(relays) > _LIST_SCAN_MAX:
+                    arrays = (static, cache)
+                    if relays:
+                        arrays += (_int_array(relays),)
+                    return _first_in_blocks(arrays, self._requesters.item(i), room)
+            else:
+                s0, s1, s2, e0, e1, e2, requester = self._spans[i].tolist()
+                if e0 - s0 + e1 - s1 + e2 - s2 > _LIST_SCAN_MAX:
+                    source = self._layout[0]
+                    arrays = (source[s0:e0], source[s1:e1], source[s2:e2])
+                    return _first_in_blocks(arrays, requester, room)
+            row = self._convert(i, blocks)
+        for j in row:
+            if room[j]:
+                return j
+        return -1
 
     def _lay_out(self) -> None:
         self._layout = self._index._row_blocks(self._stripes, self._times, self._time)
@@ -248,6 +315,81 @@ class _KernelRows(dict):
             heads[rows[~own]] = head[~own]
             rows, head = reader.step(rows[own])
         return heads
+
+
+class _SearchRows(dict):
+    """A round's rows for the repair's exact searches, from :meth:`PossessionIndex.search_rows`.
+
+    Row ``i`` is :meth:`PossessionIndex.row_with_expiry` of request ``i``:
+    its blocks (:func:`_request_blocks`) without the requester's entries.
+    ``array(i)`` checks the request as ``row_with_expiry`` does, builds
+    the row from the index as an int64 array and caches it; ``rows[i]``
+    is the same row as a list, converted from the array on first touch
+    and cached; ``expiry(i, e)`` is the last round edge ``e`` of a built
+    row stays valid, resolved only when asked.  A search tests a row for
+    a free box on its array and walks only the rows it pops as lists.
+    Rows are built from the index as it stands, so the source serves one
+    repair call.
+    """
+
+    __slots__ = (
+        "_index", "_stripes", "_times", "_requesters", "_time", "_horizon",
+        "_view", "_built",
+    )
+
+    def __init__(self, index: PossessionIndex, requests: RequestSet, current_time: int):
+        super().__init__()
+        self._index, self._time = index, current_time
+        self._stripes = requests.stripe_id_array
+        self._times = requests.request_time_array
+        self._requesters = requests.box_id_array
+        self._horizon = max(current_time - index._window, 0)
+        self._view = index._log.sorted_view()
+        # Per built row: (boxes, kept mask or None, static size, lo, cache size).
+        self._built: Dict[int, tuple] = {}
+
+    def __missing__(self, i) -> List[int]:
+        row = self[i] = self.array(i).tolist()
+        return row
+
+    def array(self, i) -> np.ndarray:
+        """Row ``i`` as an int64 array, built on the first call."""
+        built = self._built.get(i)
+        if built is None:
+            built = self._built[i] = self._build(i)
+        return built[0]
+
+    def _build(self, i) -> tuple:
+        stripe, time = self._stripes.item(i), self._times.item(i)
+        self._index._check_one_request(stripe, time, self._time)
+        static, cache, lo, relays = _request_blocks(
+            self._index, self._view, self._horizon, stripe, time
+        )
+        if relays:
+            boxes = np.concatenate((static, cache, _int_array(relays)))
+        elif cache.size:
+            boxes = np.concatenate((static, cache))
+        else:
+            boxes = static
+        kept = None
+        if boxes.size:
+            kept = boxes != self._requesters.item(i)
+            # ``argmin`` finds a dropped entry for less than ``all`` costs.
+            if kept[kept.argmin()]:
+                kept = None
+            else:
+                boxes = boxes[kept]
+        return boxes, kept, static.size, lo, cache.size
+
+    def expiry(self, i, e: int) -> int:
+        """The expiry of edge ``e`` of row ``i``, a row already built."""
+        _, kept, first, lo, count = self._built[i]
+        if kept is not None:
+            e = int(np.flatnonzero(kept)[e])
+        e -= first
+        if 0 <= e < count:
+            return (self._view[0].item(lo + e) & _ROUND_MASK) + self._index._window
+        return NEVER_EXPIRES
 
 
 class _DownloadLog:
@@ -368,17 +510,20 @@ class PossessionIndex:
     per-edge expiries, from which the matcher looks up pair expiries.
     :meth:`kernel_rows` serves the same rows to every Hopcroft–Karp
     kernel round without gathering them: the heads of the rows the
-    kernel asks about in one array step, and a row as a list, built from
-    the index, when the kernel first touches it; only a round whose
-    searches touch a fixed share of its rows is laid out whole.
-    The incremental repair's greedy reads the heads of its delta rows on
-    demand through :meth:`delta_rows`.  All read one block order: per
-    row, the static holders, then the playback-cache window, then the
-    relays.
+    kernel asks about in one array step, a long row's first box with room
+    on its arrays, and a row as a list, built from the index, when the
+    kernel first walks it; only a round whose searches touch a fixed
+    share of its rows is laid out whole.  The incremental repair's
+    greedy reads the heads of its delta rows on demand through
+    :meth:`delta_rows`, and its exact searches read rows through
+    :meth:`search_rows`, built from the index as arrays and converted
+    to lists only when walked.  All read one block order: per row, the
+    static holders, then the playback-cache window, then the relays; a
+    row built alone reads it from :func:`_request_blocks`.
 
     Every query — :meth:`adjacency_for`, :meth:`adjacency_delta_for`,
-    :meth:`kernel_rows`, :meth:`delta_rows`, :meth:`row_with_expiry`,
-    :meth:`servers_for` —
+    :meth:`kernel_rows`, :meth:`delta_rows`, :meth:`search_rows`,
+    :meth:`row_with_expiry`, :meth:`servers_for` —
     reads the same recorded state, so a subclass changes possession by
     changing what it records, never by overriding one query.
     :meth:`record_downloads` is the one download writer to override (the
@@ -522,8 +667,7 @@ class PossessionIndex:
         return boxes[lo:hi], keys[lo:hi] & _ROUND_MASK
 
     def _relay_array(self, stripe_id: int) -> np.ndarray:
-        relays = self._relays.get(stripe_id, ())
-        return np.fromiter(relays, dtype=np.int64, count=len(relays))
+        return _int_array(self._relays.get(stripe_id, ()))
 
     def cache_servers(
         self, stripe_id: StripeId, request_time: int, current_time: int
@@ -669,8 +813,9 @@ class PossessionIndex:
         Row ``i`` is row ``i`` of :meth:`adjacency_for`: the blocks of
         :meth:`_row_blocks`, unclipped, without the requester's entries.
         Nothing is laid out up front: a row is built as a list when the
-        kernel first touches it, and ``heads`` lays out only the rows it
-        is asked about, until the kernel has touched ``len(requests) >>
+        kernel first walks it, ``first_fit`` reads a long row's arrays
+        without converting it, and ``heads`` lays out only the rows it is
+        asked about, until the kernel has touched ``len(requests) >>
         _LAYOUT_SHIFT`` rows, or asks ``heads`` about more, and the
         source lays out the whole round (:class:`_KernelRows`).  Every
         kernel round of the matcher solves on it with
@@ -748,28 +893,43 @@ class PossessionIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One request's candidate boxes plus per-edge expiry rounds.
 
-        The lazily materialized row the incremental repair augments
-        through: parallel int64 arrays of candidate boxes and the last
-        round each edge stays valid (:data:`NEVER_EXPIRES` for static
-        and relay edges, ``entry_time + T`` for playback-cache edges),
-        without the entries of the requester ``box_id``; pass ``-1``,
-        which no row holds, for the row with the requester kept.
-        A stripe id outside the catalog or a round outside ``[0, 2**31)``
-        raises ``ValueError``.  It is the scalar twin of one row of
-        :meth:`adjacency_delta_for`, and the reference the tests compare
-        that CSR against.
+        Parallel int64 arrays of candidate boxes and the last round each
+        edge stays valid (:data:`NEVER_EXPIRES` for static and relay
+        edges, ``entry_time + T`` for playback-cache edges), without the
+        entries of the requester ``box_id``; pass ``-1``, which no row
+        holds, for the row with the requester kept.  A stripe id outside
+        the catalog or a round outside ``[0, 2**31)`` raises
+        ``ValueError``.  It is the scalar twin of one row of
+        :meth:`adjacency_delta_for` and of :meth:`search_rows`, built from
+        the same blocks as every row built alone, and the reference the
+        tests compare the batched and on-demand rows against.
         """
         stripe_id, request_time = int(stripe_id), int(request_time)
         self._check_one_request(stripe_id, request_time, current_time)
-        static = self._static_block(stripe_id)
-        cache_boxes, cache_times = self._cache_slice(
-            stripe_id, request_time, current_time
+        view = self._log.sorted_view()
+        static, cache, lo, relays = _request_blocks(
+            self, view, max(current_time - self._window, 0), stripe_id, request_time
         )
-        boxes = np.concatenate((static, cache_boxes, self._relay_array(stripe_id)))
+        boxes = np.concatenate((static, cache, _int_array(relays)))
         expiry = np.full(boxes.size, NEVER_EXPIRES, dtype=np.int64)
-        expiry[static.size: static.size + cache_times.size] = cache_times + self._window
+        cache_keys = view[0][lo:lo + cache.size]
+        expiry[static.size: static.size + cache.size] = (
+            (cache_keys & _ROUND_MASK) + self._window
+        )
         kept = boxes != box_id
         return boxes[kept], expiry[kept]
+
+    def search_rows(self, requests: RequestSet, current_time: int) -> _SearchRows:
+        """The round's rows as the repair's exact searches read them.
+
+        Row ``i`` is :meth:`row_with_expiry` of ``requests[i]``, built from
+        the index only when a search first reads it, after the same
+        checks (a malformed stripe or round raises ``ValueError`` there):
+        as an array for the free-box test, as a list once a search walks
+        it, and an edge's expiry only for the pairs a search flips
+        (:class:`_SearchRows`).
+        """
+        return _SearchRows(self, requests, current_time)
 
     def adjacency_delta_for(
         self, requests: RequestSet, current_time: int

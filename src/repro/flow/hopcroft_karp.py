@@ -21,17 +21,21 @@ round runs, on rows read on demand (below):
   generalized-Hall witness (Lemma 1): the lefts that alternating paths
   reach from the unmatched ones.
 
-The kernel reads the instance on demand, through two members of a *row
-source*: ``heads(lefts)``, each row's first entry (``-1`` for an empty
-row), which the greedy pass reads in one vectorized step, and
+The kernel reads the instance on demand, through three members of a
+*row source*: ``heads(lefts)``, each row's first entry (``-1`` for an
+empty row), which the greedy pass reads in one vectorized step;
+``first_fit(i, room)``, left ``i``'s first right node that still has
+room, which the sequential greedy asks for against a boolean mask it
+keeps in step with its free slots, so the source scans a long row on
+its arrays and leaves it unconverted (:data:`_LIST_SCAN_MAX`); and
 ``rows[i]``, left ``i``'s row as a Python list, converted on first touch
-and cached, which the sequential greedy and the searches read.  A right
-node's list of matched lefts is converted the same way
-(:class:`_LazyRows`).  An infeasible round whose Hall witness is a few
-dozen lefts therefore pays Python work for the rows its searches touch,
-not for the whole instance, and on the matcher's row source NumPy work
-too: it lays out only the rows ``heads`` asks about and builds each
-other row when it is first touched.  The kernel has two entry points:
+and cached, which the searches read.  A right node's list of matched
+lefts is converted the same way (:class:`_LazyRows`).  An infeasible
+round whose Hall witness is a few dozen lefts therefore pays Python work
+for the rows its searches touch, not for the whole instance, and on the
+matcher's row source NumPy work too: it lays out only the rows
+``heads`` asks about and builds each other row when it is first touched.
+The kernel has two entry points:
 
 * :func:`hopcroft_karp_matching` takes a CSR, checks it and solves cold
   on the CSR's rows: the differential oracle, the Dinic cross-checks and
@@ -192,6 +196,42 @@ def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
     return rank
 
 
+#: The longest row a row source converts when the kernel's greedy asks for
+#: its first right node with room: a row of at most this many entries is
+#: converted, cached and scanned as a list, a longer one is scanned on its
+#: arrays and left unconverted.  On one core of a 2-CPU host a CSR row's
+#: array scan costs 1.0–1.6 µs whatever its length, and converting it and
+#: scanning the list to its end 0.5 µs plus 0.07 µs an entry.  A row
+#: without room is walked by the searches, which then find it converted: a
+#: row the kernel's row source builds from the index costs it about 3.5 µs
+#: more.  The greedy's rows hold 4 entries in the median on ``churn_20k``
+#: (2,669 of 2,679 without room at seed 7) and 182 to 764 (tenth to
+#: ninetieth percentile, every one with room) on ``flashcrowd_50k``, whose
+#: long playback-cache windows it reads only up to the first box with room.
+_LIST_SCAN_MAX = 32
+
+
+def _first_in_blocks(blocks, requester: int, room: np.ndarray) -> int:
+    """The first entry of ``blocks``, in order, with ``room`` that is not the requester.
+
+    ``blocks`` are int64 arrays, ``room`` a boolean mask over the right
+    nodes; ``-1`` when no entry qualifies.  A block costs one gather and
+    one ``argmax``: on a short row a comparison ufunc would cost more than
+    both together.
+    """
+    for block in blocks:
+        if block.size:
+            hits = room[block]
+            k = hits.argmax()
+            while hits[k]:
+                j = block.item(k)
+                if j != requester:
+                    return j
+                hits[k] = False  # the requester's own entry
+                k = hits.argmax()
+    return -1
+
+
 class _LazyRows(dict):
     """The rows of a CSR as Python lists, each converted on first touch.
 
@@ -212,6 +252,25 @@ class _LazyRows(dict):
     def __missing__(self, i) -> List[int]:
         row = self[i] = self._values[self._indptr[i]: self._indptr[i + 1]].tolist()
         return row
+
+    def first_fit(self, i, room: np.ndarray) -> int:
+        """Row ``i``'s first entry with ``room`` (a boolean mask), ``-1`` if none.
+
+        A row longer than :data:`_LIST_SCAN_MAX` entries is scanned on its
+        array slice and stays unconverted; any other is converted on first
+        touch and scanned as a list.
+        """
+        row = self.get(i)
+        if row is None:
+            indptr = self._indptr
+            start, end = indptr.item(i), indptr.item(i + 1)
+            if end - start > _LIST_SCAN_MAX:
+                return _first_in_blocks((self._values[start:end],), -1, room)
+            row = self[i] = self._values[start:end].tolist()
+        for j in row:
+            if room[j]:
+                return j
+        return -1
 
     def heads(self, lefts: np.ndarray) -> np.ndarray:
         """Each row's first entry, ``-1`` for an empty row."""
@@ -235,7 +294,7 @@ def _right_matches(num_right: int, lefts: np.ndarray, rights: np.ndarray) -> _La
 
 
 def _kuhn_augment(
-    i0: int, rows, cap, load, match_left, right_matches, visited: Set[int]
+    i0: int, rows, spare, match_left, right_matches, visited: Set[int]
 ) -> bool:
     """Single-source augmentation without layering (small deficits).
 
@@ -252,8 +311,9 @@ def _kuhn_augment(
     free slot until the next augmentation, so the caller passes the same
     set to the searches that follow one and a fresh set after a success.
 
-    ``cap`` is read element-wise and ``load``/``match_left`` are mutated
-    element-wise, so lists and arrays both serve.
+    ``spare[j]`` is right node ``j``'s number of free slots; it and
+    ``match_left`` are mutated element-wise, so lists and arrays both
+    serve.
     """
     # Frame: [left node, its row, position in the row, child position in
     # the current right node's right_matches list (advanced while
@@ -266,10 +326,10 @@ def _kuhn_augment(
         descended = False
         while p < end:
             j = row[p]
-            if load[j] < cap[j]:
+            if spare[j]:
                 frame[2] = p
                 right_matches[j].append(i)
-                load[j] += 1
+                spare[j] -= 1
                 match_left[i] = j
                 for t in range(len(stack) - 2, -1, -1):
                     fi, frow, fp, fm = stack[t]
@@ -342,9 +402,11 @@ def hopcroft_karp_rows(
     """The kernel of :func:`hopcroft_karp_matching` on a row source, seeded.
 
     ``rows`` gives ``heads(lefts)``, each left's first right node (``-1``
-    for an empty row), and ``rows[i]``, left ``i``'s right nodes as a
-    list, cached by the source on first touch; the kernel reads the rows
-    only through them.  ``seed`` is a partial assignment (``-1`` =
+    for an empty row), ``first_fit(i, room)``, left ``i``'s first right
+    node ``j`` with ``room[j]`` (``-1`` if none) for a boolean mask
+    ``room``, and ``rows[i]``, left ``i``'s right nodes as a list, cached
+    by the source on first touch; the kernel reads the rows only through
+    them.  ``seed`` is a partial assignment (``-1`` =
     unmatched) whose pairs the caller built from those rows: the kernel
     adopts every pair, and checks only, in ``O(V)``, that each entry is
     ``-1`` or a right node in range and that no right node is seeded past
@@ -371,7 +433,8 @@ def _solve(
     """The kernel body: adopt the seed, greedy pass, then augment.
 
     ``warm`` is a checked seed (``-1`` = unmatched; all ``-1`` for a cold
-    solve); ``rows`` is read only through ``heads`` and item access.
+    solve); ``rows`` is read only through ``heads``, ``first_fit`` and
+    item access.
     """
     # The adopted pairs, in the order that fixes each right node's list of
     # matched lefts: seed pairs (ascending left per right node) first, then
@@ -387,7 +450,8 @@ def _solve(
     # order.  Until some left finds its row's head full, first-fit gives
     # every left its head, so that prefix is adopted in one vectorized
     # step.  From that left on the pass is inherently sequential: a left
-    # whose head still has room takes it, any other scans its row.
+    # whose head still has room takes it, any other takes its row's first
+    # box with room.
     unmatched = np.flatnonzero(match_arr < 0)
     if not unmatched.size:
         return HKMatchingResult(
@@ -404,19 +468,26 @@ def _solve(
     fits = _rank_among_equal(heads) < (cap_arr - load_arr)[heads]
     stop = fits.size if fits.all() else int(fits.argmin())
     load_arr += np.bincount(heads[:stop], minlength=num_right)
-    load = load_arr.tolist()
-    cap = cap_arr.tolist()
+    # Each right node's free slots: the sequential greedy and the searches
+    # test and take them one at a time.
+    spare_arr = cap_arr - load_arr
+    spare = spare_arr.tolist()
+    # The free slots as a mask, for the row source to find a row's first
+    # right node with room on the row's arrays, without converting a long
+    # row.  Writes through a memoryview keep it in step for less than
+    # NumPy's own.
+    room = spare_arr > 0
+    room_view = room.data
+    first_fit = rows.first_fit
     choices = heads[stop:].tolist()
     for k, j in enumerate(choices):
-        if load[j] < cap[j]:
-            load[j] += 1
-            continue
-        choices[k] = -1
-        for j in rows[int(lefts[stop + k])]:
-            if load[j] < cap[j]:
-                load[j] += 1
-                choices[k] = j
-                break
+        if not spare[j]:
+            j = choices[k] = first_fit(int(lefts[stop + k]), room)
+            if j < 0:
+                continue
+        spare[j] -= 1
+        if not spare[j]:
+            room_view[j] = False
     heads[stop:] = choices
     taken = heads >= 0
     greedy_i, greedy_b = lefts[taken], heads[taken]
@@ -449,7 +520,7 @@ def _solve(
     if free.size <= max(8, math.isqrt(num_left)):
         dead: Set[int] = set()
         for i in free.tolist():
-            if _kuhn_augment(i, rows, cap, load, match_arr, right_matches, dead):
+            if _kuhn_augment(i, rows, spare, match_arr, right_matches, dead):
                 matched += 1
                 dead = set()
         if matched == num_left:
@@ -483,7 +554,7 @@ def _solve(
                 continue
             dn = di + 1
             for j in rows[i]:
-                if load[j] < cap[j]:
+                if spare[j]:
                     if dn < dist_nil:
                         dist_nil = dn
                 elif not seen_right[j]:
@@ -511,11 +582,11 @@ def _solve(
             while p < end:
                 j = row[p]
                 layer = dist[i] + 1
-                if load[j] < cap[j] and layer == dist_nil:
+                if spare[j] and layer == dist_nil:
                     # Free capacity at the frontier layer: augment the path.
                     frame[2] = p
                     right_matches[j].append(i)
-                    load[j] += 1
+                    spare[j] -= 1
                     match_arr[i] = j
                     for t in range(len(stack) - 2, -1, -1):
                         fi, frow, fp, fm = stack[t]

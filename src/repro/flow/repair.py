@@ -151,67 +151,74 @@ class _MatchedLefts:
 
 
 def _kuhn_augment_lazy(
-    i0: int, get_row, cap, load, has_free, match_left, right_matches,
+    i0: int, rows, cap, load, has_free, match_left, right_matches,
     pair_expiry, budget: List[int], dead: Set[int],
 ) -> Optional[bool]:
-    """One shortest-augmenting-path search over lazily materialized rows.
+    """One shortest-augmenting-path search over rows read on demand.
 
     Plays the role of :func:`_kuhn_augment` in the incremental repair,
-    but there is no CSR of the round: rows are gathered on demand through
-    ``get_row(i) -> (boxes_array, boxes_list, expiry_list)``, so a repair
-    touches only the adjacency of the lefts an actual alternating path
-    visits.  On success the flipped pairs' expiries are written into
-    ``pair_expiry`` so the caller's retirement bookkeeping stays exact.
+    but there is no CSR of the round: ``rows`` is a row source
+    (:meth:`repro.core.possession.PossessionIndex.search_rows` builds it)
+    read through three members: ``rows.array(i)``, left ``i``'s boxes as
+    an int64 array; ``rows[i]``, the same row as a list; and
+    ``rows.expiry(i, e)``, the expiry of edge ``e`` of row ``i``.  A
+    repair so touches only the adjacency of the lefts an actual
+    alternating path visits.  On success the flipped pairs' expiries are
+    written into ``pair_expiry`` so the caller's retirement bookkeeping
+    stays exact; a parent link keeps its edge's index, and only the
+    flipped edges' expiries are resolved.
 
     The search is breadth-first: each discovered left first sweeps its
     whole row for a box with spare capacity (one vectorized gather of
-    the ``has_free`` mask, which the augment step keeps in sync with
-    ``load``), and only the fully saturated boxes contribute displaced
-    lefts to the frontier.  Under Zipf load the saturated boxes
+    the ``has_free`` mask over its array, which the augment step keeps in
+    sync with ``load``), and only the fully saturated boxes contribute
+    displaced lefts to the frontier.  Under Zipf load the saturated boxes
     cluster, so a depth-first search would plunge through thousands of
     full boxes while a length-3 path (row → full box → displaced left →
     free box) sits one level away; BFS finds it after a handful of row
     scans.  The free-slot test runs at discovery, not at dequeue: the
     last BFS level is by far the widest (popular rows reach thousands
     of displaced lefts), and testing on generation means it is never
-    materialized.
+    walked.  A row becomes a list only when its left is popped.
 
     ``right_matches[j]`` is box ``j``'s list of matched lefts
     (:class:`_MatchedLefts`).  ``dead`` holds the lefts whose row had no
     free box: within one repair call ``has_free`` only goes from true to
     false (a success fills one slot, a path flip moves no load), so such
     a row never gets one and is not tested again.  A discovered left
-    already in ``dead`` is queued without its row, which is fetched only
-    if the left is popped: most discovered lefts never are.
+    already in ``dead`` is queued without reading its row, which is read
+    only if the left is popped: most discovered lefts never are.
 
     ``budget[0]`` is decremented per discovered left; hitting zero
     aborts with ``None`` (caller falls back to the full kernel) so one
     pathological round cannot cost more than a cold solve.
     """
     # Per discovered left: (predecessor left, box the predecessor reaches
-    # it through, expiry of that predecessor edge); ``None`` at the root.
+    # it through, index of that edge in the predecessor's row); ``None``
+    # at the root.
     parent: dict = {i0: None}
 
-    def try_free(u, boxes_arr, boxes, exps):
+    def try_free(u):
         # Sweep ``u``'s row for a box with spare capacity; on a hit,
         # augment: ``u`` takes the free slot, every predecessor takes
         # over the slot its displaced left vacates.  ``u`` is not in
         # ``dead``: a root is unmatched, and only matched lefts are
         # discovered.
-        if not boxes_arr.size:
+        boxes = rows.array(u)
+        if not boxes.size:
             return False
-        mask = has_free[boxes_arr]
-        e = int(np.argmax(mask))
+        mask = has_free[boxes]
+        e = int(mask.argmax())
         if not mask[e]:
             dead.add(u)
             return False
-        j = boxes[e]
+        j = boxes.item(e)
         right_matches.append(j, u)
         load[j] += 1
         if load[j] >= cap[j]:
             has_free[j] = False
         match_left[u] = j
-        pair_expiry[u] = exps[e]
+        pair_expiry[u] = rows.expiry(u, e)
         cur = u
         link = parent[cur]
         while link is not None:
@@ -219,47 +226,38 @@ def _kuhn_augment_lazy(
             siblings = right_matches[b]
             siblings[siblings.index(cur)] = p
             match_left[p] = b
-            pair_expiry[p] = x
+            pair_expiry[p] = rows.expiry(p, x)
             cur = p
             link = parent[cur]
         return True
 
-    arr0, row0, exp0 = get_row(i0)
-    if try_free(i0, arr0, row0, exp0):
+    if try_free(i0):
         return True
     visited = set()
-    frontier = deque(((i0, row0, exp0),))
+    frontier = deque((i0,))
     while frontier:
-        u, boxes, exps = frontier.popleft()
-        if boxes is None:
-            _, boxes, exps = get_row(u)
-        for e in range(len(boxes)):
-            j = boxes[e]
+        u = frontier.popleft()
+        for e, j in enumerate(rows[u]):
             if j in visited:
                 continue
             visited.add(j)
-            x = exps[e]
             for k in right_matches[j]:
                 if k in parent:
                     continue
                 if budget[0] <= 0:
                     return None
                 budget[0] -= 1
-                parent[k] = (u, j, x)
-                if k in dead:
-                    frontier.append((k, None, None))
-                    continue
-                ak, bk, xk = get_row(k)
-                if try_free(k, ak, bk, xk):
+                parent[k] = (u, j, e)
+                if k not in dead and try_free(k):
                     return True
-                frontier.append((k, bk, xk))
+                frontier.append(k)
     return False
 
 
 def repair_matching(
     num_left: int,
     num_right: int,
-    get_row,
+    rows,
     right_capacities: np.ndarray,
     assignment: np.ndarray,
     load: np.ndarray,
@@ -273,8 +271,8 @@ def repair_matching(
     (and the matching ``load``/``pair_expiry`` arrays) hold the survivors
     of the previous round after delta retirement, and ``deficit_rows`` the
     lefts still unmatched.  Each deficit row gets one exhaustive Kuhn
-    search through ``get_row`` (lazily materialized adjacency); all three
-    arrays are mutated in place.
+    search over the row source ``rows`` (read on demand; see
+    :func:`_kuhn_augment_lazy`); all three arrays are mutated in place.
 
     Returns ``True`` when every deficit row was matched — the matching is
     then perfect, hence maximum.  Returns ``False`` (without finishing)
@@ -297,7 +295,7 @@ def repair_matching(
     dead: Set[int] = set()
     for i in deficit_rows:
         if not _kuhn_augment_lazy(
-            int(i), get_row, right_capacities, load, has_free, assignment,
+            int(i), rows, right_capacities, load, has_free, assignment,
             right_matches, pair_expiry, budget, dead,
         ):
             return False

@@ -65,26 +65,29 @@ def test_retire_pairs_matches_the_pair_by_pair_reference(instance):
 
 
 def kuhn_augment_reference(
-    i0, get_row, cap, load, has_free, match_left, right_matches, pair_expiry, budget
+    i0, rows, expiries, cap, load, has_free, match_left, right_matches,
+    pair_expiry, budget,
 ):
-    """One breadth-first search of the exact repair, testing every
-    discovered left's row for a free box."""
+    """One breadth-first search of the exact repair over explicit rows,
+    testing every discovered left's row for a free box and recording each
+    parent edge's expiry when the edge is met."""
     parent = {i0: None}
 
-    def try_free(u, boxes_arr, boxes, exps):
+    def try_free(u):
+        boxes_arr = np.array(rows[u], dtype=np.int64)
         if not boxes_arr.size:
             return False
         mask = has_free[boxes_arr]
         e = int(np.argmax(mask))
         if not mask[e]:
             return False
-        j = boxes[e]
+        j = rows[u][e]
         right_matches[j].append(u)
         load[j] += 1
         if load[j] >= cap[j]:
             has_free[j] = False
         match_left[u] = j
-        pair_expiry[u] = exps[e]
+        pair_expiry[u] = expiries[u][e]
         cur = u
         link = parent[cur]
         while link is not None:
@@ -97,19 +100,18 @@ def kuhn_augment_reference(
             link = parent[cur]
         return True
 
-    arr0, row0, exp0 = get_row(i0)
-    if try_free(i0, arr0, row0, exp0):
+    if try_free(i0):
         return True
     visited = set()
-    frontier = deque(((i0, row0, exp0),))
+    frontier = deque((i0,))
     while frontier:
-        u, boxes, exps = frontier.popleft()
-        for e in range(len(boxes)):
-            j = boxes[e]
+        u = frontier.popleft()
+        for e in range(len(rows[u])):
+            j = rows[u][e]
             if j in visited:
                 continue
             visited.add(j)
-            x = exps[e]
+            x = expiries[u][e]
             for k in right_matches[j]:
                 if k in parent:
                     continue
@@ -117,16 +119,15 @@ def kuhn_augment_reference(
                     return None
                 budget[0] -= 1
                 parent[k] = (u, j, x)
-                ak, bk, xk = get_row(k)
-                if try_free(k, ak, bk, xk):
+                if try_free(k):
                     return True
-                frontier.append((k, bk, xk))
+                frontier.append(k)
     return False
 
 
 def repair_reference(
-    num_right, get_row, capacities, assignment, load, pair_expiry, deficit_rows,
-    search_budget, budget_floor, budget_per_row,
+    num_right, rows, expiries, capacities, assignment, load, pair_expiry,
+    deficit_rows, search_budget, budget_floor, budget_per_row,
 ):
     """The exact repair with every box's matched lefts indexed at entry."""
     if search_budget is not None and len(deficit_rows) > search_budget:
@@ -137,16 +138,38 @@ def repair_reference(
     budget = [max(budget_floor, budget_per_row * len(deficit_rows))]
     for i in deficit_rows:
         if not kuhn_augment_reference(
-            i, get_row, capacities, load, has_free, assignment, right_matches,
-            pair_expiry, budget,
+            i, rows, expiries, capacities, load, has_free, assignment,
+            right_matches, pair_expiry, budget,
         ):
             return False
     return True
 
 
-def row_reader(rows, expiries):
-    """``get_row`` over explicit rows: the array, the list and the expiries."""
-    return lambda i: (np.array(rows[i], dtype=np.int64), rows[i], expiries[i])
+class ExplicitRows(dict):
+    """The exact searches' row source over explicit rows and expiries.
+
+    ``array(i)``, ``rows[i]`` (converted once, cached) and ``expiry(i,
+    e)``, as :meth:`repro.core.possession.PossessionIndex.search_rows`
+    serves them; ``arrays`` and ``lists`` record, in order, every array
+    read and every list conversion.
+    """
+
+    def __init__(self, rows, expiries):
+        super().__init__()
+        self._rows, self._expiries = rows, expiries
+        self.arrays, self.lists = [], []
+
+    def __missing__(self, i):
+        self.lists.append(i)
+        row = self[i] = list(self._rows[i])
+        return row
+
+    def array(self, i):
+        self.arrays.append(i)
+        return np.array(self._rows[i], dtype=np.int64)
+
+    def expiry(self, i, e):
+        return self._expiries[i][e]
 
 
 @st.composite
@@ -185,7 +208,6 @@ def run_both(instance):
     return value, the assignment, the load and the pair expiries."""
     (num_boxes, capacities, rows, expiries, assignment, load, pair_expiry,
      deficit, search_budget, budget_floor, budget_per_row) = instance
-    get_row = row_reader(rows, expiries)
     outcomes = []
     for side in ("repair", "reference"):
         state = [np.array(column, dtype=np.int64) for column in (assignment, load, pair_expiry)]
@@ -194,11 +216,12 @@ def run_both(instance):
             with mock.patch.object(repair, "_DISPLACEMENT_BUDGET_FLOOR", budget_floor), \
                     mock.patch.object(repair, "_DISPLACEMENT_BUDGET_PER_ROW", budget_per_row):
                 done = repair_matching(
-                    len(rows), num_boxes, get_row, caps, *state, deficit, search_budget
+                    len(rows), num_boxes, ExplicitRows(rows, expiries), caps, *state,
+                    deficit, search_budget,
                 )
         else:
             done = repair_reference(
-                num_boxes, get_row, caps, *state, deficit, search_budget,
+                num_boxes, rows, expiries, caps, *state, deficit, search_budget,
                 budget_floor, budget_per_row,
             )
         outcomes.append((done, *(column.tolist() for column in state)))
@@ -262,16 +285,17 @@ def test_a_row_found_without_a_free_box_still_counts_against_the_budget():
 
 def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
     """Boxes 0 to 4 hold one slot each; left 0 (row [0]) holds box 0, left
-    1 (row [1, 2]) box 1 and left 2 box 3.  Left 3's search reads left 0's
+    1 (row [1, 2]) box 1 and left 2 box 3.  Left 3's search tests left 0's
     row, finds no free box in it, and moves left 1 to box 2.  Left 4's
     search (row [0, 3]) discovers left 0 again and queues it without
     reading its row.  With left 2's row [3, 4], the search moves left 2 to
     box 4 before it pops left 0, whose row is never read again.  With left
-    2's row [3], the search pops left 0 and only then reads its row, and
-    fails."""
-    for row_2, calls_expected, done_expected, assignment_expected in (
-        ([3, 4], [3, 0, 1, 4, 2], True, [0, 2, 4, 1, 3]),
-        ([3], [3, 0, 1, 4, 2, 0], False, [0, 2, 3, 1, -1]),
+    2's row [3], the search pops left 0 and only then reads its row, as a
+    list, and fails.  A row is tested on its array when its left is
+    discovered and converted to a list only when its left is popped."""
+    for row_2, lists_expected, done_expected, assignment_expected in (
+        ([3, 4], [3, 4], True, [0, 2, 4, 1, 3]),
+        ([3], [3, 4, 0, 2], False, [0, 2, 3, 1, -1]),
     ):
         rows = [[0], [1, 2], row_2, [0, 1], [0, 3]]
         expiries = [[1] * len(row) for row in rows]
@@ -281,19 +305,14 @@ def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
         )
         got, expected = run_both(instance)
         assert got == expected
-        calls = []
-        read = row_reader(rows, expiries)
-
-        def get_row(i):
-            calls.append(i)
-            return read(i)
-
+        source = ExplicitRows(rows, expiries)
         assignment = np.array([0, 1, 3, -1, -1], dtype=np.int64)
         done = repair_matching(
-            5, 5, get_row, np.ones(5, dtype=np.int64), assignment,
+            5, 5, source, np.ones(5, dtype=np.int64), assignment,
             np.array([1, 1, 0, 1, 0], dtype=np.int64), np.zeros(5, dtype=np.int64),
             [3, 4],
         )
-        assert calls == calls_expected
+        assert source.arrays == [3, 0, 1, 4, 2]
+        assert source.lists == lists_expected
         assert done is done_expected
         assert assignment.tolist() == assignment_expected == got[1]

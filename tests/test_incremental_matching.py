@@ -376,7 +376,9 @@ def _matcher_output_digest(spec, seed: int, rounds: int, build, search_budget=No
     """SHA-256 over every ``match`` call of a run, in call order.
 
     Each call contributes its assignment, matched count, feasibility, Hall
-    witness, repair-fallback flag and pair expiries.
+    witness, repair-fallback flag and pair expiries, and its box loads
+    must equal its assignment's per-box count: a repaired round returns
+    the load the repair tracked, every other round counts it.
     """
     compiled = build(spec, seed=seed, min_horizon=rounds)
     matcher = compiled.simulator.matcher
@@ -387,6 +389,10 @@ def _matcher_output_digest(spec, seed: int, rounds: int, build, search_budget=No
 
     def hashed_match(*args, **kwargs):
         result = match(*args, **kwargs)
+        assignment = result.assignment
+        served = np.bincount(assignment[assignment >= 0], minlength=result.capacities.size)
+        assert result.box_load.dtype == np.int64
+        assert np.array_equal(result.box_load, served)
         digest.update(np.asarray(result.assignment, dtype=np.int64).tobytes())
         digest.update(
             repr(
@@ -450,7 +456,8 @@ def test_matcher_output_is_pinned():
     20 rounds) and the 2k-box churn-storm soak at 5% outages (seed 1,
     30 rounds) run as built and as the full-solve twin;
     ``near_threshold_load`` also runs with a repair search budget of 0,
-    so its over-budget fallbacks are pinned too.
+    so its over-budget fallbacks are pinned too.  Every call's box loads
+    are checked against its assignment.
     """
     runs = {
         "churn_storm": (get_scenario("churn_storm"), 1, 24),

@@ -477,6 +477,13 @@ class TestDownloadWriterAndQueryChecks:
                 index.delta_rows(RequestSet([stripe], [0], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="stripe ids"):
             index.row_with_expiry(stripe, 7, 0, 1)
+        if stripe >= 0:
+            # The exact searches' rows check a request when they build it.
+            rows = index.search_rows(RequestSet([stripe], [0], [7]), 1)
+            with pytest.raises(ValueError, match="stripe ids"):
+                rows.array(0)
+            with pytest.raises(ValueError, match="stripe ids"):
+                rows[0]
         with pytest.raises(ValueError, match="stripe ids"):
             index.static_servers(stripe)
         with pytest.raises(ValueError, match="stripe ids"):
@@ -498,12 +505,18 @@ class TestDownloadWriterAndQueryChecks:
                 index.delta_rows(RequestSet([0], [round_], [7]), 1, [0], 4)
         with pytest.raises(ValueError, match="request rounds"):
             index.row_with_expiry(0, 7, round_, 1)
+        if round_ >= 0:
+            rows = index.search_rows(RequestSet([0], [round_], [7]), 1)
+            with pytest.raises(ValueError, match="request rounds"):
+                rows.array(0)
         with pytest.raises(ValueError, match="request rounds"):
             index.cache_servers(0, round_, 1)
         with pytest.raises(ValueError, match="request rounds"):
             index.servers_for(0, round_, 1)
         with pytest.raises(ValueError, match="current_time"):
             index.row_with_expiry(0, 7, 0, round_)
+        with pytest.raises(ValueError, match="current_time"):
+            index.search_rows(RequestSet([0], [0], [7]), round_).array(0)
         with pytest.raises(ValueError, match="current_time"):
             index.cache_servers(0, 0, round_)
         with pytest.raises(ValueError, match="current_time"):

@@ -35,12 +35,13 @@ from repro.core.parameters import homogeneous_population
 from repro.core.possession import NEVER_EXPIRES, PossessionIndex
 from repro.core.requests import RequestSet
 from repro.core.video import Catalog
+import repro.flow.hopcroft_karp as hk_module
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.repair import _greedy_first_fit
 from repro.sim.scheduler import ActiveRequestPool
 from repro.sim.swarm import SwarmRegistry
-from seeded_kernel import solve_seeded
+from seeded_kernel import csr_rows, solve_seeded
 
 
 # --------------------------------------------------------------------- #
@@ -400,6 +401,67 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
             assert laid_out == [num if whole else lefts.size]
 
 
+def first_with_room(row, room):
+    """The first entry of a row (a list) with room, ``-1`` if none."""
+    return next((j for j in row if room[j]), -1)
+
+
+def check_first_fit(possession, requests, current_time, room, order, convert, shift, scan_max):
+    """Check ``kernel_rows``' ``first_fit`` against the CSR's rows.
+
+    With ``_LAYOUT_SHIFT`` patched to ``shift`` and ``_LIST_SCAN_MAX`` to
+    ``scan_max``, ``first_fit(i, room)`` in ``order`` is the first entry of
+    row ``i`` of ``adjacency_for`` with room.  A row longer than
+    ``scan_max`` is scanned on its arrays: it is not converted, and the
+    round is not laid out for it.  Any other is converted as a miss is,
+    and equals the CSR's row.  ``first_fit`` gives the same boxes again
+    after the rows in ``convert`` are read (built alone or cut from the
+    layout) and after ``heads`` asked about every row, whether or not
+    that laid the round out.
+    """
+    num = len(requests)
+    indptr, indices = possession.adjacency_for(requests, current_time)
+    rows_csr = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(num)]
+    expected = [first_with_room(row, room) for row in rows_csr]
+    short = {i for i in order if len(rows_csr_kept(possession, requests, current_time, i)) <= scan_max}
+    budget = num >> shift
+    laid_out = []
+    row_blocks = PossessionIndex._row_blocks
+
+    def counted_blocks(index, stripes, *args):
+        laid_out.append(stripes.size)
+        return row_blocks(index, stripes, *args)
+
+    with mock.patch.object(possession_module, "_LAYOUT_SHIFT", shift), \
+            mock.patch.object(hk_module, "_LIST_SCAN_MAX", scan_max), \
+            mock.patch.object(possession_module, "_LIST_SCAN_MAX", scan_max), \
+            mock.patch.object(PossessionIndex, "_row_blocks", counted_blocks):
+        rows = possession.kernel_rows(requests, current_time)
+        for i in order:
+            assert rows.first_fit(i, room) == expected[i], (shift, i)
+        assert set(rows) == short
+        assert all(rows[i] == rows_csr[i] for i in short)
+        assert laid_out == ([num] if len(short) > budget else [])
+        for i in convert:
+            assert rows[i] == rows_csr[i], (shift, i)
+        for i in order:
+            assert rows.first_fit(i, room) == expected[i], (shift, i)
+        # Lays out the round, or, with budget to spare, every row's blocks.
+        rows.heads(np.arange(num))
+        for i in order:
+            assert rows.first_fit(i, room) == expected[i], (shift, i)
+        assert set(rows) == short | set(convert)
+
+
+def rows_csr_kept(possession, requests, current_time, i):
+    """Row ``i`` with the requester kept, as a list (its length decides the scan)."""
+    boxes, _ = possession.row_with_expiry(
+        int(requests.stripe_id_array[i]), -1, int(requests.request_time_array[i]),
+        current_time,
+    )
+    return boxes.tolist()
+
+
 class TestAdjacencyEquivalence:
     def _build(self, allocation, downloads, relays, evict_at):
         possession = PossessionIndex(allocation, cache_window=6)
@@ -527,8 +589,116 @@ class TestAdjacencyEquivalence:
         )
         lefts = np.array([1, 3, 4, 6], dtype=np.int64)
         order = [3, 0, 7, 4, 1, 6, 2, 5]
+        # Room on every box but the holders of stripes 0 and 4: first fits
+        # fall in the cache and relay blocks, or nowhere.
+        room = np.ones(12, dtype=bool)
+        for stripe in (0, 4):
+            room[possession.static_servers(stripe)] = False
         for shift in (0, 1, 2, 4):
             check_kernel_rows(possession, requests, 5, lefts, order, shift)
+            for scan_max in (-1, 3, hk_module._LIST_SCAN_MAX):
+                check_first_fit(
+                    possession, requests, 5, room, order, [4, 0, 7], shift, scan_max
+                )
+
+    def _rich_instance(self, instance, data):
+        """An instance whose rows hold every kind of entry, and its request set.
+
+        Some downloads repeat in later rounds (a box twice in a window),
+        some static holders also cache their stripe, and most requesters
+        are drawn from their own row (static, cache or relay entries of
+        the requester); relays and empty windows come with the instance.
+        """
+        allocation, downloads, relays, requests, current_time, evict_at = instance
+        static = PossessionIndex(allocation, cache_window=6)
+        extra = []
+        for stripe, _, _ in requests:
+            if data.draw(st.integers(0, 2)) == 0:
+                holder = data.draw(st.sampled_from(static.static_servers(stripe).tolist()))
+                extra.append((stripe, holder, data.draw(st.integers(0, 9))))
+        if downloads:
+            repeats = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(downloads) - 1), st.integers(1, 3)),
+                    max_size=8,
+                )
+            )
+            extra += [
+                (downloads[k][0], downloads[k][1], downloads[k][2] + later)
+                for k, later in repeats
+            ]
+        possession = self._build(allocation, downloads + extra, relays, evict_at)
+        drawn = []
+        for stripe, time, box in requests:
+            # Box -1 excludes nothing: the row keeps the requester.
+            row, _ = possession.row_with_expiry(stripe, -1, time, current_time)
+            if row.size and data.draw(st.integers(0, 3)):
+                box = data.draw(st.sampled_from(row.tolist()))
+            drawn.append((stripe, time, box))
+        return possession, drawn, current_time
+
+    @given(instance=possession_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_search_rows_equal_row_with_expiry(self, instance, data):
+        """The exact searches' rows are their requests' own rows.
+
+        Read in any order, as an array first or as a list first, row
+        ``i`` of ``search_rows`` is ``row_with_expiry`` of request ``i``
+        edge for edge: its array (int64) and its list hold the same boxes
+        in the same order, and ``expiry(i, e)`` is edge ``e``'s expiry.
+        """
+        possession, drawn, current_time = self._rich_instance(instance, data)
+        rows = possession.search_rows(_array_set(drawn), current_time)
+        for i in data.draw(st.permutations(range(len(drawn)))):
+            stripe, time, box = drawn[i]
+            boxes, expiries = possession.row_with_expiry(stripe, box, time, current_time)
+            if data.draw(st.booleans()):
+                assert rows[i] == boxes.tolist(), i
+            array = rows.array(i)
+            assert array.dtype == np.int64
+            assert array.tolist() == boxes.tolist(), i
+            assert rows[i] == boxes.tolist(), i
+            assert [rows.expiry(i, e) for e in range(array.size)] == expiries.tolist(), i
+
+    @given(instance=possession_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_fit_is_the_first_entry_with_room(self, instance, data):
+        """``first_fit(i, room)`` is the first box of row ``i`` with room.
+
+        On the kernel's row source in every regime: rows built alone
+        (every row, with the switch patched to build them all alone),
+        laid out (the switch patched so the first read lays out the
+        round), switching partway, and with rows already converted, each
+        with every row scanned on its arrays, every row converted, and
+        the built length limit; and on a CSR's row source, likewise.
+        """
+        possession, drawn, current_time = self._rich_instance(instance, data)
+        num_boxes = possession.allocation.num_boxes
+        room = np.array(
+            data.draw(st.lists(st.booleans(), min_size=num_boxes, max_size=num_boxes))
+        )
+        num = len(drawn)
+        order = data.draw(st.permutations(range(num)))
+        convert = data.draw(st.lists(st.integers(0, num - 1), max_size=num, unique=True))
+        inside = data.draw(st.integers(1, max(num.bit_length() - 1, 1)))
+        requests = _array_set(drawn)
+        limit = data.draw(st.integers(0, 6))
+        for shift in (0, inside, num.bit_length(), possession_module._LAYOUT_SHIFT):
+            for scan_max in (-1, limit, hk_module._LIST_SCAN_MAX):
+                check_first_fit(
+                    possession, requests, current_time, room, order, convert, shift,
+                    scan_max,
+                )
+        indptr, indices = possession.adjacency_for(requests, current_time)
+        for scan_max in (-1, limit, hk_module._LIST_SCAN_MAX):
+            with mock.patch.object(hk_module, "_LIST_SCAN_MAX", scan_max):
+                lazy = csr_rows(indptr, indices)
+                for i in convert:
+                    lazy[i]
+                for i in order:
+                    row = indices[indptr[i]:indptr[i + 1]].tolist()
+                    assert lazy.first_fit(i, room) == first_with_room(row, room), i
+                    assert (i in lazy) == (i in convert or len(row) <= scan_max)
 
     @given(instance=possession_instances(), k=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
@@ -653,8 +823,8 @@ class TestRepairGreedySkipsTheRequester:
 
 
 class TestBatchedRowsDropTheRequester:
-    """The round's CSR and the kernel's row source drop the requester from
-    every block of its row."""
+    """The round's CSR, the kernel's row source and the exact searches'
+    rows drop the requester from every block of its row."""
 
     def test_requester_entries_leave_no_trace_in_any_block(self):
         """Rows 0 and 2 hold only the requester's own entries (static and
@@ -685,7 +855,15 @@ class TestBatchedRowsDropTheRequester:
         ]
         rows = index.kernel_rows(requests, 3)
         assert rows.heads(np.arange(3)).tolist() == [-1, a, -1]
+        room = np.ones(6, dtype=bool)
+        assert [rows.first_fit(i, room) for i in range(3)] == [-1, a, -1]
+        room[a] = False
+        assert [rows.first_fit(i, room) for i in range(3)] == [-1, c, -1]
         assert [rows[i] for i in range(3)] == [[], [a, c], []]
+        search = index.search_rows(requests, 3)
+        assert [search.array(i).tolist() for i in range(3)] == [[], [a, c], []]
+        assert [search[i] for i in range(3)] == [[], [a, c], []]
+        assert [search.expiry(1, e) for e in range(2)] == [1 + window, NEVER_EXPIRES]
 
 
 TOP_ROUND = 2**31 - 1
