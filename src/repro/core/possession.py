@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.requests import RequestSet
 from repro.core.video import StripeId
-from repro.flow.hopcroft_karp import _LIST_SCAN_MAX, _first_in_blocks
 from repro.util.soa import stable_argsort
 from repro.util.validation import check_positive_integer
 
@@ -168,6 +167,44 @@ class _DeltaRows:
 _LAYOUT_SHIFT = 5
 
 
+#: The longest row :meth:`_KernelRows.first_fit` converts: a row of at
+#: most this many entries is converted, cached and scanned as a list, a
+#: longer one is scanned on its arrays and left unconverted.  On one core
+#: of a 2-CPU host a row slice's array scan costs 0.6–1.3 µs whatever its
+#: length (2 to 461 entries), and converting it and scanning the list to
+#: its end against the kernel's free slots 0.1 µs plus 0.03 µs an entry:
+#: the two meet near 16 entries.  A row without room is walked by the
+#: searches, which then find it converted: one the source builds from the
+#: index costs them about 3.5 µs more, so rows up to twice that length
+#: are converted.  The greedy's rows hold 4 entries in the median on
+#: ``churn_20k`` (2,669 of 2,679 without room at seed 7) and 182 to 764
+#: (tenth to ninetieth percentile, every one with room) on
+#: ``flashcrowd_50k``, whose long playback-cache windows it reads only up
+#: to the first box with room.
+_LIST_SCAN_MAX = 32
+
+
+def _first_in_blocks(blocks, requester: int, room: np.ndarray) -> int:
+    """The first entry of ``blocks``, in order, with ``room`` that is not the requester.
+
+    ``blocks`` are int64 arrays, ``room`` a boolean mask over the boxes;
+    ``-1`` when no entry qualifies.  A block costs one gather and one
+    ``argmax``: on a short row a comparison ufunc would cost more than
+    both together.
+    """
+    for block in blocks:
+        if block.size:
+            hits = room[block]
+            k = hits.argmax()
+            while hits[k]:
+                j = block.item(k)
+                if j != requester:
+                    return j
+                hits[k] = False  # the requester's own entry
+                k = hits.argmax()
+    return -1
+
+
 class _KernelRows(dict):
     """A round's rows for the full kernel, from :meth:`PossessionIndex.kernel_rows`.
 
@@ -186,9 +223,10 @@ class _KernelRows(dict):
     requester, ``-1`` for a row left empty, without converting a row: it
     lays out only ``lefts`` until the round is laid out, and lays out the
     round when asked about more rows than the source still builds alone.
-    ``first_fit(i, room)``, which the kernel's sequential greedy asks,
-    gives row ``i``'s first box with room: on a long row's arrays, without
-    converting it either, and on a short one converted as a miss would.
+    ``first_fit(i, spare, room)``, which the kernel's sequential greedy
+    asks, gives row ``i``'s first box with a free slot: on a long row's
+    arrays, without converting it either, and on a short one converted as
+    a miss would.
     Rows are built from the index as it stands, so the source serves one
     kernel call.
     """
@@ -256,14 +294,15 @@ class _KernelRows(dict):
             row = [j for j in row if j != requester]
         return row
 
-    def first_fit(self, i, room: np.ndarray) -> int:
-        """Row ``i``'s first box with ``room`` (a boolean mask), ``-1`` if none.
+    def first_fit(self, i, spare, room: np.ndarray) -> int:
+        """Row ``i``'s first box ``j`` with ``spare[j]`` free slots, ``-1`` if none.
 
-        A row longer than :data:`repro.flow.hopcroft_karp._LIST_SCAN_MAX`
-        entries is scanned on its arrays and stays unconverted: its slices
-        of the layout once the round is laid out, else its blocks from the
-        index.  Any other row is converted as a miss converts it, from the
-        blocks already read, and scanned as a list.
+        ``room`` is the boolean mask of the boxes with a free slot.  A row
+        longer than :data:`_LIST_SCAN_MAX` entries is scanned against it on
+        its arrays and stays unconverted: its slices of the layout once the
+        round is laid out, else its blocks from the index.  Any other row
+        is converted as a miss converts it, from the blocks already read,
+        and scanned as a list against ``spare``.
         """
         row = self.get(i)
         if row is None:
@@ -283,7 +322,7 @@ class _KernelRows(dict):
                     return _first_in_blocks(arrays, requester, room)
             row = self._convert(i, blocks)
         for j in row:
-            if room[j]:
+            if spare[j]:
                 return j
         return -1
 

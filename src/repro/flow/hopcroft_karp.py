@@ -24,17 +24,19 @@ round runs, on rows read on demand (below):
 The kernel reads the instance on demand, through three members of a
 *row source*: ``heads(lefts)``, each row's first entry (``-1`` for an
 empty row), which the greedy pass reads in one vectorized step;
-``first_fit(i, room)``, left ``i``'s first right node that still has
-room, which the sequential greedy asks for against a boolean mask it
-keeps in step with its free slots, so the source scans a long row on
-its arrays and leaves it unconverted (:data:`_LIST_SCAN_MAX`); and
-``rows[i]``, left ``i``'s row as a Python list, converted on first touch
-and cached, which the searches read.  A right node's list of matched
-lefts is converted the same way (:class:`_LazyRows`).  An infeasible
-round whose Hall witness is a few dozen lefts therefore pays Python work
-for the rows its searches touch, not for the whole instance, and on the
-matcher's row source NumPy work too: it lays out only the rows
-``heads`` asks about and builds each other row when it is first touched.
+``first_fit(i, spare, room)``, left ``i``'s first right node with a free
+slot, which the sequential greedy asks for with its list of free slots
+``spare`` and a boolean mask ``room`` it keeps in step with that list,
+so a source may scan a long row on its arrays and leave it unconverted
+(the matcher's row source does); and ``rows[i]``, left ``i``'s row as a
+Python list, converted on first touch and cached, which the searches
+read.  A CSR's row source (:class:`_LazyRows`) converts every row it is
+asked about, and a right node's list of matched lefts is converted the
+same way.  An infeasible round whose Hall witness is a few dozen lefts
+therefore pays Python work for the rows its searches touch, not for the
+whole instance, and on the matcher's row source NumPy work too: it lays
+out only the rows ``heads`` asks about and builds each other row when it
+is first touched.
 The kernel has two entry points:
 
 * :func:`hopcroft_karp_matching` takes a CSR, checks it and solves cold
@@ -196,42 +198,6 @@ def _rank_among_equal(seq_b: np.ndarray) -> np.ndarray:
     return rank
 
 
-#: The longest row a row source converts when the kernel's greedy asks for
-#: its first right node with room: a row of at most this many entries is
-#: converted, cached and scanned as a list, a longer one is scanned on its
-#: arrays and left unconverted.  On one core of a 2-CPU host a CSR row's
-#: array scan costs 1.0–1.6 µs whatever its length, and converting it and
-#: scanning the list to its end 0.5 µs plus 0.07 µs an entry.  A row
-#: without room is walked by the searches, which then find it converted: a
-#: row the kernel's row source builds from the index costs it about 3.5 µs
-#: more.  The greedy's rows hold 4 entries in the median on ``churn_20k``
-#: (2,669 of 2,679 without room at seed 7) and 182 to 764 (tenth to
-#: ninetieth percentile, every one with room) on ``flashcrowd_50k``, whose
-#: long playback-cache windows it reads only up to the first box with room.
-_LIST_SCAN_MAX = 32
-
-
-def _first_in_blocks(blocks, requester: int, room: np.ndarray) -> int:
-    """The first entry of ``blocks``, in order, with ``room`` that is not the requester.
-
-    ``blocks`` are int64 arrays, ``room`` a boolean mask over the right
-    nodes; ``-1`` when no entry qualifies.  A block costs one gather and
-    one ``argmax``: on a short row a comparison ufunc would cost more than
-    both together.
-    """
-    for block in blocks:
-        if block.size:
-            hits = room[block]
-            k = hits.argmax()
-            while hits[k]:
-                j = block.item(k)
-                if j != requester:
-                    return j
-                hits[k] = False  # the requester's own entry
-                k = hits.argmax()
-    return -1
-
-
 class _LazyRows(dict):
     """The rows of a CSR as Python lists, each converted on first touch.
 
@@ -253,22 +219,14 @@ class _LazyRows(dict):
         row = self[i] = self._values[self._indptr[i]: self._indptr[i + 1]].tolist()
         return row
 
-    def first_fit(self, i, room: np.ndarray) -> int:
-        """Row ``i``'s first entry with ``room`` (a boolean mask), ``-1`` if none.
+    def first_fit(self, i, spare, room: np.ndarray) -> int:
+        """Row ``i``'s first entry ``j`` with ``spare[j]``, ``-1`` if none.
 
-        A row longer than :data:`_LIST_SCAN_MAX` entries is scanned on its
-        array slice and stays unconverted; any other is converted on first
-        touch and scanned as a list.
+        The row is converted on first touch and scanned as a list;
+        ``room`` goes unread.
         """
-        row = self.get(i)
-        if row is None:
-            indptr = self._indptr
-            start, end = indptr.item(i), indptr.item(i + 1)
-            if end - start > _LIST_SCAN_MAX:
-                return _first_in_blocks((self._values[start:end],), -1, room)
-            row = self[i] = self._values[start:end].tolist()
-        for j in row:
-            if room[j]:
+        for j in self[i]:
+            if spare[j]:
                 return j
         return -1
 
@@ -402,12 +360,13 @@ def hopcroft_karp_rows(
     """The kernel of :func:`hopcroft_karp_matching` on a row source, seeded.
 
     ``rows`` gives ``heads(lefts)``, each left's first right node (``-1``
-    for an empty row), ``first_fit(i, room)``, left ``i``'s first right
-    node ``j`` with ``room[j]`` (``-1`` if none) for a boolean mask
-    ``room``, and ``rows[i]``, left ``i``'s right nodes as a list, cached
-    by the source on first touch; the kernel reads the rows only through
-    them.  ``seed`` is a partial assignment (``-1`` =
-    unmatched) whose pairs the caller built from those rows: the kernel
+    for an empty row), ``first_fit(i, spare, room)``, left ``i``'s first
+    right node ``j`` with ``spare[j]`` free slots (``-1`` if none) for a
+    list ``spare`` and its boolean mask ``room``, and ``rows[i]``, left
+    ``i``'s right nodes as a list, cached by the source on first touch;
+    the kernel reads the rows only through them.  ``seed`` is a partial
+    assignment (``-1`` = unmatched) whose pairs the caller built from
+    those rows: the kernel
     adopts every pair, and checks only, in ``O(V)``, that each entry is
     ``-1`` or a right node in range and that no right node is seeded past
     its capacity (else ``ValueError``); it does not test that a pair is
@@ -472,23 +431,25 @@ def _solve(
     # test and take them one at a time.
     spare_arr = cap_arr - load_arr
     spare = spare_arr.tolist()
-    # The free slots as a mask, for the row source to find a row's first
-    # right node with room on the row's arrays, without converting a long
-    # row.  Writes through a memoryview keep it in step for less than
-    # NumPy's own.
-    room = spare_arr > 0
-    room_view = room.data
-    first_fit = rows.first_fit
-    choices = heads[stop:].tolist()
-    for k, j in enumerate(choices):
-        if not spare[j]:
-            j = choices[k] = first_fit(int(lefts[stop + k]), room)
-            if j < 0:
-                continue
-        spare[j] -= 1
-        if not spare[j]:
-            room_view[j] = False
-    heads[stop:] = choices
+    if stop < heads.size:
+        # The left at ``stop`` finds its head full, so the row source is
+        # asked for first fits: it reads ``spare`` on a row it scans as a
+        # list, and ``room``, the free slots as a mask, on a row it scans
+        # on its arrays.  Writes through a memoryview keep the mask in
+        # step for less than NumPy's own.
+        room = spare_arr > 0
+        room_view = room.data
+        first_fit = rows.first_fit
+        choices = heads[stop:].tolist()
+        for k, j in enumerate(choices):
+            if not spare[j]:
+                j = choices[k] = first_fit(int(lefts[stop + k]), spare, room)
+                if j < 0:
+                    continue
+            spare[j] -= 1
+            if not spare[j]:
+                room_view[j] = False
+        heads[stop:] = choices
     taken = heads >= 0
     greedy_i, greedy_b = lefts[taken], heads[taken]
     match_arr[greedy_i] = greedy_b

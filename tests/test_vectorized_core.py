@@ -35,7 +35,6 @@ from repro.core.parameters import homogeneous_population
 from repro.core.possession import NEVER_EXPIRES, PossessionIndex
 from repro.core.requests import RequestSet
 from repro.core.video import Catalog
-import repro.flow.hopcroft_karp as hk_module
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import csr_from_edges, hopcroft_karp_matching
 from repro.flow.repair import _greedy_first_fit
@@ -401,17 +400,17 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
             assert laid_out == [num if whole else lefts.size]
 
 
-def first_with_room(row, room):
-    """The first entry of a row (a list) with room, ``-1`` if none."""
-    return next((j for j in row if room[j]), -1)
+def first_with_room(row, spare):
+    """The first entry ``j`` of a row (a list) with ``spare[j]``, ``-1`` if none."""
+    return next((j for j in row if spare[j]), -1)
 
 
-def check_first_fit(possession, requests, current_time, room, order, convert, shift, scan_max):
+def check_first_fit(possession, requests, current_time, spare, order, convert, shift, scan_max):
     """Check ``kernel_rows``' ``first_fit`` against the CSR's rows.
 
     With ``_LAYOUT_SHIFT`` patched to ``shift`` and ``_LIST_SCAN_MAX`` to
-    ``scan_max``, ``first_fit(i, room)`` in ``order`` is the first entry of
-    row ``i`` of ``adjacency_for`` with room.  A row longer than
+    ``scan_max``, ``first_fit(i, spare, spare > 0)`` in ``order`` is the
+    first entry of row ``i`` of ``adjacency_for`` with a free slot.  A row longer than
     ``scan_max`` is scanned on its arrays: it is not converted, and the
     round is not laid out for it.  Any other is converted as a miss is,
     and equals the CSR's row.  ``first_fit`` gives the same boxes again
@@ -422,7 +421,8 @@ def check_first_fit(possession, requests, current_time, room, order, convert, sh
     num = len(requests)
     indptr, indices = possession.adjacency_for(requests, current_time)
     rows_csr = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(num)]
-    expected = [first_with_room(row, room) for row in rows_csr]
+    room = np.array(spare) > 0
+    expected = [first_with_room(row, spare) for row in rows_csr]
     short = {i for i in order if len(rows_csr_kept(possession, requests, current_time, i)) <= scan_max}
     budget = num >> shift
     laid_out = []
@@ -433,23 +433,22 @@ def check_first_fit(possession, requests, current_time, room, order, convert, sh
         return row_blocks(index, stripes, *args)
 
     with mock.patch.object(possession_module, "_LAYOUT_SHIFT", shift), \
-            mock.patch.object(hk_module, "_LIST_SCAN_MAX", scan_max), \
             mock.patch.object(possession_module, "_LIST_SCAN_MAX", scan_max), \
             mock.patch.object(PossessionIndex, "_row_blocks", counted_blocks):
         rows = possession.kernel_rows(requests, current_time)
         for i in order:
-            assert rows.first_fit(i, room) == expected[i], (shift, i)
+            assert rows.first_fit(i, spare, room) == expected[i], (shift, i)
         assert set(rows) == short
         assert all(rows[i] == rows_csr[i] for i in short)
         assert laid_out == ([num] if len(short) > budget else [])
         for i in convert:
             assert rows[i] == rows_csr[i], (shift, i)
         for i in order:
-            assert rows.first_fit(i, room) == expected[i], (shift, i)
+            assert rows.first_fit(i, spare, room) == expected[i], (shift, i)
         # Lays out the round, or, with budget to spare, every row's blocks.
         rows.heads(np.arange(num))
         for i in order:
-            assert rows.first_fit(i, room) == expected[i], (shift, i)
+            assert rows.first_fit(i, spare, room) == expected[i], (shift, i)
         assert set(rows) == short | set(convert)
 
 
@@ -589,16 +588,17 @@ class TestAdjacencyEquivalence:
         )
         lefts = np.array([1, 3, 4, 6], dtype=np.int64)
         order = [3, 0, 7, 4, 1, 6, 2, 5]
-        # Room on every box but the holders of stripes 0 and 4: first fits
-        # fall in the cache and relay blocks, or nowhere.
-        room = np.ones(12, dtype=bool)
+        # Free slots on every box but the holders of stripes 0 and 4: first
+        # fits fall in the cache and relay blocks, or nowhere.
+        spare = [2] * 12
         for stripe in (0, 4):
-            room[possession.static_servers(stripe)] = False
+            for holder in possession.static_servers(stripe).tolist():
+                spare[holder] = 0
         for shift in (0, 1, 2, 4):
             check_kernel_rows(possession, requests, 5, lefts, order, shift)
-            for scan_max in (-1, 3, hk_module._LIST_SCAN_MAX):
+            for scan_max in (-1, 3, possession_module._LIST_SCAN_MAX):
                 check_first_fit(
-                    possession, requests, 5, room, order, [4, 0, 7], shift, scan_max
+                    possession, requests, 5, spare, order, [4, 0, 7], shift, scan_max
                 )
 
     def _rich_instance(self, instance, data):
@@ -663,19 +663,20 @@ class TestAdjacencyEquivalence:
     @given(instance=possession_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_first_fit_is_the_first_entry_with_room(self, instance, data):
-        """``first_fit(i, room)`` is the first box of row ``i`` with room.
+        """``first_fit(i, spare, room)`` is the first box of row ``i`` with a free slot.
 
         On the kernel's row source in every regime: rows built alone
         (every row, with the switch patched to build them all alone),
         laid out (the switch patched so the first read lays out the
         round), switching partway, and with rows already converted, each
         with every row scanned on its arrays, every row converted, and
-        the built length limit; and on a CSR's row source, likewise.
+        the built length limit; and on a CSR's row source, with rows
+        already converted or not.
         """
         possession, drawn, current_time = self._rich_instance(instance, data)
         num_boxes = possession.allocation.num_boxes
-        room = np.array(
-            data.draw(st.lists(st.booleans(), min_size=num_boxes, max_size=num_boxes))
+        spare = data.draw(
+            st.lists(st.integers(0, 2), min_size=num_boxes, max_size=num_boxes)
         )
         num = len(drawn)
         order = data.draw(st.permutations(range(num)))
@@ -684,21 +685,19 @@ class TestAdjacencyEquivalence:
         requests = _array_set(drawn)
         limit = data.draw(st.integers(0, 6))
         for shift in (0, inside, num.bit_length(), possession_module._LAYOUT_SHIFT):
-            for scan_max in (-1, limit, hk_module._LIST_SCAN_MAX):
+            for scan_max in (-1, limit, possession_module._LIST_SCAN_MAX):
                 check_first_fit(
-                    possession, requests, current_time, room, order, convert, shift,
+                    possession, requests, current_time, spare, order, convert, shift,
                     scan_max,
                 )
         indptr, indices = possession.adjacency_for(requests, current_time)
-        for scan_max in (-1, limit, hk_module._LIST_SCAN_MAX):
-            with mock.patch.object(hk_module, "_LIST_SCAN_MAX", scan_max):
-                lazy = csr_rows(indptr, indices)
-                for i in convert:
-                    lazy[i]
-                for i in order:
-                    row = indices[indptr[i]:indptr[i + 1]].tolist()
-                    assert lazy.first_fit(i, room) == first_with_room(row, room), i
-                    assert (i in lazy) == (i in convert or len(row) <= scan_max)
+        lazy = csr_rows(indptr, indices)
+        for i in convert:
+            lazy[i]
+        room = np.array(spare) > 0
+        for i in order:
+            row = indices[indptr[i]:indptr[i + 1]].tolist()
+            assert lazy.first_fit(i, spare, room) == first_with_room(row, spare), i
 
     @given(instance=possession_instances(), k=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
@@ -855,10 +854,11 @@ class TestBatchedRowsDropTheRequester:
         ]
         rows = index.kernel_rows(requests, 3)
         assert rows.heads(np.arange(3)).tolist() == [-1, a, -1]
+        spare = [1] * 6
         room = np.ones(6, dtype=bool)
-        assert [rows.first_fit(i, room) for i in range(3)] == [-1, a, -1]
-        room[a] = False
-        assert [rows.first_fit(i, room) for i in range(3)] == [-1, c, -1]
+        assert [rows.first_fit(i, spare, room) for i in range(3)] == [-1, a, -1]
+        spare[a], room[a] = 0, False
+        assert [rows.first_fit(i, spare, room) for i in range(3)] == [-1, c, -1]
         assert [rows[i] for i in range(3)] == [[], [a, c], []]
         search = index.search_rows(requests, 3)
         assert [search.array(i).tolist() for i in range(3)] == [[], [a, c], []]
