@@ -8,12 +8,14 @@ d = 2.5, k = 2 replicas and m = d·n/k videos, seed 0.  At n = 20,000,
 from round 8 on every box is watching, so a round holds 4·n = 80,000
 requests; it is infeasible, and its Hall witness spans 79,542 of them,
 so the full kernel's searches touch nearly every row of the round's row
-source (:meth:`repro.core.possession.PossessionIndex.kernel_rows`).
+source (:meth:`repro.core.possession.PossessionIndex.round_rows`), which
+the repair's exact searches read before the kernel in the same call.
 
 The script runs the simulation, captures the kernel calls of rounds
 8–10 (the possession index as the call saw it, the requests, the
-capacities and the seed) and times ``kernel_rows`` plus
-``hopcroft_karp_rows`` on each, in interleaved repetitions of two
+capacities and the seed the repair left) and times a fresh
+``round_rows`` plus ``hopcroft_karp_rows`` on each, without the
+searches, in interleaved repetitions of two
 settings: the row source as built, which builds its first
 ``len(requests) >> _LAYOUT_SHIFT`` rows one at a time before it lays out
 the round, and with that budget patched to 0, so that the kernel's
@@ -79,46 +81,48 @@ def build_session(n: int, seed: int = 0):
 def capture(n: int):
     """Each captured round's kernel call: ``(round, index, requests, args)``.
 
-    The index is pickled when ``kernel_rows`` is called, so a replay
-    reads it as the call did; ``args`` are ``hopcroft_karp_rows``'
-    arguments other than the row source.
+    ``round_rows`` records the call's index and requests, keeping only
+    the latest ``match`` call's: a round whose repair completes builds a
+    row source too, but never reaches the kernel.  The index is copied
+    when the kernel is called (nothing writes it within a ``match``
+    call), so a replay reads it as the call did; ``args`` are
+    ``hopcroft_karp_rows``' arguments other than the row source.
     """
     calls, pending = [], []
-    kernel_rows = PossessionIndex.kernel_rows
+    round_rows = PossessionIndex.round_rows
     solve_rows = matching.hopcroft_karp_rows
 
     def capturing_rows(index, requests, current_time):
-        if current_time in ROUNDS:
-            pending.append((current_time, pickle.dumps(index), requests))
-        return kernel_rows(index, requests, current_time)
+        pending[:] = [(current_time, index, requests)] if current_time in ROUNDS else []
+        return round_rows(index, requests, current_time)
 
     def capturing_solve(num_left, num_right, rows, capacities, seed):
         if pending:
             current_time, index, requests = pending.pop()
             args = (num_left, num_right, np.array(capacities), np.array(seed))
-            calls.append((current_time, pickle.loads(index), requests, args))
+            calls.append((current_time, pickle.loads(pickle.dumps(index)), requests, args))
         return solve_rows(num_left, num_right, rows, capacities, seed)
 
-    PossessionIndex.kernel_rows = capturing_rows
+    PossessionIndex.round_rows = capturing_rows
     matching.hopcroft_karp_rows = capturing_solve
     try:
         session = build_session(n)
         session.step_until(round=max(ROUNDS) + 1)
     finally:
-        PossessionIndex.kernel_rows = kernel_rows
+        PossessionIndex.round_rows = round_rows
         matching.hopcroft_karp_rows = solve_rows
     return calls
 
 
 def time_call(call, shift: int):
-    """``(seconds, result)`` of ``kernel_rows`` plus ``hopcroft_karp_rows`` on one call."""
+    """``(seconds, result)`` of ``round_rows`` plus ``hopcroft_karp_rows`` on one call."""
     current_time, index, requests, (num_left, num_right, capacities, seed) = call
     built = possession._LAYOUT_SHIFT
     possession._LAYOUT_SHIFT = shift
     try:
         gc.collect()
         start = time.perf_counter()
-        rows = index.kernel_rows(requests, current_time)
+        rows = index.round_rows(requests, current_time)
         result = matching.hopcroft_karp_rows(num_left, num_right, rows, capacities, seed)
         return time.perf_counter() - start, result
     finally:

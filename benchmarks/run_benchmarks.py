@@ -12,7 +12,8 @@ cross-validates the two kernels on randomized instances along the way:
   faster);
 * ``per_round_matcher`` — full ``ConnectionMatcher.match`` round cost,
   CSR gather + Dinic (the cold twin) vs Hopcroft–Karp on the round's
-  rows (``PossessionIndex.kernel_rows``, no CSR gathered), unseeded;
+  row source (``PossessionIndex.round_rows``, no CSR gathered), unseeded,
+  so no repair search runs before the kernel;
 * ``incremental_matching`` — the 10k-box scale tier as built (delta
   repair) vs its full-solve twin, which re-solves every round with the
   full kernel (per-round matched cardinalities cross-checked equal).

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.possession import PossessionIndex
+from repro.core.possession import PossessionIndex, _RoundRows
 from repro.core.requests import RequestSet
 from repro.flow.dinic import dinic_matching
 from repro.flow.hopcroft_karp import HKMatchingResult, hopcroft_karp_rows
@@ -129,7 +129,8 @@ class ConnectionMatcher:
         round's pairs that still hold, repairs the seed when the call
         carries its pair expiries, and otherwise, or when the repair falls
         short, solves with the full kernel on the round's rows
-        (:meth:`PossessionIndex.kernel_rows`) from that seed;
+        (:meth:`PossessionIndex.round_rows`, the row source the repair's
+        exact searches read) from that seed;
         ``"dinic"`` solves every round cold with the in-house Dinic max
         flow (:func:`repro.flow.dinic.dinic_matching`) on the CSR
         adjacency emitted by :meth:`PossessionIndex.adjacency_for`, and
@@ -238,10 +239,12 @@ class ConnectionMatcher:
         read on demand; a repaired-to-perfect matching is maximum by
         construction.  Otherwise, or when the repair fell short, the full
         kernel solves on the round's rows
-        (:meth:`PossessionIndex.kernel_rows`, read as the kernel touches
-        them) through :func:`~repro.flow.hopcroft_karp.hopcroft_karp_rows`
-        from that seed, which it adopts without an adjacency test.  No
-        route gathers the round's CSR.
+        (:meth:`PossessionIndex.round_rows`, read as they are touched)
+        through :func:`~repro.flow.hopcroft_karp.hopcroft_karp_rows` from
+        that seed, which it adopts without an adjacency test.  One row
+        source serves the call: the one the repair's exact searches read,
+        when they ran, so the kernel builds no row they built.  No route
+        gathers the round's CSR.
 
         The result carries the pair expiries of its matching whenever the
         call has a ``warm_start``.  A pair the kernel returns equal to its
@@ -277,6 +280,9 @@ class ConnectionMatcher:
 
         repair_fallback = False
         expiry: Optional[np.ndarray] = None
+        # The round's row source, once the exact searches or the kernel
+        # need it.
+        rows = None
         # A repaired round's load, as the repair tracked it; else counted
         # from the assignment below.
         box_load: Optional[np.ndarray] = None
@@ -305,7 +311,7 @@ class ConnectionMatcher:
             # round within capacity, the seed of the repair and the kernel.
             load = _retire_pairs(seed, seed_expiry, capacities, current_time)
             if pair_expiry is not None:
-                box_load, repair_fallback = self._try_repair(
+                box_load, repair_fallback, rows = self._try_repair(
                     requests, possession, current_time, capacities,
                     seed, seed_expiry, load,
                 )
@@ -320,13 +326,9 @@ class ConnectionMatcher:
                 )
                 self._repair_rounds += 1
             else:
-                result = hopcroft_karp_rows(
-                    num_requests,
-                    n,
-                    possession.kernel_rows(requests, current_time),
-                    capacities,
-                    seed,
-                )
+                if rows is None:
+                    rows = possession.round_rows(requests, current_time)
+                result = hopcroft_karp_rows(num_requests, n, rows, capacities, seed)
                 if warm_start is not None:
                     # A pair equal to its seed pair keeps the seed's
                     # expiry; only the pairs the kernel made are looked up.
@@ -399,7 +401,7 @@ class ConnectionMatcher:
         assignment: np.ndarray,
         pair_expiry: np.ndarray,
         load: np.ndarray,
-    ) -> Tuple[Optional[np.ndarray], bool]:
+    ) -> Tuple[Optional[np.ndarray], bool, Optional[_RoundRows]]:
         """Repair the retired seed ``assignment`` of one round in place.
 
         ``assignment`` holds only edges of this round within capacity,
@@ -407,23 +409,24 @@ class ConnectionMatcher:
         those pairs; each pair the repair makes records its edge's expiry.
         The greedy reads the deficit rows through
         :meth:`PossessionIndex.delta_rows`, and the exact searches read
-        rows through :meth:`PossessionIndex.search_rows`, which builds a
-        row from the index when a search reaches it and converts it to a
-        list only when a search walks it.  Returns ``(load,
-        over_budget)``: ``load`` is the per-box load of the repaired
-        matching when the deficit was repaired to a perfect — hence
-        maximum — matching, tracked through the greedy and the searches,
-        and ``None`` otherwise: the round must then run the full kernel,
-        seeded with this partial assignment (some request has no
-        augmenting path, i.e. the round is infeasible and needs the
+        the round's row source, :meth:`PossessionIndex.round_rows`, which
+        builds a row from the index when a search reaches it.  Returns
+        ``(load, over_budget, rows)``: ``load`` is the per-box load of the
+        repaired matching when the deficit was repaired to a perfect —
+        hence maximum — matching, tracked through the greedy and the
+        searches, and ``None`` otherwise: the round must then run the
+        full kernel, seeded with this partial assignment (some request
+        has no augmenting path, i.e. the round is infeasible and needs the
         kernel's Hall witness, or ``over_budget``: the repair search
         budget ran out, which the caller counts as a *repair fallback*).
+        ``rows`` is the row source the searches read, which the kernel
+        then solves on, and ``None`` when no search ran.
         """
         num_requests = len(requests)
         n = capacities.size
         deficit = np.flatnonzero(assignment < 0)
         if not deficit.size:
-            return load, False
+            return load, False, None
 
         # Delta rows only, read on demand by a multi-pass greedy against
         # the residual capacities.  The cache blocks are clipped (greedy is
@@ -443,29 +446,23 @@ class ConnectionMatcher:
         load = capacities - residual
         remaining = deficit[left]
         if not remaining.size:
-            return load, False
+            return load, False, None
         if remaining.size > budget:
-            return None, True
+            return None, True, None
 
         # Exhaustive augmentation for the stragglers, over rows built from
         # the index as the searches reach them.  Each flipped pair records
         # its edge expiry.
+        rows = possession.round_rows(requests, current_time)
         complete = repair_matching(
-            num_requests,
-            n,
-            possession.search_rows(requests, current_time),
-            capacities,
-            assignment,
-            load,
-            pair_expiry,
+            num_requests, n, rows, capacities, assignment, load, pair_expiry,
             remaining.tolist(),
-            search_budget=budget,
         )
         # Incomplete: some request has no augmenting path (the round is
         # infeasible and the full kernel must run for the Hall witness) or
         # the searches' displacement budget ran dry.  Not a budget event:
-        # the partial matching still seeds the kernel.
-        return (load if complete else None), False
+        # the partial matching still seeds the kernel, on the same rows.
+        return (load if complete else None), False, rows
 
 
 def check_feasibility_hall(

@@ -75,8 +75,9 @@ def _request_blocks(index: PossessionIndex, view, horizon: int, stripe: int, tim
     own iteration order, as :meth:`PossessionIndex._relay_array` reads it
     (``()`` when none), with the requester kept: one row of
     :meth:`PossessionIndex._row_blocks`, unclipped.  The one scalar copy
-    of that order: every row built alone, for the kernel, the exact
-    searches or :meth:`PossessionIndex.row_with_expiry`, reads it.
+    of that order: every row the round's row source builds alone, scans
+    or reads an expiry from, and :meth:`PossessionIndex.row_with_expiry`,
+    reads it.
     """
     indptr = index._static_indptr
     static = index._static_boxes[indptr.item(stripe):indptr.item(stripe + 1)]
@@ -149,7 +150,7 @@ class _DeltaRows:
         return expiry
 
 
-#: A kernel round's row source builds its first ``len(requests) >>
+#: A round's row source builds its first ``len(requests) >>
 #: _LAYOUT_SHIFT`` rows one at a time, then lays out every row at its next
 #: miss, or at once when ``heads`` asks about more rows than that.  On one
 #: core of a 2-CPU host a row built alone costs 3.4–4.0 µs (5.5–6.2 µs on
@@ -167,7 +168,7 @@ class _DeltaRows:
 _LAYOUT_SHIFT = 5
 
 
-#: The longest row :meth:`_KernelRows.first_fit` converts: a row of at
+#: The longest row :meth:`_RoundRows.first_fit` converts: a row of at
 #: most this many entries is converted, cached and scanned as a list, a
 #: longer one is scanned on its arrays and left unconverted.  On one core
 #: of a 2-CPU host a row slice's array scan costs 0.6–1.3 µs whatever its
@@ -205,14 +206,16 @@ def _first_in_blocks(blocks, requester: int, room: np.ndarray) -> int:
     return -1
 
 
-class _KernelRows(dict):
-    """A round's rows for the full kernel, from :meth:`PossessionIndex.kernel_rows`.
+class _RoundRows(dict):
+    """A round's rows, from :meth:`PossessionIndex.round_rows`.
 
-    The row source the kernel's seeded entry
-    :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` reads in every
-    kernel round: ``rows[i]`` is row ``i`` of
-    :meth:`PossessionIndex.adjacency_for` as a Python list with every
-    requester entry dropped, built on first touch and cached.  The first
+    The row source of one :meth:`repro.core.matching.ConnectionMatcher.match`
+    call: the repair's exact searches
+    (:func:`repro.flow.repair.repair_matching`) read it, and the kernel's
+    seeded entry :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows` reads
+    it after them, reusing the rows they built.  ``rows[i]`` is row
+    ``i`` of :meth:`PossessionIndex.adjacency_for` as a Python list with
+    every requester entry dropped, built on first touch and cached.  The first
     ``len(requests) >> _LAYOUT_SHIFT`` rows are built one at a time from
     the index (:func:`_request_blocks`: the static CSR slice, the cache
     window found by two searches in the download log's sorted view, and
@@ -224,11 +227,12 @@ class _KernelRows(dict):
     lays out only ``lefts`` until the round is laid out, and lays out the
     round when asked about more rows than the source still builds alone.
     ``first_fit(i, spare, room)``, which the kernel's sequential greedy
-    asks, gives row ``i``'s first box with a free slot: on a long row's
-    arrays, without converting it either, and on a short one converted as
-    a miss would.
+    and the searches' free-box test ask, gives row ``i``'s first box with
+    a free slot: on a long row's arrays, without converting it either,
+    and on a short one converted as a miss would.  ``expiry(i, j)`` is
+    the expiry of row ``i``'s first edge to box ``j``.
     Rows are built from the index as it stands, so the source serves one
-    kernel call.
+    ``match`` call, in which nothing writes the index.
     """
 
     __slots__ = (
@@ -326,6 +330,29 @@ class _KernelRows(dict):
                 return j
         return -1
 
+    def expiry(self, i, j: int) -> int:
+        """The last round row ``i``'s first edge to its box ``j`` stays valid.
+
+        Read from the index in the row's block order: a static holder's
+        edge never expires; else ``j``'s oldest entry in the cache window
+        expires ``T`` rounds after its round; else ``j`` relays the
+        stripe, and its edge never expires.  This is the repair's
+        first-edge rule: its searches take a box at its first edge in a
+        row (the first box with room; a breadth-first search expands a box
+        once), so a box that caches the stripe twice in the window, or
+        caches and relays it, gets its earlier edge's expiry, not its
+        latest, and the pair may retire while the box still serves, which
+        is safe.  The relayed output pin and the churn-storm fallback test
+        check each pair against ``row_with_expiry``, and ROADMAP item 10
+        makes that a runtime invariant.
+        """
+        static, cache, lo, _ = self._blocks(i)
+        cached = np.flatnonzero(cache == j)
+        if j in static or not cached.size:
+            return NEVER_EXPIRES
+        keys = self._view[0]
+        return (keys.item(lo + cached.item(0)) & _ROUND_MASK) + self._index._window
+
     def _lay_out(self) -> None:
         self._layout = self._index._row_blocks(self._stripes, self._times, self._time)
         _, starts, lengths, _ = self._layout
@@ -354,81 +381,6 @@ class _KernelRows(dict):
             heads[rows[~own]] = head[~own]
             rows, head = reader.step(rows[own])
         return heads
-
-
-class _SearchRows(dict):
-    """A round's rows for the repair's exact searches, from :meth:`PossessionIndex.search_rows`.
-
-    Row ``i`` is :meth:`PossessionIndex.row_with_expiry` of request ``i``:
-    its blocks (:func:`_request_blocks`) without the requester's entries.
-    ``array(i)`` checks the request as ``row_with_expiry`` does, builds
-    the row from the index as an int64 array and caches it; ``rows[i]``
-    is the same row as a list, converted from the array on first touch
-    and cached; ``expiry(i, e)`` is the last round edge ``e`` of a built
-    row stays valid, resolved only when asked.  A search tests a row for
-    a free box on its array and walks only the rows it pops as lists.
-    Rows are built from the index as it stands, so the source serves one
-    repair call.
-    """
-
-    __slots__ = (
-        "_index", "_stripes", "_times", "_requesters", "_time", "_horizon",
-        "_view", "_built",
-    )
-
-    def __init__(self, index: PossessionIndex, requests: RequestSet, current_time: int):
-        super().__init__()
-        self._index, self._time = index, current_time
-        self._stripes = requests.stripe_id_array
-        self._times = requests.request_time_array
-        self._requesters = requests.box_id_array
-        self._horizon = max(current_time - index._window, 0)
-        self._view = index._log.sorted_view()
-        # Per built row: (boxes, kept mask or None, static size, lo, cache size).
-        self._built: Dict[int, tuple] = {}
-
-    def __missing__(self, i) -> List[int]:
-        row = self[i] = self.array(i).tolist()
-        return row
-
-    def array(self, i) -> np.ndarray:
-        """Row ``i`` as an int64 array, built on the first call."""
-        built = self._built.get(i)
-        if built is None:
-            built = self._built[i] = self._build(i)
-        return built[0]
-
-    def _build(self, i) -> tuple:
-        stripe, time = self._stripes.item(i), self._times.item(i)
-        self._index._check_one_request(stripe, time, self._time)
-        static, cache, lo, relays = _request_blocks(
-            self._index, self._view, self._horizon, stripe, time
-        )
-        if relays:
-            boxes = np.concatenate((static, cache, _int_array(relays)))
-        elif cache.size:
-            boxes = np.concatenate((static, cache))
-        else:
-            boxes = static
-        kept = None
-        if boxes.size:
-            kept = boxes != self._requesters.item(i)
-            # ``argmin`` finds a dropped entry for less than ``all`` costs.
-            if kept[kept.argmin()]:
-                kept = None
-            else:
-                boxes = boxes[kept]
-        return boxes, kept, static.size, lo, cache.size
-
-    def expiry(self, i, e: int) -> int:
-        """The expiry of edge ``e`` of row ``i``, a row already built."""
-        _, kept, first, lo, count = self._built[i]
-        if kept is not None:
-            e = int(np.flatnonzero(kept)[e])
-        e -= first
-        if 0 <= e < count:
-            return (self._view[0].item(lo + e) & _ROUND_MASK) + self._index._window
-        return NEVER_EXPIRES
 
 
 class _DownloadLog:
@@ -547,21 +499,21 @@ class PossessionIndex:
     arrays, which the cold solvers (the Dinic twin, the oracle) consume,
     and :meth:`adjacency_delta_for` the same CSR of any rows with
     per-edge expiries, from which the matcher looks up pair expiries.
-    :meth:`kernel_rows` serves the same rows to every Hopcroft–Karp
-    kernel round without gathering them: the heads of the rows the
-    kernel asks about in one array step, a long row's first box with room
-    on its arrays, and a row as a list, built from the index, when the
-    kernel first walks it; only a round whose searches touch a fixed
-    share of its rows is laid out whole.  The incremental repair's
-    greedy reads the heads of its delta rows on demand through
-    :meth:`delta_rows`, and its exact searches read rows through
-    :meth:`search_rows`, built from the index as arrays and converted
-    to lists only when walked.  All read one block order: per row, the
-    static holders, then the playback-cache window, then the relays; a
-    row built alone reads it from :func:`_request_blocks`.
+    :meth:`round_rows` serves the same rows to the repair's exact
+    searches and then, in the same ``match`` call, to the Hopcroft–Karp
+    kernel, without gathering them: the heads of the rows the kernel
+    asks about in one array step, a long row's first box with room on
+    its arrays, a row as a list, built from the index, when a search
+    first walks it, and the expiry of a row's first edge to a box; only
+    a round whose searches touch a fixed share of its rows is laid out
+    whole.  The incremental repair's greedy reads the heads of its delta
+    rows on demand through :meth:`delta_rows`.  All read one block
+    order: per row, the static holders, then the playback-cache window,
+    then the relays; a row built alone reads it from
+    :func:`_request_blocks`.
 
     Every query — :meth:`adjacency_for`, :meth:`adjacency_delta_for`,
-    :meth:`kernel_rows`, :meth:`delta_rows`, :meth:`search_rows`,
+    :meth:`round_rows`, :meth:`delta_rows`,
     :meth:`row_with_expiry`, :meth:`servers_for` —
     reads the same recorded state, so a subclass changes possession by
     changing what it records, never by overriding one query.
@@ -846,26 +798,29 @@ class PossessionIndex:
             self._window,
         )
 
-    def kernel_rows(self, requests: RequestSet, current_time: int) -> _KernelRows:
-        """The round's rows as the full kernel reads them, gathering no CSR.
+    def round_rows(self, requests: RequestSet, current_time: int) -> _RoundRows:
+        """The round's rows as the exact searches and the kernel read them, gathering no CSR.
 
         Row ``i`` is row ``i`` of :meth:`adjacency_for`: the blocks of
         :meth:`_row_blocks`, unclipped, without the requester's entries.
-        Nothing is laid out up front: a row is built as a list when the
-        kernel first walks it, ``first_fit`` reads a long row's arrays
-        without converting it, and ``heads`` lays out only the rows it is
-        asked about, until the kernel has touched ``len(requests) >>
-        _LAYOUT_SHIFT`` rows, or asks ``heads`` about more, and the
-        source lays out the whole round (:class:`_KernelRows`).  Every
-        kernel round of the matcher solves on it with
-        :func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`.  Malformed
-        stripes or rounds raise ``ValueError``, as in
-        :meth:`adjacency_for`, before anything is read.
+        Nothing is laid out up front: a row is built as a list when a
+        search first walks it, ``first_fit`` reads a long row's arrays
+        without converting it, ``expiry`` reads the index, and ``heads``
+        lays out only the rows it is asked about, until the source has
+        built ``len(requests) >> _LAYOUT_SHIFT`` rows, or ``heads`` is
+        asked about more, and the source lays out the whole round
+        (:class:`_RoundRows`).  The matcher builds one per round that
+        reaches the exact searches or the kernel: the searches read it
+        (:func:`repro.flow.repair.repair_matching`), and the kernel
+        (:func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`) solves on
+        it when they fall short.  Malformed stripes or rounds raise
+        ``ValueError``, as in :meth:`adjacency_for`, before anything is
+        read.
         """
         stripes = requests.stripe_id_array
         if stripes.size:
             self._check_requests(stripes, requests.request_time_array, current_time)
-        return _KernelRows(self, requests, current_time)
+        return _RoundRows(self, requests, current_time)
 
     def _gather_csr(
         self, requests: RequestSet, current_time: int, with_expiry: bool
@@ -916,8 +871,9 @@ class PossessionIndex:
         (a box can hold a stripe statically *and* cache it); the matching
         kernels tolerate them.  It is :meth:`adjacency_delta_for` without
         the expiry column, which it never builds: the cold Dinic twin and
-        the oracle take this one, every Hopcroft–Karp kernel round reads
-        the same rows through :meth:`kernel_rows`, and the matcher looks
+        the oracle take this one, the exact searches and every Hopcroft–Karp
+        kernel round read the same rows through :meth:`round_rows`, and
+        the matcher looks
         up pair expiries through :meth:`adjacency_delta_for`.
         """
         indptr, indices, _ = self._gather_csr(requests, current_time, False)
@@ -939,9 +895,10 @@ class PossessionIndex:
         holds, for the row with the requester kept.  A stripe id outside
         the catalog or a round outside ``[0, 2**31)`` raises
         ``ValueError``.  It is the scalar twin of one row of
-        :meth:`adjacency_delta_for` and of :meth:`search_rows`, built from
-        the same blocks as every row built alone, and the reference the
-        tests compare the batched and on-demand rows against.
+        :meth:`adjacency_delta_for` and of :meth:`round_rows` with its
+        first-edge expiries, built from the same blocks as every row
+        built alone, and the reference the tests compare the batched and
+        on-demand rows against.
         """
         stripe_id, request_time = int(stripe_id), int(request_time)
         self._check_one_request(stripe_id, request_time, current_time)
@@ -958,18 +915,6 @@ class PossessionIndex:
         kept = boxes != box_id
         return boxes[kept], expiry[kept]
 
-    def search_rows(self, requests: RequestSet, current_time: int) -> _SearchRows:
-        """The round's rows as the repair's exact searches read them.
-
-        Row ``i`` is :meth:`row_with_expiry` of ``requests[i]``, built from
-        the index only when a search first reads it, after the same
-        checks (a malformed stripe or round raises ``ValueError`` there):
-        as an array for the free-box test, as a list once a search walks
-        it, and an edge's expiry only for the pairs a search flips
-        (:class:`_SearchRows`).
-        """
-        return _SearchRows(self, requests, current_time)
-
     def adjacency_delta_for(
         self, requests: RequestSet, current_time: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -984,7 +929,7 @@ class PossessionIndex:
         it on a request set of just the rows whose pair expiry it looks
         up (a seed without pair expiries, the pairs the full kernel
         made), and takes each pair's latest edge expiry as the pair's
-        expiry; the kernel itself solves on :meth:`kernel_rows`.
+        expiry; the kernel itself solves on :meth:`round_rows`.
 
         A stripe id outside the catalog or a round outside ``[0, 2**31)``
         raises ``ValueError`` before anything is gathered.

@@ -36,7 +36,11 @@ same way.  An infeasible round whose Hall witness is a few dozen lefts
 therefore pays Python work for the rows its searches touch, not for the
 whole instance, and on the matcher's row source NumPy work too: it lays
 out only the rows ``heads`` asks about and builds each other row when it
-is first touched.
+is first touched.  The matcher's row source has a second reader: in the
+same round, before the kernel, the incremental repair's exact searches
+(:func:`repro.flow.repair.repair_matching`) read it through
+``first_fit`` and ``rows[i]``, and through ``expiry(i, j)`` for the
+pairs they flip, so the kernel reuses the rows they built.
 The kernel has two entry points:
 
 * :func:`hopcroft_karp_matching` takes a CSR, checks it and solves cold
@@ -45,7 +49,7 @@ The kernel has two entry points:
 * :func:`hopcroft_karp_rows` takes any row source and a seed the caller
   built from that source's rows, and checks only the seed's ``O(V)``
   range and capacities: the connection matcher solves every kernel round
-  there, on :meth:`repro.core.possession.PossessionIndex.kernel_rows`,
+  there, on :meth:`repro.core.possession.PossessionIndex.round_rows`,
   which gathers no CSR.
 
 The kernel is exact and deterministic: for a fixed instance it always
@@ -373,7 +377,7 @@ def hopcroft_karp_rows(
     an edge, and a pair that is not one would be returned as matched.
     An all ``-1`` seed solves as :func:`hopcroft_karp_matching` on the
     same rows as a CSR.  The connection matcher calls it on
-    :meth:`repro.core.possession.PossessionIndex.kernel_rows`, seeded by
+    :meth:`repro.core.possession.PossessionIndex.round_rows`, seeded by
     the previous round's retired, and possibly repaired, pairs.
     """
     cap_arr = _check_capacities(num_right, right_capacities)

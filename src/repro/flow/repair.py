@@ -6,7 +6,11 @@ re-solving: :func:`_retire_pairs` drops the pairs that no longer hold
 (for the repair and for the full kernel alike),
 :func:`_greedy_first_fit` fills most of the deficit and
 :func:`repair_matching` finishes it with exact searches.  Rows come from
-the caller through reader interfaces, so possession stays out of here.
+the caller through reader interfaces, so possession stays out of here:
+the greedy reads cursors over the deficit rows, and the searches read
+the round's row source, the one the full kernel
+(:func:`repro.flow.hopcroft_karp.hopcroft_karp_rows`) reads after them
+when they fall short.
 """
 
 from __future__ import annotations
@@ -157,29 +161,31 @@ def _kuhn_augment_lazy(
     """One shortest-augmenting-path search over rows read on demand.
 
     Plays the role of :func:`_kuhn_augment` in the incremental repair,
-    but there is no CSR of the round: ``rows`` is a row source
-    (:meth:`repro.core.possession.PossessionIndex.search_rows` builds it)
-    read through three members: ``rows.array(i)``, left ``i``'s boxes as
-    an int64 array; ``rows[i]``, the same row as a list; and
-    ``rows.expiry(i, e)``, the expiry of edge ``e`` of row ``i``.  A
-    repair so touches only the adjacency of the lefts an actual
-    alternating path visits.  On success the flipped pairs' expiries are
-    written into ``pair_expiry`` so the caller's retirement bookkeeping
-    stays exact; a parent link keeps its edge's index, and only the
-    flipped edges' expiries are resolved.
+    but there is no CSR of the round: ``rows`` is the round's row source
+    (:meth:`repro.core.possession.PossessionIndex.round_rows` builds it,
+    and the kernel reads it after the repair) read through three
+    members: ``rows.first_fit(i, spare, room)``, left ``i``'s first box
+    with a free slot (``-1`` if none); ``rows[i]``, left ``i``'s row as a
+    list; and ``rows.expiry(i, j)``, the expiry of row ``i``'s first edge
+    to box ``j``.  A repair so touches only the adjacency of the lefts an
+    actual alternating path visits.  On success the flipped pairs'
+    expiries are written into ``pair_expiry`` so the caller's retirement
+    bookkeeping stays exact; a parent link keeps only its box, and only
+    the flipped pairs' expiries are read.
 
     The search is breadth-first: each discovered left first sweeps its
-    whole row for a box with spare capacity (one vectorized gather of
-    the ``has_free`` mask over its array, which the augment step keeps in
-    sync with ``load``), and only the fully saturated boxes contribute
-    displaced lefts to the frontier.  Under Zipf load the saturated boxes
-    cluster, so a depth-first search would plunge through thousands of
-    full boxes while a length-3 path (row → full box → displaced left →
-    free box) sits one level away; BFS finds it after a handful of row
-    scans.  The free-slot test runs at discovery, not at dequeue: the
-    last BFS level is by far the widest (popular rows reach thousands
-    of displaced lefts), and testing on generation means it is never
-    walked.  A row becomes a list only when its left is popped.
+    whole row for a box with spare capacity (``first_fit`` against the
+    ``has_free`` mask, which the augment step keeps in sync with
+    ``load``: a long row is scanned on its arrays, a short one converted
+    to a list), and only the fully saturated boxes contribute displaced
+    lefts to the frontier.  Under Zipf load the saturated boxes cluster,
+    so a depth-first search would plunge through thousands of full boxes
+    while a length-3 path (row → full box → displaced left → free box)
+    sits one level away; BFS finds it after a handful of row scans.  The
+    free-slot test runs at discovery, not at dequeue: the last BFS level
+    is by far the widest (popular rows reach thousands of displaced
+    lefts), and testing on generation means it is never walked.  A long
+    row becomes a list only when its left is popped.
 
     ``right_matches[j]`` is box ``j``'s list of matched lefts
     (:class:`_MatchedLefts`).  ``dead`` holds the lefts whose row had no
@@ -194,8 +200,7 @@ def _kuhn_augment_lazy(
     pathological round cannot cost more than a cold solve.
     """
     # Per discovered left: (predecessor left, box the predecessor reaches
-    # it through, index of that edge in the predecessor's row); ``None``
-    # at the root.
+    # it through); ``None`` at the root.
     parent: dict = {i0: None}
 
     def try_free(u):
@@ -204,29 +209,24 @@ def _kuhn_augment_lazy(
         # over the slot its displaced left vacates.  ``u`` is not in
         # ``dead``: a root is unmatched, and only matched lefts are
         # discovered.
-        boxes = rows.array(u)
-        if not boxes.size:
-            return False
-        mask = has_free[boxes]
-        e = int(mask.argmax())
-        if not mask[e]:
+        j = rows.first_fit(u, has_free, has_free)
+        if j < 0:
             dead.add(u)
             return False
-        j = boxes.item(e)
         right_matches.append(j, u)
         load[j] += 1
         if load[j] >= cap[j]:
             has_free[j] = False
         match_left[u] = j
-        pair_expiry[u] = rows.expiry(u, e)
+        pair_expiry[u] = rows.expiry(u, j)
         cur = u
         link = parent[cur]
         while link is not None:
-            p, b, x = link
+            p, b = link
             siblings = right_matches[b]
             siblings[siblings.index(cur)] = p
             match_left[p] = b
-            pair_expiry[p] = rows.expiry(p, x)
+            pair_expiry[p] = rows.expiry(p, b)
             cur = p
             link = parent[cur]
         return True
@@ -237,7 +237,7 @@ def _kuhn_augment_lazy(
     frontier = deque((i0,))
     while frontier:
         u = frontier.popleft()
-        for e, j in enumerate(rows[u]):
+        for j in rows[u]:
             if j in visited:
                 continue
             visited.add(j)
@@ -247,7 +247,7 @@ def _kuhn_augment_lazy(
                 if budget[0] <= 0:
                     return None
                 budget[0] -= 1
-                parent[k] = (u, j, e)
+                parent[k] = (u, j)
                 if k not in dead and try_free(k):
                     return True
                 frontier.append(k)
@@ -263,7 +263,6 @@ def repair_matching(
     load: np.ndarray,
     pair_expiry: np.ndarray,
     deficit_rows: Sequence[int],
-    search_budget: Optional[int] = None,
 ) -> bool:
     """Repair a partial matching by augmenting from a small deficit set.
 
@@ -276,14 +275,11 @@ def repair_matching(
 
     Returns ``True`` when every deficit row was matched — the matching is
     then perfect, hence maximum.  Returns ``False`` (without finishing)
-    when ``search_budget`` searches would be exceeded, the shared
-    displacement budget ran dry, or some row has no augmenting path; the
-    caller falls back to the full kernel, which also produces the Hall
-    witness on genuinely infeasible rounds.
+    when the shared displacement budget ran dry or some row has no
+    augmenting path; the caller falls back to the full kernel, on the
+    same row source, which also produces the Hall witness on genuinely
+    infeasible rounds.
     """
-    deficit_rows = list(deficit_rows)
-    if search_budget is not None and len(deficit_rows) > search_budget:
-        return False
     matched_i = np.flatnonzero(assignment >= 0)
     right_matches = _MatchedLefts(num_right, matched_i, assignment[matched_i])
     has_free = load < right_capacities

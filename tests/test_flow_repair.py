@@ -127,11 +127,9 @@ def kuhn_augment_reference(
 
 def repair_reference(
     num_right, rows, expiries, capacities, assignment, load, pair_expiry,
-    deficit_rows, search_budget, budget_floor, budget_per_row,
+    deficit_rows, budget_floor, budget_per_row,
 ):
     """The exact repair with every box's matched lefts indexed at entry."""
-    if search_budget is not None and len(deficit_rows) > search_budget:
-        return False
     matched_i = np.flatnonzero(assignment >= 0)
     right_matches = _right_matches(num_right, matched_i, assignment[matched_i])
     has_free = load < capacities
@@ -148,28 +146,31 @@ def repair_reference(
 class ExplicitRows(dict):
     """The exact searches' row source over explicit rows and expiries.
 
-    ``array(i)``, ``rows[i]`` (converted once, cached) and ``expiry(i,
-    e)``, as :meth:`repro.core.possession.PossessionIndex.search_rows`
-    serves them; ``arrays`` and ``lists`` record, in order, every array
-    read and every list conversion.
+    ``first_fit(i, spare, room)`` (row ``i``'s first box ``j`` with
+    ``spare[j]``, ``-1`` if none, read without converting the row),
+    ``rows[i]`` (converted once, cached) and ``expiry(i, j)`` (the expiry
+    of row ``i``'s first edge to box ``j``), as
+    :meth:`repro.core.possession.PossessionIndex.round_rows` serves them;
+    ``tests`` and ``lists`` record, in order, every free-box test and
+    every list conversion.
     """
 
     def __init__(self, rows, expiries):
         super().__init__()
         self._rows, self._expiries = rows, expiries
-        self.arrays, self.lists = [], []
+        self.tests, self.lists = [], []
 
     def __missing__(self, i):
         self.lists.append(i)
         row = self[i] = list(self._rows[i])
         return row
 
-    def array(self, i):
-        self.arrays.append(i)
-        return np.array(self._rows[i], dtype=np.int64)
+    def first_fit(self, i, spare, room):
+        self.tests.append(i)
+        return next((j for j in self._rows[i] if spare[j]), -1)
 
-    def expiry(self, i, e):
-        return self._expiries[i][e]
+    def expiry(self, i, j):
+        return self._expiries[i][self._rows[i].index(j)]
 
 
 @st.composite
@@ -194,12 +195,11 @@ def repair_instances(draw):
     pair_expiry = draw(st.lists(st.integers(-1, 9), min_size=num_left, max_size=num_left))
     unmatched = [i for i in range(num_left) if assignment[i] < 0]
     deficit = draw(st.permutations(unmatched))[: draw(st.integers(1, 8))]
-    search_budget = draw(st.none() | st.integers(0, len(deficit) + 1))
     budget_floor = draw(st.sampled_from([100_000, 0, 3, 8]))
     budget_per_row = draw(st.integers(0, 4))
     return (
         num_boxes, capacities, rows, expiries, assignment, load, pair_expiry,
-        deficit, search_budget, budget_floor, budget_per_row,
+        deficit, budget_floor, budget_per_row,
     )
 
 
@@ -207,7 +207,7 @@ def run_both(instance):
     """The repair and the reference on copies of one instance: per side, the
     return value, the assignment, the load and the pair expiries."""
     (num_boxes, capacities, rows, expiries, assignment, load, pair_expiry,
-     deficit, search_budget, budget_floor, budget_per_row) = instance
+     deficit, budget_floor, budget_per_row) = instance
     outcomes = []
     for side in ("repair", "reference"):
         state = [np.array(column, dtype=np.int64) for column in (assignment, load, pair_expiry)]
@@ -217,11 +217,11 @@ def run_both(instance):
                     mock.patch.object(repair, "_DISPLACEMENT_BUDGET_PER_ROW", budget_per_row):
                 done = repair_matching(
                     len(rows), num_boxes, ExplicitRows(rows, expiries), caps, *state,
-                    deficit, search_budget,
+                    deficit,
                 )
         else:
             done = repair_reference(
-                num_boxes, rows, expiries, caps, *state, deficit, search_budget,
+                num_boxes, rows, expiries, caps, *state, deficit,
                 budget_floor, budget_per_row,
             )
         outcomes.append((done, *(column.tolist() for column in state)))
@@ -231,10 +231,13 @@ def run_both(instance):
 @given(instance=repair_instances())
 @settings(max_examples=400, deadline=None)
 def test_exact_searches_match_the_eagerly_indexed_reference(instance):
-    """Indexing matched lefts on a box's first expansion and skipping rows
-    already found without a free box change no search: the return value,
-    assignment, load and pair expiries equal the reference's, including
-    when the search or displacement budget runs out."""
+    """Indexing matched lefts on a box's first expansion, skipping rows
+    already found without a free box and reading a flipped pair's expiry
+    at its box's first edge in the row change no search: the return
+    value, assignment, load and pair expiries equal those of the
+    reference, which records the expiry of the edge each search meets,
+    including when the displacement budget runs out.  Rows may hold a
+    box twice with different expiries."""
     got, expected = run_both(instance)
     assert got == expected
 
@@ -250,7 +253,7 @@ def test_lefts_appended_before_the_first_expansion_come_last():
     assignment = [-1, -1, -1, -1, -1, 0]
     instance = (
         3, [2, 1, 1], rows, expiries, assignment, [1, 0, 0], [0] * 6,
-        [0, 1], None, 100_000, 16,
+        [0, 1], 100_000, 16,
     )
     got, expected = run_both(instance)
     assert got == expected
@@ -272,7 +275,7 @@ def test_a_row_found_without_a_free_box_still_counts_against_the_budget():
     expiries = [[1], [2, 3], [4, 5], [6, 7], [8, 9]]
     instance = (
         5, [1] * 5, rows, expiries, [0, 1, 3, -1, -1], [1, 1, 0, 1, 0], [0] * 5,
-        [3, 4], None, 3, 0,
+        [3, 4], 3, 0,
     )
     got, expected = run_both(instance)
     assert got == expected
@@ -291,8 +294,9 @@ def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
     reading its row.  With left 2's row [3, 4], the search moves left 2 to
     box 4 before it pops left 0, whose row is never read again.  With left
     2's row [3], the search pops left 0 and only then reads its row, as a
-    list, and fails.  A row is tested on its array when its left is
-    discovered and converted to a list only when its left is popped."""
+    list, and fails.  A row is tested for a free box, without being
+    converted, when its left is discovered, and converted to a list only
+    when its left is popped."""
     for row_2, lists_expected, done_expected, assignment_expected in (
         ([3, 4], [3, 4], True, [0, 2, 4, 1, 3]),
         ([3], [3, 4, 0, 2], False, [0, 2, 3, 1, -1]),
@@ -301,7 +305,7 @@ def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
         expiries = [[1] * len(row) for row in rows]
         instance = (
             5, [1] * 5, rows, expiries, [0, 1, 3, -1, -1], [1, 1, 0, 1, 0], [0] * 5,
-            [3, 4], None, 100_000, 16,
+            [3, 4], 100_000, 16,
         )
         got, expected = run_both(instance)
         assert got == expected
@@ -312,7 +316,7 @@ def test_a_dead_left_rediscovered_is_fetched_only_when_popped():
             np.array([1, 1, 0, 1, 0], dtype=np.int64), np.zeros(5, dtype=np.int64),
             [3, 4],
         )
-        assert source.arrays == [3, 0, 1, 4, 2]
+        assert source.tests == [3, 0, 1, 4, 2]
         assert source.lists == lists_expected
         assert done is done_expected
         assert assignment.tolist() == assignment_expected == got[1]

@@ -22,6 +22,7 @@ serving schedule is forced, so there the full digest must agree too.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -366,6 +367,70 @@ def test_sparse_kernel_rounds_lay_out_only_their_heads(monkeypatch):
     assert (sparse_rounds, unmatched_rows, round_rows) == (22, 102, 36_790)
 
 
+def test_the_kernel_builds_no_row_the_searches_converted(monkeypatch):
+    """A round the exact searches hand to the kernel keeps the rows they built.
+
+    In the 2k-box churn storm at 5% outages the repair's exact searches
+    run and fall short in most rounds, and the kernel then solves the
+    same round.  Every read of a row's blocks from the index
+    (``_request_blocks``: a row built, scanned or dated) is recorded with
+    the solver reading.  In every ``match`` call, no row the searches
+    converted to a list is read from the index by the kernel: a row whose
+    request's stripe and round no other request of the round shares is
+    checked by its key.
+    """
+    request_blocks = possession_module._request_blocks
+    repair = matching.repair_matching
+    solve_rows = matching.hopcroft_karp_rows
+    kernel_reads, converted = set(), set()
+    in_kernel = False
+    checked_calls = checked_rows = 0
+
+    def counted_blocks(index, view, horizon, stripe, time):
+        if in_kernel:
+            kernel_reads.add((stripe, time))
+        return request_blocks(index, view, horizon, stripe, time)
+
+    def counted_repair(num_left, num_right, rows, *args):
+        done = repair(num_left, num_right, rows, *args)
+        converted.update(rows)
+        return done
+
+    def counted_solve_rows(*args):
+        nonlocal in_kernel
+        in_kernel = True
+        return solve_rows(*args)
+
+    monkeypatch.setattr(possession_module, "_request_blocks", counted_blocks)
+    monkeypatch.setattr(matching, "repair_matching", counted_repair)
+    monkeypatch.setattr(matching, "hopcroft_karp_rows", counted_solve_rows)
+    compiled = build_scenario(_churn_storm_soak_spec(30), seed=1)
+    matcher = compiled.simulator.matcher
+    match = matcher.match
+
+    def checked_match(requests, possession, current_time, **kwargs):
+        nonlocal checked_calls, checked_rows, in_kernel
+        in_kernel = False
+        kernel_reads.clear()
+        converted.clear()
+        result = match(requests, possession, current_time, **kwargs)
+        if converted and in_kernel:
+            keys = list(
+                zip(requests.stripe_id_array.tolist(), requests.request_time_array.tolist())
+            )
+            shared = {key for key, count in Counter(keys).items() if count > 1}
+            alone = [keys[i] for i in converted if keys[i] not in shared]
+            assert not kernel_reads.intersection(alone), current_time
+            checked_calls += 1
+            checked_rows += len(alone)
+        return result
+
+    matcher.match = checked_match
+    compiled.run(30)
+    # 22 calls, in which the searches convert 33 such rows.
+    assert checked_calls >= 20 and checked_rows >= 30, (checked_calls, checked_rows)
+
+
 def _churn_storm_soak_spec(horizon: int):
     """The 2k-box churn-storm soak at 5% outages a round."""
     spec = soak_spec(2_000, "churn_storm", horizon=horizon)
@@ -482,7 +547,7 @@ def test_a_churn_storm_session_gathers_no_round_csr(monkeypatch):
 
     At 5% outages a round nearly every round falls back to the full
     kernel.  Every kernel call, round 0's included, solves on
-    ``kernel_rows``; ``adjacency_for`` is never gathered.
+    ``round_rows``; ``adjacency_for`` is never gathered.
     """
     gathered, row_calls = [], []
     gather = PossessionIndex.adjacency_for

@@ -350,8 +350,8 @@ def run_greedy(reader, residual):
     return assigned, left.tolist()
 
 
-def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
-    """Check ``kernel_rows`` against ``adjacency_for`` at switch point ``shift``.
+def check_round_rows(possession, requests, current_time, lefts, order, shift):
+    """Check ``round_rows`` against ``adjacency_for`` at switch point ``shift``.
 
     With ``_LAYOUT_SHIFT`` patched to ``shift``, the source builds its
     first ``len(requests) >> shift`` rows alone and lays out the round at
@@ -377,7 +377,7 @@ def check_kernel_rows(possession, requests, current_time, lefts, order, shift):
 
     with mock.patch.object(possession_module, "_LAYOUT_SHIFT", shift), \
             mock.patch.object(PossessionIndex, "_row_blocks", counted_blocks):
-        rows = possession.kernel_rows(requests, current_time)
+        rows = possession.round_rows(requests, current_time)
         assert laid_out == []
         assert rows.heads(lefts).tolist() == expected_heads
         whole = lefts.size > budget
@@ -406,7 +406,7 @@ def first_with_room(row, spare):
 
 
 def check_first_fit(possession, requests, current_time, spare, order, convert, shift, scan_max):
-    """Check ``kernel_rows``' ``first_fit`` against the CSR's rows.
+    """Check ``round_rows``' ``first_fit`` against the CSR's rows.
 
     With ``_LAYOUT_SHIFT`` patched to ``shift`` and ``_LIST_SCAN_MAX`` to
     ``scan_max``, ``first_fit(i, spare, spare > 0)`` in ``order`` is the
@@ -435,7 +435,7 @@ def check_first_fit(possession, requests, current_time, spare, order, convert, s
     with mock.patch.object(possession_module, "_LAYOUT_SHIFT", shift), \
             mock.patch.object(possession_module, "_LIST_SCAN_MAX", scan_max), \
             mock.patch.object(PossessionIndex, "_row_blocks", counted_blocks):
-        rows = possession.kernel_rows(requests, current_time)
+        rows = possession.round_rows(requests, current_time)
         for i in order:
             assert rows.first_fit(i, spare, room) == expected[i], (shift, i)
         assert set(rows) == short
@@ -528,7 +528,7 @@ class TestAdjacencyEquivalence:
     @given(instance=possession_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_kernel_rows_equal_the_round_csr(self, instance, data):
-        """The full kernel's row source reads the round's CSR on demand.
+        """The round's row source reads the round's CSR on demand.
 
         Some downloads repeat in later rounds, so a box may sit twice in a
         cache window, and most requesters are drawn from their own row, so
@@ -567,7 +567,7 @@ class TestAdjacencyEquivalence:
         order = data.draw(st.permutations(range(num)))
         inside = data.draw(st.integers(1, max(num.bit_length() - 1, 1)))
         for shift in (0, inside, num.bit_length(), possession_module._LAYOUT_SHIFT):
-            check_kernel_rows(
+            check_round_rows(
                 possession, _array_set(drawn), current_time, lefts, order, shift
             )
 
@@ -595,7 +595,7 @@ class TestAdjacencyEquivalence:
             for holder in possession.static_servers(stripe).tolist():
                 spare[holder] = 0
         for shift in (0, 1, 2, 4):
-            check_kernel_rows(possession, requests, 5, lefts, order, shift)
+            check_round_rows(possession, requests, 5, lefts, order, shift)
             for scan_max in (-1, 3, possession_module._LIST_SCAN_MAX):
                 check_first_fit(
                     possession, requests, 5, spare, order, [4, 0, 7], shift, scan_max
@@ -639,33 +639,37 @@ class TestAdjacencyEquivalence:
 
     @given(instance=possession_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_search_rows_equal_row_with_expiry(self, instance, data):
-        """The exact searches' rows are their requests' own rows.
+    def test_round_rows_expiry_is_the_first_edge_expiry(self, instance, data):
+        """``expiry(i, j)`` is the expiry of row ``i``'s first edge to box ``j``.
 
-        Read in any order, as an array first or as a list first, row
-        ``i`` of ``search_rows`` is ``row_with_expiry`` of request ``i``
-        edge for edge: its array (int64) and its list hold the same boxes
-        in the same order, and ``expiry(i, e)`` is edge ``e``'s expiry.
+        For every row of the round's row source, read in any order, with
+        its list read first or not, and every box ``j`` in it,
+        ``expiry(i, j)`` equals ``row_with_expiry``'s expiry at ``j``'s
+        first position in request ``i``'s row, and the list is that row.
+        A box may sit in a row twice: a static holder that also caches
+        the stripe, a box that caches it twice in the window or caches
+        and relays it.
         """
         possession, drawn, current_time = self._rich_instance(instance, data)
-        rows = possession.search_rows(_array_set(drawn), current_time)
+        rows = possession.round_rows(_array_set(drawn), current_time)
         for i in data.draw(st.permutations(range(len(drawn)))):
             stripe, time, box = drawn[i]
             boxes, expiries = possession.row_with_expiry(stripe, box, time, current_time)
+            boxes = boxes.tolist()
             if data.draw(st.booleans()):
-                assert rows[i] == boxes.tolist(), i
-            array = rows.array(i)
-            assert array.dtype == np.int64
-            assert array.tolist() == boxes.tolist(), i
-            assert rows[i] == boxes.tolist(), i
-            assert [rows.expiry(i, e) for e in range(array.size)] == expiries.tolist(), i
+                assert rows[i] == boxes, i
+            first = {}
+            for j, expiry in zip(boxes, expiries.tolist()):
+                first.setdefault(j, expiry)
+            assert {j: rows.expiry(i, j) for j in first} == first, i
+            assert rows[i] == boxes, i
 
     @given(instance=possession_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_first_fit_is_the_first_entry_with_room(self, instance, data):
         """``first_fit(i, spare, room)`` is the first box of row ``i`` with a free slot.
 
-        On the kernel's row source in every regime: rows built alone
+        On the round's row source in every regime: rows built alone
         (every row, with the switch patched to build them all alone),
         laid out (the switch patched so the first read lays out the
         round), switching partway, and with rows already converted, each
@@ -822,8 +826,9 @@ class TestRepairGreedySkipsTheRequester:
 
 
 class TestBatchedRowsDropTheRequester:
-    """The round's CSR, the kernel's row source and the exact searches'
-    rows drop the requester from every block of its row."""
+    """The round's CSR and the round's row source, which the exact
+    searches and the kernel read, drop the requester from every block of
+    its row."""
 
     def test_requester_entries_leave_no_trace_in_any_block(self):
         """Rows 0 and 2 hold only the requester's own entries (static and
@@ -852,7 +857,7 @@ class TestBatchedRowsDropTheRequester:
         assert [x.tolist() for x in index.adjacency_for(requests, 3)] == [
             indptr.tolist(), indices.tolist()
         ]
-        rows = index.kernel_rows(requests, 3)
+        rows = index.round_rows(requests, 3)
         assert rows.heads(np.arange(3)).tolist() == [-1, a, -1]
         spare = [1] * 6
         room = np.ones(6, dtype=bool)
@@ -860,10 +865,7 @@ class TestBatchedRowsDropTheRequester:
         spare[a], room[a] = 0, False
         assert [rows.first_fit(i, spare, room) for i in range(3)] == [-1, c, -1]
         assert [rows[i] for i in range(3)] == [[], [a, c], []]
-        search = index.search_rows(requests, 3)
-        assert [search.array(i).tolist() for i in range(3)] == [[], [a, c], []]
-        assert [search[i] for i in range(3)] == [[], [a, c], []]
-        assert [search.expiry(1, e) for e in range(2)] == [1 + window, NEVER_EXPIRES]
+        assert [rows.expiry(1, j) for j in (a, c)] == [1 + window, NEVER_EXPIRES]
 
 
 TOP_ROUND = 2**31 - 1
