@@ -89,6 +89,14 @@ class SwarmRegistry:
             videos, counts = self._counts[round_]
             self._sizes[videos] -= counts
 
+    def _check_time(self, time: int) -> int:
+        time = check_integer(time, "time")
+        if time < self._time:
+            raise ValueError(
+                f"swarm round {time} precedes the last written round {self._time}"
+            )
+        return time
+
     def size(self, video_id: int, time: int) -> int:
         """Swarm size of ``video_id`` at round ``time`` (members not yet expired).
 
@@ -96,11 +104,7 @@ class SwarmRegistry:
         one raises ``ValueError``.
         """
         video_id = check_non_negative_integer(video_id, "video_id")
-        time = check_integer(time, "time")
-        if time < self._time:
-            raise ValueError(
-                f"swarm round {time} precedes the last written round {self._time}"
-            )
+        time = self._check_time(time)
         if video_id >= self._sizes.size:
             return 0
         size = int(self._sizes[video_id])
@@ -113,6 +117,28 @@ class SwarmRegistry:
                 if self._time - self._duration < r <= time - self._duration:
                     size -= int(self._entries(r, video)[0])
         return size
+
+    def sizes(self, num_videos: int, time: int) -> np.ndarray:
+        """Swarm sizes of videos ``0, …, num_videos − 1`` at round ``time``.
+
+        An int64 array with ``sizes(m, t)[v] == size(v, t)`` for every
+        ``v < m``: the live sizes, less the rounds whose entries leave by
+        ``time``, and zero for a video that never entered.  An earlier
+        round than the last written one raises ``ValueError``, as in
+        :meth:`size`.
+        """
+        num_videos = check_non_negative_integer(num_videos, "num_videos")
+        time = self._check_time(time)
+        sizes = np.zeros(num_videos, dtype=np.int64)
+        known = min(num_videos, self._sizes.size)
+        sizes[:known] = self._sizes[:known]
+        if time > self._time:
+            for r, (videos, counts) in self._counts.items():
+                if self._time - self._duration < r <= time - self._duration:
+                    # ``videos`` is sorted and distinct.
+                    keep = int(np.searchsorted(videos, num_videos))
+                    sizes[videos[:keep]] -= counts[:keep]
+        return sizes
 
     def enter(self, video_id: int, time: int) -> None:
         """Record that one box enters the swarm of ``video_id`` at round ``time``."""

@@ -192,14 +192,10 @@ class ColdStartAdversary:
         """
         if view.time < self._start:
             return _EMPTY, _EMPTY
-        cold = np.array(
-            [
-                video_id
-                for video_id in range(view.catalog.num_videos)
-                if view.swarms.size(video_id, view.time - 1 if view.time > 0 else 0) == 0
-            ],
-            dtype=np.int64,
+        sizes = view.swarms.sizes(
+            view.catalog.num_videos, view.time - 1 if view.time > 0 else 0
         )
+        cold = np.flatnonzero(sizes == 0).astype(np.int64, copy=False)
         self._rng.shuffle(cold)
         free = shuffled_free_boxes(view, self._rng)
         if self._max_per_round is not None:

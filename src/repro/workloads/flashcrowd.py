@@ -38,6 +38,8 @@ class FlashCrowdWorkload:
         Round at which the crowd starts arriving.
     max_members:
         Optional cap on the total number of boxes sent to each video.
+        Once every target has received it, the crowd sends nobody and
+        draws nothing more; a cap of 0 or below stops it at once.
     random_state:
         Seed controlling which free boxes are picked each round.
     """
@@ -67,18 +69,25 @@ class FlashCrowdWorkload:
         """Send as many new members to each target swarm as ``µ`` allows.
 
         Shuffles a copy of the free boxes and hands each target, in
-        order, the next ``µ``-allowed joiners from its front.
+        order, the next ``µ``-allowed joiners from its front.  A target
+        outside the catalog raises ``ValueError``.  Once every target
+        has received ``max_members`` boxes, no later round could take
+        anyone (the count sent never falls), so the crowd returns empty
+        arrays without shuffling.
         """
         if view.time < self._start:
             return _EMPTY, _EMPTY
-        free = shuffled_free_boxes(view, self._rng)
-        takes: List[int] = []
-        cursor = 0
         for video_id in self._targets:
             if video_id >= view.catalog.num_videos:
                 raise ValueError(
                     f"target video {video_id} outside catalog of size {view.catalog.num_videos}"
                 )
+        if self._cap is not None and all(self._sent[v] >= self._cap for v in self._targets):
+            return _EMPTY, _EMPTY
+        free = shuffled_free_boxes(view, self._rng)
+        takes: List[int] = []
+        cursor = 0
+        for video_id in self._targets:
             current = view.swarms.size(video_id, view.time - 1) if view.time > 0 else 0
             joiners = max_new_members(current, self._mu)
             if self._cap is not None:
@@ -96,7 +105,9 @@ class StaggeredFlashCrowdWorkload:
 
     Used by the scaling experiments to create overlapping swarms: video
     ``target_videos[j]`` starts its crowd at ``start_times[j]`` and grows
-    at rate ``µ`` until ``max_members`` boxes have joined it.
+    at rate ``µ`` until ``max_members`` boxes have joined it.  Once every
+    video has received ``max_members`` boxes, the crowds draw nothing
+    more.
     """
 
     def __init__(
@@ -121,7 +132,14 @@ class StaggeredFlashCrowdWorkload:
     def demand_arrays_for_round(
         self, view: SystemView
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance every crowd that has already started."""
+        """Advance every crowd that has already started.
+
+        Shuffles a copy of the free boxes every round, before and after
+        the crowds start, until every video has received ``max_members``
+        boxes; from then on it returns empty arrays without shuffling.
+        """
+        if self._cap is not None and all(self._sent[v] >= self._cap for v in self._videos):
+            return _EMPTY, _EMPTY
         free = shuffled_free_boxes(view, self._rng)
         takes: List[int] = []
         cursor = 0

@@ -117,7 +117,10 @@ class TestSwarmRegistry:
         reg.enter_batch(np.array([0, 1]), time=4)
         with pytest.raises(ValueError, match="precedes"):
             reg.size(0, 3)
+        with pytest.raises(ValueError, match="precedes"):
+            reg.sizes(2, 3)
         assert reg.size(0, 4) == 1
+        assert reg.sizes(2, 4).tolist() == [1, 1]
 
     def test_negative_video_id_raises(self):
         reg = SwarmRegistry(mu=1.5, duration=10)
@@ -132,6 +135,8 @@ class TestSwarmRegistry:
         reg.enter_batch(np.array([0, 3]), time=0)
         assert reg.size(4, 0) == 0
         assert reg.size(1_000_000, 5) == 0
+        assert reg.sizes(6, 5).tolist() == [1, 0, 0, 1, 0, 0]
+        assert reg.sizes(6, 10).tolist() == [0] * 6
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ object-state reference models over randomized small instances:
   order, expiry, first-service rounds, warm-start column);
 * :class:`SwarmRegistry` against the historical scan-based model (sizes
   from the round just written through ``duration + 1`` rounds ahead,
-  the growth-violation count), fed one entry at a time and one
-  ``enter_batch`` per round;
+  per video and as one array, the growth-violation count), fed one entry
+  at a time and one ``enter_batch`` per round;
 * the batched adjacency gather against the per-request row
   (:meth:`PossessionIndex.row_with_expiry`) and the set query;
 * the Hopcroft–Karp warm-start fast path against cold solves and the
@@ -176,10 +176,17 @@ class _ReferenceSwarms:
 
 
 def _assert_sizes_ahead(registry, model, time, duration):
-    """Every video's size from round ``time`` through ``duration + 1`` rounds ahead."""
-    for video in range(4):
-        for t in range(time, time + duration + 2):
+    """Every video's size from round ``time`` through ``duration + 1`` rounds ahead.
+
+    Asked one video at a time and as one array, which is cut short of
+    the entered videos (2) or runs past them (6).
+    """
+    for t in range(time, time + duration + 2):
+        for video in range(4):
             assert registry.size(video, t) == model.size(video, t), (video, t)
+        for m in (2, 6):
+            expected = [model.size(video, t) for video in range(m)]
+            assert registry.sizes(m, t).tolist() == expected, (m, t)
 
 
 swarm_entries = st.lists(

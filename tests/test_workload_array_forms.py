@@ -10,6 +10,11 @@ the same ``(box, video)`` sequence and leave the random generator in the
 same state, without touching ``view.free_boxes``.  No golden covers the
 staggered crowd, the missing-video adversary or sequential viewing, so
 these tests are their only pin.
+
+A capped crowd stops drawing once every target has received its
+``max_members`` boxes: the references state that rule, and
+``_list_flashcrowd_drawing`` keeps the body that shuffled every round,
+against which the capped crowds must send the same arrivals.
 """
 
 from __future__ import annotations
@@ -19,10 +24,13 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro.api import SessionSnapshot, VodSession
 from repro.core.allocation import random_permutation_allocation
 from repro.core.parameters import homogeneous_population
 from repro.core.preloading import Demand
 from repro.core.video import Catalog
+from repro.scenarios.build import build_scenario
+from repro.scenarios.registry import get_scenario
 from repro.sim.swarm import SwarmRegistry, max_new_members
 from repro.workloads.adversarial import (
     ColdStartAdversary,
@@ -39,6 +47,20 @@ from repro.workloads.sequential import SequentialViewingWorkload
 
 
 def _list_flashcrowd(self, view: SystemView) -> List[Demand]:
+    if view.time < self._start:
+        return []
+    for video_id in self._targets:
+        if video_id >= view.catalog.num_videos:
+            raise ValueError(
+                f"target video {video_id} outside catalog of size {view.catalog.num_videos}"
+            )
+    if self._cap is not None and all(self._sent[v] >= self._cap for v in self._targets):
+        return []
+    return _list_flashcrowd_drawing(self, view)
+
+
+def _list_flashcrowd_drawing(self, view: SystemView) -> List[Demand]:
+    """The list body that shuffles every round, capped or not."""
     if view.time < self._start:
         return []
     free = list(int(b) for b in view.free_boxes)
@@ -65,6 +87,8 @@ def _list_flashcrowd(self, view: SystemView) -> List[Demand]:
 
 
 def _list_staggered(self, view: SystemView) -> List[Demand]:
+    if self._cap is not None and all(self._sent[v] >= self._cap for v in self._videos):
+        return []
     free = list(int(b) for b in view.free_boxes)
     self._rng.shuffle(free)
     demands: List[Demand] = []
@@ -323,17 +347,114 @@ def test_array_form_matches_the_list_reference(factory, reference):
     assert saw_demands and saw_empty
 
 
-def test_flash_crowd_past_its_cap_draws_but_sends_nobody():
-    """A crowd at its cap still shuffles every round, like the list body."""
-    listed = FlashCrowdWorkload(mu=3.0, max_members=2, random_state=3)
-    arrays = FlashCrowdWorkload(mu=3.0, max_members=2, random_state=3)
-    swarms = SwarmRegistry(mu=3.0, duration=4)
-    sent = []
+def _run(crowd, reference=None):
+    """Step ``crowd`` over the rounds, its arrivals entering the swarms.
+
+    Yields each round's view, arrivals and the stream state after the
+    call; with a ``reference`` body, each round's arrivals must be the
+    reference's, run on a twin built alike.
+    """
+    swarms = SwarmRegistry(mu=2.0, duration=4)
     for view in _views(swarms):
-        expected = _list_flashcrowd(listed, view)
-        boxes, videos = arrays.demand_arrays_for_round(view)
-        assert list(zip(boxes.tolist(), videos.tolist())) == _pairs(expected)
-        assert arrays._rng.bit_generator.state == listed._rng.bit_generator.state
-        sent.append(boxes.size)
-    assert sum(sent) == 2
-    assert sent[-1] == 0 and arrays._sent == {0: 2}
+        expected = None if reference is None else _pairs(reference(view))
+        boxes, videos = crowd.demand_arrays_for_round(view)
+        pairs = list(zip(boxes.tolist(), videos.tolist()))
+        if expected is not None:
+            assert pairs == expected
+        for _, video_id in pairs:
+            swarms.enter(video_id, view.time)
+        yield view, pairs, crowd._rng.bit_generator.state
+
+
+def test_flash_crowd_past_its_cap_stops_drawing_and_sends_nobody():
+    """Same arrivals as the body that shuffles every round; no draw once
+    the last target has reached its cap."""
+
+    def make():
+        return FlashCrowdWorkload(
+            mu=2.0, target_videos=(0, 3), start_time=1, max_members=4, random_state=3
+        )
+
+    drawing = make()
+    crowd = make()
+    capped_at, states = None, []
+    for view, _, state in _run(crowd, lambda view: _list_flashcrowd_drawing(drawing, view)):
+        states.append(state)
+        if capped_at is None and crowd._sent == {0: 4, 3: 4}:
+            capped_at = view.time
+    # Video 0 reaches its cap in round 4 and video 3 in round 5, drawing.
+    assert capped_at == 5 and states[5] != states[4]
+    assert all(state == states[capped_at] for state in states[capped_at:])
+    # The drawing body kept shuffling past the cap.
+    assert drawing._rng.bit_generator.state != states[-1]
+
+
+def test_staggered_crowd_draws_until_every_video_is_capped():
+    """A video not yet started keeps the stream drawing while the started
+    ones are capped; once every video is capped, the stream stops."""
+    crowd = StaggeredFlashCrowdWorkload(
+        mu=3.0, target_videos=(1, 4), start_times=(0, 6), max_members=2, random_state=13
+    )
+    # The stream of a crowd that shuffles every round, capped or not.
+    drawing = np.random.default_rng(13)
+    capped_at, sent, states = None, [], []
+    for view, _, state in _run(crowd):
+        if capped_at is None:
+            drawing.shuffle(view.free_boxes.copy())
+        assert state == drawing.bit_generator.state
+        sent.append(dict(crowd._sent))
+        states.append(state)
+        if capped_at is None and crowd._sent == {1: 2, 4: 2}:
+            capped_at = view.time
+    # Video 1 is capped from round 0 and video 4 starts at round 6; the
+    # stream moved in between.
+    assert sent[5] == {1: 2, 4: 0} and states[5] != states[0]
+    assert capped_at == 6
+    assert all(state == states[capped_at] for state in states[capped_at:])
+
+    # The twin run of the ``staggered`` case compares rounds past every cap.
+    staggered = {case[0]: case[1] for case in CASES}["staggered"]()
+    for _ in _run(staggered):
+        pass
+    assert staggered._sent == {1: 4, 4: 4, 6: 4}
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: FlashCrowdWorkload(mu=2.0, target_videos=(0, 3), max_members=0, random_state=3),
+        lambda: StaggeredFlashCrowdWorkload(
+            mu=2.0, target_videos=(0, 3), start_times=(0, 2), max_members=0, random_state=3
+        ),
+    ],
+    ids=["flashcrowd", "staggered"],
+)
+def test_a_cap_of_zero_draws_nothing(factory):
+    crowd = factory()
+    fresh = crowd._rng.bit_generator.state
+    for _, pairs, state in _run(crowd):
+        assert pairs == [] and state == fresh
+
+
+def test_a_target_outside_the_catalog_raises_even_with_a_cap_of_zero():
+    crowd = FlashCrowdWorkload(mu=2.0, target_videos=(0, 99), max_members=0, random_state=3)
+    with pytest.raises(ValueError, match="target video 99 outside catalog of size 8"):
+        next(_run(crowd))
+
+
+def test_a_capped_crowd_resumes_from_a_file_checkpoint(tmp_path):
+    """``flashcrowd_spike``'s crowd is capped from round 8 of 20: restored
+    from a file at round 10, it steps to the uninterrupted run's digest."""
+    spec = get_scenario("flashcrowd_spike")
+    baseline = build_scenario(spec).session()
+    baseline.step_until(round=20)
+
+    interrupted = build_scenario(spec).session()
+    interrupted.step_until(round=10)
+    crowd = interrupted._workload.phases[1].generator
+    assert isinstance(crowd, FlashCrowdWorkload) and crowd._sent == {0: 25}
+    path = interrupted.snapshot().to_file(tmp_path / "crowd.ckpt")
+
+    restored = VodSession.restore(SessionSnapshot.from_file(path))
+    restored.step_until(round=20)
+    assert restored.digest() == baseline.digest()
